@@ -4,12 +4,12 @@ GO ?= go
 # this directory as a build artifact.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-json bench-compare obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
+.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-smoke bench-json bench-compare obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
 
 all: check
 
 # The full local gate: what CI runs, in order.
-check: vet lint build race bench obs-smoke chaos overlap-soak loadtest telemetry-smoke bench-compare
+check: vet lint build race bench bench-smoke obs-smoke chaos overlap-soak loadtest telemetry-smoke bench-compare
 
 vet:
 	$(GO) vet ./...
@@ -54,6 +54,15 @@ race-concurrency:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateUTLB|BenchmarkSimulateInterrupt|BenchmarkSimulateBulkBatch|BenchmarkTraceGen$$|BenchmarkRunAll' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifier|BenchmarkSimRun' -benchtime 1x -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteChromeTrace|BenchmarkAnalyze$$|BenchmarkSequencer' -benchtime 1x -benchmem ./internal/obs ./internal/obs/analyze ./internal/event
+
+# The repository's benchmark (bench/, a module of its own; run for real
+# with `bash bench/run.sh`) imports internal/* from outside, so an API
+# change there breaks it without breaking `go build ./...`. Its own
+# tests are the ~3 s -quick pass over all six workloads plus the
+# checker's negative tests.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Regenerate the machine-readable numbers for BENCH_pr6.json.
 bench-json:

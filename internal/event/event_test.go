@@ -242,3 +242,111 @@ func TestSequencerNilSinkDropsQuietly(t *testing.T) {
 		t.Fatal("nil-sink Drain dispatched events")
 	}
 }
+
+// kernelSequencer is the Sequencer as it was first built — every
+// Record a closure on the kernel's heap at the event's timestamp —
+// kept as the reference for the order the slice-backed one delivers
+// in.
+type kernelSequencer struct {
+	k    *event.Kernel
+	sink obs.Recorder
+}
+
+func (s *kernelSequencer) Record(e obs.Event) {
+	s.k.At(e.Time, func(units.Time) { s.sink.Record(e) })
+}
+
+func (s *kernelSequencer) Drain() int64 { return s.k.Run() }
+
+// echoSink logs what it is handed and, for every event whose Arg2 is
+// set, records that many follow-ups back into the sequencer mid-drain:
+// one in the past (which must clamp to now), the rest ahead.
+type echoSink struct {
+	seq interface{ Record(obs.Event) }
+	got []obs.Event
+}
+
+func (s *echoSink) Record(e obs.Event) {
+	s.got = append(s.got, e)
+	for i := uint64(0); i < e.Arg2; i++ {
+		s.seq.Record(obs.Event{Time: e.Time - 7 + units.Time(i)*5, Arg: e.Arg*100 + i, Kind: obs.KindCacheFill})
+	}
+}
+
+// TestSequencerMatchesKernelOrder is the property the rewrite must
+// keep: random out-of-order timestamps — collisions, negatives, a
+// second batch recorded behind the clock after a first drain, events
+// recorded by the sink mid-drain — reach the sink in exactly the order
+// the kernel-scheduled Sequencer delivered them, and both report the
+// same dispatch counts and leave the kernel at the same time.
+func TestSequencerMatchesKernelOrder(t *testing.T) {
+	type sequencer interface {
+		Record(obs.Event)
+		Drain() int64
+	}
+	run := func(seed int64, build func(*event.Kernel, obs.Recorder) sequencer) (got []obs.Event, counts []int64, now units.Time) {
+		rng := rand.New(rand.NewSource(seed))
+		k := event.NewKernel()
+		sink := &echoSink{}
+		seq := build(k, sink)
+		sink.seq = seq
+		id := uint64(1)
+		for batch := 0; batch < 3; batch++ {
+			for n := rng.Intn(300); n > 0; n-- {
+				e := obs.Event{Time: units.Time(rng.Intn(60) - 5), Arg: id, Kind: obs.KindDMARead}
+				if batch > 0 {
+					e.Time += units.Time(rng.Intn(40)) // straddles the clock the last drain left
+				}
+				if rng.Intn(10) == 0 {
+					e.Arg2 = uint64(1 + rng.Intn(3))
+				}
+				id++
+				seq.Record(e)
+			}
+			counts = append(counts, seq.Drain(), k.Dispatched())
+		}
+		return sink.got, counts, k.Now()
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		want, wantCounts, wantNow := run(seed, func(k *event.Kernel, sink obs.Recorder) sequencer {
+			return &kernelSequencer{k, sink}
+		})
+		got, gotCounts, gotNow := run(seed, func(k *event.Kernel, sink obs.Recorder) sequencer {
+			return event.NewSequencer(k, sink)
+		})
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d: delivery %d of %d differs: got %+v, want %+v", seed, i, len(want), got[min(i, len(got)-1)], want[i])
+				}
+			}
+			t.Fatalf("seed %d: delivered %d events, want %d", seed, len(got), len(want))
+		}
+		if !reflect.DeepEqual(gotCounts, wantCounts) || gotNow != wantNow {
+			t.Errorf("seed %d: counts %v now %v, want %v now %v", seed, gotCounts, gotNow, wantCounts, wantNow)
+		}
+	}
+}
+
+func BenchmarkSequencer(b *testing.B) {
+	const n = 1 << 15
+	k := event.NewKernel()
+	seq := event.NewSequencer(k, obs.Nop{})
+	rng := rand.New(rand.NewSource(1998))
+	jitter := make([]units.Time, n)
+	for i := range jitter {
+		jitter[i] = units.Time(rng.Intn(4000)) // DMA tails landing behind the host's clock
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := k.Now()
+		for j := 0; j < n; j++ {
+			seq.Record(obs.Event{Time: base + units.Time(j)*700 - jitter[j], Kind: obs.KindDMARead})
+		}
+		if seq.Drain() != n {
+			b.Fatal("short drain")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+}

@@ -14,12 +14,17 @@ import (
 // not contain allocation sites that the runtime gates (testing.
 // AllocsPerRun budgets, the 0-alloc disabled-telemetry benchmark)
 // would catch only after the regression lands. The entry points are
-// the simulation driver and the translation fast paths:
+// the simulation driver, the translation fast paths, and the
+// recorded-run path whose cost is per event (recording, the Chrome
+// exporter, the analysis scan):
 //
 //	<module>.SimulateWith
 //	<module>/internal/tlbcache.Cache.Lookup / .Insert
 //	<module>/internal/xlate.Service.Lookup / .Insert /
 //	                          .LookupMany / .InsertMany
+//	<module>/internal/obs.Buffer.Record / .WriteChromeTrace
+//	<module>/internal/event.Sequencer.Record
+//	<module>/internal/obs/analyze.Analyze
 //
 // Reachability runs over static call and reference edges (interface
 // dispatch is excluded: a dynamic call on the hot path is already a
@@ -61,6 +66,10 @@ func hotEntryIDs(module string) []string {
 		module + "/internal/xlate.Service.Insert",
 		module + "/internal/xlate.Service.LookupMany",
 		module + "/internal/xlate.Service.InsertMany",
+		module + "/internal/obs.Buffer.Record",
+		module + "/internal/obs.WriteChromeTrace",
+		module + "/internal/event.Sequencer.Record",
+		module + "/internal/obs/analyze.Analyze",
 	}
 }
 

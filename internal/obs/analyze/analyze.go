@@ -12,8 +12,10 @@
 package analyze
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,21 +26,20 @@ import (
 // span kind maps to exactly one category; instants carry no duration
 // and contribute only to event counts.
 const (
-	catCheck     = "check"     // user-level bit-vector check
-	catProbe     = "probe"     // NIC cache probe phase (hit or miss)
-	catDMA       = "dma"       // I/O-bus DMA (entry fetch + data)
-	catPin       = "pin"       // pin ioctl / in-kernel pin
-	catUnpin     = "unpin"     // unpin ioctl / in-kernel unpin
-	catInterrupt = "interrupt" // interrupt dispatch + handler, minus nested pin work
-	catOther     = "other"     // any future span kind
+	catCheck     = iota // user-level bit-vector check
+	catProbe            // NIC cache probe phase (hit or miss)
+	catDMA              // I/O-bus DMA (entry fetch + data)
+	catPin              // pin ioctl / in-kernel pin
+	catUnpin            // unpin ioctl / in-kernel unpin
+	catInterrupt        // interrupt dispatch + handler, minus nested pin work
+	catOther            // any future span kind
+	numCategories
 )
 
-// categories is an array so len(categories) is a constant usable as
-// an array size below.
-var categories = [...]string{catCheck, catProbe, catDMA, catPin, catUnpin, catInterrupt, catOther}
+var categories = [numCategories]string{"check", "probe", "dma", "pin", "unpin", "interrupt", "other"}
 
 // category maps a span kind to its breakdown category.
-func category(k obs.Kind) string {
+func category(k obs.Kind) int8 {
 	switch k {
 	case obs.KindCheckHit, obs.KindCheckMiss:
 		return catCheck
@@ -56,6 +57,18 @@ func category(k obs.Kind) string {
 		return catOther
 	}
 }
+
+// spanCat is category tabulated per Kind for the scan, -1 for the
+// instants.
+var spanCat = func() (tab [obs.NumKinds]int8) {
+	for k := range tab {
+		tab[k] = -1
+		if obs.Kind(k).IsSpan() {
+			tab[k] = category(obs.Kind(k))
+		}
+	}
+	return tab
+}()
 
 // maxChainEvents caps the per-transfer event chain kept for the
 // slowest-transfers report; past it only the count grows.
@@ -142,25 +155,55 @@ type ChainEvent struct {
 	Arg2   uint64 `json:"arg2,omitempty"`
 }
 
-// transferAcc accumulates one (run, id) transfer during the scan.
+// transferAcc accumulates one transfer of the run being scanned. The
+// run's accumulators are a slab of values indexed by Xfer-1 (ids are
+// dense from 1 in record order), reused from run to run.
 type transferAcc struct {
-	id     uint64
-	events int64
-	chain  []ChainEvent
-	// perCat is exclusive span time by category index.
-	perCat [len(categories)]int64
-	// intrNested is KernelPin/KernelUnpin time inside this transfer,
-	// subtracted from the interrupt category so dispatch+handler time
-	// is exclusive of the pin work it wraps.
-	intrNested int64
+	events int64 // 0: the id does not occur in this run
+	first  int   // index of the transfer's first event in the run
+	spanNs int64 // all span time attributed to the transfer
+	// intrNs is the interrupt part of spanNs; nestedNs is the
+	// KernelPin/KernelUnpin time inside the transfer, subtracted from
+	// it so dispatch+handler time is exclusive of the pin work it wraps.
+	intrNs   int64
+	nestedNs int64
 }
 
-func (t *transferAcc) latency() int64 {
-	var sum int64
-	for _, ns := range t.perCat {
-		sum += ns
+// slowTransfer is a candidate for an experiment's slowest list: enough
+// to rank the transfer and to find its events again. Chains are built
+// only for the topK that are reported, in a second pass over the
+// winners' events.
+type slowTransfer struct {
+	run     int // index into runs
+	label   string
+	id      uint64
+	latency int64
+	events  int64
+	first   int
+}
+
+// slower is the report order of the slowest list: latency descending,
+// then run label, id and run position ascending — a total order, so
+// sorting by it needs no stability.
+func slower(a, b slowTransfer) int {
+	if a.latency != b.latency {
+		return cmp.Compare(b.latency, a.latency)
 	}
-	return sum
+	return cmp.Or(strings.Compare(a.label, b.label), cmp.Compare(a.id, b.id), cmp.Compare(a.run, b.run))
+}
+
+type expAcc struct {
+	name     string
+	runs     []string
+	latency  Digest
+	perCat   [numCategories]int64
+	events   int64
+	unattrib int64
+	// slowest holds at least the topK slowest transfers seen so far;
+	// once it has been pruned to topK, sorted, its last entry is the
+	// bar a new candidate must clear.
+	slowest []slowTransfer
+	pruned  bool
 }
 
 // experiment derives the experiment name from a run label.
@@ -171,16 +214,10 @@ func experiment(label string) string {
 	return label
 }
 
-var catIndex = func() map[string]int {
-	m := make(map[string]int, len(categories))
-	for i, c := range categories {
-		m[c] = i
-	}
-	return m
-}()
-
 // Analyze computes the transfer-level report over runs, keeping the
-// topK slowest transfers per experiment (topK < 1 means 10).
+// topK slowest transfers per experiment (topK < 1 means 10). Events
+// whose Kind lies outside the taxonomy (a caller-built Event can carry
+// one) are counted in Report.Events and otherwise skipped.
 func Analyze(runs []obs.Run, topK int) *Report {
 	if topK < 1 {
 		topK = 10
@@ -188,90 +225,82 @@ func Analyze(runs []obs.Run, topK int) *Report {
 	rep := &Report{Runs: len(runs)}
 
 	kindDigests := make([]*Digest, obs.NumKinds)
-	type expAcc struct {
-		runs      []string
-		latency   Digest
-		perCat    [len(categories)]int64
-		events    int64
-		unattrib  int64
-		transfers []*transferAcc
-		runOf     map[*transferAcc]string
-	}
-	exps := make(map[string]*expAcc)
+	// A report covers a handful of experiments: a slice searched by
+	// name, sorted once at the end.
+	exps := make([]*expAcc, 0, 8)
+	xfers := make([]transferAcc, 0, 1024)
 
-	for _, run := range runs {
+	for ri, run := range runs {
 		name := experiment(run.Label)
-		ea := exps[name]
-		if ea == nil {
-			ea = &expAcc{runOf: make(map[*transferAcc]string)}
-			exps[name] = ea
+		at := slices.IndexFunc(exps, func(ea *expAcc) bool { return ea.name == name })
+		if at < 0 {
+			at = len(exps)
+			exps = append(exps, &expAcc{name: name})
 		}
+		ea := exps[at]
 		ea.runs = append(ea.runs, run.Label)
+		rep.Events += int64(len(run.Events))
+		ea.events += int64(len(run.Events))
 
-		// Per-run transfer table: ids are dense from 1 in record order,
-		// so a slice indexed by id-1 keeps the scan allocation-light and
-		// the output order deterministic.
-		var xfers []*transferAcc
+		clear(xfers)
 		for i := range run.Events {
 			ev := &run.Events[i]
-			rep.Events++
-			ea.events++
-			if d := kindDigests[ev.Kind]; d != nil {
-				d.Add(int64(ev.Dur))
-			} else {
+			if int(ev.Kind) >= obs.NumKinds {
+				continue
+			}
+			d := kindDigests[ev.Kind]
+			if d == nil {
 				d = new(Digest)
-				d.Add(int64(ev.Dur))
 				kindDigests[ev.Kind] = d
 			}
+			d.Add(int64(ev.Dur))
 			if ev.Xfer == 0 {
 				ea.unattrib++
 				continue
 			}
-			for uint64(len(xfers)) < ev.Xfer {
-				xfers = append(xfers, nil)
+			if uint64(len(xfers)) < ev.Xfer {
+				xfers = append(xfers, make([]transferAcc, ev.Xfer-uint64(len(xfers)))...)
 			}
-			t := xfers[ev.Xfer-1]
-			if t == nil {
-				t = &transferAcc{id: ev.Xfer}
-				xfers[ev.Xfer-1] = t
+			t := &xfers[ev.Xfer-1]
+			if t.events == 0 {
+				t.first = i
 			}
 			t.events++
-			if len(t.chain) < maxChainEvents {
-				t.chain = append(t.chain, ChainEvent{
-					Kind:   ev.Kind.String(),
-					Node:   int(ev.Node),
-					PID:    int(ev.PID),
-					TimeNs: int64(ev.Time),
-					DurNs:  int64(ev.Dur),
-					Arg:    ev.Arg,
-					Arg2:   ev.Arg2,
-				})
-			}
-			if ev.Kind.IsSpan() {
-				t.perCat[catIndex[category(ev.Kind)]] += int64(ev.Dur)
+			if c := spanCat[ev.Kind]; c >= 0 {
+				t.spanNs += int64(ev.Dur)
+				if c == catInterrupt {
+					t.intrNs += int64(ev.Dur)
+				} else {
+					ea.perCat[c] += int64(ev.Dur)
+				}
 				if ev.Kind == obs.KindKernelPin || ev.Kind == obs.KindKernelUnpin {
-					t.intrNested += int64(ev.Dur)
+					t.nestedNs += int64(ev.Dur)
 				}
 			}
 		}
-		for _, t := range xfers {
-			if t == nil {
+		for i := range xfers {
+			t := &xfers[i]
+			if t.events == 0 {
 				continue
 			}
-			// Make interrupt time exclusive of the kernel pin/unpin work
+			// Interrupt time exclusive of the kernel pin/unpin work
 			// nested inside the handler (clamped: a chain recorded
 			// without its enclosing interrupt must not go negative).
-			ic := catIndex[catInterrupt]
-			t.perCat[ic] -= t.intrNested
-			if t.perCat[ic] < 0 {
-				t.perCat[ic] = 0
+			intr := max(t.intrNs-t.nestedNs, 0)
+			ea.perCat[catInterrupt] += intr
+			c := slowTransfer{
+				run: ri, label: run.Label, id: uint64(i + 1), latency: t.spanNs - t.intrNs + intr,
+				events: t.events, first: t.first,
 			}
-			ea.latency.Add(t.latency())
-			for i, ns := range t.perCat {
-				ea.perCat[i] += ns
+			ea.latency.Add(c.latency)
+			if ea.pruned && slower(c, ea.slowest[topK-1]) > 0 {
+				continue
 			}
-			ea.transfers = append(ea.transfers, t)
-			ea.runOf[t] = run.Label
+			ea.slowest = append(ea.slowest, c)
+			if len(ea.slowest) >= 2*topK+64 {
+				slices.SortFunc(ea.slowest, slower)
+				ea.slowest, ea.pruned = ea.slowest[:topK], true
+			}
 		}
 	}
 
@@ -291,15 +320,10 @@ func Analyze(runs []obs.Run, topK int) *Report {
 		})
 	}
 
-	names := make([]string, 0, len(exps))
-	for name := range exps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ea := exps[name]
+	sort.Slice(exps, func(i, j int) bool { return exps[i].name < exps[j].name })
+	for _, ea := range exps {
 		er := ExperimentReport{
-			Experiment: name,
+			Experiment: ea.name,
 			Runs:       ea.runs,
 			Transfers: TransferStats{
 				Count:        ea.latency.N(),
@@ -326,36 +350,42 @@ func Analyze(runs []obs.Run, topK int) *Report {
 			}
 			er.Breakdown = append(er.Breakdown, BreakdownEntry{Category: cat, Ns: ns, BasisPoints: bp})
 		}
-		sort.SliceStable(ea.transfers, func(i, j int) bool {
-			a, b := ea.transfers[i], ea.transfers[j]
-			la, lb := a.latency(), b.latency()
-			if la != lb {
-				return la > lb
-			}
-			ra, rb := ea.runOf[a], ea.runOf[b]
-			if ra != rb {
-				return ra < rb
-			}
-			return a.id < b.id
-		})
-		if len(ea.transfers) > topK {
-			ea.transfers = ea.transfers[:topK]
-		}
-		for _, t := range ea.transfers {
-			tr := Transfer{
-				Run:       ea.runOf[t],
-				ID:        t.id,
-				LatencyNs: t.latency(),
-				Events:    t.chain,
-			}
-			if int64(len(t.chain)) < t.events {
-				tr.Truncated = int(t.events - int64(len(t.chain)))
-			}
-			er.Slowest = append(er.Slowest, tr)
+		slices.SortFunc(ea.slowest, slower)
+		for _, c := range ea.slowest[:min(topK, len(ea.slowest))] {
+			er.Slowest = append(er.Slowest, Transfer{
+				Run:       c.label,
+				ID:        c.id,
+				LatencyNs: c.latency,
+				Events:    chain(runs[c.run].Events, c),
+				Truncated: int(c.events - min(c.events, maxChainEvents)),
+			})
 		}
 		rep.Experiments = append(rep.Experiments, er)
 	}
 	return rep
+}
+
+// chain collects the first maxChainEvents events of transfer c from
+// its run, starting at the transfer's first event and stopping at its
+// last (or at the cap).
+func chain(events []obs.Event, c slowTransfer) []ChainEvent {
+	out := make([]ChainEvent, 0, min(c.events, maxChainEvents))
+	for i := c.first; len(out) < cap(out); i++ {
+		ev := &events[i]
+		if ev.Xfer != c.id || int(ev.Kind) >= obs.NumKinds {
+			continue
+		}
+		out = append(out, ChainEvent{
+			Kind:   ev.Kind.String(),
+			Node:   int(ev.Node),
+			PID:    int(ev.PID),
+			TimeNs: int64(ev.Time),
+			DurNs:  int64(ev.Dur),
+			Arg:    ev.Arg,
+			Arg2:   ev.Arg2,
+		})
+	}
+	return out
 }
 
 // WriteJSON writes the report as indented JSON with a trailing

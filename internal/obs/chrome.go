@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Chrome trace_event export: one trace "process" per run (labelled by
@@ -14,22 +16,101 @@ import (
 // Timestamps in the format are microseconds; simulated time is
 // nanoseconds, so values are emitted as fixed three-decimal micros —
 // pure integer math, byte-deterministic.
+//
+// The writer's cost is proportional to the bytes it writes: everything
+// about an event line that depends only on its Kind is rendered once
+// into chromeKinds, and a line is that constant text plus integer
+// appends into one reused buffer — no fmt, no encoding/json, no
+// allocation per event.
 
 // chromeTID packs a track identity into a stable thread id. The
 // format only needs tids to be unique within a process and ordered
 // sensibly; 8 components and up to 512 pids per node fit comfortably.
-func chromeTID(node int, pid int, comp int) int {
-	return node*4096 + pid*8 + comp
+func chromeTID(node, pid int, comp component) int {
+	return node*4096 + pid*8 + int(comp)
 }
 
-// writeMicros writes ns as a decimal microsecond value with exactly
+// appendMicros appends ns as a decimal microsecond value with exactly
 // three fractional digits ("12.345") without going through float64.
-func writeMicros(w *bufio.Writer, ns int64) {
+func appendMicros(b []byte, ns int64) []byte {
+	u := uint64(ns)
 	if ns < 0 {
-		w.WriteByte('-')
-		ns = -ns
+		b = append(b, '-')
+		u = -u
 	}
-	fmt.Fprintf(w, "%d.%03d", ns/1000, ns%1000)
+	b = strconv.AppendUint(b, u/1000, 10)
+	frac := u % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+}
+
+// chromeKind is the pre-rendered, Kind-constant part of an event line.
+// Which arguments a kind carries is static, so each key comes with the
+// comma it needs.
+type chromeKind struct {
+	comp component
+	span bool
+	head string // `{"ph":"X","pid":` or `{"ph":"i","s":"t","pid":`
+	mid  string // `,"name":"…","cat":"…","ts":`
+	arg  string // `"pages":`, "" when Event.Arg is unused
+	arg2 string // `,"probes":`, "" when Event.Arg2 is unused
+	xfer string // `,"xfer":`
+}
+
+// chromeKinds is indexed by Kind; the extra last entry serves every
+// Kind outside the taxonomy (a caller-built Event can carry one),
+// rendered as an instant named "invalid" on the none track.
+var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
+	for k := range tab {
+		meta := kindMeta{name: "invalid", comp: compNone}
+		if k < NumKinds {
+			meta = kindMetas[k]
+		}
+		ck := chromeKind{
+			comp: meta.comp, span: meta.span, head: `{"ph":"i","s":"t","pid":`,
+			mid: `,"name":` + mustJSON(meta.name) + `,"cat":` + mustJSON(componentNames[meta.comp]) + `,"ts":`,
+		}
+		if meta.span {
+			ck.head = `{"ph":"X","pid":`
+		}
+		comma := ""
+		key := func(name string) (s string) {
+			if name != "" {
+				s, comma = comma+mustJSON(name)+":", ","
+			}
+			return s
+		}
+		ck.arg, ck.arg2, ck.xfer = key(meta.arg), key(meta.arg2), key("xfer")
+		tab[k] = ck
+	}
+	return tab
+}()
+
+func chromeKindOf(k Kind) *chromeKind {
+	return &chromeKinds[min(int(k), NumKinds)]
+}
+
+// chromeTrack is one (node, pid, component) thread of a run.
+type chromeTrack struct {
+	node, pid uint32
+	comp      component
+}
+
+func (t chromeTrack) tid() int { return chromeTID(int(t.node), int(t.pid), t.comp) }
+
+// chromeTracks returns the distinct tracks of events, sorted by tid.
+// A run has a handful — eight components times the processes of one
+// node — so the list found so far is simply searched for each event.
+func chromeTracks(events []Event) []chromeTrack {
+	tracks := make([]chromeTrack, 0, 16)
+	for i := range events {
+		ev := &events[i]
+		t := chromeTrack{uint32(ev.Node), uint32(ev.PID), chromeKindOf(ev.Kind).comp}
+		if !slices.Contains(tracks, t) {
+			tracks = append(tracks, t)
+		}
+	}
+	sort.Slice(tracks, func(a, b int) bool { return tracks[a].tid() < tracks[b].tid() })
+	return tracks
 }
 
 // WriteChromeTrace writes runs as Chrome trace_event JSON (the
@@ -40,91 +121,72 @@ func writeMicros(w *bufio.Writer, ns int64) {
 func WriteChromeTrace(w io.Writer, runs []Run) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	sep := func() {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-	}
+	sep := "" // before every entry but the first: ",\n"
+	line := make([]byte, 0, 256)
 
 	for i, run := range runs {
 		// Process metadata: name the trace process after the run label.
-		sep()
-		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-			i, mustJSON(run.Label))
+		line = append(line[:0], sep...)
+		sep = ",\n"
+		line = append(line, `{"ph":"M","pid":`...)
+		line = strconv.AppendInt(line, int64(i), 10)
+		line = append(line, `,"tid":0,"name":"process_name","args":{"name":`...)
+		line = append(line, mustJSON(run.Label)...)
+		line = append(line, "}}"...)
+		bw.Write(line)
 
-		// Discover tracks and name them before emitting their events.
-		type track struct{ node, pid, comp int }
-		seen := map[track]bool{}
-		tracks := []track{}
-		for _, ev := range run.Events {
-			t := track{int(ev.Node), int(ev.PID), componentIDs[ev.Kind.Component()]}
-			if !seen[t] {
-				seen[t] = true
-				tracks = append(tracks, t)
-			}
-		}
-		sort.Slice(tracks, func(a, b int) bool {
-			ta, tb := tracks[a], tracks[b]
-			return chromeTID(ta.node, ta.pid, ta.comp) < chromeTID(tb.node, tb.pid, tb.comp)
-		})
-		for _, t := range tracks {
-			name := fmt.Sprintf("n%d/p%d/%s", t.node, t.pid, compName(t.comp))
-			sep()
-			fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-				i, chromeTID(t.node, t.pid, t.comp), mustJSON(name))
+		// Name the tracks before emitting their events. Component names
+		// are plain identifiers, so quoting them needs no escaping.
+		for _, t := range chromeTracks(run.Events) {
+			line = append(line[:0], ",\n"+`{"ph":"M","pid":`...)
+			line = strconv.AppendInt(line, int64(i), 10)
+			line = append(line, `,"tid":`...)
+			line = strconv.AppendInt(line, int64(t.tid()), 10)
+			line = append(line, `,"name":"thread_name","args":{"name":"n`...)
+			line = strconv.AppendUint(line, uint64(t.node), 10)
+			line = append(line, "/p"...)
+			line = strconv.AppendUint(line, uint64(t.pid), 10)
+			line = append(line, '/')
+			line = append(line, componentNames[t.comp]...)
+			line = append(line, `"}}`...)
+			bw.Write(line)
 		}
 
-		for _, ev := range run.Events {
-			sep()
-			tid := chromeTID(int(ev.Node), int(ev.PID), componentIDs[ev.Kind.Component()])
-			meta := kindMetas[ev.Kind]
-			if meta.span {
-				fmt.Fprintf(bw, `{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":`,
-					i, tid, mustJSON(meta.name), mustJSON(meta.comp))
-				writeMicros(bw, int64(ev.Time))
-				bw.WriteString(`,"dur":`)
-				writeMicros(bw, int64(ev.Dur))
-			} else {
-				fmt.Fprintf(bw, `{"ph":"i","s":"t","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":`,
-					i, tid, mustJSON(meta.name), mustJSON(meta.comp))
-				writeMicros(bw, int64(ev.Time))
+		for j := range run.Events {
+			ev := &run.Events[j]
+			ck := chromeKindOf(ev.Kind)
+			line = append(line[:0], ",\n"...)
+			line = append(line, ck.head...)
+			line = strconv.AppendInt(line, int64(i), 10)
+			line = append(line, `,"tid":`...)
+			line = strconv.AppendInt(line, int64(chromeTID(int(ev.Node), int(ev.PID), ck.comp)), 10)
+			line = append(line, ck.mid...)
+			line = appendMicros(line, int64(ev.Time))
+			if ck.span {
+				line = append(line, `,"dur":`...)
+				line = appendMicros(line, int64(ev.Dur))
 			}
-			bw.WriteString(`,"args":{`)
-			argFirst := true
-			writeArg := func(name string, v uint64) {
-				if name == "" {
-					return
-				}
-				if !argFirst {
-					bw.WriteByte(',')
-				}
-				argFirst = false
-				fmt.Fprintf(bw, `%s:%d`, mustJSON(name), v)
+			line = append(line, `,"args":{`...)
+			if ck.arg != "" {
+				line = append(line, ck.arg...)
+				line = strconv.AppendUint(line, ev.Arg, 10)
 			}
-			writeArg(meta.arg, ev.Arg)
-			writeArg(meta.arg2, ev.Arg2)
+			if ck.arg2 != "" {
+				line = append(line, ck.arg2...)
+				line = strconv.AppendUint(line, ev.Arg2, 10)
+			}
 			// Transfer attribution rides along only when present, so
 			// traces without ids keep their exact historical bytes.
 			if ev.Xfer != 0 {
-				writeArg("xfer", ev.Xfer)
+				line = append(line, ck.xfer...)
+				line = strconv.AppendUint(line, ev.Xfer, 10)
 			}
-			bw.WriteString("}}")
+			line = append(line, "}}"...)
+			bw.Write(line)
 		}
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
-}
-
-// compName is the inverse of componentIDs for track naming.
-func compName(id int) string {
-	for name, cid := range componentIDs {
-		if cid == id {
-			return name
-		}
-	}
-	return "unknown"
 }
 
 // mustJSON returns s as a JSON string literal.

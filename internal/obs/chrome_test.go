@@ -1,0 +1,316 @@
+package obs
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"utlb/internal/units"
+)
+
+// writeChromeTraceOracle is the fmt/encoding-json formatter
+// WriteChromeTrace replaced, kept as the byte-for-byte reference the
+// differential tests below compare against: it formats every field
+// through the standard library, one call per field per event. Two
+// things differ from the code it was: components are an index table
+// now, and a Kind outside the taxonomy renders as an "invalid" instant
+// on the none track where the old code indexed out of range.
+func writeChromeTraceOracle(w io.Writer, runs []Run) error {
+	metaOf := func(k Kind) (meta kindMeta, comp int) {
+		meta = kindMeta{name: "invalid", comp: compNone}
+		if int(k) < NumKinds {
+			meta = kindMetas[k]
+		}
+		return meta, int(meta.comp)
+	}
+	micros := func(w *bufio.Writer, ns int64) {
+		if ns < 0 {
+			w.WriteByte('-')
+			ns = -ns
+		}
+		fmt.Fprintf(w, "%d.%03d", ns/1000, ns%1000)
+	}
+	tidOf := func(node, pid, comp int) int { return node*4096 + pid*8 + comp }
+
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.WriteString("{\"traceEvents\":[\n")
+	first := true
+	sep := func() {
+		if !first {
+			bw.WriteString(",\n")
+		}
+		first = false
+	}
+	for i, run := range runs {
+		sep()
+		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
+			i, mustJSON(run.Label))
+
+		type track struct{ node, pid, comp int }
+		seen := map[track]bool{}
+		tracks := []track{}
+		for _, ev := range run.Events {
+			_, comp := metaOf(ev.Kind)
+			t := track{int(ev.Node), int(ev.PID), comp}
+			if !seen[t] {
+				seen[t] = true
+				tracks = append(tracks, t)
+			}
+		}
+		sort.Slice(tracks, func(a, b int) bool {
+			ta, tb := tracks[a], tracks[b]
+			return tidOf(ta.node, ta.pid, ta.comp) < tidOf(tb.node, tb.pid, tb.comp)
+		})
+		for _, t := range tracks {
+			name := fmt.Sprintf("n%d/p%d/%s", t.node, t.pid, componentNames[t.comp])
+			sep()
+			fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
+				i, tidOf(t.node, t.pid, t.comp), mustJSON(name))
+		}
+
+		for _, ev := range run.Events {
+			sep()
+			meta, comp := metaOf(ev.Kind)
+			tid := tidOf(int(ev.Node), int(ev.PID), comp)
+			cat := componentNames[comp]
+			if meta.span {
+				fmt.Fprintf(bw, `{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":`,
+					i, tid, mustJSON(meta.name), mustJSON(cat))
+				micros(bw, int64(ev.Time))
+				bw.WriteString(`,"dur":`)
+				micros(bw, int64(ev.Dur))
+			} else {
+				fmt.Fprintf(bw, `{"ph":"i","s":"t","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":`,
+					i, tid, mustJSON(meta.name), mustJSON(cat))
+				micros(bw, int64(ev.Time))
+			}
+			bw.WriteString(`,"args":{`)
+			argFirst := true
+			writeArg := func(name string, v uint64) {
+				if name == "" {
+					return
+				}
+				if !argFirst {
+					bw.WriteByte(',')
+				}
+				argFirst = false
+				fmt.Fprintf(bw, `%s:%d`, mustJSON(name), v)
+			}
+			writeArg(meta.arg, ev.Arg)
+			writeArg(meta.arg2, ev.Arg2)
+			if ev.Xfer != 0 {
+				writeArg("xfer", ev.Xfer)
+			}
+			bw.WriteString("}}")
+		}
+	}
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
+
+// chromeFuzzRuns derives runs from a seed: every Kind (a few outside
+// the taxonomy), zero and non-zero Arg/Arg2/Xfer, times that are
+// small, negative and beyond 2^53, pids past the 512 the tid packs
+// without collision. math.MinInt64 never comes out of it: the oracle's
+// ns = -ns cannot render that one value (TestWriteMicros pins it for
+// the new code).
+func chromeFuzzRuns(seed int64, events int, labels []string) []Run {
+	rng := rand.New(rand.NewSource(seed))
+	pick := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return uint64(rng.Intn(1 << 12))
+		case 2:
+			return 1<<53 + uint64(rng.Int63n(1<<40))
+		default:
+			return rng.Uint64()
+		}
+	}
+	when := func() units.Time {
+		t := units.Time(pick() >> 1)
+		if rng.Intn(5) == 0 {
+			t = -t
+		}
+		return t
+	}
+	runs := make([]Run, len(labels))
+	for i, label := range labels {
+		runs[i].Label = label
+		for n := rng.Intn(events + 1); n > 0; n-- {
+			ev := Event{
+				Time: when(), Dur: when(), Arg: pick(), Arg2: pick(), Xfer: pick(),
+				PID:  units.ProcID(rng.Intn(4)),
+				Node: units.NodeID(rng.Intn(3)),
+				Kind: Kind(rng.Intn(NumKinds + 3)),
+			}
+			if rng.Intn(16) == 0 {
+				ev.PID, ev.Node = units.ProcID(rng.Uint32()), units.NodeID(rng.Uint32())
+			}
+			runs[i].Events = append(runs[i].Events, ev)
+		}
+	}
+	return runs
+}
+
+// checkChromeAgainstOracle is the differential property: the writer's
+// bytes equal the oracle's, are valid JSON, and read back as the
+// events that went in.
+func checkChromeAgainstOracle(t *testing.T, runs []Run) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := WriteChromeTrace(&got, runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeChromeTraceOracle(&want, runs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := got.String(), want.String()
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		lo := max(0, i-120)
+		t.Fatalf("writer and oracle differ at byte %d:\n got …%s\nwant …%s",
+			i, g[lo:min(len(g), i+120)], w[lo:min(len(w), i+120)])
+	}
+	if !json.Valid(got.Bytes()) {
+		t.Fatal("output is not valid JSON")
+	}
+	tf, err := ReadChromeTrace(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for i, run := range runs {
+		var label string
+		if err := json.Unmarshal([]byte(mustJSON(run.Label)), &label); err != nil {
+			t.Fatal(err)
+		}
+		if tf.ProcessNames[i] != label {
+			t.Errorf("process %d named %q, want %q", i, tf.ProcessNames[i], label)
+		}
+		for _, ev := range run.Events {
+			if next >= len(tf.Events) {
+				t.Fatalf("read back %d events, want more", len(tf.Events))
+			}
+			back := tf.Events[next]
+			next++
+			name, ph, comp := "invalid", "i", compNone
+			if int(ev.Kind) < NumKinds {
+				name, comp = ev.Kind.String(), kindMetas[ev.Kind].comp
+				if ev.Kind.IsSpan() {
+					ph = "X"
+				}
+			}
+			tid := chromeTID(int(ev.Node), int(ev.PID), comp)
+			if back.Name != name || back.Ph != ph || back.Cat != componentNames[comp] || back.PID != i || back.TID != tid {
+				t.Fatalf("event %d read back as %+v, want %s/%s on pid %d tid %d", next-1, back, name, ph, i, tid)
+			}
+			if ns := int64(ev.Time); ns > -1<<50 && ns < 1<<50 && math.Round(back.TS*1000) != float64(ns) {
+				t.Errorf("event %d ts %v µs, want %d ns", next-1, back.TS, ns)
+			}
+			if ev.Xfer != 0 && ev.Xfer <= math.MaxInt64 && back.Args["xfer"] != int64(ev.Xfer) {
+				t.Errorf("event %d xfer %d, want %d", next-1, back.Args["xfer"], ev.Xfer)
+			}
+		}
+	}
+	if next != len(tf.Events) {
+		t.Errorf("read back %d events, want %d", len(tf.Events), next)
+	}
+}
+
+// oddLabels need JSON escaping, one way each.
+var oddLabels = []string{
+	"table4/fft/1K/utlb/n0", "", `quote"back\slash`, "tab\tnewline\n", "<html>&amp;",
+	"é ü \u2028 \U0001F600", "bad\xffutf8", "\x00\x1f",
+}
+
+func TestChromeTraceMatchesOracle(t *testing.T) {
+	checkChromeAgainstOracle(t, nil)
+	checkChromeAgainstOracle(t, []Run{{Label: "empty"}})
+	checkChromeAgainstOracle(t, sortedFixture())
+	for seed := int64(0); seed < 20; seed++ {
+		checkChromeAgainstOracle(t, chromeFuzzRuns(seed, 400, oddLabels))
+	}
+}
+
+func FuzzChromeTrace(f *testing.F) {
+	f.Add(int64(1998), uint16(64), "table6/fft/utlb")
+	f.Add(int64(-7), uint16(0), `odd "label"`+"\n")
+	f.Add(int64(1<<40), uint16(1000), "bad\xffutf8")
+	f.Fuzz(func(t *testing.T, seed int64, events uint16, label string) {
+		checkChromeAgainstOracle(t, chromeFuzzRuns(seed, int(events)%2048, []string{label, "second/" + label}))
+	})
+}
+
+// TestChromeTraceInvalidKind: a Kind outside the taxonomy is an
+// instant named "invalid" on the none track, not an index panic.
+func TestChromeTraceInvalidKind(t *testing.T) {
+	for _, k := range []Kind{Kind(NumKinds), 200, 255} {
+		var buf bytes.Buffer
+		runs := []Run{{Label: "r", Events: []Event{{Time: 1500, Dur: 9, Arg: 3, Xfer: 7, PID: 2, Node: 1, Kind: k}}}}
+		if err := WriteChromeTrace(&buf, runs); err != nil {
+			t.Fatalf("kind %d: %v", k, err)
+		}
+		want := fmt.Sprintf(`{"ph":"i","s":"t","pid":0,"tid":%d,"name":"invalid","cat":"none","ts":1.500,"args":{"xfer":7}}`,
+			chromeTID(1, 2, compNone))
+		if !strings.Contains(buf.String(), want) || !strings.Contains(buf.String(), `"n1/p2/none"`) {
+			t.Errorf("kind %d rendered as\n%s\nwant a line %s", k, buf.String(), want)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Errorf("kind %d: invalid JSON", k)
+		}
+	}
+}
+
+// TestAggregateInvalidKind: Aggregate skips kinds it has no counter
+// for and still counts their neighbours.
+func TestAggregateInvalidKind(t *testing.T) {
+	for _, k := range []Kind{Kind(NumKinds), 200, 255} {
+		m := Aggregate([]Run{{Label: "r", Events: []Event{
+			{Kind: KindPin, Dur: 500}, {Kind: k, Dur: 500}, {Kind: KindCacheHit},
+		}}})
+		var total int64
+		for _, n := range m.Count {
+			total += n
+		}
+		if total != 2 || m.Count[KindPin] != 1 || m.Count[KindCacheHit] != 1 || m.HistN[KindPin] != 1 {
+			t.Errorf("kind %d: counts %v", k, m.Count)
+		}
+	}
+}
+
+// chromeBenchRuns is a recorded run's shape: six kinds round-robin on
+// one process, every event attributed to a transfer.
+func chromeBenchRuns(events int) []Run {
+	kinds := [...]Kind{KindCheckMiss, KindCacheMiss, KindMissCapacity, KindDMARead, KindCacheFill, KindPin}
+	evs := make([]Event, events)
+	for i := range evs {
+		evs[i] = Event{
+			Time: units.Time(i) * 731, Dur: 480, Arg: uint64(i), Arg2: 1,
+			Xfer: uint64(i/6 + 1), PID: 1, Kind: kinds[i%len(kinds)],
+		}
+	}
+	return []Run{{Label: "bench/run", Events: evs}}
+}
+
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	runs := chromeBenchRuns(65536)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChromeTrace(io.Discard, runs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -50,11 +50,16 @@ func bucketIndex(d uint64) int {
 	return bits.Len64(d-1) - bucketLow
 }
 
-// Aggregate folds all events of all runs into one Metrics.
+// Aggregate folds all events of all runs into one Metrics. Events
+// whose Kind lies outside the taxonomy (a caller-built Event can carry
+// one) have no counter to land in and are skipped.
 func Aggregate(runs []Run) *Metrics {
 	m := &Metrics{}
 	for _, run := range runs {
 		for _, ev := range run.Events {
+			if int(ev.Kind) >= NumKinds {
+				continue
+			}
 			m.Count[ev.Kind]++
 			if !ev.Kind.IsSpan() {
 				continue
@@ -115,7 +120,7 @@ func WritePrometheus(w io.Writer, m *Metrics) error {
 		}
 		meta := kindMetas[k]
 		fmt.Fprintf(bw, "utlb_events_total{kind=%q,comp=%q} %d\n",
-			meta.name, meta.comp, m.Count[k])
+			meta.name, componentNames[meta.comp], m.Count[k])
 	}
 
 	bw.WriteString("# HELP utlb_event_duration_ns Simulated duration of span events.\n")

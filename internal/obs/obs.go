@@ -14,6 +14,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -107,55 +108,69 @@ const NumKinds = int(numKinds)
 // duration), and the names of its kind-specific arguments.
 type kindMeta struct {
 	name string
-	comp string
+	comp component
 	span bool
 	arg  string // meaning of Event.Arg ("" = unused)
 	arg2 string // meaning of Event.Arg2 ("" = unused)
 }
 
 var kindMetas = [numKinds]kindMeta{
-	KindNone:            {name: "none", comp: "none"},
-	KindCheckHit:        {name: "check_hit", comp: "lib", span: true, arg: "pages"},
-	KindCheckMiss:       {name: "check_miss", comp: "lib", span: true, arg: "pages"},
-	KindCacheHit:        {name: "cache_hit", comp: "cache", arg: "vpn", arg2: "probes"},
-	KindCacheMiss:       {name: "cache_miss", comp: "cache", arg: "vpn", arg2: "probes"},
-	KindCacheFill:       {name: "cache_fill", comp: "cache", arg: "vpn"},
-	KindCacheEvict:      {name: "cache_evict", comp: "cache", arg: "vpn"},
-	KindCacheInvalidate: {name: "cache_invalidate", comp: "cache", arg: "vpn", arg2: "count"},
-	KindMissCompulsory:  {name: "miss_compulsory", comp: "sim", arg: "vpn"},
-	KindMissCapacity:    {name: "miss_capacity", comp: "sim", arg: "vpn"},
-	KindMissConflict:    {name: "miss_conflict", comp: "sim", arg: "vpn"},
-	KindDMARead:         {name: "dma_read", comp: "bus", span: true, arg: "bytes"},
-	KindDMAWrite:        {name: "dma_write", comp: "bus", span: true, arg: "bytes"},
-	KindPin:             {name: "host_pin", comp: "host", span: true, arg: "pages"},
-	KindUnpin:           {name: "host_unpin", comp: "host", span: true, arg: "pages"},
-	KindKernelPin:       {name: "host_pin_intr", comp: "host", span: true, arg: "pages"},
-	KindKernelUnpin:     {name: "host_unpin_intr", comp: "host", span: true, arg: "pages"},
-	KindInterrupt:       {name: "interrupt", comp: "host", span: true},
-	KindNICInterrupt:    {name: "nic_interrupt", comp: "nic", span: true},
-	KindNIProbe:         {name: "ni_probe", comp: "nic", span: true, arg: "probes"},
-	KindSwapIn:          {name: "table_swapin", comp: "host", arg: "vpn"},
-	KindSend:            {name: "vmmc_send", comp: "vmmc", arg: "bytes"},
-	KindRecv:            {name: "vmmc_recv", comp: "vmmc", arg: "bytes"},
-	KindNotify:          {name: "vmmc_notify", comp: "vmmc", arg: "bytes"},
-	KindFaultPin:        {name: "fault_pin", comp: "host", arg: "vpn"},
-	KindFaultSRAM:       {name: "fault_sram", comp: "nic", arg: "bytes"},
-	KindFaultFetch:      {name: "fault_fetch", comp: "cache", arg: "vpn"},
-	KindFaultDrop:       {name: "fault_drop", comp: "nic", arg: "bytes"},
-	KindFaultCorrupt:    {name: "fault_corrupt", comp: "nic", arg: "bytes"},
-	KindReclaim:         {name: "host_reclaim", comp: "host", span: true, arg: "frames", arg2: "want"},
-	KindPinRetry:        {name: "pin_retry", comp: "host", arg: "attempt"},
-	KindSendRetry:       {name: "send_retry", comp: "vmmc", arg: "attempt"},
-	KindLinkDead:        {name: "link_dead", comp: "vmmc", arg: "bytes"},
-	KindXlateReq:        {name: "xlate_req", comp: "lib", span: true, arg: "keys", arg2: "hits"},
-	KindXlateShard:      {name: "xlate_shard", comp: "cache", span: true, arg: "shard", arg2: "keys"},
+	KindNone:            {name: "none", comp: compNone},
+	KindCheckHit:        {name: "check_hit", comp: compLib, span: true, arg: "pages"},
+	KindCheckMiss:       {name: "check_miss", comp: compLib, span: true, arg: "pages"},
+	KindCacheHit:        {name: "cache_hit", comp: compCache, arg: "vpn", arg2: "probes"},
+	KindCacheMiss:       {name: "cache_miss", comp: compCache, arg: "vpn", arg2: "probes"},
+	KindCacheFill:       {name: "cache_fill", comp: compCache, arg: "vpn"},
+	KindCacheEvict:      {name: "cache_evict", comp: compCache, arg: "vpn"},
+	KindCacheInvalidate: {name: "cache_invalidate", comp: compCache, arg: "vpn", arg2: "count"},
+	KindMissCompulsory:  {name: "miss_compulsory", comp: compSim, arg: "vpn"},
+	KindMissCapacity:    {name: "miss_capacity", comp: compSim, arg: "vpn"},
+	KindMissConflict:    {name: "miss_conflict", comp: compSim, arg: "vpn"},
+	KindDMARead:         {name: "dma_read", comp: compBus, span: true, arg: "bytes"},
+	KindDMAWrite:        {name: "dma_write", comp: compBus, span: true, arg: "bytes"},
+	KindPin:             {name: "host_pin", comp: compHost, span: true, arg: "pages"},
+	KindUnpin:           {name: "host_unpin", comp: compHost, span: true, arg: "pages"},
+	KindKernelPin:       {name: "host_pin_intr", comp: compHost, span: true, arg: "pages"},
+	KindKernelUnpin:     {name: "host_unpin_intr", comp: compHost, span: true, arg: "pages"},
+	KindInterrupt:       {name: "interrupt", comp: compHost, span: true},
+	KindNICInterrupt:    {name: "nic_interrupt", comp: compNic, span: true},
+	KindNIProbe:         {name: "ni_probe", comp: compNic, span: true, arg: "probes"},
+	KindSwapIn:          {name: "table_swapin", comp: compHost, arg: "vpn"},
+	KindSend:            {name: "vmmc_send", comp: compVMMC, arg: "bytes"},
+	KindRecv:            {name: "vmmc_recv", comp: compVMMC, arg: "bytes"},
+	KindNotify:          {name: "vmmc_notify", comp: compVMMC, arg: "bytes"},
+	KindFaultPin:        {name: "fault_pin", comp: compHost, arg: "vpn"},
+	KindFaultSRAM:       {name: "fault_sram", comp: compNic, arg: "bytes"},
+	KindFaultFetch:      {name: "fault_fetch", comp: compCache, arg: "vpn"},
+	KindFaultDrop:       {name: "fault_drop", comp: compNic, arg: "bytes"},
+	KindFaultCorrupt:    {name: "fault_corrupt", comp: compNic, arg: "bytes"},
+	KindReclaim:         {name: "host_reclaim", comp: compHost, span: true, arg: "frames", arg2: "want"},
+	KindPinRetry:        {name: "pin_retry", comp: compHost, arg: "attempt"},
+	KindSendRetry:       {name: "send_retry", comp: compVMMC, arg: "attempt"},
+	KindLinkDead:        {name: "link_dead", comp: compVMMC, arg: "bytes"},
+	KindXlateReq:        {name: "xlate_req", comp: compLib, span: true, arg: "keys", arg2: "hits"},
+	KindXlateShard:      {name: "xlate_shard", comp: compCache, span: true, arg: "shard", arg2: "keys"},
 }
 
-// componentIDs gives each component track a small stable integer for
-// the Chrome export's tid computation.
-var componentIDs = map[string]int{
-	"none": 0, "lib": 1, "cache": 2, "sim": 3,
-	"bus": 4, "host": 5, "nic": 6, "vmmc": 7,
+// component is a simulation layer: one track per (node, pid) in the
+// Chrome export, whose tid packs the component into its low 3 bits —
+// so these eight are the full budget.
+type component uint8
+
+const (
+	compNone component = iota
+	compLib
+	compCache
+	compSim
+	compBus
+	compHost
+	compNic
+	compVMMC
+	numComponents
+)
+
+var componentNames = [numComponents]string{
+	"none", "lib", "cache", "sim", "bus", "host", "nic", "vmmc",
 }
 
 // String reports the kind's snake_case display name.
@@ -171,7 +186,7 @@ func (k Kind) Component() string {
 	if int(k) >= NumKinds {
 		return "invalid"
 	}
-	return kindMetas[k].comp
+	return componentNames[kindMetas[k].comp]
 }
 
 // IsSpan reports whether events of this kind carry a duration.
@@ -277,31 +292,58 @@ func (x *XferCursor) Clear() {
 	}
 }
 
-// Buffer is the buffered Recorder: it appends every event to an
-// in-memory slice, in recording order. A Buffer is single-goroutine
-// (one per simulation run / worker); use a Collector to hand out one
-// Buffer per concurrent run and merge them deterministically.
+// Buffer is the buffered Recorder: it keeps every event in memory, in
+// recording order. A Buffer is single-goroutine (one per simulation
+// run / worker); use a Collector to hand out one Buffer per concurrent
+// run and merge them deterministically.
+//
+// Events are recorded into fixed-size chunks (112 KB), so recording
+// never copies what it holds, and gathered into one slice when Events
+// or Run asks: a run allocates twice its final size, where one slice
+// grown by append allocated six times that and copied it five times.
 type Buffer struct {
-	label  string
-	events []Event
+	label string
+	// chunks hold the events in order. Every chunk but the last is
+	// full; after a gather there is one, exactly as long as its array.
+	chunks [][]Event
+	n      int
 }
+
+const bufferChunkEvents = 2048
 
 // NewBuffer returns an empty buffer labelled label (the run identity
 // used for deterministic merging and Chrome process naming).
 func NewBuffer(label string) *Buffer { return &Buffer{label: label} }
 
 // Record appends the event.
-func (b *Buffer) Record(ev Event) { b.events = append(b.events, ev) }
+func (b *Buffer) Record(ev Event) {
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+		b.chunks = append(b.chunks, make([]Event, 0, bufferChunkEvents))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], ev)
+	b.n++
+}
 
 // Label reports the buffer's run label.
 func (b *Buffer) Label() string { return b.label }
 
 // Events returns the recorded events in recording order. The slice is
-// owned by the buffer; treat it as read-only.
-func (b *Buffer) Events() []Event { return b.events }
+// owned by the buffer; treat it as read-only. Events recorded later
+// are not added to it: ask again.
+func (b *Buffer) Events() []Event {
+	if len(b.chunks) == 0 {
+		return nil
+	}
+	if len(b.chunks) > 1 {
+		b.chunks = append(b.chunks[:0], slices.Concat(b.chunks...))
+	}
+	return b.chunks[0]
+}
 
 // Len reports how many events have been recorded.
-func (b *Buffer) Len() int { return len(b.events) }
+func (b *Buffer) Len() int { return b.n }
 
 // Run is one labelled event stream, the unit the exporters consume.
 type Run struct {
@@ -310,7 +352,7 @@ type Run struct {
 }
 
 // Run converts the buffer to an exporter Run.
-func (b *Buffer) Run() Run { return Run{Label: b.label, Events: b.events} }
+func (b *Buffer) Run() Run { return Run{Label: b.label, Events: b.Events()} }
 
 // Collector hands out per-run Buffers to concurrent simulation
 // workers and merges them deterministically: Runs() orders buffers by

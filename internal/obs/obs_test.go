@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,7 +59,7 @@ func TestKindMetadata(t *testing.T) {
 		if k.String() == "" || k.String() == "none" {
 			t.Errorf("kind %d has no name", k)
 		}
-		if _, ok := componentIDs[k.Component()]; !ok {
+		if c := kindMetas[k].comp; c >= numComponents || componentNames[c] != k.Component() {
 			t.Errorf("kind %s: component %q not registered", k, k.Component())
 		}
 	}
@@ -77,10 +77,9 @@ func TestKindMetadata(t *testing.T) {
 		}
 		seen[k.String()] = true
 	}
-	for name, id := range componentIDs {
-		if compName(id) != name {
-			t.Errorf("compName(%d) = %q, want %q", id, compName(id), name)
-		}
+	// The Chrome tid packs the component into 3 bits.
+	if numComponents > 8 {
+		t.Errorf("%d components do not fit the tid's 3 bits", numComponents)
 	}
 }
 
@@ -270,7 +269,7 @@ func TestChromeRoundTrip(t *testing.T) {
 		t.Error("host_pin_intr span missing")
 	}
 	// Thread names identify node/pid/component.
-	tid := chromeTID(1, 3, componentIDs["host"])
+	tid := chromeTID(1, 3, compHost)
 	if name := tf.ThreadNames[[2]int{0, tid}]; name != "n1/p3/host" {
 		t.Errorf("thread name = %q", name)
 	}
@@ -284,14 +283,12 @@ func TestWriteMicros(t *testing.T) {
 	}{
 		{0, "0.000"}, {1, "0.001"}, {999, "0.999"}, {1000, "1.000"},
 		{1500, "1.500"}, {123456789, "123456.789"}, {-2500, "-2.500"},
+		{1<<53 + 1, "9007199254740.993"},
+		{math.MaxInt64, "9223372036854775.807"}, {math.MinInt64, "-9223372036854775.808"},
 	}
 	for _, c := range cases {
-		var b bytes.Buffer
-		bw := bufio.NewWriter(&b)
-		writeMicros(bw, c.ns)
-		bw.Flush()
-		if b.String() != c.want {
-			t.Errorf("writeMicros(%d) = %q, want %q", c.ns, b.String(), c.want)
+		if got := string(appendMicros(nil, c.ns)); got != c.want {
+			t.Errorf("appendMicros(%d) = %q, want %q", c.ns, got, c.want)
 		}
 	}
 }
@@ -305,4 +302,40 @@ func BenchmarkBufferRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Record(ev)
 	}
+}
+
+// TestBufferGathersChunks: events recorded across several chunks come
+// back as one slice in recording order, a slice handed out earlier
+// stays as it was, and recording carries on after a gather.
+func TestBufferGathersChunks(t *testing.T) {
+	b := NewBuffer("chunks")
+	if b.Events() != nil || b.Run().Events != nil {
+		t.Fatal("empty buffer has events")
+	}
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			b.Record(Event{Time: units.Time(i), Kind: KindCacheHit})
+		}
+	}
+	check := func(evs []Event, n int) {
+		t.Helper()
+		if len(evs) != n || b.Len() < n {
+			t.Fatalf("got %d events (Len %d), want %d", len(evs), b.Len(), n)
+		}
+		for i, ev := range evs {
+			if ev.Time != units.Time(i) {
+				t.Fatalf("event %d has time %d", i, ev.Time)
+			}
+		}
+	}
+	record(0, 10)
+	few := b.Events()
+	check(few, 10)
+	record(10, 2*bufferChunkEvents+7)
+	many := b.Events()
+	check(many, 2*bufferChunkEvents+7)
+	record(2*bufferChunkEvents+7, 3*bufferChunkEvents)
+	check(b.Run().Events, 3*bufferChunkEvents)
+	check(few, 10)
+	check(many, 2*bufferChunkEvents+7)
 }

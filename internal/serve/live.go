@@ -9,6 +9,7 @@ package serve
 // so scrapers can tell "disabled" from "empty".
 
 import (
+	"io"
 	"net/http"
 
 	"utlb/internal/obs"
@@ -92,9 +93,7 @@ func (s *Server) handleLiveTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", "attachment; filename=xlate-live.trace.json")
-	if err := obs.WriteChromeTrace(w, sink.TraceRuns()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	stream(w, func(w io.Writer) error { return obs.WriteChromeTrace(w, sink.TraceRuns()) })
 }
 
 // AttachDefaultTelemetry enables live telemetry on the hosted

@@ -39,6 +39,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -442,9 +443,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.trace.json", slug))
-	if err := obs.WriteChromeTrace(w, res.runs); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	stream(w, func(w io.Writer) error { return obs.WriteChromeTrace(w, res.runs) })
 }
 
 // handleAnalyze serves the transfer-level analysis of one experiment.
@@ -467,7 +466,33 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := analyze.WriteJSON(w, analyze.Analyze(res.runs, topK)); err != nil {
+	stream(w, func(w io.Writer) error { return analyze.WriteJSON(w, analyze.Analyze(res.runs, topK)) })
+}
+
+// startedWriter notes whether the body has begun: the first Write
+// sends the 200 status line whether or not its bytes get through.
+type startedWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (w *startedWriter) Write(p []byte) (int, error) {
+	w.started = true
+	return w.ResponseWriter.Write(p)
+}
+
+// stream sends a body that write produces piecemeal. A failure before
+// the first byte is an ordinary 500. After it the status is gone and
+// an error reply would only be appended to a truncated body under a
+// 200, so the handler aborts the connection instead (net/http
+// recovers ErrAbortHandler quietly) and the client sees the transfer
+// fail.
+func stream(w http.ResponseWriter, write func(io.Writer) error) {
+	sw := &startedWriter{ResponseWriter: w}
+	if err := write(sw); err != nil {
+		if sw.started {
+			panic(http.ErrAbortHandler)
+		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -384,15 +384,16 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// when recording: the disabled path keeps its pinned alloc count,
 	// and all cursor methods are nil-safe no-ops.
 	recorder := cfg.Recorder
+	var sequencer *event.Sequencer
 	if recorder != nil && kernel != nil {
 		// Under overlap the layers no longer record in timestamp order
-		// (a DMA tail completes after the host has moved on), so the
-		// kernel — not call order — defines the emission order: every
-		// event is scheduled at its own timestamp and delivered to the
-		// caller's recorder in (time, seq) order at the end-of-run
-		// drain. This is what makes /api/analyze critical paths show
-		// true overlap.
-		recorder = event.NewSequencer(kernel, cfg.Recorder)
+		// (a DMA tail completes after the host has moved on), so
+		// virtual time — not call order — defines the emission order:
+		// every event is held and delivered to the caller's recorder
+		// in (time, seq) order at the end-of-run drain. This is what
+		// makes /api/analyze critical paths show true overlap.
+		sequencer = event.NewSequencer(kernel, cfg.Recorder)
+		recorder = sequencer
 	}
 	var xc *obs.XferCursor
 	if recorder != nil {
@@ -565,10 +566,14 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	}
 
 	if kernel != nil {
-		// Drain the kernel: every in-flight DMA completion (and, when
-		// recording, every deferred obs event) dispatches in (time,
-		// seq) order. Only then are the horizons valid.
-		kernel.Run()
+		// Drain the kernel: every in-flight DMA completion dispatches
+		// in (time, seq) order — and, when recording, every held obs
+		// event after them. Only then are the horizons valid.
+		if sequencer != nil {
+			sequencer.Drain()
+		} else {
+			kernel.Run()
+		}
 		if n := b.InFlight(); n != 0 {
 			return res, fmt.Errorf("sim: %d DMA transfers still in flight after kernel drain", n)
 		}

@@ -10,6 +10,7 @@ package utlb_test
 // enforces the same SimRun budget in CI from BENCH_pr6.json.
 
 import (
+	"io"
 	"testing"
 
 	"utlb"
@@ -238,5 +239,115 @@ func TestGenerateCachedAllocBudget(t *testing.T) {
 		t.Errorf("GenerateCached allocates %d/op on the hit path, budget 0", got)
 	} else {
 		t.Logf("GenerateCached hit path: %d allocs/op", got)
+	}
+}
+
+// recordedRun replays fft into an event buffer: the input of the
+// exporter and analysis budgets below (about 275 events per 0.001 of
+// scale).
+func recordedRun(t *testing.T, scale float64) utlb.EventRun {
+	t.Helper()
+	tr, err := utlb.GenerateTrace("fft", 1, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := utlb.DefaultSimConfig()
+	cfg.CacheEntries = 1024
+	buf := utlb.NewEventBuffer("budget/fft")
+	cfg.Recorder = buf
+	if _, err := utlb.SimulateWith(tr, cfg, utlb.NewSimScratch()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Run()
+}
+
+// TestSimulateRecordedAllocBudget bounds what attaching a buffer adds
+// to a run: the transfer cursor and the buffer's doublings — a
+// logarithm of the event count, never a multiple of it — in both
+// timing modes. Under overlap the events pass through the
+// event.Sequencer, which once cost a closure and a heap item each.
+func TestSimulateRecordedAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a benchmark")
+	}
+	fft, err := utlb.GenerateTrace("fft", 1, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := utlb.DefaultSimConfig()
+	seq.CacheEntries = 1024
+	overlap := utlb.DefaultSimConfig()
+	overlap.Prefetch, overlap.BatchPages = 8, 8
+	overlap.Overlap.Enabled, overlap.Overlap.DMAChannels = true, 2
+	for _, c := range []struct {
+		name   string
+		tr     utlb.Trace
+		cfg    utlb.SimConfig
+		budget int64
+	}{
+		{"fft/sequential", fft, seq, 400},                                        // measured 333 for 69k events; 315 unrecorded
+		{"bulk/overlap", utlb.GenerateBulkTrace(0, 1, 1998, 0.25), overlap, 500}, // measured 414 for 28k events; 389 unrecorded
+	} {
+		scr := utlb.NewSimScratch()
+		events := 0
+		got := measureAllocs(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf := utlb.NewEventBuffer("budget")
+				c.cfg.Recorder = buf
+				if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
+					b.Fatal(err)
+				}
+				events = buf.Len()
+			}
+		})
+		if got > c.budget {
+			t.Errorf("%s: recorded SimulateWith allocates %d/op for %d events, budget %d", c.name, got, events, c.budget)
+		} else {
+			t.Logf("%s: recorded SimulateWith: %d allocs/op for %d events (budget %d)", c.name, got, events, c.budget)
+		}
+	}
+}
+
+// TestWriteChromeTraceAllocsIndependentOfEvents: the exporter's
+// allocations are its buffers and the run's track list — the same
+// small count for a short run and for one a hundred times longer.
+func TestWriteChromeTraceAllocsIndependentOfEvents(t *testing.T) {
+	run := recordedRun(t, 0.4)
+	if len(run.Events) < 100_000 {
+		t.Fatalf("fixture has %d events, want at least 100k", len(run.Events))
+	}
+	allocs := func(events int) float64 {
+		runs := []utlb.EventRun{{Label: run.Label, Events: run.Events[:events]}}
+		return testing.AllocsPerRun(5, func() {
+			if err := utlb.WriteChromeTrace(io.Discard, runs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(100_000)
+	const budget = 12 // measured 9
+	if small != large || large > budget {
+		t.Errorf("WriteChromeTrace allocates %v times at 1k events and %v at 100k; want equal and at most %d", small, large, budget)
+	} else {
+		t.Logf("WriteChromeTrace: %v allocs at 1k and at 100k events (budget %d)", large, budget)
+	}
+}
+
+// TestAnalyzeAllocBudget: analysis allocates per kind, per experiment
+// and per reported transfer — not per event and not per transfer.
+func TestAnalyzeAllocBudget(t *testing.T) {
+	run := recordedRun(t, 0.25)
+	runs := []utlb.EventRun{run}
+	got := testing.AllocsPerRun(5, func() {
+		if rep := utlb.AnalyzeEvents(runs, 10); rep.Events != int64(len(run.Events)) {
+			t.Fatal("short report")
+		}
+	})
+	const budget = 100 // measured 57 for 69k events in 14k transfers
+	if got > budget {
+		t.Errorf("AnalyzeEvents allocates %v times for %d events, budget %d", got, len(run.Events), budget)
+	} else {
+		t.Logf("AnalyzeEvents: %v allocs for %d events (budget %d)", got, len(run.Events), budget)
 	}
 }
