@@ -4,7 +4,7 @@ GO ?= go
 # this directory as a build artifact.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-smoke bench-json bench-compare obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
+.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-smoke bench-json bench-compare profile-sim obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
 
 all: check
 
@@ -53,7 +53,7 @@ race-concurrency:
 # to prove they still compile and run. Real numbers: see BENCH_baseline.json.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateUTLB|BenchmarkSimulateInterrupt|BenchmarkSimulateBulkBatch|BenchmarkTraceGen$$|BenchmarkRunAll' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkClassifier|BenchmarkSimRun' -benchtime 1x -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkClassifier|BenchmarkSimRun$$|BenchmarkSimRunPaper|BenchmarkSimRunPinLimited' -benchtime 1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkWriteChromeTrace|BenchmarkAnalyze$$|BenchmarkSequencer' -benchtime 1x -benchmem ./internal/obs ./internal/obs/analyze ./internal/event
 
 # The repository's benchmark (bench/, a module of its own; run for real
@@ -78,6 +78,17 @@ bench-compare:
 	mkdir -p $(ARTIFACTS)
 	$(GO) run ./cmd/benchjson > $(ARTIFACTS)/bench-fresh.json
 	$(GO) run ./cmd/benchjson -compare BENCH_pr6.json $(ARTIFACTS)/bench-fresh.json
+
+# CPU profile of the simulator core: Table 6 at paper scale (every
+# application through both mechanisms — the bench's sim_paper mix),
+# with the top of the cumulative listing printed. The profile stays in
+# $(ARTIFACTS)/profile for `go tool pprof`; CI uploads it, so the next
+# performance issue starts from a profile rather than a guess.
+profile-sim:
+	mkdir -p $(ARTIFACTS)/profile
+	$(GO) build -o $(ARTIFACTS)/profile/utlbsim ./cmd/utlbsim
+	$(ARTIFACTS)/profile/utlbsim -exp t6 -parallel 1 -cpuprofile $(ARTIFACTS)/profile/sim.prof >/dev/null
+	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/sim.prof 2>/dev/null | head -20
 
 # Observability smoke: the exporter golden-file tests (any drift in the
 # Chrome-trace, Prometheus or analysis output fails the diff), then an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"utlb/internal/hostos"
 	"utlb/internal/nicsim"
@@ -20,7 +21,7 @@ type Driver struct {
 	nic     *nicsim.NIC
 	cache   *tlbcache.Cache
 	garbage units.PFN
-	tables  map[units.ProcID]*Table
+	tables  []*Table // registration order; a node hosts a handful of processes
 
 	pinCalls   int64
 	unpinCalls int64
@@ -52,7 +53,6 @@ func NewDriverWith(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config,
 		nic:     nic,
 		cache:   cache,
 		garbage: garbage,
-		tables:  make(map[units.ProcID]*Table),
 	}, nil
 }
 
@@ -75,41 +75,53 @@ func (d *Driver) UnpinCalls() int64 { return d.unpinCalls }
 // Register allocates a translation table for proc and reserves its
 // directory's NIC SRAM. Registering twice is a caller bug.
 func (d *Driver) Register(proc *hostos.Process) (*Table, error) {
+	return d.register(proc, &LibScratch{})
+}
+
+// register is Register with the table drawn from scr.
+func (d *Driver) register(proc *hostos.Process, scr *LibScratch) (*Table, error) {
 	pid := proc.PID()
-	if _, ok := d.tables[pid]; ok {
+	if d.TableOf(pid) != nil {
 		return nil, fmt.Errorf("core: pid %d already registered", pid)
 	}
 	if err := d.nic.ReserveSRAM(DirSRAMBytes); err != nil {
 		return nil, fmt.Errorf("core: reserving directory SRAM for pid %d: %w", pid, err)
 	}
-	t := NewTable(pid, d.host.Memory(), d.garbage)
-	d.tables[pid] = t
+	t := scr.takeTable(pid, d.host.Memory(), d.garbage)
+	d.tables = append(d.tables, t)
 	return t, nil
 }
 
 // Unregister tears down a process: its table frames return to the OS,
 // its cache entries are invalidated, and its directory SRAM released.
 func (d *Driver) Unregister(pid units.ProcID) {
-	t, ok := d.tables[pid]
-	if !ok {
+	t := d.TableOf(pid)
+	if t == nil {
 		return
 	}
 	t.Release()
-	delete(d.tables, pid)
+	d.tables = slices.DeleteFunc(d.tables, func(x *Table) bool { return x == t })
 	d.cache.InvalidateProcess(pid)
 	d.nic.ReleaseSRAM(DirSRAMBytes)
 }
 
 // TableOf returns the translation table of pid, or nil.
-func (d *Driver) TableOf(pid units.ProcID) *Table { return d.tables[pid] }
+func (d *Driver) TableOf(pid units.ProcID) *Table {
+	for _, t := range d.tables {
+		if t.pid == pid {
+			return t
+		}
+	}
+	return nil
+}
 
 // IoctlPin is the pin-and-install ioctl of Figure 2, step 2: lock the
 // pages in physical memory and fill their translation entries. The
 // syscall and per-page pin time is charged by the host; table writes
 // ride inside that cost. On failure nothing stays pinned.
 func (d *Driver) IoctlPin(proc *hostos.Process, vpns []units.VPN) ([]units.PFN, error) {
-	t, ok := d.tables[proc.PID()]
-	if !ok {
+	t := d.TableOf(proc.PID())
+	if t == nil {
 		return nil, fmt.Errorf("core: pid %d not registered", proc.PID())
 	}
 	d.pinCalls++
@@ -142,8 +154,8 @@ func (d *Driver) IoctlPin(proc *hostos.Process, vpns []units.VPN) ([]units.PFN, 
 // the page." The host takes the interrupt, pays the disk access, and
 // swaps the table back in.
 func (d *Driver) HandleSwappedTable(pid units.ProcID, vpn units.VPN) error {
-	t, ok := d.tables[pid]
-	if !ok {
+	t := d.TableOf(pid)
+	if t == nil {
 		return fmt.Errorf("core: pid %d not registered", pid)
 	}
 	// The swapped-table interrupt already charges a full disk access in
@@ -173,8 +185,8 @@ func (d *Driver) HandleSwappedTable(pid units.ProcID, vpn units.VPN) error {
 // consistency obligation of §2: host and NIC translations must agree),
 // and the pages unpin.
 func (d *Driver) IoctlUnpin(proc *hostos.Process, vpns []units.VPN) error {
-	t, ok := d.tables[proc.PID()]
-	if !ok {
+	t := d.TableOf(proc.PID())
+	if t == nil {
 		return fmt.Errorf("core: pid %d not registered", proc.PID())
 	}
 	d.unpinCalls++

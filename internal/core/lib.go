@@ -38,20 +38,44 @@ type LibConfig struct {
 
 // LibScratch recycles one process slot's library state across
 // simulation runs: the 128 KB pin-status bit vector — the largest
-// per-process allocation of a run — and the pre-pin expansion buffer.
-// The zero value is ready to use. A scratch belongs to at most one
-// live Lib at a time; sim.RunScratch keeps one per process slot.
+// per-process allocation of a run — the 20 KB translation-table
+// directory, the replacement policy's page table, and the pre-pin
+// expansion buffer. The zero value is ready to
+// use. A scratch belongs to at most one live Lib (or one interrupt-
+// baseline process) at a time; sim.RunScratch keeps one per process
+// slot.
 type LibScratch struct {
 	bv  *BitVector
+	tbl *Table
+	pol *basePolicy
 	pin []units.VPN
 }
 
-// takeBitVector hands out the scratch's bit vector, cleared, building
-// it on first use. A nil scratch always builds fresh.
-func (s *LibScratch) takeBitVector(costs hostos.Costs, clock *units.Clock) *BitVector {
-	if s == nil {
-		return NewBitVector(VASpacePages, costs, clock)
+// takeTable hands out the scratch's translation table, emptied and
+// rebound, building it on first use.
+func (s *LibScratch) takeTable(pid units.ProcID, mem *phys.Memory, garbage units.PFN) *Table {
+	if s.tbl == nil {
+		s.tbl = NewTable(pid, mem, garbage)
+	} else {
+		s.tbl.reset(pid, mem, garbage)
 	}
+	return s.tbl
+}
+
+// Policy hands out the scratch's replacement policy, emptied and
+// rebound to kind and seed, building it on first use.
+func (s *LibScratch) Policy(kind PolicyKind, seed int64) Policy {
+	if s.pol == nil {
+		s.pol = newPolicy(kind, seed)
+	} else {
+		s.pol.reset(kind, seed)
+	}
+	return s.pol
+}
+
+// takeBitVector hands out the scratch's bit vector, cleared, building
+// it on first use.
+func (s *LibScratch) takeBitVector(costs hostos.Costs, clock *units.Clock) *BitVector {
 	if s.bv == nil {
 		s.bv = NewBitVector(VASpacePages, costs, clock)
 	} else {
@@ -91,19 +115,21 @@ type Lib struct {
 	rec    obs.Recorder
 	xfer   *obs.XferCursor
 
-	// pinScratch backs prepinList's result between Lookup calls so the
+	// scr.pin backs prepinList's result between Lookup calls so the
 	// check-miss path allocates nothing once warm. pinAll only shrinks
-	// the slice; nothing retains it past the Lookup that built it. scr,
-	// when non-nil, keeps the grown buffer across runs.
-	pinScratch []units.VPN
-	scr        *LibScratch
+	// the slice; nothing retains it past the Lookup that built it. A
+	// caller-owned scratch keeps the grown buffer across runs.
+	scr *LibScratch
 
 	stats LibStats
 }
 
 // NewLib registers proc with the driver and returns its library.
 func NewLib(drv *Driver, proc *hostos.Process, cfg LibConfig) (*Lib, error) {
-	if _, err := drv.Register(proc); err != nil {
+	if cfg.Scratch == nil {
+		cfg.Scratch = &LibScratch{}
+	}
+	if _, err := drv.register(proc, cfg.Scratch); err != nil {
 		return nil, err
 	}
 	if cfg.Prepin < 1 {
@@ -115,14 +141,11 @@ func NewLib(drv *Driver, proc *hostos.Process, cfg LibConfig) (*Lib, error) {
 		drv:    drv,
 		proc:   proc,
 		bv:     cfg.Scratch.takeBitVector(host.Costs(), host.Clock()),
-		policy: NewPolicy(cfg.Policy, cfg.PolicySeed),
+		policy: cfg.Scratch.Policy(cfg.Policy, cfg.PolicySeed),
 		prepin: cfg.Prepin,
 		rec:    cfg.Recorder,
 		xfer:   cfg.Xfer,
 		scr:    cfg.Scratch,
-	}
-	if cfg.Scratch != nil {
-		l.pinScratch = cfg.Scratch.pin[:0]
 	}
 	return l, nil
 }
@@ -211,10 +234,10 @@ func (l *Lib) Lookup(va units.VAddr, nbytes int) error {
 // scheduled" reduces to a high-water mark: every page below the end of
 // the previous expansion was already considered, and a page skipped for
 // being pinned then is still pinned now. That keeps the expansion
-// map-free, and the result lives in pinScratch — zero allocations once
+// map-free, and the result lives in scr.pin — zero allocations once
 // the scratch has grown to the process' working width.
 func (l *Lib) prepinList(missing []units.VPN) []units.VPN {
-	list := l.pinScratch[:0]
+	list := l.scr.pin[:0]
 	next := units.VPN(0) // first page no earlier expansion has considered
 	for _, m := range missing {
 		p := m
@@ -231,10 +254,7 @@ func (l *Lib) prepinList(missing []units.VPN) []units.VPN {
 			next = end
 		}
 	}
-	l.pinScratch = list
-	if l.scr != nil {
-		l.scr.pin = list
-	}
+	l.scr.pin = list
 	return list
 }
 

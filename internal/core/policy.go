@@ -11,8 +11,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"utlb/internal/tlbcache"
 	"utlb/internal/units"
 )
 
@@ -85,6 +86,7 @@ type Policy interface {
 
 // pageMeta is the per-page state shared by all policy implementations.
 type pageMeta struct {
+	vpn   units.VPN
 	seq   int64 // last-use stamp (LRU/MRU), insertion stamp for ties
 	freq  int64 // use count (LFU/MFU)
 	locks int
@@ -94,67 +96,95 @@ type pageMeta struct {
 // per kind. Selection is a deterministic scan: page footprints are a
 // few thousand entries and eviction happens far less often than Touch,
 // so an O(n) victim scan keeps every policy trivially correct. The
-// page map holds pageMeta by value — the structs are three words and
-// pointer indirection would cost one heap object per pinned page.
+// tracked pages sit by value in one compact slice, so the scan walks
+// exactly Len entries however large an earlier run grew a recycled
+// policy; a tlbcache.Dense maps each page to its position, and Remove
+// fills the hole with the last entry. Neither the slice's order nor the
+// table's slot order reaches a result: the victim orderings below are
+// total (seq stamps are unique, ties fall to the lower VPN) and RANDOM
+// sorts its candidates before drawing.
 type basePolicy struct {
 	kind  PolicyKind
-	pages map[units.VPN]pageMeta
+	index *tlbcache.Dense[int32] // page → position in pages
+	pages []pageMeta
 	tick  int64
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand  // RANDOM only, seeded on first draw
 	cand  []units.VPN // randomVictim's reused candidate buffer
 }
 
 // NewPolicy returns a replacement policy of the given kind. seed drives
 // the RANDOM policy and is ignored by the others.
-func NewPolicy(kind PolicyKind, seed int64) Policy {
-	return &basePolicy{
-		kind:  kind,
-		pages: make(map[units.VPN]pageMeta),
-		rng:   rand.New(rand.NewSource(seed)),
+func NewPolicy(kind PolicyKind, seed int64) Policy { return newPolicy(kind, seed) }
+
+func newPolicy(kind PolicyKind, seed int64) *basePolicy {
+	p := &basePolicy{index: tlbcache.NewDense[int32](0)}
+	p.reset(kind, seed)
+	return p
+}
+
+// reset empties p and rebinds it as a fresh policy of the given kind,
+// keeping its storage (LibScratch recycles one policy per process
+// slot).
+func (p *basePolicy) reset(kind PolicyKind, seed int64) {
+	p.kind, p.seed, p.tick, p.rng = kind, seed, 0, nil
+	p.index.Reset()
+	p.pages = p.pages[:0]
+}
+
+// meta returns vpn's entry for in-place update, or nil when untracked.
+func (p *basePolicy) meta(vpn units.VPN) *pageMeta {
+	if at := p.index.Ref(tlbcache.PageKey(vpn)); at != nil {
+		return &p.pages[*at]
 	}
+	return nil
 }
 
 func (p *basePolicy) Kind() PolicyKind { return p.kind }
 
 func (p *basePolicy) Touch(vpn units.VPN) {
-	m, ok := p.pages[vpn]
-	if !ok {
-		return
+	if m := p.meta(vpn); m != nil {
+		p.tick++
+		m.seq = p.tick
+		m.freq++
 	}
-	p.tick++
-	m.seq = p.tick
-	m.freq++
-	p.pages[vpn] = m
 }
 
 func (p *basePolicy) Insert(vpn units.VPN) {
-	if _, ok := p.pages[vpn]; ok {
+	if at, fresh := p.index.Ensure(tlbcache.PageKey(vpn)); fresh {
+		p.tick++
+		*at = int32(len(p.pages))
+		p.pages = append(p.pages, pageMeta{vpn: vpn, seq: p.tick, freq: 1})
+	}
+}
+
+func (p *basePolicy) Remove(vpn units.VPN) {
+	ref := p.index.Ref(tlbcache.PageKey(vpn))
+	if ref == nil {
 		return
 	}
-	p.tick++
-	p.pages[vpn] = pageMeta{seq: p.tick, freq: 1}
+	at, last := *ref, int32(len(p.pages)-1)
+	p.index.Delete(tlbcache.PageKey(vpn))
+	if at != last {
+		p.pages[at] = p.pages[last]
+		*p.index.Ref(tlbcache.PageKey(p.pages[at].vpn)) = at
+	}
+	p.pages = p.pages[:last]
 }
 
-func (p *basePolicy) Remove(vpn units.VPN) { delete(p.pages, vpn) }
-
-func (p *basePolicy) Contains(vpn units.VPN) bool {
-	_, ok := p.pages[vpn]
-	return ok
-}
+func (p *basePolicy) Contains(vpn units.VPN) bool { return p.meta(vpn) != nil }
 
 func (p *basePolicy) Len() int { return len(p.pages) }
 
 func (p *basePolicy) Lock(vpn units.VPN) {
-	if m, ok := p.pages[vpn]; ok {
+	if m := p.meta(vpn); m != nil {
 		m.locks++
-		p.pages[vpn] = m
 	}
 }
 
 func (p *basePolicy) Unlock(vpn units.VPN) {
-	if m, ok := p.pages[vpn]; ok && m.locks > 0 {
+	if m := p.meta(vpn); m != nil && m.locks > 0 {
 		m.locks--
-		p.pages[vpn] = m
 	}
 }
 
@@ -162,58 +192,60 @@ func (p *basePolicy) Victim() (units.VPN, bool) {
 	if p.kind == Random {
 		return p.randomVictim()
 	}
-	var (
-		best   units.VPN
-		bestM  pageMeta
-		found  bool
-		better func(m, cur pageMeta) bool
-	)
+	var better func(m, cur *pageMeta) bool
 	switch p.kind {
 	case LRU:
-		better = func(m, cur pageMeta) bool { return m.seq < cur.seq }
+		better = func(m, cur *pageMeta) bool { return m.seq < cur.seq }
 	case MRU:
-		better = func(m, cur pageMeta) bool { return m.seq > cur.seq }
+		better = func(m, cur *pageMeta) bool { return m.seq > cur.seq }
 	case LFU:
-		better = func(m, cur pageMeta) bool {
+		better = func(m, cur *pageMeta) bool {
 			return m.freq < cur.freq || (m.freq == cur.freq && m.seq < cur.seq)
 		}
 	case MFU:
-		better = func(m, cur pageMeta) bool {
+		better = func(m, cur *pageMeta) bool {
 			return m.freq > cur.freq || (m.freq == cur.freq && m.seq < cur.seq)
 		}
 	default:
 		panic(fmt.Sprintf("core: victim for unknown policy %v", p.kind))
 	}
-	for vpn, m := range p.pages {
+	var best *pageMeta
+	for i := range p.pages {
+		m := &p.pages[i]
 		if m.locks > 0 {
 			continue
 		}
-		if !found || better(m, bestM) || (sameOrder(m, bestM) && vpn < best) {
-			best, bestM, found = vpn, m, true
+		if best == nil || better(m, best) || (sameOrder(m, best) && m.vpn < best.vpn) {
+			best = m
 		}
 	}
-	return best, found
+	if best == nil {
+		return 0, false
+	}
+	return best.vpn, true
 }
 
 // sameOrder reports whether two pages compare equal under the active
 // ordering, in which case the lower VPN wins for determinism.
-func sameOrder(a, b pageMeta) bool { return a.seq == b.seq && a.freq == b.freq }
+func sameOrder(a, b *pageMeta) bool { return a.seq == b.seq && a.freq == b.freq }
 
 func (p *basePolicy) randomVictim() (units.VPN, bool) {
 	// Deterministic under a fixed seed: collect unlocked pages in VPN
-	// order, then pick one uniformly.
+	// order (their order in pages depends on history), then pick one
+	// uniformly.
 	candidates := p.cand[:0]
-	for vpn, m := range p.pages {
-		if m.locks == 0 {
-			candidates = append(candidates, vpn)
+	for i := range p.pages {
+		if p.pages[i].locks == 0 {
+			candidates = append(candidates, p.pages[i].vpn)
 		}
 	}
 	p.cand = candidates
 	if len(candidates) == 0 {
 		return 0, false
 	}
-	// Map iteration order is randomised; sort so the seeded pick is
-	// reproducible run to run.
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	slices.Sort(candidates)
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
 	return candidates[p.rng.Intn(len(candidates))], true
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,5 +192,134 @@ func TestLRUOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refPolicy is the map-backed policy basePolicy replaced, kept as the
+// oracle for the differential test below. Victim selection sorts the
+// unlocked pages so Go's randomised map order cannot reach a result.
+type refPolicy struct {
+	kind  PolicyKind
+	pages map[units.VPN]pageMeta
+	tick  int64
+	rng   *rand.Rand
+}
+
+func newRefPolicy(kind PolicyKind, seed int64) *refPolicy {
+	return &refPolicy{kind: kind, pages: map[units.VPN]pageMeta{}, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (p *refPolicy) touch(vpn units.VPN) {
+	if m, ok := p.pages[vpn]; ok {
+		p.tick++
+		m.seq = p.tick
+		m.freq++
+		p.pages[vpn] = m
+	}
+}
+
+func (p *refPolicy) insert(vpn units.VPN) {
+	if _, ok := p.pages[vpn]; !ok {
+		p.tick++
+		p.pages[vpn] = pageMeta{seq: p.tick, freq: 1}
+	}
+}
+
+func (p *refPolicy) lock(vpn units.VPN, delta int) {
+	if m, ok := p.pages[vpn]; ok && m.locks+delta >= 0 {
+		m.locks += delta
+		p.pages[vpn] = m
+	}
+}
+
+func (p *refPolicy) victim() (units.VPN, bool) {
+	var unlocked []units.VPN
+	for vpn, m := range p.pages {
+		if m.locks == 0 {
+			unlocked = append(unlocked, vpn)
+		}
+	}
+	if len(unlocked) == 0 {
+		return 0, false
+	}
+	slices.Sort(unlocked)
+	if p.kind == Random {
+		return unlocked[p.rng.Intn(len(unlocked))], true
+	}
+	// Rank by the kind's primary key, then older stamp, then lower VPN.
+	rank := func(vpn units.VPN) [2]int64 {
+		m := p.pages[vpn]
+		switch p.kind {
+		case LRU:
+			return [2]int64{m.seq, 0}
+		case MRU:
+			return [2]int64{-m.seq, 0}
+		case LFU:
+			return [2]int64{m.freq, m.seq}
+		default: // MFU
+			return [2]int64{-m.freq, m.seq}
+		}
+	}
+	best := unlocked[0]
+	for _, vpn := range unlocked[1:] {
+		if r, b := rank(vpn), rank(best); r[0] < b[0] || (r[0] == b[0] && r[1] < b[1]) {
+			best = vpn
+		}
+	}
+	return best, true
+}
+
+// For all five kinds, a seeded random stream of Insert, Touch, Lock,
+// Unlock, Remove and Victim must agree with the map-backed reference
+// victim for victim — on a fresh policy and on one recycled through a
+// LibScratch after a much larger run, whose table keeps its grown
+// capacity and so visits the same pages in a different slot order.
+func TestPolicyAgreesWithMapReference(t *testing.T) {
+	for _, kind := range []PolicyKind{LRU, MRU, LFU, MFU, Random} {
+		scr := &LibScratch{}
+		warm := scr.Policy(kind, 1)
+		for v := units.VPN(0); v < 5000; v++ {
+			warm.Insert(v)
+		}
+		for name, p := range map[string]Policy{"fresh": NewPolicy(kind, 77), "recycled": scr.Policy(kind, 77)} {
+			ref := newRefPolicy(kind, 77)
+			rng := rand.New(rand.NewSource(int64(kind) + 1))
+			for op := 0; op < 6000; op++ {
+				vpn := units.VPN(rng.Intn(96))
+				switch rng.Intn(8) {
+				case 0, 1:
+					p.Insert(vpn)
+					ref.insert(vpn)
+				case 2, 3:
+					p.Touch(vpn)
+					ref.touch(vpn)
+				case 4:
+					p.Lock(vpn)
+					ref.lock(vpn, +1)
+				case 5:
+					p.Unlock(vpn)
+					ref.lock(vpn, -1)
+				case 6:
+					p.Remove(vpn)
+					delete(ref.pages, vpn)
+				case 7:
+					got, gok := p.Victim()
+					want, wok := ref.victim()
+					if got != want || gok != wok {
+						t.Fatalf("%v/%s op %d: Victim = (%d,%v), reference (%d,%v)", kind, name, op, got, gok, want, wok)
+					}
+					if gok && rng.Intn(2) == 0 { // evict it, as the library does
+						p.Remove(got)
+						delete(ref.pages, want)
+					}
+				}
+				if p.Len() != len(ref.pages) {
+					t.Fatalf("%v/%s op %d: Len = %d, reference %d", kind, name, op, p.Len(), len(ref.pages))
+				}
+				if _, tracked := ref.pages[vpn]; p.Contains(vpn) != tracked {
+					t.Fatalf("%v/%s op %d: Contains(%d) = %v, reference %v", kind, name, op, vpn, p.Contains(vpn), tracked)
+				}
+			}
+		}
 	}
 }

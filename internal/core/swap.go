@@ -73,7 +73,7 @@ func (t *Table) AttachDisk(d *Disk) { t.disk = d }
 func (t *Table) Disk() *Disk { return t.disk }
 
 // SwappedTables reports how many second-level tables are on disk.
-func (t *Table) SwappedTables() int { return len(t.swapped) }
+func (t *Table) SwappedTables() int { return t.swapped }
 
 // ResidentTables reports how many second-level tables are in memory.
 func (t *Table) ResidentTables() int { return len(t.l2frames) }
@@ -109,7 +109,7 @@ func (t *Table) SwapOut(vpn units.VPN, force bool) error {
 	t.mem.Free(frame)
 	t.dir[di] = units.PAddr(block)
 	t.swappedBit[di] = true
-	t.swapped[di] = true
+	t.swapped++
 	return nil
 }
 
@@ -138,7 +138,7 @@ func (t *Table) SwapIn(vpn units.VPN) error {
 	t.l2frames = append(t.l2frames, frame)
 	t.dir[di] = frame.Addr()
 	t.swappedBit[di] = false
-	delete(t.swapped, di)
+	t.swapped--
 	return nil
 }
 

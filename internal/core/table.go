@@ -59,7 +59,7 @@ type Table struct {
 	// in the top-level directory": when set, dir holds a disk block
 	// number instead of a physical address.
 	swappedBit [DirEntries]bool
-	swapped    map[int]bool
+	swapped    int // set bits in swappedBit
 	disk       *Disk
 	// l2frames tracks owned second-level frames for release.
 	l2frames []units.PFN
@@ -70,7 +70,14 @@ type Table struct {
 // NewTable allocates an empty table for pid. garbage is the pinned
 // garbage frame every invalid entry points at.
 func NewTable(pid units.ProcID, mem *phys.Memory, garbage units.PFN) *Table {
-	return &Table{pid: pid, mem: mem, garbage: garbage, swapped: make(map[int]bool)}
+	return &Table{pid: pid, mem: mem, garbage: garbage}
+}
+
+// reset rebinds t as a fresh, empty table for pid over mem, keeping
+// its 20 KB directory block (LibScratch recycles one table per process
+// slot). Frames are not returned: the caller has reset mem too.
+func (t *Table) reset(pid units.ProcID, mem *phys.Memory, garbage units.PFN) {
+	*t = Table{pid: pid, mem: mem, garbage: garbage, l2frames: t.l2frames[:0]}
 }
 
 // PID reports the owning process.
@@ -195,8 +202,8 @@ func (t *Table) Release() {
 	for _, f := range t.l2frames {
 		t.mem.Free(f)
 	}
-	if t.disk != nil {
-		for di := range t.swapped {
+	for di, sw := range t.swappedBit {
+		if sw && t.disk != nil {
 			t.disk.free(int64(t.dir[di]))
 		}
 	}
@@ -204,6 +211,6 @@ func (t *Table) Release() {
 	t.dir = [DirEntries]units.PAddr{}
 	t.present = [DirEntries]bool{}
 	t.swappedBit = [DirEntries]bool{}
-	t.swapped = make(map[int]bool)
+	t.swapped = 0
 	t.installed = 0
 }

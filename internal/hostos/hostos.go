@@ -11,8 +11,10 @@
 package hostos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"utlb/internal/fault"
 	"utlb/internal/obs"
@@ -162,7 +164,7 @@ type Host struct {
 	clock *units.Clock
 	mem   *phys.Memory
 	costs Costs
-	procs map[units.ProcID]*Process
+	procs []*Process // ascending PID; a node hosts a handful of processes
 
 	// interrupts counts device interrupts delivered to this host.
 	interrupts int64
@@ -193,13 +195,13 @@ type Host struct {
 // New returns a host with the given node id, memory size in bytes, and
 // cost model.
 func New(id units.NodeID, memBytes int64, costs Costs) *Host {
-	return &Host{
-		id:    id,
-		clock: units.NewClock(),
-		mem:   phys.NewMemory(memBytes),
-		costs: costs,
-		procs: make(map[units.ProcID]*Process),
-	}
+	return NewWith(id, phys.NewMemory(memBytes), costs)
+}
+
+// NewWith is New over a caller-owned memory, recycling one run's frame
+// arrays into the next (the caller has Reset it to the wanted size).
+func NewWith(id units.NodeID, mem *phys.Memory, costs Costs) *Host {
+	return &Host{id: id, clock: units.NewClock(), mem: mem, costs: costs}
 }
 
 // ID reports the node identifier.
@@ -252,16 +254,29 @@ func (h *Host) recordSpan(kind obs.Kind, start units.Time, pid units.ProcID, pag
 // Spawn creates a process with the given pid and name, backed by space
 // (which carries its own pinned-page quota), and registers it.
 func (h *Host) Spawn(pid units.ProcID, name string, space Space) (*Process, error) {
-	if _, ok := h.procs[pid]; ok {
+	i, found := h.find(pid)
+	if found {
 		return nil, fmt.Errorf("hostos: pid %d already exists on node %d", pid, h.id)
 	}
 	p := &Process{pid: pid, name: name, space: space}
-	h.procs[pid] = p
+	h.procs = slices.Insert(h.procs, i, p)
 	return p, nil
 }
 
+// find locates pid in h.procs: its index, or where Spawn would insert it.
+func (h *Host) find(pid units.ProcID) (int, bool) {
+	return slices.BinarySearchFunc(h.procs, pid, func(p *Process, pid units.ProcID) int {
+		return cmp.Compare(p.pid, pid)
+	})
+}
+
 // Process returns the process with the given pid, or nil.
-func (h *Host) Process(pid units.ProcID) *Process { return h.procs[pid] }
+func (h *Host) Process(pid units.ProcID) *Process {
+	if i, found := h.find(pid); found {
+		return h.procs[i]
+	}
+	return nil
+}
 
 // Processes reports how many processes are registered.
 func (h *Host) Processes() int { return len(h.procs) }

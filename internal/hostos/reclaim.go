@@ -1,8 +1,6 @@
 package hostos
 
 import (
-	"sort"
-
 	"utlb/internal/obs"
 	"utlb/internal/units"
 )
@@ -18,7 +16,8 @@ import (
 // address space beyond Space.
 type ReclaimSpace interface {
 	Space
-	// MappedVPNs lists the space's mapped pages.
+	// MappedVPNs lists the space's mapped pages in ascending order:
+	// Reclaim evicts in the order given, and that order is a result.
 	MappedVPNs() []units.VPN
 	// Evict unmaps an unpinned page, freeing its frame.
 	Evict(units.VPN) error
@@ -37,25 +36,17 @@ func (h *Host) Reclaim(want int) int {
 		return 0
 	}
 	start := h.clock.Now()
-	// Deterministic order: ascending PID.
-	pids := make([]units.ProcID, 0, len(h.procs))
-	for pid := range h.procs {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-
+	// Deterministic order: h.procs is kept in ascending PID.
 	reclaimed, scanned := 0, 0
-	for _, pid := range pids {
+	for _, p := range h.procs {
 		if reclaimed >= want {
 			break
 		}
-		rs, ok := h.procs[pid].space.(ReclaimSpace)
+		rs, ok := p.space.(ReclaimSpace)
 		if !ok {
 			continue
 		}
-		vpns := rs.MappedVPNs()
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-		for _, vpn := range vpns {
+		for _, vpn := range rs.MappedVPNs() {
 			if reclaimed >= want {
 				break
 			}

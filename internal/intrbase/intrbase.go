@@ -53,7 +53,7 @@ type Mechanism struct {
 	host  *hostos.Host
 	nic   *nicsim.NIC
 	cache *tlbcache.Cache
-	procs map[units.ProcID]*procState
+	procs []*procState // registration order; a node hosts a handful of processes
 
 	stats Stats
 }
@@ -76,21 +76,32 @@ func NewWith(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config, st *t
 	if err := nic.ReserveSRAM(cache.SRAMBytes()); err != nil {
 		return nil, fmt.Errorf("intrbase: reserving cache SRAM: %w", err)
 	}
-	return &Mechanism{
-		host:  host,
-		nic:   nic,
-		cache: cache,
-		procs: make(map[units.ProcID]*procState),
-	}, nil
+	return &Mechanism{host: host, nic: nic, cache: cache}, nil
 }
 
 // Register adds a process to the mechanism.
 func (m *Mechanism) Register(proc *hostos.Process) error {
+	return m.RegisterWith(proc, &core.LibScratch{})
+}
+
+// RegisterWith is Register with the process' pinned-page policy drawn
+// from scr, recycling one run's page table into the next.
+func (m *Mechanism) RegisterWith(proc *hostos.Process, scr *core.LibScratch) error {
 	pid := proc.PID()
-	if _, ok := m.procs[pid]; ok {
+	if m.state(pid) != nil {
 		return fmt.Errorf("intrbase: pid %d already registered", pid)
 	}
-	m.procs[pid] = &procState{proc: proc, policy: core.NewPolicy(core.LRU, int64(pid))}
+	m.procs = append(m.procs, &procState{proc: proc, policy: scr.Policy(core.LRU, int64(pid))})
+	return nil
+}
+
+// state returns pid's registration, or nil.
+func (m *Mechanism) state(pid units.ProcID) *procState {
+	for _, st := range m.procs {
+		if st.proc.PID() == pid {
+			return st
+		}
+	}
 	return nil
 }
 
@@ -109,8 +120,8 @@ func (m *Mechanism) Cache() *tlbcache.Cache { return m.cache }
 // NIC lookup cost is charged to the NIC clock; the interrupt and all
 // pin/unpin work are charged to the host clock.
 func (m *Mechanism) Translate(pid units.ProcID, vpn units.VPN) (units.PFN, error) {
-	st, ok := m.procs[pid]
-	if !ok {
+	st := m.state(pid)
+	if st == nil {
 		return units.NoPFN, fmt.Errorf("intrbase: pid %d not registered", pid)
 	}
 	m.stats.Lookups++
@@ -193,8 +204,8 @@ func (m *Mechanism) handleMiss(st *procState, key tlbcache.Key) (units.PFN, erro
 	if was {
 		// Eviction means immediate unpin — possibly of another
 		// process' page in this shared cache.
-		owner, ok := m.procs[evicted.PID]
-		if !ok {
+		owner := m.state(evicted.PID)
+		if owner == nil {
 			return units.NoPFN, fmt.Errorf("intrbase: evicted entry for unknown pid %d", evicted.PID)
 		}
 		if err := m.unpin(owner, evicted.VPN); err != nil {
@@ -217,14 +228,14 @@ func (m *Mechanism) unpin(st *procState, vpn units.VPN) error {
 // Lock and Unlock mark a page ineligible for forced unpinning while a
 // transfer is outstanding, mirroring the UTLB library's obligation.
 func (m *Mechanism) Lock(pid units.ProcID, vpn units.VPN) {
-	if st, ok := m.procs[pid]; ok {
+	if st := m.state(pid); st != nil {
 		st.policy.Lock(vpn)
 	}
 }
 
 // Unlock reverses Lock.
 func (m *Mechanism) Unlock(pid units.ProcID, vpn units.VPN) {
-	if st, ok := m.procs[pid]; ok {
+	if st := m.state(pid); st != nil {
 		st.policy.Unlock(vpn)
 	}
 }

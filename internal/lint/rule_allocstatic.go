@@ -37,10 +37,13 @@ import (
 //
 // Flagged allocation sites: fmt.* calls (except fmt.Errorf feeding a
 // return, and anything building a panic message), non-constant string
-// concatenation, map creation, append to a slice that was declared
-// locally without preallocated capacity, closures that capture
-// variables, and conversions of non-pointer concrete values to
-// module-declared interfaces (boxing).
+// concatenation, map creation, assignment into a map (m[k] = v, m[k]++
+// and friends: an insert may grow the map, and the simulator's page-
+// keyed tables moved to tlbcache.Dense precisely to stop paying that
+// per reference), append to a slice that was declared locally without
+// preallocated capacity, closures that capture variables, and
+// conversions of non-pointer concrete values to module-declared
+// interfaces (boxing).
 func ruleAllocStatic() Rule {
 	return Rule{
 		Name: "allocstatic",
@@ -145,6 +148,16 @@ func allocSites(n *FuncNode, root string) []Finding {
 			return
 		}
 		switch x := x.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if isMapIndex(pkg, lhs) {
+					report(lhs.Pos(), "assignment into a map (may grow it)")
+				}
+			}
+		case *ast.IncDecStmt:
+			if isMapIndex(pkg, x.X) {
+				report(x.X.Pos(), "assignment into a map (may grow it)")
+			}
 		case *ast.CallExpr:
 			if path, name, ok := pkg.calleePkgFunc(x); ok && path == "fmt" {
 				if name == "Errorf" && (underReturn(stack) || assignsErrorVar(pkg, stack)) {
@@ -219,6 +232,21 @@ func allocSites(n *FuncNode, root string) []Finding {
 	})
 	SortFindings(out)
 	return out
+}
+
+// isMapIndex reports whether e is m[k] for a map m — as an assignment
+// target, a store that inserts when k is absent.
+func isMapIndex(pkg *Package, e ast.Expr) bool {
+	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	t := pkg.typeOf(ix.X)
+	if t == nil {
+		return false
+	}
+	_, isMap := types.Unalias(t).Underlying().(*types.Map)
+	return isMap
 }
 
 // unpreallocatedSlices finds local slice variables declared with no

@@ -14,75 +14,125 @@ import (
 	"utlb/internal/units"
 )
 
-// Memory is a bank of physical memory frames.
+// Memory is a bank of physical memory frames. PFNs are dense 0..n-1,
+// so every per-frame structure is addressed by index and sized by the
+// high-water frame, never by n: construction is O(1) whatever the
+// memory size.
+//
+// Allocation order is part of the contract (tests pin it): the most
+// recently freed frame is handed out first, then the lowest frame
+// never used — exactly what a LIFO free list pre-filled n-1..0 gives.
 type Memory struct {
 	numFrames units.PFN
-	free      []units.PFN // free list, LIFO
-	frames    map[units.PFN][]byte
-	allocated map[units.PFN]bool
+	next      units.PFN   // bump pointer: the lowest never-used frame
+	recycled  []units.PFN // freed frames, LIFO
+	allocated []uint64    // bitset over [0, next)
+	frames    [][]byte    // backing by frame, nil until first written
+	spare     [][]byte    // backing dropped by Free/Reset, zeroed on reuse
 }
 
 // NewMemory returns a memory of size bytes, rounded down to whole frames.
 // It panics if size is smaller than one page: a machine without memory is
 // a configuration error, not a runtime condition.
 func NewMemory(size int64) *Memory {
+	m := &Memory{}
+	m.Reset(size)
+	return m
+}
+
+// Reset returns m to the freshly constructed state at a new size,
+// keeping its index arrays and frame backing for the next run
+// (sim.RunScratch holds one Memory per worker).
+func (m *Memory) Reset(size int64) {
 	n := units.PFN(size >> units.PageShift)
 	if n == 0 {
 		panic(fmt.Sprintf("phys: memory size %d smaller than one page", size))
 	}
-	m := &Memory{
-		numFrames: n,
-		frames:    make(map[units.PFN][]byte),
-		allocated: make(map[units.PFN]bool),
+	for f, b := range m.frames {
+		if b != nil {
+			m.spare = append(m.spare, b)
+			m.frames[f] = nil
+		}
 	}
-	// Push frames in reverse so allocation hands out low frames first,
-	// which makes traces and tests easier to read.
-	m.free = make([]units.PFN, 0, n)
-	for f := units.PFN(n); f > 0; f-- {
-		m.free = append(m.free, f-1)
-	}
-	return m
+	m.numFrames, m.next = n, 0
+	m.recycled = m.recycled[:0]
+	m.allocated = m.allocated[:0]
+	m.frames = m.frames[:0]
 }
 
 // NumFrames reports the total number of frames.
 func (m *Memory) NumFrames() units.PFN { return m.numFrames }
 
 // FreeFrames reports how many frames are currently unallocated.
-func (m *Memory) FreeFrames() int { return len(m.free) }
+func (m *Memory) FreeFrames() int { return int(m.numFrames-m.next) + len(m.recycled) }
 
 // Alloc allocates one frame. It fails when physical memory is exhausted.
 func (m *Memory) Alloc() (units.PFN, error) {
-	if len(m.free) == 0 {
+	var f units.PFN
+	switch {
+	case len(m.recycled) > 0:
+		f = m.recycled[len(m.recycled)-1]
+		m.recycled = m.recycled[:len(m.recycled)-1]
+	case m.next < m.numFrames:
+		f = m.next
+		m.next++
+		if int(f>>6) == len(m.allocated) {
+			m.allocated = append(m.allocated, 0)
+		}
+	default:
 		return units.NoPFN, ErrOutOfMemory
 	}
-	f := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	m.allocated[f] = true
+	m.allocated[f>>6] |= 1 << (f & 63)
 	return f, nil
 }
 
 // Free returns a frame to the allocator and drops its contents.
 // Freeing an unallocated frame is a bug in the caller and panics.
 func (m *Memory) Free(f units.PFN) {
-	if !m.allocated[f] {
+	if !m.Allocated(f) {
 		panic(fmt.Sprintf("phys: double free of frame %d", f))
 	}
-	delete(m.allocated, f)
-	delete(m.frames, f)
-	m.free = append(m.free, f)
+	m.allocated[f>>6] &^= 1 << (f & 63)
+	if b := m.written(f); b != nil {
+		m.spare = append(m.spare, b)
+		m.frames[f] = nil
+	}
+	m.recycled = append(m.recycled, f)
 }
 
 // Allocated reports whether frame f is currently allocated.
-func (m *Memory) Allocated(f units.PFN) bool { return m.allocated[f] }
+func (m *Memory) Allocated(f units.PFN) bool {
+	return f < m.next && m.allocated[f>>6]&(1<<(f&63)) != 0
+}
 
 // ErrOutOfMemory is returned by Alloc when no frames remain.
 var ErrOutOfMemory = fmt.Errorf("phys: out of physical memory")
 
+// written returns f's backing, or nil when f was never written (such a
+// frame reads as zeros; materialising on read would allocate for
+// nothing).
+func (m *Memory) written(f units.PFN) []byte {
+	if int(f) < len(m.frames) {
+		return m.frames[f]
+	}
+	return nil
+}
+
+// backing returns f's backing, materialising it zeroed on first write.
 func (m *Memory) backing(f units.PFN) []byte {
-	if b, ok := m.frames[f]; ok {
+	if b := m.written(f); b != nil {
 		return b
 	}
-	b := make([]byte, units.PageSize)
+	for int(f) >= len(m.frames) {
+		m.frames = append(m.frames, nil)
+	}
+	var b []byte
+	if n := len(m.spare); n > 0 {
+		b, m.spare = m.spare[n-1], m.spare[:n-1]
+		clear(b)
+	} else {
+		b = make([]byte, units.PageSize)
+	}
 	m.frames[f] = b
 	return b
 }
@@ -105,7 +155,7 @@ func (m *Memory) Write(pa units.PAddr, data []byte) {
 	m.checkRange(pa, len(data))
 	for len(data) > 0 {
 		f := pa.PageOf()
-		if !m.allocated[f] {
+		if !m.Allocated(f) {
 			panic(fmt.Sprintf("phys: write to unallocated frame %d", f))
 		}
 		off := int(uint64(pa) & units.PageMask)
@@ -126,7 +176,7 @@ func (m *Memory) Read(pa units.PAddr, n int) []byte {
 	dst := out
 	for len(dst) > 0 {
 		f := pa.PageOf()
-		if !m.allocated[f] {
+		if !m.Allocated(f) {
 			panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
 		}
 		off := int(uint64(pa) & units.PageMask)
@@ -134,10 +184,8 @@ func (m *Memory) Read(pa units.PAddr, n int) []byte {
 		if c > len(dst) {
 			c = len(dst)
 		}
-		// A frame that was never written has no backing yet and reads
-		// as zeros; dst is already zeroed, so only copy materialised
-		// frames (materialising on read would allocate for nothing).
-		if b, ok := m.frames[f]; ok {
+		// dst is already zeroed, so only copy materialised frames.
+		if b := m.written(f); b != nil {
 			copy(dst[:c], b[off:off+c])
 		}
 		pa += units.PAddr(c)
@@ -163,11 +211,11 @@ func (m *Memory) ReadWord(pa units.PAddr) uint64 {
 	m.checkRange(pa, 8)
 	if off := int(uint64(pa) & units.PageMask); off <= units.PageSize-8 {
 		f := pa.PageOf()
-		if !m.allocated[f] {
+		if !m.Allocated(f) {
 			panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
 		}
-		b, ok := m.frames[f]
-		if !ok {
+		b := m.written(f)
+		if b == nil {
 			return 0 // never-written frame reads as zeros
 		}
 		var w uint64
@@ -181,10 +229,10 @@ func (m *Memory) ReadWord(pa units.PAddr) uint64 {
 	for i := 0; i < 8; i++ {
 		p := pa + units.PAddr(i)
 		f := p.PageOf()
-		if !m.allocated[f] {
+		if !m.Allocated(f) {
 			panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
 		}
-		if b, ok := m.frames[f]; ok {
+		if b := m.written(f); b != nil {
 			w |= uint64(b[uint64(p)&units.PageMask]) << (8 * i)
 		}
 	}

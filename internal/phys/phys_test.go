@@ -2,6 +2,8 @@ package phys
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -153,5 +155,141 @@ func TestAllocHandsOutLowFramesFirst(t *testing.T) {
 	f1, _ := m.Alloc()
 	if f0 != 0 || f1 != 1 {
 		t.Errorf("first allocations = %d,%d, want 0,1", f0, f1)
+	}
+}
+
+// refMemory is the allocator Memory replaced, kept as the oracle: a
+// LIFO free list pre-filled n-1..0 (so construction is O(n)) and
+// map-backed allocation state and contents.
+type refMemory struct {
+	n         int
+	free      []units.PFN
+	allocated map[units.PFN]bool
+	data      map[units.PFN][]byte
+}
+
+func newRefMemory(n int) *refMemory {
+	r := &refMemory{n: n, allocated: map[units.PFN]bool{}, data: map[units.PFN][]byte{}}
+	for f := n; f > 0; f-- {
+		r.free = append(r.free, units.PFN(f-1))
+	}
+	return r
+}
+
+func (r *refMemory) alloc() (units.PFN, error) {
+	if len(r.free) == 0 {
+		return units.NoPFN, ErrOutOfMemory
+	}
+	f := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	r.allocated[f] = true
+	return f, nil
+}
+
+func (r *refMemory) release(f units.PFN) {
+	delete(r.allocated, f)
+	delete(r.data, f)
+	r.free = append(r.free, f)
+}
+
+func (r *refMemory) word(f units.PFN, off int) uint64 {
+	b, ok := r.data[f]
+	if !ok {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b[off:])
+}
+
+func (r *refMemory) setWord(f units.PFN, off int, w uint64) {
+	if r.data[f] == nil {
+		r.data[f] = make([]byte, units.PageSize)
+	}
+	binary.LittleEndian.PutUint64(r.data[f][off:], w)
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// The O(1) constructor must not change which frame any Alloc returns:
+// the lowest never-used frame first, the most recently freed frame
+// before any never-used one. A seeded random stream of allocations,
+// frees, word writes and reads is replayed against the LIFO-free-list
+// reference; every returned frame, the FreeFrames/NumFrames accounting
+// (hostos.Reclaim's pressure ratio reads it), every word read back —
+// zeros from never-written frames, zeros again after Free dropped the
+// contents — and the three misuse panics must agree, also across a
+// Reset to a different size.
+func TestAllocationOrderMatchesFreeListReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1998))
+	m := NewMemory(int64(24 * units.PageSize))
+	for round, frames := range []int{24, 9, 40} {
+		if round > 0 {
+			m.Reset(int64(frames * units.PageSize))
+		}
+		ref := newRefMemory(frames)
+		for op := 0; op < 4000; op++ {
+			f := units.PFN(rng.Intn(frames))
+			off := rng.Intn(units.PageSize/8) * 8
+			pa := f.Addr() + units.PAddr(off)
+			switch rng.Intn(5) {
+			case 0, 1:
+				got, gerr := m.Alloc()
+				want, werr := ref.alloc()
+				if got != want || gerr != werr {
+					t.Fatalf("round %d op %d: Alloc = (%d,%v), reference (%d,%v)", round, op, got, gerr, want, werr)
+				}
+			case 2:
+				if !ref.allocated[f] {
+					if !panics(func() { m.Free(f) }) {
+						t.Fatalf("round %d op %d: Free of unallocated frame %d did not panic", round, op, f)
+					}
+					continue
+				}
+				m.Free(f)
+				ref.release(f)
+			case 3:
+				w := rng.Uint64()
+				if !ref.allocated[f] {
+					if !panics(func() { m.WriteWord(pa, w) }) {
+						t.Fatalf("round %d op %d: write to unallocated frame %d did not panic", round, op, f)
+					}
+					continue
+				}
+				m.WriteWord(pa, w)
+				ref.setWord(f, off, w)
+			case 4:
+				if !ref.allocated[f] {
+					if !panics(func() { m.ReadWord(pa) }) {
+						t.Fatalf("round %d op %d: read of unallocated frame %d did not panic", round, op, f)
+					}
+					continue
+				}
+				if got, want := m.ReadWord(pa), ref.word(f, off); got != want {
+					t.Fatalf("round %d op %d: ReadWord(frame %d+%d) = %#x, reference %#x", round, op, f, off, got, want)
+				}
+				if got := m.Read(pa, 8); binary.LittleEndian.Uint64(got) != ref.word(f, off) {
+					t.Fatalf("round %d op %d: Read(frame %d+%d) = %x, reference %#x", round, op, f, off, got, ref.word(f, off))
+				}
+			}
+			if m.FreeFrames() != len(ref.free) || int(m.NumFrames()) != ref.n {
+				t.Fatalf("round %d op %d: FreeFrames/NumFrames = %d/%d, reference %d/%d",
+					round, op, m.FreeFrames(), m.NumFrames(), len(ref.free), ref.n)
+			}
+			if m.Allocated(f) != ref.allocated[f] {
+				t.Fatalf("round %d op %d: Allocated(%d) = %v, reference %v", round, op, f, m.Allocated(f), ref.allocated[f])
+			}
+		}
+	}
+}
+
+// Construction no longer touches every frame: a terabyte of simulated
+// memory costs the same few words as a megabyte.
+func TestNewMemoryIsConstantSize(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() { NewMemory(1 << 40) })
+	if allocs > 1 {
+		t.Errorf("NewMemory(1 TB) makes %.0f allocations, want 1 (the Memory itself)", allocs)
 	}
 }

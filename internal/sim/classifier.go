@@ -26,7 +26,7 @@ import (
 // and reset() recycles both the table and the slab across runs.
 type classifier struct {
 	capacity int
-	slots    *tlbcache.Dense
+	slots    *tlbcache.Dense[int32]
 	nodes    []clsNode
 	head     int32 // most recent, nilSlot when empty
 	tail     int32 // least recent
@@ -52,7 +52,7 @@ func newClassifier(capacity int) *classifier {
 func (c *classifier) reset(capacity int) {
 	c.capacity = capacity
 	if c.slots == nil {
-		c.slots = tlbcache.NewDense(capacity)
+		c.slots = tlbcache.NewDense[int32](capacity)
 	} else {
 		c.slots.Reset()
 	}
@@ -99,15 +99,15 @@ func (c *classifier) classify(res *Result, pid units.ProcID, vpn units.VPN, miss
 // touch references key in the shadow cache, reporting whether this is
 // the key's first-ever reference and whether the shadow cache hit.
 func (c *classifier) touch(key tlbcache.Key) (first, shadowHit bool) {
-	slot, seen := c.slots.Get(key)
-	if seen && c.nodes[slot].resident {
+	p, first := c.slots.Ensure(key)
+	if first {
+		*p = int32(len(c.nodes))
+		c.nodes = append(c.nodes, clsNode{key: key})
+	}
+	slot := *p
+	if c.nodes[slot].resident {
 		c.moveToFront(slot)
 		return false, true
-	}
-	if !seen {
-		slot = int32(len(c.nodes))
-		c.nodes = append(c.nodes, clsNode{key: key})
-		c.slots.Put(key, slot)
 	}
 	c.nodes[slot].resident = true
 	c.pushFront(slot)
@@ -118,7 +118,7 @@ func (c *classifier) touch(key tlbcache.Key) (first, shadowHit bool) {
 		c.nodes[evict].resident = false
 		c.size--
 	}
-	return !seen, false
+	return first, false
 }
 
 func (c *classifier) pushFront(slot int32) {

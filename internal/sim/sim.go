@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"utlb/internal/bus"
@@ -19,6 +20,7 @@ import (
 	"utlb/internal/intrbase"
 	"utlb/internal/nicsim"
 	"utlb/internal/obs"
+	"utlb/internal/phys"
 	"utlb/internal/tlbcache"
 	"utlb/internal/trace"
 	"utlb/internal/units"
@@ -249,14 +251,20 @@ func rate(n, total int64) float64 {
 
 // RunScratch recycles one run's working state into the next: the
 // cache line arrays, the 3C classifier's dense table and node slab,
-// each process slot's pin bit vector and pre-pin buffer, and the batch
-// staging buffers. Together these are the bulk of a run's setup
-// allocations. The zero value (or NewRunScratch) is ready to use; a
-// scratch serves one run at a time, and results never depend on what a
-// previous run left behind — every structure is cleared on reuse.
+// host memory's frame arrays and backing, the distinct-page set host
+// memory is sized from, each process slot's address space, pin bit
+// vector, policy table and pre-pin buffer, and the batch staging
+// buffers. Together these are the bulk of a run's setup allocations.
+// The zero value (or NewRunScratch) is ready to use; a scratch serves
+// one run at a time, and results never depend on what a previous run
+// left behind — every structure is reset on reuse.
 type RunScratch struct {
 	cacheStorage *tlbcache.Storage
 	cls          *classifier
+	mem          *phys.Memory
+	seen         *tlbcache.Dense[struct{}]
+	pids         []units.ProcID
+	spaces       []*vm.Space
 	libs         []*core.LibScratch
 	vpns         []units.VPN
 	pfns         []units.PFN
@@ -267,12 +275,8 @@ type RunScratch struct {
 // use and persist across runs.
 func NewRunScratch() *RunScratch { return &RunScratch{} }
 
-// storage hands out the cache line storage (nil-safe: a nil scratch
-// allocates per run).
+// storage hands out the cache line storage.
 func (s *RunScratch) storage() *tlbcache.Storage {
-	if s == nil {
-		return nil
-	}
 	if s.cacheStorage == nil {
 		s.cacheStorage = tlbcache.NewStorage(0)
 	}
@@ -281,9 +285,6 @@ func (s *RunScratch) storage() *tlbcache.Storage {
 
 // classifier hands out the 3C classifier, reset for capacity.
 func (s *RunScratch) classifier(capacity int) *classifier {
-	if s == nil {
-		return newClassifier(capacity)
-	}
 	if s.cls == nil {
 		s.cls = newClassifier(capacity)
 	} else {
@@ -292,11 +293,52 @@ func (s *RunScratch) classifier(capacity int) *classifier {
 	return s.cls
 }
 
+// survey counts tr's distinct (pid, page) pairs — trace.Footprint's
+// number, from the scratch-owned set instead of a per-run map — and
+// lists its process IDs ascending, as trace.PIDs does.
+func (s *RunScratch) survey(tr trace.Trace) (pages int, pids []units.ProcID) {
+	if s.seen == nil {
+		s.seen = tlbcache.NewDense[struct{}](0)
+	} else {
+		s.seen.Reset()
+	}
+	pids = s.pids[:0]
+	for i, r := range tr {
+		if (i == 0 || r.PID != tr[i-1].PID) && !slices.Contains(pids, r.PID) {
+			pids = append(pids, r.PID)
+		}
+		first := r.VA.PageOf()
+		for p, n := 0, units.PagesSpanned(r.VA, int(r.Bytes)); p < n; p++ {
+			s.seen.Ensure(tlbcache.Key{PID: r.PID, VPN: first + units.VPN(p)})
+		}
+	}
+	slices.Sort(pids)
+	s.pids = pids
+	return s.seen.Len(), pids
+}
+
+// memory hands out host memory, reset to size bytes.
+func (s *RunScratch) memory(size int64) *phys.Memory {
+	if s.mem == nil {
+		s.mem = phys.NewMemory(size)
+	} else {
+		s.mem.Reset(size)
+	}
+	return s.mem
+}
+
+// space hands out process slot i's address space, emptied and rebound.
+func (s *RunScratch) space(i int, pid units.ProcID, mem *phys.Memory, pinLimit int) *vm.Space {
+	if i == len(s.spaces) {
+		s.spaces = append(s.spaces, vm.NewSpace(pid, mem, pinLimit))
+	} else {
+		s.spaces[i].Reset(pid, mem, pinLimit)
+	}
+	return s.spaces[i]
+}
+
 // libScratch hands out process slot i's library scratch.
 func (s *RunScratch) libScratch(i int) *core.LibScratch {
-	if s == nil {
-		return nil
-	}
 	for len(s.libs) <= i {
 		s.libs = append(s.libs, &core.LibScratch{})
 	}
@@ -305,9 +347,6 @@ func (s *RunScratch) libScratch(i int) *core.LibScratch {
 
 // batchBufs hands out the translation staging buffers, at least b long.
 func (s *RunScratch) batchBufs(b int) ([]units.VPN, []units.PFN, []core.TranslateInfo) {
-	if s == nil {
-		return make([]units.VPN, b), make([]units.PFN, b), make([]core.TranslateInfo, b)
-	}
 	if cap(s.vpns) < b {
 		s.vpns = make([]units.VPN, b)
 		s.pfns = make([]units.PFN, b)
@@ -341,6 +380,9 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{Config: cfg}, err
 	}
+	if scr == nil {
+		scr = NewRunScratch()
+	}
 	// Generated and merged traces are already serialised; a stable sort
 	// would be a no-op, so skip the copy entirely and read tr in place
 	// (Run never mutates the trace).
@@ -353,8 +395,9 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// Size host memory for the worst case: every distinct page
 	// resident, plus pages that sequential pre-pinning may touch in
 	// the holes of strided footprints, plus second-level tables.
-	frames := int64(sorted.Footprint())*6 + 16384
-	host := hostos.New(0, frames*units.PageSize, hostos.DefaultCosts())
+	footprint, pids := scr.survey(sorted)
+	frames := int64(footprint)*6 + 16384
+	host := hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
 	nicClock := units.NewClock()
 	b := bus.New(host.Memory(), nicClock, bus.DefaultCosts())
 	nic := nicsim.New(0, units.MB, nicClock, b, nicsim.DefaultCosts())
@@ -437,10 +480,10 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	}
 
 	//lint:ignore allocstatic built once per RunWith call; spawning happens only at setup, inside the SimulateWith alloc budget
-	spawn := func(pid units.ProcID) (*hostos.Process, error) {
+	spawn := func(i int, pid units.ProcID) (*hostos.Process, error) {
 		//lint:ignore allocstatic process names are built once per spawned process at setup, inside the SimulateWith alloc budget
 		return host.Spawn(pid, fmt.Sprintf("proc%d", pid),
-			vm.NewSpace(pid, host.Memory(), cfg.PinLimitPages))
+			scr.space(i, pid, host.Memory(), cfg.PinLimitPages))
 	}
 
 	switch cfg.Mechanism {
@@ -454,27 +497,25 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 			drv.Cache().SetXferCursor(xc)
 		}
 		translator := core.NewTranslator(drv, cfg.Prefetch)
-		//lint:ignore allocstatic per-process lib index is built once at setup, inside the SimulateWith alloc budget
-		libs := make(map[units.ProcID]*core.Lib)
-		for i, pid := range sorted.PIDs() {
-			proc, err := spawn(pid)
+		libs := make([]*core.Lib, len(pids)) // parallel to pids
+		for i, pid := range pids {
+			proc, err := spawn(i, pid)
 			if err != nil {
 				return res, err
 			}
-			lib, err := core.NewLib(drv, proc, core.LibConfig{
+			libs[i], err = core.NewLib(drv, proc, core.LibConfig{
 				Policy: cfg.Policy, PolicySeed: cfg.Seed, Prepin: cfg.Prepin,
 				Recorder: recorder, Xfer: xc, Scratch: scr.libScratch(i),
 			})
 			if err != nil {
 				return res, err
 			}
-			libs[pid] = lib
 		}
 		batch := cfg.BatchPages
 		vpns, pfns, infos := scr.batchBufs(batch)
 		for _, rec := range sorted {
 			xc.Begin()
-			lib := libs[rec.PID]
+			lib := libs[slices.Index(pids, rec.PID)]
 			if err := lib.Lookup(rec.VA, int(rec.Bytes)); err != nil {
 				return res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 			}
@@ -526,12 +567,12 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 			mech.Cache().Instrument(recorder, nicClock, 0)
 			mech.Cache().SetXferCursor(xc)
 		}
-		for _, pid := range sorted.PIDs() {
-			proc, err := spawn(pid)
+		for i, pid := range pids {
+			proc, err := spawn(i, pid)
 			if err != nil {
 				return res, err
 			}
-			if err := mech.Register(proc); err != nil {
+			if err := mech.RegisterWith(proc, scr.libScratch(i)); err != nil {
 				return res, err
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"utlb/internal/core"
@@ -428,6 +429,62 @@ func TestMissRatioMatchesStackDistances(t *testing.T) {
 		if got > analytic+0.15 {
 			t.Errorf("entries=%d: simulated ratio %.3f far above analytic %.3f (conflicts out of control)",
 				entries, got, analytic)
+		}
+	}
+}
+
+// RunWith sizes host memory from the scratch-held page set instead of
+// trace.Footprint's per-call map; the two counts (and the pid lists)
+// must agree on every application, with one scratch reused across all
+// of them so a leftover entry would show.
+func TestSurveyMatchesTraceSummaries(t *testing.T) {
+	scr := NewRunScratch()
+	for _, app := range workload.Names() {
+		tr := smallTrace(t, app, 0.2)
+		pages, pids := scr.survey(tr)
+		if want := tr.Footprint(); pages != want {
+			t.Errorf("%s: survey counts %d pages, trace.Footprint %d", app, pages, want)
+		}
+		if want := tr.PIDs(); !slices.Equal(pids, want) {
+			t.Errorf("%s: survey pids %v, trace.PIDs %v", app, pids, want)
+		}
+	}
+}
+
+// A scratch warmed by a larger application under a different
+// configuration holds bigger tables, so every page table, policy table
+// and frame array starts the next run with a different capacity and
+// slot order than a fresh one. Results must not notice: eviction-heavy
+// runs of every policy and both mechanisms equal their fresh-scratch
+// twins field for field.
+func TestWarmScratchMatchesFresh(t *testing.T) {
+	warm := NewRunScratch()
+	big := cfg(UTLB, 4096)
+	big.Prepin = 4
+	if _, err := RunWith(smallTrace(t, "radix", 0.3), big, warm); err != nil {
+		t.Fatal(err)
+	}
+	tr := smallTrace(t, "fft", 0.1)
+	for _, mech := range []Mechanism{UTLB, Interrupt} {
+		for _, p := range []core.PolicyKind{core.LRU, core.MRU, core.LFU, core.MFU, core.Random} {
+			c := cfg(mech, 256)
+			c.Policy = p
+			c.PinLimitPages = 64
+			c.Seed = 9
+			fresh, err := RunWith(tr, c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused, err := RunWith(tr, c, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh != reused {
+				t.Errorf("%v/%v: warm scratch changed the result:\nfresh %+v\nwarm  %+v", mech, p, fresh, reused)
+			}
+			if fresh.Unpins == 0 {
+				t.Errorf("%v/%v: no evictions, the victim scan was not exercised", mech, p)
+			}
 		}
 	}
 }

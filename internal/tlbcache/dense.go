@@ -1,25 +1,39 @@
 package tlbcache
 
+import "utlb/internal/units"
+
 // Dense is an open-addressing hash table on the (pid, vpn) translation
 // Key, the dense_hash_map idiom hot translation paths reach for instead
 // of a Go map: power-of-two capacity, linear probing, and tombstone-free
 // deletion by backward shift, so probe chains never accumulate dead
-// slots and a Get touches a handful of contiguous cache lines.
+// slots and a lookup touches a handful of contiguous cache lines.
 //
-// Values are int32 slot indices — the shape the simulator's 3C
-// classifier and other index-linked slab structures need. The zero Key
-// is a legal key; occupancy is tracked in a separate byte array rather
-// than by reserving a sentinel.
+// It is the simulator's one page-keyed table: the 3C classifier's
+// key→slot index (V = int32), a vm.Space's page table, a replacement
+// policy's page→position index, and the distinct-page set sim.RunWith
+// sizes host memory from (V = struct{}) are all instances. The zero Key is a
+// legal key; occupancy is tracked in a separate byte array rather than
+// by reserving a sentinel.
+//
+// Iteration (Slot) runs in slot order, a function of the hash and the
+// table's history, never of a per-process random seed — but callers
+// that feed iteration into results must still impose their own total
+// order (see core's victim tie-break), so capacity changes cannot move
+// a simulated number.
 //
 // Dense is not safe for concurrent use; give each goroutine its own
-// (sim.RunScratch holds one per worker).
-type Dense struct {
+// (sim.RunScratch holds one set per worker).
+type Dense[V any] struct {
 	keys []Key
-	vals []int32
+	vals []V
 	live []bool
 	n    int
 	mask uint64
 }
+
+// PageKey keys a table that belongs to one process (a vm.Space's page
+// table, a replacement policy): the page alone, PID zero.
+func PageKey(vpn units.VPN) Key { return Key{VPN: vpn} }
 
 // denseMinCap is the smallest table allocated; small hints still get a
 // table that won't grow for a while.
@@ -27,32 +41,33 @@ const denseMinCap = 64
 
 // NewDense returns a table pre-sized to hold about hint entries
 // without growing.
-func NewDense(hint int) *Dense {
+func NewDense[V any](hint int) *Dense[V] {
 	capacity := denseMinCap
 	for capacity < hint*2 {
 		capacity *= 2
 	}
-	d := &Dense{}
+	d := &Dense[V]{}
 	d.alloc(capacity)
 	return d
 }
 
-func (d *Dense) alloc(capacity int) {
+func (d *Dense[V]) alloc(capacity int) {
 	d.keys = make([]Key, capacity)
-	d.vals = make([]int32, capacity)
+	d.vals = make([]V, capacity)
 	d.live = make([]bool, capacity)
 	d.mask = uint64(capacity - 1)
 	d.n = 0
 }
 
 // Len reports the number of resident entries.
-func (d *Dense) Len() int { return d.n }
+func (d *Dense[V]) Len() int { return d.n }
 
-// Cap reports the current slot-array capacity (tests).
-func (d *Dense) Cap() int { return len(d.keys) }
+// Cap reports the current slot-array capacity: the bound of Slot's
+// index space.
+func (d *Dense[V]) Cap() int { return len(d.keys) }
 
 // Reset empties the table, keeping its capacity for reuse.
-func (d *Dense) Reset() {
+func (d *Dense[V]) Reset() {
 	if d.n == 0 {
 		return
 	}
@@ -63,14 +78,14 @@ func (d *Dense) Reset() {
 // home is the key's preferred slot: a multiplicative hash mixing the
 // process and page halves so consecutive VPNs of one process and the
 // same VPN across processes both spread.
-func (d *Dense) home(k Key) uint64 {
+func (d *Dense[V]) home(k Key) uint64 {
 	h := uint64(k.VPN)*0x9E3779B97F4A7C15 + uint64(k.PID)*0xC2B2AE3D27D4EB4F
 	return (h ^ (h >> 29)) & d.mask
 }
 
 // find returns the slot holding k and whether it is present; when
 // absent, the returned slot is where an insert would land.
-func (d *Dense) find(k Key) (uint64, bool) {
+func (d *Dense[V]) find(k Key) (uint64, bool) {
 	i := d.home(k)
 	for d.live[i] {
 		if d.keys[i] == k {
@@ -81,34 +96,39 @@ func (d *Dense) find(k Key) (uint64, bool) {
 	return i, false
 }
 
-// Get looks k up.
-func (d *Dense) Get(k Key) (int32, bool) {
-	i, ok := d.find(k)
-	if !ok {
-		return 0, false
+// Ref returns a pointer to k's value for in-place update, or nil when
+// k is absent. The pointer is valid until the next Ensure, Delete or
+// Reset.
+func (d *Dense[V]) Ref(k Key) *V {
+	if i, ok := d.find(k); ok {
+		return &d.vals[i]
 	}
-	return d.vals[i], true
+	return nil
 }
 
-// Put installs or updates k → v.
-func (d *Dense) Put(k Key, v int32) {
-	if i, ok := d.find(k); ok {
-		d.vals[i] = v
-		return
+// Ensure returns a pointer to k's value, first inserting the zero
+// value when k is absent (fresh reports that it did). The pointer is
+// valid until the next Ensure, Delete or Reset.
+func (d *Dense[V]) Ensure(k Key) (v *V, fresh bool) {
+	i, ok := d.find(k)
+	if ok {
+		return &d.vals[i], false
 	}
 	// Grow at 3/4 load so probe chains stay short; re-find after the
 	// rehash moved everyone.
 	if 4*(d.n+1) > 3*len(d.keys) {
 		d.grow()
+		i, _ = d.find(k)
 	}
-	i, _ := d.find(k)
+	var zero V
 	d.keys[i] = k
-	d.vals[i] = v
+	d.vals[i] = zero
 	d.live[i] = true
 	d.n++
+	return &d.vals[i], true
 }
 
-func (d *Dense) grow() {
+func (d *Dense[V]) grow() {
 	oldKeys, oldVals, oldLive := d.keys, d.vals, d.live
 	d.alloc(2 * len(oldKeys))
 	for i, lv := range oldLive {
@@ -123,12 +143,20 @@ func (d *Dense) grow() {
 	}
 }
 
+// Slot reads slot i ∈ [0, Cap()): its key, a pointer to its value, and
+// whether it is occupied. Walking i upward visits every resident entry
+// once, in slot order; the walk must not be interleaved with Ensure
+// or Delete.
+func (d *Dense[V]) Slot(i int) (Key, *V, bool) {
+	return d.keys[i], &d.vals[i], d.live[i]
+}
+
 // Delete removes k, reporting whether it was present. The following
 // probe chain is shifted back over the hole (no tombstones): each
 // subsequent live slot moves into the hole if its home position does
 // not lie cyclically between the hole and the slot — the classic
 // open-addressing backshift invariant.
-func (d *Dense) Delete(k Key) bool {
+func (d *Dense[V]) Delete(k Key) bool {
 	hole, ok := d.find(k)
 	if !ok {
 		return false
@@ -136,8 +164,6 @@ func (d *Dense) Delete(k Key) bool {
 	d.n--
 	j := hole
 	for {
-		d.keys[hole] = Key{}
-		d.vals[hole] = 0
 		d.live[hole] = false
 		for {
 			j = (j + 1) & d.mask

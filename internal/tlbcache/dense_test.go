@@ -7,51 +7,110 @@ import (
 	"utlb/internal/units"
 )
 
+// put and get are the value-copying forms of Ensure and Ref the tests
+// read most naturally in.
+func put(d *Dense[int32], k Key, v int32) {
+	p, _ := d.Ensure(k)
+	*p = v
+}
+
+func get(d *Dense[int32], k Key) (int32, bool) {
+	if p := d.Ref(k); p != nil {
+		return *p, true
+	}
+	return 0, false
+}
+
 // applyDenseOps drives a Dense and a shadow map through the same
 // encoded operation stream and reports the first divergence. Each op
 // byte selects insert/delete/lookup on a key drawn from a small space
-// so collisions, updates and backshift chains all occur.
+// so collisions, updates and backshift chains all occur; the high bit
+// routes inserts through Ensure and lookups through an in-place Ref
+// update, byte 255 is a Reset, and the table's slot-order iteration is
+// checked against the shadow along the way.
 func applyDenseOps(t *testing.T, ops []byte) {
 	t.Helper()
-	d := NewDense(0)
+	d := NewDense[int32](0)
 	shadow := map[Key]int32{}
 	for i, op := range ops {
 		k := Key{PID: units.ProcID(op % 5), VPN: units.VPN((op >> 3) % 24)}
-		switch op % 3 {
-		case 0: // put
-			d.Put(k, int32(i))
+		want, had := shadow[k]
+		switch {
+		case op == 255: // reset
+			d.Reset()
+			clear(shadow)
+		case op%3 == 0 && op&0x80 != 0: // insert through Ensure
+			p, fresh := d.Ensure(k)
+			if fresh == had || (fresh && *p != 0) || (!fresh && *p != want) {
+				t.Fatalf("op %d: Ensure(%v) = (%d,%v), shadow (%d,%v)", i, k, *p, fresh, want, had)
+			}
+			*p = int32(i)
 			shadow[k] = int32(i)
-		case 1: // delete
-			_, had := shadow[k]
+		case op%3 == 0: // put
+			put(d, k, int32(i))
+			shadow[k] = int32(i)
+		case op%3 == 1: // delete
 			if got := d.Delete(k); got != had {
 				t.Fatalf("op %d: Delete(%v) = %v, shadow had %v", i, k, got, had)
 			}
 			delete(shadow, k)
-		case 2: // get
-			v, ok := d.Get(k)
-			want, had := shadow[k]
-			if ok != had || (ok && v != want) {
+		case op&0x80 != 0: // in-place update through Ref
+			p := d.Ref(k)
+			if (p != nil) != had || (had && *p != want) {
+				t.Fatalf("op %d: Ref(%v) diverged from shadow (%d,%v)", i, k, want, had)
+			}
+			if had {
+				*p++
+				shadow[k]++
+			}
+		default: // get
+			if v, ok := get(d, k); ok != had || (ok && v != want) {
 				t.Fatalf("op %d: Get(%v) = (%d,%v), shadow (%d,%v)", i, k, v, ok, want, had)
 			}
 		}
 		if d.Len() != len(shadow) {
 			t.Fatalf("op %d: Len = %d, shadow %d", i, d.Len(), len(shadow))
 		}
+		if i%16 == 15 {
+			checkDenseIteration(t, d, shadow)
+		}
 	}
-	// Final sweep: every shadow key resident with the right value, and
+	// Final sweep: iteration and Get both see exactly the shadow, and
 	// a probe of the whole key space finds nothing extra.
+	checkDenseIteration(t, d, shadow)
 	for k, want := range shadow {
-		if v, ok := d.Get(k); !ok || v != want {
+		if v, ok := get(d, k); !ok || v != want {
 			t.Fatalf("final: Get(%v) = (%d,%v), want (%d,true)", k, v, ok, want)
 		}
 	}
 	for pid := units.ProcID(0); pid < 5; pid++ {
 		for vpn := units.VPN(0); vpn < 24; vpn++ {
 			k := Key{PID: pid, VPN: vpn}
-			if _, ok := d.Get(k); ok != (func() bool { _, h := shadow[k]; return h })() {
+			_, had := shadow[k]
+			if _, ok := get(d, k); ok != had {
 				t.Fatalf("final: presence of %v diverged", k)
 			}
 		}
+	}
+}
+
+// checkDenseIteration walks every slot and requires the live ones to
+// be exactly the shadow's entries, each visited once.
+func checkDenseIteration(t *testing.T, d *Dense[int32], shadow map[Key]int32) {
+	t.Helper()
+	visited := 0
+	for i := 0; i < d.Cap(); i++ {
+		k, v, live := d.Slot(i)
+		if !live {
+			continue
+		}
+		visited++
+		if want, had := shadow[k]; !had || *v != want {
+			t.Fatalf("iteration: slot %d holds %v=%d, shadow (%d,%v)", i, k, *v, want, had)
+		}
+	}
+	if visited != len(shadow) {
+		t.Fatalf("iteration visited %d entries, shadow holds %d", visited, len(shadow))
 	}
 }
 
@@ -84,6 +143,8 @@ func FuzzDenseVsShadow(f *testing.F) {
 		long[i] = byte(i * 3)
 	}
 	f.Add(long)
+	// High-bit ops: Ensure inserts, Ref updates, and a Reset mid-stream.
+	f.Add([]byte{0x80 | 1, 0x80 | 4, 0x83, 0x86, 255, 0x80 | 1, 0x83, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		applyDenseOps(t, ops)
 	})
@@ -92,12 +153,12 @@ func FuzzDenseVsShadow(f *testing.F) {
 // Backshift deletion must leave no unreachable keys even when a whole
 // cluster hashes to one home slot and the middle is deleted.
 func TestDenseBackshiftCluster(t *testing.T) {
-	d := NewDense(0)
+	d := NewDense[int32](0)
 	keys := make([]Key, 0, 40)
 	for v := units.VPN(0); v < 40; v++ {
 		k := Key{PID: 7, VPN: v}
 		keys = append(keys, k)
-		d.Put(k, int32(v))
+		put(d, k, int32(v))
 	}
 	// Delete every third key, then verify the rest are all reachable.
 	for i := 0; i < len(keys); i += 3 {
@@ -106,7 +167,7 @@ func TestDenseBackshiftCluster(t *testing.T) {
 		}
 	}
 	for i, k := range keys {
-		v, ok := d.Get(k)
+		v, ok := get(d, k)
 		if i%3 == 0 {
 			if ok {
 				t.Fatalf("deleted key %v still present", k)
@@ -120,10 +181,10 @@ func TestDenseBackshiftCluster(t *testing.T) {
 }
 
 func TestDenseResetKeepsCapacity(t *testing.T) {
-	d := NewDense(1000)
+	d := NewDense[int32](1000)
 	cap0 := d.Cap()
 	for v := units.VPN(0); v < 500; v++ {
-		d.Put(Key{PID: 1, VPN: v}, int32(v))
+		put(d, Key{PID: 1, VPN: v}, int32(v))
 	}
 	d.Reset()
 	if d.Len() != 0 {
@@ -132,23 +193,23 @@ func TestDenseResetKeepsCapacity(t *testing.T) {
 	if d.Cap() != cap0 {
 		t.Fatalf("Reset changed capacity %d -> %d", cap0, d.Cap())
 	}
-	if _, ok := d.Get(Key{PID: 1, VPN: 3}); ok {
+	if _, ok := get(d, Key{PID: 1, VPN: 3}); ok {
 		t.Fatal("entry survived Reset")
 	}
 	// Table is fully usable after Reset.
-	d.Put(Key{PID: 2, VPN: 9}, 42)
-	if v, ok := d.Get(Key{PID: 2, VPN: 9}); !ok || v != 42 {
+	put(d, Key{PID: 2, VPN: 9}, 42)
+	if v, ok := get(d, Key{PID: 2, VPN: 9}); !ok || v != 42 {
 		t.Fatalf("Get after Reset = (%d,%v)", v, ok)
 	}
 }
 
 func TestDenseZeroKeyIsOrdinary(t *testing.T) {
-	d := NewDense(0)
-	if _, ok := d.Get(Key{}); ok {
+	d := NewDense[int32](0)
+	if _, ok := get(d, Key{}); ok {
 		t.Fatal("zero key present in empty table")
 	}
-	d.Put(Key{}, 5)
-	if v, ok := d.Get(Key{}); !ok || v != 5 {
+	put(d, Key{}, 5)
+	if v, ok := get(d, Key{}); !ok || v != 5 {
 		t.Fatalf("zero key = (%d,%v)", v, ok)
 	}
 	if !d.Delete(Key{}) {
@@ -160,16 +221,16 @@ func TestDenseZeroKeyIsOrdinary(t *testing.T) {
 }
 
 func BenchmarkDenseGetHit(b *testing.B) {
-	d := NewDense(4096)
+	d := NewDense[int32](4096)
 	for v := units.VPN(0); v < 4096; v++ {
-		d.Put(Key{PID: units.ProcID(v % 8), VPN: v}, int32(v))
+		put(d, Key{PID: units.ProcID(v % 8), VPN: v}, int32(v))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// 8 divides 4096, so this key is always one of the inserted ones.
 		k := Key{PID: units.ProcID(i % 8), VPN: units.VPN(i % 4096)}
-		if _, ok := d.Get(k); !ok {
+		if _, ok := get(d, k); !ok {
 			b.Fatal("unexpected miss")
 		}
 	}

@@ -223,7 +223,7 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 		}
 		c := New(Config{Entries: 32, Ways: ways, IndexOffset: true})
 		shadow := map[Key]units.PFN{}
-		dense := NewDense(0)
+		dense := NewDense[int32](0)
 		for i, op := range ops {
 			k := Key{PID: units.ProcID(op % 3), VPN: units.VPN((op >> 2) % 64)}
 			switch op % 4 {
@@ -231,7 +231,7 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 				pfn := units.PFN(i)
 				evicted, was := c.Insert(k, pfn)
 				shadow[k] = pfn
-				dense.Put(k, int32(i))
+				put(dense, k, int32(i))
 				if was {
 					delete(shadow, evicted)
 					dense.Delete(evicted)
@@ -255,7 +255,7 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 			return false
 		}
 		for k := range shadow {
-			if _, ok := dense.Get(k); !ok {
+			if _, ok := get(dense, k); !ok {
 				return false
 			}
 		}

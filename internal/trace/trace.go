@@ -104,13 +104,15 @@ func Merge(traces ...Trace) Trace {
 func (t Trace) Lookups() int { return len(t) }
 
 // Footprint reports the number of distinct (pid, page) pairs touched —
-// the paper's "communication memory footprint" in 4 KB pages.
+// the paper's "communication memory footprint" in 4 KB pages. It
+// builds a map per call, so it is for reporting (traceinfo, tracegen,
+// the experiment tables); sim.RunWith sizes host memory from its own
+// scratch-held table, and a test pins the two counts equal.
 func (t Trace) Footprint() int {
 	type pk struct {
 		pid units.ProcID
 		vpn units.VPN
 	}
-	//lint:ignore allocstatic whole-trace summary runs once per trace at setup/report time, never per simulated reference
 	seen := make(map[pk]bool)
 	for _, r := range t {
 		pages := units.PagesSpanned(r.VA, int(r.Bytes))
@@ -135,7 +137,6 @@ func (t Trace) FilterNode(node units.NodeID) Trace {
 
 // PIDs reports the distinct process IDs in the trace, sorted.
 func (t Trace) PIDs() []units.ProcID {
-	//lint:ignore allocstatic whole-trace summary runs once per trace at setup/report time, never per simulated reference
 	set := map[units.ProcID]bool{}
 	for _, r := range t {
 		set[r.PID] = true

@@ -13,8 +13,10 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"utlb/internal/phys"
+	"utlb/internal/tlbcache"
 	"utlb/internal/units"
 )
 
@@ -35,13 +37,14 @@ type pageInfo struct {
 	pins int
 }
 
-// Space is one process' virtual address space. Page-table entries are
-// stored by value: a pageInfo is two words, so boxing each one behind
-// a pointer would cost a heap object per mapped page on the pin path.
+// Space is one process' virtual address space. The page table is a
+// tlbcache.Dense keyed by page, holding page-table entries by
+// value: a pageInfo is two words, so boxing each one behind a pointer
+// would cost a heap object per mapped page on the pin path.
 type Space struct {
 	pid      units.ProcID
 	mem      *phys.Memory
-	pages    map[units.VPN]pageInfo
+	pages    *tlbcache.Dense[pageInfo]
 	pinLimit int // max distinct pinned pages; 0 means unlimited
 	pinned   int // distinct pages currently pinned
 }
@@ -50,12 +53,17 @@ type Space struct {
 // pinLimitPages bounds the number of distinct pinned pages; zero means
 // unlimited (the paper's "infinite host memory" configuration).
 func NewSpace(pid units.ProcID, mem *phys.Memory, pinLimitPages int) *Space {
-	return &Space{
-		pid:      pid,
-		mem:      mem,
-		pages:    make(map[units.VPN]pageInfo),
-		pinLimit: pinLimitPages,
-	}
+	s := &Space{pages: tlbcache.NewDense[pageInfo](0)}
+	s.Reset(pid, mem, pinLimitPages)
+	return s
+}
+
+// Reset rebinds s as a fresh, empty space for pid over mem, keeping
+// the page table's capacity (sim.RunScratch recycles one Space per
+// process slot). Frames are not returned: the caller resets mem too.
+func (s *Space) Reset(pid units.ProcID, mem *phys.Memory, pinLimitPages int) {
+	s.pid, s.mem, s.pinLimit, s.pinned = pid, mem, pinLimitPages, 0
+	s.pages.Reset()
 }
 
 // PID reports the owning process ID.
@@ -72,20 +80,30 @@ func (s *Space) SetPinLimit(pages int) { s.pinLimit = pages }
 func (s *Space) PinnedPages() int { return s.pinned }
 
 // MappedPages reports how many virtual pages have been touched.
-func (s *Space) MappedPages() int { return len(s.pages) }
+func (s *Space) MappedPages() int { return s.pages.Len() }
 
 // Touch ensures vpn is mapped to a physical frame, allocating one on
 // first access (demand paging), and returns the frame.
 func (s *Space) Touch(vpn units.VPN) (units.PFN, error) {
-	if pi, ok := s.pages[vpn]; ok {
+	if pi := s.pages.Ref(tlbcache.PageKey(vpn)); pi != nil {
 		return pi.pfn, nil
 	}
+	pi, err := s.mapPage(vpn)
+	if err != nil {
+		return units.NoPFN, err
+	}
+	return pi.pfn, nil
+}
+
+// mapPage backs the unmapped vpn with a fresh frame.
+func (s *Space) mapPage(vpn units.VPN) (*pageInfo, error) {
 	f, err := s.mem.Alloc()
 	if err != nil {
-		return units.NoPFN, fmt.Errorf("vm: mapping page %#x: %w", vpn, err)
+		return nil, fmt.Errorf("vm: mapping page %#x: %w", vpn, err)
 	}
-	s.pages[vpn] = pageInfo{pfn: f}
-	return f, nil
+	pi, _ := s.pages.Ensure(tlbcache.PageKey(vpn))
+	pi.pfn = f
+	return pi, nil
 }
 
 // Translate reports the physical frame backing vpn, or ErrNotMapped.
@@ -93,22 +111,19 @@ func (s *Space) Touch(vpn units.VPN) (units.PFN, error) {
 // NIC never call it directly; the device driver does, when installing
 // UTLB entries.
 func (s *Space) Translate(vpn units.VPN) (units.PFN, error) {
-	pi, ok := s.pages[vpn]
-	if !ok {
+	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	if pi == nil {
 		return units.NoPFN, ErrNotMapped
 	}
 	return pi.pfn, nil
 }
 
 // Pinned reports whether vpn has at least one outstanding pin.
-func (s *Space) Pinned(vpn units.VPN) bool {
-	pi, ok := s.pages[vpn]
-	return ok && pi.pins > 0
-}
+func (s *Space) Pinned(vpn units.VPN) bool { return s.PinCount(vpn) > 0 }
 
 // PinCount reports the number of outstanding pins on vpn.
 func (s *Space) PinCount(vpn units.VPN) int {
-	if pi, ok := s.pages[vpn]; ok {
+	if pi := s.pages.Ref(tlbcache.PageKey(vpn)); pi != nil {
 		return pi.pins
 	}
 	return 0
@@ -118,35 +133,33 @@ func (s *Space) PinCount(vpn units.VPN) int {
 // A page pinned more than once stays resident until Unpin balances
 // every Pin. The distinct-page quota is charged on the first pin only.
 func (s *Space) Pin(vpn units.VPN) (units.PFN, error) {
-	pi, ok := s.pages[vpn]
-	if ok && pi.pins > 0 {
+	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	if pi != nil && pi.pins > 0 {
 		pi.pins++
-		s.pages[vpn] = pi
 		return pi.pfn, nil
 	}
 	if s.pinLimit > 0 && s.pinned >= s.pinLimit {
 		return units.NoPFN, ErrPinLimit
 	}
-	pfn, err := s.Touch(vpn)
-	if err != nil {
-		return units.NoPFN, err
+	if pi == nil {
+		var err error
+		if pi, err = s.mapPage(vpn); err != nil {
+			return units.NoPFN, err
+		}
 	}
-	pi = s.pages[vpn]
 	pi.pins++
-	s.pages[vpn] = pi
 	s.pinned++
-	return pfn, nil
+	return pi.pfn, nil
 }
 
 // Unpin releases one pin on vpn. The page becomes evictable again when
 // its pin count reaches zero.
 func (s *Space) Unpin(vpn units.VPN) error {
-	pi, ok := s.pages[vpn]
-	if !ok || pi.pins == 0 {
+	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	if pi == nil || pi.pins == 0 {
 		return ErrNotPinned
 	}
 	pi.pins--
-	s.pages[vpn] = pi
 	if pi.pins == 0 {
 		s.pinned--
 	}
@@ -158,24 +171,28 @@ func (s *Space) Unpin(vpn units.VPN) error {
 // page is forbidden and returns an error, which is exactly the guarantee
 // pinning buys the network interface.
 func (s *Space) Evict(vpn units.VPN) error {
-	pi, ok := s.pages[vpn]
-	if !ok {
+	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	if pi == nil {
 		return ErrNotMapped
 	}
 	if pi.pins > 0 {
 		return fmt.Errorf("vm: evicting pinned page %#x", vpn)
 	}
 	s.mem.Free(pi.pfn)
-	delete(s.pages, vpn)
+	s.pages.Delete(tlbcache.PageKey(vpn))
 	return nil
 }
 
-// MappedVPNs lists the mapped virtual pages, in no particular order.
+// MappedVPNs lists the mapped virtual pages in ascending order, so no
+// caller's behaviour can depend on the page table's slot order.
 func (s *Space) MappedVPNs() []units.VPN {
-	out := make([]units.VPN, 0, len(s.pages))
-	for vpn := range s.pages {
-		out = append(out, vpn)
+	out := make([]units.VPN, 0, s.pages.Len())
+	for i := 0; i < s.pages.Cap(); i++ {
+		if k, _, live := s.pages.Slot(i); live {
+			out = append(out, k.VPN)
+		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -220,14 +237,21 @@ func (s *Space) WriteAt(va units.VAddr, data []byte) error {
 	return nil
 }
 
-// Release unmaps every page and returns all frames, pinned or not. It
-// models process exit, where the driver force-unpins everything.
+// Release unmaps every page and returns all frames, pinned or not, in
+// ascending frame order (the table's slot order must not decide which
+// frame the allocator hands out next). It models process exit, where
+// the driver force-unpins everything.
 func (s *Space) Release() {
-	for vpn, pi := range s.pages {
-		if pi.pins > 0 {
-			s.pinned--
+	frames := make([]units.PFN, 0, s.pages.Len())
+	for i := 0; i < s.pages.Cap(); i++ {
+		if _, pi, live := s.pages.Slot(i); live {
+			frames = append(frames, pi.pfn)
 		}
-		s.mem.Free(pi.pfn)
-		delete(s.pages, vpn)
 	}
+	slices.Sort(frames)
+	for _, f := range frames {
+		s.mem.Free(f)
+	}
+	s.pages.Reset()
+	s.pinned = 0
 }

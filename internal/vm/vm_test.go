@@ -3,6 +3,8 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,5 +219,132 @@ func TestRelease(t *testing.T) {
 	}
 	if mem.FreeFrames() != 4 {
 		t.Errorf("frames leaked: free=%d", mem.FreeFrames())
+	}
+}
+
+// The page table is a tlbcache.Dense, no longer a Go map. A seeded
+// random stream of Touch, Pin, Unpin and Evict over a small page range
+// — nested pins, a tight pin limit, evictions that backshift the table
+// — must agree with a map-backed model on every error, pin count and
+// frame: whatever the model says is mapped holds exactly one frame,
+// and Evict, Release and Reset-with-memory hand every frame back.
+func TestSpaceAgreesWithMapReference(t *testing.T) {
+	const frames, limit, pages = 48, 5, 40
+	mem := phys.NewMemory(frames * units.PageSize)
+	s := NewSpace(3, mem, limit)
+	type refPage struct {
+		pfn  units.PFN
+		pins int
+	}
+	ref := map[units.VPN]*refPage{}
+	refPinned := func() (n int) {
+		for _, p := range ref {
+			if p.pins > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(7))
+	for op := 0; op < 20000; op++ {
+		vpn := units.VPN(rng.Intn(pages))
+		p := ref[vpn]
+		switch rng.Intn(7) {
+		case 0:
+			pfn, err := s.Touch(vpn)
+			if err != nil {
+				t.Fatalf("op %d: Touch(%d): %v", op, vpn, err)
+			}
+			if p == nil {
+				ref[vpn] = &refPage{pfn: pfn}
+			} else if pfn != p.pfn {
+				t.Fatalf("op %d: Touch(%d) moved the page: frame %d, was %d", op, vpn, pfn, p.pfn)
+			}
+		case 1, 2, 3:
+			pfn, err := s.Pin(vpn)
+			if (p == nil || p.pins == 0) && refPinned() >= limit {
+				if !errors.Is(err, ErrPinLimit) {
+					t.Fatalf("op %d: Pin(%d) past the limit = %v, want ErrPinLimit", op, vpn, err)
+				}
+				if _, terr := s.Translate(vpn); (terr == nil) != (p != nil) {
+					t.Fatalf("op %d: refused Pin(%d) changed the mapping", op, vpn)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("op %d: Pin(%d): %v", op, vpn, err)
+			}
+			if p == nil {
+				p = &refPage{pfn: pfn}
+				ref[vpn] = p
+			}
+			p.pins++
+		case 4, 5:
+			err := s.Unpin(vpn)
+			if p == nil || p.pins == 0 {
+				if !errors.Is(err, ErrNotPinned) {
+					t.Fatalf("op %d: Unpin(%d) of unpinned page = %v, want ErrNotPinned", op, vpn, err)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("op %d: Unpin(%d): %v", op, vpn, err)
+			}
+			p.pins--
+		case 6:
+			err := s.Evict(vpn)
+			switch {
+			case p == nil:
+				if !errors.Is(err, ErrNotMapped) {
+					t.Fatalf("op %d: Evict(%d) of unmapped page = %v, want ErrNotMapped", op, vpn, err)
+				}
+			case p.pins > 0:
+				if err == nil {
+					t.Fatalf("op %d: Evict(%d) took a page with %d pins", op, vpn, p.pins)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("op %d: Evict(%d): %v", op, vpn, err)
+				}
+				if mem.Allocated(p.pfn) {
+					t.Fatalf("op %d: Evict(%d) kept frame %d", op, vpn, p.pfn)
+				}
+				delete(ref, vpn)
+			}
+		}
+		if op%5000 == 4999 { // process exit: every frame comes back, pinned or not
+			s.Release()
+			clear(ref)
+		}
+		if p := ref[vpn]; p != nil {
+			if pfn, err := s.Translate(vpn); err != nil || pfn != p.pfn || s.PinCount(vpn) != p.pins {
+				t.Fatalf("op %d: page %d = frame %d (%v), %d pins; model frame %d, %d pins",
+					op, vpn, pfn, err, s.PinCount(vpn), p.pfn, p.pins)
+			}
+		} else if s.PinCount(vpn) != 0 || s.Pinned(vpn) {
+			t.Fatalf("op %d: unmapped page %d reports pins", op, vpn)
+		}
+		if s.MappedPages() != len(ref) || s.PinnedPages() != refPinned() || mem.FreeFrames() != frames-len(ref) {
+			t.Fatalf("op %d: mapped/pinned/free = %d/%d/%d, model %d/%d/%d", op,
+				s.MappedPages(), s.PinnedPages(), mem.FreeFrames(), len(ref), refPinned(), frames-len(ref))
+		}
+	}
+	var want []units.VPN
+	for vpn := range ref {
+		want = append(want, vpn)
+	}
+	slices.Sort(want)
+	if got := s.MappedVPNs(); !slices.Equal(got, want) {
+		t.Errorf("MappedVPNs = %v, model %v", got, want)
+	}
+	// Recycling for another run: the memory is reset alongside, so the
+	// space comes back empty over all-free frames and a new identity.
+	mem.Reset(frames * units.PageSize)
+	s.Reset(9, mem, 0)
+	if s.PID() != 9 || s.PinLimit() != 0 || s.MappedPages() != 0 || s.PinnedPages() != 0 {
+		t.Errorf("Reset left pid %d, limit %d, %d mapped, %d pinned", s.PID(), s.PinLimit(), s.MappedPages(), s.PinnedPages())
+	}
+	if pfn, err := s.Pin(0); err != nil || pfn != 0 {
+		t.Errorf("first Pin after Reset = frame %d (%v), want frame 0", pfn, err)
 	}
 }
