@@ -1,15 +1,15 @@
 GO ?= go
 
-# Where obs-smoke and bench-compare leave their outputs; CI uploads
-# this directory as a build artifact.
+# Where obs-smoke, chaos, overlap-soak and profile-sim leave their
+# outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-smoke bench-json bench-compare profile-sim obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
+.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-smoke profile-sim obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
 
 all: check
 
 # The full local gate: what CI runs, in order.
-check: vet lint build race bench bench-smoke obs-smoke chaos overlap-soak loadtest telemetry-smoke bench-compare
+check: vet lint build test race bench bench-smoke obs-smoke chaos overlap-soak loadtest telemetry-smoke
 
 vet:
 	$(GO) vet ./...
@@ -38,8 +38,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The allocation budgets (Test*AllocBudget, Test*AllocsIndependentOfEvents)
+# count the race detector's own allocations against the code under test,
+# so they belong to the non-race run only: `make test` and
+# telemetry-smoke's last line run every one of them.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
 
 # Focused -race pass over the paths the lockdiscipline rule reasons
 # about: the sharded translation service, the telemetry fold/trace
@@ -50,7 +54,7 @@ race-concurrency:
 	$(GO) test -race -count=1 ./internal/telemetry ./internal/xlate ./internal/serve
 
 # Short benchmark smoke: one iteration of each tracked benchmark, just
-# to prove they still compile and run. Real numbers: see BENCH_baseline.json.
+# to prove they still compile and run. Real numbers: `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateUTLB|BenchmarkSimulateInterrupt|BenchmarkSimulateBulkBatch|BenchmarkTraceGen$$|BenchmarkRunAll' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifier|BenchmarkSimRun$$|BenchmarkSimRunPaper|BenchmarkSimRunPinLimited' -benchtime 1x -benchmem ./internal/sim
@@ -63,21 +67,6 @@ bench:
 # checker's negative tests.
 bench-smoke:
 	cd bench && $(GO) test ./...
-
-# Regenerate the machine-readable numbers for BENCH_pr6.json.
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# Bench-regression gate: record fresh numbers and compare them against
-# the committed baseline. Blocking in CI: the ns/op threshold absorbs
-# shared-runner noise, and the SimRun allocation budget is exact —
-# allocs/op is machine-independent, so any increase is a real leak
-# back onto the hot path (BENCH_pr6.json carries the budget in its
-# allocs_gate field).
-bench-compare:
-	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/benchjson > $(ARTIFACTS)/bench-fresh.json
-	$(GO) run ./cmd/benchjson -compare BENCH_pr6.json $(ARTIFACTS)/bench-fresh.json
 
 # CPU profile of the simulator core: Table 6 at paper scale (every
 # application through both mechanisms — the bench's sim_paper mix),
@@ -141,7 +130,7 @@ overlap-soak:
 # instance (cmd/utlbload's TestLoad* drive the real client path end to
 # end and assert nonzero lookups/sec), plus the translation service's
 # own concurrency suites — all under -race. A recorded full run lives
-# in BENCH_load.json; render it with `go run ./cmd/benchjson -load`.
+# in BENCH_load.json (`go run ./cmd/utlbload -json`).
 loadtest:
 	$(GO) test -race -run 'TestLoad' ./cmd/utlbload
 	$(GO) test -race ./internal/xlate ./internal/serve

@@ -181,7 +181,7 @@ func BenchmarkSimulateUTLB(b *testing.B) {
 // caller-owned scratch (SimulateWith): the steady-state cost of one
 // run when every reusable structure — cache storage, classifier,
 // per-process library state, batch buffers — survives from the last
-// run. The allocs/op of this benchmark is the number benchjson gates.
+// run. TestSimulateRunAllocBudget gates the allocs/op of this path.
 func BenchmarkSimulateUTLBScratch(b *testing.B) {
 	tr, err := GenerateTrace("water-spatial", 1, 0.1)
 	if err != nil {

@@ -19,8 +19,7 @@
 //
 // The emitted JSON (-json) is the BENCH_load.json format: one run
 // entry per client count, with enough context (shape, footprint,
-// batch, GOMAXPROCS) to compare like against like. benchjson -load
-// renders a human report from it.
+// batch, GOMAXPROCS) to compare like against like.
 package main
 
 import (
@@ -76,7 +75,7 @@ type Run struct {
 }
 
 // SLO mirrors the serve /api/live/slo payload (field names are the
-// wire contract; benchjson validates them).
+// wire contract).
 type SLO struct {
 	TargetP99Ns int64   `json:"target_p99_ns"`
 	ErrorBudget float64 `json:"error_budget"`

@@ -146,31 +146,37 @@ func (b *Bus) InFlight() int64 { return b.inflight }
 // Completed reports how many overlap-engine transfers have retired.
 func (b *Bus) Completed() int64 { return b.completed }
 
-// issueOverlap books one transfer on the DMA channel pool: the
-// recorded span covers the full channel occupancy [start, end), the
-// NIC clock advances only to blockUntil (waiting, not work — the DMA
-// engine moves the bytes), and the completion event lands at end.
-func (b *Bus) issueOverlap(kind obs.Kind, cost, block units.Time, bytes int64) {
-	start, end, _ := b.dma.Reserve(b.clock.Now(), cost)
-	if b.rec != nil {
-		b.recordDMA(kind, start, cost, bytes)
+// transfer charges one DMA of the given cost, and is the one place the
+// bus chooses between its two charging modes. Sequentially the NIC
+// clock does the whole transfer: it advances by cost, and the recorded
+// span is [clock, clock+cost). On the overlap engine a DMA channel does
+// it: the transfer books the earliest-free channel from the clock's
+// position, the recorded span is that booking, the clock only waits
+// (AdvanceTo — waiting, not work) until block of the booking has
+// passed, and the completion event lands at the booking's end. block
+// is the part the firmware depends on: 0 for a posted write, cost for
+// data it consumes, the demand entry's share for a prefetching fetch.
+func (b *Bus) transfer(kind obs.Kind, cost, block units.Time, bytes int64) {
+	start := b.clock.Now()
+	if b.dma == nil {
+		b.clock.Advance(cost)
+	} else {
+		var end units.Time
+		start, end, _ = b.dma.Reserve(start, cost)
+		b.clock.AdvanceTo(start + block)
+		b.inflight++
+		b.kernel.At(end, b.completeFn)
 	}
-	b.clock.AdvanceTo(start + block)
-	b.inflight++
-	b.kernel.At(end, b.completeFn)
-}
-
-// recordDMA emits one transfer span; callers nil-check b.rec first.
-func (b *Bus) recordDMA(kind obs.Kind, start, cost units.Time, bytes int64) {
-	//lint:ignore obssafety callers nil-check b.rec so the disabled path never evaluates the Event args
-	b.rec.Record(obs.Event{
-		Time: start,
-		Dur:  cost,
-		Arg:  uint64(bytes),
-		Xfer: b.xfer.Current(),
-		Node: b.node,
-		Kind: kind,
-	})
+	if b.rec != nil {
+		b.rec.Record(obs.Event{
+			Time: start,
+			Dur:  cost,
+			Arg:  uint64(bytes),
+			Xfer: b.xfer.Current(),
+			Node: b.node,
+			Kind: kind,
+		})
+	}
 }
 
 // ReadWords DMAs n consecutive 8-byte words starting at pa from host
@@ -183,22 +189,10 @@ func (b *Bus) ReadWords(pa units.PAddr, n int) []uint64 {
 	if n < 0 {
 		panic(fmt.Sprintf("bus: negative word count %d", n))
 	}
-	cost := b.costs.EntryFetchCost(n)
-	if b.dma != nil {
-		// Prefetch-under-miss: the firmware depends only on the demand
-		// entry (the first word); the prefetched tail streams on the
-		// channel while the NIC resumes translation.
-		block := cost
-		if n > 1 {
-			block = b.costs.EntryFetchCost(1)
-		}
-		b.issueOverlap(obs.KindDMARead, cost, block, int64(n)*8)
-	} else {
-		if b.rec != nil {
-			b.recordDMA(obs.KindDMARead, b.clock.Now(), cost, int64(n)*8)
-		}
-		b.clock.Advance(cost)
-	}
+	// Prefetch-under-miss: the firmware depends only on the demand
+	// entry (the first word); the prefetched tail streams on the
+	// channel while the NIC resumes translation.
+	b.transfer(obs.KindDMARead, b.costs.EntryFetchCost(n), b.costs.EntryFetchCost(min(n, 1)), int64(n)*8)
 	b.reads++
 	b.bytesRead += int64(n) * 8
 	if cap(b.words) < n {
@@ -211,19 +205,11 @@ func (b *Bus) ReadWords(pa units.PAddr, n int) []uint64 {
 	return out
 }
 
-// WriteWords DMAs words into host memory starting at pa.
+// WriteWords DMAs words into host memory starting at pa. The write is
+// posted: the NIC waits only for a free channel, not for the bytes to
+// land.
 func (b *Bus) WriteWords(pa units.PAddr, words []uint64) {
-	cost := b.costs.EntryFetchCost(len(words))
-	if b.dma != nil {
-		// Posted write: the NIC waits only for a free channel (block 0
-		// past the booked start), not for the bytes to land.
-		b.issueOverlap(obs.KindDMAWrite, cost, 0, int64(len(words))*8)
-	} else {
-		if b.rec != nil {
-			b.recordDMA(obs.KindDMAWrite, b.clock.Now(), cost, int64(len(words))*8)
-		}
-		b.clock.Advance(cost)
-	}
+	b.transfer(obs.KindDMAWrite, b.costs.EntryFetchCost(len(words)), 0, int64(len(words))*8)
 	b.writes++
 	b.bytesWrite += int64(len(words)) * 8
 	for i, w := range words {
@@ -232,38 +218,23 @@ func (b *Bus) WriteWords(pa units.PAddr, words []uint64) {
 }
 
 // ReadData DMAs n bytes of bulk data from host memory at pa, charging
-// the bandwidth-dominated data cost. Used for outgoing message payloads.
+// the bandwidth-dominated data cost. Used for outgoing message
+// payloads, which the firmware consumes: it blocks for the whole
+// transfer — but on a channel, so other channels (and the host) keep
+// working underneath it.
 func (b *Bus) ReadData(pa units.PAddr, n int) []byte {
 	cost := b.costs.DataCost(n)
-	if b.dma != nil {
-		// The firmware consumes the payload it fetches, so it blocks
-		// for the whole transfer — but on a channel, so other channels
-		// (and the host) keep working underneath it.
-		b.issueOverlap(obs.KindDMARead, cost, cost, int64(n))
-	} else {
-		if b.rec != nil {
-			b.recordDMA(obs.KindDMARead, b.clock.Now(), cost, int64(n))
-		}
-		b.clock.Advance(cost)
-	}
+	b.transfer(obs.KindDMARead, cost, cost, int64(n))
 	b.reads++
 	b.bytesRead += int64(n)
 	return b.mem.Read(pa, n)
 }
 
 // WriteData DMAs bulk data into host memory at pa. Used for incoming
-// message payloads landing in a receive buffer.
+// message payloads landing in a receive buffer; posted, like
+// WriteWords.
 func (b *Bus) WriteData(pa units.PAddr, data []byte) {
-	cost := b.costs.DataCost(len(data))
-	if b.dma != nil {
-		// Posted, like WriteWords: deposit DMAs drain on the channel.
-		b.issueOverlap(obs.KindDMAWrite, cost, 0, int64(len(data)))
-	} else {
-		if b.rec != nil {
-			b.recordDMA(obs.KindDMAWrite, b.clock.Now(), cost, int64(len(data)))
-		}
-		b.clock.Advance(cost)
-	}
+	b.transfer(obs.KindDMAWrite, b.costs.DataCost(len(data)), 0, int64(len(data)))
 	b.writes++
 	b.bytesWrite += int64(len(data))
 	b.mem.Write(pa, data)

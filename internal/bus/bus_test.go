@@ -1,9 +1,12 @@
 package bus
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"utlb/internal/event"
+	"utlb/internal/obs"
 	"utlb/internal/phys"
 	"utlb/internal/units"
 )
@@ -112,4 +115,86 @@ func TestNegativeWordCountPanics(t *testing.T) {
 		}
 	}()
 	b.ReadWords(0, -1)
+}
+
+// TestTransferChargingModes holds the four transfer kinds to both arms
+// of Bus.transfer. Sequentially the clock does the work: it moves, and
+// accrues busy time, by the full cost, and the recorded span is the
+// clock's. On a one-channel overlap pool the channel does the work: it
+// is booked for the full cost (the recorded span), the clock only waits
+// for the part the firmware depends on — the demand entry of a
+// prefetching fetch, nothing for a posted write, everything for payload
+// it consumes — a second transfer queues behind the first, and every
+// transfer is in flight until the kernel dispatches its completion.
+func TestTransferChargingModes(t *testing.T) {
+	costs := DefaultCosts()
+	data := make([]byte, 1000)
+	ops := []struct {
+		name        string
+		kind        obs.Kind
+		cost, block units.Time
+		bytes       uint64
+		issue       func(b *Bus)
+	}{
+		{"ReadWords", obs.KindDMARead, costs.EntryFetchCost(8), costs.EntryFetchCost(1), 64,
+			func(b *Bus) { b.ReadWords(0x100, 8) }},
+		{"WriteWords", obs.KindDMAWrite, costs.EntryFetchCost(3), 0, 24,
+			func(b *Bus) { b.WriteWords(0x100, []uint64{1, 2, 3}) }},
+		{"ReadData", obs.KindDMARead, costs.DataCost(4096), costs.DataCost(4096), 4096,
+			func(b *Bus) { b.ReadData(units.PageSize, 4096) }},
+		{"WriteData", obs.KindDMAWrite, costs.DataCost(1000), 0, 1000,
+			func(b *Bus) { b.WriteData(units.PageSize, data) }},
+	}
+	const t0 = units.Time(5000)
+	for _, op := range ops {
+		for _, overlap := range []bool{false, true} {
+			b, _, clk := newBus(t, 4)
+			var buf obs.Buffer
+			b.SetRecorder(&buf, 0)
+			k := event.NewKernel()
+			if overlap {
+				b.SetOverlap(k, event.NewPool(1))
+			}
+			// Where the clock stands after each transfer, what it accrues
+			// as work, where each span starts, and what is in flight.
+			now := [2]units.Time{t0 + op.cost, t0 + 2*op.cost}
+			busy, starts, inflight := 2*op.cost, [2]units.Time{t0, t0 + op.cost}, int64(0)
+			if overlap {
+				now = [2]units.Time{t0 + op.block, t0 + op.cost + op.block}
+				busy, inflight = 0, 2
+			}
+			name := fmt.Sprintf("%s overlap=%v", op.name, overlap)
+			clk.AdvanceTo(t0)
+			for i := range now {
+				op.issue(b)
+				if clk.Now() != now[i] {
+					t.Errorf("%s: clock at %v after transfer %d, want %v", name, clk.Now(), i, now[i])
+				}
+			}
+			if clk.Busy() != busy {
+				t.Errorf("%s: clock accrued %v of work, want %v", name, clk.Busy(), busy)
+			}
+			events := buf.Events()
+			if len(events) != 2 {
+				t.Fatalf("%s: %d events recorded, want 2", name, len(events))
+			}
+			for i, ev := range events {
+				if ev.Kind != op.kind || ev.Time != starts[i] || ev.Dur != op.cost || ev.Arg != op.bytes {
+					t.Errorf("%s: span %d = %s [%v,+%v) %d B, want %s [%v,+%v) %d B", name, i,
+						ev.Kind, ev.Time, ev.Dur, ev.Arg, op.kind, starts[i], op.cost, op.bytes)
+				}
+			}
+			if b.InFlight() != inflight || b.Completed() != 0 {
+				t.Errorf("%s: %d in flight, %d completed before the drain", name, b.InFlight(), b.Completed())
+			}
+			k.Run()
+			if b.InFlight() != 0 || b.Completed() != inflight {
+				t.Errorf("%s: %d in flight, %d completed after the drain, want 0 and %d",
+					name, b.InFlight(), b.Completed(), inflight)
+			}
+			if overlap && k.Now() != t0+2*op.cost {
+				t.Errorf("%s: last completion at %v, want %v", name, k.Now(), t0+2*op.cost)
+			}
+		}
+	}
 }

@@ -28,23 +28,25 @@ const noIndex = -1
 // entry holding either an invalid marker or the UTLB translation-table
 // index of a pinned virtual page. Finding an index costs exactly two
 // memory references (§3, "Only two memory references are required").
+// The directory spans the process' whole address space (VASpacePages),
+// like the pin-status bit vector of the hierarchical design.
 type LookupTree struct {
-	dir   map[int][]int32
+	dir   [VASpacePages / treeL2Entries][]int32 // nil = no leaf yet
 	costs hostos.Costs
 	clock *units.Clock
 }
 
 // NewLookupTree returns an empty tree charging lookups to clock.
 func NewLookupTree(costs hostos.Costs, clock *units.Clock) *LookupTree {
-	return &LookupTree{dir: make(map[int][]int32), costs: costs, clock: clock}
+	return &LookupTree{costs: costs, clock: clock}
 }
 
 // Lookup reports the translation-table index of vpn, or ok=false. The
 // two-reference cost (directory + leaf) is charged per call.
 func (t *LookupTree) Lookup(vpn units.VPN) (index int, ok bool) {
 	t.clock.Advance(2 * t.costs.BitWordProbe)
-	leaf, present := t.dir[int(vpn)/treeL2Entries]
-	if !present {
+	leaf := t.dir[int(vpn)/treeL2Entries]
+	if leaf == nil {
 		return 0, false
 	}
 	idx := leaf[int(vpn)%treeL2Entries]
@@ -57,8 +59,8 @@ func (t *LookupTree) Lookup(vpn units.VPN) (index int, ok bool) {
 // Set records vpn→index, materialising the leaf on demand.
 func (t *LookupTree) Set(vpn units.VPN, index int) {
 	di := int(vpn) / treeL2Entries
-	leaf, ok := t.dir[di]
-	if !ok {
+	leaf := t.dir[di]
+	if leaf == nil {
 		leaf = make([]int32, treeL2Entries)
 		for i := range leaf {
 			leaf[i] = noIndex
@@ -70,7 +72,7 @@ func (t *LookupTree) Set(vpn units.VPN, index int) {
 
 // Clear invalidates vpn's slot.
 func (t *LookupTree) Clear(vpn units.VPN) {
-	if leaf, ok := t.dir[int(vpn)/treeL2Entries]; ok {
+	if leaf := t.dir[int(vpn)/treeL2Entries]; leaf != nil {
 		leaf[int(vpn)%treeL2Entries] = noIndex
 	}
 }
@@ -88,6 +90,7 @@ type PerProcessUTLB struct {
 	table   []units.PFN // NIC SRAM translation table; NoPFN = garbage
 	owner   []units.VPN // which vpn each slot translates
 	free    []int
+	missing []units.VPN // Lookup's scratch: the pages it must install
 
 	stats LibStats
 	// Fragmentation probes: how many free-slot searches were needed.
@@ -153,7 +156,7 @@ func (u *PerProcessUTLB) Lookup(va units.VAddr, nbytes int) ([]int, error) {
 
 	host := u.drv.Host()
 	t0 := host.Clock().Now()
-	var missing []units.VPN
+	missing := u.missing[:0]
 	for i := 0; i < pages; i++ {
 		p := vpn + units.VPN(i)
 		if idx, ok := u.tree.Lookup(p); ok {
@@ -165,6 +168,7 @@ func (u *PerProcessUTLB) Lookup(va units.VAddr, nbytes int) ([]int, error) {
 		}
 	}
 	u.stats.CheckTime += host.Clock().Now() - t0
+	u.missing = missing
 	if len(missing) == 0 {
 		return indices, nil
 	}

@@ -3,18 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"utlb/internal/bus"
-	"utlb/internal/core"
-	"utlb/internal/hostos"
-	"utlb/internal/nicsim"
-	"utlb/internal/obs"
 	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
-	"utlb/internal/tlbcache"
-	"utlb/internal/trace"
-	"utlb/internal/units"
-	"utlb/internal/vm"
 	"utlb/internal/workload"
 )
 
@@ -149,9 +140,13 @@ func AblationPerProcess(opts Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Per-process run.
-		pp, err := runPerProcess(tr, perProcEntries, opts.Seed,
-			opts.recorderFor("ablation-perprocess/"+app+"/perproc"))
+		// Per-process run: the same SRAM split into one directly
+		// indexed table per process.
+		cfg.Mechanism = sim.PerProcess
+		cfg.CacheEntries = perProcEntries
+		cfg.IndexOffset = false
+		cfg.Recorder = opts.recorderFor("ablation-perprocess/" + app + "/perproc")
+		pp, err := sim.Run(tr, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("per-process %s: %w", app, err)
 		}
@@ -175,70 +170,4 @@ func AblationPerProcess(opts Options) (*stats.Table, error) {
 		}
 	}
 	return tbl, nil
-}
-
-// runPerProcess drives a trace through per-process UTLBs (one static
-// table per process). rec, when non-nil, receives the run's events.
-func runPerProcess(tr trace.Trace, entries int, seed int64, rec obs.Recorder) (sim.Result, error) {
-	var res sim.Result
-	sorted := tr
-	if !tr.IsSortedByTime() {
-		sorted = append(trace.Trace(nil), tr...)
-		sorted.SortByTime()
-	}
-
-	frames := int64(sorted.Footprint())*2 + 8192
-	host := hostos.New(0, frames*units.PageSize, hostos.DefaultCosts())
-	clk := units.NewClock()
-	b := bus.New(host.Memory(), clk, bus.DefaultCosts())
-	// SRAM large enough for the static tables plus driver structures.
-	nic := nicsim.New(0, 64*units.MB, clk, b, nicsim.DefaultCosts())
-	drv, err := core.NewDriver(host, nic, tlbcache.Config{Entries: 16, Ways: 1})
-	if err != nil {
-		return res, err
-	}
-	if rec != nil {
-		host.SetRecorder(rec)
-		b.SetRecorder(rec, 0)
-		nic.SetRecorder(rec)
-		drv.Cache().Instrument(rec, clk, 0)
-	}
-	utlbs := map[units.ProcID]*core.PerProcessUTLB{}
-	for _, pid := range sorted.PIDs() {
-		proc, err := host.Spawn(pid, fmt.Sprintf("proc%d", pid),
-			vm.NewSpace(pid, host.Memory(), 0))
-		if err != nil {
-			return res, err
-		}
-		u, err := core.NewPerProcessUTLB(drv, proc, entries,
-			core.LibConfig{Policy: core.LRU, PolicySeed: seed, Recorder: rec})
-		if err != nil {
-			return res, err
-		}
-		utlbs[pid] = u
-	}
-	for _, rec := range sorted {
-		u := utlbs[rec.PID]
-		indices, err := u.Lookup(rec.VA, int(rec.Bytes))
-		if err != nil {
-			return res, err
-		}
-		for _, idx := range indices {
-			res.NIRefs++
-			u.Translate(idx)
-		}
-	}
-	for _, u := range utlbs {
-		st := u.Stats()
-		res.Lookups += st.Lookups
-		res.CheckMisses += st.CheckMisses
-		res.Pins += st.PagesPinned
-		res.Unpins += st.PagesUnpinned
-		res.PinTime += st.PinTime
-		res.UnpinTime += st.UnpinTime
-		res.CheckTime += st.CheckTime
-	}
-	res.HostTime = host.Clock().Now()
-	res.NICTime = clk.Now()
-	return res, nil
 }

@@ -26,10 +26,11 @@ import (
 //	<module>/internal/event.Sequencer.Record
 //	<module>/internal/obs/analyze.Analyze
 //
-// Reachability runs over static call and reference edges (interface
-// dispatch is excluded: a dynamic call on the hot path is already a
-// boxing/devirtualization question, and the iface edges would pull in
-// every implementer of common method names). Constructor-shaped
+// Reachability runs over call, reference and interface-dispatch edges
+// (a dispatch reaches every module type that implements the interface:
+// the simulator's replay loop drives its translation design through
+// one, and the audit has to see through that seam or the designs'
+// own hot paths go unchecked). Constructor-shaped
 // functions (New*), validation (Validate) and the enabled-telemetry
 // variants (lookupTel & friends, which carry their own runtime
 // budget) are stop nodes: reachable code may call them off the fast
@@ -109,7 +110,7 @@ func computeAllocFindings(prog *Program, a *analysis) map[string][]Finding {
 		queue = queue[1:]
 		for _, e := range n.Calls {
 			c := e.Callee
-			if c == nil || e.Kind == EdgeIface || isAllocStop(c) {
+			if c == nil || isAllocStop(c) {
 				continue
 			}
 			if _, seen := rootOf[c]; !seen {

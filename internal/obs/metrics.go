@@ -74,38 +74,6 @@ func Aggregate(runs []Run) *Metrics {
 	return m
 }
 
-// AggregateReference is the pre-optimisation Aggregate: it compares
-// every span duration against every bucket boundary and stores
-// cumulative counts directly. Kept (converted to the per-bucket Hist
-// representation) as the oracle for the equivalence test and the
-// baseline for BenchmarkAggregate; not for production use.
-func AggregateReference(runs []Run) *Metrics {
-	m := &Metrics{}
-	for _, run := range runs {
-		for _, ev := range run.Events {
-			m.Count[ev.Kind]++
-			if !ev.Kind.IsSpan() {
-				continue
-			}
-			m.SumDur[ev.Kind] += int64(ev.Dur)
-			m.HistN[ev.Kind]++
-			for i := 0; i < numBuckets; i++ {
-				if int64(ev.Dur) <= 1<<(bucketLow+i) {
-					m.Hist[ev.Kind][i]++
-				}
-			}
-		}
-	}
-	// The loop above filled cumulative counts; difference them into
-	// the per-bucket representation Metrics now carries.
-	for k := range m.Hist {
-		for i := numBuckets - 1; i > 0; i-- {
-			m.Hist[k][i] -= m.Hist[k][i-1]
-		}
-	}
-	return m
-}
-
 // WritePrometheus writes the metrics in Prometheus text exposition
 // format. Kinds are emitted in taxonomy order; zero-count kinds are
 // skipped so small runs stay readable. Output is byte-deterministic.

@@ -64,12 +64,46 @@ func randomRuns(events int) []Run {
 	return []Run{buf.Run()}
 }
 
+// aggregateReference is the pre-optimisation Aggregate, kept as the
+// oracle for TestAggregateMatchesReference: it compares every span
+// duration against every bucket boundary and accumulates cumulative
+// counts, then differences them into the per-bucket representation
+// Metrics carries.
+func aggregateReference(runs []Run) *Metrics {
+	m := &Metrics{}
+	for _, run := range runs {
+		for _, ev := range run.Events {
+			if int(ev.Kind) >= NumKinds {
+				continue
+			}
+			m.Count[ev.Kind]++
+			if !ev.Kind.IsSpan() {
+				continue
+			}
+			m.SumDur[ev.Kind] += int64(ev.Dur)
+			m.HistN[ev.Kind]++
+			for i := 0; i < numBuckets; i++ {
+				if int64(ev.Dur) <= 1<<(bucketLow+i) {
+					m.Hist[ev.Kind][i]++
+				}
+			}
+		}
+	}
+	for k := range m.Hist {
+		for i := numBuckets - 1; i > 0; i-- {
+			m.Hist[k][i] -= m.Hist[k][i-1]
+		}
+	}
+	return m
+}
+
 // TestAggregateMatchesReference proves the single-bucket Aggregate and
 // the full-scan reference produce identical Metrics — and therefore
 // identical Prometheus output.
 func TestAggregateMatchesReference(t *testing.T) {
-	for _, runs := range [][]Run{sortedFixture(), randomRuns(20000)} {
-		got, want := Aggregate(runs), AggregateReference(runs)
+	outside := []Run{{Label: "r", Events: []Event{{Kind: KindPin, Dur: 500}, {Kind: Kind(NumKinds), Dur: 500}}}}
+	for _, runs := range [][]Run{sortedFixture(), randomRuns(20000), outside} {
+		got, want := Aggregate(runs), aggregateReference(runs)
 		if *got != *want {
 			t.Fatalf("Aggregate diverged from reference.\ngot:  %+v\nwant: %+v", got, want)
 		}
@@ -152,14 +186,5 @@ func BenchmarkAggregate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Aggregate(runs)
-	}
-}
-
-func BenchmarkAggregateReference(b *testing.B) {
-	runs := randomRuns(100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AggregateReference(runs)
 	}
 }

@@ -1,8 +1,7 @@
 package sim
 
 // Inner-loop micro-benchmarks: the classifier and Run sit on the
-// per-page hot path of every experiment, so their ns/op and allocs/op
-// are tracked in BENCH_baseline.json. Run with:
+// per-page hot path of every experiment. Run with:
 //
 //	go test -run '^$' -bench 'BenchmarkClassifier|BenchmarkSimRun' -benchmem ./internal/sim
 import (

@@ -1,0 +1,145 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"utlb/internal/obs"
+	"utlb/internal/trace"
+	"utlb/internal/workload"
+)
+
+// designCfg is a configuration design m accepts, entries large. A
+// design that rejects the paper's default geometry gets its line here.
+func designCfg(m Mechanism, entries int) Config {
+	c := cfg(m, entries)
+	if m == PerProcess {
+		c.IndexOffset = false
+	}
+	return c
+}
+
+// counters are the Result fields no timing mode may change.
+func counters(r Result) [9]int64 {
+	return [9]int64{r.Lookups, r.CheckMisses, r.NIMisses, r.NIRefs, r.Pins, r.Unpins,
+		r.Compulsory, r.Capacity, r.Conflict}
+}
+
+// TestEveryMechanism is the conformance suite of the mechanism seam: it
+// ranges over the registry, so a new design is held to it the day its
+// entry is added. For each design × {sequential, overlap on 1 and 2
+// channels} × dispatch width {1, 8} on two workloads: the 3C classes
+// partition the NI misses, counters do not depend on the timing mode,
+// overlapping never lengthens the makespan, a warm scratch (last used
+// by a different design) changes nothing, recording changes nothing,
+// and every recorded event carries a transfer id.
+func TestEveryMechanism(t *testing.T) {
+	traces := map[string]trace.Trace{
+		"fft":  smallTrace(t, "fft", 0.05),
+		"bulk": workload.BulkTransfer(0, 1, 42, 0.05),
+	}
+	warm := NewRunScratch()
+	for i := range designs {
+		m := Mechanism(i)
+		if err := designCfg(m, 256).Validate(); err != nil {
+			t.Fatalf("%v: no valid baseline configuration: %v", m, err)
+		}
+		for app, tr := range traces {
+			for _, batch := range []int{1, 8} {
+				base := designCfg(m, 256)
+				base.BatchPages = batch
+				base.PinLimitPages = 64
+				if base.Validate() != nil {
+					continue // the design has no batched dispatch
+				}
+				var seq Result
+				for _, channels := range []int{0, 1, 2} {
+					c := base
+					c.Overlap = OverlapConfig{Enabled: channels > 0, DMAChannels: channels}
+					name := fmt.Sprintf("%v/%s/batch%d/ch%d", m, app, batch, channels)
+
+					res, err := RunWith(tr, c, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Compulsory+res.Capacity+res.Conflict != res.NIMisses {
+						t.Errorf("%s: 3C %d+%d+%d != %d NI misses", name,
+							res.Compulsory, res.Capacity, res.Conflict, res.NIMisses)
+					}
+					if res.Lookups == 0 || res.NIRefs < res.Lookups {
+						t.Errorf("%s: %d NI refs for %d lookups", name, res.NIRefs, res.Lookups)
+					}
+					if channels == 0 {
+						seq = res
+					} else {
+						if counters(res) != counters(seq) {
+							t.Errorf("%s: counters depend on the timing mode:\nseq %+v\novl %+v", name, seq, res)
+						}
+						if res.Makespan > seq.Makespan {
+							t.Errorf("%s: overlap makespan %v > sequential %v", name, res.Makespan, seq.Makespan)
+						}
+					}
+
+					reused, err := RunWith(tr, c, warm)
+					if err != nil {
+						t.Fatalf("%s warm: %v", name, err)
+					}
+					if reused != res {
+						t.Errorf("%s: warm scratch changed the result:\nfresh %+v\nwarm  %+v", name, res, reused)
+					}
+
+					var buf obs.Buffer
+					c.Recorder = &buf
+					recorded, err := RunWith(tr, c, warm)
+					if err != nil {
+						t.Fatalf("%s recorded: %v", name, err)
+					}
+					recorded.Config.Recorder = nil
+					if recorded != res {
+						t.Errorf("%s: recording changed the result:\nplain    %+v\nrecorded %+v", name, res, recorded)
+					}
+					if buf.Len() == 0 {
+						t.Errorf("%s: nothing recorded", name)
+					}
+					for _, ev := range buf.Events() {
+						if ev.Xfer == 0 {
+							t.Fatalf("%s: %s event without a transfer id", name, ev.Kind)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPerProcessRejects: each Config field the per-process design has
+// no way to honour is an error, not ignored.
+func TestPerProcessRejects(t *testing.T) {
+	if err := designCfg(PerProcess, 1638).Validate(); err != nil {
+		t.Fatalf("a table size need not be a power of two: %v", err)
+	}
+	bad := map[string]func(c *Config){
+		"no table":     func(c *Config) { c.CacheEntries = 0 },
+		"ways":         func(c *Config) { c.Ways = 2 },
+		"index offset": func(c *Config) { c.IndexOffset = true },
+		"prefetch":     func(c *Config) { c.Prefetch = 4 },
+		"pre-pin":      func(c *Config) { c.Prepin = 4 },
+		"batch":        func(c *Config) { c.BatchPages = 8 },
+	}
+	tr := trace.Trace{{Time: 0, PID: 1, VA: 0, Bytes: 4096}}
+	for name, mutate := range bad {
+		c := designCfg(PerProcess, 64)
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+		if _, err := Run(tr, c); err == nil {
+			t.Errorf("%s: Run accepted the config", name)
+		}
+	}
+	// Tables that do not fit in NIC SRAM fail the run (§3.1's size
+	// limitation), they are not truncated.
+	if _, err := Run(tr, designCfg(PerProcess, 1<<18)); err == nil {
+		t.Error("a 1 MB table fit into what 1 MB of SRAM has left")
+	}
+}

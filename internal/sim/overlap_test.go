@@ -99,7 +99,8 @@ func TestOverlapDeterministic(t *testing.T) {
 }
 
 // TestOverlapValidation: enabling the engine without channels is a
-// configuration error, and the zero value stays valid (disabled).
+// configuration error, so is sizing a channel pool the disabled engine
+// would silently discard, and the zero value stays valid (disabled).
 func TestOverlapValidation(t *testing.T) {
 	c := DefaultConfig()
 	c.Overlap.Enabled = true
@@ -109,6 +110,17 @@ func TestOverlapValidation(t *testing.T) {
 	c.Overlap.DMAChannels = 1
 	if err := c.Validate(); err != nil {
 		t.Errorf("Validate rejected 1-channel overlap: %v", err)
+	}
+	c.Overlap = OverlapConfig{DMAChannels: 2}
+	if err := c.Validate(); err == nil {
+		t.Error("Validate accepted 2 DMA channels with the engine disabled")
+	}
+	if _, err := Run(workload.BulkTransfer(0, 1, 42, 0.01), c); err == nil {
+		t.Error("Run ran sequentially with 2 DMA channels configured")
+	}
+	c.Overlap.DMAChannels = -1
+	if err := c.Validate(); err == nil {
+		t.Error("Validate accepted a negative channel count")
 	}
 }
 

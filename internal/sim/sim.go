@@ -15,9 +15,7 @@ import (
 
 	"utlb/internal/bus"
 	"utlb/internal/core"
-	"utlb/internal/event"
 	"utlb/internal/hostos"
-	"utlb/internal/intrbase"
 	"utlb/internal/nicsim"
 	"utlb/internal/obs"
 	"utlb/internal/phys"
@@ -27,32 +25,34 @@ import (
 	"utlb/internal/vm"
 )
 
-// Mechanism selects the translation design under test.
+// Mechanism selects the translation design under test. The designs
+// themselves, and the table that names and builds them, are in
+// mechanism.go.
 type Mechanism int
 
-// The two mechanisms of §6.2.
+// The paper's designs: §3.2-3.3 and §6.2's baseline, then §3.1.
 const (
 	// UTLB is the Hierarchical-UTLB with a Shared UTLB-Cache.
 	UTLB Mechanism = iota
 	// Interrupt is the interrupt-per-miss baseline.
 	Interrupt
+	// PerProcess is the per-process UTLB: one static translation table
+	// per process in NIC SRAM, indexed directly, with no NIC cache.
+	PerProcess
 )
-
-func (m Mechanism) String() string {
-	if m == UTLB {
-		return "UTLB"
-	}
-	return "Intr"
-}
 
 // Config parameterises one simulation run.
 type Config struct {
-	// Mechanism selects UTLB or the interrupt baseline.
+	// Mechanism selects the translation design.
 	Mechanism Mechanism
-	// CacheEntries and Ways shape the NIC translation cache.
+	// CacheEntries and Ways shape the NIC translation cache. Under
+	// PerProcess, which has no cache, CacheEntries is instead the size
+	// of each process' SRAM translation table (any positive count; the
+	// run fails if the tables outgrow NIC SRAM) and Ways must be 1.
 	CacheEntries int
 	Ways         int
-	// IndexOffset enables process-dependent index offsetting.
+	// IndexOffset enables process-dependent index offsetting (cache
+	// designs only).
 	IndexOffset bool
 	// Prefetch is the UTLB miss prefetch width (1 = none).
 	Prefetch int
@@ -123,11 +123,10 @@ func DefaultConfig() Config {
 // defaults, so an explicitly-set Mechanism or Policy is never
 // discarded; start from DefaultConfig() and override fields.
 func (cfg Config) Validate() error {
-	if cfg.Mechanism != UTLB && cfg.Mechanism != Interrupt {
+	if cfg.Mechanism < 0 || int(cfg.Mechanism) >= len(designs) {
 		return fmt.Errorf("sim: unknown mechanism %d", cfg.Mechanism)
 	}
-	cacheCfg := tlbcache.Config{Entries: cfg.CacheEntries, Ways: cfg.Ways, IndexOffset: cfg.IndexOffset}
-	if err := cacheCfg.Validate(); err != nil {
+	if err := designs[cfg.Mechanism].validate(cfg); err != nil {
 		return fmt.Errorf("sim: %w (zero-value Config is invalid; start from DefaultConfig())", err)
 	}
 	if cfg.Prefetch < 1 {
@@ -145,12 +144,20 @@ func (cfg Config) Validate() error {
 	if cfg.Overlap.Enabled && cfg.Overlap.DMAChannels < 1 {
 		return fmt.Errorf("sim: overlap enabled with %d DMA channels (want ≥ 1)", cfg.Overlap.DMAChannels)
 	}
+	if !cfg.Overlap.Enabled && cfg.Overlap.DMAChannels != 0 {
+		return fmt.Errorf("sim: %d DMA channels with overlap disabled (sequential charging has no channel pool; leave it 0)", cfg.Overlap.DMAChannels)
+	}
 	switch cfg.Policy {
 	case core.LRU, core.MRU, core.LFU, core.MFU, core.Random:
 	default:
 		return fmt.Errorf("sim: unknown replacement policy %d", cfg.Policy)
 	}
 	return nil
+}
+
+// cacheConfig is the NIC translation cache's geometry.
+func (cfg Config) cacheConfig() tlbcache.Config {
+	return tlbcache.Config{Entries: cfg.CacheEntries, Ways: cfg.Ways, IndexOffset: cfg.IndexOffset}
 }
 
 // Result carries the measured statistics of one run.
@@ -257,7 +264,9 @@ func rate(n, total int64) float64 {
 // buffers. Together these are the bulk of a run's setup allocations.
 // The zero value (or NewRunScratch) is ready to use; a scratch serves
 // one run at a time, and results never depend on what a previous run
-// left behind — every structure is reset on reuse.
+// left behind — every structure is reset on reuse. A scratch keeps
+// the last run's object graph (its recorder included) reachable until
+// its next run or its own collection.
 type RunScratch struct {
 	cacheStorage *tlbcache.Storage
 	cls          *classifier
@@ -269,6 +278,13 @@ type RunScratch struct {
 	vpns         []units.VPN
 	pfns         []units.PFN
 	infos        []core.TranslateInfo
+	// The run in progress and the design it drives (the one cfg.Mechanism
+	// selects; each keeps its per-process slice across runs). They live
+	// here so that a run allocates none of them.
+	run        run
+	shared     sharedCache
+	interrupt  interrupt
+	perProcess perProcess
 }
 
 // NewRunScratch returns an empty scratch; its buffers grow on first
@@ -345,14 +361,16 @@ func (s *RunScratch) libScratch(i int) *core.LibScratch {
 	return s.libs[i]
 }
 
-// batchBufs hands out the translation staging buffers, at least b long.
-func (s *RunScratch) batchBufs(b int) ([]units.VPN, []units.PFN, []core.TranslateInfo) {
+// batchBufs hands out the loop's translation staging buffers, b long,
+// and sizes pfns (where a design that resolves frames in batch lands
+// them; the loop itself only needs hit or miss) to match.
+func (s *RunScratch) batchBufs(b int) ([]units.VPN, []core.TranslateInfo) {
 	if cap(s.vpns) < b {
 		s.vpns = make([]units.VPN, b)
 		s.pfns = make([]units.PFN, b)
 		s.infos = make([]core.TranslateInfo, b)
 	}
-	return s.vpns[:b], s.pfns[:b], s.infos[:b]
+	return s.vpns[:b], s.infos[:b]
 }
 
 // scratchPool recycles RunScratch values across Run calls and across
@@ -397,27 +415,13 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// the holes of strided footprints, plus second-level tables.
 	footprint, pids := scr.survey(sorted)
 	frames := int64(footprint)*6 + 16384
-	host := hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
+	r := &scr.run
+	*r = run{cfg: cfg, scr: scr, res: Result{Config: cfg}}
+	r.host = hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
 	nicClock := units.NewClock()
-	b := bus.New(host.Memory(), nicClock, bus.DefaultCosts())
-	nic := nicsim.New(0, units.MB, nicClock, b, nicsim.DefaultCosts())
-	cacheCfg := tlbcache.Config{Entries: cfg.CacheEntries, Ways: cfg.Ways, IndexOffset: cfg.IndexOffset}
-
-	// The overlap engine: a per-run event kernel (goroutine-confined,
-	// so runs stay byte-identical at any -parallel width) plus a DMA
-	// channel pool. The bus books transfers on the pool and schedules
-	// their completions on the kernel; the NIC's interrupt line
-	// synchronises the two processor clocks instead of adding their
-	// costs. Sequential-compatibility mode (the default) attaches
-	// neither, leaving every charging path exactly as before.
-	var kernel *event.Kernel
-	var dmaPool *event.Pool
-	if cfg.Overlap.Enabled {
-		kernel = event.NewKernel()
-		dmaPool = event.NewPool(cfg.Overlap.DMAChannels)
-		b.SetOverlap(kernel, dmaPool)
-		nic.SetHostSync(host.Clock())
-	}
+	b := bus.New(r.host.Memory(), nicClock, bus.DefaultCosts())
+	r.nic = nicsim.New(0, units.MB, nicClock, b, nicsim.DefaultCosts())
+	r.recorder = r.timing.setup(cfg, r.host, b, r.nic)
 
 	// One transfer cursor serves every layer of the run: each trace
 	// record Begins a new id, and every event recorded while that
@@ -426,215 +430,65 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// the record's full causal chain. The cursor is allocated only
 	// when recording: the disabled path keeps its pinned alloc count,
 	// and all cursor methods are nil-safe no-ops.
-	recorder := cfg.Recorder
-	var sequencer *event.Sequencer
-	if recorder != nil && kernel != nil {
-		// Under overlap the layers no longer record in timestamp order
-		// (a DMA tail completes after the host has moved on), so
-		// virtual time — not call order — defines the emission order:
-		// every event is held and delivered to the caller's recorder
-		// in (time, seq) order at the end-of-run drain. This is what
-		// makes /api/analyze critical paths show true overlap.
-		sequencer = event.NewSequencer(kernel, cfg.Recorder)
-		recorder = sequencer
+	if r.recorder != nil {
+		r.xc = obs.NewXferCursor()
+		r.host.SetRecorder(r.recorder)
+		r.host.SetXferCursor(r.xc)
+		b.SetRecorder(r.recorder, 0)
+		b.SetXferCursor(r.xc)
+		r.nic.SetRecorder(r.recorder)
+		r.nic.SetXferCursor(r.xc)
 	}
-	var xc *obs.XferCursor
-	if recorder != nil {
-		xc = obs.NewXferCursor()
-		host.SetRecorder(recorder)
-		host.SetXferCursor(xc)
-		b.SetRecorder(recorder, 0)
-		b.SetXferCursor(xc)
-		nic.SetRecorder(recorder)
-		nic.SetXferCursor(xc)
+	r.cls = scr.classifier(cfg.CacheEntries)
+
+	m, cache, width, err := designs[cfg.Mechanism].build(r)
+	if err != nil {
+		return r.res, err
 	}
-
-	cls := scr.classifier(cfg.CacheEntries)
-	res := Result{Config: cfg}
-
-	// classifyObs attributes a reference in res and, when recording,
-	// emits an instant event for each classified miss on the sim track
-	// at the current NIC time.
-	//lint:ignore allocstatic built once per RunWith call, not per reference; inside the SimulateWith alloc budget
-	classifyObs := func(pid units.ProcID, vpn units.VPN, miss bool) {
-		class := cls.classify(&res, pid, vpn, miss)
-		if recorder == nil || class == classNone {
-			return
-		}
-		var kind obs.Kind
-		switch class {
-		case classCompulsory:
-			kind = obs.KindMissCompulsory
-		case classCapacity:
-			kind = obs.KindMissCapacity
-		default:
-			kind = obs.KindMissConflict
-		}
-		recorder.Record(obs.Event{
-			Time: nicClock.Now(),
-			Arg:  uint64(vpn),
-			Xfer: xc.Current(),
-			PID:  pid,
-			Kind: kind,
-		})
+	if r.recorder != nil {
+		cache.Instrument(r.recorder, nicClock, 0)
+		cache.SetXferCursor(r.xc)
 	}
-
-	//lint:ignore allocstatic built once per RunWith call; spawning happens only at setup, inside the SimulateWith alloc budget
-	spawn := func(i int, pid units.ProcID) (*hostos.Process, error) {
+	for i, pid := range pids {
 		//lint:ignore allocstatic process names are built once per spawned process at setup, inside the SimulateWith alloc budget
-		return host.Spawn(pid, fmt.Sprintf("proc%d", pid),
-			scr.space(i, pid, host.Memory(), cfg.PinLimitPages))
-	}
-
-	switch cfg.Mechanism {
-	case UTLB:
-		drv, err := core.NewDriverWith(host, nic, cacheCfg, scr.storage())
+		proc, err := r.host.Spawn(pid, fmt.Sprintf("proc%d", pid),
+			scr.space(i, pid, r.host.Memory(), cfg.PinLimitPages))
 		if err != nil {
-			return res, err
+			return r.res, err
 		}
-		if recorder != nil {
-			drv.Cache().Instrument(recorder, nicClock, 0)
-			drv.Cache().SetXferCursor(xc)
+		if err := m.attach(i, proc); err != nil {
+			return r.res, err
 		}
-		translator := core.NewTranslator(drv, cfg.Prefetch)
-		libs := make([]*core.Lib, len(pids)) // parallel to pids
-		for i, pid := range pids {
-			proc, err := spawn(i, pid)
-			if err != nil {
-				return res, err
-			}
-			libs[i], err = core.NewLib(drv, proc, core.LibConfig{
-				Policy: cfg.Policy, PolicySeed: cfg.Seed, Prepin: cfg.Prepin,
-				Recorder: recorder, Xfer: xc, Scratch: scr.libScratch(i),
-			})
-			if err != nil {
-				return res, err
-			}
-		}
-		batch := cfg.BatchPages
-		vpns, pfns, infos := scr.batchBufs(batch)
-		for _, rec := range sorted {
-			xc.Begin()
-			lib := libs[slices.Index(pids, rec.PID)]
-			if err := lib.Lookup(rec.VA, int(rec.Bytes)); err != nil {
-				return res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
-			}
-			if kernel != nil {
-				// Doorbell dependency: the firmware cannot start this
-				// operation before the host posts it. The host does NOT
-				// wait for the NIC — pin work for later records overlaps
-				// the NIC draining earlier ones.
-				nicClock.AdvanceTo(host.Clock().Now())
-			}
-			pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
-			first := rec.VA.PageOf()
-			res.NIRefs += int64(pages)
-			// One firmware dispatch per batch of up to BatchPages pages;
-			// with batch == 1 this is page-at-a-time dispatch, charge-
-			// and event-identical to the unbatched model.
-			for start := 0; start < pages; start += batch {
-				n := pages - start
-				if n > batch {
-					n = batch
-				}
-				for i := 0; i < n; i++ {
-					vpns[i] = first + units.VPN(start+i)
-				}
-				translator.TranslateBatch(rec.PID, vpns[:n], pfns[:n], infos[:n])
-				for i := 0; i < n; i++ {
-					classifyObs(rec.PID, vpns[i], !infos[i].Hit)
-				}
-			}
-		}
-		for _, lib := range libs {
-			st := lib.Stats()
-			res.Lookups += st.Lookups
-			res.CheckMisses += st.CheckMisses
-			res.Pins += st.PagesPinned
-			res.Unpins += st.PagesUnpinned
-			res.PinTime += st.PinTime
-			res.UnpinTime += st.UnpinTime
-			res.CheckTime += st.CheckTime
-		}
-		res.NIMisses = translator.Misses()
-
-	case Interrupt:
-		mech, err := intrbase.NewWith(host, nic, cacheCfg, scr.storage())
-		if err != nil {
-			return res, err
-		}
-		if recorder != nil {
-			mech.Cache().Instrument(recorder, nicClock, 0)
-			mech.Cache().SetXferCursor(xc)
-		}
-		for i, pid := range pids {
-			proc, err := spawn(i, pid)
-			if err != nil {
-				return res, err
-			}
-			if err := mech.RegisterWith(proc, scr.libScratch(i)); err != nil {
-				return res, err
-			}
-		}
-		for _, rec := range sorted {
-			xc.Begin()
-			if kernel != nil {
-				// Doorbell dependency, as in the UTLB loop. The
-				// interrupt baseline still serialises on every miss —
-				// RaiseInterrupt blocks the firmware on the host
-				// handler — which is exactly the comparison the
-				// overlap experiment draws.
-				nicClock.AdvanceTo(host.Clock().Now())
-			}
-			pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
-			first := rec.VA.PageOf()
-			res.NIRefs += int64(pages)
-			for i := 0; i < pages; i++ {
-				vpn := first + units.VPN(i)
-				missBefore := mech.Misses()
-				if _, err := mech.Translate(rec.PID, vpn); err != nil {
-					return res, fmt.Errorf("sim: translate %v/%#x: %w", rec.PID, vpn, err)
-				}
-				classifyObs(rec.PID, vpn, mech.Misses() > missBefore)
-			}
-		}
-		st := mech.Stats()
-		res.Lookups = int64(len(sorted))
-		res.NIMisses = st.Misses
-		res.Pins = st.PagesPinned
-		res.Unpins = st.PagesUnpinned
-		res.PinTime = st.HandlerTime
 	}
 
-	if kernel != nil {
-		// Drain the kernel: every in-flight DMA completion dispatches
-		// in (time, seq) order — and, when recording, every held obs
-		// event after them. Only then are the horizons valid.
-		if sequencer != nil {
-			sequencer.Drain()
-		} else {
-			kernel.Run()
+	// The replay loop, the only one: every design sees each record as
+	// one host-side post and then one firmware dispatch per batch of
+	// up to width pages. With width == 1 that is page-at-a-time
+	// dispatch, charge- and event-identical to the unbatched model.
+	vpns, infos := scr.batchBufs(width)
+	for _, rec := range sorted {
+		r.xc.Begin()
+		if err := m.post(slices.Index(pids, rec.PID), rec); err != nil {
+			return r.res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 		}
-		if n := b.InFlight(); n != 0 {
-			return res, fmt.Errorf("sim: %d DMA transfers still in flight after kernel drain", n)
+		r.timing.post()
+		pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
+		first := rec.VA.PageOf()
+		r.res.NIRefs += int64(pages)
+		for start := 0; start < pages; start += width {
+			n := min(width, pages-start)
+			for i := 0; i < n; i++ {
+				vpns[i] = first + units.VPN(start+i)
+			}
+			if err := m.translate(rec.PID, vpns[:n], infos[:n]); err != nil {
+				return r.res, fmt.Errorf("sim: translate %v/%#x: %w", rec.PID, vpns[0], err)
+			}
+			for i := 0; i < n; i++ {
+				r.classify(rec.PID, vpns[i], !infos[i].Hit)
+			}
 		}
-		res.HostTime = host.Clock().Busy()
-		res.NICTime = nicClock.Busy()
-		res.DMATime = dmaPool.Busy()
-		res.Makespan = host.Clock().Now()
-		if t := nicClock.Now(); t > res.Makespan {
-			res.Makespan = t
-		}
-		if t := dmaPool.Horizon(); t > res.Makespan {
-			res.Makespan = t
-		}
-		return res, nil
 	}
-	res.HostTime = host.Clock().Now()
-	res.NICTime = nicClock.Now()
-	// The sequential charging model is strictly serial: the two
-	// processors never work at the same instant, so completion time is
-	// the sum — the baseline the overlap engine is measured against.
-	res.Makespan = res.HostTime + res.NICTime
-	return res, nil
+	m.finish(&r.res)
+	err = r.timing.finish(&r.res)
+	return r.res, err
 }

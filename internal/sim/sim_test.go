@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -27,9 +28,23 @@ func cfg(m Mechanism, entries int) Config {
 	return c
 }
 
+// TestMechanismString: the two names experiment tables print are
+// fixed, the registry names every design distinctly, and String falls
+// back to the number outside it.
 func TestMechanismString(t *testing.T) {
 	if UTLB.String() != "UTLB" || Interrupt.String() != "Intr" {
 		t.Error("Mechanism strings wrong")
+	}
+	seen := map[string]Mechanism{}
+	for i := range designs {
+		name := Mechanism(i).String()
+		if prev, dup := seen[name]; name == "" || dup {
+			t.Errorf("design %d named %q (also design %d)", i, name, prev)
+		}
+		seen[name] = Mechanism(i)
+	}
+	if got := Mechanism(len(designs)).String(); got != fmt.Sprintf("Mechanism(%d)", len(designs)) {
+		t.Errorf("out-of-registry mechanism prints %q", got)
 	}
 }
 

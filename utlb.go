@@ -107,7 +107,8 @@ type (
 	SimConfig = sim.Config
 	// SimResult carries measured statistics and derived rates.
 	SimResult = sim.Result
-	// Mechanism selects UTLB or the interrupt baseline.
+	// Mechanism selects the translation design: UTLB, the interrupt
+	// baseline or the per-process UTLB.
 	Mechanism = sim.Mechanism
 	// SimScratch is reusable per-run working memory for SimulateWith.
 	SimScratch = sim.RunScratch
@@ -119,8 +120,9 @@ type (
 
 // Mechanisms.
 const (
-	UTLB      = sim.UTLB
-	Interrupt = sim.Interrupt
+	UTLB       = sim.UTLB
+	Interrupt  = sim.Interrupt
+	PerProcess = sim.PerProcess
 )
 
 // DefaultSimConfig is the paper's baseline configuration: 8 K entry
