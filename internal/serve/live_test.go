@@ -28,10 +28,10 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, string) {
 	return resp.StatusCode, string(out)
 }
 
-// newLiveServer builds a server whose translation service carries a
-// telemetry sink on a deterministic manual clock, so live-endpoint
-// tests assert exact window arithmetic.
-func newLiveServer(t *testing.T) (*httptest.Server, *telemetry.ManualClock) {
+// newLiveXlate builds a translation service carrying a telemetry sink
+// on a deterministic manual clock, so live-endpoint tests assert exact
+// window arithmetic.
+func newLiveXlate(t *testing.T) (*xlate.Service, *telemetry.ManualClock) {
 	t.Helper()
 	xl, err := xlate.New(xlate.Config{Shards: 4, Entries: 256, Ways: 4})
 	if err != nil {
@@ -50,6 +50,13 @@ func newLiveServer(t *testing.T) (*httptest.Server, *telemetry.ManualClock) {
 	if err := xl.AttachTelemetry(sink); err != nil {
 		t.Fatal(err)
 	}
+	return xl, clk
+}
+
+// newLiveServer serves a newLiveXlate service.
+func newLiveServer(t *testing.T) (*httptest.Server, *telemetry.ManualClock) {
+	t.Helper()
+	xl, clk := newLiveXlate(t)
 	ts := httptest.NewServer(NewWith(xl).Handler())
 	t.Cleanup(ts.Close)
 	return ts, clk

@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +12,8 @@ import (
 	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // testConfig: 4 shards, 1000 ns windows, ring of 4, sample 1-in-4,
 // SLO target 100 ns with a 10% budget. Small numbers so tests can
@@ -422,6 +428,10 @@ func TestTotalsSnapshot(t *testing.T) {
 	}
 }
 
+// TestPrometheusOutput pins the live block byte for byte (the joined
+// /metrics golden in internal/serve pins it next to the other blocks)
+// and checks the shape of the runtime block, whose values are the
+// real process's.
 func TestPrometheusOutput(t *testing.T) {
 	s, clk := newTestSink(t, 0)
 	s.RecordLookups(0, 100, 90, 50, clk.Now())
@@ -431,34 +441,28 @@ func TestPrometheusOutput(t *testing.T) {
 	if err := s.WritePrometheus(&b, clk.Now()); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		`utlb_live_lookups_total{shard="0"} 100`,
-		`utlb_live_lookups_total{shard="1"} 50`,
-		`utlb_live_hits_total{shard="1"} 10`,
-		`utlb_live_slow_ops_total{shard="1"} 1`,
-		"utlb_live_op_duration_ns_count 2",
-		"utlb_live_op_duration_ns_sum 350",
-		"utlb_live_slo_target_p99_ns 100",
-		"utlb_live_slo_compliant 0",
-		"utlb_live_sampled_traces_total 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q", want)
+	path := filepath.Join("testdata", "live.golden.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Histogram buckets must be cumulative and end at the count.
-	if !strings.Contains(out, `utlb_live_op_duration_ns_bucket{le="+Inf"} 2`) {
-		t.Error("metrics output missing +Inf bucket of 2")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/telemetry -run TestPrometheusOutput -update` to create)", err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("live metrics drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, b.String(), want)
 	}
 
 	var rb strings.Builder
 	if err := WriteRuntimeMetrics(&rb); err != nil {
 		t.Fatalf("WriteRuntimeMetrics: %v", err)
 	}
-	for _, want := range []string{"utlb_go_goroutines", "utlb_go_heap_alloc_bytes", "utlb_go_gc_pause_ns_total"} {
-		if !strings.Contains(rb.String(), want) {
-			t.Errorf("runtime metrics missing %q", want)
+	for _, name := range []string{"utlb_go_goroutines", "utlb_go_heap_alloc_bytes", "utlb_go_gc_pause_ns_total"} {
+		shape := regexp.MustCompile(`(?m)^# HELP ` + name + ` [^\n]+\n# TYPE ` + name + ` gauge\n` + name + ` \d+$`)
+		if !shape.MatchString(rb.String()) {
+			t.Errorf("runtime metrics: no HELP/TYPE/sample triple for %s", name)
 		}
 	}
 }
