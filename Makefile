@@ -40,8 +40,10 @@ test:
 
 # The allocation budgets (Test*AllocBudget, Test*AllocsIndependentOfEvents)
 # count the race detector's own allocations against the code under test,
-# so they belong to the non-race run only: `make test` and
-# telemetry-smoke's last line run every one of them.
+# so they belong to the non-race run only: `make test` runs every one
+# of them and telemetry-smoke the translation service's. This is the
+# one -race pass over internal/{telemetry,xlate,serve} in `make check`;
+# loadtest and telemetry-smoke do not repeat it.
 race:
 	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
 
@@ -128,22 +130,23 @@ overlap-soak:
 
 # Load-test smoke: a short utlbload run against an in-process serve
 # instance (cmd/utlbload's TestLoad* drive the real client path end to
-# end and assert nonzero lookups/sec), plus the translation service's
-# own concurrency suites — all under -race. A recorded full run lives
-# in BENCH_load.json (`go run ./cmd/utlbload -json`).
+# end and assert nonzero lookups/sec) under -race. The translation
+# service's own concurrency suites run under -race in `race`. A
+# recorded full run lives in BENCH_load.json (`go run ./cmd/utlbload
+# -json`).
 loadtest:
 	$(GO) test -race -run 'TestLoad' ./cmd/utlbload
-	$(GO) test -race ./internal/xlate ./internal/serve
 
-# Live-telemetry smoke: the window-ring/SLO/sampling unit suite and the
-# serve-level live-endpoint tests under -race, plus the hot-path
-# allocation budgets for the translation service (telemetry disabled
-# must stay at zero allocs; always-sampled stays inside its bound).
+# Live-telemetry smoke: the hot-path allocation budgets for the
+# translation service (a nil sink and an unsampled request stay at zero
+# allocs; always-sampled stays inside its bound) and the joined
+# /metrics scrape surface, byte for byte against its golden plus the
+# exposition-format rules. The window-ring/SLO/sampling suites and the
+# live-endpoint tests run in `test` and, under -race, in `race`.
 # DESIGN.md §13 documents the mechanism.
 telemetry-smoke:
-	$(GO) test -race ./internal/telemetry
-	$(GO) test -race -run 'TestLive|TestTelemetry|TestXlate' ./internal/serve ./internal/xlate
 	$(GO) test -run 'TestXlateLookupAllocBudget' .
+	$(GO) test -run 'TestMetricsGolden|TestMetricsExposition' ./internal/serve
 
 clean:
 	$(GO) clean ./...

@@ -31,10 +31,9 @@ import (
 // the simulator's replay loop drives its translation design through
 // one, and the audit has to see through that seam or the designs'
 // own hot paths go unchecked). Constructor-shaped
-// functions (New*), validation (Validate) and the enabled-telemetry
-// variants (lookupTel & friends, which carry their own runtime
-// budget) are stop nodes: reachable code may call them off the fast
-// path, but their bodies are not audited.
+// functions (New*) and validation (Validate) are stop nodes: reachable
+// code may call them off the fast path, but their bodies are not
+// audited.
 //
 // Flagged allocation sites: fmt.* calls (except fmt.Errorf feeding a
 // return, and anything building a panic message), non-constant string
@@ -81,10 +80,6 @@ func hotEntryIDs(module string) []string {
 // does not enter.
 var allocStopNames = map[string]bool{
 	"Validate": true,
-	// The enabled-telemetry variants allocate deliberately (trace
-	// records come from a slab) and carry their own runtime budget.
-	"lookupTel": true, "insertTel": true,
-	"lookupManyTel": true, "insertManyTel": true,
 }
 
 func isAllocStop(n *FuncNode) bool {

@@ -91,8 +91,14 @@ func TestMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run `go test ./internal/serve -run TestMetricsGolden -update` to create)", err)
 	}
-	if body[:cut] != string(want) {
-		t.Errorf("/metrics drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, body[:cut], want)
+	got, wantLines := strings.Split(body[:cut], "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
+		t.Errorf("/metrics has %d lines, %s has %d", len(got), path, len(wantLines))
+	}
+	for i := 0; i < min(len(got), len(wantLines)); i++ {
+		if got[i] != wantLines[i] {
+			t.Errorf("line %d: got  %s\n         want %s", i+1, got[i], wantLines[i])
+		}
 	}
 
 	runtimeBlock := regexp.MustCompile(`^(# HELP (utlb_go_\w+) [^\n]+\n# TYPE (utlb_go_\w+) gauge\n(utlb_go_\w+) \d+\n){7}$`)

@@ -365,27 +365,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		runs = s.cachedRuns()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WritePrometheus(w, obs.Aggregate(runs)); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	// The live translation service shares the scrape surface: its
 	// per-shard counters are appended after the simulation metrics,
 	// then the telemetry sink's live metrics and the Go runtime's own
 	// health (GC, heap, goroutines) — one scrape tells the whole story.
-	if err := xlate.WritePrometheus(w, s.xl.Stats()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if sink := s.xl.Telemetry(); sink != nil {
-		if err := sink.WritePrometheus(w, sink.Now()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	stream(w, func(w io.Writer) error {
+		if err := obs.WritePrometheus(w, obs.Aggregate(runs)); err != nil {
+			return err
 		}
-	}
-	if err := telemetry.WriteRuntimeMetrics(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+		if err := xlate.WritePrometheus(w, s.xl.Stats()); err != nil {
+			return err
+		}
+		if sink := s.xl.Telemetry(); sink != nil {
+			if err := sink.WritePrometheus(w, sink.Now()); err != nil {
+				return err
+			}
+		}
+		return telemetry.WriteRuntimeMetrics(w)
+	})
 }
 
 // runInfo is one /api/runs entry.

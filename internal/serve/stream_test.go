@@ -52,7 +52,7 @@ func TestStreamingHandlersAbortMidStream(t *testing.T) {
 		t.Fatalf("runs listing: %.200q", body)
 	}
 
-	for _, url := range []string{analyzeURL, infos[0].TraceURL, "/api/live/trace"} {
+	for _, url := range []string{analyzeURL, infos[0].TraceURL, "/api/live/trace", "/metrics"} {
 		whole := httptest.NewRecorder()
 		handler.ServeHTTP(whole, httptest.NewRequest("GET", url, nil))
 		if whole.Code != http.StatusOK || whole.Body.Len() < 200 {

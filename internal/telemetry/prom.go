@@ -1,116 +1,79 @@
 package telemetry
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"math/bits"
 	"runtime"
+	"strconv"
 
+	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
 )
 
 // Prometheus text export for the live sink, joined into /metrics next
-// to the obs event metrics and the xlate service counters. Same
-// discipline as obs.WritePrometheus: fixed log2 bucket boundaries,
-// integer counters, byte-deterministic output for a given state.
-
-// promBucket buckets follow obs/metrics.go: 2^7..2^26 ns plus +Inf.
-const (
-	promBucketLow  = 7
-	promBucketHigh = 26
-	numPromBuckets = promBucketHigh - promBucketLow + 1
-)
-
-func promBucketIndex(v int64) int {
-	if v <= 1<<promBucketLow {
-		return 0
-	}
-	return bits.Len64(uint64(v)-1) - promBucketLow
-}
+// to the obs event metrics and the xlate service counters, through the
+// same obs.PromWriter and in the same `le` scheme: integer counters,
+// byte-deterministic output for a given state.
 
 // WritePrometheus writes the sink's cumulative state as utlb_live_*
 // metrics: per-shard counters, the service-wide latency histogram
 // (digest buckets coarsened onto the shared log2 boundaries), and the
 // SLO position evaluated over the window ring at now.
 func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
-	bw := bufio.NewWriterSize(w, 1<<14)
-
-	writeShardCounter := func(name, help string, load func(*shardTel) int64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	p := obs.NewPromWriter(w)
+	for ci, c := range counters {
+		if c.prom == "" {
+			continue
+		}
+		p.Family(c.prom, c.help, "counter")
 		for i := range t.shards {
-			fmt.Fprintf(bw, "%s{shard=\"%d\"} %d\n", name, i, load(&t.shards[i]))
+			p.Int(t.shards[i].ctr[ci].Load(), "shard", strconv.Itoa(i))
 		}
 	}
-	writeShardCounter("utlb_live_lookups_total", "Keys looked up, by shard.",
-		func(s *shardTel) int64 { return s.lookups.Load() })
-	writeShardCounter("utlb_live_hits_total", "Lookup hits, by shard.",
-		func(s *shardTel) int64 { return s.hits.Load() })
-	writeShardCounter("utlb_live_misses_total", "Lookup misses, by shard.",
-		func(s *shardTel) int64 { return s.misses.Load() })
-	writeShardCounter("utlb_live_inserts_total", "Keys inserted, by shard.",
-		func(s *shardTel) int64 { return s.inserts.Load() })
-	writeShardCounter("utlb_live_evictions_total", "Insert evictions, by shard.",
-		func(s *shardTel) int64 { return s.evictions.Load() })
-	writeShardCounter("utlb_live_invalidations_total", "Translations invalidated, by shard.",
-		func(s *shardTel) int64 { return s.invalidations.Load() })
-	writeShardCounter("utlb_live_slow_ops_total", "Timed shard operations over the SLO target, by shard.",
-		func(s *shardTel) int64 { return s.slow.Load() })
 
-	// Service-wide latency histogram: digest buckets coarsened onto the
-	// shared log2 boundaries (a digest bucket's lower bound picks its
-	// le-bucket; sub-boundary resolution is already ~3%).
-	var hist [numPromBuckets]int64
-	var n, sum int64
+	// Service-wide latency histogram. A digest bucket is counted under
+	// the first le boundary at or above its inclusive upper bound, so
+	// every le line is a true statement about the observations in it;
+	// digest buckets never straddle a power of two, so none is split.
+	// Buckets are loaded before the count: observe adds to ops first,
+	// so the count read afterwards is >= the sum of the buckets and a
+	// scrape racing a record cannot print a bucket above +Inf.
+	var hist [obs.NumBuckets]int64
 	for i := range t.shards {
 		s := &t.shards[i]
-		n += s.ops.Load()
-		sum += s.sumNs.Load()
-		for b := 0; b < analyze.DigestBuckets; b++ {
+		for b := range s.hist {
 			c := s.hist[b].Load()
 			if c == 0 {
 				continue
 			}
-			if bi := promBucketIndex(analyze.BucketValue(b)); bi < numPromBuckets {
-				hist[bi] += c
+			// The last digest buckets' upper bounds overflow int64;
+			// they, like anything past 2^BucketHigh, are +Inf only.
+			if hi := analyze.BucketValue(b+1) - 1; hi >= 0 {
+				if bi := obs.BucketIndex(uint64(hi)); bi < obs.NumBuckets {
+					hist[bi] += c
+				}
 			}
 		}
 	}
-	bw.WriteString("# HELP utlb_live_op_duration_ns Latency of timed shard operations.\n")
-	bw.WriteString("# TYPE utlb_live_op_duration_ns histogram\n")
-	cum := int64(0)
-	for i := 0; i < numPromBuckets; i++ {
-		cum += hist[i]
-		fmt.Fprintf(bw, "utlb_live_op_duration_ns_bucket{le=\"%d\"} %d\n",
-			int64(1)<<(promBucketLow+i), cum)
-	}
-	fmt.Fprintf(bw, "utlb_live_op_duration_ns_bucket{le=\"+Inf\"} %d\n", n)
-	fmt.Fprintf(bw, "utlb_live_op_duration_ns_sum %d\n", sum)
-	fmt.Fprintf(bw, "utlb_live_op_duration_ns_count %d\n", n)
+	tot := t.TotalsSnapshot()
+	p.Family("utlb_live_op_duration_ns", "Latency of timed shard operations.", "histogram")
+	p.Histogram(&hist, tot.SumNs, tot.Ops)
 
 	slo := t.SLOSnapshot(now)
-	bw.WriteString("# HELP utlb_live_slo_target_p99_ns Latency objective (p99 target).\n")
-	bw.WriteString("# TYPE utlb_live_slo_target_p99_ns gauge\n")
-	fmt.Fprintf(bw, "utlb_live_slo_target_p99_ns %d\n", slo.TargetP99Ns)
-	bw.WriteString("# HELP utlb_live_slo_p99_ns Observed p99 over the window ring.\n")
-	bw.WriteString("# TYPE utlb_live_slo_p99_ns gauge\n")
-	fmt.Fprintf(bw, "utlb_live_slo_p99_ns %d\n", slo.P99Ns)
-	bw.WriteString("# HELP utlb_live_slo_budget_used Error budget consumed over the window ring (1.0 = spent).\n")
-	bw.WriteString("# TYPE utlb_live_slo_budget_used gauge\n")
-	fmt.Fprintf(bw, "utlb_live_slo_budget_used %g\n", slo.BudgetUsed)
-	bw.WriteString("# HELP utlb_live_slo_compliant Whether the service is inside its SLO (1 = yes).\n")
-	bw.WriteString("# TYPE utlb_live_slo_compliant gauge\n")
-	c := 0
+	p.Family("utlb_live_slo_target_p99_ns", "Latency objective (p99 target).", "gauge")
+	p.Int(slo.TargetP99Ns)
+	p.Family("utlb_live_slo_p99_ns", "Observed p99 over the window ring.", "gauge")
+	p.Int(slo.P99Ns)
+	p.Family("utlb_live_slo_budget_used", "Error budget consumed over the window ring (1.0 = spent).", "gauge")
+	p.Float(slo.BudgetUsed)
+	p.Family("utlb_live_slo_compliant", "Whether the service is inside its SLO (1 = yes).", "gauge")
+	compliant := int64(0)
 	if slo.Compliant {
-		c = 1
+		compliant = 1
 	}
-	fmt.Fprintf(bw, "utlb_live_slo_compliant %d\n", c)
-
-	fmt.Fprintf(bw, "# HELP utlb_live_sampled_traces_total Sampled request chains retained.\n")
-	fmt.Fprintf(bw, "# TYPE utlb_live_sampled_traces_total counter\n")
-	fmt.Fprintf(bw, "utlb_live_sampled_traces_total %d\n", t.SampledTraces())
-
-	return bw.Flush()
+	p.Int(compliant)
+	p.Family("utlb_live_sampled_traces_total", "Sampled request chains retained.", "counter")
+	p.Int(t.SampledTraces())
+	return p.Flush()
 }
 
 // WriteRuntimeMetrics writes Go runtime health next to the service
@@ -118,19 +81,19 @@ func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
 // totals. These are the "is the collector itself healthy" numbers a
 // live dashboard needs alongside service latency.
 func WriteRuntimeMetrics(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<12)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-
-	g := func(name, help string, v uint64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	p := obs.NewPromWriter(w)
+	gauge := func(name, help string, v uint64) {
+		p.Family(name, help, "gauge")
+		p.Uint(v)
 	}
-	g("utlb_go_goroutines", "Live goroutines.", uint64(runtime.NumGoroutine()))
-	g("utlb_go_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc)
-	g("utlb_go_heap_sys_bytes", "Heap memory obtained from the OS.", ms.HeapSys)
-	g("utlb_go_heap_objects", "Live heap objects.", ms.HeapObjects)
-	g("utlb_go_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC))
-	g("utlb_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause.", ms.PauseTotalNs)
-	g("utlb_go_next_gc_bytes", "Heap size target of the next GC cycle.", ms.NextGC)
-	return bw.Flush()
+	gauge("utlb_go_goroutines", "Live goroutines.", uint64(runtime.NumGoroutine()))
+	gauge("utlb_go_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc)
+	gauge("utlb_go_heap_sys_bytes", "Heap memory obtained from the OS.", ms.HeapSys)
+	gauge("utlb_go_heap_objects", "Live heap objects.", ms.HeapObjects)
+	gauge("utlb_go_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC))
+	gauge("utlb_go_gc_pause_ns_total", "Cumulative GC stop-the-world pause.", ms.PauseTotalNs)
+	gauge("utlb_go_next_gc_bytes", "Heap size target of the next GC cycle.", ms.NextGC)
+	return p.Flush()
 }

@@ -13,17 +13,9 @@ type WindowPoint struct {
 	StartNs int64 `json:"start_ns"` // window start on the sink clock
 	Open    bool  `json:"open,omitempty"`
 
-	Lookups       int64 `json:"lookups"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Inserts       int64 `json:"inserts"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	Ops           int64 `json:"ops"`  // timed shard operations
-	Slow          int64 `json:"slow"` // ops over the SLO target
-	SumNs         int64 `json:"latency_sum_ns"`
-	P50Ns         int64 `json:"latency_p50_ns"`
-	P99Ns         int64 `json:"latency_p99_ns"`
+	Totals
+	P50Ns int64 `json:"latency_p50_ns"`
+	P99Ns int64 `json:"latency_p99_ns"`
 
 	LookupsPerSec float64 `json:"lookups_per_sec"`
 }
@@ -46,15 +38,9 @@ func digestOf(hist *[analyze.DigestBuckets]int64) analyze.Digest {
 }
 
 // pointOf renders one window (closed or open) as a series point.
-func (t *Sink) pointOf(num int64, tot totals, hist *[analyze.DigestBuckets]int64, open bool, now int64) WindowPoint {
-	p := WindowPoint{
-		Window: num, StartNs: num * t.cfg.WindowNs, Open: open,
-		Lookups: tot.lookups, Hits: tot.hits, Misses: tot.misses,
-		Inserts: tot.inserts, Evictions: tot.evictions,
-		Invalidations: tot.invalidations,
-		Ops:           tot.ops, Slow: tot.slow, SumNs: tot.sumNs,
-	}
-	if tot.ops > 0 {
+func (t *Sink) pointOf(num int64, tot Totals, hist *[analyze.DigestBuckets]int64, open bool, now int64) WindowPoint {
+	p := WindowPoint{Window: num, StartNs: num * t.cfg.WindowNs, Open: open, Totals: tot}
+	if tot.Ops > 0 {
 		d := digestOf(hist)
 		p.P50Ns = d.Quantile(50)
 		p.P99Ns = d.Quantile(99)
@@ -77,31 +63,31 @@ func (t *Sink) SeriesReport(now int64) Series {
 	defer t.mu.Unlock()
 	t.foldLocked(now)
 	sr := Series{WindowNs: t.cfg.WindowNs, Windows: t.cfg.Windows, NowNs: now}
-	wNow := t.lastWin
-	lo := wNow - int64(len(t.ring))
-	for w := lo; w < wNow; w++ {
-		if w < 0 {
-			continue
-		}
-		slot := &t.ring[int(w%int64(len(t.ring)))]
-		if slot.num != w {
-			continue
-		}
-		sr.Points = append(sr.Points, t.pointOf(w, slot.totals, &slot.hist, false, now))
-	}
-	// The open window: cumulative minus the last fold snapshot.
-	var openTot totals
-	openTot.sub(t.cumTotals(), t.lastTot)
+	t.eachClosedLocked(func(w *window) {
+		sr.Points = append(sr.Points, t.pointOf(w.num, w.Totals, &w.hist, false, now))
+	})
 	var openHist [analyze.DigestBuckets]int64
-	for i := range openHist {
-		var c int64
-		for s := range t.shards {
-			c += t.shards[s].hist[i].Load()
-		}
-		openHist[i] = c - t.lastHist[i]
-	}
-	sr.Points = append(sr.Points, t.pointOf(wNow, openTot, &openHist, true, now))
+	openTot := t.openLocked(&openHist)
+	sr.Points = append(sr.Points, t.pointOf(t.lastWin, openTot, &openHist, true, now))
 	return sr
+}
+
+// eachClosedLocked calls f on every closed window the ring still
+// holds, oldest first.
+func (t *Sink) eachClosedLocked(f func(*window)) {
+	for w := max(t.lastWin-int64(len(t.ring)), 0); w < t.lastWin; w++ {
+		if slot := &t.ring[int(w%int64(len(t.ring)))]; slot.num == w {
+			f(slot)
+		}
+	}
+}
+
+// openLocked returns the open window's counters — cumulative minus the
+// last fold snapshot — and adds its observations to hist.
+func (t *Sink) openLocked(hist *[analyze.DigestBuckets]int64) (tot Totals) {
+	tot.sub(t.TotalsSnapshot(), t.lastTot)
+	t.addOpenHist(hist)
+	return tot
 }
 
 // SLOReport is the /api/live/slo payload: the latency objective and
@@ -144,42 +130,26 @@ func (t *Sink) SLOSnapshot(now int64) SLOReport {
 		Windows:     t.cfg.Windows,
 	}
 	var hist [analyze.DigestBuckets]int64
-	wNow := t.lastWin
 	var lastClosed *window
-	for w := wNow - int64(len(t.ring)); w < wNow; w++ {
-		if w < 0 {
-			continue
-		}
-		slot := &t.ring[int(w%int64(len(t.ring)))]
-		if slot.num != w {
-			continue
-		}
-		r.Ops += slot.ops
-		r.Slow += slot.slow
+	t.eachClosedLocked(func(w *window) {
+		r.Ops += w.Ops
+		r.Slow += w.Slow
 		for i := range hist {
-			hist[i] += slot.hist[i]
+			hist[i] += w.hist[i]
 		}
-		lastClosed = slot
-	}
+		lastClosed = w
+	})
 	// Fold in the open window so "right now" includes in-flight load.
-	var openTot totals
-	openTot.sub(t.cumTotals(), t.lastTot)
-	r.Ops += openTot.ops
-	r.Slow += openTot.slow
-	for i := range hist {
-		var c int64
-		for s := range t.shards {
-			c += t.shards[s].hist[i].Load()
-		}
-		hist[i] += c - t.lastHist[i]
-	}
+	openTot := t.openLocked(&hist)
+	r.Ops += openTot.Ops
+	r.Slow += openTot.Slow
 	if r.Ops > 0 {
 		d := digestOf(&hist)
 		r.P99Ns = d.Quantile(99)
 		r.BudgetUsed = float64(r.Slow) / float64(r.Ops) / t.cfg.SLOBudget
 	}
-	if lastClosed != nil && lastClosed.ops > 0 {
-		r.BurnRate = float64(lastClosed.slow) / float64(lastClosed.ops) / t.cfg.SLOBudget
+	if lastClosed != nil && lastClosed.Ops > 0 {
+		r.BurnRate = float64(lastClosed.Slow) / float64(lastClosed.Ops) / t.cfg.SLOBudget
 	}
 	r.Compliant = r.SLOCompliant()
 	return r
@@ -192,16 +162,7 @@ func (t *Sink) SLOSnapshot(now int64) SLOReport {
 type ShardSnapshot struct {
 	Shard int `json:"shard"`
 
-	Lookups       int64 `json:"lookups"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Inserts       int64 `json:"inserts"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	Ops           int64 `json:"ops"`
-	Slow          int64 `json:"slow"`
-
-	SumNs int64 `json:"latency_sum_ns"`
+	Totals
 	MaxNs int64 `json:"latency_max_ns"`
 	P50Ns int64 `json:"latency_p50_ns"`
 	P95Ns int64 `json:"latency_p95_ns"`
@@ -220,19 +181,8 @@ func (t *Sink) ShardSnapshots(now int64) []ShardSnapshot {
 	var totalLookups int64
 	for i := range t.shards {
 		s := &t.shards[i]
-		ss := ShardSnapshot{
-			Shard:         i,
-			Lookups:       s.lookups.Load(),
-			Hits:          s.hits.Load(),
-			Misses:        s.misses.Load(),
-			Inserts:       s.inserts.Load(),
-			Evictions:     s.evictions.Load(),
-			Invalidations: s.invalidations.Load(),
-			Ops:           s.ops.Load(),
-			Slow:          s.slow.Load(),
-			SumNs:         s.sumNs.Load(),
-			MaxNs:         s.maxNs.Load(),
-		}
+		ss := ShardSnapshot{Shard: i, MaxNs: s.maxNs.Load()}
+		s.addTo(&ss.Totals)
 		if ss.Ops > 0 {
 			var hist [analyze.DigestBuckets]int64
 			for b := range hist {
@@ -255,21 +205,4 @@ func (t *Sink) ShardSnapshots(now int64) []ShardSnapshot {
 		}
 	}
 	return out
-}
-
-// Totals reports the cumulative service-wide counter set (for tests
-// and coherence checks against xlate.Stats).
-type Totals struct {
-	Lookups, Hits, Misses, Inserts, Evictions, Invalidations int64
-	Ops, Slow, SumNs                                         int64
-}
-
-// TotalsSnapshot sums the per-shard cumulative counters.
-func (t *Sink) TotalsSnapshot() Totals {
-	c := t.cumTotals()
-	return Totals{
-		Lookups: c.lookups, Hits: c.hits, Misses: c.misses,
-		Inserts: c.inserts, Evictions: c.evictions, Invalidations: c.invalidations,
-		Ops: c.ops, Slow: c.slow, SumNs: c.sumNs,
-	}
 }

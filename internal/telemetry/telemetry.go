@@ -10,8 +10,8 @@
 //   - Per-shard cumulative counters and fixed-bucket log2 latency
 //     histograms (the analyze.Digest bucket scheme), updated lock-free
 //     with atomics on every Lookup/LookupMany/Insert. The disabled
-//     path — a nil *Sink behind a nil check in xlate — is one pointer
-//     compare and zero allocations, the obs.Recorder contract.
+//     path — a nil *Sink, whose Request methods all return at once —
+//     allocates nothing.
 //
 //   - A rolling-window time series: a ring of N fixed-width windows.
 //     The hot path checks one atomic against the current window
@@ -30,7 +30,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -105,38 +107,79 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// totals is one cumulative (or per-window delta) counter set.
-type totals struct {
-	lookups, hits, misses int64
-	inserts, evictions    int64
-	invalidations         int64
-	ops, slow             int64 // timed shard operations; over-target ones
-	sumNs                 int64
+// Totals is one counter set: a shard's or the service's cumulative
+// counts, or one window's deltas. It is embedded, tags and all, in
+// WindowPoint and ShardSnapshot, so the JSON names live here.
+type Totals struct {
+	Lookups       int64 `json:"lookups"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Inserts       int64 `json:"inserts"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+	Ops           int64 `json:"ops"`  // timed shard operations
+	Slow          int64 `json:"slow"` // ops over the SLO target
+	SumNs         int64 `json:"latency_sum_ns"`
 }
 
-func (t *totals) sub(a, b totals) {
-	t.lookups = a.lookups - b.lookups
-	t.hits = a.hits - b.hits
-	t.misses = a.misses - b.misses
-	t.inserts = a.inserts - b.inserts
-	t.evictions = a.evictions - b.evictions
-	t.invalidations = a.invalidations - b.invalidations
-	t.ops = a.ops - b.ops
-	t.slow = a.slow - b.slow
-	t.sumNs = a.sumNs - b.sumNs
+// A shard stores the set as an array of atomics indexed by these.
+const (
+	cLookups = iota
+	cHits
+	cMisses
+	cInserts
+	cEvictions
+	cInvalidations
+	cOps
+	cSlow
+	cSumNs
+	numCounters
+)
+
+// counters ties each stored counter to its Totals field and to its
+// family on /metrics. Arithmetic on counter sets, the cumulative read
+// and the Prometheus export all range over this list, so a new counter
+// is a Totals field, an index, a row here and its record site.
+var counters = [numCounters]struct {
+	field      func(*Totals) *int64
+	prom, help string // "" = no family of its own
+}{
+	cLookups:       {func(t *Totals) *int64 { return &t.Lookups }, "utlb_live_lookups_total", "Keys looked up, by shard."},
+	cHits:          {func(t *Totals) *int64 { return &t.Hits }, "utlb_live_hits_total", "Lookup hits, by shard."},
+	cMisses:        {func(t *Totals) *int64 { return &t.Misses }, "utlb_live_misses_total", "Lookup misses, by shard."},
+	cInserts:       {func(t *Totals) *int64 { return &t.Inserts }, "utlb_live_inserts_total", "Keys inserted, by shard."},
+	cEvictions:     {func(t *Totals) *int64 { return &t.Evictions }, "utlb_live_evictions_total", "Insert evictions, by shard."},
+	cInvalidations: {func(t *Totals) *int64 { return &t.Invalidations }, "utlb_live_invalidations_total", "Translations invalidated, by shard."},
+	cSlow:          {func(t *Totals) *int64 { return &t.Slow }, "utlb_live_slow_ops_total", "Timed shard operations over the SLO target, by shard."},
+	// The live histogram's _count and _sum.
+	cOps:   {field: func(t *Totals) *int64 { return &t.Ops }},
+	cSumNs: {field: func(t *Totals) *int64 { return &t.SumNs }},
 }
 
-// shardTel is one shard's lock-free cumulative state: plain atomic
-// counters plus a fixed-bucket latency histogram in the analyze.Digest
-// bucket scheme. Everything here is written on the xlate hot path, so
-// nothing allocates and nothing takes a lock.
+// sub sets t to a - b, counter by counter.
+func (t *Totals) sub(a, b Totals) {
+	for _, c := range counters {
+		*c.field(t) = *c.field(&a) - *c.field(&b)
+	}
+}
+
+// shardTel is one shard's lock-free cumulative state: the counter set
+// as plain atomics plus a fixed-bucket latency histogram in the
+// analyze.Digest bucket scheme. Everything here is written on the
+// xlate hot path, so nothing allocates and nothing takes a lock.
 type shardTel struct {
-	lookups, hits, misses atomic.Int64
-	inserts, evictions    atomic.Int64
-	invalidations         atomic.Int64
-	ops, slow             atomic.Int64
-	sumNs, maxNs          atomic.Int64
-	hist                  [analyze.DigestBuckets]atomic.Int64
+	ctr   [numCounters]atomic.Int64
+	maxNs atomic.Int64
+	hist  [analyze.DigestBuckets]atomic.Int64
+}
+
+// addTo adds the shard's cumulative counters to t. Reads race benignly
+// with hot-path writers: each counter is individually atomic and only
+// ever grows, so the result is a valid set of recent values.
+func (s *shardTel) addTo(t *Totals) {
+	for i, c := range counters {
+		*c.field(t) += s.ctr[i].Load()
+	}
 }
 
 // observe records one timed shard operation of durNs.
@@ -144,11 +187,11 @@ func (s *shardTel) observe(durNs, sloTargetNs int64) {
 	if durNs < 0 {
 		durNs = 0
 	}
-	s.ops.Add(1)
-	s.sumNs.Add(durNs)
+	s.ctr[cOps].Add(1)
+	s.ctr[cSumNs].Add(durNs)
 	s.hist[analyze.BucketIndex(durNs)].Add(1)
 	if durNs > sloTargetNs {
-		s.slow.Add(1)
+		s.ctr[cSlow].Add(1)
 	}
 	for {
 		m := s.maxNs.Load()
@@ -162,14 +205,14 @@ func (s *shardTel) observe(durNs, sloTargetNs int64) {
 // that accrued while the window was current. Guarded by Sink.mu.
 type window struct {
 	num int64 // window number (start = num*WindowNs); -1 = empty
-	totals
+	Totals
 	hist [analyze.DigestBuckets]int64
 }
 
 // Sink is the live telemetry collector for one xlate service. The
 // zero value is not usable; use New. A nil *Sink is the disabled
-// state: xlate guards every record site with a nil check, so the
-// disabled hot path is one pointer compare.
+// state: Begin, BeginOp and Now are nil-safe, and the Request a nil
+// sink hands out does nothing.
 type Sink struct {
 	cfg    Config
 	clock  Clock
@@ -182,7 +225,7 @@ type Sink struct {
 	mu       sync.Mutex // guards everything below
 	ring     []window
 	lastWin  int64  // == curWin, under mu (curWin is the lock-free mirror)
-	lastTot  totals // cumulative totals at the last fold
+	lastTot  Totals // cumulative totals at the last fold
 	lastHist [analyze.DigestBuckets]int64
 	traces   []traceChain // sampled request chains, a ring
 	traceN   int64        // total chains ever retained
@@ -240,9 +283,9 @@ func (t *Sink) Now() int64 {
 func (t *Sink) RecordLookups(si int, n, hits, durNs, now int64) {
 	t.maybeFold(now)
 	s := &t.shards[si]
-	s.lookups.Add(n)
-	s.hits.Add(hits)
-	s.misses.Add(n - hits)
+	s.ctr[cLookups].Add(n)
+	s.ctr[cHits].Add(hits)
+	s.ctr[cMisses].Add(n - hits)
 	s.observe(durNs, t.cfg.SLOTargetNs)
 }
 
@@ -250,8 +293,8 @@ func (t *Sink) RecordLookups(si int, n, hits, durNs, now int64) {
 func (t *Sink) RecordInserts(si int, n, evictions, durNs, now int64) {
 	t.maybeFold(now)
 	s := &t.shards[si]
-	s.inserts.Add(n)
-	s.evictions.Add(evictions)
+	s.ctr[cInserts].Add(n)
+	s.ctr[cEvictions].Add(evictions)
 	s.observe(durNs, t.cfg.SLOTargetNs)
 }
 
@@ -259,7 +302,7 @@ func (t *Sink) RecordInserts(si int, n, evictions, durNs, now int64) {
 // si. Invalidations are not timed (they are rare and administrative).
 func (t *Sink) RecordInvalidations(si int, n, now int64) {
 	t.maybeFold(now)
-	t.shards[si].invalidations.Add(n)
+	t.shards[si].ctr[cInvalidations].Add(n)
 }
 
 // maybeFold advances the window ring when now has crossed a window
@@ -283,24 +326,25 @@ func (t *Sink) maybeFold(now int64) {
 	}
 }
 
-// cumTotalsLocked sums the per-shard cumulative counters. Reads race
-// benignly with hot-path writers: each counter is individually atomic
-// and only ever grows, so a snapshot is a valid set of recent values.
-func (t *Sink) cumTotals() totals {
-	var c totals
+// TotalsSnapshot sums the per-shard cumulative counters.
+func (t *Sink) TotalsSnapshot() Totals {
+	var c Totals
 	for i := range t.shards {
-		s := &t.shards[i]
-		c.lookups += s.lookups.Load()
-		c.hits += s.hits.Load()
-		c.misses += s.misses.Load()
-		c.inserts += s.inserts.Load()
-		c.evictions += s.evictions.Load()
-		c.invalidations += s.invalidations.Load()
-		c.ops += s.ops.Load()
-		c.slow += s.slow.Load()
-		c.sumNs += s.sumNs.Load()
+		t.shards[i].addTo(&c)
 	}
 	return c
+}
+
+// addOpenHist adds to dst, bucket by bucket, the observations recorded
+// since the last fold: every shard's cumulative count less lastHist.
+func (t *Sink) addOpenHist(dst *[analyze.DigestBuckets]int64) {
+	for i := range dst {
+		c := -t.lastHist[i]
+		for s := range t.shards {
+			c += t.shards[s].hist[i].Load()
+		}
+		dst[i] += c
+	}
 }
 
 // foldLocked closes the current window: the cumulative deltas since
@@ -316,17 +360,13 @@ func (t *Sink) foldLocked(now int64) {
 		// still live and re-zero slots the series already served.
 		return
 	}
-	cur := t.cumTotals()
+	cur := t.TotalsSnapshot()
 	slot := &t.ring[int(t.lastWin%int64(len(t.ring)))]
-	slot.num = t.lastWin
-	slot.totals.sub(cur, t.lastTot)
-	for i := range slot.hist {
-		var c int64
-		for s := range t.shards {
-			c += t.shards[s].hist[i].Load()
-		}
-		slot.hist[i] = c - t.lastHist[i]
-		t.lastHist[i] = c
+	*slot = window{num: t.lastWin}
+	slot.Totals.sub(cur, t.lastTot)
+	t.addOpenHist(&slot.hist)
+	for i, c := range slot.hist {
+		t.lastHist[i] += c
 	}
 	t.lastTot = cur
 	// Windows nobody recorded into are explicitly zeroed so the series
@@ -339,70 +379,153 @@ func (t *Sink) foldLocked(now int64) {
 	t.curWin.Store(wNow)
 }
 
-// --- sampling -------------------------------------------------------
+// --- requests and sampling ------------------------------------------
 
-// BeginRequest allocates the next request id and reports whether this
-// request is sampled for tracing. Deterministic: ids are a dense
-// counter and every SampleEvery-th id is sampled, so the same request
-// sequence always samples the same requests.
-func (t *Sink) BeginRequest() (id int64, sampled bool) {
-	id = t.reqSeq.Add(1)
-	return id, t.cfg.SampleEvery > 0 && id%t.cfg.SampleEvery == 0
+// Request is the telemetry of one service request, held by value on
+// the caller's stack: xlate begins one per operation, times a segment
+// around each shard it locks, charges the segment, and finishes. Every
+// SampleEvery-th request is sampled and also gathers its segments as
+// an obs event chain for the Chrome-trace export; only those allocate,
+// once. The Request of a nil sink is inert — each method is a nil test
+// small enough to inline — so the service has one body per operation
+// whether telemetry is attached or not. It is two fields so that the
+// compiler keeps it in registers; what a sampled request must remember
+// (id, start, key count) rides in the chain's first slot.
+//
+// Clock reads are part of the contract (tests tick a ManualClock). A
+// batch (Begin … Finish) reads once at the start, twice per segment,
+// and once more at Finish when sampled. A one-key operation (BeginOp …
+// FinishOp) is its own single segment and reads twice in all.
+type Request struct {
+	t *Sink
+	// chain is non-nil when sampled. While the request runs, chain[0]
+	// is the request span in the making and the segments follow it;
+	// retain moves it behind them, the order readers expect.
+	chain []obs.Event
 }
 
-// Trace accumulates one sampled request's event chain. It is built by
-// a single goroutine (the request handler) and handed to the sink at
-// FinishTrace; only sampled requests pay its allocations.
-type Trace struct {
-	id      int64
-	startNs int64
-	keys    int
-	events  []obs.Event
+// Begin starts a batch request of keys keys.
+func (t *Sink) Begin(keys int) Request {
+	if t == nil {
+		return Request{}
+	}
+	return t.begin(keys, t.clock.Now())
 }
 
-// StartTrace begins the chain for sampled request id covering keys
-// keys, starting at startNs.
-func (t *Sink) StartTrace(id, startNs int64, keys int) *Trace {
-	return &Trace{
-		id:      id,
-		startNs: startNs,
-		keys:    keys,
-		events:  make([]obs.Event, 0, 4),
+// BeginOp starts a one-key request, to be ended by FinishOp: the
+// request spans exactly its one segment, so neither reads the clock.
+func (t *Sink) BeginOp() Request {
+	if t == nil {
+		return Request{}
+	}
+	return t.begin(1, 0)
+}
+
+// begin allocates the next request id and samples deterministically:
+// ids are a dense counter and every SampleEvery-th is sampled, so the
+// same request sequence always samples the same requests.
+func (t *Sink) begin(keys int, startNs int64) Request {
+	r := Request{t: t}
+	if id := t.reqSeq.Add(1); t.cfg.SampleEvery > 0 && id%t.cfg.SampleEvery == 0 {
+		// The request span plus one segment per shard touched.
+		r.chain = make([]obs.Event, 1, min(keys, len(t.shards))+1)
+		r.chain[0] = obs.Event{
+			Time: units.Time(startNs - t.baseNs),
+			Kind: obs.KindXlateReq,
+			Arg:  uint64(keys),
+			Xfer: uint64(id),
+		}
+	}
+	return r
+}
+
+// Segment returns the start time of a per-shard segment: the stretch
+// for which the caller holds one shard's lock.
+func (r Request) Segment() int64 { return r.t.Now() }
+
+// Lookups ends the segment begun at segNs against shard si: n keys
+// looked up, hits of them resident.
+func (r *Request) Lookups(si int, segNs, n, hits int64) {
+	if r.t != nil {
+		r.lookups(si, segNs, n, hits)
 	}
 }
 
-// Shard appends one per-shard segment: n keys against shard si,
-// starting at startNs and taking durNs.
-func (tr *Trace) Shard(t *Sink, si int, n, startNs, durNs int64) {
-	tr.events = append(tr.events, obs.Event{
-		Time: units.Time(startNs - t.baseNs),
-		Dur:  units.Time(durNs),
-		Kind: obs.KindXlateShard,
-		Arg:  uint64(si),
-		Arg2: uint64(n),
-		Xfer: uint64(tr.id),
-	})
+// lookups is Lookups' work, out of line so that the nil test inlines.
+func (r *Request) lookups(si int, segNs, n, hits int64) {
+	endNs := r.endSegment(si, segNs, n)
+	r.t.RecordLookups(si, n, hits, endNs-segNs, endNs)
 }
 
-// FinishTrace closes the chain with the request-level span and
-// retains it in the sampled-trace ring.
-func (t *Sink) FinishTrace(tr *Trace, endNs, hits int64) {
+// Inserts ends the segment begun at segNs against shard si: n keys
+// installed, evictions of them displacing an entry.
+func (r *Request) Inserts(si int, segNs, n, evictions int64) {
+	if r.t != nil {
+		r.inserts(si, segNs, n, evictions)
+	}
+}
+
+// inserts is Inserts' work, out of line like lookups.
+func (r *Request) inserts(si int, segNs, n, evictions int64) {
+	endNs := r.endSegment(si, segNs, n)
+	r.t.RecordInserts(si, n, evictions, endNs-segNs, endNs)
+}
+
+// endSegment reads the segment's end off the clock and, on a sampled
+// request, appends the segment to the chain.
+func (r *Request) endSegment(si int, segNs, n int64) (endNs int64) {
+	endNs = r.t.clock.Now()
+	if r.chain != nil {
+		r.chain = append(r.chain, obs.Event{
+			Time: units.Time(segNs - r.t.baseNs),
+			Dur:  units.Time(endNs - segNs),
+			Kind: obs.KindXlateShard,
+			Arg:  uint64(si),
+			Arg2: uint64(n),
+			Xfer: r.chain[0].Xfer,
+		})
+	}
+	return endNs
+}
+
+// Finish ends a batch request; hits is the request-wide hit count
+// (zero for inserts). A sampled request's span closes now.
+func (r *Request) Finish(hits int64) {
+	if r.chain != nil {
+		r.retain(hits, false)
+	}
+}
+
+// FinishOp ends a one-key request. A sampled request's span is its
+// segment's.
+func (r *Request) FinishOp(hits int64) {
+	if r.chain != nil {
+		r.retain(hits, true)
+	}
+}
+
+// retain completes a sampled request's span and keeps the chain in the
+// sampled-trace ring.
+func (r *Request) retain(hits int64, op bool) {
+	t := r.t
+	span := r.chain[0]
+	if op {
+		span.Time, span.Dur = r.chain[1].Time, r.chain[1].Dur
+	} else {
+		span.Dur = units.Time(t.clock.Now()-t.baseNs) - span.Time
+	}
 	if t.cfg.MaxTraces == 0 {
 		return
 	}
-	tr.events = append(tr.events, obs.Event{
-		Time: units.Time(tr.startNs - t.baseNs),
-		Dur:  units.Time(endNs - tr.startNs),
-		Kind: obs.KindXlateReq,
-		Arg:  uint64(tr.keys),
-		Arg2: uint64(hits),
-		Xfer: uint64(tr.id),
-	})
+	span.Arg2 = uint64(hits)
+	copy(r.chain, r.chain[1:])
+	r.chain[len(r.chain)-1] = span
+	kept := traceChain{id: int64(span.Xfer), events: r.chain}
 	t.mu.Lock()
 	if len(t.traces) < t.cfg.MaxTraces {
-		t.traces = append(t.traces, traceChain{id: tr.id, events: tr.events})
+		t.traces = append(t.traces, kept)
 	} else {
-		t.traces[int(t.traceN)%t.cfg.MaxTraces] = traceChain{id: tr.id, events: tr.events}
+		t.traces[int(t.traceN)%t.cfg.MaxTraces] = kept
 	}
 	t.traceN++
 	t.mu.Unlock()
@@ -415,13 +538,8 @@ func (t *Sink) TraceRuns() []obs.Run {
 	chains := make([]traceChain, len(t.traces))
 	copy(chains, t.traces)
 	t.mu.Unlock()
-	// The ring is insertion-ordered until it wraps; restore id order
-	// with a simple insertion pass (MaxTraces is small).
-	for i := 1; i < len(chains); i++ {
-		for j := i; j > 0 && chains[j-1].id > chains[j].id; j-- {
-			chains[j-1], chains[j] = chains[j], chains[j-1]
-		}
-	}
+	// The ring is insertion-ordered until it wraps; restore id order.
+	slices.SortFunc(chains, func(a, b traceChain) int { return cmp.Compare(a.id, b.id) })
 	var events []obs.Event
 	for _, c := range chains {
 		events = append(events, c.events...)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -297,9 +298,8 @@ func TestSampling(t *testing.T) {
 	s, _ := newTestSink(t, 0)
 	var sampled []int64
 	for i := 0; i < 10; i++ {
-		id, ok := s.BeginRequest()
-		if ok {
-			sampled = append(sampled, id)
+		if req := s.Begin(1); req.chain != nil {
+			sampled = append(sampled, int64(req.chain[0].Xfer))
 		}
 	}
 	if len(sampled) != 2 || sampled[0] != 4 || sampled[1] != 8 {
@@ -314,7 +314,7 @@ func TestSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, ok := s2.BeginRequest(); ok {
+		if req := s2.BeginOp(); req.chain != nil {
 			t.Fatal("sampled a request with SampleEvery=0")
 		}
 	}
@@ -322,16 +322,23 @@ func TestSampling(t *testing.T) {
 
 func TestTraceChains(t *testing.T) {
 	s, clk := newTestSink(t, 0)
-	record := func(id int64) {
-		tr := s.StartTrace(id, clk.Now(), 8)
+	// Requests 4 and 8 are the sampled ones of eight 8-key batches
+	// that each touch shards 2 and 3.
+	for id := int64(1); id <= 8; id++ {
+		req := s.Begin(8)
+		if sampled := req.chain != nil; sampled != (id%4 == 0) {
+			t.Fatalf("request %d: sampled %v", id, sampled)
+		}
+		clk.Advance(5)
+		seg := req.Segment()
+		clk.Advance(5)
+		req.Lookups(2, seg, 5, 4)
+		seg = req.Segment()
+		clk.Advance(5)
+		req.Lookups(3, seg, 3, 2)
 		clk.Advance(10)
-		tr.Shard(s, 2, 5, clk.Now()-10, 10)
-		tr.Shard(s, 3, 3, clk.Now()-5, 5)
-		clk.Advance(10)
-		s.FinishTrace(tr, clk.Now(), 6)
+		req.Finish(6)
 	}
-	record(4)
-	record(8)
 	runs := s.TraceRuns()
 	if len(runs) != 1 || runs[0].Label != "xlate/live-sampled" {
 		t.Fatalf("runs = %+v, want one xlate/live-sampled run", runs)
@@ -341,11 +348,11 @@ func TestTraceChains(t *testing.T) {
 		t.Fatalf("got %d events, want 6 (2 chains × (2 shard + 1 req))", len(evs))
 	}
 	// Chain for id 4 first (id order), request span last within a chain.
-	if evs[0].Kind != obs.KindXlateShard || evs[0].Xfer != 4 || evs[0].Arg != 2 || evs[0].Arg2 != 5 {
-		t.Errorf("first event = %+v, want shard 2 segment of request 4", evs[0])
+	if evs[0].Kind != obs.KindXlateShard || evs[0].Xfer != 4 || evs[0].Arg != 2 || evs[0].Arg2 != 5 || evs[0].Dur != 5 {
+		t.Errorf("first event = %+v, want the 5 ns shard 2 segment of request 4", evs[0])
 	}
-	if evs[2].Kind != obs.KindXlateReq || evs[2].Xfer != 4 || evs[2].Arg != 8 || evs[2].Arg2 != 6 {
-		t.Errorf("third event = %+v, want request span of request 4", evs[2])
+	if evs[2].Kind != obs.KindXlateReq || evs[2].Xfer != 4 || evs[2].Arg != 8 || evs[2].Arg2 != 6 || evs[2].Dur != 25 {
+		t.Errorf("third event = %+v, want the 25 ns request span of request 4", evs[2])
 	}
 	if evs[5].Kind != obs.KindXlateReq || evs[5].Xfer != 8 {
 		t.Errorf("last event = %+v, want request span of request 8", evs[5])
@@ -356,11 +363,11 @@ func TestTraceChains(t *testing.T) {
 }
 
 func TestTraceRingBound(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, _ := newTestSink(t, 0)
 	// MaxTraces = 3; retain 5 chains, ids 1..5. Oldest two evicted.
 	for id := int64(1); id <= 5; id++ {
-		tr := s.StartTrace(id, clk.Now(), 1)
-		s.FinishTrace(tr, clk.Now()+1, 1)
+		req := Request{t: s, chain: []obs.Event{{Kind: obs.KindXlateReq, Arg: 1, Xfer: uint64(id)}}}
+		req.Finish(1)
 	}
 	runs := s.TraceRuns()
 	evs := runs[0].Events
@@ -467,6 +474,53 @@ func TestPrometheusOutput(t *testing.T) {
 	}
 }
 
+// scrapeLiveHistogram writes the sink's metrics and returns the
+// utlb_live_op_duration_ns bucket values in le order (+Inf last) and
+// the _count.
+func scrapeLiveHistogram(t *testing.T, s *Sink, now int64) (le []int64, count int64) {
+	t.Helper()
+	var b strings.Builder
+	if err := s.WritePrometheus(&b, now); err != nil {
+		t.Errorf("WritePrometheus: %v", err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		v, _ := strconv.ParseInt(value, 10, 64)
+		switch {
+		case strings.HasPrefix(name, "utlb_live_op_duration_ns_bucket{"):
+			le = append(le, v)
+		case name == "utlb_live_op_duration_ns_count":
+			count = v
+		}
+	}
+	if len(le) != obs.NumBuckets+1 {
+		t.Errorf("scraped %d bucket lines, want %d", len(le), obs.NumBuckets+1)
+	}
+	return le, count
+}
+
+// TestLiveHistogramNeverFlatters: an le line may only count an
+// observation that really was at or under its boundary. A digest
+// bucket is coarsened by its upper bound, so 129 ns — and 128 ns,
+// which shares the digest bucket [128,131] — count under le="256",
+// not le="128"; 64 ns, in [64,65], counts under le="128".
+func TestLiveHistogramNeverFlatters(t *testing.T) {
+	for _, tc := range []struct{ durNs, le128, le256 int64 }{
+		{64, 1, 1},
+		{128, 0, 1},
+		{129, 0, 1},
+		{257, 0, 0},
+	} {
+		s, clk := newTestSink(t, 0)
+		s.RecordLookups(0, 1, 1, tc.durNs, clk.Now())
+		le, count := scrapeLiveHistogram(t, s, clk.Now())
+		if le[0] != tc.le128 || le[1] != tc.le256 || count != 1 {
+			t.Errorf("%d ns: le=128 reads %d, le=256 reads %d, count %d; want %d, %d, 1",
+				tc.durNs, le[0], le[1], count, tc.le128, tc.le256)
+		}
+	}
+}
+
 // TestConcurrentRecording exercises the lock-free hot path and the
 // folding readers together under the race detector.
 func TestConcurrentRecording(t *testing.T) {
@@ -482,16 +536,12 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				now := clk.Now()
-				s.RecordLookups(g, 2, 1, 25, now)
+				req := s.Begin(2)
+				req.Lookups(g, req.Segment(), 2, 1)
 				if i%10 == 0 {
 					s.RecordInserts(g, 1, 0, 40, clk.Now())
 				}
-				if id, ok := s.BeginRequest(); ok {
-					tr := s.StartTrace(id, now, 2)
-					tr.Shard(s, g, 2, now, 25)
-					s.FinishTrace(tr, clk.Now(), 1)
-				}
+				req.Finish(1)
 			}
 		}(g)
 	}
@@ -504,6 +554,17 @@ func TestConcurrentRecording(t *testing.T) {
 			s.SLOSnapshot(now)
 			s.ShardSnapshots(now)
 			s.TraceRuns()
+			// A scrape racing the records must still be a histogram:
+			// cumulative, and no bucket above the count.
+			le, count := scrapeLiveHistogram(t, s, now)
+			for b := 1; b < len(le); b++ {
+				if le[b] < le[b-1] {
+					t.Errorf("scrape %d: bucket %d = %d below bucket %d = %d", i, b, le[b], b-1, le[b-1])
+				}
+			}
+			if inf := le[len(le)-1]; inf != count {
+				t.Errorf("scrape %d: +Inf %d != _count %d", i, inf, count)
+			}
 		}
 	}()
 	wg.Wait()

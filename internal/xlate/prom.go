@@ -1,9 +1,10 @@
 package xlate
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+	"strconv"
+
+	"utlb/internal/obs"
 )
 
 // WritePrometheus writes st in Prometheus text exposition format,
@@ -13,34 +14,31 @@ import (
 // /metrics so the live translation service and the batch experiments
 // share one scrape surface.
 func WritePrometheus(w io.Writer, st Stats) error {
-	bw := bufio.NewWriterSize(w, 1<<12)
-	counter := func(name, help string, v func(Counters) int64) {
-		fmt.Fprintf(bw, "# HELP utlb_xlate_%s_total %s\n", name, help)
-		fmt.Fprintf(bw, "# TYPE utlb_xlate_%s_total counter\n", name)
-		for _, sh := range st.PerShard {
-			fmt.Fprintf(bw, "utlb_xlate_%s_total{shard=\"%d\"} %d\n", name, sh.Shard, v(sh.Counters))
+	p := obs.NewPromWriter(w)
+	// family writes one sample per shard, then the service-wide value
+	// under shard="all".
+	family := func(name, help, typ string, all int64, of func(*ShardStats) int64) {
+		p.Family(name, help, typ)
+		for i := range st.PerShard {
+			p.Int(of(&st.PerShard[i]), "shard", strconv.Itoa(st.PerShard[i].Shard))
 		}
-		fmt.Fprintf(bw, "utlb_xlate_%s_total{shard=\"all\"} %d\n", name, v(st.Total))
+		p.Int(all, "shard", "all")
 	}
-	counter("lookups", "Translation-service lookups by shard.", func(c Counters) int64 { return c.Lookups })
-	counter("hits", "Translation-service lookup hits by shard.", func(c Counters) int64 { return c.Hits })
-	counter("misses", "Translation-service lookup misses by shard.", func(c Counters) int64 { return c.Misses })
-	counter("fills", "Translation-service entry installs by shard.", func(c Counters) int64 { return c.Fills })
-	counter("evictions", "Translation-service evictions by shard.", func(c Counters) int64 { return c.Evictions })
-	counter("invalidations", "Translation-service invalidations by shard.", func(c Counters) int64 { return c.Invalidations })
-
-	bw.WriteString("# HELP utlb_xlate_occupancy Valid translation entries by shard.\n")
-	bw.WriteString("# TYPE utlb_xlate_occupancy gauge\n")
-	for _, sh := range st.PerShard {
-		fmt.Fprintf(bw, "utlb_xlate_occupancy{shard=\"%d\"} %d\n", sh.Shard, sh.Occupancy)
-	}
-	fmt.Fprintf(bw, "utlb_xlate_occupancy{shard=\"all\"} %d\n", st.Total.Occupancy)
-
-	bw.WriteString("# HELP utlb_xlate_capacity Configured translation entries by shard.\n")
-	bw.WriteString("# TYPE utlb_xlate_capacity gauge\n")
-	for _, sh := range st.PerShard {
-		fmt.Fprintf(bw, "utlb_xlate_capacity{shard=\"%d\"} %d\n", sh.Shard, sh.Capacity)
-	}
-	fmt.Fprintf(bw, "utlb_xlate_capacity{shard=\"all\"} %d\n", st.Capacity)
-	return bw.Flush()
+	family("utlb_xlate_lookups_total", "Translation-service lookups by shard.", "counter",
+		st.Total.Lookups, func(sh *ShardStats) int64 { return sh.Lookups })
+	family("utlb_xlate_hits_total", "Translation-service lookup hits by shard.", "counter",
+		st.Total.Hits, func(sh *ShardStats) int64 { return sh.Hits })
+	family("utlb_xlate_misses_total", "Translation-service lookup misses by shard.", "counter",
+		st.Total.Misses, func(sh *ShardStats) int64 { return sh.Misses })
+	family("utlb_xlate_fills_total", "Translation-service entry installs by shard.", "counter",
+		st.Total.Fills, func(sh *ShardStats) int64 { return sh.Fills })
+	family("utlb_xlate_evictions_total", "Translation-service evictions by shard.", "counter",
+		st.Total.Evictions, func(sh *ShardStats) int64 { return sh.Evictions })
+	family("utlb_xlate_invalidations_total", "Translation-service invalidations by shard.", "counter",
+		st.Total.Invalidations, func(sh *ShardStats) int64 { return sh.Invalidations })
+	family("utlb_xlate_occupancy", "Valid translation entries by shard.", "gauge",
+		st.Total.Occupancy, func(sh *ShardStats) int64 { return sh.Occupancy })
+	family("utlb_xlate_capacity", "Configured translation entries by shard.", "gauge",
+		st.Capacity, func(sh *ShardStats) int64 { return sh.Capacity })
+	return p.Flush()
 }

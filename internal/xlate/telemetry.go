@@ -4,17 +4,15 @@ import (
 	"fmt"
 
 	"utlb/internal/telemetry"
-	"utlb/internal/units"
 )
 
 // Live telemetry wiring. The service carries an optional
-// *telemetry.Sink; nil means disabled, and every hot-path method
-// guards its telemetry variant behind one nil pointer compare — the
-// same zero-overhead-when-disabled contract the obs.Recorder hooks
-// honour. When enabled, each per-shard segment is timed on the sink's
-// clock and charged lock-free to that shard's counters, and every
-// SampleEvery-th request additionally builds an obs event chain for
-// the Chrome-trace export.
+// *telemetry.Sink; nil means disabled. Each operation has one body,
+// which drives a telemetry.Request: with a sink attached, each
+// per-shard segment is timed on the sink's clock and charged lock-free
+// to that shard's counters, and every SampleEvery-th request also
+// gathers an obs event chain for the Chrome-trace export; the Request
+// of a nil sink does nothing and allocates nothing.
 
 // AttachTelemetry enables live telemetry on the service. Must be
 // called before the service takes traffic (the field is read without
@@ -33,148 +31,3 @@ func (s *Service) AttachTelemetry(t *telemetry.Sink) error {
 
 // Telemetry returns the attached sink, nil when telemetry is off.
 func (s *Service) Telemetry() *telemetry.Sink { return s.tel }
-
-// lookupTel is Lookup with telemetry enabled: the probe is timed as a
-// one-key shard segment, and sampled requests retain a trace chain.
-func (s *Service) lookupTel(k Key) Result {
-	t := s.tel
-	id, sampled := t.BeginRequest()
-	si := s.shardIndex(k)
-	start := t.Now()
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	r := sh.cache.Lookup(k)
-	sh.mu.Unlock()
-	end := t.Now()
-	var hits int64
-	if r.Hit {
-		hits = 1
-	}
-	t.RecordLookups(si, 1, hits, end-start, end)
-	if sampled {
-		tr := t.StartTrace(id, start, 1)
-		tr.Shard(t, si, 1, start, end-start)
-		t.FinishTrace(tr, end, hits)
-	}
-	return r
-}
-
-// insertTel is Insert with telemetry enabled.
-func (s *Service) insertTel(k Key, pfn units.PFN) (Key, bool) {
-	t := s.tel
-	id, sampled := t.BeginRequest()
-	si := s.shardIndex(k)
-	start := t.Now()
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	evicted, wasEvicted := sh.cache.Insert(k, pfn)
-	sh.mu.Unlock()
-	end := t.Now()
-	var ev int64
-	if wasEvicted {
-		ev = 1
-	}
-	t.RecordInserts(si, 1, ev, end-start, end)
-	if sampled {
-		tr := t.StartTrace(id, start, 1)
-		tr.Shard(t, si, 1, start, end-start)
-		t.FinishTrace(tr, end, 0)
-	}
-	return evicted, wasEvicted
-}
-
-// lookupManyTel is LookupMany with telemetry enabled: each per-shard
-// segment (one lock acquisition covering every key routed to that
-// shard) is timed and charged to its shard, and a sampled request
-// retains one chain with a segment event per shard touched.
-func (s *Service) lookupManyTel(keys []Key, out []Result) []Result {
-	t := s.tel
-	if cap(out) < len(keys) {
-		out = make([]Result, len(keys))
-	}
-	out = out[:len(keys)]
-	id, sampled := t.BeginRequest()
-	reqStart := t.Now()
-	var tr *telemetry.Trace
-	if sampled {
-		tr = t.StartTrace(id, reqStart, len(keys))
-	}
-	var totalHits int64
-	for si := range s.shards {
-		sh := &s.shards[si]
-		locked := false
-		var n, hits, segStart int64
-		for i := range keys {
-			if s.shardIndex(keys[i]) != si {
-				continue
-			}
-			if !locked {
-				segStart = t.Now()
-				sh.mu.Lock()
-				locked = true
-			}
-			out[i] = sh.cache.Lookup(keys[i])
-			n++
-			if out[i].Hit {
-				hits++
-			}
-		}
-		if locked {
-			sh.mu.Unlock()
-			end := t.Now()
-			t.RecordLookups(si, n, hits, end-segStart, end)
-			if tr != nil {
-				tr.Shard(t, si, n, segStart, end-segStart)
-			}
-			totalHits += hits
-		}
-	}
-	if tr != nil {
-		t.FinishTrace(tr, t.Now(), totalHits)
-	}
-	return out
-}
-
-// insertManyTel is InsertMany with telemetry enabled.
-func (s *Service) insertManyTel(keys []Key, pfns []units.PFN) int {
-	t := s.tel
-	id, sampled := t.BeginRequest()
-	reqStart := t.Now()
-	var tr *telemetry.Trace
-	if sampled {
-		tr = t.StartTrace(id, reqStart, len(keys))
-	}
-	evictions := 0
-	for si := range s.shards {
-		sh := &s.shards[si]
-		locked := false
-		var n, ev, segStart int64
-		for i := range keys {
-			if s.shardIndex(keys[i]) != si {
-				continue
-			}
-			if !locked {
-				segStart = t.Now()
-				sh.mu.Lock()
-				locked = true
-			}
-			if _, e := sh.cache.Insert(keys[i], pfns[i]); e {
-				ev++
-			}
-			n++
-		}
-		if locked {
-			sh.mu.Unlock()
-			end := t.Now()
-			t.RecordInserts(si, n, ev, end-segStart, end)
-			if tr != nil {
-				tr.Shard(t, si, n, segStart, end-segStart)
-			}
-			evictions += int(ev)
-		}
-	}
-	if tr != nil {
-		t.FinishTrace(tr, t.Now(), 0)
-	}
-	return evictions
-}

@@ -83,7 +83,7 @@ type Service struct {
 	cfg    Config
 	mask   uint64
 	shards []shard
-	tel    *telemetry.Sink // nil = live telemetry disabled (the common case)
+	tel    *telemetry.Sink // nil = live telemetry off
 }
 
 // New returns a service for cfg.
@@ -115,27 +115,48 @@ func (s *Service) shardIndex(k Key) int {
 	return int((h ^ (h >> 29)) & s.mask)
 }
 
+// nextInShard returns the index of the first key at or after from that
+// routes to shard si, or len(keys).
+func (s *Service) nextInShard(keys []Key, from, si int) int {
+	for from < len(keys) && s.shardIndex(keys[from]) != si {
+		from++
+	}
+	return from
+}
+
 // Lookup probes the service for k.
 func (s *Service) Lookup(k Key) Result {
-	if s.tel != nil {
-		return s.lookupTel(k)
-	}
-	sh := &s.shards[s.shardIndex(k)]
+	req := s.tel.BeginOp()
+	si := s.shardIndex(k)
+	seg := req.Segment()
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	r := sh.cache.Lookup(k)
 	sh.mu.Unlock()
+	var hits int64
+	if r.Hit {
+		hits = 1
+	}
+	req.Lookups(si, seg, 1, hits)
+	req.FinishOp(hits)
 	return r
 }
 
 // Insert installs k→pfn, evicting within k's shard if needed.
 func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
-	if s.tel != nil {
-		return s.insertTel(k, pfn)
-	}
-	sh := &s.shards[s.shardIndex(k)]
+	req := s.tel.BeginOp()
+	si := s.shardIndex(k)
+	seg := req.Segment()
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	evicted, wasEvicted = sh.cache.Insert(k, pfn)
 	sh.mu.Unlock()
+	var ev int64
+	if wasEvicted {
+		ev = 1
+	}
+	req.Inserts(si, seg, 1, ev)
+	req.FinishOp(0)
 	return evicted, wasEvicted
 }
 
@@ -172,32 +193,36 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 // LookupMany resolves keys into out (grown if needed) and returns it.
 // Requests are grouped per shard so each shard lock is taken at most
 // once per batch, however the keys interleave — the amortisation that
-// makes bulk lookups cheap. out[i] corresponds to keys[i].
+// makes bulk lookups cheap. out[i] corresponds to keys[i]. Each locked
+// stretch is one telemetry segment, timed and charged to its shard.
 func (s *Service) LookupMany(keys []Key, out []Result) []Result {
-	if s.tel != nil {
-		return s.lookupManyTel(keys, out)
-	}
 	if cap(out) < len(keys) {
 		out = make([]Result, len(keys))
 	}
 	out = out[:len(keys)]
+	req := s.tel.Begin(len(keys))
+	var totalHits int64
 	for si := range s.shards {
+		i := s.nextInShard(keys, 0, si)
+		if i == len(keys) {
+			continue
+		}
 		sh := &s.shards[si]
-		locked := false
-		for i := range keys {
-			if s.shardIndex(keys[i]) != si {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
+		var n, hits int64
+		seg := req.Segment()
+		sh.mu.Lock()
+		for ; i < len(keys); i = s.nextInShard(keys, i+1, si) {
 			out[i] = sh.cache.Lookup(keys[i])
+			n++
+			if out[i].Hit {
+				hits++
+			}
 		}
-		if locked {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
+		req.Lookups(si, seg, n, hits)
+		totalHits += hits
 	}
+	req.Finish(totalHits)
 	return out
 }
 
@@ -208,29 +233,28 @@ func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 	if len(keys) != len(pfns) {
 		panic(fmt.Sprintf("xlate: InsertMany with %d keys but %d pfns", len(keys), len(pfns)))
 	}
-	if s.tel != nil {
-		return s.insertManyTel(keys, pfns)
-	}
+	req := s.tel.Begin(len(keys))
 	evictions := 0
 	for si := range s.shards {
+		i := s.nextInShard(keys, 0, si)
+		if i == len(keys) {
+			continue
+		}
 		sh := &s.shards[si]
-		locked := false
-		for i := range keys {
-			if s.shardIndex(keys[i]) != si {
-				continue
+		var n, ev int64
+		seg := req.Segment()
+		sh.mu.Lock()
+		for ; i < len(keys); i = s.nextInShard(keys, i+1, si) {
+			if _, e := sh.cache.Insert(keys[i], pfns[i]); e {
+				ev++
 			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
-			if _, ev := sh.cache.Insert(keys[i], pfns[i]); ev {
-				evictions++
-			}
+			n++
 		}
-		if locked {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
+		req.Inserts(si, seg, n, ev)
+		evictions += int(ev)
 	}
+	req.Finish(0)
 	return evictions
 }
 

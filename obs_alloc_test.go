@@ -146,7 +146,7 @@ func TestTLBCacheLookupFillAllocBudget(t *testing.T) {
 // lookup at zero allocations in all three telemetry states:
 //
 //   - telemetry disabled (nil sink): the baseline hot path, where the
-//     entire telemetry surface must cost one pointer compare;
+//     inert telemetry.Request must allocate nothing;
 //   - telemetry enabled, request not sampled: lock-free atomic counter
 //     and histogram updates only;
 //   - telemetry enabled with sampling off entirely (SampleEvery 0).
