@@ -160,19 +160,26 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
+// TestRunAllSmall pins the whole simulated output: RunAll at scale
+// 0.05, seed 1998 — `utlbsim -exp all -scale 0.05` — byte for byte
+// against testdata/all.golden.txt, at pool widths 1 and 8.
 func TestRunAllSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll is slow")
 	}
-	opts := Options{Scale: 0.02, Seed: 7, Apps: []string{"water-spatial"}}
-	var sb strings.Builder
-	if err := RunAll(opts, &sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range Names {
-		if !strings.Contains(sb.String(), "=== "+name+" ===") {
-			t.Errorf("RunAll missing %s", name)
-		}
+	for _, width := range []int{1, 8} {
+		atWidth(width, func() {
+			var sb strings.Builder
+			if err := RunAll(goldenOpts(), &sb); err != nil {
+				t.Fatalf("width %d: %v", width, err)
+			}
+			for _, name := range Names {
+				if !strings.Contains(sb.String(), "=== "+name+" ===") {
+					t.Errorf("RunAll missing %s", name)
+				}
+			}
+			checkGolden(t, "all.golden.txt", sb.String())
+		})
 	}
 }
 
