@@ -4,7 +4,7 @@ GO ?= go
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json build test race race-concurrency bench bench-smoke profile-sim obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
+.PHONY: all check vet lint lint-json loc build test race race-concurrency bench bench-smoke profile-sim obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
 
 all: check
 
@@ -31,6 +31,15 @@ lint:
 lint-json:
 	mkdir -p $(ARTIFACTS)
 	timeout 60 $(GO) run ./cmd/utlblint -json ./... > $(ARTIFACTS)/lint.json
+
+# The size criterion of a simplicity PR, measured one way: non-test Go
+# lines per package and in total. bench/ (frozen to non-benchmark PRs),
+# testdata/ fixtures and build leftovers are not the program.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+		! -path './.bench_build/*' ! -path './$(ARTIFACTS)/*' \
+		| xargs awk '{ d = FILENAME; sub("/[^/]*$$", "", d); n[d]++ } END { for (d in n) printf "%7d %s\n", n[d], d }' \
+		| sort -k2 | awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
 build:
 	$(GO) build ./...

@@ -72,11 +72,9 @@ type Bus struct {
 	bytesRead  int64
 	bytesWrite int64
 
-	// Observability: each DMA transfer is recorded as a span on the
-	// bus track when rec is non-nil.
-	rec  obs.Recorder
-	node units.NodeID
-	xfer *obs.XferCursor
+	// tap records each DMA transfer as a span on the bus track; nil —
+	// the default — records nothing.
+	tap *obs.Tap
 
 	// words is ReadWords' reused result buffer (the returned slice is
 	// only valid until the next ReadWords call; see that method).
@@ -105,17 +103,10 @@ func New(mem *phys.Memory, clock *units.Clock, costs Costs) *Bus {
 // Costs returns the bus cost model.
 func (b *Bus) Costs() Costs { return b.costs }
 
-// SetRecorder attaches r: every DMA transfer is recorded as a span
-// (start = clock before the transfer, duration = its charged cost)
-// tagged with node. nil detaches.
-func (b *Bus) SetRecorder(r obs.Recorder, node units.NodeID) {
-	b.rec = r
-	b.node = node
-}
-
-// SetXferCursor attaches the transfer cursor whose current id stamps
-// every recorded DMA span (nil — the default — stamps 0).
-func (b *Bus) SetXferCursor(x *obs.XferCursor) { b.xfer = x }
+// SetTap attaches the recording handle (nil detaches): every DMA
+// transfer is recorded as a span whose start is the clock before the
+// transfer and whose duration is its charged cost.
+func (b *Bus) SetTap(t *obs.Tap) { b.tap = t }
 
 // SetOverlap attaches the discrete-event overlap engine: transfers
 // reserve channels on pool and schedule their completions on k. Both
@@ -167,16 +158,7 @@ func (b *Bus) transfer(kind obs.Kind, cost, block units.Time, bytes int64) {
 		b.inflight++
 		b.kernel.At(end, b.completeFn)
 	}
-	if b.rec != nil {
-		b.rec.Record(obs.Event{
-			Time: start,
-			Dur:  cost,
-			Arg:  uint64(bytes),
-			Xfer: b.xfer.Current(),
-			Node: b.node,
-			Kind: kind,
-		})
-	}
+	b.tap.Span(kind, start, cost, 0, uint64(bytes), 0)
 }
 
 // ReadWords DMAs n consecutive 8-byte words starting at pa from host

@@ -150,7 +150,7 @@ func TestTransferChargingModes(t *testing.T) {
 		for _, overlap := range []bool{false, true} {
 			b, _, clk := newBus(t, 4)
 			var buf obs.Buffer
-			b.SetRecorder(&buf, 0)
+			b.SetTap(obs.NewTap(&buf, 0))
 			k := event.NewKernel()
 			if overlap {
 				b.SetOverlap(k, event.NewPool(1))

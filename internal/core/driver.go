@@ -25,6 +25,10 @@ type Driver struct {
 
 	pinCalls   int64
 	unpinCalls int64
+
+	// tap is where the driver, its libraries and the firmware
+	// translator record; nil — the default — records nothing.
+	tap *obs.Tap
 }
 
 // NewDriver initialises the driver on host/nic: it allocates and pins
@@ -54,6 +58,14 @@ func NewDriverWith(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config,
 		cache:   cache,
 		garbage: garbage,
 	}, nil
+}
+
+// SetTap attaches the recording handle to the driver, the libraries and
+// translators built on it, and the Shared UTLB-Cache it owns, which
+// stamps its events on the NIC clock. nil detaches.
+func (d *Driver) SetTap(t *obs.Tap) {
+	d.tap = t
+	d.cache.SetTap(t, d.nic.Clock())
 }
 
 // Host returns the driver's host.
@@ -166,16 +178,7 @@ func (d *Driver) HandleSwappedTable(pid units.ProcID, vpn units.VPN) error {
 		if disk := t.Disk(); disk != nil {
 			d.host.Clock().Advance(disk.AccessTime)
 		}
-		if rec := d.host.Recorder(); rec != nil {
-			rec.Record(obs.Event{
-				Time: d.host.Clock().Now(),
-				Arg:  uint64(vpn),
-				Xfer: d.host.XferCursor().Current(),
-				PID:  pid,
-				Node: d.host.ID(),
-				Kind: obs.KindSwapIn,
-			})
-		}
+		d.tap.Instant(obs.KindSwapIn, d.host.Clock().Now(), pid, uint64(vpn), 0)
 		return t.SwapIn(vpn)
 	})
 }

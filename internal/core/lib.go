@@ -25,12 +25,6 @@ type LibConfig struct {
 	// miss, the library pins up to Prepin contiguous pages starting at
 	// the missing page. 1 disables pre-pinning.
 	Prepin int
-	// Recorder, when non-nil, receives check hit/miss spans from this
-	// library's lookups.
-	Recorder obs.Recorder
-	// Xfer, when non-nil, stamps recorded events with the current
-	// transfer id (see obs.XferCursor).
-	Xfer *obs.XferCursor
 	// Scratch, when non-nil, recycles one process slot's buffers
 	// across runs (see LibScratch). nil allocates fresh state.
 	Scratch *LibScratch
@@ -112,8 +106,6 @@ type Lib struct {
 	bv     *BitVector
 	policy Policy
 	prepin int
-	rec    obs.Recorder
-	xfer   *obs.XferCursor
 
 	// scr.pin backs prepinList's result between Lookup calls so the
 	// check-miss path allocates nothing once warm. pinAll only shrinks
@@ -143,8 +135,6 @@ func NewLib(drv *Driver, proc *hostos.Process, cfg LibConfig) (*Lib, error) {
 		bv:     cfg.Scratch.takeBitVector(host.Costs(), host.Clock()),
 		policy: cfg.Scratch.Policy(cfg.Policy, cfg.PolicySeed),
 		prepin: cfg.Prepin,
-		rec:    cfg.Recorder,
-		xfer:   cfg.Xfer,
 		scr:    cfg.Scratch,
 	}
 	return l, nil
@@ -194,22 +184,13 @@ func (l *Lib) Lookup(va units.VAddr, nbytes int) error {
 
 	t0 := l.host.Clock().Now()
 	missing := l.bv.Check(vpn, pages)
-	l.stats.CheckTime += l.host.Clock().Now() - t0
-	if l.rec != nil {
-		kind := obs.KindCheckHit
-		if len(missing) > 0 {
-			kind = obs.KindCheckMiss
-		}
-		l.rec.Record(obs.Event{
-			Time: t0,
-			Dur:  l.host.Clock().Now() - t0,
-			Arg:  uint64(pages),
-			Xfer: l.xfer.Current(),
-			PID:  l.proc.PID(),
-			Node: l.host.ID(),
-			Kind: kind,
-		})
+	check := l.host.Clock().Now() - t0
+	l.stats.CheckTime += check
+	kind := obs.KindCheckHit
+	if len(missing) > 0 {
+		kind = obs.KindCheckMiss
 	}
+	l.drv.tap.Span(kind, t0, check, l.proc.PID(), uint64(pages), 0)
 
 	for i := 0; i < pages; i++ {
 		l.policy.Touch(vpn + units.VPN(i))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"utlb/internal/nicsim"
 	"utlb/internal/obs"
 	"utlb/internal/tlbcache"
 	"utlb/internal/units"
@@ -81,39 +82,32 @@ func (tr *Translator) TranslateBatch(pid units.ProcID, vpns []units.VPN, pfns []
 	}
 }
 
-func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (units.PFN, TranslateInfo) {
-	nic := tr.drv.NIC()
-	cache := tr.drv.Cache()
-	tr.lookups++
-
-	// The probe phase (lookup base + one SRAM probe per examined
-	// entry) is the firmware cost every translation pays, hit or miss;
-	// record it as a span so the critical-path breakdown can separate
-	// probe time from the miss-only DMA fill.
-	rec := nic.Recorder()
-	var probeStart units.Time
-	if rec != nil {
-		probeStart = nic.Clock().Now()
-	}
+// Probe is the firmware's probe phase, the NIC cost every translation
+// pays, hit or miss, in every design built on a NIC translation cache:
+// the lookup entry cost (LookupBase for the first entry of a dispatch,
+// BatchEntry for each later one), the cache lookup, and one SRAM probe
+// per examined entry. It is recorded as one ni_probe span so the
+// critical-path breakdown can separate probe time from the miss-only
+// fill, and compares like with like across designs.
+func Probe(nic *nicsim.NIC, cache *tlbcache.Cache, tap *obs.Tap, key tlbcache.Key, first bool) tlbcache.Result {
+	start := nic.Clock().Now()
 	if first {
 		nic.ChargeLookupBase()
 	} else {
 		nic.ChargeBatchEntry()
 	}
-	key := tlbcache.Key{PID: pid, VPN: vpn}
 	res := cache.Lookup(key)
 	nic.ChargeProbes(res.Probes)
-	if rec != nil {
-		rec.Record(obs.Event{
-			Time: probeStart,
-			Dur:  nic.Clock().Now() - probeStart,
-			Arg:  uint64(res.Probes),
-			Xfer: nic.XferCursor().Current(),
-			PID:  pid,
-			Node: nic.ID(),
-			Kind: obs.KindNIProbe,
-		})
-	}
+	tap.Span(obs.KindNIProbe, start, nic.Clock().Now()-start, key.PID, uint64(res.Probes), 0)
+	return res
+}
+
+func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (units.PFN, TranslateInfo) {
+	nic := tr.drv.NIC()
+	cache := tr.drv.Cache()
+	tr.lookups++
+
+	res := Probe(nic, cache, tr.drv.tap, tlbcache.Key{PID: pid, VPN: vpn}, first)
 	if res.Hit {
 		return res.PFN, TranslateInfo{Hit: true, Probes: res.Probes}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"utlb/internal/obs"
 	"utlb/internal/parallel"
+	"utlb/internal/stats"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 	"utlb/internal/workload"
@@ -137,87 +138,93 @@ func (o Options) avgOver(app string, f func(node int, tr trace.Trace) ([]float64
 	return sum, nil
 }
 
-// Experiment names, in paper order; the ablations extend the paper's
-// own future-work list.
-var Names = []string{
-	"table1", "table2", "table3", "table4", "table5",
-	"table6", "table7", "table8", "fig7", "fig8",
-	"ablation-policies", "ablation-perprocess", "ablation-multiprog",
-	"batchsweep", "svm-pipeline", "chaos", "overlap",
+// table is the experiment set, written once: canonical name, shorthand
+// alias (t1-t8, f7-f8; "" = none) and what to run, in paper order — the
+// ablations extend the paper's own future-work list. Names, Canonical,
+// Known and Run all read it.
+var table = []struct {
+	name, alias string
+	run         func(Options) ([]stringer, error)
+}{
+	{"table1", "t1", func(Options) ([]stringer, error) { return []stringer{Table1()}, nil }},
+	{"table2", "t2", func(Options) ([]stringer, error) { return []stringer{Table2()}, nil }},
+	{"table3", "t3", one(Table3)},
+	{"table4", "t4", one(Table4)},
+	{"table5", "t5", one(Table5)},
+	{"table6", "t6", one(Table6)},
+	{"table7", "t7", one(Table7)},
+	{"table8", "t8", one(Table8)},
+	{"fig7", "f7", one(Fig7)},
+	{"fig8", "f8", func(opts Options) ([]stringer, error) {
+		miss, cost, err := Fig8(opts)
+		return []stringer{miss, cost}, err
+	}},
+	{"ablation-policies", "", one(AblationPolicies)},
+	{"ablation-perprocess", "", one(AblationPerProcess)},
+	{"ablation-multiprog", "", one(AblationMultiprog)},
+	{"batchsweep", "", one(BatchSweep)},
+	{"svm-pipeline", "", one(SVMPipeline)},
+	{"chaos", "", one(Chaos)},
+	{"overlap", "", one(Overlap)},
 }
 
-// aliases maps shorthand experiment names (t6, f7) to canonical ones.
-var aliases = map[string]string{
-	"t1": "table1", "t2": "table2", "t3": "table3", "t4": "table4",
-	"t5": "table5", "t6": "table6", "t7": "table7", "t8": "table8",
-	"f7": "fig7", "f8": "fig8",
+// one adapts an experiment that renders as a single table.
+func one(f func(Options) (*stats.Table, error)) func(Options) ([]stringer, error) {
+	return func(opts Options) ([]stringer, error) {
+		out, err := f(opts)
+		return []stringer{out}, err
+	}
 }
 
-// Canonical resolves an experiment name or shorthand alias.
+// Names lists the experiments by canonical name, in paper order.
+var Names = func() []string {
+	names := make([]string, len(table))
+	for i := range table {
+		names[i] = table[i].name
+	}
+	return names
+}()
+
+// find returns the index in table of the experiment name names,
+// canonically or by alias, or -1.
+func find(name string) int {
+	for i := range table {
+		if name == table[i].name || (name != "" && name == table[i].alias) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Canonical resolves an experiment name or shorthand alias; a name it
+// does not know is returned as is.
 func Canonical(name string) string {
-	if full, ok := aliases[name]; ok {
-		return full
+	if i := find(name); i >= 0 {
+		return table[i].name
 	}
 	return name
 }
 
+// Known reports whether name, canonical or alias, is an experiment.
+func Known(name string) bool { return find(name) >= 0 }
+
 // Run executes the named experiment (canonical name or t1-t8/f7-f8
 // shorthand) and writes its rendering to w.
 func Run(name string, opts Options, w io.Writer) error {
-	var (
-		out stringer
-		err error
-	)
-	switch Canonical(name) {
-	case "table1":
-		out = Table1()
-	case "table2":
-		out = Table2()
-	case "table3":
-		out, err = Table3(opts)
-	case "table4":
-		out, err = Table4(opts)
-	case "table5":
-		out, err = Table5(opts)
-	case "table6":
-		out, err = Table6(opts)
-	case "table7":
-		out, err = Table7(opts)
-	case "table8":
-		out, err = Table8(opts)
-	case "fig7":
-		out, err = Fig7(opts)
-	case "fig8":
-		var miss, cost stringer
-		miss, cost, err = Fig8(opts)
-		if err != nil {
-			return err
-		}
-		if err := render(w, miss); err != nil {
-			return err
-		}
-		return render(w, cost)
-	case "ablation-policies":
-		out, err = AblationPolicies(opts)
-	case "ablation-perprocess":
-		out, err = AblationPerProcess(opts)
-	case "ablation-multiprog":
-		out, err = AblationMultiprog(opts)
-	case "batchsweep":
-		out, err = BatchSweep(opts)
-	case "svm-pipeline":
-		out, err = SVMPipeline(opts)
-	case "chaos":
-		out, err = Chaos(opts)
-	case "overlap":
-		out, err = Overlap(opts)
-	default:
+	i := find(name)
+	if i < 0 {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names)
 	}
+	outs, err := table[i].run(opts)
 	if err != nil {
 		return err
 	}
-	return render(w, out)
+	for _, out := range outs {
+		if err := render(w, out); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunAll executes every experiment. The experiments are independent

@@ -158,6 +158,17 @@ func TestRunDispatch(t *testing.T) {
 	if err := Run("table99", opts, &sb); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	// One table serves names, aliases and dispatch: every name is known
+	// and canonical, an alias resolves, and the empty alias of the
+	// ablations matches nothing.
+	for _, name := range Names {
+		if !Known(name) || Canonical(name) != name {
+			t.Errorf("%s: Known %v, Canonical %q", name, Known(name), Canonical(name))
+		}
+	}
+	if !Known("t6") || Canonical("f8") != "fig8" || Known("") || Known("table99") || Canonical("nope") != "nope" {
+		t.Error("alias resolution broken")
+	}
 }
 
 // TestRunAllSmall pins the whole simulated output: RunAll at scale

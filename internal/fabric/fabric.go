@@ -123,9 +123,9 @@ type Network struct {
 	// of the FaultPlan rates; nil — the default — never fires.
 	dropFault    *fault.Point
 	corruptFault *fault.Point
-	// rec, when non-nil, records every drop/corruption (injected or
-	// plan-driven) as an instant on the sending node's wire time.
-	rec obs.Recorder
+	// tap records every drop/corruption (injected or plan-driven) as an
+	// instant on the sending node's wire time; nil records nothing.
+	tap *obs.Tap
 
 	sent      int64
 	dropped   int64
@@ -158,20 +158,9 @@ func (n *Network) SetFaultPoints(drop, corrupt *fault.Point) {
 	n.corruptFault = corrupt
 }
 
-// SetRecorder attaches r: wire faults are recorded as instants on the
-// nic track of the sending node. nil detaches.
-func (n *Network) SetRecorder(r obs.Recorder) { n.rec = r }
-
-// record emits one wire-fault instant; callers nil-check n.rec first.
-func (n *Network) record(kind obs.Kind, pkt *Packet, t units.Time) {
-	//lint:ignore obssafety callers nil-check n.rec so the disabled path never evaluates the Event args
-	n.rec.Record(obs.Event{
-		Time: t,
-		Arg:  uint64(pkt.WireBytes()),
-		Node: pkt.Src,
-		Kind: kind,
-	})
-}
+// SetTap attaches the recording handle (nil detaches): wire faults are
+// recorded as instants on the nic track of the sending node.
+func (n *Network) SetTap(t *obs.Tap) { n.tap = t }
 
 // Stats reports (sent, delivered, dropped, corrupted) packet counts.
 func (n *Network) Stats() (sent, delivered, dropped, corrupted int64) {
@@ -208,9 +197,7 @@ func (n *Network) Transmit(pkt *Packet, depart units.Time) (units.Time, bool) {
 	if n.dropFault.Fire() ||
 		(n.faults.DropRate > 0 && n.rng.Float64() < n.faults.DropRate) {
 		n.dropped++
-		if n.rec != nil {
-			n.record(obs.KindFaultDrop, pkt, start)
-		}
+		n.tap.InstantOn(pkt.Src, obs.KindFaultDrop, start, uint64(pkt.WireBytes()))
 		return arrival, false
 	}
 	delivered := *pkt
@@ -229,9 +216,7 @@ func (n *Network) Transmit(pkt *Packet, depart units.Time) (units.Time, bool) {
 	}
 	if corrupt {
 		n.corrupted++
-		if n.rec != nil {
-			n.record(obs.KindFaultCorrupt, pkt, start)
-		}
+		n.tap.InstantOn(pkt.Src, obs.KindFaultCorrupt, start, uint64(pkt.WireBytes()))
 	}
 	n.delivered++
 	h(&delivered, arrival)

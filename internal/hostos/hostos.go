@@ -173,11 +173,12 @@ type Host struct {
 	current  units.ProcID
 	switches int64
 
-	// Observability: pin/unpin ioctls and interrupts are recorded as
-	// spans on the host track when rec is non-nil; xfer stamps them
-	// with the transfer in progress.
-	rec  obs.Recorder
-	xfer *obs.XferCursor
+	// tap records pin/unpin ioctls, reclaimer passes and interrupts as
+	// spans on the host clock; nil — the default — records nothing.
+	tap *obs.Tap
+	// device, when non-nil, is the interrupting device's clock, which
+	// Interrupt synchronises with.
+	device *units.Clock
 
 	// pinFault, when armed, makes pin attempts fail with injected
 	// frame exhaustion (nil — the default — never fires).
@@ -216,40 +217,19 @@ func (h *Host) Memory() *phys.Memory { return h.mem }
 // Costs returns the host cost model.
 func (h *Host) Costs() Costs { return h.costs }
 
-// SetRecorder attaches r: pin/unpin ioctls and interrupts are
-// recorded as spans on the host clock. nil detaches.
-func (h *Host) SetRecorder(r obs.Recorder) { h.rec = r }
+// SetTap attaches the recording handle (nil detaches).
+func (h *Host) SetTap(t *obs.Tap) { h.tap = t }
 
-// Recorder returns the attached recorder (nil when disabled), letting
-// components that already hold the host — the UTLB driver, the
-// interrupt baseline — record their own host-side events.
-func (h *Host) Recorder() obs.Recorder { return h.rec }
-
-// SetXferCursor attaches the transfer cursor whose current id stamps
-// every recorded host span (nil — the default — stamps 0).
-func (h *Host) SetXferCursor(x *obs.XferCursor) { h.xfer = x }
-
-// XferCursor returns the attached cursor (possibly nil; all cursor
-// methods are nil-safe), for components recording via Recorder().
-func (h *Host) XferCursor() *obs.XferCursor { return h.xfer }
+// SetInterruptSync makes interrupts a rendezvous with the device whose
+// clock is given (the overlap engine): the host cannot service an
+// interrupt before the device asserts it, and the device blocks until
+// the handler returns on the host's own timeline. nil — the sequential
+// charging model — leaves the two clocks independent.
+func (h *Host) SetInterruptSync(device *units.Clock) { h.device = device }
 
 // SetPinFault arms the injected frame-exhaustion fault on the pin
 // path (fault.SiteHostPin). nil — the default — disables injection.
 func (h *Host) SetPinFault(p *fault.Point) { h.pinFault = p }
-
-// recordSpan emits one host span; callers nil-check h.rec first.
-func (h *Host) recordSpan(kind obs.Kind, start units.Time, pid units.ProcID, pages int) {
-	//lint:ignore obssafety callers nil-check h.rec so the disabled path never evaluates the Event args
-	h.rec.Record(obs.Event{
-		Time: start,
-		Dur:  h.clock.Now() - start,
-		Arg:  uint64(pages),
-		Xfer: h.xfer.Current(),
-		PID:  pid,
-		Node: h.id,
-		Kind: kind,
-	})
-}
 
 // Spawn creates a process with the given pid and name, backed by space
 // (which carries its own pinned-page quota), and registers it.
@@ -287,21 +267,21 @@ func (h *Host) Processes() int { return len(h.procs) }
 // pages it already pinned and reports the error; time for the attempted
 // work is still charged, as it would be on a real machine.
 func (h *Host) PinPages(p *Process, vpns []units.VPN) ([]units.PFN, error) {
-	if h.rec != nil {
-		defer h.recordSpan(obs.KindPin, h.clock.Now(), p.pid, len(vpns))
-	}
+	start := h.clock.Now()
 	h.clock.Advance(h.costs.PinCost(len(vpns)))
-	return h.pinLocked(p, vpns)
+	pfns, err := h.pinLocked(p, vpns)
+	h.tap.Span(obs.KindPin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
+	return pfns, err
 }
 
 // PinPagesInKernel is PinPages without the protection-domain crossing,
 // used by the interrupt-based baseline inside its interrupt handler.
 func (h *Host) PinPagesInKernel(p *Process, vpns []units.VPN) ([]units.PFN, error) {
-	if h.rec != nil {
-		defer h.recordSpan(obs.KindKernelPin, h.clock.Now(), p.pid, len(vpns))
-	}
+	start := h.clock.Now()
 	h.clock.Advance(h.costs.KernelPinCost(len(vpns)))
-	return h.pinLocked(p, vpns)
+	pfns, err := h.pinLocked(p, vpns)
+	h.tap.Span(obs.KindKernelPin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
+	return pfns, err
 }
 
 // maxPinAttempts bounds how many reclaim-and-retry rounds one page pin
@@ -367,9 +347,7 @@ func (h *Host) pinOne(p *Process, vpn units.VPN, want int) (units.PFN, error) {
 			return units.NoPFN, err
 		}
 		h.pinRetries++
-		if h.rec != nil {
-			h.recordInstant(obs.KindPinRetry, p.pid, uint64(attempt))
-		}
+		h.tap.Instant(obs.KindPinRetry, h.clock.Now(), p.pid, uint64(attempt), 0)
 	}
 }
 
@@ -380,47 +358,31 @@ func (h *Host) pinOne(p *Process, vpn units.VPN, want int) (units.PFN, error) {
 // them apart).
 func (h *Host) tryPin(p *Process, vpn units.VPN) (units.PFN, error) {
 	if h.pinFault.Fire() {
-		if h.rec != nil {
-			h.recordInstant(obs.KindFaultPin, p.pid, uint64(vpn))
-		}
+		h.tap.Instant(obs.KindFaultPin, h.clock.Now(), p.pid, uint64(vpn), 0)
 		return units.NoPFN, fmt.Errorf("hostos: pin page %#x: %w (%w)",
 			vpn, phys.ErrOutOfMemory, fault.ErrInjected)
 	}
 	return p.space.Pin(vpn)
 }
 
-// recordInstant emits one zero-duration host event; callers nil-check
-// h.rec first.
-func (h *Host) recordInstant(kind obs.Kind, pid units.ProcID, arg uint64) {
-	//lint:ignore obssafety callers nil-check h.rec so the disabled path never evaluates the Event args
-	h.rec.Record(obs.Event{
-		Time: h.clock.Now(),
-		Arg:  arg,
-		Xfer: h.xfer.Current(),
-		PID:  pid,
-		Node: h.id,
-		Kind: kind,
-	})
-}
-
 // UnpinPages is the kernel unpin facility: charges the ioctl cost and
 // unpins every page. Unpinning a page that is not pinned is a caller
 // bug and returns an error after charging time.
 func (h *Host) UnpinPages(p *Process, vpns []units.VPN) error {
-	if h.rec != nil {
-		defer h.recordSpan(obs.KindUnpin, h.clock.Now(), p.pid, len(vpns))
-	}
+	start := h.clock.Now()
 	h.clock.Advance(h.costs.UnpinCost(len(vpns)))
-	return h.unpinLocked(p, vpns)
+	err := h.unpinLocked(p, vpns)
+	h.tap.Span(obs.KindUnpin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
+	return err
 }
 
 // UnpinPagesInKernel is UnpinPages without the domain crossing.
 func (h *Host) UnpinPagesInKernel(p *Process, vpns []units.VPN) error {
-	if h.rec != nil {
-		defer h.recordSpan(obs.KindKernelUnpin, h.clock.Now(), p.pid, len(vpns))
-	}
+	start := h.clock.Now()
 	h.clock.Advance(h.costs.KernelUnpinCost(len(vpns)))
-	return h.unpinLocked(p, vpns)
+	err := h.unpinLocked(p, vpns)
+	h.tap.Span(obs.KindKernelUnpin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
+	return err
 }
 
 func (h *Host) unpinLocked(p *Process, vpns []units.VPN) error {
@@ -435,16 +397,26 @@ func (h *Host) unpinLocked(p *Process, vpns []units.VPN) error {
 // Interrupt delivers a device interrupt to the host: it charges the
 // dispatch cost, runs the handler in kernel context, and returns the
 // handler's error. The interrupt-based translation baseline lives on
-// this path; UTLB's whole point is to keep off it.
+// this path; UTLB's whole point is to keep off it. Every interrupt of
+// the model — the baseline's miss handler, the driver's swapped-table
+// handler — comes through here, so this is where the two processors
+// meet under the overlap engine (a device clock is attached); both
+// waits are AdvanceTo, waiting and not work.
 func (h *Host) Interrupt(handler func() error) error {
 	h.interrupts++
-	if h.rec != nil {
-		// The span covers dispatch plus the handler's own host time
-		// (interrupt-time pins record nested spans of their own).
-		defer h.recordSpan(obs.KindInterrupt, h.clock.Now(), 0, 0)
+	if h.device != nil {
+		h.clock.AdvanceTo(h.device.Now())
 	}
+	// The span covers dispatch plus the handler's own host time
+	// (interrupt-time pins record nested spans of their own).
+	start := h.clock.Now()
 	h.clock.Advance(h.costs.InterruptDispatch)
-	return handler()
+	err := handler()
+	h.tap.Span(obs.KindInterrupt, start, h.clock.Now()-start, 0, 0, 0)
+	if h.device != nil {
+		h.device.AdvanceTo(h.clock.Now())
+	}
+	return err
 }
 
 // InterruptCount reports how many interrupts this host has taken.

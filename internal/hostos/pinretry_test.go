@@ -65,7 +65,7 @@ func TestPinReclaimsAndRetriesOnFrameExhaustion(t *testing.T) {
 func TestPinSurvivesInjectedExhaustionWithObsEvents(t *testing.T) {
 	h := New(0, 16*units.MB, DefaultCosts())
 	rec := obs.NewBuffer("test")
-	h.SetRecorder(rec)
+	h.SetTap(obs.NewTap(rec, 0))
 	hog := spawn(t, h, 1, 0)
 	pinner := spawn(t, h, 2, 0)
 	if _, err := hog.Space().Touch(50); err != nil { // reclaim fodder

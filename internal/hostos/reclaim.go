@@ -68,25 +68,8 @@ func (h *Host) Reclaim(want int) int {
 		units.Time(reclaimed)*h.costs.PinPerPage)
 	h.reclaims++
 	h.framesReclaimed += int64(reclaimed)
-	if h.rec != nil {
-		h.recordReclaim(start, reclaimed, want)
-	}
+	h.tap.Span(obs.KindReclaim, start, h.clock.Now()-start, 0, uint64(reclaimed), uint64(want))
 	return reclaimed
-}
-
-// recordReclaim emits the reclaimer-pass span; callers nil-check h.rec
-// first.
-func (h *Host) recordReclaim(start units.Time, frames, want int) {
-	//lint:ignore obssafety callers nil-check h.rec so the disabled path never evaluates the Event args
-	h.rec.Record(obs.Event{
-		Time: start,
-		Dur:  h.clock.Now() - start,
-		Arg:  uint64(frames),
-		Arg2: uint64(want),
-		Xfer: h.xfer.Current(),
-		Node: h.id,
-		Kind: obs.KindReclaim,
-	})
 }
 
 // Reclaims reports how many reclaimer passes have run.

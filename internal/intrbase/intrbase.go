@@ -56,6 +56,10 @@ type Mechanism struct {
 	procs []*procState // registration order; a node hosts a handful of processes
 
 	stats Stats
+
+	// tap records the firmware's probe phase; nil — the default —
+	// records nothing.
+	tap *obs.Tap
 }
 
 // New builds the baseline on host/nic with the given cache geometry
@@ -108,70 +112,51 @@ func (m *Mechanism) state(pid units.ProcID) *procState {
 // Stats returns the cumulative counters.
 func (m *Mechanism) Stats() Stats { return m.stats }
 
-// Misses returns the cumulative NI-cache miss count without copying
-// the full Stats struct — the simulator reads it twice per translated
-// page.
-func (m *Mechanism) Misses() int64 { return m.stats.Misses }
+// SetTap attaches the recording handle to the mechanism and the cache
+// it owns, which stamps its events on the NIC clock. nil detaches.
+func (m *Mechanism) SetTap(t *obs.Tap) {
+	m.tap = t
+	m.cache.SetTap(t, m.nic.Clock())
+}
 
 // Cache returns the NIC translation cache.
 func (m *Mechanism) Cache() *tlbcache.Cache { return m.cache }
 
-// Translate resolves (pid, vpn), interrupting the host on a miss. The
-// NIC lookup cost is charged to the NIC clock; the interrupt and all
-// pin/unpin work are charged to the host clock.
-func (m *Mechanism) Translate(pid units.ProcID, vpn units.VPN) (units.PFN, error) {
+// Translate resolves (pid, vpn), interrupting the host on a miss, and
+// reports whether the NIC cache hit. The NIC lookup cost is charged to
+// the NIC clock; the interrupt and all pin/unpin work are charged to
+// the host clock.
+func (m *Mechanism) Translate(pid units.ProcID, vpn units.VPN) (pfn units.PFN, hit bool, err error) {
 	st := m.state(pid)
 	if st == nil {
-		return units.NoPFN, fmt.Errorf("intrbase: pid %d not registered", pid)
+		return units.NoPFN, false, fmt.Errorf("intrbase: pid %d not registered", pid)
 	}
 	m.stats.Lookups++
 
-	// Record the probe phase exactly as the UTLB translator does, so
-	// the critical-path breakdown compares like with like across
-	// mechanisms.
-	rec := m.nic.Recorder()
-	var probeStart units.Time
-	if rec != nil {
-		probeStart = m.nic.Clock().Now()
-	}
-	m.nic.ChargeLookupBase()
 	key := tlbcache.Key{PID: pid, VPN: vpn}
-	res := m.cache.Lookup(key)
-	m.nic.ChargeProbes(res.Probes)
-	if rec != nil {
-		rec.Record(obs.Event{
-			Time: probeStart,
-			Dur:  m.nic.Clock().Now() - probeStart,
-			Arg:  uint64(res.Probes),
-			Xfer: m.nic.XferCursor().Current(),
-			PID:  pid,
-			Node: m.nic.ID(),
-			Kind: obs.KindNIProbe,
-		})
-	}
+	res := core.Probe(m.nic, m.cache, m.tap, key, true)
 	if res.Hit {
 		st.policy.Touch(vpn)
-		return res.PFN, nil
+		return res.PFN, true, nil
 	}
 	m.stats.Misses++
 
 	// Miss: interrupt the host; the handler pins and installs.
-	var pfn units.PFN
 	t0 := m.host.Clock().Now()
 	// The miss path pays a simulated host interrupt (microseconds of
 	// model time); the handler thunk's allocation is part of that cost
 	// and counted by the SimulateWith runtime alloc budget.
 	//lint:ignore allocstatic interrupt thunk runs only on the miss path, which already pays a host interrupt; inside the runtime alloc budget
-	err := m.host.Interrupt(func() error {
+	err = m.host.Interrupt(func() error {
 		var herr error
 		pfn, herr = m.handleMiss(st, key)
 		return herr
 	})
 	m.stats.HandlerTime += m.host.Clock().Now() - t0
 	if err != nil {
-		return units.NoPFN, err
+		return units.NoPFN, false, err
 	}
-	return pfn, nil
+	return pfn, false, nil
 }
 
 // handleMiss runs in host kernel context: pin the page (evicting under

@@ -42,7 +42,7 @@ func newRig(t *testing.T, cacheEntries, pinLimit int, pids ...units.ProcID) *rig
 
 func TestMissInterruptsAndPins(t *testing.T) {
 	r := newRig(t, 64, 0, 1)
-	pfn, err := r.m.Translate(1, 10)
+	pfn, _, err := r.m.Translate(1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestMissInterruptsAndPins(t *testing.T) {
 		t.Errorf("pfn = %d, want %d", pfn, want)
 	}
 	// Hit path: no further interrupt.
-	if _, err := r.m.Translate(1, 10); err != nil {
+	if _, _, err := r.m.Translate(1, 10); err != nil {
 		t.Fatal(err)
 	}
 	if r.host.InterruptCount() != 1 {
@@ -83,7 +83,7 @@ func TestEvictionUnpinsImmediately(t *testing.T) {
 	// Cache of 4 entries, touch 8 pages: 4 evictions, each an unpin.
 	r := newRig(t, 4, 0, 1)
 	for i := 0; i < 8; i++ {
-		if _, err := r.m.Translate(1, units.VPN(i)); err != nil {
+		if _, _, err := r.m.Translate(1, units.VPN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestReMissRePins(t *testing.T) {
 func TestPinQuotaForcesVictim(t *testing.T) {
 	r := newRig(t, 64, 2, 1) // cache bigger than the 2-page pin quota
 	for i := 0; i < 4; i++ {
-		if _, err := r.m.Translate(1, units.VPN(i)); err != nil {
+		if _, _, err := r.m.Translate(1, units.VPN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,11 +134,11 @@ func TestLockedPageNotForcedOut(t *testing.T) {
 	r := newRig(t, 64, 1, 1)
 	r.m.Translate(1, 0)
 	r.m.Lock(1, 0)
-	if _, err := r.m.Translate(1, 1); !errors.Is(err, ErrNoVictim) {
+	if _, _, err := r.m.Translate(1, 1); !errors.Is(err, ErrNoVictim) {
 		t.Errorf("err = %v, want ErrNoVictim", err)
 	}
 	r.m.Unlock(1, 0)
-	if _, err := r.m.Translate(1, 1); err != nil {
+	if _, _, err := r.m.Translate(1, 1); err != nil {
 		t.Errorf("after unlock: %v", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestCrossProcessEviction(t *testing.T) {
 
 func TestUnknownPID(t *testing.T) {
 	r := newRig(t, 4, 0, 1)
-	if _, err := r.m.Translate(9, 0); err == nil {
+	if _, _, err := r.m.Translate(9, 0); err == nil {
 		t.Error("unknown pid accepted")
 	}
 	if err := r.m.Register(r.host.Process(1)); err == nil {

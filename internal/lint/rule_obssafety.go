@@ -10,11 +10,12 @@ import (
 
 // ruleObsSafety enforces the observability subsystem's two contracts:
 //
-//  1. Recording must stay zero-overhead when disabled: every call to
-//     (obs.Recorder).Record must sit in a function that visibly
-//     nil-checks the receiver (the disabled path is one pointer
-//     compare). Helpers whose callers hold the nil check carry a
-//     //lint:ignore with the contract spelled out.
+//  1. Recording must stay zero-overhead when disabled, and the type
+//     that guarantees it is *obs.Tap, whose nil value is the disabled
+//     path. So (obs.Recorder).Record is called only inside internal/obs
+//     and by Recorder implementations (a method of a type that has a
+//     Record method of its own: a forwarding recorder such as
+//     event.Sequencer). Every other layer records through its Tap.
 //
 //  2. Event kinds are a closed taxonomy: obs.Kind values come from the
 //     declared constants. Comparing kind names against string literals
@@ -23,7 +24,7 @@ import (
 func ruleObsSafety() Rule {
 	return Rule{
 		Name: "obssafety",
-		Doc:  "obs.Recorder calls must sit on a nil-checked path and obs.Kind values must come from the taxonomy constants",
+		Doc:  "only internal/obs and Recorder implementations call Record (layers record through *obs.Tap), and obs.Kind values must come from the taxonomy constants",
 		Check: func(prog *Program, pkg *Package) []Finding {
 			obsPath := prog.Module + "/internal/obs"
 			if pkg.ImportPath == obsPath {
@@ -110,8 +111,8 @@ func kindNames(prog *Program, obsPath string) map[string]bool {
 	return names
 }
 
-// checkRecordCall flags x.Record(...) on an obs.Recorder-typed x when
-// the enclosing function never compares x against nil.
+// checkRecordCall flags x.Record(...) on an obs.Recorder-typed x
+// anywhere but in a method of a type that is itself a recorder.
 func checkRecordCall(pkg *Package, obsPath string, stack []ast.Node, call *ast.CallExpr) []Finding {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Record" {
@@ -120,46 +121,33 @@ func checkRecordCall(pkg *Package, obsPath string, stack []ast.Node, call *ast.C
 	if !namedFrom(pkg.typeOf(sel.X), obsPath, "Recorder") {
 		return nil
 	}
-	recv := types.ExprString(sel.X)
-	// The nil check may sit in any enclosing function: deferred
-	// closures record under the guard of the function that defers them.
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			if hasNilCheck(stack[i], recv) {
-				return nil
-			}
+	for _, n := range stack {
+		if fd, ok := n.(*ast.FuncDecl); ok && isRecorderMethod(pkg, fd) {
+			return nil
 		}
 	}
 	return []Finding{{
 		Rule: "obssafety", Pos: pkg.Fset.Position(call.Pos()),
-		Msg: fmt.Sprintf("(obs.Recorder).Record on %s without a nil check in this function; the disabled path must stay one pointer compare", recv),
+		Msg: fmt.Sprintf("(obs.Recorder).Record on %s outside a Recorder implementation; record through an *obs.Tap, whose nil value is the disabled path", types.ExprString(sel.X)),
 	}}
 }
 
-// hasNilCheck reports whether fn contains a comparison of the
-// expression spelled recv (textually) against nil.
-func hasNilCheck(fn ast.Node, recv string) bool {
-	found := false
-	ast.Inspect(fn, func(n ast.Node) bool {
-		b, ok := n.(*ast.BinaryExpr)
-		if !ok || (b.Op != token.EQL && b.Op != token.NEQ) {
-			return !found
-		}
-		if isNilIdent(b.X) && types.ExprString(b.Y) == recv {
-			found = true
-		}
-		if isNilIdent(b.Y) && types.ExprString(b.X) == recv {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
+// isRecorderMethod reports whether fd is a method of a type that has a
+// Record method.
+func isRecorderMethod(pkg *Package, fd *ast.FuncDecl) bool {
+	fn, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+	if fn == nil {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if _, ptr := t.(*types.Pointer); !ptr {
+		t = types.NewPointer(t)
+	}
+	return types.NewMethodSet(t).Lookup(nil, "Record") != nil
 }
 
 // checkKindLiteral flags a string literal that spells an event-kind

@@ -12,12 +12,9 @@ import (
 // integer literal there ("cost + 1500") silently encodes a magic
 // number in the wrong unit; the literal must be wrapped in a units
 // conversion or a named constant (units.FromMicros, units.Microsecond,
-// DefaultCosts fields). internal/arena is in scope as a guard rail:
-// its slab arithmetic is all plain integers, so any units-typed
-// quantity appearing there would be a layering mistake worth flagging.
+// DefaultCosts fields).
 var unitsPkgs = []string{
 	"internal/hostos", "internal/bus", "internal/nicsim", "internal/tlbcache",
-	"internal/arena",
 }
 
 // unitsArithOps are the arithmetic operators the rule audits.

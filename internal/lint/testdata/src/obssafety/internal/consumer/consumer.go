@@ -4,37 +4,46 @@ package consumer
 
 import "utlb/internal/obs"
 
-// Comp holds a disabled-by-default recorder like every simulation
-// component.
+// Comp holds a raw recorder, the four-loose-fields shape the Tap
+// replaced.
 type Comp struct {
 	rec obs.Recorder
+	tap *obs.Tap
 }
 
-// BadUnguarded records without any nil check in the function.
-func (c *Comp) BadUnguarded() {
-	c.rec.Record(obs.Event{Kind: obs.KindCacheHit})
-}
-
-// GoodGuarded nil-checks before recording.
-func (c *Comp) GoodGuarded() {
+// BadDirect records on the raw recorder; a nil check does not make it
+// right, because nothing holds the next caller to it.
+func (c *Comp) BadDirect() {
 	if c.rec != nil {
 		c.rec.Record(obs.Event{Kind: obs.KindCacheHit})
 	}
 }
 
-// GoodDeferred records in a deferred closure under the outer
-// function's guard — the check may sit in any enclosing function.
-func (c *Comp) GoodDeferred() {
-	if c.rec != nil {
-		defer func() {
-			c.rec.Record(obs.Event{Kind: obs.KindCacheHit})
-		}()
+// GoodTap records through the handle: nil is the disabled path.
+func (c *Comp) GoodTap() {
+	c.tap.Instant(obs.KindCacheHit, 0)
+}
+
+// Forwarder is a Recorder implementation: it may call Record on the
+// recorder it wraps, from any of its methods.
+type Forwarder struct {
+	sink obs.Recorder
+	held []obs.Event
+}
+
+// Record holds the event back.
+func (f *Forwarder) Record(ev obs.Event) { f.held = append(f.held, ev) }
+
+// GoodDrain forwards what Record held.
+func (f *Forwarder) GoodDrain() {
+	for _, ev := range f.held {
+		f.sink.Record(ev)
 	}
 }
 
-// GoodSuppressed is the documented helper contract: callers nil-check.
+// GoodSuppressed is a documented exception.
 func (c *Comp) GoodSuppressed() {
-	//lint:ignore obssafety fixture demo of the callers-nil-check helper contract
+	//lint:ignore obssafety fixture demo of an accepted direct Record call
 	c.rec.Record(obs.Event{Kind: obs.KindCacheHit})
 }
 

@@ -36,3 +36,16 @@ type Event struct {
 type Recorder interface {
 	Record(Event)
 }
+
+// Tap is the recording handle; a nil *Tap is the disabled path. Inside
+// this package Record may be called freely.
+type Tap struct {
+	rec Recorder
+}
+
+// Instant records one event, or nothing on a nil handle.
+func (t *Tap) Instant(kind Kind, arg uint64) {
+	if t != nil {
+		t.rec.Record(Event{Kind: kind, Arg: arg})
+	}
+}

@@ -1,7 +1,8 @@
 // Package nicsim simulates the network interface card: a LANai-style
 // embedded processor with on-board SRAM, a DMA engine on the host I/O
-// bus, an interrupt line to the host, and a doorbell/command-queue
-// interface through which user processes post requests.
+// bus, and a doorbell/command-queue interface through which user
+// processes post requests. Interrupts are modelled where they are paid,
+// on the host (hostos.Host.Interrupt).
 //
 // The paper's NIC is a Myrinet PCI interface with a 33 MHz LANai 4.2
 // and 1 MB of SRAM; the firmware (Myrinet Control Program) polls
@@ -11,7 +12,6 @@
 package nicsim
 
 import (
-	"errors"
 	"fmt"
 
 	"utlb/internal/bus"
@@ -19,12 +19,6 @@ import (
 	"utlb/internal/obs"
 	"utlb/internal/units"
 )
-
-// ErrNoHandler is returned when the NIC raises its interrupt line with
-// no host handler wired — a fault-reachable condition (a half-built
-// node, injected faults during teardown) that must degrade to an error
-// the firmware can carry, not a crash.
-var ErrNoHandler = errors.New("nicsim: interrupt raised with no handler wired")
 
 // Costs is the NIC-side cost model.
 type Costs struct {
@@ -51,9 +45,6 @@ type Costs struct {
 	BatchEntry units.Time
 	// DoorbellPoll is the cost of polling one command-post buffer.
 	DoorbellPoll units.Time
-	// RaiseInterrupt is the NIC-side cost of asserting the host
-	// interrupt line (the host adds its own dispatch cost).
-	RaiseInterrupt units.Time
 }
 
 // DefaultCosts calibrates the NIC against Table 2: a direct-mapped hit
@@ -67,13 +58,8 @@ func DefaultCosts() Costs {
 		CacheInstall:   units.FromMicros(0.012),
 		BatchEntry:     units.FromMicros(0.15),
 		DoorbellPoll:   units.FromMicros(0.20),
-		RaiseInterrupt: units.FromMicros(0.50),
 	}
 }
-
-// InterruptHandler is invoked on the host when the NIC raises its
-// interrupt line.
-type InterruptHandler func() error
 
 // NIC is one node's network interface.
 type NIC struct {
@@ -89,24 +75,12 @@ type NIC struct {
 	// exhaustion); nil — the default — never fires.
 	sramFault *fault.Point
 
-	intr InterruptHandler
-
-	// hostClock, when non-nil, enables cross-processor interrupt
-	// synchronisation (the overlap engine): the host cannot service an
-	// interrupt before the NIC asserts it, and the firmware blocks
-	// until the handler returns on the host's own timeline. nil — the
-	// sequential charging model — leaves the two clocks independent.
-	hostClock *units.Clock
-
 	// Counters for experiments.
-	interruptsRaised int64
-	dmaFetches       int64
+	dmaFetches int64
 
-	// Observability: interrupt assertions are recorded as spans on the
-	// nic track when rec is non-nil; xfer stamps them with the
-	// transfer in progress.
-	rec  obs.Recorder
-	xfer *obs.XferCursor
+	// tap records injected SRAM faults on the nic track; nil — the
+	// default — records nothing.
+	tap *obs.Tap
 }
 
 // New returns a NIC with the given SRAM size attached to b. The NIC has
@@ -148,15 +122,7 @@ func (n *NIC) ReserveSRAM(nbytes int) error {
 		panic(fmt.Sprintf("nicsim: negative SRAM reservation %d", nbytes))
 	}
 	if n.sramFault.Fire() {
-		if n.rec != nil {
-			n.rec.Record(obs.Event{
-				Time: n.clock.Now(),
-				Arg:  uint64(nbytes),
-				Xfer: n.xfer.Current(),
-				Node: n.id,
-				Kind: obs.KindFaultSRAM,
-			})
-		}
+		n.tap.Instant(obs.KindFaultSRAM, n.clock.Now(), 0, uint64(nbytes), 0)
 		return fmt.Errorf("nicsim: SRAM exhausted: want %d, free %d: %w",
 			nbytes, n.SRAMFree(), fault.ErrInjected)
 	}
@@ -175,72 +141,12 @@ func (n *NIC) ReleaseSRAM(nbytes int) {
 	n.sramUsed -= nbytes
 }
 
-// SetInterruptHandler wires the NIC's interrupt line to a host handler.
-func (n *NIC) SetInterruptHandler(h InterruptHandler) { n.intr = h }
-
-// SetHostSync attaches the host clock for overlap-mode interrupt
-// synchronisation (see RaiseInterrupt). nil — the default — keeps the
-// sequential charging model, where NIC and host times simply add.
-func (n *NIC) SetHostSync(c *units.Clock) { n.hostClock = c }
-
 // SetSRAMFault arms the injected SRAM-exhaustion fault on ReserveSRAM
 // (fault.SiteNICSRAM). nil — the default — disables injection.
 func (n *NIC) SetSRAMFault(p *fault.Point) { n.sramFault = p }
 
-// SetRecorder attaches r: interrupt assertions are recorded as spans
-// on the NIC clock. nil detaches.
-func (n *NIC) SetRecorder(r obs.Recorder) { n.rec = r }
-
-// Recorder returns the attached recorder (nil when disabled), letting
-// the firmware translation path record its own NIC-side events.
-func (n *NIC) Recorder() obs.Recorder { return n.rec }
-
-// SetXferCursor attaches the transfer cursor whose current id stamps
-// every recorded NIC span (nil — the default — stamps 0).
-func (n *NIC) SetXferCursor(x *obs.XferCursor) { n.xfer = x }
-
-// XferCursor returns the attached cursor (possibly nil; all cursor
-// methods are nil-safe).
-func (n *NIC) XferCursor() *obs.XferCursor { return n.xfer }
-
-// RaiseInterrupt asserts the interrupt line, charging the NIC-side cost
-// and invoking the host handler. With no handler wired it returns
-// ErrNoHandler so fault-injected configurations degrade instead of
-// crashing.
-func (n *NIC) RaiseInterrupt() error {
-	if n.intr == nil {
-		return ErrNoHandler
-	}
-	n.interruptsRaised++
-	if n.rec != nil {
-		t0 := n.clock.Now()
-		defer func() {
-			n.rec.Record(obs.Event{
-				Time: t0,
-				Dur:  n.clock.Now() - t0,
-				Xfer: n.xfer.Current(),
-				Node: n.id,
-				Kind: obs.KindNICInterrupt,
-			})
-		}()
-	}
-	n.clock.Advance(n.costs.RaiseInterrupt)
-	if n.hostClock != nil {
-		// Overlap mode: the interrupt reaches the host no earlier than
-		// the NIC asserts it, and the firmware blocks (waiting, not
-		// working — AdvanceTo) until the handler completes on the host
-		// timeline. The handler's own dispatch + service costs charge
-		// the host clock as always.
-		n.hostClock.AdvanceTo(n.clock.Now())
-		err := n.intr()
-		n.clock.AdvanceTo(n.hostClock.Now())
-		return err
-	}
-	return n.intr()
-}
-
-// InterruptsRaised reports how many interrupts this NIC has asserted.
-func (n *NIC) InterruptsRaised() int64 { return n.interruptsRaised }
+// SetTap attaches the recording handle (nil detaches).
+func (n *NIC) SetTap(t *obs.Tap) { n.tap = t }
 
 // FetchEntries DMAs count 8-byte translation entries from host memory
 // at pa, charging the NIC clock (the firmware blocks on its DMA). The

@@ -1,7 +1,6 @@
 package nicsim
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -83,34 +82,6 @@ func TestReleaseTooMuchPanics(t *testing.T) {
 		}
 	}()
 	n.ReleaseSRAM(1)
-}
-
-func TestInterruptLine(t *testing.T) {
-	n, clk := newNIC(t)
-	fired := 0
-	n.SetInterruptHandler(func() error { fired++; return nil })
-	before := clk.Now()
-	if err := n.RaiseInterrupt(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 || n.InterruptsRaised() != 1 {
-		t.Errorf("fired=%d raised=%d", fired, n.InterruptsRaised())
-	}
-	if clk.Now()-before != n.Costs().RaiseInterrupt {
-		t.Error("raise cost not charged")
-	}
-	wantErr := errors.New("host said no")
-	n.SetInterruptHandler(func() error { return wantErr })
-	if err := n.RaiseInterrupt(); !errors.Is(err, wantErr) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestInterruptNoHandlerErrors(t *testing.T) {
-	n, _ := newNIC(t)
-	if err := n.RaiseInterrupt(); !errors.Is(err, ErrNoHandler) {
-		t.Errorf("RaiseInterrupt with no handler = %v, want ErrNoHandler", err)
-	}
 }
 
 func TestFetchEntriesReadsHostMemory(t *testing.T) {

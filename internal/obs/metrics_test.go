@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,34 +147,53 @@ func TestChromeXferArg(t *testing.T) {
 	}
 }
 
+// TestXferCursor: the transfer cursor as the layers reach it, through
+// a Tap — nil-safe, ids dense from 1 and never reused, shared by the
+// handles of one simulation.
 func TestXferCursor(t *testing.T) {
-	var nilCursor *XferCursor
-	if nilCursor.Begin() != 0 || nilCursor.Current() != 0 {
-		t.Fatal("nil cursor must stay at 0")
+	var off *Tap
+	if off.Begin() != 0 || off.ForNode(3) != nil || NewTap(nil, 0) != nil {
+		t.Fatal("a nil tap must stay nil and at transfer 0")
 	}
-	nilCursor.Set(9) // must not panic
-	nilCursor.Clear()
+	off.Set(9) // must not panic
+	off.Clear()
+	off.Span(KindPin, 1, 2, 3, 4, 5)
+	off.Instant(KindPinRetry, 1, 2, 3, 4)
+	off.InstantOn(1, KindFaultDrop, 2, 3)
 
-	x := NewXferCursor()
-	if x.Current() != 0 {
+	buf := NewBuffer("tap")
+	x := NewTap(buf, 2)
+	if x.xfer.cur != 0 {
 		t.Fatal("fresh cursor not idle")
 	}
-	if id := x.Begin(); id != 1 || x.Current() != 1 {
-		t.Fatalf("first Begin = %d (cur %d)", id, x.Current())
+	if id := x.Begin(); id != 1 || x.xfer.cur != 1 {
+		t.Fatalf("first Begin = %d (cur %d)", id, x.xfer.cur)
 	}
-	if id := x.Begin(); id != 2 {
-		t.Fatalf("second Begin = %d", id)
+	peer := x.ForNode(5)
+	if id := peer.Begin(); id != 2 || x.xfer.cur != 2 {
+		t.Fatalf("second Begin, on a sibling handle = %d (cur %d)", id, x.xfer.cur)
 	}
 	x.Set(1)
-	if x.Current() != 1 {
+	if peer.xfer.cur != 1 {
 		t.Fatal("Set did not restore")
 	}
+	x.Span(KindPin, 10, 4, 7, 8, 9)
+	peer.Instant(KindSend, 11, 7, 64, 0)
+	x.InstantOn(9, KindFaultDrop, 12, 80)
 	x.Clear()
-	if x.Current() != 0 {
+	if x.xfer.cur != 0 {
 		t.Fatal("Clear did not reset")
 	}
 	if id := x.Begin(); id != 3 {
 		t.Fatalf("Begin after Clear = %d, want 3 (ids never reused)", id)
+	}
+	want := []Event{
+		{Time: 10, Dur: 4, Arg: 8, Arg2: 9, Xfer: 1, PID: 7, Node: 2, Kind: KindPin},
+		{Time: 11, Arg: 64, Xfer: 1, PID: 7, Node: 5, Kind: KindSend},
+		{Time: 12, Arg: 80, Node: 9, Kind: KindFaultDrop},
+	}
+	if got := buf.Events(); !slices.Equal(got, want) {
+		t.Fatalf("recorded %+v\nwant %+v", got, want)
 	}
 }
 

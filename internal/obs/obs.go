@@ -6,11 +6,11 @@
 // The paper's evaluation is entirely about *where translation time
 // goes* — host-side lookup vs NIC cache miss vs DMA fill over the I/O
 // bus vs pin/unpin syscalls — so every simulation layer (tlbcache,
-// bus, hostos, nicsim, core, sim, vmmc) can attach a Recorder and emit
+// bus, hostos, nicsim, core, sim, vmmc) can hold a Tap and emit
 // events carrying its own simulated clock. Recording is strictly
 // observational: attaching a recorder never changes simulated time or
-// results, and the disabled path (a nil Recorder behind a nil check)
-// costs one pointer compare and zero allocations on the hot paths.
+// results, and the disabled path (a nil *Tap) costs one pointer compare
+// and zero allocations on the hot paths.
 package obs
 
 import (
@@ -213,7 +213,7 @@ type Event struct {
 	// reconstruct the causal chain cache probe → DMA fill → pin →
 	// interrupt that makes up one operation's latency. 0 means
 	// unattributed (recorded outside any transfer). IDs are allocated
-	// by an XferCursor, dense from 1 in execution order.
+	// by Tap.Begin, dense from 1 in execution order.
 	Xfer uint64
 	// PID is the process the event belongs to; 0 for system-wide
 	// events (bus transfers, interrupts not tied to a process).
@@ -224,9 +224,8 @@ type Event struct {
 	Kind Kind
 }
 
-// Recorder receives events. Components hold a Recorder field that is
-// nil by default and guard every Record call with a nil check, so the
-// disabled path is one pointer compare — the zero-overhead default.
+// Recorder receives events. The simulated layers do not hold one: they
+// record through a Tap (tap.go), whose nil value is the disabled path.
 type Recorder interface {
 	Record(Event)
 }
@@ -237,60 +236,6 @@ type Nop struct{}
 
 // Record discards the event.
 func (Nop) Record(Event) {}
-
-// XferCursor allocates per-transfer identifiers and carries the
-// "current transfer" through a synchronous call chain. One cursor is
-// shared by every component of a simulation (or a whole VMMC cluster:
-// execution is synchronous, so the sender's id flows naturally into
-// receiver-side deposit events). Every method is nil-safe so
-// components can hold a nil *XferCursor by default and stamp events
-// with Current() unconditionally inside their existing rec != nil
-// blocks — the disabled path stays allocation-free.
-//
-// The cursor is single-goroutine, like the Buffer it feeds.
-type XferCursor struct {
-	next uint64
-	cur  uint64
-}
-
-// NewXferCursor returns a cursor whose first Begin yields id 1.
-func NewXferCursor() *XferCursor { return &XferCursor{} }
-
-// Begin starts a new transfer: it allocates the next id, makes it
-// current, and returns it (0 on a nil cursor).
-func (x *XferCursor) Begin() uint64 {
-	if x == nil {
-		return 0
-	}
-	x.next++
-	x.cur = x.next
-	return x.cur
-}
-
-// Set restores a previously allocated id as current — the deferred
-// half of a posted command: PostSend allocates at post time, the
-// firmware Sets it back when the command executes.
-func (x *XferCursor) Set(id uint64) {
-	if x != nil {
-		x.cur = id
-	}
-}
-
-// Current reports the transfer in progress; 0 on a nil cursor or
-// outside any transfer.
-func (x *XferCursor) Current() uint64 {
-	if x == nil {
-		return 0
-	}
-	return x.cur
-}
-
-// Clear marks that no transfer is in progress.
-func (x *XferCursor) Clear() {
-	if x != nil {
-		x.cur = 0
-	}
-}
 
 // Buffer is the buffered Recorder: it keeps every event in memory, in
 // recording order. A Buffer is single-goroutine (one per simulation

@@ -43,10 +43,10 @@ var designs = [...]struct {
 	name string
 	// validate rejects the Config fields this design cannot honour.
 	validate func(Config) error
-	// build constructs the design on r's node, in r.scr, and returns
-	// with it the NIC cache to instrument when recording and the most
-	// pages one firmware dispatch carries.
-	build func(r *run) (m mechanism, cache *tlbcache.Cache, width int, err error)
+	// build constructs the design on r's node, in r.scr, hands what it
+	// built r.tap to record through, and returns with the design the
+	// most pages one firmware dispatch carries.
+	build func(r *run) (m mechanism, width int, err error)
 }{
 	UTLB:       {"UTLB", validateCache, newSharedCache},
 	Interrupt:  {"Intr", validateCache, newInterrupt},
@@ -61,17 +61,16 @@ func (m Mechanism) String() string {
 }
 
 // run is what one replay shares between the loop and its design: the
-// node, the recording hooks, the classifier and the Result being built.
+// node, the recording handle, the classifier and the Result being built.
 type run struct {
-	cfg      Config
-	scr      *RunScratch
-	host     *hostos.Host
-	nic      *nicsim.NIC
-	recorder obs.Recorder // where the layers record; nil when disabled
-	xc       *obs.XferCursor
-	cls      *classifier
-	timing   timing
-	res      Result
+	cfg    Config
+	scr    *RunScratch
+	host   *hostos.Host
+	nic    *nicsim.NIC
+	tap    *obs.Tap // where every layer of the node records; nil when disabled
+	cls    *classifier
+	timing timing
+	res    Result
 }
 
 // missKinds maps a 3C attribution to its event kind.
@@ -85,17 +84,9 @@ var missKinds = [...]obs.Kind{
 // emits an instant event for a classified miss on the sim track at the
 // current NIC time.
 func (r *run) classify(pid units.ProcID, vpn units.VPN, miss bool) {
-	class := r.cls.classify(&r.res, pid, vpn, miss)
-	if r.recorder == nil || class == classNone {
-		return
+	if class := r.cls.classify(&r.res, pid, vpn, miss); class != classNone {
+		r.tap.Instant(missKinds[class], r.nic.Clock().Now(), pid, uint64(vpn), 0)
 	}
-	r.recorder.Record(obs.Event{
-		Time: r.nic.Clock().Now(),
-		Arg:  uint64(vpn),
-		Xfer: r.xc.Current(),
-		PID:  pid,
-		Kind: missKinds[class],
-	})
 }
 
 // validateCache accepts the designs built on a NIC translation cache.
@@ -112,21 +103,22 @@ type sharedCache struct {
 	libs       []*core.Lib     // by process slot
 }
 
-func newSharedCache(r *run) (mechanism, *tlbcache.Cache, int, error) {
+func newSharedCache(r *run) (mechanism, int, error) {
 	drv, err := core.NewDriverWith(r.host, r.nic, r.cfg.cacheConfig(), r.scr.storage())
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
+	drv.SetTap(r.tap)
 	m := &r.scr.shared
 	*m = sharedCache{r: r, drv: drv, translator: *core.NewTranslator(drv, r.cfg.Prefetch), libs: m.libs[:0]}
-	return m, drv.Cache(), r.cfg.BatchPages, nil
+	return m, r.cfg.BatchPages, nil
 }
 
 func (m *sharedCache) attach(i int, proc *hostos.Process) error {
 	cfg := m.r.cfg
 	lib, err := core.NewLib(m.drv, proc, core.LibConfig{
 		Policy: cfg.Policy, PolicySeed: cfg.Seed, Prepin: cfg.Prepin,
-		Recorder: m.r.recorder, Xfer: m.r.xc, Scratch: m.r.scr.libScratch(i),
+		Scratch: m.r.scr.libScratch(i),
 	})
 	m.libs = append(m.libs, lib)
 	return err
@@ -168,14 +160,15 @@ type interrupt struct {
 	lookups int64
 }
 
-func newInterrupt(r *run) (mechanism, *tlbcache.Cache, int, error) {
+func newInterrupt(r *run) (mechanism, int, error) {
 	mech, err := intrbase.NewWith(r.host, r.nic, r.cfg.cacheConfig(), r.scr.storage())
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
+	mech.SetTap(r.tap)
 	m := &r.scr.interrupt
 	*m = interrupt{r: r, mech: mech}
-	return m, mech.Cache(), 1, nil
+	return m, 1, nil
 }
 
 func (m *interrupt) attach(i int, proc *hostos.Process) error {
@@ -189,11 +182,11 @@ func (m *interrupt) post(int, trace.Record) error {
 
 func (m *interrupt) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
 	for i, vpn := range vpns {
-		before := m.mech.Misses()
-		if _, err := m.mech.Translate(pid, vpn); err != nil {
+		_, hit, err := m.mech.Translate(pid, vpn)
+		if err != nil {
 			return err
 		}
-		infos[i] = core.TranslateInfo{Hit: m.mech.Misses() == before}
+		infos[i] = core.TranslateInfo{Hit: hit}
 	}
 	return nil
 }
@@ -232,16 +225,17 @@ func validateTables(cfg Config) error {
 	return nil
 }
 
-func newPerProcess(r *run) (mechanism, *tlbcache.Cache, int, error) {
+func newPerProcess(r *run) (mechanism, int, error) {
 	// The driver builds its Shared UTLB-Cache regardless; this design
 	// never probes it, so the smallest one will do.
 	drv, err := core.NewDriverWith(r.host, r.nic, tlbcache.Config{Entries: 16, Ways: 1}, r.scr.storage())
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
+	drv.SetTap(r.tap)
 	m := &r.scr.perProcess
 	*m = perProcess{r: r, drv: drv, utlbs: m.utlbs[:0]}
-	return m, drv.Cache(), 1, nil
+	return m, 1, nil
 }
 
 func (m *perProcess) attach(i int, proc *hostos.Process) error {

@@ -8,7 +8,6 @@ import (
 	"utlb/internal/core"
 	"utlb/internal/hostos"
 	"utlb/internal/nicsim"
-	"utlb/internal/obs"
 	"utlb/internal/sim"
 	"utlb/internal/tlbcache"
 	"utlb/internal/trace"
@@ -21,8 +20,8 @@ import (
 // carried before sim.PerProcess existed, kept verbatim as the reference
 // the unified loop is held to: it builds its own node (smaller host
 // memory, bigger SRAM, no scratch, no transfer ids, no classifier, no
-// overlap engine) and drives core.PerProcessUTLB directly.
-func runPerProcess(tr trace.Trace, entries int, seed int64, rec obs.Recorder) (sim.Result, error) {
+// overlap engine, no recording) and drives core.PerProcessUTLB directly.
+func runPerProcess(tr trace.Trace, entries int, seed int64) (sim.Result, error) {
 	var res sim.Result
 	sorted := tr
 	if !tr.IsSortedByTime() {
@@ -40,12 +39,6 @@ func runPerProcess(tr trace.Trace, entries int, seed int64, rec obs.Recorder) (s
 	if err != nil {
 		return res, err
 	}
-	if rec != nil {
-		host.SetRecorder(rec)
-		b.SetRecorder(rec, 0)
-		nic.SetRecorder(rec)
-		drv.Cache().Instrument(rec, clk, 0)
-	}
 	utlbs := map[units.ProcID]*core.PerProcessUTLB{}
 	for _, pid := range sorted.PIDs() {
 		proc, err := host.Spawn(pid, fmt.Sprintf("proc%d", pid),
@@ -54,7 +47,7 @@ func runPerProcess(tr trace.Trace, entries int, seed int64, rec obs.Recorder) (s
 			return res, err
 		}
 		u, err := core.NewPerProcessUTLB(drv, proc, entries,
-			core.LibConfig{Policy: core.LRU, PolicySeed: seed, Recorder: rec})
+			core.LibConfig{Policy: core.LRU, PolicySeed: seed})
 		if err != nil {
 			return res, err
 		}
@@ -96,7 +89,7 @@ func TestPerProcessMatchesReference(t *testing.T) {
 	for _, spec := range workload.Specs() {
 		for _, seed := range []int64{1998, 7} {
 			tr := spec.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: seed, Scale: 0.1})
-			want, err := runPerProcess(tr, entries, seed, nil)
+			want, err := runPerProcess(tr, entries, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -421,33 +421,21 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	nicClock := units.NewClock()
 	b := bus.New(r.host.Memory(), nicClock, bus.DefaultCosts())
 	r.nic = nicsim.New(0, units.MB, nicClock, b, nicsim.DefaultCosts())
-	r.recorder = r.timing.setup(cfg, r.host, b, r.nic)
-
-	// One transfer cursor serves every layer of the run: each trace
-	// record Begins a new id, and every event recorded while that
-	// record is processed — check, probes, DMA fill, pins, interrupts,
-	// miss classification — carries it, so analysis can reconstruct
-	// the record's full causal chain. The cursor is allocated only
-	// when recording: the disabled path keeps its pinned alloc count,
-	// and all cursor methods are nil-safe no-ops.
-	if r.recorder != nil {
-		r.xc = obs.NewXferCursor()
-		r.host.SetRecorder(r.recorder)
-		r.host.SetXferCursor(r.xc)
-		b.SetRecorder(r.recorder, 0)
-		b.SetXferCursor(r.xc)
-		r.nic.SetRecorder(r.recorder)
-		r.nic.SetXferCursor(r.xc)
-	}
+	// One handle serves every layer of the run, and with it one transfer
+	// cursor: each trace record Begins a new id, and every event recorded
+	// while that record is processed — check, probes, DMA fill, pins,
+	// interrupts, miss classification — carries it, so analysis can
+	// reconstruct the record's full causal chain. It is nil, and costs
+	// nothing, when the run is not recorded.
+	r.tap = obs.NewTap(r.timing.setup(cfg, r.host, b, r.nic), 0)
+	r.host.SetTap(r.tap)
+	b.SetTap(r.tap)
+	r.nic.SetTap(r.tap)
 	r.cls = scr.classifier(cfg.CacheEntries)
 
-	m, cache, width, err := designs[cfg.Mechanism].build(r)
+	m, width, err := designs[cfg.Mechanism].build(r)
 	if err != nil {
 		return r.res, err
-	}
-	if r.recorder != nil {
-		cache.Instrument(r.recorder, nicClock, 0)
-		cache.SetXferCursor(r.xc)
 	}
 	for i, pid := range pids {
 		//lint:ignore allocstatic process names are built once per spawned process at setup, inside the SimulateWith alloc budget
@@ -467,7 +455,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// dispatch, charge- and event-identical to the unbatched model.
 	vpns, infos := scr.batchBufs(width)
 	for _, rec := range sorted {
-		r.xc.Begin()
+		r.tap.Begin()
 		if err := m.post(slices.Index(pids, rec.PID), rec); err != nil {
 			return r.res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 		}

@@ -40,7 +40,7 @@ func (t *timing) setup(cfg Config, host *hostos.Host, b *bus.Bus, nic *nicsim.NI
 	t.kernel = event.NewKernel()
 	t.pool = event.NewPool(cfg.Overlap.DMAChannels)
 	b.SetOverlap(t.kernel, t.pool)
-	nic.SetHostSync(t.host)
+	host.SetInterruptSync(t.nic)
 	if cfg.Recorder == nil {
 		return nil
 	}

@@ -12,7 +12,7 @@ func obsCache(t *testing.T) (*Cache, *obs.Buffer, *units.Clock) {
 	c := New(Config{Entries: 8, Ways: 2, IndexOffset: true})
 	buf := obs.NewBuffer("cache-test")
 	clock := &units.Clock{}
-	c.Instrument(buf, clock, 3)
+	c.SetTap(obs.NewTap(buf, 3), clock)
 	return c, buf, clock
 }
 
@@ -50,7 +50,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 
 	// Filling a full set records the eviction before the fill.
 	buf2 := obs.NewBuffer("evict")
-	c.Instrument(buf2, clock, 3)
+	c.SetTap(obs.NewTap(buf2, 3), clock)
 	same := func(vpn units.VPN) Key { return Key{PID: 2, VPN: vpn} }
 	// Two ways per set: three keys mapping to one set force an eviction.
 	a, b := same(40), same(40+8/2) // same set index modulo numSets=4
@@ -73,7 +73,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	// InvalidateProcess folds to one event carrying the count; a pid
 	// with no lines records nothing.
 	buf3 := obs.NewBuffer("invproc")
-	c.Instrument(buf3, clock, 3)
+	c.SetTap(obs.NewTap(buf3, 3), clock)
 	if n := c.InvalidateProcess(2); n == 0 {
 		t.Fatal("expected resident lines for pid 2")
 	} else if buf3.Len() != 1 || buf3.Events()[0].Arg2 != uint64(n) {
@@ -111,38 +111,38 @@ func TestInstrumentDetach(t *testing.T) {
 	c, buf, _ := obsCache(t)
 	c.Lookup(Key{PID: 1, VPN: 1})
 	n := buf.Len()
-	c.Instrument(nil, nil, 0)
+	c.SetTap(nil, nil)
 	c.Lookup(Key{PID: 1, VPN: 1})
 	if buf.Len() != n {
 		t.Error("detached cache kept recording")
 	}
 }
 
-// TestXferCursorStamping asserts cache events inherit the cursor's
-// current transfer id, revert to 0 when the cursor is idle, and that a
-// nil cursor (the default) is safe.
+// TestXferCursorStamping asserts cache events inherit the handle's
+// current transfer id and revert to 0 when no transfer is in progress.
 func TestXferCursorStamping(t *testing.T) {
-	c, buf, _ := obsCache(t)
+	c := New(Config{Entries: 8, Ways: 2, IndexOffset: true})
+	buf := obs.NewBuffer("cache-test")
+	tap := obs.NewTap(buf, 3)
+	c.SetTap(tap, &units.Clock{})
 
-	// Default: no cursor attached, events unattributed.
+	// No transfer begun yet: events unattributed.
 	c.Lookup(Key{PID: 1, VPN: 1})
 	if ev := buf.Events()[buf.Len()-1]; ev.Xfer != 0 {
-		t.Fatalf("event without cursor carries id %d", ev.Xfer)
+		t.Fatalf("event outside any transfer carries id %d", ev.Xfer)
 	}
 
-	xc := obs.NewXferCursor()
-	c.SetXferCursor(xc)
-	id := xc.Begin()
+	id := tap.Begin()
 	c.Lookup(Key{PID: 1, VPN: 2})
 	if ev := buf.Events()[buf.Len()-1]; ev.Xfer != id {
 		t.Fatalf("event id %d, want %d", ev.Xfer, id)
 	}
-	xc.Clear()
+	tap.Clear()
 	c.Lookup(Key{PID: 1, VPN: 3})
 	if ev := buf.Events()[buf.Len()-1]; ev.Xfer != 0 {
 		t.Fatalf("event after Clear carries id %d", ev.Xfer)
 	}
-	if next := xc.Begin(); next != id+1 {
+	if next := tap.Begin(); next != id+1 {
 		t.Fatalf("ids not monotonic: %d after %d", next, id)
 	}
 }

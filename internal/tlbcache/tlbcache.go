@@ -127,15 +127,13 @@ type Cache struct {
 	evictions     int64
 	invalidations int64
 
-	// Observability: when rec is non-nil, lookups, fills, evictions and
+	// Observability: when tap is non-nil, lookups, fills, evictions and
 	// invalidations are recorded against clock (the NIC clock of the
 	// owning node). The cache is the single chokepoint every translation
 	// path shares, so instrumenting here covers the UTLB, interrupt and
 	// VMMC firmware paths alike.
-	rec     obs.Recorder
-	recTime *units.Clock
-	node    units.NodeID
-	xfer    *obs.XferCursor
+	tap   *obs.Tap
+	clock *units.Clock
 
 	// fillFault, when armed, drops Insert calls (a failed fetch DMA);
 	// nil — the default — never fires.
@@ -171,20 +169,14 @@ func NewWith(cfg Config, st *Storage) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Instrument attaches r to the cache: lookup outcomes and line motion
-// are recorded with timestamps read from clock, tagged with node.
-// Passing r == nil detaches. Timing is unaffected either way — the
-// cache charges no time itself; its callers do.
-func (c *Cache) Instrument(r obs.Recorder, clock *units.Clock, node units.NodeID) {
-	c.rec = r
-	c.recTime = clock
-	c.node = node
+// SetTap attaches the recording handle: lookup outcomes and line
+// motion are recorded with timestamps read from clock, which the cache
+// needs handed to it because it charges no time itself; its callers do.
+// A nil t detaches.
+func (c *Cache) SetTap(t *obs.Tap, clock *units.Clock) {
+	c.tap = t
+	c.clock = clock
 }
-
-// SetXferCursor attaches the transfer cursor whose current id stamps
-// every recorded event (nil — the default — stamps 0). Kept separate
-// from Instrument so existing call sites are untouched.
-func (c *Cache) SetXferCursor(x *obs.XferCursor) { c.xfer = x }
 
 // SetFillFault arms the injected fetch-DMA fault on Insert
 // (fault.SiteCacheFill): a firing check drops the fill, so the page
@@ -272,32 +264,17 @@ func (c *Cache) Lookup(k Key) Result {
 		if c.st.valid[j] && c.st.keys[j] == k {
 			c.st.used[j] = c.tick
 			c.hits++
-			if c.rec != nil {
-				c.record(obs.KindCacheHit, k, uint64(i+1))
+			if c.tap != nil {
+				c.tap.Instant(obs.KindCacheHit, c.clock.Now(), k.PID, uint64(k.VPN), uint64(i+1))
 			}
 			return Result{Hit: true, PFN: c.st.pfns[j], Probes: i + 1}
 		}
 	}
 	c.misses++
-	if c.rec != nil {
-		c.record(obs.KindCacheMiss, k, uint64(c.cfg.Ways))
+	if c.tap != nil {
+		c.tap.Instant(obs.KindCacheMiss, c.clock.Now(), k.PID, uint64(k.VPN), uint64(c.cfg.Ways))
 	}
 	return Result{Hit: false, PFN: units.NoPFN, Probes: c.cfg.Ways}
-}
-
-// record emits one cache event; callers nil-check c.rec first so the
-// disabled path never makes this call.
-func (c *Cache) record(kind obs.Kind, k Key, arg2 uint64) {
-	//lint:ignore obssafety callers nil-check c.rec so the disabled path never evaluates the Event args
-	c.rec.Record(obs.Event{
-		Time: c.recTime.Now(),
-		Arg:  uint64(k.VPN),
-		Arg2: arg2,
-		Xfer: c.xfer.Current(),
-		PID:  k.PID,
-		Node: c.node,
-		Kind: kind,
-	})
 }
 
 // Peek reports whether k is cached without touching LRU state or
@@ -320,8 +297,8 @@ func (c *Cache) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 	if c.fillFault.Fire() {
 		// Injected fetch-DMA failure: the fill never lands.
 		c.droppedFills++
-		if c.rec != nil {
-			c.record(obs.KindFaultFetch, k, 0)
+		if c.tap != nil {
+			c.tap.Instant(obs.KindFaultFetch, c.clock.Now(), k.PID, uint64(k.VPN), 0)
 		}
 		return Key{}, false
 	}
@@ -353,11 +330,11 @@ func (c *Cache) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 	c.st.keys[victim] = k
 	c.st.pfns[victim] = pfn
 	c.st.used[victim] = c.tick
-	if c.rec != nil {
+	if c.tap != nil {
 		if wasEvicted {
-			c.record(obs.KindCacheEvict, evicted, 0)
+			c.tap.Instant(obs.KindCacheEvict, c.clock.Now(), evicted.PID, uint64(evicted.VPN), 0)
 		}
-		c.record(obs.KindCacheFill, k, 0)
+		c.tap.Instant(obs.KindCacheFill, c.clock.Now(), k.PID, uint64(k.VPN), 0)
 	}
 	return evicted, wasEvicted
 }
@@ -371,8 +348,8 @@ func (c *Cache) Invalidate(k Key) bool {
 		if c.st.valid[j] && c.st.keys[j] == k {
 			c.st.clearLine(j)
 			c.invalidations++
-			if c.rec != nil {
-				c.record(obs.KindCacheInvalidate, k, 1)
+			if c.tap != nil {
+				c.tap.Instant(obs.KindCacheInvalidate, c.clock.Now(), k.PID, uint64(k.VPN), 1)
 			}
 			return true
 		}
@@ -391,9 +368,9 @@ func (c *Cache) InvalidateProcess(pid units.ProcID) int {
 		}
 	}
 	c.invalidations += int64(n)
-	if c.rec != nil && n > 0 {
+	if c.tap != nil && n > 0 {
 		// One event for the sweep: Arg2 carries the entry count.
-		c.record(obs.KindCacheInvalidate, Key{PID: pid}, uint64(n))
+		c.tap.Instant(obs.KindCacheInvalidate, c.clock.Now(), pid, 0, uint64(n))
 	}
 	return n
 }

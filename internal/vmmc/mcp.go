@@ -38,22 +38,6 @@ func dataTag(buf BufferID, offset int) uint64 {
 	return tagData | uint64(buf&0xffffff)<<32 | uint64(uint32(offset))
 }
 
-// recordFirmware emits one vmmc-track instant at the current NIC time;
-// callers nil-check n.rec first. The transfer id comes from the
-// cluster-wide cursor, so a receiver's recv/notify events carry the
-// sender's id.
-func (n *Node) recordFirmware(kind obs.Kind, pid units.ProcID, bytes int) {
-	//lint:ignore obssafety callers nil-check n.rec so the disabled path never evaluates the Event args
-	n.rec.Record(obs.Event{
-		Time: n.nic.Clock().Now(),
-		Arg:  uint64(bytes),
-		Xfer: n.xfer.Current(),
-		PID:  pid,
-		Node: n.id,
-		Kind: kind,
-	})
-}
-
 func respTag(reqID uint32, offset int) uint64 {
 	return tagFetchResp | uint64(reqID&0xffffff)<<32 | uint64(uint32(offset))
 }
@@ -82,9 +66,7 @@ func (n *Node) firmwareSend(pid units.ProcID, dst *Imported, offset int, va unit
 			return fmt.Errorf("vmmc: sending page %#x: %w", vpn, err)
 		}
 		n.pagesSent++
-		if n.rec != nil {
-			n.recordFirmware(obs.KindSend, pid, chunk)
-		}
+		n.tap.Instant(obs.KindSend, n.nic.Clock().Now(), pid, uint64(chunk), 0)
 		done += chunk
 	}
 	return nil
@@ -164,9 +146,7 @@ func (n *Node) deposit(buf BufferID, offset int, payload []byte, from units.Node
 	n.pagesReceived++
 	exp.received += int64(len(payload))
 	exp.deposits++
-	if n.rec != nil {
-		n.recordFirmware(obs.KindRecv, exp.owner, len(payload))
-	}
+	n.tap.Instant(obs.KindRecv, n.nic.Clock().Now(), exp.owner, uint64(len(payload)), 0)
 	n.notifyOwner(exp, buf, from, offset, len(payload), arrival)
 }
 
@@ -205,9 +185,7 @@ func (n *Node) depositLocal(st *fetchState, offset int, payload []byte) {
 	}
 	n.writeUser(st.proc.PID(), st.va+units.VAddr(offset), payload)
 	n.pagesReceived++
-	if n.rec != nil {
-		n.recordFirmware(obs.KindRecv, st.proc.PID(), len(payload))
-	}
+	n.tap.Instant(obs.KindRecv, n.nic.Clock().Now(), st.proc.PID(), uint64(len(payload)), 0)
 	st.nreceived += len(payload)
 	if st.nreceived >= st.nbytes {
 		st.done = true

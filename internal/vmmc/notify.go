@@ -67,9 +67,7 @@ func (n *Node) notifyOwner(exp *export, buf BufferID, from units.NodeID, offset,
 	owner.notifications = append(owner.notifications, Notification{
 		Buf: buf, From: from, Offset: offset, Bytes: nbytes, Arrival: arrival,
 	})
-	if n.rec != nil {
-		n.recordFirmware(obs.KindNotify, exp.owner, nbytes)
-	}
+	n.tap.Instant(obs.KindNotify, n.nic.Clock().Now(), exp.owner, uint64(nbytes), 0)
 }
 
 // RemapCost is the simulated time the mapper needs to compute and
@@ -100,21 +98,15 @@ func (n *Node) sendReliable(dst units.NodeID, payload []byte, tag uint64) error 
 		// Route failure: remap, back off, retry.
 		n.nic.Clock().Advance(RemapCost << (attempt - 1))
 		n.remaps++
-		if n.rec != nil {
-			n.recordFirmware(obs.KindSendRetry, 0, attempt)
-		}
+		n.tap.Instant(obs.KindSendRetry, n.nic.Clock().Now(), 0, uint64(attempt), 0)
 		if !n.cluster.net.Remap(n.id, dst) {
-			if n.rec != nil {
-				n.recordFirmware(obs.KindLinkDead, 0, len(payload))
-			}
+			n.tap.Instant(obs.KindLinkDead, n.nic.Clock().Now(), 0, uint64(len(payload)), 0)
 			return fmt.Errorf("vmmc: node %d unreachable, no surviving route: %w", dst, err)
 		}
 		err = n.ep.Send(dst, payload, tag)
 	}
 	if errors.Is(err, fabric.ErrLinkDead) {
-		if n.rec != nil {
-			n.recordFirmware(obs.KindLinkDead, 0, len(payload))
-		}
+		n.tap.Instant(obs.KindLinkDead, n.nic.Clock().Now(), 0, uint64(len(payload)), 0)
 		return fmt.Errorf("vmmc: link to node %d dead after %d remap retries: %w",
 			dst, sendRetryLimit, err)
 	}

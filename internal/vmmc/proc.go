@@ -60,8 +60,8 @@ func (p *Proc) Export(va units.VAddr, nbytes int) (BufferID, error) {
 	if nbytes <= 0 {
 		return 0, fmt.Errorf("vmmc: export of %d bytes", nbytes)
 	}
-	p.node.xfer.Begin()
-	defer p.node.xfer.Clear()
+	p.node.tap.Begin()
+	defer p.node.tap.Clear()
 	if err := p.lib.Lookup(va, nbytes); err != nil {
 		return 0, fmt.Errorf("vmmc: pinning export: %w", err)
 	}
@@ -95,8 +95,8 @@ func (p *Proc) Redirect(id BufferID, va units.VAddr) error {
 	if !ok || exp.owner != p.PID() {
 		return fmt.Errorf("vmmc: pid %d does not own export %d", p.PID(), id)
 	}
-	p.node.xfer.Begin()
-	defer p.node.xfer.Clear()
+	p.node.tap.Begin()
+	defer p.node.tap.Clear()
 	if err := p.lib.Lookup(va, exp.nbytes); err != nil {
 		return fmt.Errorf("vmmc: pinning redirect target: %w", err)
 	}
@@ -161,8 +161,8 @@ func (p *Proc) Fetch(src *Imported, offset int, va units.VAddr, nbytes int) erro
 	if nbytes == 0 {
 		return nil
 	}
-	p.node.xfer.Begin()
-	defer p.node.xfer.Clear()
+	p.node.tap.Begin()
+	defer p.node.tap.Clear()
 	if err := p.lib.Lookup(va, nbytes); err != nil {
 		return err
 	}

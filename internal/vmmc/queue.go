@@ -57,8 +57,8 @@ func (p *Proc) PostSend(dst *Imported, offset int, va units.VAddr, nbytes int) e
 	if len(p.node.cmdq[p.PID()]) >= queueCapacity {
 		return ErrQueueFull
 	}
-	id := p.node.xfer.Begin()
-	defer p.node.xfer.Clear()
+	id := p.node.tap.Begin()
+	defer p.node.tap.Clear()
 	if err := p.lib.Lookup(va, nbytes); err != nil {
 		return err
 	}
@@ -93,9 +93,9 @@ func (n *Node) PollAll() error {
 			n.nic.ChargePoll()
 			cmd := q[0]
 			n.cmdq[pid] = q[1:]
-			n.xfer.Set(cmd.xfer)
+			n.tap.Set(cmd.xfer)
 			err := n.firmwareSend(pid, cmd.dst, cmd.offset, cmd.va, cmd.nbytes)
-			n.xfer.Clear()
+			n.tap.Clear()
 			cmd.proc.lib.Unlock(cmd.va, cmd.nbytes)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("vmmc: executing queued send for pid %d: %w", pid, err))

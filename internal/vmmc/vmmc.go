@@ -92,12 +92,13 @@ type Cluster struct {
 	net   *fabric.Network
 	nodes []*Node
 
-	// xfer is the cluster-wide transfer cursor: the simulation is
-	// synchronous, so the id a sender Begins flows through the fabric
-	// callback into the receiver's deposit and notify events, letting
-	// analysis stitch one transfer's chain across nodes. Nil when not
-	// recording; all cursor methods are nil-safe.
-	xfer *obs.XferCursor
+	// tap is the cluster's recording handle, nil when not recording.
+	// Every node's handle is a sibling of it, so the cluster shares one
+	// transfer cursor: the simulation is synchronous, and the id a
+	// sender Begins flows through the fabric callback into the
+	// receiver's deposit and notify events, letting analysis stitch one
+	// transfer's chain across nodes.
+	tap *obs.Tap
 }
 
 // NewCluster builds a cluster of opts.Nodes fully wired nodes.
@@ -110,10 +111,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c.net.SetFaultPoints(
 		opts.Injector.Point(fault.SiteFabricDrop),
 		opts.Injector.Point(fault.SiteFabricCorrupt))
-	if opts.Recorder != nil {
-		c.xfer = obs.NewXferCursor()
-		c.net.SetRecorder(opts.Recorder)
-	}
+	c.tap = obs.NewTap(opts.Recorder, 0)
+	c.net.SetTap(c.tap)
 	for i := 0; i < opts.Nodes; i++ {
 		n, err := newNode(c, units.NodeID(i), opts)
 		if err != nil {
@@ -165,10 +164,10 @@ type Node struct {
 	pagesReceived int64
 	remaps        int64
 
-	// rec, when non-nil, receives firmware-level events (send, recv,
-	// notify) on the vmmc track; xfer is the cluster's shared cursor.
-	rec  obs.Recorder
-	xfer *obs.XferCursor
+	// tap is where every layer of the node records, the firmware's
+	// send, recv and notify events on the vmmc track among them; nil
+	// when not recording.
+	tap *obs.Tap
 }
 
 type export struct {
@@ -211,16 +210,11 @@ func newNode(c *Cluster, id units.NodeID, opts Options) (*Node, error) {
 	}
 	nic.SetSRAMFault(opts.Injector.Point(fault.SiteNICSRAM))
 	drv.Cache().SetFillFault(opts.Injector.Point(fault.SiteCacheFill))
-	if opts.Recorder != nil {
-		host.SetRecorder(opts.Recorder)
-		host.SetXferCursor(c.xfer)
-		ioBus.SetRecorder(opts.Recorder, id)
-		ioBus.SetXferCursor(c.xfer)
-		nic.SetRecorder(opts.Recorder)
-		nic.SetXferCursor(c.xfer)
-		drv.Cache().Instrument(opts.Recorder, nicClock, id)
-		drv.Cache().SetXferCursor(c.xfer)
-	}
+	tap := c.tap.ForNode(id)
+	host.SetTap(tap)
+	ioBus.SetTap(tap)
+	nic.SetTap(tap)
+	drv.SetTap(tap)
 	n := &Node{
 		cluster:      c,
 		id:           id,
@@ -232,8 +226,7 @@ func newNode(c *Cluster, id units.NodeID, opts Options) (*Node, error) {
 		exports:      make(map[BufferID]*export),
 		pendingFetch: make(map[uint32]*fetchState),
 		nextBuf:      1,
-		rec:          opts.Recorder,
-		xfer:         c.xfer,
+		tap:          tap,
 	}
 	n.ep = fabric.NewEndpoint(id, c.net, nicClock, opts.RetransmitTimeout, n.receive)
 	return n, nil
@@ -267,12 +260,6 @@ func (n *Node) NewProcess(pid units.ProcID, name string, pinLimitPages int, cfg 
 	proc, err := n.host.Spawn(pid, name, vm.NewSpace(pid, n.host.Memory(), pinLimitPages))
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Recorder == nil {
-		cfg.Recorder = n.rec
-	}
-	if cfg.Xfer == nil {
-		cfg.Xfer = n.xfer
 	}
 	lib, err := core.NewLib(n.drv, proc, cfg)
 	if err != nil {

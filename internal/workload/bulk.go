@@ -3,7 +3,6 @@ package workload
 import (
 	"math/rand"
 
-	"utlb/internal/arena"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 )
@@ -20,7 +19,7 @@ import (
 //
 // Four processes issue ops of 1-16 pages (uniform) over a shared
 // region, page aligned, at the paper's ~10 µs op cadence with seeded
-// jitter. Records are emitted in time order into one slab allocation.
+// jitter. Records are emitted in time order into one allocation.
 func BulkTransfer(node units.NodeID, firstPID units.ProcID, seed int64, scale float64) trace.Trace {
 	if scale <= 0 {
 		scale = 1.0
@@ -28,8 +27,7 @@ func BulkTransfer(node units.NodeID, firstPID units.ProcID, seed int64, scale fl
 	ops := scaleInt(4000, scale)
 	footprint := scaleInt(8192, scale)
 	rng := rand.New(rand.NewSource(seed*61 + int64(node)))
-	ar := arena.New[trace.Record](ops)
-	out := trace.Trace(ar.Alloc(ops))
+	out := make(trace.Trace, ops)
 	var t units.Time
 	for i := range out {
 		t += units.FromMicros(8 + 4*rng.Float64())

@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"utlb/internal/arena"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 )
@@ -169,11 +168,10 @@ func (b budget) records() int {
 // Generate produces one node's trace: four application processes
 // running s's pattern over a shared VA layout, plus the SVM protocol
 // process, interleaved by a globally-synchronised clock. The records
-// live in one slab allocation sized exactly to the trace.
+// live in one allocation sized exactly to the trace.
 func (s *Spec) Generate(cfg Config) trace.Trace {
 	b := s.budget(cfg.Scale)
-	ar := arena.New[trace.Record](b.records())
-	out := trace.Trace(ar.Alloc(b.records()))
+	out := make(trace.Trace, b.records())
 	s.generateInto(cfg, b, out)
 	return out
 }
@@ -273,7 +271,7 @@ func exactify(seq []int, footprint, length int) []int {
 }
 
 // sequenceToTrace stamps the page sequence into out (len(out) ==
-// len(seq), typically a segment of an arena block). Each process
+// len(seq), typically a segment of the trace's one block). Each process
 // issues one operation every ~7 µs with seeded jitter, offset by its
 // index, so merging interleaves the processes the way the paper's
 // globally-synchronised timestamps do.
@@ -298,15 +296,14 @@ func sequenceToTrace(out trace.Trace, node units.NodeID, pid units.ProcID, base 
 }
 
 // GenerateCluster produces traces for nodes nodes and returns them
-// merged; PIDs are globally unique. All nodes' records share one slab
+// merged; PIDs are globally unique. All nodes' records share one
 // allocation: each node generates into its segment and one stable sort
 // serialises the union, which is what trace.Merge of the per-node
 // traces would produce.
 func (s *Spec) GenerateCluster(nodes int, seed int64, scale float64) trace.Trace {
 	b := s.budget(scale)
 	perNode := b.records()
-	ar := arena.New[trace.Record](nodes * perNode)
-	all := trace.Trace(ar.Alloc(nodes * perNode))
+	all := make(trace.Trace, nodes*perNode)
 	for n := 0; n < nodes; n++ {
 		s.generateInto(Config{
 			Node:     units.NodeID(n),
