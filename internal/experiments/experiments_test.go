@@ -245,13 +245,18 @@ func TestSVMPipelineRenders(t *testing.T) {
 	}
 }
 
-func TestCompareTrace(t *testing.T) {
+// compareTestTrace is the supplied trace of the CompareTrace tests.
+func compareTestTrace(t *testing.T) trace.Trace {
+	t.Helper()
 	spec, err := workload.ByName("water-spatial")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := spec.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: 3, Scale: 0.02})
-	tbl, err := CompareTrace(tr, 1, 16, nil)
+	return spec.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: 3, Scale: 0.02})
+}
+
+func TestCompareTrace(t *testing.T) {
+	tbl, err := CompareTrace(compareTestTrace(t), 1, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +86,72 @@ func TestRecordedGolden(t *testing.T) {
 			got := fmt.Sprintf("events  %d\nchrome  %x\nmetrics %x\nanalyze %x\n", col.Events(),
 				sha256.Sum256(chrome.Bytes()), sha256.Sum256(metrics.Bytes()), sha256.Sum256(analysis.Bytes()))
 			checkGolden(t, "t6_recorded.digest.txt", got)
+		})
+	}
+}
+
+// TestNodeAveragedGolden pins per-node averaging — the paper's own
+// setup is four nodes, all.golden.txt runs one — on the three tables
+// that average: Tables 4, 5 and 8 at two nodes, byte for byte against
+// testdata/nodes2.golden.txt, at pool widths 1 and 8.
+func TestNodeAveragedGolden(t *testing.T) {
+	for _, width := range []int{1, 8} {
+		atWidth(width, func() {
+			opts := goldenOpts()
+			opts.Nodes = 2
+			var sb strings.Builder
+			for _, name := range []string{"table4", "table5", "table8"} {
+				if err := Run(name, opts, &sb); err != nil {
+					t.Fatalf("%s width %d: %v", name, width, err)
+				}
+			}
+			checkGolden(t, "nodes2.golden.txt", sb.String())
+		})
+	}
+}
+
+// labelList renders a collector's runs as sorted "label events" lines:
+// the labels are what the collector merges by and what every export
+// names, the counts say each label still holds the same run.
+func labelList(col *obs.Collector) string {
+	var sb strings.Builder
+	for _, r := range col.Runs() {
+		fmt.Fprintf(&sb, "%s %d\n", r.Label, len(r.Events))
+	}
+	return sb.String()
+}
+
+// TestLabelsGolden pins the recorder label and event count of every
+// run of every experiment (two applications, two nodes, scale 0.02)
+// against testdata/labels.golden.txt, at pool widths 1 and 8.
+func TestLabelsGolden(t *testing.T) {
+	for _, width := range []int{1, 8} {
+		atWidth(width, func() {
+			var got strings.Builder
+			for _, name := range Names {
+				col := obs.NewCollector()
+				opts := Options{Scale: 0.02, Seed: 1998, Apps: []string{"water-spatial", "fft"}, Nodes: 2, Obs: col}
+				if err := Run(name, opts, io.Discard); err != nil {
+					t.Fatalf("%s width %d: %v", name, width, err)
+				}
+				fmt.Fprintf(&got, "# %s\n%s", name, labelList(col))
+			}
+			checkGolden(t, "labels.golden.txt", got.String())
+		})
+	}
+}
+
+// TestCompareTraceGolden pins CompareTrace — the one sweep that takes
+// its trace, seed and collector as arguments — as text plus labels.
+func TestCompareTraceGolden(t *testing.T) {
+	for _, width := range []int{1, 8} {
+		atWidth(width, func() {
+			col := obs.NewCollector()
+			tbl, err := CompareTrace(compareTestTrace(t), 1, 16, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "compare.golden.txt", tbl.String()+labelList(col))
 		})
 	}
 }
