@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"utlb/internal/parallel"
-	"utlb/internal/sim"
 	"utlb/internal/stats"
 	"utlb/internal/workload"
 )
@@ -24,26 +22,21 @@ func BatchSweep(opts Options) (*stats.Table, error) {
 	tbl := stats.NewTable(
 		"Batch sweep: translation dispatch width on bulk transfers (4-64 KB sends, default cache)",
 		"batch", "ni-refs", "miss%", "nic-time-ms", "avg-nic-lookup-us", "nic-speedup")
-	tr := workload.BulkTransfer(0, 1, opts.Seed, opts.scale())
-	results, err := parallel.Map(len(batchWidths), func(i int) (sim.Result, error) {
-		cfg := sim.DefaultConfig()
-		cfg.BatchPages = batchWidths[i]
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("batchsweep/b%02d", batchWidths[i]))
-		res, err := sim.Run(tr, cfg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("batchsweep %d: %w", batchWidths[i], err)
-		}
-		return res, nil
-	})
+	bulk := supplied(workload.BulkTransfer(0, 1, opts.Seed, opts.scale()))
+	var cells []cell
+	for _, b := range batchWidths {
+		cfg := opts.config()
+		cfg.BatchPages = b
+		cells = append(cells, cell{fmt.Sprintf("batchsweep/b%02d", b), bulk, cfg})
+	}
+	results, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
 	base := results[0].NICTime
-	for i, b := range batchWidths {
-		res := results[i]
+	for i, res := range results {
 		tbl.AddRow(
-			fmt.Sprintf("%d", b),
+			fmt.Sprintf("%d", batchWidths[i]),
 			fmt.Sprintf("%d", res.NIRefs),
 			fmt.Sprintf("%.1f", 100*res.NIMissRatio()),
 			fmt.Sprintf("%.2f", res.NICTime.Micros()/1000),

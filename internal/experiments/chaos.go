@@ -74,10 +74,7 @@ var chaosMultipliers = []float64{0, 0.5, 1, 2, 4}
 // pin retries, dropped cache fills, total faults struck, and goodput.
 func Chaos(opts Options) (*stats.Table, error) {
 	f := opts.Fault.withDefaults(opts.Seed)
-	nmsgs := int(32 * opts.scale())
-	if nmsgs < 8 {
-		nmsgs = 8
-	}
+	nmsgs := max(8, int(32*opts.scale()))
 
 	tbl := stats.NewTable(
 		fmt.Sprintf("Chaos: fault-rate sweep, %d sends of %d pages, seed %d (base drop %.3f corrupt %.3f pin %.3f fill %.3f)",
@@ -215,10 +212,7 @@ func chaosRun(opts Options, inj *fault.Injector, mult float64, nmsgs int) (chaos
 		res.fillsLost += n.Driver().Cache().DroppedFills()
 	}
 	res.faults = inj.Fired()
-	elapsed := cl.Node(0).NIC().Clock().Now()
-	if t := cl.Node(1).NIC().Clock().Now(); t > elapsed {
-		elapsed = t
-	}
+	elapsed := max(cl.Node(0).NIC().Clock().Now(), cl.Node(1).NIC().Clock().Now())
 	if us := elapsed.Micros(); us > 0 {
 		res.goodputMBps = float64(res.recvBytes) / us // bytes/µs == MB/s
 	}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"utlb/internal/obs"
-	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
 	"utlb/internal/trace"
@@ -17,45 +17,35 @@ import (
 // unconstrained memory. col, when non-nil, collects each run's event
 // timeline.
 func CompareTrace(tr trace.Trace, seed int64, pinLimitPages int, col *obs.Collector) (*stats.Table, error) {
+	opts := Options{Seed: seed, Obs: col}
+	header := []string{"cache", versus[0].String() + " check misses", "NI misses (both)"}
+	header = versusNames(versusNames(header, "", " unpins"), "", " lookup us")
 	tbl := stats.NewTable(
 		fmt.Sprintf("UTLB vs Intr on supplied trace (%d lookups, %d-page footprint, pin limit %d)",
 			tr.Lookups(), tr.Footprint(), pinLimitPages),
-		"cache", "UTLB check misses", "NI misses (both)", "UTLB unpins", "Intr unpins",
-		"UTLB lookup us", "Intr lookup us")
-	rows, err := parallel.Map(len(cacheSizes), func(si int) ([]string, error) {
-		entries := cacheSizes[si]
-		cfg := sim.DefaultConfig()
-		cfg.CacheEntries = entries
-		cfg.Seed = seed
-		cfg.PinLimitPages = pinLimitPages
-		if col != nil {
-			cfg.Recorder = col.Buffer(fmt.Sprintf("compare/%s/utlb", sizeLabel(entries)))
+		header...)
+
+	var cells []cell
+	for _, entries := range cacheSizes {
+		for _, m := range versus {
+			cfg := opts.config()
+			cfg.Mechanism = m
+			cfg.CacheEntries = entries
+			cfg.PinLimitPages = pinLimitPages
+			cells = append(cells, cell{fmt.Sprintf("compare/%s/%s", sizeLabel(entries), tag(m)), supplied(tr), cfg})
 		}
-		u, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("compare UTLB %d: %w", entries, err)
-		}
-		cfg.Mechanism = sim.Interrupt
-		if col != nil {
-			cfg.Recorder = col.Buffer(fmt.Sprintf("compare/%s/intr", sizeLabel(entries)))
-		}
-		i, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("compare Intr %d: %w", entries, err)
-		}
-		return []string{sizeLabel(entries),
-			fmt.Sprintf("%.2f", u.CheckMissRate()),
-			fmt.Sprintf("%.2f/%.2f", u.NIMissRate(), i.NIMissRate()),
-			fmt.Sprintf("%.2f", u.UnpinRate()),
-			fmt.Sprintf("%.2f", i.UnpinRate()),
-			fmt.Sprintf("%.1f", u.AvgLookupCost().Micros()),
-			fmt.Sprintf("%.1f", i.AvgLookupCost().Micros())}, nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		tbl.AddRow(row...)
+	for _, entries := range cacheSizes {
+		pair := pop(&rs, len(versus))
+		row := []string{sizeLabel(entries),
+			fmt.Sprintf("%.2f", pair[0].CheckMissRate()),
+			strings.Join(each(pair, "%.2f", sim.Result.NIMissRate), "/")}
+		row = append(row, each(pair, "%.2f", sim.Result.UnpinRate)...)
+		tbl.AddRow(append(row, each(pair, "%.1f", lookupMicros)...)...)
 	}
 	return tbl, nil
 }

@@ -9,10 +9,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 
 	"utlb/internal/obs"
 	"utlb/internal/parallel"
+	"utlb/internal/sim"
 	"utlb/internal/stats"
 	"utlb/internal/trace"
 	"utlb/internal/units"
@@ -40,9 +41,6 @@ type Options struct {
 	Fault FaultOptions
 }
 
-// DefaultOptions runs the full paper-scale evaluation.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 1998} }
-
 func (o Options) scale() float64 {
 	if o.Scale <= 0 {
 		return 1.0
@@ -64,10 +62,8 @@ func (o Options) apps() []string {
 	return o.Apps
 }
 
-// recorderFor returns the collector buffer for one simulation run, or
-// nil (recording disabled) when no collector is attached. The label
-// must be deterministic and unique per run: concurrent runs append to
-// separate buffers, and the collector merges them in label order.
+// recorderFor returns the collector buffer for the run labelled label,
+// or nil (recording disabled) when no collector is attached.
 func (o Options) recorderFor(label string) obs.Recorder {
 	if o.Obs == nil {
 		return nil
@@ -75,68 +71,114 @@ func (o Options) recorderFor(label string) obs.Recorder {
 	return o.Obs.Buffer(label)
 }
 
-// traceFor returns app's node-0 trace, memoised in the process-wide
-// workload trace store (shared across experiments and goroutines; the
-// trace must be treated as read-only).
-func (o Options) traceFor(app string) (trace.Trace, error) {
-	spec, err := workload.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	return spec.GenerateCached(workload.Config{
-		Node: 0, FirstPID: 1, Seed: o.Seed, Scale: o.scale(),
-	}), nil
+// cell is one simulation run of a sweep. A sweep is nested loops that
+// append cells in row-major order, one runCells, and a renderer that
+// walks the results with the same loops.
+type cell struct {
+	// label names the run's recorder buffer: deterministic and unique
+	// per run, because the collector merges buffers in label order.
+	label string
+	// trace yields the trace to replay; it runs on the worker pool, so
+	// generation is not serialised behind cell building.
+	trace func() (trace.Trace, error)
+	cfg   sim.Config
 }
 
-// nodeTracesFor returns one trace per simulated node (distinct seeds,
-// globally unique PIDs), each memoised in the workload trace store.
-// Node 0's trace is the same store entry traceFor returns.
-func (o Options) nodeTracesFor(app string) ([]trace.Trace, error) {
-	spec, err := workload.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	return parallel.Map(o.nodes(), func(n int) (trace.Trace, error) {
+// config is the paper's default configuration under this invocation's
+// seed; sweeps override the fields they vary.
+func (o Options) config() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Seed = o.Seed
+	return cfg
+}
+
+// appTrace names app's trace on node (distinct seeds and globally
+// unique PIDs per node), memoised in the process-wide workload trace
+// store: shared across experiments and goroutines, so read-only.
+func (o Options) appTrace(app string, node int) func() (trace.Trace, error) {
+	return func() (trace.Trace, error) {
+		spec, err := workload.ByName(app)
+		if err != nil {
+			return nil, err
+		}
 		return spec.GenerateCached(workload.Config{
-			Node:     units.NodeID(n),
-			FirstPID: units.ProcID(1 + n*workload.ProcsPerNode),
-			Seed:     o.Seed + int64(n)*7919,
+			Node:     units.NodeID(node),
+			FirstPID: units.ProcID(1 + node*workload.ProcsPerNode),
+			Seed:     o.Seed + int64(node)*7919,
 			Scale:    o.scale(),
 		}), nil
+	}
+}
+
+// supplied is the trace source of a cell whose trace already exists.
+func supplied(tr trace.Trace) func() (trace.Trace, error) {
+	return func() (trace.Trace, error) { return tr, nil }
+}
+
+// runCells runs every cell on the worker pool — the runs are
+// independent simulations — and returns the results in cell order.
+func (o Options) runCells(cells []cell) ([]sim.Result, error) {
+	return parallel.Map(len(cells), func(i int) (sim.Result, error) {
+		c := cells[i]
+		tr, err := c.trace()
+		if err != nil {
+			return sim.Result{}, err
+		}
+		c.cfg.Recorder = o.recorderFor(c.label)
+		res, err := sim.Run(tr, c.cfg)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", c.label, err)
+		}
+		return res, err
 	})
 }
 
-// avgOver runs f on every node trace of app and averages the returned
-// rates element-wise — "all the numbers are averaged over the total
-// number of lookups ... on each node" (§6.2). The per-node runs are
-// independent simulations, so they fan out through the worker pool;
-// summation stays in node order, so the float result is bit-identical
-// to the sequential loop's.
-func (o Options) avgOver(app string, f func(node int, tr trace.Trace) ([]float64, error)) ([]float64, error) {
-	trs, err := o.nodeTracesFor(app)
-	if err != nil {
-		return nil, err
-	}
-	perNode, err := parallel.Map(len(trs), func(n int) ([]float64, error) {
-		return f(n, trs[n])
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sum []float64
-	for _, vals := range perNode {
-		if sum == nil {
-			sum = make([]float64, len(vals))
-		}
-		for i, v := range vals {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] /= float64(len(trs))
-	}
-	return sum, nil
+// pop returns the next n results and advances rs past them: a renderer
+// consumes its sweep's results front to back.
+func pop(rs *[]sim.Result, n int) []sim.Result {
+	head := (*rs)[:n]
+	*rs = (*rs)[n:]
+	return head
 }
+
+// nodeAvg is the mean of f over one configuration's per-node runs —
+// "all the numbers are averaged over the total number of lookups ...
+// on each node" (§6.2) — summed in node order, so the float result
+// does not depend on the pool width.
+func nodeAvg(perNode []sim.Result, f func(sim.Result) float64) float64 {
+	var sum float64
+	for _, res := range perNode {
+		sum += f(res)
+	}
+	return sum / float64(len(perNode))
+}
+
+// versus is the head-to-head mechanism list of Tables 4-6, the SVM
+// pipeline and CompareTrace; a design added here appears in all five.
+var versus = []sim.Mechanism{sim.UTLB, sim.Interrupt}
+
+// tag is m's name inside a recorder label.
+func tag(m sim.Mechanism) string { return strings.ToLower(m.String()) }
+
+// each formats f of every result, in order.
+func each(rs []sim.Result, format string, f func(sim.Result) float64) []string {
+	out := make([]string, len(rs))
+	for i, res := range rs {
+		out[i] = fmt.Sprintf(format, f(res))
+	}
+	return out
+}
+
+// versusNames appends prefix + the name of each mechanism of versus +
+// suffix to header: the column heads of a head-to-head table.
+func versusNames(header []string, prefix, suffix string) []string {
+	for _, m := range versus {
+		header = append(header, prefix+m.String()+suffix)
+	}
+	return header
+}
+
+func lookupMicros(res sim.Result) float64 { return res.AvgLookupCost().Micros() }
 
 // table is the experiment set, written once: canonical name, shorthand
 // alias (t1-t8, f7-f8; "" = none) and what to run, in paper order — the
@@ -144,10 +186,10 @@ func (o Options) avgOver(app string, f func(node int, tr trace.Trace) ([]float64
 // Known and Run all read it.
 var table = []struct {
 	name, alias string
-	run         func(Options) ([]stringer, error)
+	run         func(Options) ([]fmt.Stringer, error)
 }{
-	{"table1", "t1", func(Options) ([]stringer, error) { return []stringer{Table1()}, nil }},
-	{"table2", "t2", func(Options) ([]stringer, error) { return []stringer{Table2()}, nil }},
+	{"table1", "t1", one(Table1)},
+	{"table2", "t2", one(Table2)},
 	{"table3", "t3", one(Table3)},
 	{"table4", "t4", one(Table4)},
 	{"table5", "t5", one(Table5)},
@@ -155,9 +197,9 @@ var table = []struct {
 	{"table7", "t7", one(Table7)},
 	{"table8", "t8", one(Table8)},
 	{"fig7", "f7", one(Fig7)},
-	{"fig8", "f8", func(opts Options) ([]stringer, error) {
+	{"fig8", "f8", func(opts Options) ([]fmt.Stringer, error) {
 		miss, cost, err := Fig8(opts)
-		return []stringer{miss, cost}, err
+		return []fmt.Stringer{miss, cost}, err
 	}},
 	{"ablation-policies", "", one(AblationPolicies)},
 	{"ablation-perprocess", "", one(AblationPerProcess)},
@@ -169,10 +211,10 @@ var table = []struct {
 }
 
 // one adapts an experiment that renders as a single table.
-func one(f func(Options) (*stats.Table, error)) func(Options) ([]stringer, error) {
-	return func(opts Options) ([]stringer, error) {
+func one(f func(Options) (*stats.Table, error)) func(Options) ([]fmt.Stringer, error) {
+	return func(opts Options) ([]fmt.Stringer, error) {
 		out, err := f(opts)
-		return []stringer{out}, err
+		return []fmt.Stringer{out}, err
 	}
 }
 
@@ -220,7 +262,7 @@ func Run(name string, opts Options, w io.Writer) error {
 		return err
 	}
 	for _, out := range outs {
-		if err := render(w, out); err != nil {
+		if _, err := io.WriteString(w, out.String()); err != nil {
 			return err
 		}
 	}
@@ -250,18 +292,4 @@ func RunAll(opts Options, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-type stringer interface{ String() string }
-
-func render(w io.Writer, s stringer) error {
-	_, err := io.WriteString(w, s.String())
-	return err
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
+	"utlb/internal/parallel"
+	"utlb/internal/sim"
 	"utlb/internal/trace"
 	"utlb/internal/workload"
 )
@@ -15,7 +17,11 @@ func fastOpts() Options {
 }
 
 func TestTable1Renders(t *testing.T) {
-	out := Table1().String()
+	tbl, err := Table1(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tbl.String()
 	for _, want := range []string{"check min", "pin", "unpin", "32"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -24,7 +30,11 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable2Renders(t *testing.T) {
-	out := Table2().String()
+	tbl, err := Table2(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tbl.String()
 	for _, want := range []string{"DMA cost", "total miss cost", "hit cost"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -210,14 +220,6 @@ func TestScaledSizes(t *testing.T) {
 	}
 }
 
-func TestSortedCopy(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := sortedCopy(in)
-	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
-		t.Error("sortedCopy wrong or mutated input")
-	}
-}
-
 func TestAblationMultiprogRenders(t *testing.T) {
 	opts := Options{Scale: 0.05, Seed: 7, Apps: []string{"barnes", "water-spatial"}}
 	tbl, err := AblationMultiprog(opts)
@@ -270,36 +272,55 @@ func TestCompareTrace(t *testing.T) {
 
 func TestNodeAveraging(t *testing.T) {
 	opts := Options{Scale: 0.03, Seed: 7, Apps: []string{"water-spatial"}, Nodes: 3}
-	trs, err := opts.nodeTracesFor("water-spatial")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trs) != 3 {
-		t.Fatalf("node traces = %d", len(trs))
-	}
 	// Distinct nodes carry distinct node ids and disjoint PID ranges.
+	var cells []cell
 	pids := map[int]bool{}
-	for n, tr := range trs {
+	for n := 0; n < opts.nodes(); n++ {
+		tr, err := opts.appTrace("water-spatial", n)()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range tr {
 			if int(r.Node) != n {
 				t.Fatalf("node %d record has node %d", n, r.Node)
 			}
 			pids[int(r.PID)] = true
 		}
+		// A cell per node, told apart by its cache size.
+		cfg := opts.config()
+		cfg.CacheEntries = 64 << n
+		cells = append(cells, cell{fmt.Sprintf("avg/n%d", n), supplied(tr), cfg})
 	}
 	if len(pids) != 3*workload.ProcsPerNode {
 		t.Errorf("distinct pids = %d", len(pids))
 	}
-	// avgOver averages element-wise; f may run on pool goroutines.
-	var calls atomic.Int64
-	avg, err := opts.avgOver("water-spatial", func(node int, tr trace.Trace) ([]float64, error) {
-		return []float64{1, float64(calls.Add(1))}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// runCells returns results in cell order at any pool width, and
+	// nodeAvg is their exact mean.
+	for _, width := range []int{1, 8} {
+		parallel.SetWorkers(width)
+		rs, err := opts.runCells(cells)
+		parallel.SetWorkers(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for n, c := range cells {
+			tr, _ := c.trace()
+			want, err := sim.Run(tr, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs[n] != want {
+				t.Errorf("width %d: result %d is not cell %d's run", width, n, n)
+			}
+			sum += want.NIMissRate()
+		}
+		if got := nodeAvg(rs, sim.Result.NIMissRate); got != sum/3 {
+			t.Errorf("width %d: nodeAvg = %v, want %v", width, got, sum/3)
+		}
 	}
-	if calls.Load() != 3 || avg[0] != 1 || avg[1] != 2 {
-		t.Errorf("avgOver calls=%d avg=%v", calls.Load(), avg)
+	if got := nodeAvg(make([]sim.Result, 3), func(sim.Result) float64 { return 2 }); got != 2 {
+		t.Errorf("nodeAvg of a constant = %v", got)
 	}
 	// A node-averaged comparison table still renders.
 	tbl, err := Table4(opts)
@@ -308,5 +329,22 @@ func TestNodeAveraging(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "water-spatial UTLB") {
 		t.Error("node-averaged table malformed")
+	}
+}
+
+// TestRunCellsError checks a failing run is reported under its label.
+func TestRunCellsError(t *testing.T) {
+	opts := fastOpts()
+	bad := opts.config()
+	bad.Prefetch = 0
+	_, err := opts.runCells([]cell{
+		{"sweep/ok", opts.appTrace("fft", 0), opts.config()},
+		{"sweep/bad", opts.appTrace("fft", 0), bad},
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "sweep/bad: ") {
+		t.Errorf("err = %v, want it to lead with the failing run's label", err)
+	}
+	if _, err := opts.runCells([]cell{{"sweep/nope", opts.appTrace("nope", 0), opts.config()}}); err == nil {
+		t.Error("unknown application accepted")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
 	"utlb/internal/workload"
@@ -23,38 +22,26 @@ func Fig7(opts Options) (*stats.Table, error) {
 	all := scaledSizes(opts)
 	sizes := []int{all[0], all[2], all[3], all[4]} // 1K, 4K, 8K, 16K
 
-	rows, err := parallel.Map(len(apps)*len(sizes), func(i int) ([]string, error) {
-		app := apps[i/len(sizes)]
-		si := i % len(sizes)
-		entries := sizes[si]
-		tr, err := opts.traceFor(app)
-		if err != nil {
-			return nil, err
+	var cells []cell
+	for _, app := range apps {
+		for _, entries := range sizes {
+			cfg := opts.config()
+			cfg.CacheEntries = entries
+			cells = append(cells, cell{fmt.Sprintf("fig7/%s/%s", app, sizeLabel(entries)), opts.appTrace(app, 0), cfg})
 		}
-		cfg := sim.DefaultConfig()
-		cfg.CacheEntries = entries
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("fig7/%s/%s", app, sizeLabel(entries)))
-		res, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fig7 %s %d: %w", app, entries, err)
-		}
-		label := ""
-		if si == 0 {
-			label = app
-		}
-		pct := func(n int64) string {
-			return fmt.Sprintf("%.1f", 100*float64(n)/float64(res.NIRefs))
-		}
-		return []string{label, sizeLabel(entries),
-			pct(res.Compulsory), pct(res.Capacity), pct(res.Conflict),
-			pct(res.NIMisses)}, nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		tbl.AddRow(row...)
+	for _, app := range apps {
+		for si, res := range pop(&rs, len(sizes)) {
+			pct := func(n int64) string {
+				return fmt.Sprintf("%.1f", 100*float64(n)/float64(res.NIRefs))
+			}
+			tbl.AddRow(onFirst(si, app), sizeLabel(sizes[si]),
+				pct(res.Compulsory), pct(res.Capacity), pct(res.Conflict), pct(res.NIMisses))
+		}
 	}
 	return tbl, nil
 }
@@ -73,38 +60,29 @@ func Fig8(opts Options) (*stats.Figure, *stats.Figure, error) {
 	costFig := stats.NewFigure(
 		"Figure 8b: average NIC lookup cost vs prefetch size (radix)",
 		"entries fetched per miss", "lookup cost (us)")
-	tr, err := opts.traceFor("radix")
-	if err != nil {
-		return nil, nil, err
-	}
 	sizes := scaledSizes(opts)
-	results, err := parallel.Map(len(sizes)*len(fig8Prefetches), func(i int) (sim.Result, error) {
-		entries := sizes[i/len(fig8Prefetches)]
-		prefetch := fig8Prefetches[i%len(fig8Prefetches)]
-		cfg := sim.DefaultConfig()
-		cfg.CacheEntries = entries
-		cfg.Prefetch = prefetch
-		// §6.4: "in order for prefetching to work well, translations
-		// for contiguous application pages must be available during
-		// a miss" — sequential pre-pinning (§6.5) provides them.
-		cfg.Prepin = prefetch
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("fig8/%s/pf%02d", sizeLabel(entries), prefetch))
-		res, err := sim.Run(tr, cfg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("fig8 %d/%d: %w", entries, prefetch, err)
+	var cells []cell
+	for _, entries := range sizes {
+		for _, prefetch := range fig8Prefetches {
+			cfg := opts.config()
+			cfg.CacheEntries = entries
+			cfg.Prefetch = prefetch
+			// §6.4: "in order for prefetching to work well, translations
+			// for contiguous application pages must be available during
+			// a miss" — sequential pre-pinning (§6.5) provides them.
+			cfg.Prepin = prefetch
+			cells = append(cells, cell{fmt.Sprintf("fig8/%s/pf%02d", sizeLabel(entries), prefetch), opts.appTrace("radix", 0), cfg})
 		}
-		return res, nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, entries := range sizes {
+	for _, entries := range sizes {
 		series := sizeLabel(entries) + " entries"
-		for pi, prefetch := range fig8Prefetches {
-			res := results[si*len(fig8Prefetches)+pi]
-			missFig.Series(series).Add(float64(prefetch), res.NIMissRatio())
-			costFig.Series(series).Add(float64(prefetch), res.AvgNICLookupCost().Micros())
+		for pi, res := range pop(&rs, len(fig8Prefetches)) {
+			missFig.Series(series).Add(float64(fig8Prefetches[pi]), res.NIMissRatio())
+			costFig.Series(series).Add(float64(fig8Prefetches[pi]), res.AvgNICLookupCost().Micros())
 		}
 	}
 	return missFig, costFig, nil
@@ -125,48 +103,37 @@ func AblationPerProcess(opts Options) (*stats.Table, error) {
 	totalEntries := scaledSizes(opts)[3]
 	perProcEntries := totalEntries / workload.ProcsPerNode
 
-	rows, err := parallel.Map(len(apps), func(i int) ([][]string, error) {
-		app := apps[i]
-		tr, err := opts.traceFor(app)
-		if err != nil {
-			return nil, err
+	shared := opts.config()
+	shared.CacheEntries = totalEntries
+	// The same SRAM split into one directly indexed table per process.
+	perProc := shared
+	perProc.Mechanism = sim.PerProcess
+	perProc.CacheEntries = perProcEntries
+	perProc.IndexOffset = false
+	designs := []struct {
+		label, name, entries string
+		cfg                  sim.Config
+	}{
+		{"shared", "shared-cache", fmt.Sprintf("%d", totalEntries), shared},
+		{"perproc", "per-process", fmt.Sprintf("%dx%d", workload.ProcsPerNode, perProcEntries), perProc},
+	}
+
+	var cells []cell
+	for _, app := range apps {
+		for _, d := range designs {
+			cells = append(cells, cell{"ablation-perprocess/" + app + "/" + d.label, opts.appTrace(app, 0), d.cfg})
 		}
-		// Shared UTLB-Cache run.
-		cfg := sim.DefaultConfig()
-		cfg.CacheEntries = totalEntries
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor("ablation-perprocess/" + app + "/shared")
-		shared, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Per-process run: the same SRAM split into one directly
-		// indexed table per process.
-		cfg.Mechanism = sim.PerProcess
-		cfg.CacheEntries = perProcEntries
-		cfg.IndexOffset = false
-		cfg.Recorder = opts.recorderFor("ablation-perprocess/" + app + "/perproc")
-		pp, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("per-process %s: %w", app, err)
-		}
-		return [][]string{
-			{app, "shared-cache", fmt.Sprintf("%d", totalEntries),
-				fmt.Sprintf("%.2f", shared.CheckMissRate()),
-				fmt.Sprintf("%.2f", shared.UnpinRate()),
-				fmt.Sprintf("%.1f", shared.HostTime.Micros()/float64(shared.Lookups))},
-			{"", "per-process", fmt.Sprintf("%dx%d", workload.ProcsPerNode, perProcEntries),
-				fmt.Sprintf("%.2f", pp.CheckMissRate()),
-				fmt.Sprintf("%.2f", pp.UnpinRate()),
-				fmt.Sprintf("%.1f", pp.HostTime.Micros()/float64(pp.Lookups))},
-		}, nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, pair := range rows {
-		for _, row := range pair {
-			tbl.AddRow(row...)
+	for _, app := range apps {
+		for di, res := range pop(&rs, len(designs)) {
+			tbl.AddRow(onFirst(di, app), designs[di].name, designs[di].entries,
+				fmt.Sprintf("%.2f", res.CheckMissRate()),
+				fmt.Sprintf("%.2f", res.UnpinRate()),
+				fmt.Sprintf("%.1f", res.HostTime.Micros()/float64(res.Lookups)))
 		}
 	}
 	return tbl, nil

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"sync"
 
-	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
+	"utlb/internal/trace"
 	"utlb/internal/workload"
 )
 
@@ -28,65 +28,42 @@ func AblationMultiprog(opts Options) (*stats.Table, error) {
 		"Ablation: independent multiprogramming in the Shared UTLB-Cache (miss ratio; 8K direct-mapped)",
 		"pair", "A alone", "B alone", "mixed", "mixed no-offset")
 
-	entries := scaledSizes(opts)[3] // 8K at full scale
+	cfg := opts.config()
+	cfg.CacheEntries = scaledSizes(opts)[3] // 8K at full scale
+	noOffset := cfg
+	noOffset.IndexOffset = false
+	// Each alone at half scale (matching its share of the mix).
+	half := opts
+	half.Scale = opts.scale() / 2
 
-	rows, err := parallel.Map(len(pairs), func(i int) ([]string, error) {
-		pair := pairs[i]
-		specA, err := workload.ByName(pair[0])
-		if err != nil {
-			return nil, err
+	var cells []cell
+	for _, pair := range pairs {
+		var specs []*workload.Spec
+		for _, app := range pair {
+			spec, err := workload.ByName(app)
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, spec)
 		}
-		specB, err := workload.ByName(pair[1])
-		if err != nil {
-			return nil, err
-		}
-		cfg := sim.DefaultConfig()
-		cfg.CacheEntries = entries
-		cfg.Seed = opts.Seed
-
-		pairName := pair[0] + "+" + pair[1]
-		// Each alone at half scale (matching its share of the mix).
-		half := opts.scale() / 2
-		cfg.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/a-alone")
-		aAlone, err := sim.Run(specA.GenerateCached(workload.Config{
-			Node: 0, FirstPID: 1, Seed: opts.Seed, Scale: half,
-		}), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("multiprog %s alone: %w", pair[0], err)
-		}
-		cfg.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/b-alone")
-		bAlone, err := sim.Run(specB.GenerateCached(workload.Config{
-			Node: 0, FirstPID: 1, Seed: opts.Seed, Scale: half,
-		}), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("multiprog %s alone: %w", pair[1], err)
-		}
-
-		mixTrace := workload.Multiprogram([]*workload.Spec{specA, specB}, 0, opts.Seed, opts.scale())
-		cfg.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/mixed")
-		mixed, err := sim.Run(mixTrace, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("multiprog mix: %w", err)
-		}
-		cfgNoOff := cfg
-		cfgNoOff.IndexOffset = false
-		cfgNoOff.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/mixed-nooffset")
-		mixedNoOff, err := sim.Run(mixTrace, cfgNoOff)
-		if err != nil {
-			return nil, err
-		}
-
-		return []string{pairName,
-			fmt.Sprintf("%.2f", aAlone.NIMissRatio()),
-			fmt.Sprintf("%.2f", bAlone.NIMissRatio()),
-			fmt.Sprintf("%.2f", mixed.NIMissRatio()),
-			fmt.Sprintf("%.2f", mixedNoOff.NIMissRatio())}, nil
-	})
+		// Two cells replay the mix; whichever worker asks first builds it.
+		mixed := sync.OnceValues(func() (trace.Trace, error) {
+			return workload.Multiprogram(specs, 0, opts.Seed, opts.scale()), nil
+		})
+		label := "ablation-multiprog/" + pair[0] + "+" + pair[1]
+		cells = append(cells,
+			cell{label + "/a-alone", half.appTrace(pair[0], 0), cfg},
+			cell{label + "/b-alone", half.appTrace(pair[1], 0), cfg},
+			cell{label + "/mixed", mixed, cfg},
+			cell{label + "/mixed-nooffset", mixed, noOffset})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		tbl.AddRow(row...)
+	for _, pair := range pairs {
+		tbl.AddRow(append([]string{pair[0] + "+" + pair[1]},
+			each(pop(&rs, 4), "%.2f", sim.Result.NIMissRatio)...)...)
 	}
 	return tbl, nil
 }

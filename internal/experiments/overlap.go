@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
 	"utlb/internal/workload"
@@ -45,30 +44,24 @@ func Overlap(opts Options) (*stats.Table, error) {
 	tbl := stats.NewTable(
 		"Overlap: discrete-event engine vs sequential charging on bulk transfers (UTLB, default cache)",
 		"config", "lookups", "ni-miss%", "host-ms", "nic-ms", "dma-ms", "makespan-ms", "speedup")
-	tr := workload.BulkTransfer(0, 1, opts.Seed, opts.scale())
-	results, err := parallel.Map(len(overlapRows), func(i int) (sim.Result, error) {
-		row := overlapRows[i]
-		cfg := sim.DefaultConfig()
+	bulk := supplied(workload.BulkTransfer(0, 1, opts.Seed, opts.scale()))
+	var cells []cell
+	for _, row := range overlapRows {
+		cfg := opts.config()
 		cfg.Prefetch = row.prefetch
-		cfg.Seed = opts.Seed
 		if row.channels > 0 {
 			cfg.Overlap = sim.OverlapConfig{Enabled: true, DMAChannels: row.channels}
 		}
-		cfg.Recorder = opts.recorderFor("overlap/" + row.label)
-		res, err := sim.Run(tr, cfg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("overlap %s: %w", row.label, err)
-		}
-		return res, nil
-	})
+		cells = append(cells, cell{"overlap/" + row.label, bulk, cfg})
+	}
+	results, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
 	base := results[0].Makespan
-	for i, row := range overlapRows {
-		res := results[i]
+	for i, res := range results {
 		tbl.AddRow(
-			row.label,
+			overlapRows[i].label,
 			fmt.Sprintf("%d", res.Lookups),
 			fmt.Sprintf("%.1f", 100*res.NIMissRatio()),
 			fmt.Sprintf("%.2f", res.HostTime.Micros()/1000),

@@ -7,12 +7,19 @@ import (
 	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
-	"utlb/internal/trace"
 	"utlb/internal/workload"
 )
 
 // cacheSizes is the 1K-16K sweep of Tables 4, 5 and 8.
 var cacheSizes = []int{1024, 2048, 4096, 8192, 16384}
+
+// onFirst labels only the first row of a group.
+func onFirst(i int, label string) string {
+	if i > 0 {
+		return ""
+	}
+	return label
+}
 
 func sizeLabel(entries int) string {
 	if entries >= 1024 {
@@ -49,7 +56,7 @@ func Table3(opts Options) (*stats.Table, error) {
 	apps := opts.apps()
 	rows, err := parallel.Map(len(apps), func(i int) ([]string, error) {
 		app := apps[i]
-		tr, err := opts.traceFor(app)
+		tr, err := opts.appTrace(app, 0)()
 		if err != nil {
 			return nil, err
 		}
@@ -71,63 +78,54 @@ func Table3(opts Options) (*stats.Table, error) {
 }
 
 // comparisonTable renders the Table 4/5 layout: per cache size and
-// application, check misses / NI misses / unpins per lookup for UTLB
-// and the interrupt baseline. The (cache size x application) grid fans
-// out on the worker pool; each cell is itself a node-averaged pair of
-// simulation runs.
+// application, check misses / NI misses / unpins per lookup for each
+// mechanism of versus, per-node averaged as the paper reports (§6.2).
 func comparisonTable(opts Options, expName, title string, pinLimitPages int) (*stats.Table, error) {
-	apps := opts.apps()
+	apps, sizes, nodes := opts.apps(), scaledSizes(opts), opts.nodes()
 	header := []string{"cache", "characteristic (per lookup)"}
 	for _, app := range apps {
-		header = append(header, app+" UTLB", app+" Intr")
+		header = versusNames(header, app+" ", "")
 	}
 	tbl := stats.NewTable(title, header...)
-	sizes := scaledSizes(opts)
 
-	cells, err := parallel.Map(len(sizes)*len(apps), func(i int) ([]float64, error) {
-		entries := sizes[i/len(apps)]
-		app := apps[i%len(apps)]
-		// Per-node averages, as the paper reports (§6.2).
-		return opts.avgOver(app, func(node int, tr trace.Trace) ([]float64, error) {
-			cfg := sim.DefaultConfig()
-			cfg.CacheEntries = entries
-			cfg.PinLimitPages = pinLimitPages
-			cfg.Seed = opts.Seed
-			cfg.Recorder = opts.recorderFor(fmt.Sprintf("%s/%s/%s/utlb/n%d",
-				expName, app, sizeLabel(entries), node))
-			u, err := sim.Run(tr, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s UTLB %d: %w", app, entries, err)
+	var cells []cell
+	for _, entries := range sizes {
+		for _, app := range apps {
+			for _, m := range versus {
+				for n := 0; n < nodes; n++ {
+					cfg := opts.config()
+					cfg.Mechanism = m
+					cfg.CacheEntries = entries
+					cfg.PinLimitPages = pinLimitPages
+					cells = append(cells, cell{
+						fmt.Sprintf("%s/%s/%s/%s/n%d", expName, app, sizeLabel(entries), tag(m), n),
+						opts.appTrace(app, n), cfg})
+				}
 			}
-			cfg.Mechanism = sim.Interrupt
-			cfg.Recorder = opts.recorderFor(fmt.Sprintf("%s/%s/%s/intr/n%d",
-				expName, app, sizeLabel(entries), node))
-			i, err := sim.Run(tr, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s Intr %d: %w", app, entries, err)
-			}
-			return []float64{
-				u.CheckMissRate(),
-				u.NIMissRate(), i.NIMissRate(),
-				u.UnpinRate(), i.UnpinRate(),
-			}, nil
-		})
-	})
+		}
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
 
-	for si, entries := range sizes {
+	for _, entries := range sizes {
 		rows := [3][]string{
 			{sizeLabel(entries), "check misses"},
 			{"", "NI misses"},
 			{"", "unpins"},
 		}
-		for ai := range apps {
-			avg := cells[si*len(apps)+ai]
-			rows[0] = append(rows[0], fmt.Sprintf("%.2f", avg[0]), "-")
-			rows[1] = append(rows[1], fmt.Sprintf("%.2f", avg[1]), fmt.Sprintf("%.2f", avg[2]))
-			rows[2] = append(rows[2], fmt.Sprintf("%.2f", avg[3]), fmt.Sprintf("%.2f", avg[4]))
+		for range apps {
+			for _, m := range versus {
+				perNode := pop(&rs, nodes)
+				check := "-" // the baseline has no user-level check
+				if m != sim.Interrupt {
+					check = fmt.Sprintf("%.2f", nodeAvg(perNode, sim.Result.CheckMissRate))
+				}
+				rows[0] = append(rows[0], check)
+				rows[1] = append(rows[1], fmt.Sprintf("%.2f", nodeAvg(perNode, sim.Result.NIMissRate)))
+				rows[2] = append(rows[2], fmt.Sprintf("%.2f", nodeAvg(perNode, sim.Result.UnpinRate)))
+			}
 		}
 		for _, row := range rows {
 			tbl.AddRow(row...)
@@ -149,19 +147,14 @@ func Table4(opts Options) (*stats.Table, error) {
 // Table5 repeats Table 4 under a 4 MB (1024-page) per-process pin
 // quota — reproducing "Table 5".
 func Table5(opts Options) (*stats.Table, error) {
-	limit := scaleLimit(1024, opts)
 	return comparisonTable(opts, "table5",
 		"Table 5: UTLB vs Intr per-lookup overheads (4 MB host memory per process, direct-mapped+offset, no prefetch)",
-		limit)
+		scaleLimit(1024, opts))
 }
 
 // scaleLimit shrinks a pin quota along with the workload scale.
 func scaleLimit(pages int, opts Options) int {
-	v := int(float64(pages) * opts.scale())
-	if v < 8 {
-		v = 8
-	}
-	return v
+	return max(8, int(float64(pages)*opts.scale()))
 }
 
 // Table6 reports the measured average translation lookup cost for
@@ -169,47 +162,36 @@ func scaleLimit(pages int, opts Options) int {
 // Average lookup cost comparison: UTLB vs. Intr."
 func Table6(opts Options) (*stats.Table, error) {
 	apps := []string{"barnes", "fft"}
+	header := []string{"cache entries"}
+	for _, app := range apps {
+		header = versusNames(header, app+" ", "")
+	}
 	tbl := stats.NewTable(
 		"Table 6: average lookup cost, UTLB vs Intr (us; infinite host memory, no prefetch, index offsetting)",
-		"cache entries", "barnes UTLB", "barnes Intr", "fft UTLB", "fft Intr")
+		header...)
 	all := scaledSizes(opts)
 	sizes := []int{all[0], all[2], all[4]}
 
-	cells, err := parallel.Map(len(sizes)*len(apps), func(i int) ([]string, error) {
-		entries := sizes[i/len(apps)]
-		app := apps[i%len(apps)]
-		tr, err := opts.traceFor(app)
-		if err != nil {
-			return nil, err
+	var cells []cell
+	for _, entries := range sizes {
+		for _, app := range apps {
+			for _, m := range versus {
+				cfg := opts.config()
+				cfg.Mechanism = m
+				cfg.CacheEntries = entries
+				cells = append(cells, cell{
+					fmt.Sprintf("table6/%s/%s/%s", app, sizeLabel(entries), tag(m)),
+					opts.appTrace(app, 0), cfg})
+			}
 		}
-		cfg := sim.DefaultConfig()
-		cfg.CacheEntries = entries
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("table6/%s/%s/utlb", app, sizeLabel(entries)))
-		u, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Mechanism = sim.Interrupt
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("table6/%s/%s/intr", app, sizeLabel(entries)))
-		ir, err := sim.Run(tr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []string{
-			fmt.Sprintf("%.1f", u.AvgLookupCost().Micros()),
-			fmt.Sprintf("%.1f", ir.AvgLookupCost().Micros()),
-		}, nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	for si, entries := range sizes {
-		row := []string{sizeLabel(entries)}
-		for ai := range apps {
-			row = append(row, cells[si*len(apps)+ai]...)
-		}
-		tbl.AddRow(row...)
+	for _, entries := range sizes {
+		tbl.AddRow(append([]string{sizeLabel(entries)},
+			each(pop(&rs, len(apps)*len(versus)), "%.1f", lookupMicros)...)...)
 	}
 	return tbl, nil
 }
@@ -229,57 +211,33 @@ func Table7(opts Options) (*stats.Table, error) {
 		header...)
 	limit := scaleLimit(4096, opts) // 16 MB of 4 KB pages per process
 
-	// One run per (app, prepin) serves both pin and unpin rows.
+	// One run per (prepin, app) serves both its pin and its unpin row.
 	prepins := []int{1, 16}
-	runs, err := parallel.Map(len(apps)*len(prepins), func(i int) (sim.Result, error) {
-		app := apps[i/len(prepins)]
-		prepin := prepins[i%len(prepins)]
-		tr, err := opts.traceFor(app)
-		if err != nil {
-			return sim.Result{}, err
+	var cells []cell
+	for _, prepin := range prepins {
+		for _, app := range apps {
+			cfg := opts.config()
+			cfg.PinLimitPages = limit
+			cfg.Prepin = prepin
+			cfg.CacheEntries = scaledSizes(opts)[3] // the default 8K, scaled
+			cells = append(cells, cell{fmt.Sprintf("table7/%s/prepin%d", app, prepin), opts.appTrace(app, 0), cfg})
 		}
-		cfg := sim.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.PinLimitPages = limit
-		cfg.Prepin = prepin
-		if opts.scale() < 1 {
-			cfg.CacheEntries = scaledSizes(opts)[3]
-		}
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("table7/%s/prepin%d", app, prepin))
-		res, err := sim.Run(tr, cfg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("table7 %s prepin=%d: %w", app, prepin, err)
-		}
-		return res, nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	resultFor := func(app int, prepin int) sim.Result {
-		for pi, p := range prepins {
-			if p == prepin {
-				return runs[app*len(prepins)+pi]
-			}
+	var pins, unpins [][]string
+	for _, prepin := range prepins {
+		pin := []string{"pin", fmt.Sprintf("%d", prepin)}
+		unpin := []string{"unpin", fmt.Sprintf("%d", prepin)}
+		for _, res := range pop(&rs, len(apps)) {
+			pin = append(pin, fmt.Sprintf("%.1f", res.AmortizedPinCost().Micros()))
+			unpin = append(unpin, fmt.Sprintf("%.1f", res.AmortizedUnpinCost().Micros()))
 		}
-		panic("unknown prepin")
+		pins, unpins = append(pins, pin), append(unpins, unpin)
 	}
-
-	type rowKey struct {
-		label  string
-		prepin int
-		get    func(sim.Result) float64
-	}
-	rows := []rowKey{
-		{"pin", 1, func(r sim.Result) float64 { return r.AmortizedPinCost().Micros() }},
-		{"pin", 16, func(r sim.Result) float64 { return r.AmortizedPinCost().Micros() }},
-		{"unpin", 1, func(r sim.Result) float64 { return r.AmortizedUnpinCost().Micros() }},
-		{"unpin", 16, func(r sim.Result) float64 { return r.AmortizedUnpinCost().Micros() }},
-	}
-	for _, rk := range rows {
-		row := []string{rk.label, fmt.Sprintf("%d", rk.prepin)}
-		for ai := range apps {
-			row = append(row, fmt.Sprintf("%.1f", rk.get(resultFor(ai, rk.prepin))))
-		}
+	for _, row := range append(pins, unpins...) {
 		tbl.AddRow(row...)
 	}
 	return tbl, nil
@@ -289,60 +247,48 @@ func Table7(opts Options) (*stats.Table, error) {
 // offsetting, 2-way, 4-way, and direct-mapped without offsetting) and
 // reports overall Shared UTLB-Cache miss rates — reproducing "Table 8".
 func Table8(opts Options) (*stats.Table, error) {
-	type assoc struct {
+	assocs := []struct {
 		label  string
 		ways   int
 		offset bool
-	}
-	assocs := []assoc{
+	}{
 		{"direct", 1, true},
 		{"2-way", 2, true},
 		{"4-way", 4, true},
 		{"direct-nohash", 1, false},
 	}
-	apps := opts.apps()
+	apps, sizes, nodes := opts.apps(), scaledSizes(opts), opts.nodes()
 	header := append([]string{"cache", "associativity"}, apps...)
 	tbl := stats.NewTable(
 		"Table 8: overall miss rates in Shared UTLB-Cache (infinite host memory, no prefetch, index offsetting except direct-nohash)",
 		header...)
-	sizes := scaledSizes(opts)
 
-	cells, err := parallel.Map(len(sizes)*len(assocs)*len(apps), func(i int) (float64, error) {
-		entries := sizes[i/(len(assocs)*len(apps))]
-		a := assocs[i/len(apps)%len(assocs)]
-		app := apps[i%len(apps)]
-		avg, err := opts.avgOver(app, func(node int, tr trace.Trace) ([]float64, error) {
-			cfg := sim.DefaultConfig()
-			cfg.CacheEntries = entries
-			cfg.Ways = a.ways
-			cfg.IndexOffset = a.offset
-			cfg.Seed = opts.Seed
-			cfg.Recorder = opts.recorderFor(fmt.Sprintf("table8/%s/%s/%s/n%d",
-				app, a.label, sizeLabel(entries), node))
-			res, err := sim.Run(tr, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("table8 %s %s %d: %w", app, a.label, entries, err)
+	var cells []cell
+	for _, entries := range sizes {
+		for _, a := range assocs {
+			for _, app := range apps {
+				for n := 0; n < nodes; n++ {
+					cfg := opts.config()
+					cfg.CacheEntries = entries
+					cfg.Ways = a.ways
+					cfg.IndexOffset = a.offset
+					cells = append(cells, cell{
+						fmt.Sprintf("table8/%s/%s/%s/n%d", app, a.label, sizeLabel(entries), n),
+						opts.appTrace(app, n), cfg})
+				}
 			}
-			return []float64{res.NIMissRatio()}, nil
-		})
-		if err != nil {
-			return 0, err
 		}
-		return avg[0], nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
 
-	for si, entries := range sizes {
+	for _, entries := range sizes {
 		for ai, a := range assocs {
-			label := ""
-			if ai == 0 {
-				label = sizeLabel(entries)
-			}
-			row := []string{label, a.label}
-			for appi := range apps {
-				row = append(row, fmt.Sprintf("%.2f", cells[(si*len(assocs)+ai)*len(apps)+appi]))
+			row := []string{onFirst(ai, sizeLabel(entries)), a.label}
+			for range apps {
+				row = append(row, fmt.Sprintf("%.2f", nodeAvg(pop(&rs, nodes), sim.Result.NIMissRatio)))
 			}
 			tbl.AddRow(row...)
 		}
@@ -361,33 +307,25 @@ func AblationPolicies(opts Options) (*stats.Table, error) {
 	limit := scaleLimit(1024, opts)
 	policies := []core.PolicyKind{core.LRU, core.MRU, core.LFU, core.MFU, core.Random}
 
-	cells, err := parallel.Map(len(policies)*len(apps), func(i int) (string, error) {
-		pol := policies[i/len(apps)]
-		app := apps[i%len(apps)]
-		tr, err := opts.traceFor(app)
-		if err != nil {
-			return "", err
+	var cells []cell
+	for _, pol := range policies {
+		for _, app := range apps {
+			cfg := opts.config()
+			cfg.Policy = pol
+			cfg.PinLimitPages = limit
+			cfg.CacheEntries = scaledSizes(opts)[3] // the default 8K, scaled
+			cells = append(cells, cell{fmt.Sprintf("ablation-policies/%s/%s", pol, app), opts.appTrace(app, 0), cfg})
 		}
-		cfg := sim.DefaultConfig()
-		cfg.Policy = pol
-		cfg.Seed = opts.Seed
-		cfg.PinLimitPages = limit
-		if opts.scale() < 1 {
-			cfg.CacheEntries = scaledSizes(opts)[3]
-		}
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("ablation-policies/%s/%s", pol, app))
-		res, err := sim.Run(tr, cfg)
-		if err != nil {
-			return "", fmt.Errorf("policies %s %s: %w", pol, app, err)
-		}
-		return fmt.Sprintf("%.2f/%.1f", res.UnpinRate(), res.AvgLookupCost().Micros()), nil
-	})
+	}
+	rs, err := opts.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	for pi, pol := range policies {
+	for _, pol := range policies {
 		row := []string{pol.String()}
-		row = append(row, cells[pi*len(apps):(pi+1)*len(apps)]...)
+		for _, res := range pop(&rs, len(apps)) {
+			row = append(row, fmt.Sprintf("%.2f/%.1f", res.UnpinRate(), res.AvgLookupCost().Micros()))
+		}
 		tbl.AddRow(row...)
 	}
 	return tbl, nil
