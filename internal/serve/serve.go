@@ -114,6 +114,11 @@ func parseParams(r *http.Request) (params, error) {
 	}
 	if v := q.Get("apps"); v != "" {
 		p.apps = strings.Split(v, ",")
+		for _, app := range p.apps {
+			if _, err := workload.ByName(app); err != nil {
+				return p, fmt.Errorf("unknown application %q (have %v)", app, workload.Names())
+			}
+		}
 	}
 	return p, nil
 }

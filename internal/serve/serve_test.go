@@ -93,16 +93,22 @@ func TestServeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()
 	for _, path := range []string{
-		"/api/analyze",                 // missing exp
-		"/api/analyze?exp=nope",        // unknown experiment
-		"/api/analyze?exp=t6&scale=2",  // scale out of range
-		"/api/analyze?exp=t6&topk=0",   // bad topk
-		"/metrics?exp=nope",            // unknown experiment via metrics
-		"/api/analyze?exp=t6&seed=abc", // unparsable seed
+		"/api/analyze",                  // missing exp
+		"/api/analyze?exp=nope",         // unknown experiment
+		"/api/analyze?exp=t6&scale=2",   // scale out of range
+		"/api/analyze?exp=t6&topk=0",    // bad topk
+		"/metrics?exp=nope",             // unknown experiment via metrics
+		"/api/analyze?exp=t6&seed=abc",  // unparsable seed
+		"/api/analyze?exp=t4&apps=nope", // unknown application
 	} {
 		if code, _ := get(t, ts, path); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", path, code)
 		}
+	}
+	// The rejection names the valid set, and happens before the run
+	// lock and the trace store are touched.
+	if _, body := get(t, ts, "/api/analyze?exp=t4&apps=fft,nope"); !strings.Contains(body, `"nope"`) || !strings.Contains(body, "water-spatial") {
+		t.Errorf("unknown application: body %q does not name it and the valid set", body)
 	}
 	if code, _ := get(t, ts, "/api/runs/absent/trace"); code != http.StatusNotFound {
 		t.Error("missing trace did not 404")
