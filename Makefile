@@ -11,8 +11,13 @@ all: check
 # The full local gate: what CI runs, in order.
 check: vet lint build test race bench bench-smoke obs-smoke chaos overlap-soak loadtest telemetry-smoke
 
+# go vet, and gofmt as a gate: any file gofmt would rewrite fails the
+# target (testdata/ fixtures are exempt — some are misformatted on
+# purpose; .bench_build/ holds the benchmark's module cache).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './$(ARTIFACTS)/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l (run gofmt -w on these):"; echo "$$unformatted"; exit 1; fi
 
 # Project-specific static analysis (internal/lint via cmd/utlblint):
 # the five per-file rules (determinism, obs-safety, units-hygiene,

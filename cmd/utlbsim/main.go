@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -223,49 +224,42 @@ func serveMain(args []string) error {
 // writeObs exports the collected timeline to the requested files.
 func writeObs(col *obs.Collector, traceOut, metricsOut, analyzeOut string, topK int) error {
 	runs := col.Runs()
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+	for _, e := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{
+		{traceOut, fmt.Sprintf("%d events (%d runs)", col.Events(), len(runs)),
+			func(w io.Writer) error { return obs.WriteChromeTrace(w, runs) }},
+		{metricsOut, "metrics",
+			func(w io.Writer) error { return obs.WritePrometheus(w, obs.Aggregate(runs)) }},
+		{analyzeOut, "analysis",
+			func(w io.Writer) error { return analyze.WriteJSON(w, analyze.Analyze(runs, topK)) }},
+	} {
+		if err := export(e.path, e.what, e.write); err != nil {
 			return err
 		}
-		if err := obs.WriteChromeTrace(f, runs); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "utlbsim: wrote %d events (%d runs) to %s\n",
-			col.Events(), len(runs), traceOut)
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.WritePrometheus(f, obs.Aggregate(runs)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "utlbsim: wrote metrics to %s\n", metricsOut)
+	return nil
+}
+
+// export writes one export to path ("" = not requested) and reports
+// what it wrote on stderr.
+func export(path, what string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-	if analyzeOut != "" {
-		f, err := os.Create(analyzeOut)
-		if err != nil {
-			return err
-		}
-		if err := analyze.WriteJSON(f, analyze.Analyze(runs, topK)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "utlbsim: wrote analysis to %s\n", analyzeOut)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "utlbsim: wrote %s to %s\n", what, path)
 	return nil
 }
 

@@ -23,9 +23,6 @@ type Driver struct {
 	garbage units.PFN
 	tables  []*Table // registration order; a node hosts a handful of processes
 
-	pinCalls   int64
-	unpinCalls int64
-
 	// tap is where the driver, its libraries and the firmware
 	// translator record; nil — the default — records nothing.
 	tap *obs.Tap
@@ -80,10 +77,6 @@ func (d *Driver) Cache() *tlbcache.Cache { return d.cache }
 // Garbage returns the garbage frame invalid translations point at.
 func (d *Driver) Garbage() units.PFN { return d.garbage }
 
-// PinCalls and UnpinCalls report how many ioctls have been issued.
-func (d *Driver) PinCalls() int64   { return d.pinCalls }
-func (d *Driver) UnpinCalls() int64 { return d.unpinCalls }
-
 // Register allocates a translation table for proc and reserves its
 // directory's NIC SRAM. Registering twice is a caller bug.
 func (d *Driver) Register(proc *hostos.Process) (*Table, error) {
@@ -136,7 +129,6 @@ func (d *Driver) IoctlPin(proc *hostos.Process, vpns []units.VPN) ([]units.PFN, 
 	if t == nil {
 		return nil, fmt.Errorf("core: pid %d not registered", proc.PID())
 	}
-	d.pinCalls++
 	pfns, err := d.host.PinPages(proc, vpns)
 	if err != nil {
 		return nil, err
@@ -170,17 +162,14 @@ func (d *Driver) HandleSwappedTable(pid units.ProcID, vpn units.VPN) error {
 	if t == nil {
 		return fmt.Errorf("core: pid %d not registered", pid)
 	}
-	// The swapped-table interrupt already charges a full disk access in
-	// simulated time; the handler thunk's allocation is amortised into
-	// that cost and counted by the SimulateWith runtime alloc budget.
-	//lint:ignore allocstatic interrupt thunk runs only on the table-swap miss path, which pays a disk access; inside the runtime alloc budget
-	return d.host.Interrupt(func() error {
-		if disk := t.Disk(); disk != nil {
-			d.host.Clock().Advance(disk.AccessTime)
-		}
-		d.tap.Instant(obs.KindSwapIn, d.host.Clock().Now(), pid, uint64(vpn), 0)
-		return t.SwapIn(vpn)
-	})
+	taken := d.host.EnterInterrupt()
+	if disk := t.Disk(); disk != nil {
+		d.host.Clock().Advance(disk.AccessTime)
+	}
+	d.tap.Instant(obs.KindSwapIn, d.host.Clock().Now(), pid, uint64(vpn), 0)
+	err := t.SwapIn(vpn)
+	d.host.LeaveInterrupt(taken)
+	return err
 }
 
 // IoctlUnpin releases pages: the translation entries revert to the
@@ -192,7 +181,6 @@ func (d *Driver) IoctlUnpin(proc *hostos.Process, vpns []units.VPN) error {
 	if t == nil {
 		return fmt.Errorf("core: pid %d not registered", proc.PID())
 	}
-	d.unpinCalls++
 	if err := d.host.UnpinPages(proc, vpns); err != nil {
 		return err
 	}

@@ -50,9 +50,6 @@ type Costs struct {
 	// InterruptDispatch is the cost for the NIC to interrupt the host
 	// and enter the kernel handler (the paper measures 10 µs).
 	InterruptDispatch units.Time
-	// ContextSwitch approximates the scheduler cost around an
-	// interrupt-time pin when a process must be switched in.
-	ContextSwitch units.Time
 	// ReclaimBase is the fixed cost of one reclaimer pass (entering
 	// the reclaimer, snapshotting the process list, lock traffic) —
 	// paid even when the scan evicts nothing.
@@ -84,7 +81,6 @@ func DefaultCosts() Costs {
 		BitTest:           units.FromMicros(0.0085),
 		BitMisalign:       units.FromMicros(0.18),
 		InterruptDispatch: units.FromMicros(10.0),
-		ContextSwitch:     units.FromMicros(5.0),
 		ReclaimBase:       units.FromMicros(4.0),
 		ReclaimPerScanned: units.FromMicros(0.12),
 	}
@@ -168,10 +164,6 @@ type Host struct {
 
 	// interrupts counts device interrupts delivered to this host.
 	interrupts int64
-	// current is the process the CPU runs; switches counts charged
-	// context switches (reclaim.go).
-	current  units.ProcID
-	switches int64
 
 	// tap records pin/unpin ioctls, reclaimer passes and interrupts as
 	// spans on the host clock; nil — the default — records nothing.
@@ -394,29 +386,33 @@ func (h *Host) unpinLocked(p *Process, vpns []units.VPN) error {
 	return nil
 }
 
-// Interrupt delivers a device interrupt to the host: it charges the
-// dispatch cost, runs the handler in kernel context, and returns the
-// handler's error. The interrupt-based translation baseline lives on
+// EnterInterrupt delivers a device interrupt to the host: it charges
+// the dispatch cost and returns when the interrupt was taken, which the
+// handler — the caller's next statements, in kernel context — hands to
+// LeaveInterrupt. The interrupt-based translation baseline lives on
 // this path; UTLB's whole point is to keep off it. Every interrupt of
 // the model — the baseline's miss handler, the driver's swapped-table
-// handler — comes through here, so this is where the two processors
-// meet under the overlap engine (a device clock is attached); both
-// waits are AdvanceTo, waiting and not work.
-func (h *Host) Interrupt(handler func() error) error {
+// handler — comes through this pair, so this is where the two
+// processors meet under the overlap engine (a device clock is
+// attached); both waits are AdvanceTo, waiting and not work.
+func (h *Host) EnterInterrupt() (taken units.Time) {
 	h.interrupts++
 	if h.device != nil {
 		h.clock.AdvanceTo(h.device.Now())
 	}
-	// The span covers dispatch plus the handler's own host time
-	// (interrupt-time pins record nested spans of their own).
-	start := h.clock.Now()
+	taken = h.clock.Now()
 	h.clock.Advance(h.costs.InterruptDispatch)
-	err := handler()
-	h.tap.Span(obs.KindInterrupt, start, h.clock.Now()-start, 0, 0, 0)
+	return taken
+}
+
+// LeaveInterrupt returns from the handler of the interrupt taken at
+// taken. The span covers dispatch plus the handler's own host time
+// (interrupt-time pins record nested spans of their own).
+func (h *Host) LeaveInterrupt(taken units.Time) {
+	h.tap.Span(obs.KindInterrupt, taken, h.clock.Now()-taken, 0, 0, 0)
 	if h.device != nil {
 		h.device.AdvanceTo(h.clock.Now())
 	}
-	return err
 }
 
 // InterruptCount reports how many interrupts this host has taken.

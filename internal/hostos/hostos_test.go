@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"utlb/internal/obs"
 	"utlb/internal/units"
 	"utlb/internal/vm"
 )
@@ -128,20 +129,41 @@ func TestUnpinPages(t *testing.T) {
 func TestInterrupt(t *testing.T) {
 	h := newHost(t)
 	before := h.Clock().Now()
-	called := false
-	err := h.Interrupt(func() error { called = true; return nil })
-	if err != nil || !called {
-		t.Fatalf("handler not run: %v", err)
+	taken := h.EnterInterrupt()
+	if taken != before || h.Clock().Now()-before != h.Costs().InterruptDispatch {
+		t.Errorf("taken at %v, clock +%v: want %v and the dispatch cost", taken, h.Clock().Now()-before, before)
 	}
-	if h.Clock().Now()-before != h.Costs().InterruptDispatch {
-		t.Error("interrupt dispatch cost not charged")
-	}
+	h.LeaveInterrupt(taken)
 	if h.InterruptCount() != 1 {
 		t.Errorf("InterruptCount = %d", h.InterruptCount())
 	}
-	wantErr := errors.New("boom")
-	if err := h.Interrupt(func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Errorf("handler error not propagated: %v", err)
+}
+
+// TestInterruptRendezvous checks the pair under the overlap engine:
+// the host cannot take the interrupt before the device raises it, the
+// device resumes when the handler returns, and the recorded span
+// covers dispatch plus the handler's host time.
+func TestInterruptRendezvous(t *testing.T) {
+	h := newHost(t)
+	buf := obs.NewBuffer("x")
+	h.SetTap(obs.NewTap(buf, 0))
+	device := units.NewClock()
+	device.Advance(units.FromMicros(50))
+	h.SetInterruptSync(device)
+
+	taken := h.EnterInterrupt()
+	if taken != device.Now() {
+		t.Errorf("interrupt taken at %v, before the device raised it at %v", taken, device.Now())
+	}
+	h.Clock().Advance(units.FromMicros(7)) // the handler's work
+	h.LeaveInterrupt(taken)
+	want := h.Costs().InterruptDispatch + units.FromMicros(7)
+	if device.Now() != taken+want {
+		t.Errorf("device resumed at %v, want %v", device.Now(), taken+want)
+	}
+	evs := buf.Events()
+	if len(evs) != 1 || evs[0].Kind != obs.KindInterrupt || evs[0].Time != taken || evs[0].Dur != want {
+		t.Errorf("events = %+v, want one interrupt span [%v, +%v]", evs, taken, want)
 	}
 }
 

@@ -90,30 +90,3 @@ func (h *Host) MemoryPressure() float64 {
 	}
 	return float64(total-h.mem.FreeFrames()) / float64(total)
 }
-
-// Current process tracking. The trace-driven simulator deliberately
-// does NOT charge these switches: the paper's cost comparison factors
-// context switches out (§6.2), and interleaved-process scheduling
-// costs both mechanisms equally. The capability exists for users who
-// want scheduling realism in live-cluster studies.
-
-// SetCurrent records which process the CPU is running.
-func (h *Host) SetCurrent(pid units.ProcID) { h.current = pid }
-
-// Current reports the running process (0 = idle/kernel).
-func (h *Host) Current() units.ProcID { return h.current }
-
-// ChargeSwitchTo charges a context switch if pid is not current and
-// makes it current. It reports whether a switch was charged.
-func (h *Host) ChargeSwitchTo(pid units.ProcID) bool {
-	if h.current == pid {
-		return false
-	}
-	h.clock.Advance(h.costs.ContextSwitch)
-	h.current = pid
-	h.switches++
-	return true
-}
-
-// ContextSwitches reports how many switches have been charged.
-func (h *Host) ContextSwitches() int64 { return h.switches }

@@ -144,31 +144,3 @@ func TestMemoryPressure(t *testing.T) {
 		t.Errorf("pressure = %v, want 0.5", got)
 	}
 }
-
-func TestContextSwitchAccounting(t *testing.T) {
-	h := newHost(t)
-	if h.Current() != 0 {
-		t.Error("fresh host has a current process")
-	}
-	before := h.Clock().Now()
-	if !h.ChargeSwitchTo(1) {
-		t.Error("first switch not charged")
-	}
-	if h.ChargeSwitchTo(1) {
-		t.Error("same-process switch charged")
-	}
-	if !h.ChargeSwitchTo(2) {
-		t.Error("cross-process switch not charged")
-	}
-	if h.ContextSwitches() != 2 {
-		t.Errorf("switches = %d", h.ContextSwitches())
-	}
-	want := 2 * h.Costs().ContextSwitch
-	if got := h.Clock().Now() - before; got != want {
-		t.Errorf("charged %v, want %v", got, want)
-	}
-	h.SetCurrent(9)
-	if h.Current() != 9 {
-		t.Error("SetCurrent")
-	}
-}

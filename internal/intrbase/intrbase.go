@@ -28,10 +28,6 @@ import (
 	"utlb/internal/vm"
 )
 
-// ErrNoVictim mirrors core.ErrNoVictim for the baseline's forced
-// unpinning path.
-var ErrNoVictim = errors.New("intrbase: no evictable page")
-
 // Stats are the baseline's cumulative counters (Table 4's Intr rows).
 type Stats struct {
 	Lookups       int64
@@ -143,15 +139,9 @@ func (m *Mechanism) Translate(pid units.ProcID, vpn units.VPN) (pfn units.PFN, h
 
 	// Miss: interrupt the host; the handler pins and installs.
 	t0 := m.host.Clock().Now()
-	// The miss path pays a simulated host interrupt (microseconds of
-	// model time); the handler thunk's allocation is part of that cost
-	// and counted by the SimulateWith runtime alloc budget.
-	//lint:ignore allocstatic interrupt thunk runs only on the miss path, which already pays a host interrupt; inside the runtime alloc budget
-	err = m.host.Interrupt(func() error {
-		var herr error
-		pfn, herr = m.handleMiss(st, key)
-		return herr
-	})
+	taken := m.host.EnterInterrupt()
+	pfn, err = m.handleMiss(st, key)
+	m.host.LeaveInterrupt(taken)
 	m.stats.HandlerTime += m.host.Clock().Now() - t0
 	if err != nil {
 		return units.NoPFN, false, err
@@ -176,7 +166,7 @@ func (m *Mechanism) handleMiss(st *procState, key tlbcache.Key) (units.PFN, erro
 		// Quota full: unpin this process' LRU page.
 		victim, ok := st.policy.Victim()
 		if !ok {
-			return units.NoPFN, ErrNoVictim
+			return units.NoPFN, core.ErrNoVictim
 		}
 		if err := m.unpin(st, victim); err != nil {
 			return units.NoPFN, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"utlb/internal/bus"
+	"utlb/internal/core"
 	"utlb/internal/hostos"
 	"utlb/internal/nicsim"
 	"utlb/internal/tlbcache"
@@ -134,7 +135,7 @@ func TestLockedPageNotForcedOut(t *testing.T) {
 	r := newRig(t, 64, 1, 1)
 	r.m.Translate(1, 0)
 	r.m.Lock(1, 0)
-	if _, _, err := r.m.Translate(1, 1); !errors.Is(err, ErrNoVictim) {
+	if _, _, err := r.m.Translate(1, 1); !errors.Is(err, core.ErrNoVictim) {
 		t.Errorf("err = %v, want ErrNoVictim", err)
 	}
 	r.m.Unlock(1, 0)

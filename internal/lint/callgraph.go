@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the interprocedural layer under the summary-based
@@ -312,13 +311,4 @@ func isSelectorSel(stack []ast.Node, x *ast.Ident) bool {
 	}
 	sel, ok := stack[len(stack)-1].(*ast.SelectorExpr)
 	return ok && (sel.Sel == x || sel.X == x)
-}
-
-// hasSuffixPath reports whether the import path p equals module+"/"+s
-// (or the module root when s is empty).
-func hasSuffixPath(module, p, s string) bool {
-	if s == "" {
-		return p == module
-	}
-	return p == module+"/"+s || strings.HasSuffix(p, "/"+s)
 }

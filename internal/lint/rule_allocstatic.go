@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -394,15 +393,4 @@ func capturesOutside(pkg *Package, n *FuncNode, lit *ast.FuncLit) bool {
 		return !captured
 	})
 	return captured
-}
-
-// sortFuncIDs renders a deterministic list of hot-set IDs (test
-// helper).
-func sortFuncIDs(set map[*FuncNode]string) []string {
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n.ID)
-	}
-	sort.Strings(out)
-	return out
 }

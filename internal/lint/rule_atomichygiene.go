@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // ruleAtomicHygiene enforces all-or-nothing atomicity on shared
@@ -271,15 +270,4 @@ func diagName(pkg *Package, at ast.Expr, v *types.Var) string {
 		return fmt.Sprintf("field %s.%s", owner, v.Name())
 	}
 	return fmt.Sprintf("%s.%s", owner, v.Name())
-}
-
-// sortVarNames is a deterministic iteration helper over the tracked
-// atomic variables (used by tests).
-func sortVarNames(m map[*types.Var]string) []string {
-	out := make([]string, 0, len(m))
-	for _, name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

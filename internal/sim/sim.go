@@ -438,9 +438,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 		return r.res, err
 	}
 	for i, pid := range pids {
-		//lint:ignore allocstatic process names are built once per spawned process at setup, inside the SimulateWith alloc budget
-		proc, err := r.host.Spawn(pid, fmt.Sprintf("proc%d", pid),
-			scr.space(i, pid, r.host.Memory(), cfg.PinLimitPages))
+		proc, err := r.host.Spawn(pid, "proc", scr.space(i, pid, r.host.Memory(), cfg.PinLimitPages))
 		if err != nil {
 			return r.res, err
 		}

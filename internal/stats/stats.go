@@ -29,25 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row, applying fmt.Sprintf("%v") to each cell value.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		default:
-			row = append(row, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(row...)
-}
-
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table as aligned text.
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))
@@ -126,15 +107,6 @@ func (f *Figure) Series(name string) *Series {
 	s := &Series{Name: name}
 	f.series = append(f.series, s)
 	return s
-}
-
-// SeriesNames reports the series names in creation order.
-func (f *Figure) SeriesNames() []string {
-	names := make([]string, len(f.series))
-	for i, s := range f.series {
-		names[i] = s.Name
-	}
-	return names
 }
 
 // String renders the figure as a text table: one row per x value, one

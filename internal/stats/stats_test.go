@@ -8,7 +8,7 @@ import (
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Table X", "app", "misses")
 	tbl.AddRow("fft", "0.25")
-	tbl.AddRowf("lu", 0.5)
+	tbl.AddRow("lu", "0.50")
 	tbl.AddRow("radix") // short row gets padded
 	out := tbl.String()
 	for _, want := range []string{"Table X", "app", "misses", "fft", "0.25", "lu", "0.50", "radix"} {
@@ -16,8 +16,9 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if tbl.NumRows() != 3 {
-		t.Errorf("NumRows = %d", tbl.NumRows())
+	// Title, header, rule, then one line per row.
+	if lines := strings.Count(out, "\n"); lines != 6 {
+		t.Errorf("rendered %d lines, want 6:\n%s", lines, out)
 	}
 }
 
@@ -39,10 +40,11 @@ func TestFigure(t *testing.T) {
 	f.Series("1K").Add(1, 0.5)
 	f.Series("1K").Add(4, 0.3)
 	f.Series("2K").Add(1, 0.4)
-	if got := f.SeriesNames(); len(got) != 2 || got[0] != "1K" {
-		t.Errorf("SeriesNames = %v", got)
-	}
 	out := f.String()
+	// One column per series, in creation order.
+	if header := strings.Fields(strings.Split(out, "\n")[1]); len(header) != 3 || header[1] != "1K" || header[2] != "2K" {
+		t.Errorf("header = %q, want prefetch, 1K, 2K", header)
+	}
 	for _, want := range []string{"Fig 8", "prefetch", "1K", "2K", "0.5000", "0.3000", "0.4000"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure output missing %q:\n%s", want, out)

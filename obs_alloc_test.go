@@ -60,8 +60,8 @@ func TestSimulateRunAllocBudget(t *testing.T) {
 		}
 	})
 	const (
-		allocBudget = 32   // measured 32, exact; PR 6 was 175, the seed repo 1695
-		byteBudget  = 4096 // measured 2.1 KB; PR 6 was 354 KB
+		allocBudget = 27   // measured 27, exact; PR 6 was 175, the seed repo 1695
+		byteBudget  = 4096 // measured 1.9 KB; PR 6 was 354 KB
 	)
 	if got := res.AllocsPerOp(); got > allocBudget {
 		t.Errorf("SimulateWith allocates %d/op with warm scratch, budget %d", got, allocBudget)
@@ -99,7 +99,7 @@ func TestSimulateDisabledRecorderAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	const budget = 200 // pooled steady state measures 32; headroom for pool drain
+	const budget = 195 // pooled steady state measures 27; headroom for pool drain
 	if got > budget {
 		t.Errorf("disabled-recorder Simulate allocates %d/op, budget %d: instrumentation or scratch reuse leaked onto the hot path", got, budget)
 	} else {
