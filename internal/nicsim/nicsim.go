@@ -2,7 +2,7 @@
 // embedded processor with on-board SRAM, a DMA engine on the host I/O
 // bus, and a doorbell/command-queue interface through which user
 // processes post requests. Interrupts are modelled where they are paid,
-// on the host (hostos.Host.Interrupt).
+// on the host (hostos.Host.EnterInterrupt).
 //
 // The paper's NIC is a Myrinet PCI interface with a 33 MHz LANai 4.2
 // and 1 MB of SRAM; the firmware (Myrinet Control Program) polls
