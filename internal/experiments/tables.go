@@ -213,13 +213,13 @@ func Table7(opts Options) (*stats.Table, error) {
 
 	// One run per (prepin, app) serves both its pin and its unpin row.
 	prepins := []int{1, 16}
+	cfg := opts.config()
+	cfg.PinLimitPages = limit
+	cfg.CacheEntries = scaledSizes(opts)[3] // the default 8K, scaled
 	var cells []cell
 	for _, prepin := range prepins {
+		cfg.Prepin = prepin
 		for _, app := range apps {
-			cfg := opts.config()
-			cfg.PinLimitPages = limit
-			cfg.Prepin = prepin
-			cfg.CacheEntries = scaledSizes(opts)[3] // the default 8K, scaled
 			cells = append(cells, cell{fmt.Sprintf("table7/%s/prepin%d", app, prepin), opts.appTrace(app, 0), cfg})
 		}
 	}
@@ -307,13 +307,13 @@ func AblationPolicies(opts Options) (*stats.Table, error) {
 	limit := scaleLimit(1024, opts)
 	policies := []core.PolicyKind{core.LRU, core.MRU, core.LFU, core.MFU, core.Random}
 
+	cfg := opts.config()
+	cfg.PinLimitPages = limit
+	cfg.CacheEntries = scaledSizes(opts)[3] // the default 8K, scaled
 	var cells []cell
 	for _, pol := range policies {
+		cfg.Policy = pol
 		for _, app := range apps {
-			cfg := opts.config()
-			cfg.Policy = pol
-			cfg.PinLimitPages = limit
-			cfg.CacheEntries = scaledSizes(opts)[3] // the default 8K, scaled
 			cells = append(cells, cell{fmt.Sprintf("ablation-policies/%s/%s", pol, app), opts.appTrace(app, 0), cfg})
 		}
 	}
