@@ -40,6 +40,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := spec.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 	tr := spec.GenerateCluster(*nodes, *seed, *scale)
 
 	w := os.Stdout

@@ -48,6 +48,7 @@ import (
 	"utlb/internal/serve"
 	"utlb/internal/telemetry"
 	"utlb/internal/trace"
+	"utlb/internal/workload"
 	"utlb/internal/xlate"
 )
 
@@ -162,6 +163,9 @@ func run(exp, traceIn string, scale float64, seed int64, apps string, nodes, pin
 	opts := experiments.Options{Scale: scale, Seed: seed, Nodes: nodes, Obs: col, Fault: fault}
 	if apps != "" {
 		opts.Apps = strings.Split(apps, ",")
+	}
+	if err := workload.CheckScale(scale, opts.Apps); err != nil {
+		return fmt.Errorf("bad -scale or -apps: %w", err)
 	}
 	if exp == "all" {
 		return experiments.RunAll(opts, os.Stdout)

@@ -101,6 +101,9 @@ func (o Options) appTrace(app string, node int) func() (trace.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := spec.CheckScale(o.scale()); err != nil {
+			return nil, err
+		}
 		return spec.GenerateCached(workload.Config{
 			Node:     units.NodeID(node),
 			FirstPID: units.ProcID(1 + node*workload.ProcsPerNode),

@@ -48,7 +48,7 @@ func AblationMultiprog(opts Options) (*stats.Table, error) {
 		}
 		// Two cells replay the mix; whichever worker asks first builds it.
 		mixed := sync.OnceValues(func() (trace.Trace, error) {
-			return workload.Multiprogram(specs, 0, opts.Seed, opts.scale()), nil
+			return workload.Multiprogram(specs, 0, opts.Seed, opts.scale())
 		})
 		label := "ablation-multiprog/" + pair[0] + "+" + pair[1]
 		cells = append(cells,

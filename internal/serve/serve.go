@@ -120,6 +120,11 @@ func parseParams(r *http.Request) (params, error) {
 			}
 		}
 	}
+	// A scale that leaves an application no page per process has no
+	// trace; refused here, not on a pool goroutine under the run lock.
+	if err := workload.CheckScale(p.scale, p.apps); err != nil {
+		return p, err
+	}
 	return p, nil
 }
 

@@ -93,13 +93,15 @@ func TestServeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()
 	for _, path := range []string{
-		"/api/analyze",                  // missing exp
-		"/api/analyze?exp=nope",         // unknown experiment
-		"/api/analyze?exp=t6&scale=2",   // scale out of range
-		"/api/analyze?exp=t6&topk=0",    // bad topk
-		"/metrics?exp=nope",             // unknown experiment via metrics
-		"/api/analyze?exp=t6&seed=abc",  // unparsable seed
-		"/api/analyze?exp=t4&apps=nope", // unknown application
+		"/api/analyze",                            // missing exp
+		"/api/analyze?exp=nope",                   // unknown experiment
+		"/api/analyze?exp=t6&scale=2",             // scale out of range
+		"/api/analyze?exp=t6&topk=0",              // bad topk
+		"/metrics?exp=nope",                       // unknown experiment via metrics
+		"/api/analyze?exp=t6&seed=abc",            // unparsable seed
+		"/api/analyze?exp=t4&apps=nope",           // unknown application
+		"/api/analyze?exp=t4&scale=0.001",         // no page per process at this scale
+		"/metrics?exp=t6&scale=0.003&apps=barnes", // nor for barnes at this one
 	} {
 		if code, _ := get(t, ts, path); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", path, code)
@@ -109,6 +111,15 @@ func TestServeBadRequests(t *testing.T) {
 	// lock and the trace store are touched.
 	if _, body := get(t, ts, "/api/analyze?exp=t4&apps=fft,nope"); !strings.Contains(body, `"nope"`) || !strings.Contains(body, "water-spatial") {
 		t.Errorf("unknown application: body %q does not name it and the valid set", body)
+	}
+	// A scale too small to generate used to divide by zero on a pool
+	// goroutine and take the process down: now it is refused by name,
+	// nothing ran, and the server answers the next request.
+	if _, body := get(t, ts, "/api/analyze?exp=t4&scale=0.001"); !strings.Contains(body, "scale 0.001 is too small") {
+		t.Errorf("tiny scale: body %q does not say so", body)
+	}
+	if code, body := get(t, ts, "/api/runs"); code != http.StatusOK || strings.TrimSpace(body) != "[]" {
+		t.Errorf("/api/runs after the rejections: code %d body %q, want an empty list", code, body)
 	}
 	if code, _ := get(t, ts, "/api/runs/absent/trace"); code != http.StatusNotFound {
 		t.Error("missing trace did not 404")

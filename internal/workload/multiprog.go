@@ -16,9 +16,9 @@ import (
 //
 // The per-application scale is divided evenly so the combined lookup
 // volume matches a single application at the requested scale.
-func Multiprogram(apps []*Spec, node units.NodeID, seed int64, scale float64) trace.Trace {
+func Multiprogram(apps []*Spec, node units.NodeID, seed int64, scale float64) (trace.Trace, error) {
 	if len(apps) == 0 {
-		return nil
+		return nil, nil
 	}
 	if scale <= 0 {
 		scale = 1.0
@@ -26,6 +26,9 @@ func Multiprogram(apps []*Spec, node units.NodeID, seed int64, scale float64) tr
 	perApp := scale / float64(len(apps))
 	var traces []trace.Trace
 	for i, spec := range apps {
+		if err := spec.CheckScale(perApp); err != nil {
+			return nil, err
+		}
 		traces = append(traces, spec.Generate(Config{
 			Node:     node,
 			FirstPID: units.ProcID(1 + i*ProcsPerNode),
@@ -33,5 +36,5 @@ func Multiprogram(apps []*Spec, node units.NodeID, seed int64, scale float64) tr
 			Scale:    perApp,
 		}))
 	}
-	return trace.Merge(traces...)
+	return trace.Merge(traces...), nil
 }

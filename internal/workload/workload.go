@@ -139,7 +139,11 @@ type budget struct {
 	protoFootprint, protoLookups int
 }
 
-func (s *Spec) budget(scale float64) budget {
+// budget splits s's footprint and lookups at scale. A scale so small
+// that a process is left without a page or without a lookup is an
+// error, reported here once: there is no trace of that shape, and the
+// generator below divides by these counts.
+func (s *Spec) budget(scale float64) (budget, error) {
 	if scale <= 0 {
 		scale = 1.0
 	}
@@ -150,19 +154,61 @@ func (s *Spec) budget(scale float64) budget {
 	if protoFootprint < 4 {
 		protoFootprint = 4
 	}
-	return budget{
+	b := budget{
 		appFootprint:   (footprint - protoFootprint) / 4,
 		appLookups:     (lookups - protoLookups) / 4,
 		protoFootprint: protoFootprint,
 		protoLookups:   protoLookups,
 	}
+	if b.appFootprint < 1 || b.appLookups < 1 || b.protoLookups < 1 {
+		return b, fmt.Errorf("workload: scale %g is too small for %s: %d pages and %d lookups leave a process with none",
+			scale, s.Name, footprint, lookups)
+	}
+	return b, nil
+}
+
+// CheckScale reports whether s can be generated at scale. Generate and
+// its variants panic on a scale this rejects; whoever takes the scale
+// from outside the program (a flag, a query parameter) checks it here
+// first.
+func (s *Spec) CheckScale(scale float64) error {
+	_, err := s.budget(scale)
+	return err
+}
+
+// CheckScale checks scale against every application in apps, or
+// against all seven when apps is empty.
+func CheckScale(scale float64, apps []string) error {
+	if len(apps) == 0 {
+		apps = Names()
+	}
+	for _, app := range apps {
+		spec, err := ByName(app)
+		if err != nil {
+			return err
+		}
+		if err := spec.CheckScale(scale); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mustBudget is budget for the generators, whose callers have checked
+// the scale.
+func (s *Spec) mustBudget(scale float64) budget {
+	b, err := s.budget(scale)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // records is the exact per-node record count the budget produces:
 // exactify guarantees each process sequence is exactly its lookup
-// target long (one record minimum).
+// target long.
 func (b budget) records() int {
-	return 4*maxInt(b.appLookups, 1) + maxInt(b.protoLookups, 1)
+	return 4*b.appLookups + b.protoLookups
 }
 
 // Generate produces one node's trace: four application processes
@@ -170,7 +216,7 @@ func (b budget) records() int {
 // process, interleaved by a globally-synchronised clock. The records
 // live in one allocation sized exactly to the trace.
 func (s *Spec) Generate(cfg Config) trace.Trace {
-	b := s.budget(cfg.Scale)
+	b := s.mustBudget(cfg.Scale)
 	out := make(trace.Trace, b.records())
 	s.generateInto(cfg, b, out)
 	return out
@@ -301,7 +347,7 @@ func sequenceToTrace(out trace.Trace, node units.NodeID, pid units.ProcID, base 
 // serialises the union, which is what trace.Merge of the per-node
 // traces would produce.
 func (s *Spec) GenerateCluster(nodes int, seed int64, scale float64) trace.Trace {
-	b := s.budget(scale)
+	b := s.mustBudget(scale)
 	perNode := b.records()
 	all := make(trace.Trace, nodes*perNode)
 	for n := 0; n < nodes; n++ {

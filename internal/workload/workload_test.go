@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"utlb/internal/units"
@@ -232,9 +233,9 @@ func TestWaterHasHighReuse(t *testing.T) {
 func TestMultiprogram(t *testing.T) {
 	a, _ := ByName("fft")
 	b, _ := ByName("barnes")
-	tr := Multiprogram([]*Spec{a, b}, 3, 9, 0.1)
-	if len(tr) == 0 {
-		t.Fatal("empty multiprogram trace")
+	tr, err := Multiprogram([]*Spec{a, b}, 3, 9, 0.1)
+	if err != nil || len(tr) == 0 {
+		t.Fatalf("multiprogram trace: %d records, error %v", len(tr), err)
 	}
 	pids := tr.PIDs()
 	if len(pids) != 2*ProcsPerNode {
@@ -254,7 +255,54 @@ func TestMultiprogram(t *testing.T) {
 	if len(tr) > 2*len(solo) {
 		t.Errorf("mix volume %d vs solo %d: split not applied", len(tr), len(solo))
 	}
-	if Multiprogram(nil, 0, 1, 1) != nil {
+	if tr, err := Multiprogram(nil, 0, 1, 1); tr != nil || err != nil {
 		t.Error("empty app list should produce nil")
+	}
+	// Each app gets half the scale, and that half is what is checked.
+	if _, err := Multiprogram([]*Spec{a, b}, 3, 9, 0.005); err == nil {
+		t.Error("barnes at scale 0.0025 has no page per process: want an error")
+	}
+}
+
+// A scale that leaves a process no page or no lookup is an error from
+// the budget, not a divide by zero in exactify (`-scale 0.001`, or
+// `scale=0.001` over HTTP, used to kill the process); every scale the
+// budget accepts generates, down to one page per process.
+func TestCheckScale(t *testing.T) {
+	for _, s := range Specs() {
+		accepted := 0
+		for milli := 1; milli <= 80; milli++ { // 0.00025 .. 0.02
+			scale := float64(milli) / 4000
+			err := s.CheckScale(scale)
+			if err != nil {
+				if accepted > 0 {
+					t.Errorf("%s: scale %g rejected above an accepted one: %v", s.Name, scale, err)
+				}
+				if !strings.Contains(err.Error(), s.Name) || strings.Contains(err.Error(), "\n") {
+					t.Errorf("%s: error %q should be one line naming the application", s.Name, err)
+				}
+				continue
+			}
+			accepted++
+			b := s.mustBudget(scale)
+			if tr := s.Generate(Config{FirstPID: 1, Seed: 7, Scale: scale}); len(tr) != b.records() {
+				t.Errorf("%s at scale %g: %d records, budget says %d", s.Name, scale, len(tr), b.records())
+			}
+		}
+		if accepted == 0 || accepted == 80 {
+			t.Errorf("%s: %d of 80 small scales accepted, want some of each", s.Name, accepted)
+		}
+	}
+	if err := CheckScale(0.001, nil); err == nil {
+		t.Error("CheckScale(0.001) over all applications = nil")
+	}
+	if err := CheckScale(0.05, nil); err != nil {
+		t.Errorf("CheckScale(0.05) = %v", err)
+	}
+	if err := CheckScale(0.003, []string{"lu"}); err != nil {
+		t.Errorf("lu's 12507 pages fit scale 0.003: %v", err)
+	}
+	if err := CheckScale(1, []string{"nope"}); err == nil {
+		t.Error("CheckScale of an unknown application = nil")
 	}
 }

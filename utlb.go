@@ -172,6 +172,9 @@ func GenerateTrace(app string, seed int64, scale float64) (Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := spec.CheckScale(scale); err != nil {
+		return nil, err
+	}
 	return spec.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: seed, Scale: scale}), nil
 }
 
