@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -233,51 +232,13 @@ func serveMain(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return serveUntil(ctx, newServer(serve.NewWith(xl).Handler()), ln, drainTimeout)
+	return serve.ServeUntil(ctx, serve.NewHTTPServer(serve.NewWith(xl).Handler()), ln, drainTimeout)
 }
 
 // drainTimeout is how long a SIGINT/SIGTERM waits for in-flight
 // requests — an experiment run, a streamed trace export — before the
 // process gives up on them.
 const drainTimeout = 30 * time.Second
-
-// newServer is the listener's limits. A client gets 5 s to finish its
-// request headers and 30 s for the whole request (the largest is a
-// 256 KB POST batch); an idle keep-alive connection is closed after
-// two minutes; headers are capped at 256 KB, which still fits a GET
-// carrying the full 4096-key batch. There is deliberately no
-// WriteTimeout: it would bound the handler, and /debug/pprof/profile
-// (30 s by default, longer on request), a paper-scale /api/analyze
-// run and a streamed trace download all legitimately outlast any
-// limit that would be useful against a stalled reader.
-func newServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    256 << 10,
-	}
-}
-
-// serveUntil serves on ln until ctx is done, then shuts srv down:
-// the listener closes at once, in-flight requests get drain to
-// finish, and the error says whether they did.
-func serveUntil(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
-	served := make(chan error, 1) // Serve's one result, so it never blocks
-	go func() { served <- srv.Serve(ln) }()
-	select {
-	case err := <-served:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(os.Stderr, "utlbsim: shutting down (up to %s for requests in flight)\n", drain)
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	err := srv.Shutdown(dctx)
-	<-served // Shutdown closed the listener, so Serve has returned
-	return err
-}
 
 // writeObs exports the collected timeline to the requested files.
 func writeObs(col *obs.Collector, traceOut, metricsOut, analyzeOut string, topK int) error {
