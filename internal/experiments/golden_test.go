@@ -116,7 +116,7 @@ func TestNodeAveragedGolden(t *testing.T) {
 func labelList(col *obs.Collector) string {
 	var sb strings.Builder
 	for _, r := range col.Runs() {
-		fmt.Fprintf(&sb, "%s %d\n", r.Label, len(r.Events))
+		fmt.Fprintf(&sb, "%s %d\n", r.Label, r.Len())
 	}
 	return sb.String()
 }

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"utlb/internal/obs"
 )
@@ -214,6 +215,29 @@ func experiment(label string) string {
 	return label
 }
 
+// scratch is what one Analyze call works in and drops at return: the
+// per-transfer table of the run being scanned and one Digest per event
+// kind. Calls share it through a pool, so a caller analysing run after
+// run pays for neither again.
+type scratch struct {
+	xfers []transferAcc
+	kinds [obs.NumKinds]*Digest // nil until a run first carries the kind
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// lastXfer reports the transfer id of run's last attributed event. Ids
+// are dense in execution order, so it is, or is close to, the number of
+// transfers the run holds.
+func lastXfer(run obs.Run) uint64 {
+	for i := run.Len() - 1; i >= 0; i-- {
+		if id := run.At(i).Xfer; id != 0 {
+			return id
+		}
+	}
+	return 0
+}
+
 // Analyze computes the transfer-level report over runs, keeping the
 // topK slowest transfers per experiment (topK < 1 means 10). Events
 // whose Kind lies outside the taxonomy (a caller-built Event can carry
@@ -224,11 +248,14 @@ func Analyze(runs []obs.Run, topK int) *Report {
 	}
 	rep := &Report{Runs: len(runs)}
 
-	kindDigests := make([]*Digest, obs.NumKinds)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	// kindDigests[k] is sc.kinds[k], zeroed, once this call has seen
+	// kind k.
+	var kindDigests [obs.NumKinds]*Digest
 	// A report covers a handful of experiments: a slice searched by
 	// name, sorted once at the end.
 	exps := make([]*expAcc, 0, 8)
-	xfers := make([]transferAcc, 0, 1024)
 
 	for ri, run := range runs {
 		name := experiment(run.Label)
@@ -239,45 +266,60 @@ func Analyze(runs []obs.Run, topK int) *Report {
 		}
 		ea := exps[at]
 		ea.runs = append(ea.runs, run.Label)
-		rep.Events += int64(len(run.Events))
-		ea.events += int64(len(run.Events))
+		rep.Events += int64(run.Len())
+		ea.events += int64(run.Len())
 
+		// One accumulator per transfer id, sized up front; an id past
+		// the last event's (a posted command restored out of order)
+		// grows the table where it turns up.
+		n := int(lastXfer(run))
+		xfers := slices.Grow(sc.xfers[:0], n)[:n]
 		clear(xfers)
-		for i := range run.Events {
-			ev := &run.Events[i]
-			if int(ev.Kind) >= obs.NumKinds {
-				continue
-			}
-			d := kindDigests[ev.Kind]
-			if d == nil {
-				d = new(Digest)
-				kindDigests[ev.Kind] = d
-			}
-			d.Add(int64(ev.Dur))
-			if ev.Xfer == 0 {
-				ea.unattrib++
-				continue
-			}
-			if uint64(len(xfers)) < ev.Xfer {
-				xfers = append(xfers, make([]transferAcc, ev.Xfer-uint64(len(xfers)))...)
-			}
-			t := &xfers[ev.Xfer-1]
-			if t.events == 0 {
-				t.first = i
-			}
-			t.events++
-			if c := spanCat[ev.Kind]; c >= 0 {
-				t.spanNs += int64(ev.Dur)
-				if c == catInterrupt {
-					t.intrNs += int64(ev.Dur)
-				} else {
-					ea.perCat[c] += int64(ev.Dur)
+		base := 0 // run index of the chunk's first event
+		for _, chunk := range run.Chunks() {
+			for i := range chunk {
+				ev := &chunk[i]
+				if int(ev.Kind) >= obs.NumKinds {
+					continue
 				}
-				if ev.Kind == obs.KindKernelPin || ev.Kind == obs.KindKernelUnpin {
-					t.nestedNs += int64(ev.Dur)
+				d := kindDigests[ev.Kind]
+				if d == nil {
+					d = sc.kinds[ev.Kind]
+					if d == nil {
+						d = new(Digest)
+						sc.kinds[ev.Kind] = d
+					}
+					*d = Digest{}
+					kindDigests[ev.Kind] = d
+				}
+				d.Add(int64(ev.Dur))
+				if ev.Xfer == 0 {
+					ea.unattrib++
+					continue
+				}
+				if uint64(len(xfers)) < ev.Xfer {
+					xfers = append(xfers, make([]transferAcc, ev.Xfer-uint64(len(xfers)))...)
+				}
+				t := &xfers[ev.Xfer-1]
+				if t.events == 0 {
+					t.first = base + i
+				}
+				t.events++
+				if c := spanCat[ev.Kind]; c >= 0 {
+					t.spanNs += int64(ev.Dur)
+					if c == catInterrupt {
+						t.intrNs += int64(ev.Dur)
+					} else {
+						ea.perCat[c] += int64(ev.Dur)
+					}
+					if ev.Kind == obs.KindKernelPin || ev.Kind == obs.KindKernelUnpin {
+						t.nestedNs += int64(ev.Dur)
+					}
 				}
 			}
+			base += len(chunk)
 		}
+		sc.xfers = xfers
 		for i := range xfers {
 			t := &xfers[i]
 			if t.events == 0 {
@@ -356,7 +398,7 @@ func Analyze(runs []obs.Run, topK int) *Report {
 				Run:       c.label,
 				ID:        c.id,
 				LatencyNs: c.latency,
-				Events:    chain(runs[c.run].Events, c),
+				Events:    chain(runs[c.run], c),
 				Truncated: int(c.events - min(c.events, maxChainEvents)),
 			})
 		}
@@ -368,10 +410,10 @@ func Analyze(runs []obs.Run, topK int) *Report {
 // chain collects the first maxChainEvents events of transfer c from
 // its run, starting at the transfer's first event and stopping at its
 // last (or at the cap).
-func chain(events []obs.Event, c slowTransfer) []ChainEvent {
+func chain(run obs.Run, c slowTransfer) []ChainEvent {
 	out := make([]ChainEvent, 0, min(c.events, maxChainEvents))
 	for i := c.first; len(out) < cap(out); i++ {
-		ev := &events[i]
+		ev := run.At(i)
 		if ev.Xfer != c.id || int(ev.Kind) >= obs.NumKinds {
 			continue
 		}

@@ -21,21 +21,18 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // hand-built timeline: category attribution, the interrupt-exclusive
 // subtraction, unattributed counting, and slowest-transfer ordering.
 func TestAnalyzeSynthetic(t *testing.T) {
-	runs := []obs.Run{{
-		Label: "expA/run1",
-		Events: []obs.Event{
-			// transfer 1: check 100 + probe 50 + dma 200 = 350
-			{Time: 0, Dur: 100, Xfer: 1, Kind: obs.KindCheckMiss},
-			{Time: 100, Dur: 50, Xfer: 1, Kind: obs.KindNIProbe},
-			{Time: 150, Dur: 200, Xfer: 1, Kind: obs.KindDMARead},
-			// transfer 2: interrupt 500 wrapping kernel pin 300 =>
-			// interrupt-exclusive 200 + pin 300 = 500
-			{Time: 400, Dur: 500, Xfer: 2, Kind: obs.KindInterrupt},
-			{Time: 450, Dur: 300, Xfer: 2, Kind: obs.KindKernelPin},
-			// unattributed instant
-			{Time: 900, Dur: 0, Xfer: 0, Kind: obs.KindCacheHit},
-		},
-	}}
+	runs := []obs.Run{obs.NewRun("expA/run1", []obs.Event{
+		// transfer 1: check 100 + probe 50 + dma 200 = 350
+		{Time: 0, Dur: 100, Xfer: 1, Kind: obs.KindCheckMiss},
+		{Time: 100, Dur: 50, Xfer: 1, Kind: obs.KindNIProbe},
+		{Time: 150, Dur: 200, Xfer: 1, Kind: obs.KindDMARead},
+		// transfer 2: interrupt 500 wrapping kernel pin 300 =>
+		// interrupt-exclusive 200 + pin 300 = 500
+		{Time: 400, Dur: 500, Xfer: 2, Kind: obs.KindInterrupt},
+		{Time: 450, Dur: 300, Xfer: 2, Kind: obs.KindKernelPin},
+		// unattributed instant
+		{Time: 900, Dur: 0, Xfer: 0, Kind: obs.KindCacheHit},
+	})}
 	rep := analyze.Analyze(runs, 10)
 	if rep.Events != 6 || rep.Runs != 1 {
 		t.Fatalf("events/runs = %d/%d, want 6/1", rep.Events, rep.Runs)
@@ -83,7 +80,7 @@ func TestAnalyzeChainTruncation(t *testing.T) {
 	for i := range events {
 		events[i] = obs.Event{Time: 0, Dur: 1, Xfer: 1, Kind: obs.KindDMARead}
 	}
-	rep := analyze.Analyze([]obs.Run{{Label: "x/r", Events: events}}, 1)
+	rep := analyze.Analyze([]obs.Run{obs.NewRun("x/r", events)}, 1)
 	sl := rep.Experiments[0].Slowest
 	if len(sl) != 1 {
 		t.Fatalf("slowest = %d entries", len(sl))

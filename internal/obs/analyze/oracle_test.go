@@ -68,8 +68,9 @@ func analyzeKeepEverything(runs []obs.Run, topK int) *Report {
 		// so a slice indexed by id-1 keeps the scan allocation-light and
 		// the output order deterministic.
 		var xfers []*oracleAcc
-		for i := range run.Events {
-			ev := &run.Events[i]
+		events := flat(run)
+		for i := range events {
+			ev := &events[i]
 			rep.Events++
 			ea.events++
 			if d := kindDigests[ev.Kind]; d != nil {
@@ -228,7 +229,7 @@ func oracleRuns(seed int64) []obs.Run {
 	labels := []string{"expA/r1", "expA/r0", "expB/only", "expA/r1", "solo"}
 	runs := make([]obs.Run, len(labels))
 	for i, label := range labels {
-		runs[i].Label = label
+		var evs []obs.Event
 		transfers := 1 + rng.Intn(120)
 		for n := rng.Intn(3000); n > 0; n-- {
 			ev := obs.Event{
@@ -243,8 +244,9 @@ func oracleRuns(seed int64) []obs.Run {
 			if ev.Kind.IsSpan() {
 				ev.Dur = units.Time(100 * rng.Intn(4))
 			}
-			runs[i].Events = append(runs[i].Events, ev)
+			evs = append(evs, ev)
 		}
+		runs[i] = obs.NewRun(label, evs)
 	}
 	return runs
 }
@@ -300,8 +302,8 @@ func TestAnalyzeInvalidKind(t *testing.T) {
 			valid[0], {Time: 120, Dur: 40, Xfer: 1, Kind: k}, valid[1],
 			valid[2], {Time: 950, Kind: k},
 		}
-		got := Analyze([]obs.Run{{Label: "x/r", Events: mixed}}, 0)
-		want := Analyze([]obs.Run{{Label: "x/r", Events: valid}}, 0)
+		got := Analyze([]obs.Run{obs.NewRun("x/r", mixed)}, 0)
+		want := Analyze([]obs.Run{obs.NewRun("x/r", valid)}, 0)
 		if got.Events != int64(len(mixed)) || got.Experiments[0].Transfers.Events != int64(len(mixed)) {
 			t.Errorf("kind %d: counted %d events, want %d", k, got.Events, len(mixed))
 		}
@@ -324,7 +326,7 @@ func BenchmarkAnalyze(b *testing.B) {
 			events[i].Dur = units.Time(400 + i%977)
 		}
 	}
-	runs := []obs.Run{{Label: "bench/run", Events: events}}
+	runs := []obs.Run{obs.NewRun("bench/run", events)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -332,4 +334,14 @@ func BenchmarkAnalyze(b *testing.B) {
 			b.Fatal("short report")
 		}
 	}
+}
+
+// flat gathers a run's events into one slice, the form the
+// keep-everything oracle reads.
+func flat(r obs.Run) []obs.Event {
+	var evs []obs.Event
+	for _, chunk := range r.Chunks() {
+		evs = append(evs, chunk...)
+	}
+	return evs
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // Chrome trace_event export: one trace "process" per run (labelled by
@@ -97,21 +98,41 @@ type chromeTrack struct {
 
 func (t chromeTrack) tid() int { return chromeTID(int(t.node), int(t.pid), t.comp) }
 
-// chromeTracks returns the distinct tracks of events, sorted by tid.
-// A run has a handful — eight components times the processes of one
-// node — so the list found so far is simply searched for each event.
-func chromeTracks(events []Event) []chromeTrack {
-	tracks := make([]chromeTrack, 0, 16)
-	for i := range events {
-		ev := &events[i]
-		t := chromeTrack{uint32(ev.Node), uint32(ev.PID), chromeKindOf(ev.Kind).comp}
-		if !slices.Contains(tracks, t) {
-			tracks = append(tracks, t)
+// chromeTracks appends the distinct tracks of run to tracks[:0], sorted
+// by tid. A run has a handful — eight components times the processes
+// of one node — so the list found so far is simply searched for each
+// event.
+func chromeTracks(tracks []chromeTrack, run Run) []chromeTrack {
+	tracks = tracks[:0]
+	for _, chunk := range run.Chunks() {
+		for i := range chunk {
+			ev := &chunk[i]
+			t := chromeTrack{uint32(ev.Node), uint32(ev.PID), chromeKindOf(ev.Kind).comp}
+			if !slices.Contains(tracks, t) {
+				tracks = append(tracks, t)
+			}
 		}
 	}
 	sort.Slice(tracks, func(a, b int) bool { return tracks[a].tid() < tracks[b].tid() })
 	return tracks
 }
+
+// chromeScratch is what one WriteChromeTrace call works in: the 64 KB
+// output buffer, the line under construction and the track list. All
+// of it dies when the call returns, so calls share it through a pool.
+type chromeScratch struct {
+	bw     *bufio.Writer
+	line   []byte
+	tracks []chromeTrack
+}
+
+var chromePool = sync.Pool{New: func() any {
+	return &chromeScratch{
+		bw:     bufio.NewWriterSize(nil, 1<<16),
+		line:   make([]byte, 0, 256),
+		tracks: make([]chromeTrack, 0, 16),
+	}
+}}
 
 // WriteChromeTrace writes runs as Chrome trace_event JSON (the
 // {"traceEvents": [...]} object form, loadable in Perfetto and
@@ -119,10 +140,11 @@ func chromeTracks(events []Event) []chromeTrack {
 // slice: run order is the caller's (Collector.Runs is label-sorted),
 // metadata is emitted sorted, and events keep recording order.
 func WriteChromeTrace(w io.Writer, runs []Run) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
+	sc := chromePool.Get().(*chromeScratch)
+	bw, line := sc.bw, sc.line
+	bw.Reset(w)
 	bw.WriteString("{\"traceEvents\":[\n")
 	sep := "" // before every entry but the first: ",\n"
-	line := make([]byte, 0, 256)
 
 	for i, run := range runs {
 		// Process metadata: name the trace process after the run label.
@@ -137,7 +159,8 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 
 		// Name the tracks before emitting their events. Component names
 		// are plain identifiers, so quoting them needs no escaping.
-		for _, t := range chromeTracks(run.Events) {
+		sc.tracks = chromeTracks(sc.tracks, run)
+		for _, t := range sc.tracks {
 			line = append(line[:0], ",\n"+`{"ph":"M","pid":`...)
 			line = strconv.AppendInt(line, int64(i), 10)
 			line = append(line, `,"tid":`...)
@@ -152,41 +175,47 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 			bw.Write(line)
 		}
 
-		for j := range run.Events {
-			ev := &run.Events[j]
-			ck := chromeKindOf(ev.Kind)
-			line = append(line[:0], ",\n"...)
-			line = append(line, ck.head...)
-			line = strconv.AppendInt(line, int64(i), 10)
-			line = append(line, `,"tid":`...)
-			line = strconv.AppendInt(line, int64(chromeTID(int(ev.Node), int(ev.PID), ck.comp)), 10)
-			line = append(line, ck.mid...)
-			line = appendMicros(line, int64(ev.Time))
-			if ck.span {
-				line = append(line, `,"dur":`...)
-				line = appendMicros(line, int64(ev.Dur))
+		for _, chunk := range run.Chunks() {
+			for j := range chunk {
+				ev := &chunk[j]
+				ck := chromeKindOf(ev.Kind)
+				line = append(line[:0], ",\n"...)
+				line = append(line, ck.head...)
+				line = strconv.AppendInt(line, int64(i), 10)
+				line = append(line, `,"tid":`...)
+				line = strconv.AppendInt(line, int64(chromeTID(int(ev.Node), int(ev.PID), ck.comp)), 10)
+				line = append(line, ck.mid...)
+				line = appendMicros(line, int64(ev.Time))
+				if ck.span {
+					line = append(line, `,"dur":`...)
+					line = appendMicros(line, int64(ev.Dur))
+				}
+				line = append(line, `,"args":{`...)
+				if ck.arg != "" {
+					line = append(line, ck.arg...)
+					line = strconv.AppendUint(line, ev.Arg, 10)
+				}
+				if ck.arg2 != "" {
+					line = append(line, ck.arg2...)
+					line = strconv.AppendUint(line, ev.Arg2, 10)
+				}
+				// Transfer attribution rides along only when present, so
+				// traces without ids keep their exact historical bytes.
+				if ev.Xfer != 0 {
+					line = append(line, ck.xfer...)
+					line = strconv.AppendUint(line, ev.Xfer, 10)
+				}
+				line = append(line, "}}"...)
+				bw.Write(line)
 			}
-			line = append(line, `,"args":{`...)
-			if ck.arg != "" {
-				line = append(line, ck.arg...)
-				line = strconv.AppendUint(line, ev.Arg, 10)
-			}
-			if ck.arg2 != "" {
-				line = append(line, ck.arg2...)
-				line = strconv.AppendUint(line, ev.Arg2, 10)
-			}
-			// Transfer attribution rides along only when present, so
-			// traces without ids keep their exact historical bytes.
-			if ev.Xfer != 0 {
-				line = append(line, ck.xfer...)
-				line = strconv.AppendUint(line, ev.Xfer, 10)
-			}
-			line = append(line, "}}"...)
-			bw.Write(line)
 		}
 	}
 	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	err := bw.Flush()
+	bw.Reset(nil) // the pool must not keep the caller's writer alive
+	sc.line = line
+	chromePool.Put(sc)
+	return err
 }
 
 // mustJSON returns s as a JSON string literal.

@@ -56,7 +56,7 @@ func writeChromeTraceOracle(w io.Writer, runs []Run) error {
 		type track struct{ node, pid, comp int }
 		seen := map[track]bool{}
 		tracks := []track{}
-		for _, ev := range run.Events {
+		for _, ev := range flat(run) {
 			_, comp := metaOf(ev.Kind)
 			t := track{int(ev.Node), int(ev.PID), comp}
 			if !seen[t] {
@@ -75,7 +75,7 @@ func writeChromeTraceOracle(w io.Writer, runs []Run) error {
 				i, tidOf(t.node, t.pid, t.comp), mustJSON(name))
 		}
 
-		for _, ev := range run.Events {
+		for _, ev := range flat(run) {
 			sep()
 			meta, comp := metaOf(ev.Kind)
 			tid := tidOf(int(ev.Node), int(ev.PID), comp)
@@ -144,7 +144,7 @@ func chromeFuzzRuns(seed int64, events int, labels []string) []Run {
 	}
 	runs := make([]Run, len(labels))
 	for i, label := range labels {
-		runs[i].Label = label
+		var evs []Event
 		for n := rng.Intn(events + 1); n > 0; n-- {
 			ev := Event{
 				Time: when(), Dur: when(), Arg: pick(), Arg2: pick(), Xfer: pick(),
@@ -155,8 +155,9 @@ func chromeFuzzRuns(seed int64, events int, labels []string) []Run {
 			if rng.Intn(16) == 0 {
 				ev.PID, ev.Node = units.ProcID(rng.Uint32()), units.NodeID(rng.Uint32())
 			}
-			runs[i].Events = append(runs[i].Events, ev)
+			evs = append(evs, ev)
 		}
+		runs[i] = NewRun(label, evs)
 	}
 	return runs
 }
@@ -199,7 +200,7 @@ func checkChromeAgainstOracle(t *testing.T, runs []Run) {
 		if tf.ProcessNames[i] != label {
 			t.Errorf("process %d named %q, want %q", i, tf.ProcessNames[i], label)
 		}
-		for _, ev := range run.Events {
+		for _, ev := range flat(run) {
 			if next >= len(tf.Events) {
 				t.Fatalf("read back %d events, want more", len(tf.Events))
 			}
@@ -258,7 +259,7 @@ func FuzzChromeTrace(f *testing.F) {
 func TestChromeTraceInvalidKind(t *testing.T) {
 	for _, k := range []Kind{Kind(NumKinds), 200, 255} {
 		var buf bytes.Buffer
-		runs := []Run{{Label: "r", Events: []Event{{Time: 1500, Dur: 9, Arg: 3, Xfer: 7, PID: 2, Node: 1, Kind: k}}}}
+		runs := []Run{NewRun("r", []Event{{Time: 1500, Dur: 9, Arg: 3, Xfer: 7, PID: 2, Node: 1, Kind: k}})}
 		if err := WriteChromeTrace(&buf, runs); err != nil {
 			t.Fatalf("kind %d: %v", k, err)
 		}
@@ -277,9 +278,9 @@ func TestChromeTraceInvalidKind(t *testing.T) {
 // for and still counts their neighbours.
 func TestAggregateInvalidKind(t *testing.T) {
 	for _, k := range []Kind{Kind(NumKinds), 200, 255} {
-		m := Aggregate([]Run{{Label: "r", Events: []Event{
+		m := Aggregate([]Run{NewRun("r", []Event{
 			{Kind: KindPin, Dur: 500}, {Kind: k, Dur: 500}, {Kind: KindCacheHit},
-		}}})
+		})})
 		var total int64
 		for _, n := range m.Count {
 			total += n
@@ -301,7 +302,7 @@ func chromeBenchRuns(events int) []Run {
 			Xfer: uint64(i/6 + 1), PID: 1, Kind: kinds[i%len(kinds)],
 		}
 	}
-	return []Run{{Label: "bench/run", Events: evs}}
+	return []Run{NewRun("bench/run", evs)}
 }
 
 func BenchmarkWriteChromeTrace(b *testing.B) {

@@ -29,18 +29,20 @@ type Metrics struct {
 func Aggregate(runs []Run) *Metrics {
 	m := &Metrics{}
 	for _, run := range runs {
-		for _, ev := range run.Events {
-			if int(ev.Kind) >= NumKinds {
-				continue
-			}
-			m.Count[ev.Kind]++
-			if !ev.Kind.IsSpan() {
-				continue
-			}
-			m.SumDur[ev.Kind] += int64(ev.Dur)
-			m.HistN[ev.Kind]++
-			if i := BucketIndex(uint64(ev.Dur)); i < NumBuckets {
-				m.Hist[ev.Kind][i]++
+		for _, chunk := range run.Chunks() {
+			for _, ev := range chunk {
+				if int(ev.Kind) >= NumKinds {
+					continue
+				}
+				m.Count[ev.Kind]++
+				if !ev.Kind.IsSpan() {
+					continue
+				}
+				m.SumDur[ev.Kind] += int64(ev.Dur)
+				m.HistN[ev.Kind]++
+				if i := BucketIndex(uint64(ev.Dur)); i < NumBuckets {
+					m.Hist[ev.Kind][i]++
+				}
 			}
 		}
 	}

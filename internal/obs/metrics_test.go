@@ -73,7 +73,7 @@ func randomRuns(events int) []Run {
 func aggregateReference(runs []Run) *Metrics {
 	m := &Metrics{}
 	for _, run := range runs {
-		for _, ev := range run.Events {
+		for _, ev := range flat(run) {
 			if int(ev.Kind) >= NumKinds {
 				continue
 			}
@@ -102,7 +102,7 @@ func aggregateReference(runs []Run) *Metrics {
 // the full-scan reference produce identical Metrics — and therefore
 // identical Prometheus output.
 func TestAggregateMatchesReference(t *testing.T) {
-	outside := []Run{{Label: "r", Events: []Event{{Kind: KindPin, Dur: 500}, {Kind: Kind(NumKinds), Dur: 500}}}}
+	outside := []Run{NewRun("r", []Event{{Kind: KindPin, Dur: 500}, {Kind: Kind(NumKinds), Dur: 500}})}
 	for _, runs := range [][]Run{sortedFixture(), randomRuns(20000), outside} {
 		got, want := Aggregate(runs), aggregateReference(runs)
 		if *got != *want {

@@ -243,13 +243,13 @@ func (Nop) Record(Event) {}
 // run and merge them deterministically.
 //
 // Events are recorded into fixed-size chunks (112 KB), so recording
-// never copies what it holds, and gathered into one slice when Events
-// or Run asks: a run allocates twice its final size, where one slice
-// grown by append allocated six times that and copied it five times.
+// never copies what it holds, and Run hands the chunks themselves to
+// the exporters and the analyzer: a run allocates its final size, once,
+// where one slice grown by append allocated six times that and copied
+// it five times.
 type Buffer struct {
 	label string
-	// chunks hold the events in order. Every chunk but the last is
-	// full; after a gather there is one, exactly as long as its array.
+	// chunks hold the events in order; every chunk but the last is full.
 	chunks [][]Event
 	n      int
 }
@@ -274,30 +274,64 @@ func (b *Buffer) Record(ev Event) {
 // Label reports the buffer's run label.
 func (b *Buffer) Label() string { return b.label }
 
-// Events returns the recorded events in recording order. The slice is
-// owned by the buffer; treat it as read-only. Events recorded later
-// are not added to it: ask again.
+// Events returns the recorded events in recording order as one slice;
+// treat it as read-only. Events recorded later are not added to it: ask
+// again. Past one chunk every call gathers a fresh copy, so callers
+// that only read the events in order take Run instead.
 func (b *Buffer) Events() []Event {
-	if len(b.chunks) == 0 {
+	switch len(b.chunks) {
+	case 0:
 		return nil
+	case 1:
+		return slices.Clip(b.chunks[0]) // capped: an append to it must not write into the chunk
 	}
-	if len(b.chunks) > 1 {
-		b.chunks = append(b.chunks[:0], slices.Concat(b.chunks...))
-	}
-	return b.chunks[0]
+	return slices.Concat(b.chunks...)
 }
 
 // Len reports how many events have been recorded.
 func (b *Buffer) Len() int { return b.n }
 
-// Run is one labelled event stream, the unit the exporters consume.
+// Run is one labelled event stream, the unit the exporters consume. Its
+// events stay in the chunks they were recorded into: every chunk but
+// the last has the length of the first, so event i is found by one
+// division, and no chunk is empty.
 type Run struct {
 	Label  string
-	Events []Event
+	chunks [][]Event
 }
 
-// Run converts the buffer to an exporter Run.
-func (b *Buffer) Run() Run { return Run{Label: b.label, Events: b.Events()} }
+// NewRun returns the run of events, which it keeps (as its one chunk)
+// and does not copy.
+func NewRun(label string, events []Event) Run {
+	if len(events) == 0 {
+		return Run{Label: label}
+	}
+	return Run{Label: label, chunks: [][]Event{events}}
+}
+
+// Chunks returns the run's events in recording order, as consecutive
+// slices to range over; treat them as read-only.
+func (r Run) Chunks() [][]Event { return r.chunks }
+
+// Len reports how many events the run holds.
+func (r Run) Len() int {
+	last := len(r.chunks) - 1
+	if last < 0 {
+		return 0
+	}
+	return last*len(r.chunks[0]) + len(r.chunks[last])
+}
+
+// At returns event i of the run, 0 <= i < Len().
+func (r Run) At(i int) *Event {
+	size := len(r.chunks[0])
+	return &r.chunks[i/size][i%size]
+}
+
+// Run returns the events recorded so far as an exporter Run. It shares
+// the buffer's chunks — no event is copied — and copies only the list
+// of them, so events recorded later are not added to it: ask again.
+func (b *Buffer) Run() Run { return Run{Label: b.label, chunks: slices.Clone(b.chunks)} }
 
 // Collector hands out per-run Buffers to concurrent simulation
 // workers and merges them deterministically: Runs() orders buffers by

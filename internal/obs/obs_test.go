@@ -47,7 +47,7 @@ func sortedFixture() []Run {
 	col := NewCollector()
 	for _, r := range fixtureRuns() {
 		buf := col.Buffer(r.Label)
-		for _, ev := range r.Events {
+		for _, ev := range flat(r) {
 			buf.Record(ev)
 		}
 	}
@@ -246,7 +246,7 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 	total := 0
 	for _, run := range runs {
-		total += len(run.Events)
+		total += run.Len()
 	}
 	if len(tf.Events) != total {
 		t.Fatalf("events = %d, want %d", len(tf.Events), total)
@@ -304,12 +304,24 @@ func BenchmarkBufferRecord(b *testing.B) {
 	}
 }
 
+// flat gathers a run's events into one slice, the form the oracles and
+// most assertions read.
+func flat(r Run) []Event {
+	var evs []Event
+	for _, chunk := range r.Chunks() {
+		evs = append(evs, chunk...)
+	}
+	return evs
+}
+
 // TestBufferGathersChunks: events recorded across several chunks come
-// back as one slice in recording order, a slice handed out earlier
-// stays as it was, and recording carries on after a gather.
+// back as one slice in recording order, from Events and through Run; a
+// slice or a Run handed out earlier stays as it was (events recorded
+// later are not added: ask again), and recording carries on after
+// either.
 func TestBufferGathersChunks(t *testing.T) {
 	b := NewBuffer("chunks")
-	if b.Events() != nil || b.Run().Events != nil {
+	if b.Events() != nil || b.Run().Len() != 0 || b.Run().Chunks() != nil {
 		t.Fatal("empty buffer has events")
 	}
 	record := func(from, to int) {
@@ -328,14 +340,51 @@ func TestBufferGathersChunks(t *testing.T) {
 			}
 		}
 	}
+	checkRun := func(r Run, n int) {
+		t.Helper()
+		if r.Len() != n {
+			t.Fatalf("run holds %d events, want %d", r.Len(), n)
+		}
+		check(flat(r), n)
+		for _, i := range []int{0, n / 2, n - 1} {
+			if r.At(i).Time != units.Time(i) {
+				t.Fatalf("At(%d) has time %d", i, r.At(i).Time)
+			}
+		}
+	}
 	record(0, 10)
-	few := b.Events()
+	few, fewRun := b.Events(), b.Run()
 	check(few, 10)
 	record(10, 2*bufferChunkEvents+7)
-	many := b.Events()
+	many, manyRun := b.Events(), b.Run()
 	check(many, 2*bufferChunkEvents+7)
 	record(2*bufferChunkEvents+7, 3*bufferChunkEvents)
-	check(b.Run().Events, 3*bufferChunkEvents)
+	check(b.Events(), 3*bufferChunkEvents)
+	checkRun(b.Run(), 3*bufferChunkEvents)
 	check(few, 10)
+	checkRun(fewRun, 10)
 	check(many, 2*bufferChunkEvents+7)
+	checkRun(manyRun, 2*bufferChunkEvents+7)
+	if len(b.Run().Chunks()) != 3 {
+		t.Fatalf("Run copied its events: %d chunks, want the buffer's 3", len(b.Run().Chunks()))
+	}
+}
+
+// BenchmarkBufferRun is a recorded run's storage from first event to
+// export input: record into a fresh buffer, take its Run, read every
+// event once. Its B/op is the events' own size (112 KB per 2048) — no
+// gather, no regrowth.
+func BenchmarkBufferRun(b *testing.B) {
+	const n = 1 << 16
+	ev := Event{Time: 1, Dur: 2, Arg: 3, PID: 4, Kind: KindDMARead}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf := NewBuffer("bench")
+		for j := 0; j < n; j++ {
+			buf.Record(ev)
+		}
+		if m := Aggregate([]Run{buf.Run()}); m.Count[KindDMARead] != n {
+			b.Fatal("short run")
+		}
+	}
 }

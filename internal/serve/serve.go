@@ -295,7 +295,7 @@ func (s *Server) run(p params) (*result, error) {
 	}
 	r := &result{params: p, runs: col.Runs(), text: sb.String()}
 	for _, run := range r.runs {
-		r.events += int64(len(run.Events))
+		r.events += int64(run.Len())
 	}
 	return r, nil
 }

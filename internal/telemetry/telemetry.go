@@ -547,7 +547,7 @@ func (t *Sink) TraceRuns() []obs.Run {
 	if events == nil {
 		return nil
 	}
-	return []obs.Run{{Label: "xlate/live-sampled", Events: events}}
+	return []obs.Run{obs.NewRun("xlate/live-sampled", events)}
 }
 
 // SampledTraces reports how many chains have ever been retained.

@@ -343,7 +343,7 @@ func TestTraceChains(t *testing.T) {
 	if len(runs) != 1 || runs[0].Label != "xlate/live-sampled" {
 		t.Fatalf("runs = %+v, want one xlate/live-sampled run", runs)
 	}
-	evs := runs[0].Events
+	evs := runs[0].Chunks()[0]
 	if len(evs) != 6 {
 		t.Fatalf("got %d events, want 6 (2 chains × (2 shard + 1 req))", len(evs))
 	}
@@ -370,7 +370,7 @@ func TestTraceRingBound(t *testing.T) {
 		req.Finish(1)
 	}
 	runs := s.TraceRuns()
-	evs := runs[0].Events
+	evs := runs[0].Chunks()[0]
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3 (ring bound)", len(evs))
 	}

@@ -121,7 +121,7 @@ func TestTelemetryTracesBatches(t *testing.T) {
 		t.Fatalf("got %d runs, want 1", len(runs))
 	}
 	var reqSpans, segKeys int
-	for _, ev := range runs[0].Events {
+	for _, ev := range runs[0].Chunks()[0] {
 		switch ev.Kind.String() {
 		case "xlate_req":
 			reqSpans++

@@ -234,12 +234,18 @@ type (
 	// EventCollector hands out per-run buffers and merges them
 	// deterministically (sorted by label, independent of scheduling).
 	EventCollector = obs.Collector
-	// EventRun is one labelled event stream, the exporters' input unit.
+	// EventRun is one labelled event stream, the exporters' input unit:
+	// Len events, read in order by ranging over Chunks or singly with At.
 	EventRun = obs.Run
 )
 
 // NewEventBuffer returns an empty single-run event buffer.
 func NewEventBuffer(label string) *EventBuffer { return obs.NewBuffer(label) }
+
+// NewEventRun returns the run of events, which it keeps and does not
+// copy: for events that did not come out of an EventBuffer, whose Run
+// method shares its storage with the run the same way.
+func NewEventRun(label string, events []Event) EventRun { return obs.NewRun(label, events) }
 
 // NewEventCollector returns an empty collector for concurrent runs.
 func NewEventCollector() *EventCollector { return obs.NewCollector() }
