@@ -55,6 +55,14 @@ type Kernel struct {
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel { return &Kernel{} }
 
+// Reset returns the kernel to time zero with nothing scheduled — events
+// still pending are dropped unrun, their handlers released — and keeps
+// the queue's capacity for the next run.
+func (k *Kernel) Reset() {
+	clear(k.heap)
+	*k = Kernel{heap: k.heap[:0]}
+}
+
 // Now reports the kernel's current time: the timestamp of the last
 // dispatched event (zero before the first dispatch).
 func (k *Kernel) Now() units.Time { return k.now }

@@ -49,10 +49,20 @@ type Pool struct {
 // NewPool returns a pool of n channels; n < 1 is treated as 1 so a
 // zero-configured pool still serialises instead of panicking.
 func NewPool(n int) *Pool {
-	if n < 1 {
-		n = 1
+	p := &Pool{}
+	p.Reset(n)
+	return p
+}
+
+// Reset makes p a pool of n idle channels (n < 1 is treated as 1, as in
+// NewPool), reusing the channel array when it is large enough.
+func (p *Pool) Reset(n int) {
+	n = max(n, 1)
+	if cap(p.chans) < n {
+		p.chans = make([]Timeline, n)
 	}
-	return &Pool{chans: make([]Timeline, n)}
+	p.chans = p.chans[:n]
+	clear(p.chans)
 }
 
 // Size reports the number of channels.

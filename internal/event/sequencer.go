@@ -44,10 +44,19 @@ type heldEvent struct {
 // NewSequencer returns a Sequencer on k's timeline delivering to
 // sink. A nil kernel panics — the Sequencer exists to use one.
 func NewSequencer(k *Kernel, sink obs.Recorder) *Sequencer {
+	s := &Sequencer{}
+	s.Reset(k, sink)
+	return s
+}
+
+// Reset rebinds the Sequencer to k's timeline and to sink, dropping
+// undelivered whatever a run that never reached its Drain left held,
+// and keeps the holding slice's capacity for the next run.
+func (s *Sequencer) Reset(k *Kernel, sink obs.Recorder) {
 	if k == nil {
-		panic("event: NewSequencer with nil kernel")
+		panic("event: Sequencer with nil kernel")
 	}
-	return &Sequencer{k: k, sink: sink}
+	*s = Sequencer{k: k, sink: sink, held: s.held[:0]}
 }
 
 // Record holds e for delivery at e.Time. Events timestamped before

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"utlb/internal/obs"
@@ -32,8 +33,10 @@ func counters(r Result) [9]int64 {
 // channels} × dispatch width {1, 8} on two workloads: the 3C classes
 // partition the NI misses, counters do not depend on the timing mode,
 // overlapping never lengthens the makespan, a warm scratch (last used
-// by a different design) changes nothing, recording changes nothing,
-// every recorded event carries a transfer id, and under overlap an
+// by a different design) changes nothing, recording changes nothing —
+// nor, under overlap, does what the scratch-held engine last ran: a
+// larger run, or one that failed with completions queued and events
+// held — every recorded event carries a transfer id, and under overlap an
 // interrupt is a rendezvous: the firmware probes nothing while the host
 // is in a handler, so the Interrupt design, which has no DMA to hide
 // and no host work ahead of the NIC, gains nothing from the engine.
@@ -43,6 +46,30 @@ func TestEveryMechanism(t *testing.T) {
 		"bulk": workload.BulkTransfer(0, 1, 42, 0.05),
 	}
 	warm := NewRunScratch()
+	// record replays tr into a buffer, on scr.
+	record := func(tr trace.Trace, c Config, scr *RunScratch) (Result, []obs.Event, error) {
+		var buf obs.Buffer
+		c.Recorder = &buf
+		res, err := RunWith(tr, c, scr)
+		res.Config.Recorder = nil
+		return res, buf.Events(), err
+	}
+	// What an overlap run may find in its scratch's engine: the queue and
+	// holding slice of a run twice the size, or those of a run that died
+	// mid-flight (its pin limit cannot hold one bulk operation).
+	larger := designCfg(UTLB, 256)
+	larger.BatchPages, larger.Overlap = 8, OverlapConfig{Enabled: true, DMAChannels: 2}
+	failing := larger
+	failing.PinLimitPages = 1
+	priors := []struct {
+		name string
+		tr   trace.Trace
+		cfg  Config
+		fail bool
+	}{
+		{"a larger run", workload.BulkTransfer(0, 1, 42, 0.1), larger, false},
+		{"a failed run", traces["bulk"], failing, true},
+	}
 	for i := range designs {
 		m := Mechanism(i)
 		if err := designCfg(m, 256).Validate(); err != nil {
@@ -96,23 +123,46 @@ func TestEveryMechanism(t *testing.T) {
 						t.Errorf("%s: warm scratch changed the result:\nfresh %+v\nwarm  %+v", name, res, reused)
 					}
 
-					var buf obs.Buffer
-					c.Recorder = &buf
-					recorded, err := RunWith(tr, c, warm)
+					recorded, events, err := record(tr, c, warm)
 					if err != nil {
 						t.Fatalf("%s recorded: %v", name, err)
 					}
-					recorded.Config.Recorder = nil
 					if recorded != res {
 						t.Errorf("%s: recording changed the result:\nplain    %+v\nrecorded %+v", name, res, recorded)
 					}
-					if buf.Len() == 0 {
+					if len(events) == 0 {
 						t.Errorf("%s: nothing recorded", name)
+					}
+					if channels > 0 {
+						_, fresh, err := record(tr, c, nil)
+						if err != nil {
+							t.Fatalf("%s recorded fresh: %v", name, err)
+						}
+						if !slices.Equal(events, fresh) {
+							t.Errorf("%s: warm scratch changed the event stream (%d events, fresh %d)", name, len(events), len(fresh))
+						}
+						for _, prior := range priors {
+							scr := NewRunScratch()
+							_, left, err := record(prior.tr, prior.cfg, scr)
+							if (err != nil) != prior.fail || (!prior.fail && len(left) <= len(fresh)) ||
+								(prior.fail && scr.kernel.Pending() == 0) {
+								t.Fatalf("%s: %s is not one: err %v, %d events delivered, %d completions left queued",
+									name, prior.name, err, len(left), scr.kernel.Pending())
+							}
+							got, after, err := record(tr, c, scr)
+							if err != nil {
+								t.Fatalf("%s after %s: %v", name, prior.name, err)
+							}
+							if got != res || !slices.Equal(after, fresh) {
+								t.Errorf("%s: a scratch left by %s changed the run:\nfresh %+v, %d events\nafter %+v, %d events",
+									name, prior.name, res, len(fresh), got, len(after))
+							}
+						}
 					}
 					// Under overlap the sequencer delivers in start order, so
 					// every handler that could cover a probe precedes it.
 					var handlerEnd units.Time
-					for _, ev := range buf.Events() {
+					for _, ev := range events {
 						if ev.Xfer == 0 {
 							t.Fatalf("%s: %s event without a transfer id", name, ev.Kind)
 						}

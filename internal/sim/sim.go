@@ -15,6 +15,7 @@ import (
 
 	"utlb/internal/bus"
 	"utlb/internal/core"
+	"utlb/internal/event"
 	"utlb/internal/hostos"
 	"utlb/internal/nicsim"
 	"utlb/internal/obs"
@@ -260,8 +261,10 @@ func rate(n, total int64) float64 {
 // cache line arrays, the 3C classifier's dense table and node slab,
 // host memory's frame arrays and backing, the distinct-page set host
 // memory is sized from, each process slot's address space, pin bit
-// vector, policy table and pre-pin buffer, and the batch staging
-// buffers. Together these are the bulk of a run's setup allocations.
+// vector, policy table and pre-pin buffer, the batch staging buffers,
+// and the overlap engine — the event kernel's queue, the DMA channel
+// pool and the Sequencer's holding slice. Together these are the bulk
+// of a run's setup allocations.
 // The zero value (or NewRunScratch) is ready to use; a scratch serves
 // one run at a time, and results never depend on what a previous run
 // left behind — every structure is reset on reuse. A scratch keeps
@@ -278,6 +281,10 @@ type RunScratch struct {
 	vpns         []units.VPN
 	pfns         []units.PFN
 	infos        []core.TranslateInfo
+	// The overlap engine (timing.setup resets and wires it).
+	kernel    event.Kernel
+	dma       event.Pool
+	sequencer event.Sequencer
 	// The run in progress and the design it drives (the one cfg.Mechanism
 	// selects; each keeps its per-process slice across runs). They live
 	// here so that a run allocates none of them.
@@ -427,7 +434,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// interrupts, miss classification — carries it, so analysis can
 	// reconstruct the record's full causal chain. It is nil, and costs
 	// nothing, when the run is not recorded.
-	r.tap = obs.NewTap(r.timing.setup(cfg, r.host, b, r.nic), 0)
+	r.tap = obs.NewTap(r.timing.setup(cfg, scr, r.host, b, r.nic), 0)
 	r.host.SetTap(r.tap)
 	b.SetTap(r.tap)
 	r.nic.SetTap(r.tap)

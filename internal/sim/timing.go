@@ -31,20 +31,24 @@ type timing struct {
 // recorder its layers should record to. Under overlap the layers no
 // longer record in timestamp order (a DMA tail completes after the host
 // has moved on), so a Sequencer holds every event and finish delivers
-// them to cfg.Recorder in (time, seq) order.
-func (t *timing) setup(cfg Config, host *hostos.Host, b *bus.Bus, nic *nicsim.NIC) obs.Recorder {
+// them to cfg.Recorder in (time, seq) order. The engine is scr's, reset:
+// its queue and holding slice grow to a run's DMA and event counts, and
+// a run that returned an error may have left either part full.
+func (t *timing) setup(cfg Config, scr *RunScratch, host *hostos.Host, b *bus.Bus, nic *nicsim.NIC) obs.Recorder {
 	*t = timing{host: host.Clock(), nic: nic.Clock(), bus: b}
 	if !cfg.Overlap.Enabled {
 		return cfg.Recorder
 	}
-	t.kernel = event.NewKernel()
-	t.pool = event.NewPool(cfg.Overlap.DMAChannels)
+	t.kernel, t.pool = &scr.kernel, &scr.dma
+	t.kernel.Reset()
+	t.pool.Reset(cfg.Overlap.DMAChannels)
 	b.SetOverlap(t.kernel, t.pool)
 	host.SetInterruptSync(t.nic)
 	if cfg.Recorder == nil {
 		return nil
 	}
-	t.sequencer = event.NewSequencer(t.kernel, cfg.Recorder)
+	t.sequencer = &scr.sequencer
+	t.sequencer.Reset(t.kernel, cfg.Recorder)
 	return t.sequencer
 }
 
