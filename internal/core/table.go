@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"utlb/internal/phys"
@@ -128,10 +129,14 @@ func (t *Table) ensureL2(vpn units.VPN) (units.PAddr, error) {
 	}
 	t.l2frames = append(t.l2frames, frame)
 	base := frame.Addr()
+	// One page-sized write, not L2Entries word writes: each WriteWord
+	// re-checks the range and re-finds the frame's backing.
+	var page [units.PageSize]byte
 	garbageWord := EncodeEntry(t.garbage, false)
-	for i := 0; i < L2Entries; i++ {
-		t.mem.WriteWord(base+units.PAddr(i*8), garbageWord)
+	for i := 0; i < len(page); i += 8 {
+		binary.LittleEndian.PutUint64(page[i:], garbageWord)
 	}
+	t.mem.Write(base, page[:])
 	t.dir[di] = base
 	t.present[di] = true
 	return base, nil

@@ -54,9 +54,12 @@ func TestTableInstallLookup(t *testing.T) {
 	if tbl.Installed() != 1 {
 		t.Errorf("Installed = %d", tbl.Installed())
 	}
-	// Neighbouring entry in the same second-level table: garbage.
-	if pfn, valid := tbl.Lookup(101); valid || pfn != garbage {
-		t.Errorf("neighbour = %d, %v", pfn, valid)
+	// Every other entry of the same second-level table, first to last:
+	// garbage.
+	for vpn := units.VPN(0); vpn < L2Entries; vpn++ {
+		if pfn, valid := tbl.Lookup(vpn); vpn != 100 && (valid || pfn != garbage) {
+			t.Errorf("neighbour %d = %d, %v", vpn, pfn, valid)
+		}
 	}
 }
 

@@ -130,6 +130,10 @@ type Process struct {
 	pid   units.ProcID
 	name  string
 	space Space
+	// pinErr is the process' reused pin failure, made by its first one:
+	// a process that is never refused a pin never pays for it (by value
+	// it would be 32 bytes of every run's every process).
+	pinErr *PinError
 }
 
 // Space is the part of vm.Space the host needs. Declared as an
@@ -276,6 +280,26 @@ func (h *Host) PinPagesInKernel(p *Process, vpns []units.VPN) ([]units.PFN, erro
 	return pfns, err
 }
 
+// PinError is a failed pin ioctl: the page it stopped at, the process
+// and the cause, which Unwrap exposes to errors.Is. A pin-quota
+// rejection is control flow — the library answers it by evicting a
+// victim and pinning again, tens of thousands of times in a pin-limited
+// run — so the text is built only if someone asks for it, and the value
+// is the host's own, one per process: like the frame list, it is valid
+// until the process' next pin call, and a caller that keeps it longer
+// formats it first.
+type PinError struct {
+	VPN units.VPN
+	PID units.ProcID
+	Err error
+}
+
+func (e *PinError) Error() string {
+	return fmt.Sprintf("hostos: pin page %#x for pid %d: %v", e.VPN, e.PID, e.Err)
+}
+
+func (e *PinError) Unwrap() error { return e.Err }
+
 // maxPinAttempts bounds how many reclaim-and-retry rounds one page pin
 // gets before its frame-exhaustion error is returned to the caller.
 const maxPinAttempts = 3
@@ -283,7 +307,8 @@ const maxPinAttempts = 3
 // pinLocked pins vpns in order, rolling everything back on the first
 // failure. The returned slice is h.pinScratch: valid until the next
 // pin call, which every caller respects by consuming it immediately
-// (the driver installs the frames inside the same ioctl).
+// (the driver installs the frames inside the same ioctl). A failure is
+// a *PinError, p.pinErr, valid until p's next pin call.
 func (h *Host) pinLocked(p *Process, vpns []units.VPN) ([]units.PFN, error) {
 	if cap(h.pinScratch) < len(vpns) {
 		h.pinScratch = make([]units.PFN, 0, len(vpns))
@@ -302,7 +327,11 @@ func (h *Host) pinLocked(p *Process, vpns []units.VPN) ([]units.PFN, error) {
 					rerr = uerr
 				}
 			}
-			err = fmt.Errorf("hostos: pin page %#x for pid %d: %w", vpn, p.pid, err)
+			if p.pinErr == nil {
+				p.pinErr = new(PinError)
+			}
+			*p.pinErr = PinError{VPN: vpn, PID: p.pid, Err: err}
+			err = p.pinErr
 			if rerr != nil {
 				// Reachable under injected faults (a misbehaving
 				// space): degrade to a reported error, not a crash.

@@ -2,6 +2,7 @@ package hostos
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -107,6 +108,24 @@ func TestPinPagesRollbackOnQuota(t *testing.T) {
 	}
 	if p.Space().PinnedPages() != 0 {
 		t.Errorf("partial pins not rolled back: %d", p.Space().PinnedPages())
+	}
+	// The rejection names the page it stopped at, and costs nothing
+	// until it is printed: callers evict and retry in a loop.
+	want := fmt.Sprintf("hostos: pin page 0x3 for pid 1: %v", vm.ErrPinLimit)
+	var pe *PinError
+	if !errors.As(err, &pe) || pe.VPN != 3 || pe.PID != 1 || err.Error() != want {
+		t.Errorf("err = %q (%+v), want %q", err, pe, want)
+	}
+}
+
+// TestPinRejectionAllocBudget: after a process' first, a quota
+// rejection allocates nothing.
+func TestPinRejectionAllocBudget(t *testing.T) {
+	h := newHost(t)
+	p := spawn(t, h, 1, 2)
+	vpns := []units.VPN{1, 2, 3}
+	if allocs := testing.AllocsPerRun(100, func() { h.PinPages(p, vpns) }); allocs != 0 {
+		t.Errorf("a quota rejection allocates %v times, want 0", allocs)
 	}
 }
 
