@@ -1,10 +1,10 @@
 GO ?= go
 
-# Where obs-smoke, chaos, overlap-soak and profile-sim leave their
+# Where obs-smoke, chaos, overlap-soak, profile-sim and profile-rec leave their
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json loc build test race race-concurrency bench bench-smoke profile-sim obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
+.PHONY: all check vet lint lint-json loc build test race race-concurrency bench bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
 
 all: check
 
@@ -75,7 +75,7 @@ race-concurrency:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateUTLB|BenchmarkSimulateInterrupt|BenchmarkSimulateBulkBatch|BenchmarkTraceGen$$|BenchmarkRunAll' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifier|BenchmarkSimRun$$|BenchmarkSimRunPaper|BenchmarkSimRunPinLimited' -benchtime 1x -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench 'BenchmarkWriteChromeTrace|BenchmarkAnalyze$$|BenchmarkSequencer' -benchtime 1x -benchmem ./internal/obs ./internal/obs/analyze ./internal/event
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteChromeTrace|BenchmarkBufferRun|BenchmarkAnalyze$$|BenchmarkSequencer|BenchmarkEngineReset' -benchtime 1x -benchmem ./internal/obs ./internal/obs/analyze ./internal/event
 
 # The repository's benchmark (bench/, a module of its own; run for real
 # with `bash bench/run.sh`) imports internal/* from outside, so an API
@@ -95,6 +95,22 @@ profile-sim:
 	$(GO) build -o $(ARTIFACTS)/profile/utlbsim ./cmd/utlbsim
 	$(ARTIFACTS)/profile/utlbsim -exp t6 -parallel 1 -cpuprofile $(ARTIFACTS)/profile/sim.prof >/dev/null
 	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/sim.prof 2>/dev/null | head -20
+
+# Heap profile of the recorded-run path: Table 6 at a quarter of paper
+# scale, recorded, with analysis and the Chrome export (the bench's
+# sim_recorded request, through the CLI), and the top of the cumulative
+# allocated-bytes listing printed. A recorded run should allocate its
+# events' chunks (obs.Buffer.Record) and little else that grows with
+# them; CI uploads the profile next to profile-sim's, so the next
+# allocation issue starts from a profile too.
+profile-rec:
+	mkdir -p $(ARTIFACTS)/profile
+	$(GO) build -o $(ARTIFACTS)/profile/utlbsim ./cmd/utlbsim
+	$(ARTIFACTS)/profile/utlbsim -exp t6 -scale 0.25 -parallel 1 \
+		-trace-out $(ARTIFACTS)/profile/rec.trace.json -analyze-out $(ARTIFACTS)/profile/rec.analyze.json \
+		-memprofile $(ARTIFACTS)/profile/rec.mprof >/dev/null
+	rm -f $(ARTIFACTS)/profile/rec.trace.json
+	$(GO) tool pprof -sample_index=alloc_space -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.mprof 2>/dev/null | head -20
 
 # Observability smoke: the exporter golden-file tests (any drift in the
 # Chrome-trace, Prometheus or analysis output fails the diff), then an

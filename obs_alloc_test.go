@@ -12,7 +12,10 @@ package utlb_test
 
 import (
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"utlb"
 	"utlb/internal/telemetry"
@@ -260,7 +263,7 @@ func TestGenerateCachedAllocBudget(t *testing.T) {
 // recordedRun replays fft into an event buffer: the input of the
 // exporter and analysis budgets below (about 275 events per 0.001 of
 // scale).
-func recordedRun(t *testing.T, scale float64) utlb.EventRun {
+func recordedRun(t *testing.T, scale float64) *utlb.EventBuffer {
 	t.Helper()
 	tr, err := utlb.GenerateTrace("fft", 1, scale)
 	if err != nil {
@@ -273,14 +276,17 @@ func recordedRun(t *testing.T, scale float64) utlb.EventRun {
 	if _, err := utlb.SimulateWith(tr, cfg, utlb.NewSimScratch()); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Run()
+	return buf
 }
 
 // TestSimulateRecordedAllocBudget bounds what attaching a buffer adds
-// to a run: the transfer cursor and the buffer's doublings — a
-// logarithm of the event count, never a multiple of it — in both
-// timing modes. Under overlap the events pass through the
-// event.Sequencer, which once cost a closure and a heap item each.
+// to a run on a warm scratch, in both timing modes: the buffer, its
+// chunks and their list, and the transfer cursor — the events' own
+// storage, once, and nothing else that grows with them. Under overlap
+// the events also pass through the event.Sequencer and every DMA
+// through the event kernel's queue, both of which the scratch keeps
+// from run to run; unrecorded, such a run allocates what a sequential
+// one does.
 func TestSimulateRecordedAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
@@ -294,18 +300,22 @@ func TestSimulateRecordedAllocBudget(t *testing.T) {
 	overlap := utlb.DefaultSimConfig()
 	overlap.Prefetch, overlap.BatchPages = 8, 8
 	overlap.Overlap.Enabled, overlap.Overlap.DMAChannels = true, 2
+	const (
+		eventBytes     = int64(unsafe.Sizeof(utlb.Event{}))
+		unrecordedByte = 8 << 10 // measured 2.0 KB under overlap, 1.9 KB sequential
+	)
 	for _, c := range []struct {
 		name   string
 		tr     utlb.Trace
 		cfg    utlb.SimConfig
-		budget int64
+		budget int64 // exact: 27 unrecorded + buffer + cursor + chunks + doublings of their list
 	}{
-		{"fft/sequential", fft, seq, 400},                                        // measured 333 for 69k events; 315 unrecorded
-		{"bulk/overlap", utlb.GenerateBulkTrace(0, 1, 1998, 0.25), overlap, 500}, // measured 414 for 28k events; 389 unrecorded
+		{"fft/sequential", fft, seq, 70},                                        // 69436 events: 34 chunks, 7 doublings
+		{"bulk/overlap", utlb.GenerateBulkTrace(0, 1, 1998, 0.25), overlap, 48}, // 28341 events: 14 chunks, 5 doublings
 	} {
 		scr := utlb.NewSimScratch()
-		events := 0
-		got := measureAllocs(func(b *testing.B) {
+		events := int64(0)
+		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf := utlb.NewEventBuffer("budget")
@@ -313,56 +323,163 @@ func TestSimulateRecordedAllocBudget(t *testing.T) {
 				if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
 					b.Fatal(err)
 				}
-				events = buf.Len()
+				events = int64(buf.Len())
 			}
 		})
-		if got > c.budget {
+		if got := res.AllocsPerOp(); got > c.budget {
 			t.Errorf("%s: recorded SimulateWith allocates %d/op for %d events, budget %d", c.name, got, events, c.budget)
 		} else {
 			t.Logf("%s: recorded SimulateWith: %d allocs/op for %d events (budget %d)", c.name, got, events, c.budget)
 		}
+		byteBudget := events*eventBytes*11/10 + 16<<10
+		if got := res.AllocedBytesPerOp(); got > byteBudget {
+			t.Errorf("%s: recorded SimulateWith allocates %d B/op for %d events of %d B, budget %d: something besides the buffer grows with the events",
+				c.name, got, events, eventBytes, byteBudget)
+		} else {
+			t.Logf("%s: recorded SimulateWith: %d B/op, %.2f x the events' %d B (budget %d)", c.name, got, float64(got)/float64(events*eventBytes), events*eventBytes, byteBudget)
+		}
+
+		c.cfg.Recorder = nil
+		res = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > unrecordedByte {
+			t.Errorf("%s: unrecorded SimulateWith allocates %d B/op with warm scratch, budget %d: the scratch-held engine is being rebuilt per run", c.name, got, unrecordedByte)
+		} else {
+			t.Logf("%s: unrecorded SimulateWith: %d B/op (budget %d)", c.name, got, unrecordedByte)
+		}
 	}
 }
 
-// TestWriteChromeTraceAllocsIndependentOfEvents: the exporter's
-// allocations are its buffers and the run's track list — the same
-// small count for a short run and for one a hundred times longer.
-func TestWriteChromeTraceAllocsIndependentOfEvents(t *testing.T) {
-	run := recordedRun(t, 0.4)
-	if len(run.Events) < 100_000 {
-		t.Fatalf("fixture has %d events, want at least 100k", len(run.Events))
+// TestSimulatePinLimitedAllocBudget is the eviction regime's budget:
+// under a pin limit the library answers every quota rejection by
+// evicting a victim and pinning again, tens of thousands of times a
+// run, and the rejection itself — hostos.PinError, one per process,
+// reused — must cost nothing (it was a formatted error once: 94k
+// allocations a run).
+func TestSimulatePinLimitedAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a benchmark")
 	}
-	allocs := func(events int) float64 {
-		runs := []utlb.EventRun{{Label: run.Label, Events: run.Events[:events]}}
-		return testing.AllocsPerRun(5, func() {
+	tr, err := utlb.GenerateTrace("fft", 1, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := utlb.DefaultSimConfig()
+	cfg.CacheEntries = 1024
+	cfg.PinLimitPages = 1024
+	scr := utlb.NewSimScratch()
+	var unpins int64
+	got := measureAllocs(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := utlb.SimulateWith(tr, cfg, scr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			unpins = res.Unpins
+		}
+	})
+	const budget = 32 // the unlimited run's 27 and a PinError for each of the five processes; measured 31-32
+	if unpins < 10_000 {
+		t.Fatalf("the run evicted %d pages: not the eviction regime", unpins)
+	}
+	if got > budget {
+		t.Errorf("pin-limited SimulateWith allocates %d/op for %d evictions, budget %d", got, unpins, budget)
+	} else {
+		t.Logf("pin-limited SimulateWith: %d allocs/op for %d evictions (budget %d)", got, unpins, budget)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average f
+// allocates per call, after one call to warm up, on one P and with the
+// collector off (so that a sync.Pool hands back what the previous call
+// put). The runtime's own goroutines allocate a few dozen bytes now and
+// then, so callers compare two results with sameBytes.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// sameBytes reports whether two bytesPerRun results differ by no more
+// than the runtime's background noise: a cost per event would separate
+// runs of 1k and 100k events by megabytes.
+func sameBytes(a, b uint64) bool { return max(a, b)-min(a, b) <= 512 }
+
+// TestWriteChromeTraceAllocsIndependentOfEvents: the exporter's
+// allocations are the run's label and its track list's sort — the same
+// small count, and the same few bytes, for a short run and for one a
+// hundred times longer; its buffers come from a pool.
+func TestWriteChromeTraceAllocsIndependentOfEvents(t *testing.T) {
+	buf := recordedRun(t, 0.4)
+	if buf.Len() < 100_000 {
+		t.Fatalf("fixture has %d events, want at least 100k", buf.Len())
+	}
+	all := buf.Events()
+	measure := func(events int) (allocs float64, bytes uint64) {
+		runs := []utlb.EventRun{utlb.NewEventRun(buf.Label(), all[:events])}
+		write := func() {
 			if err := utlb.WriteChromeTrace(io.Discard, runs); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		return testing.AllocsPerRun(5, write), bytesPerRun(5, write)
 	}
-	small, large := allocs(1_000), allocs(100_000)
-	const budget = 12 // measured 9
+	small, smallBytes := measure(1_000)
+	large, largeBytes := measure(100_000)
+	const budget = 5 // measured 5
 	if small != large || large > budget {
 		t.Errorf("WriteChromeTrace allocates %v times at 1k events and %v at 100k; want equal and at most %d", small, large, budget)
 	} else {
 		t.Logf("WriteChromeTrace: %v allocs at 1k and at 100k events (budget %d)", large, budget)
 	}
+	if !sameBytes(smallBytes, largeBytes) || largeBytes > 1024 {
+		t.Errorf("WriteChromeTrace allocates %d B at 1k events and %d B at 100k; want equal and at most 1 KB", smallBytes, largeBytes)
+	} else {
+		t.Logf("WriteChromeTrace: %d B at 1k and at 100k events", largeBytes)
+	}
 }
 
-// TestAnalyzeAllocBudget: analysis allocates per kind, per experiment
-// and per reported transfer — not per event and not per transfer.
+// TestAnalyzeAllocBudget: analysis allocates per experiment and per
+// reported transfer — not per event, not per transfer and, its
+// per-transfer table and per-kind digests being pooled, not per call:
+// a hundred times the events cost the same bytes.
 func TestAnalyzeAllocBudget(t *testing.T) {
-	run := recordedRun(t, 0.25)
-	runs := []utlb.EventRun{run}
-	got := testing.AllocsPerRun(5, func() {
-		if rep := utlb.AnalyzeEvents(runs, 10); rep.Events != int64(len(run.Events)) {
-			t.Fatal("short report")
+	buf := recordedRun(t, 0.4)
+	all := buf.Events()
+	measure := func(events int) (allocs float64, bytes uint64) {
+		runs := []utlb.EventRun{utlb.NewEventRun(buf.Label(), all[:events])}
+		analyze := func() {
+			if rep := utlb.AnalyzeEvents(runs, 10); rep.Events != int64(events) {
+				t.Fatal("short report")
+			}
 		}
-	})
-	const budget = 100 // measured 57 for 69k events in 14k transfers
-	if got > budget {
-		t.Errorf("AnalyzeEvents allocates %v times for %d events, budget %d", got, len(run.Events), budget)
+		return testing.AllocsPerRun(5, analyze), bytesPerRun(5, analyze)
+	}
+	small, smallBytes := measure(1_000)
+	large, largeBytes := measure(100_000)
+	const budget = 40 // measured 37
+	if small != large || large > budget {
+		t.Errorf("AnalyzeEvents allocates %v times at 1k events and %v at 100k; want equal and at most %d", small, large, budget)
 	} else {
-		t.Logf("AnalyzeEvents: %v allocs for %d events (budget %d)", got, len(run.Events), budget)
+		t.Logf("AnalyzeEvents: %v allocs at 1k and at 100k events (budget %d)", large, budget)
+	}
+	if !sameBytes(smallBytes, largeBytes) {
+		t.Errorf("AnalyzeEvents allocates %d B at 1k events and %d B at 100k; want equal", smallBytes, largeBytes)
+	} else {
+		t.Logf("AnalyzeEvents: %d B at 1k and at 100k events", largeBytes)
 	}
 }
