@@ -4,12 +4,12 @@ GO ?= go
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json loc build test race race-concurrency bench bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak loadtest telemetry-smoke clean
+.PHONY: all check vet lint lint-json loc build test race race-concurrency bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak telemetry-smoke clean
 
 all: check
 
 # The full local gate: what CI runs, in order.
-check: vet lint build test race bench bench-smoke obs-smoke chaos overlap-soak loadtest telemetry-smoke
+check: vet lint build test race bench-smoke obs-smoke chaos overlap-soak telemetry-smoke
 
 # go vet, and gofmt as a gate: any file gofmt would rewrite fails the
 # target (testdata/ fixtures are exempt — some are misformatted on
@@ -57,25 +57,20 @@ test:
 # so they belong to the non-race run only: `make test` runs every one
 # of them and telemetry-smoke the translation service's. This is the
 # one -race pass over internal/{telemetry,xlate,serve} in `make check`;
-# loadtest and telemetry-smoke do not repeat it.
+# telemetry-smoke does not repeat it.
 race:
 	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
 
 # Focused -race pass over the paths the lockdiscipline rule reasons
 # about: the sharded translation service, the telemetry fold/trace
-# paths and the serve single-flight/runMu paths. A subset of `race`,
+# paths, the serve single-flight/runMu paths and the /api/xlate/*
+# codec under concurrent keep-alive clients over loopback TCP
+# (TestXlateCodecConcurrentShadow). A subset of `race`,
 # kept separate so the lint job can run it quickly next to the static
 # analysis it backstops. Like `race` it leaves serve's handler
 # allocation budget to `make test`.
 race-concurrency:
 	$(GO) test -race -count=1 -skip 'AllocBudget' ./internal/telemetry ./internal/xlate ./internal/serve
-
-# Short benchmark smoke: one iteration of each tracked benchmark, just
-# to prove they still compile and run. Real numbers: `bash bench/run.sh`.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulateUTLB|BenchmarkSimulateInterrupt|BenchmarkSimulateBulkBatch|BenchmarkTraceGen$$|BenchmarkRunAll' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkClassifier|BenchmarkSimRun$$|BenchmarkSimRunPaper|BenchmarkSimRunPinLimited' -benchtime 1x -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench 'BenchmarkWriteChromeTrace|BenchmarkBufferRun|BenchmarkAnalyze$$|BenchmarkSequencer|BenchmarkEngineReset' -benchtime 1x -benchmem ./internal/obs ./internal/obs/analyze ./internal/event
 
 # The repository's benchmark (bench/, a module of its own; run for real
 # with `bash bench/run.sh`) imports internal/* from outside, so an API
@@ -158,15 +153,6 @@ overlap-soak:
 		diff $(ARTIFACTS)/overlap/s$$seed-p1.txt $(ARTIFACTS)/overlap/s$$seed-p8.txt || exit 1; \
 	done
 	@echo "overlap: byte-identical at widths 1 and 8 for both seeds"
-
-# Load-test smoke: a short utlbload run against an in-process serve
-# instance (cmd/utlbload's TestLoad* drive the real client path end to
-# end and assert nonzero lookups/sec) under -race. The translation
-# service's own concurrency suites run under -race in `race`. A
-# recorded full run lives in BENCH_load.json (`go run ./cmd/utlbload
-# -json`).
-loadtest:
-	$(GO) test -race -run 'TestLoad' ./cmd/utlbload
 
 # Live-telemetry smoke: the hot-path allocation budgets for the
 # translation service (a nil sink and an unsampled request stay at zero

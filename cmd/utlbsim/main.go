@@ -52,7 +52,6 @@ import (
 	"utlb/internal/serve"
 	"utlb/internal/telemetry"
 	"utlb/internal/trace"
-	"utlb/internal/workload"
 	"utlb/internal/xlate"
 )
 
@@ -168,7 +167,7 @@ func run(exp, traceIn string, scale float64, seed int64, apps string, nodes, pin
 	if apps != "" {
 		opts.Apps = strings.Split(apps, ",")
 	}
-	if err := workload.CheckScale(scale, opts.Apps); err != nil {
+	if err := opts.CheckScale(exp); err != nil {
 		return fmt.Errorf("bad -scale or -apps: %w", err)
 	}
 	if exp == "all" {

@@ -327,26 +327,3 @@ func TestSequencerMatchesKernelOrder(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSequencer(b *testing.B) {
-	const n = 1 << 15
-	k := event.NewKernel()
-	seq := event.NewSequencer(k, obs.Nop{})
-	rng := rand.New(rand.NewSource(1998))
-	jitter := make([]units.Time, n)
-	for i := range jitter {
-		jitter[i] = units.Time(rng.Intn(4000)) // DMA tails landing behind the host's clock
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := k.Now()
-		for j := 0; j < n; j++ {
-			seq.Record(obs.Event{Time: base + units.Time(j)*700 - jitter[j], Kind: obs.KindDMARead})
-		}
-		if seq.Drain() != n {
-			b.Fatal("short drain")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
-}

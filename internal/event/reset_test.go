@@ -95,32 +95,3 @@ func TestSequencerReset(t *testing.T) {
 		t.Errorf("delivered %+v, want the unpin then the pin", evs)
 	}
 }
-
-// BenchmarkEngineReset is one overlap run's use of the engine, the way
-// sim.RunScratch holds it: reset, a completion queued per DMA and an
-// event held per record, one drain. After the first iteration has grown
-// the queue and the holding slice it allocates nothing.
-func BenchmarkEngineReset(b *testing.B) {
-	const n = 1 << 14
-	var (
-		k    Kernel
-		pool Pool
-		seq  Sequencer
-	)
-	done := 0
-	complete := func(units.Time) { done++ }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Reset()
-		pool.Reset(2)
-		seq.Reset(&k, obs.Nop{})
-		for j := 0; j < n; j++ {
-			_, end, _ := pool.Reserve(units.Time(j)*60, 100)
-			k.At(end, complete)
-			seq.Record(obs.Event{Time: end - 100, Dur: 100, Kind: obs.KindDMARead})
-		}
-		if seq.Drain() != 2*n {
-			b.Fatal("short drain")
-		}
-	}
-}

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§5-§6). Each experiment returns renderable text
-// via internal/stats; cmd/utlbsim and bench_test.go are thin shells
-// around this package. DESIGN.md carries the experiment-to-module
-// index; EXPERIMENTS.md records paper-vs-measured values.
+// via internal/stats; cmd/utlbsim is a thin shell around this package.
+// DESIGN.md carries the experiment-to-module index; EXPERIMENTS.md
+// records paper-vs-measured values.
 package experiments
 
 import (
@@ -184,33 +184,35 @@ func versusNames(header []string, prefix, suffix string) []string {
 func lookupMicros(res sim.Result) float64 { return res.AvgLookupCost().Micros() }
 
 // table is the experiment set, written once: canonical name, shorthand
-// alias (t1-t8, f7-f8; "" = none) and what to run, in paper order — the
-// ablations extend the paper's own future-work list. Names, Canonical,
-// Known and Run all read it.
+// alias (t1-t8, f7-f8; "" = none), what to run, and whether its runs
+// generate their traces at half the requested scale — in paper order;
+// the ablations extend the paper's own future-work list. Names,
+// Canonical, Known, Run and CheckScale all read it.
 var table = []struct {
 	name, alias string
 	run         func(Options) ([]fmt.Stringer, error)
+	halves      bool
 }{
-	{"table1", "t1", one(Table1)},
-	{"table2", "t2", one(Table2)},
-	{"table3", "t3", one(Table3)},
-	{"table4", "t4", one(Table4)},
-	{"table5", "t5", one(Table5)},
-	{"table6", "t6", one(Table6)},
-	{"table7", "t7", one(Table7)},
-	{"table8", "t8", one(Table8)},
-	{"fig7", "f7", one(Fig7)},
+	{"table1", "t1", one(Table1), false},
+	{"table2", "t2", one(Table2), false},
+	{"table3", "t3", one(Table3), false},
+	{"table4", "t4", one(Table4), false},
+	{"table5", "t5", one(Table5), false},
+	{"table6", "t6", one(Table6), false},
+	{"table7", "t7", one(Table7), false},
+	{"table8", "t8", one(Table8), false},
+	{"fig7", "f7", one(Fig7), false},
 	{"fig8", "f8", func(opts Options) ([]fmt.Stringer, error) {
 		miss, cost, err := Fig8(opts)
 		return []fmt.Stringer{miss, cost}, err
-	}},
-	{"ablation-policies", "", one(AblationPolicies)},
-	{"ablation-perprocess", "", one(AblationPerProcess)},
-	{"ablation-multiprog", "", one(AblationMultiprog)},
-	{"batchsweep", "", one(BatchSweep)},
-	{"svm-pipeline", "", one(SVMPipeline)},
-	{"chaos", "", one(Chaos)},
-	{"overlap", "", one(Overlap)},
+	}, false},
+	{"ablation-policies", "", one(AblationPolicies), false},
+	{"ablation-perprocess", "", one(AblationPerProcess), false},
+	{"ablation-multiprog", "", one(AblationMultiprog), true},
+	{"batchsweep", "", one(BatchSweep), false},
+	{"svm-pipeline", "", one(SVMPipeline), false},
+	{"chaos", "", one(Chaos), false},
+	{"overlap", "", one(Overlap), false},
 }
 
 // one adapts an experiment that renders as a single table.
@@ -252,6 +254,28 @@ func Canonical(name string) string {
 
 // Known reports whether name, canonical or alias, is an experiment.
 func Known(name string) bool { return find(name) >= 0 }
+
+// CheckScale reports whether experiment name, or every experiment when
+// name is "all", can generate its traces at o's scale over o's
+// applications. One that halves the scale is checked at half of it
+// too, over the pair o.Apps names or else all seven (AblationMultiprog
+// pairs the two -apps or three fixed pairs): a caller refuses the
+// scale up front instead of failing inside the run.
+func (o Options) CheckScale(name string) error {
+	if err := workload.CheckScale(o.scale(), o.Apps); err != nil {
+		return err
+	}
+	apps := o.Apps
+	if len(apps) != 2 {
+		apps = nil
+	}
+	for _, e := range table {
+		if e.halves && (name == "all" || Canonical(name) == e.name) {
+			return workload.CheckScale(o.scale()/2, apps)
+		}
+	}
+	return nil
+}
 
 // Run executes the named experiment (canonical name or t1-t8/f7-f8
 // shorthand) and writes its rendering to w.

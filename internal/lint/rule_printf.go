@@ -14,7 +14,7 @@ var stdoutFuncs = map[string]bool{
 
 // rulePrintf keeps library packages silent: simulation code returns
 // values and writes to injected io.Writers; the process's stdout,
-// stderr and global logger belong to cmd/ (and examples/).
+// stderr and global logger belong to cmd/.
 func rulePrintf() Rule {
 	return Rule{
 		Name: "printfpurity",

@@ -80,8 +80,8 @@ func (d *Digest) Add(v int64) {
 // AddBucketCount folds count samples that landed in bucket idx into
 // d, as if Add had been called count times with the bucket's lower
 // bound. Sum is bucket-resolution (~3% low); Max rises to the bucket
-// bound only when the new bucket exceeds it, so callers tracking an
-// exact maximum should Merge a digest or clamp afterwards. This is
+// bound only when the new bucket exceeds it, so a caller that needs
+// the exact maximum tracks it itself. This is
 // the bridge from externally maintained bucket counts (the telemetry
 // sink's atomic histograms) back into Digest quantile math.
 func (d *Digest) AddBucketCount(idx int, count int64) {
@@ -94,21 +94,6 @@ func (d *Digest) AddBucketCount(idx int, count int64) {
 	d.sum += v * count
 	if v > d.max {
 		d.max = v
-	}
-}
-
-// Merge folds other into d. Because buckets are commutative sums,
-// merging per-worker digests yields byte-identical quantiles to one
-// digest fed every value — the property concurrent load generators
-// rely on for deterministic reports.
-func (d *Digest) Merge(other *Digest) {
-	for i := range d.counts {
-		d.counts[i] += other.counts[i]
-	}
-	d.n += other.n
-	d.sum += other.sum
-	if other.max > d.max {
-		d.max = other.max
 	}
 }
 

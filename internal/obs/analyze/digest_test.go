@@ -109,31 +109,3 @@ func TestDigestOrderIndependent(t *testing.T) {
 		t.Fatal("digest state differs across add orders")
 	}
 }
-
-// TestDigestMergeEquivalence: merging per-worker digests must equal
-// one digest fed every value — the invariant utlbload's concurrent
-// clients rely on for deterministic latency reports.
-func TestDigestMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]int64, 5000)
-	for i := range vals {
-		vals[i] = rng.Int63n(1 << 34)
-	}
-	var whole Digest
-	for _, v := range vals {
-		whole.Add(v)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		parts := make([]Digest, workers)
-		for i, v := range vals {
-			parts[i%workers].Add(v)
-		}
-		var merged Digest
-		for i := range parts {
-			merged.Merge(&parts[i])
-		}
-		if merged != whole {
-			t.Fatalf("merge of %d parts differs from the whole digest", workers)
-		}
-	}
-}

@@ -314,28 +314,6 @@ func TestAnalyzeInvalidKind(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyze(b *testing.B) {
-	kinds := [...]obs.Kind{obs.KindCheckMiss, obs.KindCacheMiss, obs.KindMissCapacity, obs.KindDMARead, obs.KindCacheFill, obs.KindPin}
-	events := make([]obs.Event, 65536)
-	for i := range events {
-		events[i] = obs.Event{
-			Time: units.Time(i) * 731, Xfer: uint64(i/len(kinds) + 1), Arg: uint64(i), PID: 1,
-			Kind: kinds[i%len(kinds)],
-		}
-		if events[i].Kind.IsSpan() {
-			events[i].Dur = units.Time(400 + i%977)
-		}
-	}
-	runs := []obs.Run{obs.NewRun("bench/run", events)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rep := Analyze(runs, 0); rep.Events != int64(len(events)) {
-			b.Fatal("short report")
-		}
-	}
-}
-
 // flat gathers a run's events into one slice, the form the
 // keep-everything oracle reads.
 func flat(r obs.Run) []obs.Event {

@@ -290,28 +290,3 @@ func TestAggregateInvalidKind(t *testing.T) {
 		}
 	}
 }
-
-// chromeBenchRuns is a recorded run's shape: six kinds round-robin on
-// one process, every event attributed to a transfer.
-func chromeBenchRuns(events int) []Run {
-	kinds := [...]Kind{KindCheckMiss, KindCacheMiss, KindMissCapacity, KindDMARead, KindCacheFill, KindPin}
-	evs := make([]Event, events)
-	for i := range evs {
-		evs[i] = Event{
-			Time: units.Time(i) * 731, Dur: 480, Arg: uint64(i), Arg2: 1,
-			Xfer: uint64(i/6 + 1), PID: 1, Kind: kinds[i%len(kinds)],
-		}
-	}
-	return []Run{NewRun("bench/run", evs)}
-}
-
-func BenchmarkWriteChromeTrace(b *testing.B) {
-	runs := chromeBenchRuns(65536)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := WriteChromeTrace(io.Discard, runs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

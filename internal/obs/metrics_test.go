@@ -196,15 +196,3 @@ func TestXferCursor(t *testing.T) {
 		t.Fatalf("recorded %+v\nwant %+v", got, want)
 	}
 }
-
-// The satellite's motivating numbers: the old Aggregate compared every
-// span against all twenty boundaries; the new one computes the bucket
-// with one bits.Len64.
-func BenchmarkAggregate(b *testing.B) {
-	runs := randomRuns(100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Aggregate(runs)
-	}
-}

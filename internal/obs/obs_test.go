@@ -293,17 +293,6 @@ func TestWriteMicros(t *testing.T) {
 	}
 }
 
-// BenchmarkBufferRecord measures the enabled-path cost of recording.
-func BenchmarkBufferRecord(b *testing.B) {
-	buf := NewBuffer("bench")
-	ev := Event{Time: 1, Dur: 2, Arg: 3, PID: 4, Kind: KindCacheHit}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Record(ev)
-	}
-}
-
 // flat gathers a run's events into one slice, the form the oracles and
 // most assertions read.
 func flat(r Run) []Event {
@@ -367,24 +356,5 @@ func TestBufferGathersChunks(t *testing.T) {
 	checkRun(manyRun, 2*bufferChunkEvents+7)
 	if len(b.Run().Chunks()) != 3 {
 		t.Fatalf("Run copied its events: %d chunks, want the buffer's 3", len(b.Run().Chunks()))
-	}
-}
-
-// BenchmarkBufferRun is a recorded run's storage from first event to
-// export input: record into a fresh buffer, take its Run, read every
-// event once. Its B/op is the events' own size (112 KB per 2048) — no
-// gather, no regrowth.
-func BenchmarkBufferRun(b *testing.B) {
-	const n = 1 << 16
-	ev := Event{Time: 1, Dur: 2, Arg: 3, PID: 4, Kind: KindDMARead}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf := NewBuffer("bench")
-		for j := 0; j < n; j++ {
-			buf.Record(ev)
-		}
-		if m := Aggregate([]Run{buf.Run()}); m.Count[KindDMARead] != n {
-			b.Fatal("short run")
-		}
 	}
 }

@@ -122,7 +122,7 @@ func parseParams(r *http.Request) (params, error) {
 	}
 	// A scale that leaves an application no page per process has no
 	// trace; refused here, not on a pool goroutine under the run lock.
-	if err := workload.CheckScale(p.scale, p.apps); err != nil {
+	if err := (experiments.Options{Scale: p.scale, Apps: p.apps}).CheckScale(p.exp); err != nil {
 		return p, err
 	}
 	return p, nil
@@ -331,8 +331,7 @@ const indexHTML = `<!doctype html>
 <li><a href="/debug/pprof/">/debug/pprof/</a> &mdash; live profiles of this server</li>
 </ul>
 <p>The xlate endpoints are served by a sharded concurrent translation
-service and never wait behind experiment execution; hammer them with
-<code>utlbload</code>.</p>
+service and never wait behind experiment execution.</p>
 <p>Parameters: <code>exp</code> (table1..table8, fig7, fig8, or t1..t8/f7/f8),
 <code>scale</code>, <code>seed</code>, <code>apps</code>, <code>nodes</code>, <code>parallel</code>,
 and <code>topk</code> for /api/analyze.</p>

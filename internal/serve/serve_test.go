@@ -93,15 +93,16 @@ func TestServeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()
 	for _, path := range []string{
-		"/api/analyze",                            // missing exp
-		"/api/analyze?exp=nope",                   // unknown experiment
-		"/api/analyze?exp=t6&scale=2",             // scale out of range
-		"/api/analyze?exp=t6&topk=0",              // bad topk
-		"/metrics?exp=nope",                       // unknown experiment via metrics
-		"/api/analyze?exp=t6&seed=abc",            // unparsable seed
-		"/api/analyze?exp=t4&apps=nope",           // unknown application
-		"/api/analyze?exp=t4&scale=0.001",         // no page per process at this scale
-		"/metrics?exp=t6&scale=0.003&apps=barnes", // nor for barnes at this one
+		"/api/analyze",                                    // missing exp
+		"/api/analyze?exp=nope",                           // unknown experiment
+		"/api/analyze?exp=t6&scale=2",                     // scale out of range
+		"/api/analyze?exp=t6&topk=0",                      // bad topk
+		"/metrics?exp=nope",                               // unknown experiment via metrics
+		"/api/analyze?exp=t6&seed=abc",                    // unparsable seed
+		"/api/analyze?exp=t4&apps=nope",                   // unknown application
+		"/api/analyze?exp=t4&scale=0.001",                 // no page per process at this scale
+		"/metrics?exp=t6&scale=0.003&apps=barnes",         // nor for barnes at this one
+		"/api/analyze?exp=ablation-multiprog&scale=0.005", // whose runs halve it
 	} {
 		if code, _ := get(t, ts, path); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", path, code)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -206,13 +207,20 @@ func TestXlateLookupHandlerAllocBudget(t *testing.T) {
 
 // TestXlateCodecConcurrentShadow hammers lookup, insert and both
 // invalidate forms from 8 goroutines and checks every reply against a
-// shadow map. Each goroutine owns a pid and a vpn range no other
-// touches, in a geometry where no two keys of the test share a set, so
-// its replies are a pure function of its own history: a pooled scratch
-// that leaked between requests — keys, frames, results or reply bytes
-// of another goroutine — shows up as a wrong reply here, and as a data
-// race under -race.
+// shadow map, once through the handler in process and once over
+// loopback TCP from keep-alive clients. Each goroutine owns a pid and a
+// vpn range no other touches, in a geometry where no two keys of the
+// test share a set, so its replies are a pure function of its own
+// history: a pooled scratch that leaked between requests — keys,
+// frames, results or reply bytes of another goroutine — shows up as a
+// wrong reply here, and as a data race under -race.
 func TestXlateCodecConcurrentShadow(t *testing.T) {
+	for _, arm := range []string{"handler", "loopback"} {
+		t.Run(arm, func(t *testing.T) { codecShadow(t, arm == "loopback") })
+	}
+}
+
+func codecShadow(t *testing.T, loopback bool) {
 	const (
 		workers = 8
 		span    = 256 // vpns per worker; workers*span = the sets per shard
@@ -223,16 +231,37 @@ func TestXlateCodecConcurrentShadow(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewWith(xl).Handler()
-	call := func(path string, into any) error {
+	get := func(path string) (int, http.Header, []byte, error) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("GET %.80s: status %d: %.100s", path, rec.Code, rec.Body.String())
+		return rec.Code, rec.Header(), rec.Body.Bytes(), nil
+	}
+	if loopback {
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		client := ts.Client()
+		get = func(path string) (int, http.Header, []byte, error) {
+			resp, err := client.Get(ts.URL + path)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			return resp.StatusCode, resp.Header, body, err
 		}
-		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-			return fmt.Errorf("GET %.80s: Content-Length %q on a %d-byte body", path, cl, rec.Body.Len())
+	}
+	call := func(path string, into any) error {
+		code, header, body, err := get(path)
+		if err != nil {
+			return fmt.Errorf("GET %.80s: %w", path, err)
 		}
-		return json.Unmarshal(rec.Body.Bytes(), into)
+		if code != http.StatusOK {
+			return fmt.Errorf("GET %.80s: status %d: %.100s", path, code, body)
+		}
+		if cl := header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			return fmt.Errorf("GET %.80s: Content-Length %q on a %d-byte body", path, cl, len(body))
+		}
+		return json.Unmarshal(body, into)
 	}
 
 	var wg sync.WaitGroup

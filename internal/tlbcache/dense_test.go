@@ -219,19 +219,3 @@ func TestDenseZeroKeyIsOrdinary(t *testing.T) {
 		t.Fatalf("Len = %d", d.Len())
 	}
 }
-
-func BenchmarkDenseGetHit(b *testing.B) {
-	d := NewDense[int32](4096)
-	for v := units.VPN(0); v < 4096; v++ {
-		put(d, Key{PID: units.ProcID(v % 8), VPN: v}, int32(v))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// 8 divides 4096, so this key is always one of the inserted ones.
-		k := Key{PID: units.ProcID(i % 8), VPN: units.VPN(i % 4096)}
-		if _, ok := get(d, k); !ok {
-			b.Fatal("unexpected miss")
-		}
-	}
-}

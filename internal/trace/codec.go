@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 
+	"utlb/internal/core"
 	"utlb/internal/units"
 )
 
@@ -16,6 +17,22 @@ const (
 	magic   = "UTLBTRC1"
 	recSize = 32
 )
+
+// check reports why r cannot be replayed, or nil: the readers refuse
+// such a record by name instead of letting a replay panic on it.
+func (r Record) check() error {
+	first := r.VA.PageOf()
+	switch {
+	case r.Op != Send && r.Op != Fetch:
+		return fmt.Errorf("unknown op %d", uint8(r.Op))
+	case r.Bytes < 0:
+		return fmt.Errorf("negative size %d", r.Bytes)
+	case first >= core.VASpacePages ||
+		uint64(first)+uint64(units.PagesSpanned(r.VA, int(r.Bytes))) > core.VASpacePages:
+		return fmt.Errorf("buffer %#x+%d outside the %d-page address space", uint64(r.VA), r.Bytes, core.VASpacePages)
+	}
+	return nil
+}
 
 // WriteBinary encodes t to w in the binary trace format.
 func WriteBinary(w io.Writer, t Trace) error {
@@ -42,7 +59,8 @@ func WriteBinary(w io.Writer, t Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a binary trace from r.
+// ReadBinary decodes a binary trace from r. A record that cannot be
+// replayed (see Record.check) is an error naming it.
 func ReadBinary(r io.Reader) (Trace, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
@@ -62,14 +80,18 @@ func ReadBinary(r io.Reader) (Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: truncated record %d: %w", len(out), err)
 		}
-		out = append(out, Record{
+		rec := Record{
 			Time:  units.Time(binary.LittleEndian.Uint64(buf[0:])),
 			Node:  units.NodeID(binary.LittleEndian.Uint32(buf[8:])),
 			PID:   units.ProcID(binary.LittleEndian.Uint32(buf[12:])),
 			Op:    Op(buf[16]),
 			Bytes: int32(binary.LittleEndian.Uint32(buf[20:])),
 			VA:    units.VAddr(binary.LittleEndian.Uint64(buf[24:])),
-		})
+		}
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", len(out), err)
+		}
+		out = append(out, rec)
 	}
 }
 
@@ -88,7 +110,7 @@ func WriteText(w io.Writer, t Trace) error {
 }
 
 // ReadText decodes the text format; blank lines and #-comments are
-// skipped.
+// skipped. A record that cannot be replayed is an error naming its line.
 func ReadText(r io.Reader) (Trace, error) {
 	var out Trace
 	sc := bufio.NewScanner(r)
@@ -101,7 +123,8 @@ func ReadText(r io.Reader) (Trace, error) {
 			continue
 		}
 		var (
-			t, va       uint64
+			t           int64
+			va          uint64
 			node, pid   uint32
 			opStr       string
 			bytesParsed int32
@@ -119,14 +142,18 @@ func ReadText(r io.Reader) (Trace, error) {
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, opStr)
 		}
-		out = append(out, Record{
+		rec := Record{
 			Time:  units.Time(t),
 			Node:  units.NodeID(node),
 			PID:   units.ProcID(pid),
 			Op:    op,
 			VA:    units.VAddr(va),
 			Bytes: bytesParsed,
-		})
+		}
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

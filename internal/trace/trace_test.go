@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"utlb/internal/core"
 	"utlb/internal/units"
 )
 
@@ -204,4 +207,42 @@ func TestIsSortedByTime(t *testing.T) {
 			t.Errorf("%s: SortByTime left trace unsorted", name)
 		}
 	}
+}
+
+// FuzzTraceCodec: whatever the bytes, each reader either refuses them
+// or returns records a replay can take — a known op, a non-negative
+// size, a buffer inside the address space — and those records survive
+// binary → text → binary unchanged. The corpus under testdata/fuzz
+// holds both formats, a truncated record, a bad magic, and one record
+// per refusal; its VA = 0x2_0000_0000 record used to panic utlbsim
+// -trace on a pool goroutine.
+func FuzzTraceCodec(f *testing.F) {
+	const space = uint64(core.VASpacePages) * units.PageSize
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, read := range []func(io.Reader) (Trace, error){ReadBinary, ReadText} {
+			tr, err := read(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			for i, r := range tr {
+				if (r.Op != Send && r.Op != Fetch) || r.Bytes < 0 || uint64(r.VA) >= space || uint64(r.Bytes) > space-uint64(r.VA) {
+					t.Fatalf("record %d accepted: %+v", i, r)
+				}
+			}
+			var txt, bin bytes.Buffer
+			if err := WriteText(&txt, tr); err != nil {
+				t.Fatal(err)
+			}
+			viaText, err := ReadText(&txt)
+			if err != nil || !slices.Equal(viaText, tr) {
+				t.Fatalf("text round trip: %v\n got %+v\nwant %+v", err, viaText, tr)
+			}
+			if err := WriteBinary(&bin, viaText); err != nil {
+				t.Fatal(err)
+			}
+			if back, err := ReadBinary(&bin); err != nil || !slices.Equal(back, tr) {
+				t.Fatalf("binary round trip: %v\n got %+v\nwant %+v", err, back, tr)
+			}
+		}
+	})
 }

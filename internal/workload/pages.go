@@ -2,39 +2,6 @@ package workload
 
 import "math/rand"
 
-// This file exposes the per-application page patterns as bare page
-// sequences, for consumers that drive translation traffic directly
-// (the utlbload generator) rather than through the trace machinery.
-
-// PageSequence returns the exactified page-index sequence one
-// application process of s touches: exactly length accesses over
-// exactly footprint distinct pages (both clamped to at least 1),
-// deterministic in seed. Indices are in [0, footprint).
-func (s *Spec) PageSequence(seed int64, footprint, length int) []int {
-	if footprint < 1 {
-		footprint = 1
-	}
-	if length < 1 {
-		length = 1
-	}
-	seq := s.pattern(rand.New(rand.NewSource(seed)), footprint, length)
-	seq = exactify(seq, footprint, length)
-	// Some patterns space their pages out (FFT interleaves rows), so
-	// raw indices can exceed footprint. Rank-compress the distinct
-	// pages into [0, footprint): reuse and ordering — the properties
-	// that drive TLB behaviour — survive; only the address holes, which
-	// a translation cache keyed by VPN never sees, are dropped.
-	distinct := sortedKeys(seq)
-	rank := make(map[int]int, len(distinct))
-	for i, p := range distinct {
-		rank[p] = i
-	}
-	for i, p := range seq {
-		seq[i] = rank[p]
-	}
-	return seq
-}
-
 // ZipfPages returns a Zipf-distributed page sequence: length accesses
 // over pages [0, footprint) with skew s > 1 (smaller indices hotter).
 // Deterministic in seed; the classic cache-friendly load shape.
@@ -53,39 +20,6 @@ func ZipfPages(seed int64, footprint, length int, skew float64) []int {
 	seq := make([]int, length)
 	for i := range seq {
 		seq[i] = int(z.Uint64())
-	}
-	return seq
-}
-
-// UniformPages returns a uniformly random page sequence over
-// [0, footprint), deterministic in seed.
-func UniformPages(seed int64, footprint, length int) []int {
-	if footprint < 1 {
-		footprint = 1
-	}
-	if length < 1 {
-		length = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	seq := make([]int, length)
-	for i := range seq {
-		seq[i] = rng.Intn(footprint)
-	}
-	return seq
-}
-
-// SequentialPages returns the cyclic sequential sweep 0,1,...,
-// footprint-1,0,... of the given length — the bulk-transfer shape.
-func SequentialPages(footprint, length int) []int {
-	if footprint < 1 {
-		footprint = 1
-	}
-	if length < 1 {
-		length = 1
-	}
-	seq := make([]int, length)
-	for i := range seq {
-		seq[i] = i % footprint
 	}
 	return seq
 }

@@ -13,25 +13,6 @@ func pageStats(seq []int, footprint int) (distinct int, ok bool) {
 	return len(seen), true
 }
 
-func TestPageSequenceExact(t *testing.T) {
-	for _, s := range Specs() {
-		seq := s.PageSequence(42, 100, 1000)
-		if len(seq) != 1000 {
-			t.Errorf("%s: len = %d, want 1000", s.Name, len(seq))
-		}
-		distinct, ok := pageStats(seq, 100)
-		if !ok || distinct != 100 {
-			t.Errorf("%s: distinct = %d in-range=%v, want exactly 100", s.Name, distinct, ok)
-		}
-		again := s.PageSequence(42, 100, 1000)
-		for i := range seq {
-			if seq[i] != again[i] {
-				t.Fatalf("%s: sequence not deterministic at %d", s.Name, i)
-			}
-		}
-	}
-}
-
 func TestZipfPagesShape(t *testing.T) {
 	seq := ZipfPages(7, 1000, 20000, 1.3)
 	if len(seq) != 20000 {
@@ -55,25 +36,5 @@ func TestZipfPagesShape(t *testing.T) {
 		if seq[i] != again[i] {
 			t.Fatal("zipf sequence not deterministic")
 		}
-	}
-}
-
-func TestUniformAndSequentialPages(t *testing.T) {
-	u := UniformPages(3, 50, 5000)
-	if d, ok := pageStats(u, 50); !ok || d < 45 {
-		t.Errorf("uniform covered only %d/50 pages", d)
-	}
-	s := SequentialPages(10, 25)
-	for i, p := range s {
-		if p != i%10 {
-			t.Fatalf("sequential[%d] = %d", i, p)
-		}
-	}
-	// Degenerate arguments clamp instead of panicking.
-	if got := SequentialPages(0, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("clamped sequential = %v", got)
-	}
-	if got := UniformPages(1, -3, 2); len(got) != 2 {
-		t.Errorf("clamped uniform = %v", got)
 	}
 }

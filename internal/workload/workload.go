@@ -18,7 +18,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"utlb/internal/trace"
 	"utlb/internal/units"
@@ -360,18 +359,4 @@ func (s *Spec) GenerateCluster(nodes int, seed int64, scale float64) trace.Trace
 	}
 	all.SortByTime()
 	return all
-}
-
-// sortedKeys is a test/debug helper: the distinct pages of a sequence.
-func sortedKeys(seq []int) []int {
-	set := map[int]bool{}
-	for _, p := range seq {
-		set[p] = true
-	}
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -174,6 +175,20 @@ func TestPatternsStayInRange(t *testing.T) {
 			t.Errorf("%s: zero footprint should yield nil", name)
 		}
 	}
+}
+
+// sortedKeys is the distinct pages of a sequence, in order.
+func sortedKeys(seq []int) []int {
+	set := map[int]bool{}
+	for _, p := range seq {
+		set[p] = true
+	}
+	out := make([]int, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
 }
 
 func TestExactify(t *testing.T) {

@@ -259,9 +259,10 @@ func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 }
 
 // SyntheticPFN is the deterministic translation the service's HTTP
-// insert endpoint and the utlbload generator agree on when no explicit
-// frame is given: a mixed function of the key that load clients can
-// recompute to verify lookup responses end-to-end.
+// insert endpoint installs when no explicit frame is given: a mixed
+// function of the key that load clients (the benchmark's service
+// workloads, the shadow tests) can recompute to verify lookup
+// responses end-to-end.
 func SyntheticPFN(k Key) units.PFN {
 	h := uint64(k.VPN)*0xFF51AFD7ED558CCD + uint64(k.PID)*2654435761
 	h ^= h >> 33
