@@ -29,7 +29,9 @@
 //
 // Concurrency: experiment execution is single-flighted per parameter
 // slug (duplicate requests share one run) and serialised globally —
-// the worker-pool width is process-global state — but everything else
+// the worker-pool width is process-global state — with at most
+// maxRuns distinct runs admitted at once (past that, 429 with
+// Retry-After instead of an unbounded queue); everything else
 // runs concurrently: read-only endpoints serve cached results under a
 // read lock, and the xlate translation service runs entirely outside
 // the experiment path behind its own per-shard locks, so live
@@ -38,6 +40,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,6 +61,16 @@ import (
 // maxCached bounds the result cache; past it the oldest entry is
 // evicted (each result holds a full event timeline).
 const maxCached = 8
+
+// maxRuns bounds the distinct experiment runs admitted at once, the one
+// running and those waiting for runMu. Past it a request for another
+// run is refused with errBusy; a duplicate of a run in flight still
+// joins it.
+const maxRuns = 4
+
+// errBusy is get's refusal when maxRuns runs are in flight; handlers
+// answer it with 429 and Retry-After.
+var errBusy = errors.New("too many experiment runs in flight; retry later")
 
 // params identify one experiment execution; equal params hit the
 // cache. parallel is part of the key because the pool width is what
@@ -226,7 +239,8 @@ func (s *Server) Handler() http.Handler {
 // cache miss. Executions are single-flighted per slug: the first
 // request becomes the leader and runs the experiment (serialised
 // globally by runMu because the worker-pool width is process-global);
-// duplicates wait for the leader's result. Cache reads never wait
+// duplicates wait for the leader's result. A new leader is refused
+// with errBusy once maxRuns are in flight. Cache reads never wait
 // behind an execution.
 func (s *Server) get(p params) (*result, error) {
 	key := p.slug()
@@ -246,6 +260,10 @@ func (s *Server) get(p params) (*result, error) {
 		s.mu.Unlock()
 		<-f.done
 		return f.res, f.err
+	}
+	if len(s.inflight) >= maxRuns {
+		s.mu.Unlock()
+		return nil, errBusy
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
@@ -358,9 +376,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		res, err := s.get(p)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		res := s.getOrFail(w, p)
+		if res == nil {
 			return
 		}
 		runs = res.runs
@@ -460,13 +477,29 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := s.get(p)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	res := s.getOrFail(w, p)
+	if res == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	stream(w, func(w io.Writer) error { return analyze.WriteJSON(w, analyze.Analyze(res.runs, topK)) })
+}
+
+// getOrFail is get for a handler: on failure it writes the reply — 429
+// with Retry-After when the run was refused, 500 when it failed — and
+// returns nil.
+func (s *Server) getOrFail(w http.ResponseWriter, p params) *result {
+	res, err := s.get(p)
+	switch {
+	case errors.Is(err, errBusy):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	default:
+		return res
+	}
+	return nil
 }
 
 // startedWriter notes whether the body has begun: the first Write

@@ -2,11 +2,16 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // get fetches path from the test server and returns status + body.
@@ -127,6 +132,84 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/nope"); code != http.StatusNotFound {
 		t.Error("unknown path did not 404")
+	}
+}
+
+// TestServeBoundsExperimentRuns: while one run is held inside the
+// execution lock and maxRuns-1 more wait for it, a request for yet
+// another run is refused at once with 429 and Retry-After instead of
+// queueing, and runs nothing. A duplicate of a run in flight is not
+// refused: it joins its leader. Once the runs drain, the refused run
+// is admitted.
+func TestServeBoundsExperimentRuns(t *testing.T) {
+	srv := New()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var runs atomic.Int64
+	srv.runHook = func() {
+		runs.Add(1)
+		once.Do(func() { close(entered) })
+		<-release
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	path := func(seed int) string {
+		return fmt.Sprintf("/api/analyze?exp=t6&scale=0.02&apps=fft&topk=2&seed=%d", seed)
+	}
+
+	var wg sync.WaitGroup
+	codes := make([]int, maxRuns+1)
+	fetch := func(i int, p string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	fetch(0, path(0))
+	<-entered // run 0 holds runMu
+	for i := 1; i < maxRuns; i++ {
+		fetch(i, path(i))
+	}
+	for admitted := 0; admitted < maxRuns; {
+		srv.mu.RLock()
+		admitted = len(srv.inflight)
+		srv.mu.RUnlock()
+		runtime.Gosched()
+	}
+	fetch(maxRuns, path(0)) // a duplicate of the held run
+
+	// Were it queued, this request would wait for the release below.
+	refused := &http.Client{Timeout: 10 * time.Second}
+	if resp, err := refused.Get(ts.URL + path(maxRuns)); err != nil {
+		t.Errorf("run %d past the bound was not refused: %v", maxRuns+1, err)
+	} else {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("run %d past the bound: code %d, Retry-After %q, body %q; want 429 with Retry-After",
+				maxRuns+1, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+
+	close(release)
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("request %d: code %d, want 200", i, code)
+		}
+	}
+	if got := runs.Load(); got != maxRuns {
+		t.Errorf("%d runs executed, want %d: the refused run ran, or the duplicate did", got, maxRuns)
+	}
+	if code, _ := get(t, ts, path(maxRuns)); code != http.StatusOK {
+		t.Errorf("the refused run after the drain: code %d, want 200", code)
 	}
 }
 

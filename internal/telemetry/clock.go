@@ -10,7 +10,7 @@ import (
 // through this interface so tests drive the window ring, the SLO
 // tracker and the sampler with a ManualClock and assert exact,
 // deterministic outputs. utlblint's nodeterm rule audits this package;
-// WallClock.Now below is the one sanctioned wall-clock read.
+// WallClock below is the one sanctioned clock read.
 type Clock interface {
 	// Now reports the current time in integer nanoseconds. The epoch
 	// is the clock's own business; the sink only ever differences and
@@ -18,14 +18,21 @@ type Clock interface {
 	Now() int64
 }
 
-// WallClock is the production adapter: the process wall clock.
+// WallClock is the production adapter: wall-clock nanoseconds since
+// the Unix epoch, advanced by the monotonic clock.
 type WallClock struct{}
 
-// Now reads the wall clock.
-func (WallClock) Now() int64 {
-	//lint:ignore nodeterm the telemetry clock adapter is the single sanctioned wall-clock read; everything else injects a Clock
-	return time.Now().UnixNano()
-}
+// Now reads the monotonic clock once: the wall epoch plus the time
+// elapsed since it. That is one clock read where time.Now makes two,
+// and a step of the wall clock (NTP, VM migration) cannot bend a
+// measured duration.
+func (WallClock) Now() int64 { return wallEpoch.UnixNano() + sinceEpoch() }
+
+// wallEpoch is the wall clock, carrying its monotonic reading, at
+// package initialisation; sinceEpoch is the monotonic time since it.
+//
+//lint:ignore nodeterm the telemetry clock adapter is the single sanctioned clock read; everything else injects a Clock
+var wallEpoch, sinceEpoch = time.Now(), func() int64 { return int64(time.Since(wallEpoch)) }
 
 // ManualClock is the deterministic test clock: it starts where you
 // put it, moves only when told to, and can optionally auto-tick a

@@ -211,8 +211,8 @@ type window struct {
 
 // Sink is the live telemetry collector for one xlate service. The
 // zero value is not usable; use New. A nil *Sink is the disabled
-// state: Begin, BeginOp and Now are nil-safe, and the Request a nil
-// sink hands out does nothing.
+// state: Begin and Now are nil-safe, and the Request a nil sink hands
+// out does nothing.
 type Sink struct {
 	cfg    Config
 	clock  Clock
@@ -382,55 +382,50 @@ func (t *Sink) foldLocked(now int64) {
 // --- requests and sampling ------------------------------------------
 
 // Request is the telemetry of one service request, held by value on
-// the caller's stack: xlate begins one per operation, times a segment
-// around each shard it locks, charges the segment, and finishes. Every
-// SampleEvery-th request is sampled and also gathers its segments as
-// an obs event chain for the Chrome-trace export; only those allocate,
-// once. The Request of a nil sink is inert — each method is a nil test
-// small enough to inline — so the service has one body per operation
-// whether telemetry is attached or not. It is two fields so that the
-// compiler keeps it in registers; what a sampled request must remember
-// (id, start, key count) rides in the chain's first slot.
+// the caller's stack: xlate begins one per operation, charges a segment
+// for each shard it locks, and finishes. Every SampleEvery-th request
+// is sampled and also gathers its segments as an obs event chain for
+// the Chrome-trace export; only those allocate, once. The Request of a
+// nil sink is inert — each method is a nil test small enough to inline
+// — so the service has one body per operation whether telemetry is
+// attached or not. What a sampled request must remember (id, start,
+// key count) rides in the chain's first slot.
 //
-// Clock reads are part of the contract (tests tick a ManualClock). A
-// batch (Begin … Finish) reads once at the start, twice per segment,
-// and once more at Finish when sampled. A one-key operation (BeginOp …
-// FinishOp) is its own single segment and reads twice in all.
+// Segments tile the request, and clock reads are part of the contract
+// (tests tick a ManualClock): Begin reads the clock once, each segment
+// reads it once at its end, and that end is the next segment's start.
+// A request over s shards reads the clock 1 + s times, sampled or not;
+// Finish reads nothing, since the request ends where its last segment
+// did.
 type Request struct {
 	t *Sink
 	// chain is non-nil when sampled. While the request runs, chain[0]
 	// is the request span in the making and the segments follow it;
 	// retain moves it behind them, the order readers expect.
 	chain []obs.Event
+	// lastNs is the clock at Begin, then at the end of each segment.
+	lastNs int64
 }
 
-// Begin starts a batch request of keys keys.
+// Begin starts a request of keys keys.
 func (t *Sink) Begin(keys int) Request {
 	if t == nil {
 		return Request{}
 	}
-	return t.begin(keys, t.clock.Now())
+	return t.begin(keys)
 }
 
-// BeginOp starts a one-key request, to be ended by FinishOp: the
-// request spans exactly its one segment, so neither reads the clock.
-func (t *Sink) BeginOp() Request {
-	if t == nil {
-		return Request{}
-	}
-	return t.begin(1, 0)
-}
-
-// begin allocates the next request id and samples deterministically:
-// ids are a dense counter and every SampleEvery-th is sampled, so the
-// same request sequence always samples the same requests.
-func (t *Sink) begin(keys int, startNs int64) Request {
-	r := Request{t: t}
+// begin reads the start off the clock, allocates the next request id
+// and samples deterministically: ids are a dense counter and every
+// SampleEvery-th is sampled, so the same request sequence always
+// samples the same requests.
+func (t *Sink) begin(keys int) Request {
+	r := Request{t: t, lastNs: t.clock.Now()}
 	if id := t.reqSeq.Add(1); t.cfg.SampleEvery > 0 && id%t.cfg.SampleEvery == 0 {
 		// The request span plus one segment per shard touched.
 		r.chain = make([]obs.Event, 1, min(keys, len(t.shards))+1)
 		r.chain[0] = obs.Event{
-			Time: units.Time(startNs - t.baseNs),
+			Time: units.Time(r.lastNs - t.baseNs),
 			Kind: obs.KindXlateReq,
 			Arg:  uint64(keys),
 			Xfer: uint64(id),
@@ -439,81 +434,68 @@ func (t *Sink) begin(keys int, startNs int64) Request {
 	return r
 }
 
-// Segment returns the start time of a per-shard segment: the stretch
-// for which the caller holds one shard's lock.
-func (r Request) Segment() int64 { return r.t.Now() }
-
-// Lookups ends the segment begun at segNs against shard si: n keys
-// looked up, hits of them resident.
-func (r *Request) Lookups(si int, segNs, n, hits int64) {
+// Lookups ends a segment against shard si: n keys looked up, hits of
+// them resident.
+func (r *Request) Lookups(si int, n, hits int64) {
 	if r.t != nil {
-		r.lookups(si, segNs, n, hits)
+		r.lookups(si, n, hits)
 	}
 }
 
 // lookups is Lookups' work, out of line so that the nil test inlines.
-func (r *Request) lookups(si int, segNs, n, hits int64) {
-	endNs := r.endSegment(si, segNs, n)
-	r.t.RecordLookups(si, n, hits, endNs-segNs, endNs)
+func (r *Request) lookups(si int, n, hits int64) {
+	durNs := r.endSegment(si, n)
+	r.t.RecordLookups(si, n, hits, durNs, r.lastNs)
 }
 
-// Inserts ends the segment begun at segNs against shard si: n keys
-// installed, evictions of them displacing an entry.
-func (r *Request) Inserts(si int, segNs, n, evictions int64) {
+// Inserts ends a segment against shard si: n keys installed,
+// evictions of them displacing an entry.
+func (r *Request) Inserts(si int, n, evictions int64) {
 	if r.t != nil {
-		r.inserts(si, segNs, n, evictions)
+		r.inserts(si, n, evictions)
 	}
 }
 
 // inserts is Inserts' work, out of line like lookups.
-func (r *Request) inserts(si int, segNs, n, evictions int64) {
-	endNs := r.endSegment(si, segNs, n)
-	r.t.RecordInserts(si, n, evictions, endNs-segNs, endNs)
+func (r *Request) inserts(si int, n, evictions int64) {
+	durNs := r.endSegment(si, n)
+	r.t.RecordInserts(si, n, evictions, durNs, r.lastNs)
 }
 
-// endSegment reads the segment's end off the clock and, on a sampled
-// request, appends the segment to the chain.
-func (r *Request) endSegment(si int, segNs, n int64) (endNs int64) {
-	endNs = r.t.clock.Now()
+// endSegment reads the segment's end off the clock, makes it the next
+// segment's start and, on a sampled request, appends the segment to
+// the chain.
+func (r *Request) endSegment(si int, n int64) (durNs int64) {
+	startNs := r.lastNs
+	r.lastNs = r.t.clock.Now()
 	if r.chain != nil {
 		r.chain = append(r.chain, obs.Event{
-			Time: units.Time(segNs - r.t.baseNs),
-			Dur:  units.Time(endNs - segNs),
+			Time: units.Time(startNs - r.t.baseNs),
+			Dur:  units.Time(r.lastNs - startNs),
 			Kind: obs.KindXlateShard,
 			Arg:  uint64(si),
 			Arg2: uint64(n),
 			Xfer: r.chain[0].Xfer,
 		})
 	}
-	return endNs
+	return r.lastNs - startNs
 }
 
-// Finish ends a batch request; hits is the request-wide hit count
-// (zero for inserts). A sampled request's span closes now.
+// Finish ends the request; hits is the request-wide hit count (zero
+// for inserts). A sampled request's span closes where its last segment
+// ended.
 func (r *Request) Finish(hits int64) {
 	if r.chain != nil {
-		r.retain(hits, false)
-	}
-}
-
-// FinishOp ends a one-key request. A sampled request's span is its
-// segment's.
-func (r *Request) FinishOp(hits int64) {
-	if r.chain != nil {
-		r.retain(hits, true)
+		r.retain(hits)
 	}
 }
 
 // retain completes a sampled request's span and keeps the chain in the
 // sampled-trace ring.
-func (r *Request) retain(hits int64, op bool) {
+func (r *Request) retain(hits int64) {
 	t := r.t
 	span := r.chain[0]
-	if op {
-		span.Time, span.Dur = r.chain[1].Time, r.chain[1].Dur
-	} else {
-		span.Dur = units.Time(t.clock.Now()-t.baseNs) - span.Time
-	}
+	span.Dur = units.Time(r.lastNs-t.baseNs) - span.Time
 	if t.cfg.MaxTraces == 0 {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 
 	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
+	"utlb/internal/units"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -314,7 +315,7 @@ func TestSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if req := s2.BeginOp(); req.chain != nil {
+		if req := s2.Begin(1); req.chain != nil {
 			t.Fatal("sampled a request with SampleEvery=0")
 		}
 	}
@@ -323,19 +324,17 @@ func TestSampling(t *testing.T) {
 func TestTraceChains(t *testing.T) {
 	s, clk := newTestSink(t, 0)
 	// Requests 4 and 8 are the sampled ones of eight 8-key batches
-	// that each touch shards 2 and 3.
+	// that each touch shards 2 and 3. The request ends where its last
+	// segment does: the 10 ns before Finish are no part of it.
 	for id := int64(1); id <= 8; id++ {
 		req := s.Begin(8)
 		if sampled := req.chain != nil; sampled != (id%4 == 0) {
 			t.Fatalf("request %d: sampled %v", id, sampled)
 		}
 		clk.Advance(5)
-		seg := req.Segment()
-		clk.Advance(5)
-		req.Lookups(2, seg, 5, 4)
-		seg = req.Segment()
-		clk.Advance(5)
-		req.Lookups(3, seg, 3, 2)
+		req.Lookups(2, 5, 4)
+		clk.Advance(7)
+		req.Lookups(3, 3, 2)
 		clk.Advance(10)
 		req.Finish(6)
 	}
@@ -351,14 +350,74 @@ func TestTraceChains(t *testing.T) {
 	if evs[0].Kind != obs.KindXlateShard || evs[0].Xfer != 4 || evs[0].Arg != 2 || evs[0].Arg2 != 5 || evs[0].Dur != 5 {
 		t.Errorf("first event = %+v, want the 5 ns shard 2 segment of request 4", evs[0])
 	}
-	if evs[2].Kind != obs.KindXlateReq || evs[2].Xfer != 4 || evs[2].Arg != 8 || evs[2].Arg2 != 6 || evs[2].Dur != 25 {
-		t.Errorf("third event = %+v, want the 25 ns request span of request 4", evs[2])
+	if evs[1].Kind != obs.KindXlateShard || evs[1].Time != evs[0].Time+5 || evs[1].Dur != 7 {
+		t.Errorf("second event = %+v, want the 7 ns shard 3 segment starting where the first ended", evs[1])
+	}
+	if evs[2].Kind != obs.KindXlateReq || evs[2].Xfer != 4 || evs[2].Arg != 8 || evs[2].Arg2 != 6 ||
+		evs[2].Time != evs[0].Time || evs[2].Dur != 12 {
+		t.Errorf("third event = %+v, want the 12 ns request span of request 4", evs[2])
 	}
 	if evs[5].Kind != obs.KindXlateReq || evs[5].Xfer != 8 {
 		t.Errorf("last event = %+v, want request span of request 8", evs[5])
 	}
 	if got := s.SampledTraces(); got != 2 {
 		t.Errorf("SampledTraces = %d, want 2", got)
+	}
+}
+
+// countingClock is a ticking ManualClock that counts its reads.
+type countingClock struct {
+	ManualClock
+	reads int64
+}
+
+func (c *countingClock) Now() int64 {
+	c.reads++
+	return c.ManualClock.Now()
+}
+
+// TestRequestClockContract: a request over s shards reads the clock
+// 1 + s times, sampled or not, and a sampled request's segments tile
+// its span — each starts where the one before it ended, and their
+// durations sum exactly to the request's.
+func TestRequestClockContract(t *testing.T) {
+	for _, sampleEvery := range []int64{0, 1} {
+		for shards := 0; shards <= 4; shards++ {
+			clk := &countingClock{}
+			clk.SetTick(3)
+			cfg := testConfig()
+			cfg.SampleEvery, cfg.WindowNs = sampleEvery, 1<<40
+			s, err := New(cfg, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk.reads = 0
+			req := s.Begin(8)
+			for si := 0; si < shards; si++ {
+				clk.Advance(int64(10 * (si + 1)))
+				req.Lookups(si, 2, 1)
+			}
+			req.Finish(int64(shards))
+			if clk.reads != int64(1+shards) {
+				t.Errorf("SampleEvery=%d, %d shards: %d clock reads, want %d", sampleEvery, shards, clk.reads, 1+shards)
+			}
+			if sampleEvery == 0 {
+				continue
+			}
+			evs := s.TraceRuns()[0].Chunks()[0]
+			span := evs[len(evs)-1]
+			at, sum := span.Time, units.Time(0)
+			for _, ev := range evs[:len(evs)-1] {
+				if ev.Time != at {
+					t.Errorf("%d shards: segment %+v starts at %d, want %d", shards, ev, ev.Time, at)
+				}
+				at += ev.Dur
+				sum += ev.Dur
+			}
+			if sum != span.Dur {
+				t.Errorf("%d shards: segments sum to %d ns, request span is %d ns", shards, sum, span.Dur)
+			}
+		}
 	}
 }
 
@@ -537,7 +596,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				req := s.Begin(2)
-				req.Lookups(g, req.Segment(), 2, 1)
+				req.Lookups(g, 2, 1)
 				if i%10 == 0 {
 					s.RecordInserts(g, 1, 0, 40, clk.Now())
 				}

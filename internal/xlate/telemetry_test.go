@@ -120,7 +120,11 @@ func TestTelemetryTracesBatches(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("got %d runs, want 1", len(runs))
 	}
+	// The clock ticks 10 ns a read and is read at Begin and at each
+	// segment's end, so every segment is one tick and a request's span
+	// is exactly the sum of its segments.
 	var reqSpans, segKeys int
+	var segNs units.Time
 	for _, ev := range runs[0].Chunks()[0] {
 		switch ev.Kind.String() {
 		case "xlate_req":
@@ -128,11 +132,16 @@ func TestTelemetryTracesBatches(t *testing.T) {
 			if ev.Arg != 64 {
 				t.Errorf("request span covers %d keys, want 64", ev.Arg)
 			}
-			if ev.Dur <= 0 {
-				t.Errorf("request span has non-positive duration %d", ev.Dur)
+			if ev.Dur != segNs || ev.Dur == 0 {
+				t.Errorf("request span of %d ns, its segments sum to %d ns", ev.Dur, segNs)
 			}
+			segNs = 0
 		case "xlate_shard":
 			segKeys += int(ev.Arg2)
+			segNs += ev.Dur
+			if ev.Dur != 10 {
+				t.Errorf("segment of %d ns, want one 10 ns tick", ev.Dur)
+			}
 		}
 	}
 	if reqSpans != 2 {

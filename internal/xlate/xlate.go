@@ -41,7 +41,8 @@ type Result = tlbcache.Result
 // Config parameterises the service.
 type Config struct {
 	// Shards is the number of independent translation units; must be a
-	// positive power of two (the shard router masks hash bits).
+	// positive power of two (the shard router masks hash bits) and at
+	// most MaxShards.
 	Shards int
 	// Entries, Ways and IndexOffset configure each shard's cache with
 	// the usual tlbcache geometry. Entries is per shard: total service
@@ -58,10 +59,14 @@ func DefaultConfig() Config {
 	return Config{Shards: 8, Entries: 8192, Ways: 4, IndexOffset: true}
 }
 
+// maxShards bounds Config.Shards, so that a batch groups its keys by
+// shard with a fixed array of list heads on the stack.
+const maxShards = 64
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Shards <= 0 || c.Shards&(c.Shards-1) != 0 {
-		return fmt.Errorf("xlate: shard count %d not a positive power of two", c.Shards)
+	if c.Shards <= 0 || c.Shards&(c.Shards-1) != 0 || c.Shards > maxShards {
+		return fmt.Errorf("xlate: shard count %d not a power of two in [1, %d]", c.Shards, maxShards)
 	}
 	return c.shardConfig().Validate()
 }
@@ -115,20 +120,10 @@ func (s *Service) shardIndex(k Key) int {
 	return int((h ^ (h >> 29)) & s.mask)
 }
 
-// nextInShard returns the index of the first key at or after from that
-// routes to shard si, or len(keys).
-func (s *Service) nextInShard(keys []Key, from, si int) int {
-	for from < len(keys) && s.shardIndex(keys[from]) != si {
-		from++
-	}
-	return from
-}
-
 // Lookup probes the service for k.
 func (s *Service) Lookup(k Key) Result {
-	req := s.tel.BeginOp()
+	req := s.tel.Begin(1)
 	si := s.shardIndex(k)
-	seg := req.Segment()
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	r := sh.cache.Lookup(k)
@@ -137,16 +132,15 @@ func (s *Service) Lookup(k Key) Result {
 	if r.Hit {
 		hits = 1
 	}
-	req.Lookups(si, seg, 1, hits)
-	req.FinishOp(hits)
+	req.Lookups(si, 1, hits)
+	req.Finish(hits)
 	return r
 }
 
 // Insert installs k→pfn, evicting within k's shard if needed.
 func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
-	req := s.tel.BeginOp()
+	req := s.tel.Begin(1)
 	si := s.shardIndex(k)
-	seg := req.Segment()
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	evicted, wasEvicted = sh.cache.Insert(k, pfn)
@@ -155,8 +149,8 @@ func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 	if wasEvicted {
 		ev = 1
 	}
-	req.Inserts(si, seg, 1, ev)
-	req.FinishOp(0)
+	req.Inserts(si, 1, ev)
+	req.Finish(0)
 	return evicted, wasEvicted
 }
 
@@ -174,7 +168,11 @@ func (s *Service) Invalidate(k Key) bool {
 }
 
 // InvalidateProcess removes every entry belonging to pid across all
-// shards (process exit), returning the number of entries dropped.
+// shards (process exit), returning the number of entries dropped. It
+// is one invalidation per shard, in shard order, not one atomic
+// operation: an insert for pid that runs concurrently may land in a
+// shard already visited and survive. Every entry of pid that was
+// resident before the call began is gone when it returns.
 func (s *Service) InvalidateProcess(pid units.ProcID) int {
 	n := 0
 	for i := range s.shards {
@@ -190,28 +188,40 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 	return n
 }
 
-// LookupMany resolves keys into out (grown if needed) and returns it.
-// Requests are grouped per shard so each shard lock is taken at most
-// once per batch, however the keys interleave — the amortisation that
-// makes bulk lookups cheap. out[i] corresponds to keys[i]. Each locked
-// stretch is one telemetry segment, timed and charged to its shard.
+// LookupMany resolves keys into out (grown if needed) and returns it;
+// out[i] corresponds to keys[i]. The batch is grouped by shard in one
+// pass, one hash per key, and shards are visited in index order with
+// each shard's keys in batch order, so results and LRU motion are
+// exactly those of single Lookups made in that order. Each shard lock
+// is taken at most once per batch, and each locked stretch is one
+// telemetry segment charged to its shard.
 func (s *Service) LookupMany(keys []Key, out []Result) []Result {
 	if cap(out) < len(keys) {
 		out = make([]Result, len(keys))
 	}
 	out = out[:len(keys)]
 	req := s.tel.Begin(len(keys))
+	// One list per shard threads through out before it is filled:
+	// head[si] is 1 + the index of the shard's first key, out[i].Probes
+	// 1 + the index of the next key of keys[i]'s shard, and 0 ends a
+	// list. Built back to front, each list comes out in batch order.
+	var head [maxShards]int
+	for i := len(keys) - 1; i >= 0; i-- {
+		si := s.shardIndex(keys[i])
+		out[i].Probes = head[si]
+		head[si] = i + 1
+	}
 	var totalHits int64
-	for si := range s.shards {
-		i := s.nextInShard(keys, 0, si)
-		if i == len(keys) {
+	for si, next := range head[:len(s.shards)] {
+		if next == 0 {
 			continue
 		}
 		sh := &s.shards[si]
 		var n, hits int64
-		seg := req.Segment()
 		sh.mu.Lock()
-		for ; i < len(keys); i = s.nextInShard(keys, i+1, si) {
+		for next != 0 {
+			i := next - 1
+			next = out[i].Probes
 			out[i] = sh.cache.Lookup(keys[i])
 			n++
 			if out[i].Hit {
@@ -219,40 +229,57 @@ func (s *Service) LookupMany(keys []Key, out []Result) []Result {
 			}
 		}
 		sh.mu.Unlock()
-		req.Lookups(si, seg, n, hits)
+		req.Lookups(si, n, hits)
 		totalHits += hits
 	}
 	req.Finish(totalHits)
 	return out
 }
 
+// groupKeys is how many keys InsertMany groups in one pass: serve's
+// batch limit, so a batch from serve locks each shard at most once.
+const groupKeys = 4096
+
 // InsertMany installs keys[i]→pfns[i] for all i, grouping per shard
-// like LookupMany. It returns the number of evictions the batch
-// caused. The slices must be the same length.
+// like LookupMany: two inserts of one key apply in batch order. It
+// returns the number of evictions the batch caused. The slices must be
+// the same length.
 func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 	if len(keys) != len(pfns) {
 		panic(fmt.Sprintf("xlate: InsertMany with %d keys but %d pfns", len(keys), len(pfns)))
 	}
 	req := s.tel.Begin(len(keys))
 	evictions := 0
-	for si := range s.shards {
-		i := s.nextInShard(keys, 0, si)
-		if i == len(keys) {
-			continue
+	// The lists LookupMany threads through out, here in a stack array:
+	// link[i] is 1 + the index of the next key of keys[lo+i]'s shard.
+	var link [groupKeys]uint16
+	for lo := 0; lo < len(keys); lo += groupKeys {
+		chunk := keys[lo:min(lo+groupKeys, len(keys))]
+		var head [maxShards]uint16
+		for i := len(chunk) - 1; i >= 0; i-- {
+			si := s.shardIndex(chunk[i])
+			link[i] = head[si]
+			head[si] = uint16(i + 1)
 		}
-		sh := &s.shards[si]
-		var n, ev int64
-		seg := req.Segment()
-		sh.mu.Lock()
-		for ; i < len(keys); i = s.nextInShard(keys, i+1, si) {
-			if _, e := sh.cache.Insert(keys[i], pfns[i]); e {
-				ev++
+		for si, next := range head[:len(s.shards)] {
+			if next == 0 {
+				continue
 			}
-			n++
+			sh := &s.shards[si]
+			var n, ev int64
+			sh.mu.Lock()
+			for next != 0 {
+				i := int(next - 1)
+				next = link[i]
+				if _, e := sh.cache.Insert(chunk[i], pfns[lo+i]); e {
+					ev++
+				}
+				n++
+			}
+			sh.mu.Unlock()
+			req.Inserts(si, n, ev)
+			evictions += int(ev)
 		}
-		sh.mu.Unlock()
-		req.Inserts(si, seg, n, ev)
-		evictions += int(ev)
 	}
 	req.Finish(0)
 	return evictions

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"utlb/internal/telemetry"
 	"utlb/internal/tlbcache"
 	"utlb/internal/units"
 )
@@ -16,9 +17,13 @@ func key(pid, vpn int) Key {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{Shards: 4, Entries: 64, Ways: 2, IndexOffset: true}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, good := range []Config{
+		{Shards: 4, Entries: 64, Ways: 2, IndexOffset: true},
+		{Shards: maxShards, Entries: 64, Ways: 2},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid config rejected: %v", err)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -28,6 +33,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative shards", Config{Shards: -2, Entries: 64, Ways: 2}},
 		{"non-power-of-two shards", Config{Shards: 3, Entries: 64, Ways: 2}},
 		{"six shards", Config{Shards: 6, Entries: 64, Ways: 2}},
+		{"over the shard bound", Config{Shards: 2 * maxShards, Entries: 64, Ways: 2}},
 		{"bad entries", Config{Shards: 4, Entries: 48, Ways: 2}},
 		{"bad ways", Config{Shards: 4, Entries: 64, Ways: 3}},
 	} {
@@ -96,9 +102,29 @@ func TestOneShardDegeneratesToBareCache(t *testing.T) {
 	}
 }
 
-// LookupMany must return, position for position, what per-key Lookup
-// returns — on equal services fed equal history, including LRU motion
-// within each shard (both visit a shard's keys in batch order).
+// inShardOrder returns the indices of keys in the order the batch
+// operations visit them: shard by shard in index order, and within a
+// shard in batch order.
+func inShardOrder(s *Service, keys []Key) []int {
+	var order []int
+	for si := 0; si < s.cfg.Shards; si++ {
+		for i, k := range keys {
+			if s.shardIndex(k) == si {
+				order = append(order, i)
+			}
+		}
+	}
+	return order
+}
+
+// LookupMany and InsertMany must do, position for position, what
+// single Lookups and Inserts do on an equal service fed equal history
+// in the order inShardOrder gives — including LRU motion, evictions,
+// and which of two inserts of one key lands last (the later in batch
+// order). Batch lengths straddle 64 and reach serve's limit of 4096;
+// every batch longer than one names some key twice. A ticking clock
+// shows each shard locked at most once per call: a batch reads the
+// clock once, plus once per shard it touches.
 func TestLookupManyMatchesSingleLookups(t *testing.T) {
 	mk := func() *Service {
 		svc, err := New(Config{Shards: 8, Entries: 32, Ways: 2})
@@ -113,36 +139,89 @@ func TestLookupManyMatchesSingleLookups(t *testing.T) {
 		return svc
 	}
 	a, b := mk(), mk()
+	clk := telemetry.NewManualClock(0)
+	clk.SetTick(1)
+	sink, err := telemetry.New(telemetry.DefaultConfig(8), clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AttachTelemetry(sink); err != nil {
+		t.Fatal(err)
+	}
+	clockReads := func(op func()) int64 {
+		before := clk.Now()
+		op()
+		return clk.Now() - before - 1
+	}
+	touched := func(keys []Key) int64 {
+		seen := map[int]bool{}
+		for _, k := range keys {
+			seen[a.shardIndex(k)] = true
+		}
+		return int64(1 + len(seen))
+	}
 
 	rng := rand.New(rand.NewSource(42))
-	var out []Result
-	for batch := 0; batch < 50; batch++ {
-		keys := make([]Key, 1+rng.Intn(64))
+	batch := func(n int) []Key {
+		keys := make([]Key, n)
 		for i := range keys {
 			keys[i] = key(1+rng.Intn(4), rng.Intn(200))
 		}
-		out = a.LookupMany(keys, out)
-		if len(out) != len(keys) {
-			t.Fatalf("batch %d: %d results for %d keys", batch, len(out), len(keys))
+		if n > 1 {
+			keys[n-1] = keys[0]
 		}
-		// b performs the same batch as singles, grouped per shard in
-		// the same order LookupMany visits them.
-		want := make([]Result, len(keys))
-		for si := 0; si < b.cfg.Shards; si++ {
-			for i, k := range keys {
-				if b.shardIndex(k) == si {
-					want[i] = b.Lookup(k)
+		return keys
+	}
+	var out []Result
+	for _, n := range []int{0, 1, 63, 64, 65, 4096} {
+		for rep := 0; rep < 4; rep++ {
+			keys := batch(n)
+			pfns := make([]units.PFN, n)
+			for i := range pfns {
+				pfns[i] = units.PFN(1 + rng.Intn(1<<30))
+			}
+			var evA int
+			if got, want := clockReads(func() { evA = a.InsertMany(keys, pfns) }), touched(keys); got != want {
+				t.Fatalf("InsertMany(%d): %d clock reads, want %d", n, got, want)
+			}
+			evB := 0
+			for _, i := range inShardOrder(b, keys) {
+				if _, e := b.Insert(keys[i], pfns[i]); e {
+					evB++
 				}
 			}
-		}
-		for i := range keys {
-			if out[i] != want[i] {
-				t.Fatalf("batch %d key %d (%v): %+v != %+v", batch, i, keys[i], out[i], want[i])
+			if evA != evB {
+				t.Fatalf("InsertMany(%d): %d evictions, singles %d", n, evA, evB)
+			}
+			if n > 1 {
+				last := n - 1
+				ra, rb := a.Lookup(keys[0]), b.Lookup(keys[0])
+				if ra != rb || (ra.Hit && ra.PFN != pfns[last]) {
+					t.Fatalf("InsertMany(%d): key %v inserted at 0 and %d reads %+v (singles %+v), want frame %d",
+						n, keys[0], last, ra, rb, pfns[last])
+				}
+			}
+
+			keys = batch(n)
+			if got, want := clockReads(func() { out = a.LookupMany(keys, out) }), touched(keys); got != want {
+				t.Fatalf("LookupMany(%d): %d clock reads, want %d", n, got, want)
+			}
+			if len(out) != n {
+				t.Fatalf("LookupMany(%d): %d results", n, len(out))
+			}
+			want := make([]Result, n)
+			for _, i := range inShardOrder(b, keys) {
+				want[i] = b.Lookup(keys[i])
+			}
+			for i := range keys {
+				if out[i] != want[i] {
+					t.Fatalf("LookupMany(%d) key %d (%v): %+v != %+v", n, i, keys[i], out[i], want[i])
+				}
 			}
 		}
 	}
 	if fmt.Sprintf("%+v", a.Stats()) != fmt.Sprintf("%+v", b.Stats()) {
-		t.Fatal("stats diverged between batched and single lookups")
+		t.Fatal("stats diverged between batched and single operations")
 	}
 }
 
