@@ -77,14 +77,9 @@ func (d *Driver) Cache() *tlbcache.Cache { return d.cache }
 // Garbage returns the garbage frame invalid translations point at.
 func (d *Driver) Garbage() units.PFN { return d.garbage }
 
-// Register allocates a translation table for proc and reserves its
-// directory's NIC SRAM. Registering twice is a caller bug.
-func (d *Driver) Register(proc *hostos.Process) (*Table, error) {
-	return d.register(proc, &LibScratch{})
-}
-
-// register is Register with the table drawn from scr.
-func (d *Driver) register(proc *hostos.Process, scr *LibScratch) (*Table, error) {
+// Register gives proc a translation table, drawn from scr, and reserves
+// its directory's NIC SRAM. Registering twice is a caller bug.
+func (d *Driver) Register(proc *hostos.Process, scr *LibScratch) (*Table, error) {
 	pid := proc.PID()
 	if d.TableOf(pid) != nil {
 		return nil, fmt.Errorf("core: pid %d already registered", pid)

@@ -35,9 +35,8 @@ type LibConfig struct {
 // per-process allocation of a run — the 20 KB translation-table
 // directory, the replacement policy's page table, and the pre-pin
 // expansion buffer. The zero value is ready to
-// use. A scratch belongs to at most one live Lib (or one interrupt-
-// baseline process) at a time; sim.RunScratch keeps one per process
-// slot.
+// use. A scratch belongs to at most one live process at a time;
+// sim.RunScratch keeps one per process slot.
 type LibScratch struct {
 	bv  *BitVector
 	tbl *Table
@@ -121,7 +120,7 @@ func NewLib(drv *Driver, proc *hostos.Process, cfg LibConfig) (*Lib, error) {
 	if cfg.Scratch == nil {
 		cfg.Scratch = &LibScratch{}
 	}
-	if _, err := drv.register(proc, cfg.Scratch); err != nil {
+	if _, err := drv.Register(proc, cfg.Scratch); err != nil {
 		return nil, err
 	}
 	if cfg.Prepin < 1 {

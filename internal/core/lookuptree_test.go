@@ -1,0 +1,38 @@
+package core
+
+import "testing"
+
+func TestLookupTreeBasics(t *testing.T) {
+	r := newRig(t, 1024)
+	var tree LookupTree
+	tree.Reset(r.host.Costs(), r.host.Clock())
+	if _, ok := tree.Lookup(5); ok {
+		t.Error("hit in empty tree")
+	}
+	tree.Set(5, 42)
+	if idx, ok := tree.Lookup(5); !ok || idx != 42 {
+		t.Errorf("Lookup = %d, %v", idx, ok)
+	}
+	tree.Clear(5)
+	if _, ok := tree.Lookup(5); ok {
+		t.Error("cleared entry still present")
+	}
+	tree.Clear(99999) // clearing an absent leaf is a no-op
+	// Reset empties the tree but keeps its leaves.
+	tree.Set(7, 3)
+	tree.Reset(r.host.Costs(), r.host.Clock())
+	if _, ok := tree.Lookup(7); ok || tree.dir[0] == nil {
+		t.Errorf("after Reset: entry present %v, leaf kept %v", ok, tree.dir[0] != nil)
+	}
+}
+
+func TestLookupTreeChargesTwoReferences(t *testing.T) {
+	r := newRig(t, 1024)
+	var tree LookupTree
+	tree.Reset(r.host.Costs(), r.host.Clock())
+	before := r.host.Clock().Now()
+	tree.Lookup(0)
+	if got := r.host.Clock().Now() - before; got != 2*r.host.Costs().BitWordProbe {
+		t.Errorf("lookup charged %v, want two word probes", got)
+	}
+}

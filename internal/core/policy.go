@@ -113,10 +113,9 @@ type basePolicy struct {
 	cand  []units.VPN // randomVictim's reused candidate buffer
 }
 
-// NewPolicy returns a replacement policy of the given kind. seed drives
-// the RANDOM policy and is ignored by the others.
-func NewPolicy(kind PolicyKind, seed int64) Policy { return newPolicy(kind, seed) }
-
+// newPolicy returns a replacement policy of the given kind. seed drives
+// the RANDOM policy and is ignored by the others. Callers outside the
+// package draw one from a LibScratch.
 func newPolicy(kind PolicyKind, seed int64) *basePolicy {
 	p := &basePolicy{index: tlbcache.NewDense[int32](0)}
 	p.reset(kind, seed)

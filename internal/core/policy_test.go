@@ -29,7 +29,7 @@ func TestPolicyKindStrings(t *testing.T) {
 }
 
 func TestLRUVictim(t *testing.T) {
-	p := NewPolicy(LRU, 0)
+	p := newPolicy(LRU, 0)
 	for _, v := range []units.VPN{1, 2, 3} {
 		p.Insert(v)
 	}
@@ -44,7 +44,7 @@ func TestLRUVictim(t *testing.T) {
 }
 
 func TestMRUVictim(t *testing.T) {
-	p := NewPolicy(MRU, 0)
+	p := newPolicy(MRU, 0)
 	for _, v := range []units.VPN{1, 2, 3} {
 		p.Insert(v)
 	}
@@ -55,7 +55,7 @@ func TestMRUVictim(t *testing.T) {
 }
 
 func TestLFUVictim(t *testing.T) {
-	p := NewPolicy(LFU, 0)
+	p := newPolicy(LFU, 0)
 	for _, v := range []units.VPN{1, 2, 3} {
 		p.Insert(v)
 	}
@@ -69,7 +69,7 @@ func TestLFUVictim(t *testing.T) {
 }
 
 func TestMFUVictim(t *testing.T) {
-	p := NewPolicy(MFU, 0)
+	p := newPolicy(MFU, 0)
 	for _, v := range []units.VPN{1, 2, 3} {
 		p.Insert(v)
 	}
@@ -82,7 +82,7 @@ func TestMFUVictim(t *testing.T) {
 
 func TestRandomVictimDeterministicUnderSeed(t *testing.T) {
 	pick := func(seed int64) units.VPN {
-		p := NewPolicy(Random, seed)
+		p := newPolicy(Random, seed)
 		for v := units.VPN(0); v < 50; v++ {
 			p.Insert(v)
 		}
@@ -99,7 +99,7 @@ func TestRandomVictimDeterministicUnderSeed(t *testing.T) {
 
 func TestVictimEmptyAndLocked(t *testing.T) {
 	for _, kind := range []PolicyKind{LRU, MRU, LFU, MFU, Random} {
-		p := NewPolicy(kind, 1)
+		p := newPolicy(kind, 1)
 		if _, ok := p.Victim(); ok {
 			t.Errorf("%v: victim from empty set", kind)
 		}
@@ -116,7 +116,7 @@ func TestVictimEmptyAndLocked(t *testing.T) {
 }
 
 func TestLocksNest(t *testing.T) {
-	p := NewPolicy(LRU, 0)
+	p := newPolicy(LRU, 0)
 	p.Insert(1)
 	p.Lock(1)
 	p.Lock(1)
@@ -132,7 +132,7 @@ func TestLocksNest(t *testing.T) {
 }
 
 func TestInsertRemoveContains(t *testing.T) {
-	p := NewPolicy(LRU, 0)
+	p := newPolicy(LRU, 0)
 	p.Insert(5)
 	p.Insert(5) // idempotent
 	if p.Len() != 1 || !p.Contains(5) {
@@ -150,7 +150,7 @@ func TestInsertRemoveContains(t *testing.T) {
 func TestVictimAlwaysTrackedProperty(t *testing.T) {
 	f := func(kindRaw uint8, vpnsRaw []uint16) bool {
 		kind := PolicyKind(kindRaw % 5)
-		p := NewPolicy(kind, 3)
+		p := newPolicy(kind, 3)
 		inserted := map[units.VPN]bool{}
 		for _, v := range vpnsRaw {
 			vpn := units.VPN(v % 256)
@@ -176,7 +176,7 @@ func TestVictimAlwaysTrackedProperty(t *testing.T) {
 // LRU eviction order must equal insertion order when nothing is touched.
 func TestLRUOrderProperty(t *testing.T) {
 	f := func(n uint8) bool {
-		p := NewPolicy(LRU, 0)
+		p := newPolicy(LRU, 0)
 		count := int(n%32) + 1
 		for i := 0; i < count; i++ {
 			p.Insert(units.VPN(i))
@@ -281,7 +281,7 @@ func TestPolicyAgreesWithMapReference(t *testing.T) {
 		for v := units.VPN(0); v < 5000; v++ {
 			warm.Insert(v)
 		}
-		for name, p := range map[string]Policy{"fresh": NewPolicy(kind, 77), "recycled": scr.Policy(kind, 77)} {
+		for name, p := range map[string]Policy{"fresh": newPolicy(kind, 77), "recycled": scr.Policy(kind, 77)} {
 			ref := newRefPolicy(kind, 77)
 			rng := rand.New(rand.NewSource(int64(kind) + 1))
 			for op := 0; op < 6000; op++ {

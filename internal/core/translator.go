@@ -38,7 +38,6 @@ type Translator struct {
 
 	lookups int64
 	misses  int64
-	garbage int64
 	swapIns int64
 }
 
@@ -54,11 +53,10 @@ func NewTranslator(drv *Driver, prefetch int) *Translator {
 // Prefetch reports the configured prefetch width.
 func (tr *Translator) Prefetch() int { return tr.prefetch }
 
-// Lookups, Misses and GarbageHits report cumulative outcomes. Misses
-// counts Shared UTLB-Cache misses (the paper's "NI misses").
-func (tr *Translator) Lookups() int64     { return tr.lookups }
-func (tr *Translator) Misses() int64      { return tr.misses }
-func (tr *Translator) GarbageHits() int64 { return tr.garbage }
+// Lookups and Misses report cumulative outcomes. Misses counts Shared
+// UTLB-Cache misses (the paper's "NI misses").
+func (tr *Translator) Lookups() int64 { return tr.lookups }
+func (tr *Translator) Misses() int64  { return tr.misses }
 
 // SwapIns reports how many misses required a second-level table to be
 // brought back from disk.
@@ -119,7 +117,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 	table := tr.drv.TableOf(pid)
 	if table == nil {
 		// Unregistered process: garbage semantics, nothing to fetch.
-		tr.garbage++
 		info.Garbage = true
 		return tr.drv.Garbage(), info
 	}
@@ -135,7 +132,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 	}
 	if !ok {
 		// No second-level table yet: the page was never pinned.
-		tr.garbage++
 		info.Garbage = true
 		return tr.drv.Garbage(), info
 	}
@@ -164,7 +160,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 
 	pfn, valid := DecodeEntry(words[0])
 	if !valid {
-		tr.garbage++
 		info.Garbage = true
 		return tr.drv.Garbage(), info
 	}

@@ -205,9 +205,10 @@ func TestRuleSetComplete(t *testing.T) {
 }
 
 // TestInterproceduralRepoCoverage asserts the summary-based rules
-// actually see the repo's concurrent packages: the call graph must
-// contain the hot entry points and the serving path, and the lock
-// classes must include the mutexes the lockdiscipline rule audits.
+// actually see the repo: the call graph must contain the hot entry
+// points and the serving path, allocstatic's hot set the simulator's
+// translation designs, and the lock classes the mutexes the
+// lockdiscipline rule audits.
 func TestInterproceduralRepoCoverage(t *testing.T) {
 	prog, err := Load(repoRoot(t))
 	if err != nil {
@@ -226,6 +227,18 @@ func TestInterproceduralRepoCoverage(t *testing.T) {
 	} {
 		if a.graph.ByID[id] == nil {
 			t.Errorf("call graph is missing %s", id)
+		}
+	}
+	// allocstatic audits the translation designs because the replay
+	// loop's interface dispatch reaches them from SimulateWith.
+	hot := hotSet(prog, a)
+	for _, id := range []string{
+		"utlb/internal/sim.interrupt.translate",
+		"utlb/internal/sim.perProcess.post",
+		"utlb/internal/sim.perProcess.translate",
+	} {
+		if n := a.graph.ByID[id]; n == nil || hot[n] != "utlb.SimulateWith" {
+			t.Errorf("allocstatic's hot set does not reach %s from utlb.SimulateWith", id)
 		}
 	}
 	if n := a.graph.ByID["utlb/internal/parallel.Map"]; n != nil && !n.sum.blocks {

@@ -86,11 +86,11 @@ func isAllocStop(n *FuncNode) bool {
 	return strings.HasPrefix(name, "New") || allocStopNames[name]
 }
 
-// computeAllocFindings walks the hot set and audits each member.
-func computeAllocFindings(prog *Program, a *analysis) map[string][]Finding {
-	// BFS from the entries over static edges, recording for each
-	// reached function one entry point it is reachable from (for the
-	// finding message).
+// hotSet is every function reachable from the entry points, each
+// mapped to one entry point it is reachable from (for the finding
+// message): a BFS over the graph's edges that does not enter stop
+// nodes.
+func hotSet(prog *Program, a *analysis) map[*FuncNode]string {
 	rootOf := map[*FuncNode]string{}
 	var queue []*FuncNode
 	for _, id := range hotEntryIDs(prog.Module) {
@@ -113,7 +113,12 @@ func computeAllocFindings(prog *Program, a *analysis) map[string][]Finding {
 			}
 		}
 	}
+	return rootOf
+}
 
+// computeAllocFindings audits each member of the hot set.
+func computeAllocFindings(prog *Program, a *analysis) map[string][]Finding {
+	rootOf := hotSet(prog, a)
 	findings := map[string][]Finding{}
 	for _, n := range a.graph.sortedNodes() {
 		root, hot := rootOf[n]

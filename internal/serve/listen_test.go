@@ -44,12 +44,15 @@ func TestSlowHeaderClientIsDropped(t *testing.T) {
 	srv.ReadHeaderTimeout = 300 * time.Millisecond // the real limit, shortened
 	addr, _, _ := listen(t, srv)
 
+	// The server starts its header clock when it accepts, which can be
+	// before Dial returns here; timing from before the dial keeps start
+	// ahead of that clock.
+	start := time.Now()
 	slow, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	start := time.Now()
 	if _, err := io.WriteString(slow, "GET /api/xlate/lookup?pid=1&vpn=1 HTTP/1.1\r\nHost: x\r\nX-Stall: "); err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,13 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"utlb/internal/core"
 	"utlb/internal/hostos"
-	"utlb/internal/intrbase"
 	"utlb/internal/nicsim"
 	"utlb/internal/obs"
-	"utlb/internal/tlbcache"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 )
@@ -28,8 +26,8 @@ type mechanism interface {
 	// request is posted to the NIC.
 	post(i int, rec trace.Record) error
 	// translate resolves one firmware dispatch, up to width consecutive
-	// pages of one record of pid, reporting in infos[i].Hit whether
-	// page i hit on the NIC.
+	// pages of one record of pid, landing page i's frame in scr.pfns[i]
+	// and reporting in infos[i].Hit whether it hit on the NIC.
 	translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error
 	// finish folds the design's counters into res.
 	finish(res *Result)
@@ -37,8 +35,8 @@ type mechanism interface {
 
 // designs is the registry, indexed by Mechanism. Mechanism.String and
 // Config.Validate read it and RunWith builds from it, so a new design
-// is its adapter, its constant and its entry here; TestEveryMechanism
-// then covers it.
+// is its file, its constant and its entry here; TestEveryMechanism and
+// TestDesignPinInvariants then cover it.
 var designs = [...]struct {
 	name string
 	// validate rejects the Config fields this design cannot honour.
@@ -61,17 +59,23 @@ func (m Mechanism) String() string {
 }
 
 // run is what one replay shares between the loop and its design: the
-// node, the recording handle, the classifier and the Result being built.
+// node, the process slots, the recording handle, the classifier and the
+// Result being built.
 type run struct {
 	cfg    Config
 	scr    *RunScratch
 	host   *hostos.Host
 	nic    *nicsim.NIC
-	tap    *obs.Tap // where every layer of the node records; nil when disabled
+	pids   []units.ProcID // the process slots: the trace's pids, ascending
+	tap    *obs.Tap       // where every layer of the node records; nil when disabled
 	cls    *classifier
 	timing timing
 	res    Result
 }
+
+// slot maps pid to its process slot, or -1. A node hosts a handful of
+// processes, and a scan of a few words beats a hash.
+func (r *run) slot(pid units.ProcID) int { return slices.Index(r.pids, pid) }
 
 // missKinds maps a 3C attribution to its event kind.
 var missKinds = [...]obs.Kind{
@@ -149,120 +153,4 @@ func (r *Result) addLib(st core.LibStats) {
 	r.PinTime += st.PinTime
 	r.UnpinTime += st.UnpinTime
 	r.CheckTime += st.CheckTime
-}
-
-// interrupt is the interrupt-per-miss baseline (§6.2): no user-level
-// check, so the host side of a record is empty, and every cache miss
-// interrupts the host to pin and install.
-type interrupt struct {
-	r       *run
-	mech    *intrbase.Mechanism
-	lookups int64
-}
-
-func newInterrupt(r *run) (mechanism, int, error) {
-	mech, err := intrbase.NewWith(r.host, r.nic, r.cfg.cacheConfig(), r.scr.storage())
-	if err != nil {
-		return nil, 0, err
-	}
-	mech.SetTap(r.tap)
-	m := &r.scr.interrupt
-	*m = interrupt{r: r, mech: mech}
-	return m, 1, nil
-}
-
-func (m *interrupt) attach(i int, proc *hostos.Process) error {
-	return m.mech.RegisterWith(proc, m.r.scr.libScratch(i))
-}
-
-func (m *interrupt) post(int, trace.Record) error {
-	m.lookups++
-	return nil
-}
-
-func (m *interrupt) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	for i, vpn := range vpns {
-		_, hit, err := m.mech.Translate(pid, vpn)
-		if err != nil {
-			return err
-		}
-		infos[i] = core.TranslateInfo{Hit: hit}
-	}
-	return nil
-}
-
-func (m *interrupt) finish(res *Result) {
-	st := m.mech.Stats()
-	res.Lookups = m.lookups
-	res.NIMisses = st.Misses
-	res.Pins = st.PagesPinned
-	res.Unpins = st.PagesUnpinned
-	res.PinTime = st.HandlerTime
-}
-
-// perProcess is the per-process UTLB (§3.1): the host side finds (or
-// pins and installs, evicting when the table is full) each page's slot
-// in the process' SRAM table, and the firmware indexes that table
-// directly — one probe, never a miss.
-type perProcess struct {
-	r     *run
-	drv   *core.Driver
-	utlbs []*core.PerProcessUTLB // by process slot
-	// The record being replayed: its process' table and the slots of
-	// its pages not yet translated (the loop dispatches them in order).
-	cur     *core.PerProcessUTLB
-	indices []int
-}
-
-// validateTables rejects what a directly indexed table has no way to
-// honour: a cache geometry, a miss prefetch, pre-pinning and batching.
-func validateTables(cfg Config) error {
-	if cfg.CacheEntries < 1 || cfg.Ways != 1 || cfg.IndexOffset ||
-		cfg.Prefetch != 1 || cfg.Prepin != 1 || cfg.BatchPages != 1 {
-		return errors.New("per-process tables are sized by CacheEntries ≥ 1 and indexed directly: " +
-			"Ways, Prefetch, Prepin and BatchPages must be 1 and IndexOffset off")
-	}
-	return nil
-}
-
-func newPerProcess(r *run) (mechanism, int, error) {
-	// The driver builds its Shared UTLB-Cache regardless; this design
-	// never probes it, so the smallest one will do.
-	drv, err := core.NewDriverWith(r.host, r.nic, tlbcache.Config{Entries: 16, Ways: 1}, r.scr.storage())
-	if err != nil {
-		return nil, 0, err
-	}
-	drv.SetTap(r.tap)
-	m := &r.scr.perProcess
-	*m = perProcess{r: r, drv: drv, utlbs: m.utlbs[:0]}
-	return m, 1, nil
-}
-
-func (m *perProcess) attach(i int, proc *hostos.Process) error {
-	cfg := m.r.cfg
-	u, err := core.NewPerProcessUTLB(m.drv, proc, cfg.CacheEntries,
-		core.LibConfig{Policy: cfg.Policy, PolicySeed: cfg.Seed})
-	m.utlbs = append(m.utlbs, u)
-	return err
-}
-
-func (m *perProcess) post(i int, rec trace.Record) (err error) {
-	m.cur = m.utlbs[i]
-	m.indices, err = m.cur.Lookup(rec.VA, int(rec.Bytes))
-	return err
-}
-
-func (m *perProcess) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	for i := range vpns {
-		m.cur.Translate(m.indices[i])
-		infos[i] = core.TranslateInfo{Hit: true, Probes: 1}
-	}
-	m.indices = m.indices[len(vpns):]
-	return nil
-}
-
-func (m *perProcess) finish(res *Result) {
-	for _, u := range m.utlbs {
-		res.addLib(u.Stats())
-	}
 }

@@ -5,9 +5,14 @@ import (
 	"slices"
 	"testing"
 
+	"utlb/internal/bus"
+	"utlb/internal/core"
+	"utlb/internal/hostos"
+	"utlb/internal/nicsim"
 	"utlb/internal/obs"
 	"utlb/internal/trace"
 	"utlb/internal/units"
+	"utlb/internal/vm"
 	"utlb/internal/workload"
 )
 
@@ -21,10 +26,64 @@ func designCfg(m Mechanism, entries int) Config {
 	return c
 }
 
-// counters are the Result fields no timing mode may change.
-func counters(r Result) [9]int64 {
-	return [9]int64{r.Lookups, r.CheckMisses, r.NIMisses, r.NIRefs, r.Pins, r.Unpins,
-		r.Compulsory, r.Capacity, r.Conflict}
+// counters are the Result fields no timing mode may change: the counts,
+// and the host time the check, pin and unpin work itself took, which
+// excludes any wait for the NIC.
+func counters(r Result) [12]int64 {
+	return [12]int64{r.Lookups, r.CheckMisses, r.NIMisses, r.NIRefs, r.Pins, r.Unpins,
+		r.Compulsory, r.Capacity, r.Conflict,
+		int64(r.PinTime), int64(r.UnpinTime), int64(r.CheckTime)}
+}
+
+// newDesignRig builds design c.Mechanism the way RunWith does, on a
+// node of its own (64 MB of host memory, 1 MB of NIC SRAM, a fresh
+// scratch), and attaches one process per pid, so a test can drive post
+// and translate itself.
+func newDesignRig(t *testing.T, c Config, pids ...units.ProcID) (*run, mechanism) {
+	t.Helper()
+	scr := NewRunScratch()
+	r := &scr.run
+	*r = run{cfg: c, scr: scr}
+	r.host = hostos.New(0, 64*units.MB, hostos.DefaultCosts())
+	clk := units.NewClock()
+	r.nic = nicsim.New(0, units.MB, clk, bus.New(r.host.Memory(), clk, bus.DefaultCosts()), nicsim.DefaultCosts())
+	m, width, err := designs[c.Mechanism].build(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr.batchBufs(width)
+	for _, pid := range pids {
+		if err := attachNext(t, r, m, pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r, m
+}
+
+// attachNext spawns pid and attaches it to m as the next process slot.
+func attachNext(t *testing.T, r *run, m mechanism, pid units.ProcID) error {
+	t.Helper()
+	proc, err := r.host.Spawn(pid, "app", vm.NewSpace(pid, r.host.Memory(), r.cfg.PinLimitPages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.pids = append(r.pids, pid)
+	return m.attach(len(r.pids)-1, proc)
+}
+
+// translateOne dispatches page vpn of pid to m on its own and returns
+// the frame m landed in scr.pfns and whether the NIC hit.
+func translateOne(r *run, m mechanism, pid units.ProcID, vpn units.VPN) (units.PFN, bool, error) {
+	var info [1]core.TranslateInfo
+	err := m.translate(pid, []units.VPN{vpn}, info[:])
+	return r.scr.pfns[0], info[0].Hit, err
+}
+
+// finished is m's counters so far.
+func finished(m mechanism) Result {
+	var res Result
+	m.finish(&res)
+	return res
 }
 
 // TestEveryMechanism is the conformance suite of the mechanism seam: it
@@ -188,6 +247,7 @@ func TestPerProcessRejects(t *testing.T) {
 	}
 	bad := map[string]func(c *Config){
 		"no table":     func(c *Config) { c.CacheEntries = 0 },
+		"negative":     func(c *Config) { c.CacheEntries = -4 },
 		"ways":         func(c *Config) { c.Ways = 2 },
 		"index offset": func(c *Config) { c.IndexOffset = true },
 		"prefetch":     func(c *Config) { c.Prefetch = 4 },

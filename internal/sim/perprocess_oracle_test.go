@@ -1,15 +1,12 @@
-package sim_test
+package sim
 
 import (
 	"fmt"
 	"testing"
 
 	"utlb/internal/bus"
-	"utlb/internal/core"
 	"utlb/internal/hostos"
 	"utlb/internal/nicsim"
-	"utlb/internal/sim"
-	"utlb/internal/tlbcache"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 	"utlb/internal/vm"
@@ -17,12 +14,13 @@ import (
 )
 
 // runPerProcess is the per-process replay loop internal/experiments
-// carried before sim.PerProcess existed, kept verbatim as the reference
-// the unified loop is held to: it builds its own node (smaller host
-// memory, bigger SRAM, no scratch, no transfer ids, no classifier, no
-// overlap engine, no recording) and drives core.PerProcessUTLB directly.
-func runPerProcess(tr trace.Trace, entries int, seed int64) (sim.Result, error) {
-	var res sim.Result
+// carried before sim.PerProcess existed, kept as the reference the
+// unified loop is held to: it builds its own node (smaller host memory,
+// bigger SRAM, a fresh scratch, no transfer ids, no classifier, no
+// overlap engine, no recording) and drives the per-process design one
+// page at a time in trace order.
+func runPerProcess(tr trace.Trace, entries int, seed int64) (Result, error) {
+	var res Result
 	sorted := tr
 	if !tr.IsSortedByTime() {
 		sorted = append(trace.Trace(nil), tr...)
@@ -35,51 +33,42 @@ func runPerProcess(tr trace.Trace, entries int, seed int64) (sim.Result, error) 
 	b := bus.New(host.Memory(), clk, bus.DefaultCosts())
 	// SRAM large enough for the static tables plus driver structures.
 	nic := nicsim.New(0, 64*units.MB, clk, b, nicsim.DefaultCosts())
-	drv, err := core.NewDriver(host, nic, tlbcache.Config{Entries: 16, Ways: 1})
+	c := designCfg(PerProcess, entries)
+	c.Seed = seed
+	r := &run{cfg: c, scr: NewRunScratch(), host: host, nic: nic, pids: sorted.PIDs()}
+	m, _, err := newPerProcess(r)
 	if err != nil {
 		return res, err
 	}
-	utlbs := map[units.ProcID]*core.PerProcessUTLB{}
-	for _, pid := range sorted.PIDs() {
-		proc, err := host.Spawn(pid, fmt.Sprintf("proc%d", pid),
-			vm.NewSpace(pid, host.Memory(), 0))
+	for i, pid := range r.pids {
+		proc, err := host.Spawn(pid, fmt.Sprintf("proc%d", pid), vm.NewSpace(pid, host.Memory(), 0))
 		if err != nil {
 			return res, err
 		}
-		u, err := core.NewPerProcessUTLB(drv, proc, entries,
-			core.LibConfig{Policy: core.LRU, PolicySeed: seed})
-		if err != nil {
+		if err := m.attach(i, proc); err != nil {
 			return res, err
 		}
-		utlbs[pid] = u
 	}
+	vpns, infos := r.scr.batchBufs(1)
 	for _, rec := range sorted {
-		u := utlbs[rec.PID]
-		indices, err := u.Lookup(rec.VA, int(rec.Bytes))
-		if err != nil {
+		if err := m.post(r.slot(rec.PID), rec); err != nil {
 			return res, err
 		}
-		for _, idx := range indices {
+		for p := 0; p < units.PagesSpanned(rec.VA, int(rec.Bytes)); p++ {
 			res.NIRefs++
-			u.Translate(idx)
+			vpns[0] = rec.VA.PageOf() + units.VPN(p)
+			if err := m.translate(rec.PID, vpns, infos); err != nil {
+				return res, err
+			}
 		}
 	}
-	for _, u := range utlbs {
-		st := u.Stats()
-		res.Lookups += st.Lookups
-		res.CheckMisses += st.CheckMisses
-		res.Pins += st.PagesPinned
-		res.Unpins += st.PagesUnpinned
-		res.PinTime += st.PinTime
-		res.UnpinTime += st.UnpinTime
-		res.CheckTime += st.CheckTime
-	}
+	m.finish(&res)
 	res.HostTime = host.Clock().Now()
 	res.NICTime = clk.Now()
 	return res, nil
 }
 
-// TestPerProcessMatchesReference: sim.Run with Mechanism: PerProcess
+// TestPerProcessMatchesReference: Run with Mechanism: PerProcess
 // reproduces the loop it replaced, field by field, on all seven
 // applications at two seeds — with tables small enough (and not a power
 // of two, as the ablation's are) that the eviction path runs.
@@ -93,12 +82,9 @@ func TestPerProcessMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := sim.DefaultConfig()
-			cfg.Mechanism = sim.PerProcess
-			cfg.CacheEntries = entries
-			cfg.IndexOffset = false
-			cfg.Seed = seed
-			got, err := sim.Run(tr, cfg)
+			c := designCfg(PerProcess, entries)
+			c.Seed = seed
+			got, err := Run(tr, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +92,7 @@ func TestPerProcessMatchesReference(t *testing.T) {
 				Lookups, CheckMisses, NIRefs, Pins, Unpins       int64
 				PinTime, UnpinTime, CheckTime, HostTime, NICTime units.Time
 			}
-			pick := func(r sim.Result) fields {
+			pick := func(r Result) fields {
 				return fields{r.Lookups, r.CheckMisses, r.NIRefs, r.Pins, r.Unpins,
 					r.PinTime, r.UnpinTime, r.CheckTime, r.HostTime, r.NICTime}
 			}

@@ -1,11 +1,11 @@
 // Package sim is the trace-driven simulator of §6: it feeds serialised
-// communication traces to either the UTLB mechanism or the
-// interrupt-based baseline, mimicking "the behavior of a network
-// interface translation cache, the host-side UTLB driver, and
-// user-level library", and derives the statistics behind Tables 4-8
-// and Figures 7-8: translation misses (classified into compulsory,
-// capacity and conflict), page pinnings and unpinnings, and average
-// lookup costs.
+// communication traces to a translation design — the Hierarchical-UTLB,
+// the interrupt-based baseline or the per-process UTLB — mimicking "the
+// behavior of a network interface translation cache, the host-side UTLB
+// driver, and user-level library", and derives the statistics behind
+// Tables 4-8 and Figures 7-8: translation misses (classified into
+// compulsory, capacity and conflict), page pinnings and unpinnings, and
+// average lookup costs.
 package sim
 
 import (
@@ -26,9 +26,9 @@ import (
 	"utlb/internal/vm"
 )
 
-// Mechanism selects the translation design under test. The designs
-// themselves, and the table that names and builds them, are in
-// mechanism.go.
+// Mechanism selects the translation design under test. The table that
+// names and builds the designs is in mechanism.go, and each design is
+// one file: sharedCache in mechanism.go, interrupt.go, perprocess.go.
 type Mechanism int
 
 // The paper's designs: §3.2-3.3 and §6.2's baseline, then §3.1.
@@ -261,10 +261,10 @@ func rate(n, total int64) float64 {
 // cache line arrays, the 3C classifier's dense table and node slab,
 // host memory's frame arrays and backing, the distinct-page set host
 // memory is sized from, each process slot's address space, pin bit
-// vector, policy table and pre-pin buffer, the batch staging buffers,
-// and the overlap engine — the event kernel's queue, the DMA channel
-// pool and the Sequencer's holding slice. Together these are the bulk
-// of a run's setup allocations.
+// vector, policy table, pre-pin buffer, per-process table and lookup
+// tree, the batch staging buffers, and the overlap engine — the event
+// kernel's queue, the DMA channel pool and the Sequencer's holding
+// slice. Together these are the bulk of a run's setup allocations.
 // The zero value (or NewRunScratch) is ready to use; a scratch serves
 // one run at a time, and results never depend on what a previous run
 // left behind — every structure is reset on reuse. A scratch keeps
@@ -286,7 +286,7 @@ type RunScratch struct {
 	dma       event.Pool
 	sequencer event.Sequencer
 	// The run in progress and the design it drives (the one cfg.Mechanism
-	// selects; each keeps its per-process slice across runs). They live
+	// selects; each keeps its per-process slices across runs). They live
 	// here so that a run allocates none of them.
 	run        run
 	shared     sharedCache
@@ -423,7 +423,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	footprint, pids := scr.survey(sorted)
 	frames := int64(footprint)*6 + 16384
 	r := &scr.run
-	*r = run{cfg: cfg, scr: scr, res: Result{Config: cfg}}
+	*r = run{cfg: cfg, scr: scr, pids: pids, res: Result{Config: cfg}}
 	r.host = hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
 	nicClock := units.NewClock()
 	b := bus.New(r.host.Memory(), nicClock, bus.DefaultCosts())
@@ -461,7 +461,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	vpns, infos := scr.batchBufs(width)
 	for _, rec := range sorted {
 		r.tap.Begin()
-		if err := m.post(slices.Index(pids, rec.PID), rec); err != nil {
+		if err := m.post(r.slot(rec.PID), rec); err != nil {
 			return r.res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 		}
 		r.timing.post()

@@ -11,6 +11,7 @@ package utlb_test
 // detector's own allocations would be counted against the code.
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -30,51 +31,65 @@ func measureAllocs(f func(b *testing.B)) int64 {
 }
 
 // TestSimulateRunAllocBudget is the headline budget: one full
-// trace-driven UTLB run through reused scratch. The seed repo spent
-// 1695 allocs/op here and PR 6's scratch path 175; with the page
-// tables, policy tables, translation-table directories and physical
-// memory all reset in place, what is left is the run's fixed object
-// graph (host, NIC, bus, driver, one Lib and Process per process).
-// The byte budget is the sharper half: a table that quietly went back
-// to being rebuilt costs kilobytes per run long before it costs many
-// allocations. The allocation budget is exact — the count does not
-// depend on the machine — so any increase is a real leak back onto the
-// path, and a decrease should ratchet it.
+// trace-driven run of each design through reused scratch. A UTLB run
+// once spent 1695 allocs/op, and 175 when the scratch first appeared;
+// with the page tables, policy tables, translation-table directories,
+// lookup trees and physical memory all reset in place, what is left is
+// the run's fixed object graph (host, NIC, bus, cache header, driver,
+// one Process — and for UTLB one Lib — per process). A design held in
+// RunScratch allocates nothing of its own per run, and nothing per
+// record: each count is the same at two trace scales. The byte budget
+// is the sharper half: a table that quietly went back to being rebuilt
+// costs kilobytes per run long before it costs many allocations. The
+// allocation budgets are exact — the count does not depend on the
+// machine — so an increase is a real leak back onto the path, and a
+// decrease should ratchet it.
 func TestSimulateRunAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
 	}
-	tr, err := utlb.GenerateTrace("water-spatial", 1, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := utlb.DefaultSimConfig()
-	cfg.CacheEntries = 1024
-	scr := utlb.NewSimScratch()
-	if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil {
-				b.Fatal(err)
+	const byteBudget = 4096 // measured 1.8 KB for UTLB, 1.0 KB Intr, 1.2 KB PerProc; the first scratch left 354 KB
+	for _, d := range []struct {
+		mech   utlb.Mechanism
+		allocs int64 // exact
+	}{
+		{utlb.UTLB, 27},       // once 1695, then 175
+		{utlb.Interrupt, 16},  // 26 while the baseline rebuilt its state per run
+		{utlb.PerProcess, 21}, // 539 at scale 0.05 and 968 at 0.1 while it allocated per record
+	} {
+		for _, scale := range []float64{0.05, 0.1} {
+			tr, err := utlb.GenerateTrace("water-spatial", 1, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := utlb.DefaultSimConfig()
+			cfg.Mechanism = d.mech
+			cfg.CacheEntries = 1024
+			cfg.IndexOffset = d.mech != utlb.PerProcess // a directly indexed table has no index to offset
+			scr := utlb.NewSimScratch()
+			if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil { // warm the scratch
+				t.Fatal(err)
+			}
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			name := fmt.Sprintf("%v at scale %.2f (%d records)", d.mech, scale, len(tr))
+			if got := res.AllocsPerOp(); got != d.allocs {
+				t.Errorf("%s: SimulateWith allocates %d/op with warm scratch, want exactly %d", name, got, d.allocs)
+			} else {
+				t.Logf("%s: SimulateWith: %d allocs/op", name, got)
+			}
+			if got := res.AllocedBytesPerOp(); got > byteBudget {
+				t.Errorf("%s: SimulateWith allocates %d B/op with warm scratch, budget %d: a scratch-held table is being rebuilt per run", name, got, byteBudget)
+			} else {
+				t.Logf("%s: SimulateWith: %d B/op (budget %d)", name, got, byteBudget)
 			}
 		}
-	})
-	const (
-		allocBudget = 27   // measured 27, exact; PR 6 was 175, the seed repo 1695
-		byteBudget  = 4096 // measured 1.9 KB; PR 6 was 354 KB
-	)
-	if got := res.AllocsPerOp(); got > allocBudget {
-		t.Errorf("SimulateWith allocates %d/op with warm scratch, budget %d", got, allocBudget)
-	} else {
-		t.Logf("SimulateWith: %d allocs/op (budget %d, seed repo 1695)", got, allocBudget)
-	}
-	if got := res.AllocedBytesPerOp(); got > byteBudget {
-		t.Errorf("SimulateWith allocates %d B/op with warm scratch, budget %d: a scratch-held table is being rebuilt per run", got, byteBudget)
-	} else {
-		t.Logf("SimulateWith: %d B/op (budget %d)", got, byteBudget)
 	}
 }
 
