@@ -21,9 +21,10 @@ vet:
 
 # Project-specific static analysis (internal/lint via cmd/utlblint):
 # the five per-file rules (determinism, obs-safety, units-hygiene,
-# goroutine-discipline, printf-purity; DESIGN.md §9) plus the four
+# goroutine-discipline, printf-purity; DESIGN.md §9) plus the three
 # summary-based interprocedural rules (lockdiscipline, atomichygiene,
-# allocstatic, staleignore; DESIGN.md §14). Blocking in CI. Timing
+# staleignore; DESIGN.md §14). Allocations are gated by the exact
+# budgets `make test` runs, not here. Blocking in CI. Timing
 # budget: the whole run — compile included — must finish inside 60s
 # on the 1-CPU CI container (a warm run takes well under a second;
 # the timeout is the canary for an accidental fixpoint blow-up).

@@ -120,10 +120,8 @@ func (b *Bus) SetOverlap(k *event.Kernel, pool *event.Pool) {
 	b.dma = pool
 	if k != nil && b.completeFn == nil {
 		// One handler retires every transfer: built once per engine
-		// attach (never on the sequential path SimulateWith measures),
-		// so issuing a DMA allocates nothing beyond the kernel's heap
-		// slot.
-		//lint:ignore allocstatic built once per SetOverlap call at run setup, only when cfg.Overlap.Enabled; the pinned alloc budget measures the sequential path, which never attaches an engine
+		// attach, at run setup, so issuing a DMA allocates nothing
+		// beyond the kernel's heap slot.
 		b.completeFn = func(units.Time) { b.inflight--; b.completed++ }
 	}
 }

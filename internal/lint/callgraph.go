@@ -8,15 +8,14 @@ import (
 )
 
 // This file is the interprocedural layer under the summary-based
-// rules (lockdiscipline, allocstatic and the blocking analysis they
-// share): a cross-package call graph over every function the loader
+// lockdiscipline rule and the blocking analysis it rests on: a
+// cross-package call graph over every function the loader
 // type-checked, built from statically resolvable calls, function and
 // method value references, and conservative interface dispatch to the
 // module's own implementations. Calls through plain function values
 // (parameters, struct fields of func type) and through stdlib
-// interfaces are not in the graph — the rules that consume it
-// document those holes and the repo's runtime gates (alloc budgets,
-// -race suites) backstop them.
+// interfaces are not in the graph — the rule documents those holes and
+// the repo's -race suites backstop them.
 
 // EdgeKind distinguishes how a call-graph edge was discovered.
 type EdgeKind int

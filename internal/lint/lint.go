@@ -60,7 +60,6 @@ func Rules() []Rule {
 		ruleUnits(),
 		ruleLockDiscipline(),
 		ruleAtomicHygiene(),
-		ruleAllocStatic(),
 		ruleStaleIgnore(),
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })

@@ -16,8 +16,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // rules fire) and linted with the full rule set; the formatted
 // findings must match testdata/<name>.golden byte for byte.
 var fixtures = []string{
-	"allocstatic", "atomichygiene", "goroutine", "lockdiscipline",
-	"nodeterm", "obssafety", "printfpurity", "staleignore", "unitshygiene",
+	"atomichygiene", "goroutine", "lockdiscipline", "nodeterm",
+	"obssafety", "printfpurity", "staleignore", "unitshygiene",
 }
 
 func lintFixture(t *testing.T, name string) (*Program, []Finding) {
@@ -183,13 +183,10 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestRuleSetComplete pins the full rule roster: five original rules
-// plus the four summary-based ones. A rule silently dropped from
+// plus the three summary-based ones. A rule silently dropped from
 // Rules() would otherwise fail only when its fixture golden drifted.
 func TestRuleSetComplete(t *testing.T) {
-	want := []string{
-		"allocstatic", "atomichygiene", "goroutine", "lockdiscipline",
-		"nodeterm", "obssafety", "printfpurity", "staleignore", "unitshygiene",
-	}
+	want := fixtures
 	rules := Rules()
 	if len(rules) != len(want) {
 		t.Fatalf("Rules() has %d rules, want %d", len(rules), len(want))
@@ -206,8 +203,7 @@ func TestRuleSetComplete(t *testing.T) {
 
 // TestInterproceduralRepoCoverage asserts the summary-based rules
 // actually see the repo: the call graph must contain the hot entry
-// points and the serving path, allocstatic's hot set the simulator's
-// translation designs, and the lock classes the mutexes the
+// points and the serving path, and the lock classes the mutexes the
 // lockdiscipline rule audits.
 func TestInterproceduralRepoCoverage(t *testing.T) {
 	prog, err := Load(repoRoot(t))
@@ -227,18 +223,6 @@ func TestInterproceduralRepoCoverage(t *testing.T) {
 	} {
 		if a.graph.ByID[id] == nil {
 			t.Errorf("call graph is missing %s", id)
-		}
-	}
-	// allocstatic audits the translation designs because the replay
-	// loop's interface dispatch reaches them from SimulateWith.
-	hot := hotSet(prog, a)
-	for _, id := range []string{
-		"utlb/internal/sim.interrupt.translate",
-		"utlb/internal/sim.perProcess.post",
-		"utlb/internal/sim.perProcess.translate",
-	} {
-		if n := a.graph.ByID[id]; n == nil || hot[n] != "utlb.SimulateWith" {
-			t.Errorf("allocstatic's hot set does not reach %s from utlb.SimulateWith", id)
 		}
 	}
 	if n := a.graph.ByID["utlb/internal/parallel.Map"]; n != nil && !n.sum.blocks {

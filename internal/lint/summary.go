@@ -14,7 +14,7 @@ import (
 // whose own summary blocks) and which lock classes it may acquire.
 // Summaries start from direct facts and close under the call graph by
 // a fixpoint sweep, which handles mutual recursion without special
-// cases. The lockdiscipline and allocstatic rules consume them.
+// cases. The lockdiscipline rule consumes them.
 
 // summary is the interprocedural effect record of one function.
 type summary struct {
@@ -41,7 +41,6 @@ type analysis struct {
 	classes map[*types.Var]string
 
 	lockFindings   map[string][]Finding // import path → findings
-	allocFindings  map[string][]Finding
 	atomicFindings map[string][]Finding
 }
 

@@ -23,7 +23,7 @@ type mechanism interface {
 	attach(i int, proc *hostos.Process) error
 	// post runs the host side of one record of slot i's process — the
 	// user-level check and whatever pinning it triggers — before the
-	// request is posted to the NIC.
+	// request is posted to the NIC. rec spans at least one page.
 	post(i int, rec trace.Record) error
 	// translate resolves one firmware dispatch, up to width consecutive
 	// pages of one record of pid, landing page i's frame in scr.pfns[i]

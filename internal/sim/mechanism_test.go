@@ -239,6 +239,27 @@ func TestEveryMechanism(t *testing.T) {
 	}
 }
 
+// TestZeroByteRecordIsNoLookup: a record that spans no page (both trace
+// codecs accept Bytes: 0) is no lookup in any design. The replay loop
+// skips it, so every design's per-lookup rates share one denominator.
+func TestZeroByteRecordIsNoLookup(t *testing.T) {
+	tr := trace.Trace{
+		{Time: 0, PID: 1, VA: 0, Bytes: units.PageSize},
+		{Time: 1, PID: 1, VA: units.PageSize, Bytes: 0},
+		{Time: 2, PID: 1, VA: 2 * units.PageSize, Bytes: units.PageSize},
+	}
+	for i := range designs {
+		m := Mechanism(i)
+		res, err := Run(tr, designCfg(m, 64))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if res.Lookups != 2 || res.NIRefs != 2 {
+			t.Errorf("%v: %d lookups and %d NI refs for two one-page records and one empty one, want 2 and 2", m, res.Lookups, res.NIRefs)
+		}
+	}
+}
+
 // TestPerProcessRejects: each Config field the per-process design has
 // no way to honour is an error, not ignored.
 func TestPerProcessRejects(t *testing.T) {

@@ -105,9 +105,6 @@ func (m *perProcess) attach(i int, proc *hostos.Process) error {
 func (m *perProcess) post(i int, rec trace.Record) error {
 	m.indices = m.indices[:0]
 	pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
-	if pages == 0 {
-		return nil
-	}
 	s := &m.slots[i]
 	s.stats.Lookups++
 	m.first = rec.VA.PageOf()

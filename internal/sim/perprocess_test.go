@@ -154,14 +154,6 @@ func TestPerProcessNoVictim(t *testing.T) {
 	}
 }
 
-func TestPerProcessZeroByteLookup(t *testing.T) {
-	_, m := newPP(t, 8, 0)
-	idx, err := lookup(m, 0, 0)
-	if err != nil || len(idx) != 0 || finished(m).Lookups != 0 {
-		t.Errorf("lookup(0, 0) = %v, %v; %d lookups counted", idx, err, finished(m).Lookups)
-	}
-}
-
 func TestPerProcessFragmentation(t *testing.T) {
 	// A fresh table hands out descending free slots, so a multi-page
 	// buffer's indices are non-consecutive from the start; after

@@ -259,10 +259,10 @@ func rate(n, total int64) float64 {
 
 // RunScratch recycles one run's working state into the next: the
 // cache line arrays, the 3C classifier's dense table and node slab,
-// host memory's frame arrays and backing, the distinct-page set host
-// memory is sized from, each process slot's address space, pin bit
-// vector, policy table, pre-pin buffer, per-process table and lookup
-// tree, the batch staging buffers, and the overlap engine — the event
+// host memory's frame arrays and backing, the pid list, each process
+// slot's address space, pin bit vector, policy table, pre-pin buffer,
+// per-process table and lookup tree, the batch staging buffers, and
+// the overlap engine — the event
 // kernel's queue, the DMA channel pool and the Sequencer's holding
 // slice. Together these are the bulk of a run's setup allocations.
 // The zero value (or NewRunScratch) is ready to use; a scratch serves
@@ -274,7 +274,6 @@ type RunScratch struct {
 	cacheStorage *tlbcache.Storage
 	cls          *classifier
 	mem          *phys.Memory
-	seen         *tlbcache.Dense[struct{}]
 	pids         []units.ProcID
 	spaces       []*vm.Space
 	libs         []*core.LibScratch
@@ -316,28 +315,18 @@ func (s *RunScratch) classifier(capacity int) *classifier {
 	return s.cls
 }
 
-// survey counts tr's distinct (pid, page) pairs — trace.Footprint's
-// number, from the scratch-owned set instead of a per-run map — and
-// lists its process IDs ascending, as trace.PIDs does.
-func (s *RunScratch) survey(tr trace.Trace) (pages int, pids []units.ProcID) {
-	if s.seen == nil {
-		s.seen = tlbcache.NewDense[struct{}](0)
-	} else {
-		s.seen.Reset()
-	}
-	pids = s.pids[:0]
+// survey lists tr's process IDs ascending, as trace.PIDs does, in a
+// scratch-owned slice instead of a per-run map.
+func (s *RunScratch) survey(tr trace.Trace) []units.ProcID {
+	pids := s.pids[:0]
 	for i, r := range tr {
 		if (i == 0 || r.PID != tr[i-1].PID) && !slices.Contains(pids, r.PID) {
 			pids = append(pids, r.PID)
 		}
-		first := r.VA.PageOf()
-		for p, n := 0, units.PagesSpanned(r.VA, int(r.Bytes)); p < n; p++ {
-			s.seen.Ensure(tlbcache.Key{PID: r.PID, VPN: first + units.VPN(p)})
-		}
 	}
 	slices.Sort(pids)
 	s.pids = pids
-	return s.seen.Len(), pids
+	return pids
 }
 
 // memory hands out host memory, reset to size bytes.
@@ -417,11 +406,12 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 		sorted.SortByTime()
 	}
 
-	// Size host memory for the worst case: every distinct page
-	// resident, plus pages that sequential pre-pinning may touch in
-	// the holes of strided footprints, plus second-level tables.
-	footprint, pids := scr.survey(sorted)
-	frames := int64(footprint)*6 + 16384
+	// The paper's "infinite host memory": a frame for every page each
+	// process can address and for each of its second-level tables, plus
+	// the garbage frame. Memory costs nothing for frames it never hands
+	// out.
+	pids := scr.survey(sorted)
+	frames := int64(len(pids))*(core.VASpacePages+core.DirEntries) + 1
 	r := &scr.run
 	*r = run{cfg: cfg, scr: scr, pids: pids, res: Result{Config: cfg}}
 	r.host = hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
@@ -457,15 +447,19 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// The replay loop, the only one: every design sees each record as
 	// one host-side post and then one firmware dispatch per batch of
 	// up to width pages. With width == 1 that is page-at-a-time
-	// dispatch, charge- and event-identical to the unbatched model.
+	// dispatch, charge- and event-identical to the unbatched model. A
+	// record that spans no page is no lookup, in any design.
 	vpns, infos := scr.batchBufs(width)
 	for _, rec := range sorted {
+		pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
+		if pages == 0 {
+			continue
+		}
 		r.tap.Begin()
 		if err := m.post(r.slot(rec.PID), rec); err != nil {
 			return r.res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 		}
 		r.timing.post()
-		pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
 		first := rec.VA.PageOf()
 		r.res.NIRefs += int64(pages)
 		for start := 0; start < pages; start += width {

@@ -448,18 +448,15 @@ func TestMissRatioMatchesStackDistances(t *testing.T) {
 	}
 }
 
-// RunWith sizes host memory from the scratch-held page set instead of
-// trace.Footprint's per-call map; the two counts (and the pid lists)
-// must agree on every application, with one scratch reused across all
-// of them so a leftover entry would show.
+// RunWith lists the process slots in a scratch-held slice instead of
+// trace.PIDs' per-call map; the two lists must agree on every
+// application, with one scratch reused across all of them so a leftover
+// entry would show.
 func TestSurveyMatchesTraceSummaries(t *testing.T) {
 	scr := NewRunScratch()
 	for _, app := range workload.Names() {
 		tr := smallTrace(t, app, 0.2)
-		pages, pids := scr.survey(tr)
-		if want := tr.Footprint(); pages != want {
-			t.Errorf("%s: survey counts %d pages, trace.Footprint %d", app, pages, want)
-		}
+		pids := scr.survey(tr)
 		if want := tr.PIDs(); !slices.Equal(pids, want) {
 			t.Errorf("%s: survey pids %v, trace.PIDs %v", app, pids, want)
 		}

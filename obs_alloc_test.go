@@ -160,8 +160,9 @@ func TestTLBCacheLookupFillAllocBudget(t *testing.T) {
 	t.Logf("tlbcache: lookup %d allocs/op, insert-with-evict %d allocs/op", lookups, inserts)
 }
 
-// TestXlateLookupAllocBudget pins the translation service's single-key
-// lookup at zero allocations in all three telemetry states:
+// TestXlateLookupAllocBudget pins the translation service's four hot
+// operations at zero allocations — Lookup and Insert of one key, and
+// LookupMany and InsertMany of 64 — in all three telemetry states:
 //
 //   - telemetry disabled (nil sink): the baseline hot path, where the
 //     inert telemetry.Request must allocate nothing;
@@ -170,7 +171,7 @@ func TestTLBCacheLookupFillAllocBudget(t *testing.T) {
 //   - telemetry enabled with sampling off entirely (SampleEvery 0).
 //
 // Only sampled requests may allocate (they build an event chain), which
-// the fourth case bounds separately.
+// the fourth case bounds separately for Lookup.
 func TestXlateLookupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
@@ -193,6 +194,42 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 			}
 		})
 	}
+	// The other three operations run on a service filled to four times
+	// its capacity, so every shard is full and inserts evict: Insert
+	// cycles over 4096 pages, and each batch is the next 64 of 8192
+	// pages, looked up into a reused out slice or inserted.
+	keys, pfns, out := make([]xlate.Key, 64), make([]units.PFN, 64), make([]xlate.Result, 64)
+	nextBatch := func(i int) {
+		for j := range keys {
+			keys[j] = xlate.Key{PID: 1, VPN: units.VPN((i*len(keys) + j) % 8192)}
+			pfns[j] = units.PFN(i)
+		}
+	}
+	otherOps := []struct {
+		name string
+		op   func(s *xlate.Service, i int)
+	}{
+		{"Insert", func(s *xlate.Service, i int) { s.Insert(xlate.Key{PID: 1, VPN: units.VPN(i % 4096)}, units.PFN(i)) }},
+		{"LookupMany", func(s *xlate.Service, i int) { nextBatch(i); out = s.LookupMany(keys, out) }},
+		{"InsertMany", func(s *xlate.Service, i int) { nextBatch(i); s.InsertMany(keys, pfns) }},
+	}
+	// checkOtherOps fills s past its capacity and holds each of otherOps
+	// to zero.
+	checkOtherOps := func(state string, s *xlate.Service) {
+		for v := units.VPN(512); v < 4096; v++ {
+			s.Insert(xlate.Key{PID: 1, VPN: v}, units.PFN(v))
+		}
+		for _, w := range otherOps {
+			i, evictions := 0, s.Stats().Total.Evictions
+			got := testing.AllocsPerRun(1000, func() { w.op(s, i); i++ })
+			evictions = s.Stats().Total.Evictions - evictions
+			if got > 0 {
+				t.Errorf("%s %s allocates %.2f/op, budget 0", state, w.name, got)
+			} else {
+				t.Logf("%s %s: %.2f allocs/op, %.1f evictions/op", state, w.name, got, float64(evictions)/float64(i))
+			}
+		}
+	}
 	// A wide window and a tiny manual-clock tick keep the ring from
 	// rotating mid-measurement; rotation is rare and amortised, not part
 	// of the per-op budget.
@@ -214,6 +251,7 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	if got := lookupAllocs(disabled); got > 0 {
 		t.Errorf("telemetry-disabled Lookup allocates %d/op, budget 0", got)
 	}
+	checkOtherOps("telemetry-disabled", disabled)
 
 	unsampled := newService()
 	if err := unsampled.AttachTelemetry(newSink(1 << 40)); err != nil {
@@ -222,6 +260,7 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	if got := lookupAllocs(unsampled); got > 0 {
 		t.Errorf("telemetry-enabled unsampled Lookup allocates %d/op, budget 0", got)
 	}
+	checkOtherOps("telemetry-enabled unsampled", unsampled)
 
 	noSampling := newService()
 	if err := noSampling.AttachTelemetry(newSink(0)); err != nil {
@@ -230,6 +269,7 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	if got := lookupAllocs(noSampling); got > 0 {
 		t.Errorf("telemetry-enabled SampleEvery=0 Lookup allocates %d/op, budget 0", got)
 	}
+	checkOtherOps("telemetry-enabled SampleEvery=0", noSampling)
 
 	// Sampling every request is the worst case: each lookup builds and
 	// retains a trace chain. The chain is one Trace and one small event
