@@ -1,9 +1,10 @@
 // Command utlblint runs the project's static-analysis suite
 // (internal/lint) over the module and exits non-zero on any finding.
 // It is the standing correctness gate for the repo's cross-cutting
-// invariants: determinism at any -parallel width, the zero-alloc
-// disabled-recorder path, units-typed cost arithmetic, pooled
-// concurrency, and silence in library packages.
+// invariants: determinism at any -parallel width, recording only
+// through the nil-safe obs.Tap with event kinds from the taxonomy,
+// units-typed cost arithmetic, pooled concurrency, silence in library
+// packages, and no suppression that outlives its finding.
 //
 // Usage:
 //

@@ -1,9 +1,10 @@
 // Package lint is the project's static-analysis framework: a
 // stdlib-only (go/ast + go/parser + go/types, no go/packages) analyzer
 // suite that enforces the repo's cross-cutting invariants at the
-// source level — determinism at any -parallel width, the zero-alloc
-// disabled-recorder path, units-typed cost arithmetic, pooled
-// concurrency, and silence in library packages.
+// source level — determinism at any -parallel width, recording only
+// through the nil-safe obs.Tap with event kinds from the taxonomy,
+// units-typed cost arithmetic, pooled concurrency, silence in library
+// packages, and no suppression that outlives its finding.
 //
 // The framework loads the whole module (load.go), runs every
 // registered Rule over every package, honours per-line
@@ -58,8 +59,6 @@ func Rules() []Rule {
 		ruleObsSafety(),
 		rulePrintf(),
 		ruleUnits(),
-		ruleLockDiscipline(),
-		ruleAtomicHygiene(),
 		ruleStaleIgnore(),
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })

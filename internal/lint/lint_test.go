@@ -16,8 +16,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // rules fire) and linted with the full rule set; the formatted
 // findings must match testdata/<name>.golden byte for byte.
 var fixtures = []string{
-	"atomichygiene", "goroutine", "lockdiscipline", "nodeterm",
-	"obssafety", "printfpurity", "staleignore", "unitshygiene",
+	"goroutine", "nodeterm", "obssafety", "printfpurity",
+	"staleignore", "unitshygiene",
 }
 
 func lintFixture(t *testing.T, name string) (*Program, []Finding) {
@@ -182,9 +182,9 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestRuleSetComplete pins the full rule roster: five original rules
-// plus the three summary-based ones. A rule silently dropped from
-// Rules() would otherwise fail only when its fixture golden drifted.
+// TestRuleSetComplete pins the full rule roster: the six per-file
+// rules, one fixture each. A rule silently dropped from Rules() would
+// otherwise fail only when its fixture golden drifted.
 func TestRuleSetComplete(t *testing.T) {
 	want := fixtures
 	rules := Rules()
@@ -197,53 +197,6 @@ func TestRuleSetComplete(t *testing.T) {
 		}
 		if r.Doc == "" {
 			t.Errorf("rule %q has no doc line", r.Name)
-		}
-	}
-}
-
-// TestInterproceduralRepoCoverage asserts the summary-based rules
-// actually see the repo: the call graph must contain the hot entry
-// points and the serving path, and the lock classes the mutexes the
-// lockdiscipline rule audits.
-func TestInterproceduralRepoCoverage(t *testing.T) {
-	prog, err := Load(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Building the analysis happens lazily inside LintProgram; force
-	// it the same way the rules do.
-	a := prog.analysis()
-	for _, id := range []string{
-		"utlb.SimulateWith",
-		"utlb/internal/tlbcache.Cache.Lookup",
-		"utlb/internal/tlbcache.Cache.Insert",
-		"utlb/internal/xlate.Service.LookupMany",
-		"utlb/internal/serve.Server.run",
-		"utlb/internal/parallel.Map",
-	} {
-		if a.graph.ByID[id] == nil {
-			t.Errorf("call graph is missing %s", id)
-		}
-	}
-	if n := a.graph.ByID["utlb/internal/parallel.Map"]; n != nil && !n.sum.blocks {
-		t.Errorf("parallel.Map's summary does not block (wg.Wait missed)")
-	}
-	if n := a.graph.ByID["utlb/internal/serve.Server.get"]; n != nil && !n.sum.blocks {
-		t.Errorf("serve.Server.get's summary does not block (single-flight <-f.done missed)")
-	}
-	classSet := map[string]bool{}
-	for _, class := range a.classes {
-		classSet[class] = true
-	}
-	for _, want := range []string{
-		"utlb/internal/serve.Server.mu",
-		"utlb/internal/serve.Server.runMu",
-		"utlb/internal/xlate.shard.mu",
-		"utlb/internal/telemetry.Sink.mu",
-		"utlb/internal/workload.traceMu",
-	} {
-		if !classSet[want] {
-			t.Errorf("lock classes missing %s (have %d classes)", want, len(classSet))
 		}
 	}
 }

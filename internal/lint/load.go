@@ -40,11 +40,6 @@ type Program struct {
 	Packages []*Package
 	// ByPath indexes Packages by ImportPath.
 	ByPath map[string]*Package
-
-	// ipa caches the interprocedural analysis (call graph, lock
-	// classes, effect summaries) shared by the summary-based rules.
-	// Built lazily by Program.analysis on first use.
-	ipa *analysis
 }
 
 // Load parses and type-checks every package under root, which must be

@@ -306,8 +306,6 @@ func (s *Server) run(p params) (*result, error) {
 	// the one-at-a-time admission lock, never taken on a request fast
 	// path (get() runs under mu/single-flight, not runMu), so holding
 	// it across the blocking worker-pool run is its entire contract.
-	// (lockdiscipline does not follow experiments.Run through its table
-	// of function values, so there is no finding here to suppress.)
 	if err := experiments.Run(p.exp, opts, &sb); err != nil {
 		return nil, err
 	}

@@ -11,6 +11,12 @@ import (
 // tracker and the sampler with a ManualClock and assert exact,
 // deterministic outputs. utlblint's nodeterm rule audits this package;
 // WallClock below is the one sanctioned clock read.
+//
+// Now runs on every translation-service request, so an implementation
+// must not block or take a lock: a lock taken here, inside xlate's
+// request path, can order against the caller's own locks.
+// TestTranslationPathNeverBlocks reads this package's two
+// implementations; one declared elsewhere is outside its scan.
 type Clock interface {
 	// Now reports the current time in integer nanoseconds. The epoch
 	// is the clock's own business; the sink only ever differences and

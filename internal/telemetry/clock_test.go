@@ -21,35 +21,17 @@ import (
 // an injected Clock, which is what lets tests drive the service with a
 // ManualClock.
 func TestWallClockIsTheOnlyClockRead(t *testing.T) {
-	root := filepath.Join("..", "..")
-	files, err := filepath.Glob(filepath.Join(root, "*.go"))
+	files, err := filepath.Glob(filepath.Join(moduleRoot, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []string{"cmd", "internal"} {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
-			switch {
-			case err != nil:
-				return err
-			case d.IsDir() && d.Name() == "testdata":
-				return filepath.SkipDir
-			case !d.IsDir() && strings.HasSuffix(path, ".go"):
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	files = slices.DeleteFunc(files, func(path string) bool { return strings.HasSuffix(path, "_test.go") })
+	files = append(files, programFiles(t, "cmd", "internal")...)
 
-	clockGo := filepath.Join(root, "internal", "telemetry", "clock.go")
+	clockGo := filepath.Join(moduleRoot, "internal", "telemetry", "clock.go")
 	var inClock []string
 	fset := token.NewFileSet()
 	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
@@ -92,4 +74,31 @@ func TestWallClockIsTheOnlyClockRead(t *testing.T) {
 	if want := []string{"Now", "Since"}; !slices.Equal(inClock, want) {
 		t.Errorf("clock.go uses time.%v, want exactly time.%v: the wall epoch once, then the monotonic clock", inClock, want)
 	}
+}
+
+// moduleRoot is the module root as seen from this package's directory.
+var moduleRoot = filepath.Join("..", "..")
+
+// programFiles returns every non-test Go file under the given
+// directories of the module root, fixtures under testdata/ aside.
+func programFiles(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	var files []string
+	for _, dir := range dirs {
+		err := filepath.WalkDir(filepath.Join(moduleRoot, dir), func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
