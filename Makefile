@@ -4,36 +4,20 @@ GO ?= go
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet lint lint-json loc build test race bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak telemetry-smoke clean
+.PHONY: all check vet loc build test race bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak telemetry-smoke clean
 
 all: check
 
 # The full local gate: what CI runs, in order.
-check: vet lint build test race bench-smoke obs-smoke chaos overlap-soak telemetry-smoke
+check: vet build test race bench-smoke obs-smoke chaos overlap-soak telemetry-smoke
 
 # go vet, and gofmt as a gate: any file gofmt would rewrite fails the
-# target (testdata/ fixtures are exempt — some are misformatted on
+# target (testdata/ is exempt — a fixture may be misformatted on
 # purpose; .bench_build/ holds the benchmark's module cache).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './$(ARTIFACTS)/*' | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l (run gofmt -w on these):"; echo "$$unformatted"; exit 1; fi
-
-# Project-specific static analysis (internal/lint via cmd/utlblint):
-# six per-file rules (determinism, obs-safety, units-hygiene,
-# goroutine-discipline, printf-purity, stale-ignore; DESIGN.md §9).
-# Allocations are gated by the exact budgets `make test` runs, locking
-# and atomics by go vet, `make test` and `make race` (DESIGN.md §9),
-# not here. Blocking in CI.
-lint:
-	$(GO) run ./cmd/utlblint ./...
-
-# Machine-readable findings for CI annotations. The redirect (not a
-# pipe) preserves utlblint's exit status, so the artifact exists even
-# when the gate fails — that is exactly when it is wanted.
-lint-json:
-	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/utlblint -json ./... > $(ARTIFACTS)/lint.json
 
 # The size criterion of a simplicity PR, measured one way: non-test Go
 # lines per package and in total. bench/ (frozen to non-benchmark PRs),

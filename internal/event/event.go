@@ -9,9 +9,7 @@
 // FIFO scheduling order — never in heap-internal or map order. A
 // kernel is confined to one goroutine (each simulation run owns its
 // own), so draining the same schedule produces byte-identical
-// dispatch order at any -parallel experiment width; utlblint's
-// nodeterm rule audits the package like the rest of the simulation
-// core.
+// dispatch order at any -parallel experiment width.
 package event
 
 import (

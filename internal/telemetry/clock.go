@@ -9,8 +9,8 @@ import (
 // sink never reads the wall clock directly: every timestamp flows
 // through this interface so tests drive the window ring, the SLO
 // tracker and the sampler with a ManualClock and assert exact,
-// deterministic outputs. utlblint's nodeterm rule audits this package;
-// WallClock below is the one sanctioned clock read.
+// deterministic outputs. WallClock below is the program's one
+// sanctioned clock read; TestProgramSource fails on any other.
 //
 // Now runs on every translation-service request, so an implementation
 // must not block or take a lock: a lock taken here, inside xlate's
@@ -36,8 +36,8 @@ func (WallClock) Now() int64 { return wallEpoch.UnixNano() + sinceEpoch() }
 
 // wallEpoch is the wall clock, carrying its monotonic reading, at
 // package initialisation; sinceEpoch is the monotonic time since it.
-//
-//lint:ignore nodeterm the telemetry clock adapter is the single sanctioned clock read; everything else injects a Clock
+// These two are the program's only clock reads: TestProgramSource
+// exempts this file and holds it to exactly time.Now and time.Since.
 var wallEpoch, sinceEpoch = time.Now(), func() int64 { return int64(time.Since(wallEpoch)) }
 
 // ManualClock is the deterministic test clock: it starts where you

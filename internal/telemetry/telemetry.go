@@ -26,7 +26,7 @@
 //
 // Tests inject a ManualClock and assert byte-exact reports; the
 // production WallClock adapter in clock.go is the package's single
-// sanctioned wall-clock read (enforced by utlblint's nodeterm rule).
+// sanctioned wall-clock read (held by TestProgramSource).
 package telemetry
 
 import (

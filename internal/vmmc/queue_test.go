@@ -3,8 +3,11 @@ package vmmc
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"utlb/internal/obs"
 	"utlb/internal/units"
 )
 
@@ -157,6 +160,56 @@ func TestPollAllRoundRobinAcrossProcesses(t *testing.T) {
 	gb, _ := r.Read(0x200000+units.PageSize, 64)
 	if !bytes.Equal(ga, pattern(64, 1)) || !bytes.Equal(gb, pattern(64, 2)) {
 		t.Error("round-robin drain lost a command")
+	}
+}
+
+// TestPollAllOrderIsAscendingPID pins the polling order PollAll's doc
+// promises: every pass visits the non-empty command buffers round-robin
+// by ascending pid. The processes are created out of pid order, so a
+// pass in the command map's own order shows in the recorded sends.
+func TestPollAllOrderIsAscendingPID(t *testing.T) {
+	rec := obs.NewBuffer("poll-order")
+	c, err := NewCluster(Options{Nodes: 2, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := c.Node(1).NewProcess(1, "r", 0, libCfgLRU())
+	buf, _ := r.Export(0x200000, units.PageSize)
+	pids := []units.ProcID{7, 3, 11, 5, 9}
+	procs, imps := make([]*Proc, len(pids)), make([]*Imported, len(pids))
+	for i, pid := range pids {
+		if procs[i], err = c.Node(0).NewProcess(pid, fmt.Sprint("p", pid), 0, libCfgLRU()); err != nil {
+			t.Fatal(err)
+		}
+		imps[i], _ = procs[i].Import(1, buf)
+		procs[i].Write(0x100000, pattern(64, byte(pid)))
+	}
+	// Eight PollAll calls of two passes each: every pass re-reads the
+	// set of queued processes.
+	const rounds, perRound = 8, 2
+	for round := 0; round < rounds; round++ {
+		for i, p := range procs {
+			for k := 0; k < perRound; k++ {
+				if err := p.PostSend(imps[i], 0, 0x100000, 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Node(0).PollAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got, want []units.ProcID
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindSend {
+			got = append(got, ev.PID)
+		}
+	}
+	for range rounds * perRound {
+		want = append(want, 3, 5, 7, 9, 11)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sends executed in pid order %v,\nwant ascending round-robin %v", got, want)
 	}
 }
 

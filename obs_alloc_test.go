@@ -1,8 +1,8 @@
 package utlb_test
 
 // Hot-path allocation budget suite. Each test measures one steady-state
-// operation with testing.Benchmark and fails when it allocates past an
-// exact budget. The budgets are deliberately tight: every reusable
+// operation over a fixed number of runs and fails when it allocates past
+// an exact budget. The budgets are deliberately tight: every reusable
 // structure on these paths (cache storage, classifier slab, per-process
 // library scratch, the dense key table, the memoised trace store) is
 // supposed to survive across operations, so a regression here means a
@@ -25,10 +25,21 @@ import (
 	"utlb/internal/xlate"
 )
 
-// measureAllocs runs op in a benchmark and reports its allocs/op.
-func measureAllocs(f func(b *testing.B)) int64 {
-	return testing.Benchmark(f).AllocsPerOp()
+// measureAllocs reports f's allocations per call over runs calls
+// (testing.AllocsPerRun), with the collector off and after two calls to
+// warm up: a simulation scratch settles on its second run, and a
+// collection empties the sync.Pools a steady state draws from. The run
+// count is fixed, unlike a benchmark's b.N, which a loaded machine can
+// cut to one or two: then the second run's few extra allocations, or
+// one of the runtime's own, land in the per-call count.
+func measureAllocs(runs int, f func()) int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	return int64(testing.AllocsPerRun(runs, f))
 }
+
+// simRuns is how many times a budget runs a whole simulation.
+const simRuns = 10
 
 // TestSimulateRunAllocBudget is the headline budget: one full
 // trace-driven run of each design through reused scratch. A UTLB run
@@ -70,21 +81,18 @@ func TestSimulateRunAllocBudget(t *testing.T) {
 			if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil { // warm the scratch
 				t.Fatal(err)
 			}
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil {
-						b.Fatal(err)
-					}
+			run := func() {
+				if _, err := utlb.SimulateWith(tr, cfg, scr); err != nil {
+					t.Fatal(err)
 				}
-			})
+			}
 			name := fmt.Sprintf("%v at scale %.2f (%d records)", d.mech, scale, len(tr))
-			if got := res.AllocsPerOp(); got != d.allocs {
+			if got := measureAllocs(simRuns, run); got != d.allocs {
 				t.Errorf("%s: SimulateWith allocates %d/op with warm scratch, want exactly %d", name, got, d.allocs)
 			} else {
 				t.Logf("%s: SimulateWith: %d allocs/op", name, got)
 			}
-			if got := res.AllocedBytesPerOp(); got > byteBudget {
+			if got := bytesPerRun(simRuns, run); got > byteBudget {
 				t.Errorf("%s: SimulateWith allocates %d B/op with warm scratch, budget %d: a scratch-held table is being rebuilt per run", name, got, byteBudget)
 			} else {
 				t.Logf("%s: SimulateWith: %d B/op (budget %d)", name, got, byteBudget)
@@ -109,12 +117,9 @@ func TestSimulateDisabledRecorderAllocBudget(t *testing.T) {
 	}
 	cfg := utlb.DefaultSimConfig()
 	cfg.CacheEntries = 1024
-	got := measureAllocs(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := utlb.Simulate(tr, cfg); err != nil {
-				b.Fatal(err)
-			}
+	got := measureAllocs(simRuns, func() {
+		if _, err := utlb.Simulate(tr, cfg); err != nil {
+			t.Fatal(err)
 		}
 	})
 	const budget = 195 // pooled steady state measures 27; headroom for pool drain
@@ -139,21 +144,12 @@ func TestTLBCacheLookupFillAllocBudget(t *testing.T) {
 	for v := units.VPN(0); v < 4096; v++ {
 		c.Insert(tlbcache.Key{PID: 1, VPN: v}, units.PFN(v))
 	}
-	lookups := measureAllocs(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Lookup(tlbcache.Key{PID: 1, VPN: units.VPN(i % 8192)})
-		}
-	})
+	i := 0
+	lookups := measureAllocs(1000, func() { c.Lookup(tlbcache.Key{PID: 1, VPN: units.VPN(i % 8192)}); i++ })
 	if lookups > 0 {
 		t.Errorf("tlbcache.Lookup allocates %d/op, budget 0", lookups)
 	}
-	inserts := measureAllocs(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Insert(tlbcache.Key{PID: 1, VPN: units.VPN(i % 8192)}, units.PFN(i))
-		}
-	})
+	inserts := measureAllocs(1000, func() { c.Insert(tlbcache.Key{PID: 1, VPN: units.VPN(i % 8192)}, units.PFN(i)); i++ })
 	if inserts > 0 {
 		t.Errorf("tlbcache.Insert allocates %d/op on a full cache, budget 0", inserts)
 	}
@@ -187,12 +183,8 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 		return s
 	}
 	lookupAllocs := func(s *xlate.Service) int64 {
-		return measureAllocs(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Lookup(xlate.Key{PID: 1, VPN: units.VPN(i % 1024)})
-			}
-		})
+		i := 0
+		return measureAllocs(1000, func() { s.Lookup(xlate.Key{PID: 1, VPN: units.VPN(i % 1024)}); i++ })
 	}
 	// The other three operations run on a service filled to four times
 	// its capacity, so every shard is full and inserts evict: Insert
@@ -300,12 +292,9 @@ func TestGenerateCachedAllocBudget(t *testing.T) {
 	}
 	cfg := utlb.WorkloadConfig{Node: 0, FirstPID: 1, Seed: 424242, Scale: 0.05}
 	warm := spec.GenerateCached(cfg)
-	got := measureAllocs(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if tr := spec.GenerateCached(cfg); len(tr) != len(warm) {
-				b.Fatal("cache miss on warm key")
-			}
+	got := measureAllocs(1000, func() {
+		if tr := spec.GenerateCached(cfg); len(tr) != len(warm) {
+			t.Fatal("cache miss on warm key")
 		}
 	})
 	if got > 0 {
@@ -370,24 +359,21 @@ func TestSimulateRecordedAllocBudget(t *testing.T) {
 	} {
 		scr := utlb.NewSimScratch()
 		events := int64(0)
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf := utlb.NewEventBuffer("budget")
-				c.cfg.Recorder = buf
-				if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
-					b.Fatal(err)
-				}
-				events = int64(buf.Len())
+		recorded := func() {
+			buf := utlb.NewEventBuffer("budget")
+			c.cfg.Recorder = buf
+			if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if got := res.AllocsPerOp(); got > c.budget {
+			events = int64(buf.Len())
+		}
+		if got := measureAllocs(simRuns, recorded); got > c.budget {
 			t.Errorf("%s: recorded SimulateWith allocates %d/op for %d events, budget %d", c.name, got, events, c.budget)
 		} else {
 			t.Logf("%s: recorded SimulateWith: %d allocs/op for %d events (budget %d)", c.name, got, events, c.budget)
 		}
-		byteBudget := events*eventBytes*11/10 + 16<<10
-		if got := res.AllocedBytesPerOp(); got > byteBudget {
+		byteBudget := uint64(events*eventBytes*11/10 + 16<<10)
+		if got := bytesPerRun(simRuns, recorded); got > byteBudget {
 			t.Errorf("%s: recorded SimulateWith allocates %d B/op for %d events of %d B, budget %d: something besides the buffer grows with the events",
 				c.name, got, events, eventBytes, byteBudget)
 		} else {
@@ -395,15 +381,12 @@ func TestSimulateRecordedAllocBudget(t *testing.T) {
 		}
 
 		c.cfg.Recorder = nil
-		res = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
-					b.Fatal(err)
-				}
+		unrecorded := func() {
+			if _, err := utlb.SimulateWith(c.tr, c.cfg, scr); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if got := res.AllocedBytesPerOp(); got > unrecordedByte {
+		}
+		if got := bytesPerRun(simRuns, unrecorded); got > unrecordedByte {
 			t.Errorf("%s: unrecorded SimulateWith allocates %d B/op with warm scratch, budget %d: the scratch-held engine is being rebuilt per run", c.name, got, unrecordedByte)
 		} else {
 			t.Logf("%s: unrecorded SimulateWith: %d B/op (budget %d)", c.name, got, unrecordedByte)
@@ -430,15 +413,12 @@ func TestSimulatePinLimitedAllocBudget(t *testing.T) {
 	cfg.PinLimitPages = 1024
 	scr := utlb.NewSimScratch()
 	var unpins int64
-	got := measureAllocs(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := utlb.SimulateWith(tr, cfg, scr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			unpins = res.Unpins
+	got := measureAllocs(simRuns, func() {
+		res, err := utlb.SimulateWith(tr, cfg, scr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		unpins = res.Unpins
 	})
 	const budget = 32 // the unlimited run's 27 and a PinError for each of the five processes; measured 31-32
 	if unpins < 10_000 {
