@@ -39,9 +39,11 @@ test:
 # so they belong to the non-race run only: `make test` runs every one
 # of them and telemetry-smoke the translation service's. This is the
 # one -race pass over internal/{telemetry,xlate,serve} in `make check`;
-# telemetry-smoke does not repeat it.
+# telemetry-smoke does not repeat it. The service's concurrency checks
+# run three more times: each run is a different interleaving.
 race:
 	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
+	$(GO) test -race -count=3 -run 'TestConcurrentHistory|TestLookupManyMatchesSingleLookups|TestConcurrentDisjointShadows' ./internal/xlate
 
 # The repository's benchmark (bench/, a module of its own; run for real
 # with `bash bench/run.sh`) imports internal/* from outside, so an API

@@ -9,11 +9,10 @@ import "utlb/internal/units"
 // slots and a lookup touches a handful of contiguous cache lines.
 //
 // It is the simulator's one page-keyed table: the 3C classifier's
-// key→slot index (V = int32), a vm.Space's page table, a replacement
-// policy's page→position index, and the distinct-page set sim.RunWith
-// sizes host memory from (V = struct{}) are all instances. The zero Key is a
-// legal key; occupancy is tracked in a separate byte array rather than
-// by reserving a sentinel.
+// key→slot index (V = int32), a vm.Space's page table (V = pageInfo)
+// and a replacement policy's page→position index (V = int32) are its
+// instances. The zero Key is a legal key; occupancy is tracked in a
+// separate byte array rather than by reserving a sentinel.
 //
 // Iteration (Slot) runs in slot order, a function of the hash and the
 // table's history, never of a per-process random seed — but callers

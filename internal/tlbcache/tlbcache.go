@@ -63,8 +63,16 @@ const EntryBytes = 4
 // on real hardware), and the whole block is reusable across simulation
 // runs — sim.RunScratch hands the same Storage to every run it hosts,
 // so steady-state cache construction allocates nothing.
+//
+// used holds LRU stamps, compared only within a set; they come from
+// one counter, so valid lines hold distinct ones. mru flags the line
+// holding its set's largest stamp, the set's MRU line (no line, once
+// that one is cleared). A hit on the MRU line writes nothing, since
+// restamping it could not change the set's victim order; any other
+// hit restamps its line and moves the flag to it.
 type Storage struct {
 	valid []bool
+	mru   []bool
 	keys  []Key
 	pfns  []units.PFN
 	used  []int64 // LRU stamps
@@ -82,16 +90,19 @@ func NewStorage(entries int) *Storage {
 func (s *Storage) ensure(entries int) {
 	if cap(s.valid) >= entries {
 		s.valid = s.valid[:entries]
+		s.mru = s.mru[:entries]
 		s.keys = s.keys[:entries]
 		s.pfns = s.pfns[:entries]
 		s.used = s.used[:entries]
 		clear(s.valid)
+		clear(s.mru)
 		clear(s.keys)
 		clear(s.pfns)
 		clear(s.used)
 		return
 	}
 	s.valid = make([]bool, entries)
+	s.mru = make([]bool, entries)
 	s.keys = make([]Key, entries)
 	s.pfns = make([]units.PFN, entries)
 	s.used = make([]int64, entries)
@@ -100,6 +111,7 @@ func (s *Storage) ensure(entries int) {
 // clearLine empties line j.
 func (s *Storage) clearLine(j int) {
 	s.valid[j] = false
+	s.mru[j] = false
 	s.keys[j] = Key{}
 	s.pfns[j] = 0
 	s.used[j] = 0
@@ -116,13 +128,17 @@ type Result struct {
 
 // Cache is a Shared UTLB-Cache.
 type Cache struct {
+	// The fields a lookup writes come first, so that a holder placing
+	// a Cache right after its lock (xlate's shard record) keeps the
+	// lock and these in one cache line.
+	tick   int64 // last LRU stamp handed out
+	hits   int64
+	misses int64
+
 	cfg     Config
 	numSets int
 	st      *Storage // numSets * ways lines, set-major
-	tick    int64
 
-	hits          int64
-	misses        int64
 	fills         int64
 	evictions     int64
 	invalidations int64
@@ -258,11 +274,10 @@ func (c *Cache) setBase(k Key) int {
 // set width.
 func (c *Cache) Lookup(k Key) Result {
 	base := c.setBase(k)
-	c.tick++
 	for i := 0; i < c.cfg.Ways; i++ {
 		j := base + i
 		if c.st.valid[j] && c.st.keys[j] == k {
-			c.st.used[j] = c.tick
+			c.touch(base, j)
 			c.hits++
 			if c.tap != nil {
 				c.tap.Instant(obs.KindCacheHit, c.clock.Now(), k.PID, uint64(k.VPN), uint64(i+1))
@@ -275,6 +290,22 @@ func (c *Cache) Lookup(k Key) Result {
 		c.tap.Instant(obs.KindCacheMiss, c.clock.Now(), k.PID, uint64(k.VPN), uint64(c.cfg.Ways))
 	}
 	return Result{Hit: false, PFN: units.NoPFN, Probes: c.cfg.Ways}
+}
+
+// touch makes line j, hit in the set starting at base, the set's MRU
+// line. If it already is, touch writes nothing (see Storage).
+func (c *Cache) touch(base, j int) {
+	if !c.st.mru[j] {
+		c.stamp(base, j)
+	}
+}
+
+// stamp gives line j the next LRU stamp and the set's MRU flag.
+func (c *Cache) stamp(base, j int) {
+	c.tick++
+	c.st.used[j] = c.tick
+	clear(c.st.mru[base : base+c.cfg.Ways])
+	c.st.mru[j] = true
 }
 
 // Peek reports whether k is cached without touching LRU state or
@@ -303,13 +334,12 @@ func (c *Cache) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 		return Key{}, false
 	}
 	base := c.setBase(k)
-	c.tick++
 	c.fills++
 	victim := base
 	for i := base; i < base+c.cfg.Ways; i++ {
 		if c.st.valid[i] && c.st.keys[i] == k {
 			c.st.pfns[i] = pfn
-			c.st.used[i] = c.tick
+			c.stamp(base, i)
 			return Key{}, false
 		}
 		if !c.st.valid[i] {
@@ -329,7 +359,7 @@ func (c *Cache) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 	c.st.valid[victim] = true
 	c.st.keys[victim] = k
 	c.st.pfns[victim] = pfn
-	c.st.used[victim] = c.tick
+	c.stamp(base, victim)
 	if c.tap != nil {
 		if wasEvicted {
 			c.tap.Instant(obs.KindCacheEvict, c.clock.Now(), evicted.PID, uint64(evicted.VPN), 0)

@@ -3,12 +3,14 @@ package xlate
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"utlb/internal/tlbcache"
 	"utlb/internal/units"
 )
 
@@ -74,8 +76,20 @@ type histEvent struct {
 	interval
 }
 
+// role is what one recorder does: step draws its operation from cases
+// [lo, hi) of its switch, and its keys from hot (nil = the whole key
+// space).
+type role struct {
+	lo, hi int
+	hot    []Key
+}
+
+// anyOp draws every operation over the whole key space.
+var anyOp = role{0, 16, nil}
+
 // recorder runs one goroutine's share of a history.
 type recorder struct {
+	role
 	svc      translator
 	clock    *atomic.Int64
 	versions *[histPIDs * histVPNs]atomic.Uint32
@@ -85,6 +99,9 @@ type recorder struct {
 }
 
 func (r *recorder) key() Key {
+	if r.hot != nil {
+		return r.hot[r.rng.Intn(len(r.hot))]
+	}
 	return key(1+r.rng.Intn(histPIDs), r.rng.Intn(histVPNs))
 }
 
@@ -108,7 +125,7 @@ func (r *recorder) step() {
 	var op string
 	var call func()
 	// Everything the call needs is drawn before the invocation stamp.
-	switch c := r.rng.Intn(16); {
+	switch c := r.lo + r.rng.Intn(r.hi-r.lo); {
 	case c < 3:
 		kind, op, keys = 'I', "Insert", []Key{r.key()}
 		call = func() { r.svc.Insert(keys[0], pfns[0]) }
@@ -164,15 +181,15 @@ func (r *recorder) step() {
 	}
 }
 
-// recordHistory runs workers goroutines of steps operations each
+// recordHistory runs one goroutine per role, steps operations each,
 // against svc and returns every recorded event.
-func recordHistory(svc translator, workers, steps int, seed int64) []histEvent {
+func recordHistory(svc translator, steps int, seed int64, roles ...role) []histEvent {
 	var clock atomic.Int64
 	var versions [histPIDs * histVPNs]atomic.Uint32
-	recs := make([]*recorder, workers)
+	recs := make([]*recorder, len(roles))
 	var wg sync.WaitGroup
 	for w := range recs {
-		recs[w] = &recorder{svc: svc, clock: &clock, versions: &versions, rng: rand.New(rand.NewSource(seed + int64(w)))}
+		recs[w] = &recorder{role: roles[w], svc: svc, clock: &clock, versions: &versions, rng: rand.New(rand.NewSource(seed + int64(w)))}
 		wg.Add(1)
 		go func(r *recorder) {
 			defer wg.Done()
@@ -244,15 +261,57 @@ func checkHistory(events []histEvent) []string {
 	return bad
 }
 
-// TestConcurrentHistory is the history check over the real service:
-// six goroutines, every operation, a key space just over capacity so
-// that evictions, overwrites and invalidations all race with lookups.
+// TestConcurrentHistory is the history check over the real service,
+// in two phases on fresh services of 4 shards × 16 entries, 2-way.
+//
+// mixed: six goroutines, every operation, a key space just over
+// capacity so that evictions, overwrites and invalidations all race
+// with lookups.
+//
+// hot: hits that write nothing. Three goroutines LookupMany four keys,
+// one in each of four crowded sets, so most of their hits land on
+// their set's MRU line, while two more Insert, InsertMany and
+// Invalidate those keys and two more of each set, moving lines and MRU
+// flags under the readers.
 func TestConcurrentHistory(t *testing.T) {
-	svc, err := New(Config{Shards: 4, Entries: 16, Ways: 2, IndexOffset: true})
-	if err != nil {
-		t.Fatal(err)
+	newSvc := func(t *testing.T) *Service {
+		svc, err := New(Config{Shards: 4, Entries: 16, Ways: 2, IndexOffset: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
 	}
-	events := recordHistory(svc, 6, 3000, 1998)
+	t.Run("mixed", func(t *testing.T) {
+		svc := newSvc(t)
+		checkHistoryClean(t, recordHistory(svc, 3000, 1998, anyOp, anyOp, anyOp, anyOp, anyOp, anyOp))
+	})
+	t.Run("hot", func(t *testing.T) {
+		svc := newSvc(t)
+		var readKeys, writeKeys []Key
+		for _, g := range crowdedSets(svc, 4, 3) {
+			readKeys, writeKeys = append(readKeys, g[0]), append(writeKeys, g...)
+		}
+		read, write := role{11, 16, readKeys}, role{0, 7, writeKeys} // LookupMany; Insert, InsertMany, Invalidate
+		checkHistoryClean(t, recordHistory(svc, 1500, 1998, read, read, read, write, write))
+
+		// A stamp is a fill or a hit off the MRU line; the rest wrote nothing.
+		var hits, offMRU int64
+		for i := range svc.shards {
+			st := svc.shards[i].cache.Stats()
+			hits += st.Hits
+			offMRU += reflect.ValueOf(&svc.shards[i].cache).Elem().FieldByName("tick").Int() - st.Fills
+		}
+		t.Logf("%d hits, %d of them off the MRU line", hits, offMRU)
+		if 2*offMRU >= hits {
+			t.Errorf("%d of %d hits restamped their line; most should land on an MRU line", offMRU, hits)
+		}
+	})
+}
+
+// checkHistoryClean fails t unless events hold every kind and no
+// violation.
+func checkHistoryClean(t *testing.T, events []histEvent) {
+	t.Helper()
 	counts := map[byte]int{}
 	for _, ev := range events {
 		counts[ev.kind]++
@@ -263,6 +322,41 @@ func TestConcurrentHistory(t *testing.T) {
 	if bad := checkHistory(events); len(bad) > 0 {
 		t.Fatalf("%d violations in %d events, first: %s", len(bad), len(events), bad[0])
 	}
+}
+
+// crowdedSets returns the sets largest groups of the history's key
+// space that share one shard and one set of svc, cut to per keys each.
+// Two keys share a set when, in a direct-mapped cache with as many
+// sets, the second evicts the first.
+func crowdedSets(svc *Service, sets, per int) [][]Key {
+	cfg := svc.Config()
+	probe := tlbcache.New(tlbcache.Config{Entries: cfg.Entries / cfg.Ways, Ways: 1, IndexOffset: cfg.IndexOffset})
+	sameSet := func(a, b Key) bool {
+		probe.Flush()
+		probe.Insert(a, 0)
+		_, evicted := probe.Insert(b, 0)
+		return evicted
+	}
+	var groups [][]Key
+next:
+	for pid := 1; pid <= histPIDs; pid++ {
+		for vpn := 0; vpn < histVPNs; vpn++ {
+			k := key(pid, vpn)
+			for i, g := range groups {
+				if svc.shardIndex(g[0]) == svc.shardIndex(k) && sameSet(g[0], k) {
+					groups[i] = append(g, k)
+					continue next
+				}
+			}
+			groups = append(groups, []Key{k})
+		}
+	}
+	sort.SliceStable(groups, func(i, j int) bool { return len(groups[i]) > len(groups[j]) })
+	groups = groups[:sets]
+	for i, g := range groups {
+		groups[i] = g[:min(per, len(g))]
+	}
+	return groups
 }
 
 // dropsOne is the checker's negative control: a service whose
@@ -287,7 +381,7 @@ func TestHistoryCatchesDroppedInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := key(1, 0)
-	bad := checkHistory(recordHistory(dropsOne{svc, victim}, 1, 6000, 1998))
+	bad := checkHistory(recordHistory(dropsOne{svc, victim}, 6000, 1998, anyOp))
 	if len(bad) == 0 {
 		t.Fatal("a service that never invalidates one key passed the history check")
 	}

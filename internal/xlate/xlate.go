@@ -25,6 +25,7 @@ package xlate
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"utlb/internal/telemetry"
 	"utlb/internal/tlbcache"
@@ -76,12 +77,24 @@ func (c Config) shardConfig() tlbcache.Config {
 }
 
 // shard is one translation unit: a stock tlbcache behind its own
-// lock. Shards share nothing, so lookups to different shards proceed
-// fully in parallel.
+// lock, held by value in one record. Shards share nothing, not even a
+// cache line, so lookups to different shards proceed fully in
+// parallel: the lock and the counters a hit writes (the Cache's
+// leading fields) sit in the record's first line, and a tail pad of 8
+// to 64 bytes rounds the record up to whole lines. Nothing touches the
+// pad, so a shard slice that starts 8 bytes into a line (Go puts an
+// allocation header in front of a slice of over 512 bytes that holds
+// pointers) still shares no line between shards. TestShardLayout holds
+// all of this.
 type shard struct {
 	mu    sync.Mutex
-	cache *tlbcache.Cache
+	cache tlbcache.Cache
+	_     [cacheLine - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(tlbcache.Cache{}))%cacheLine]byte
 }
+
+// cacheLine is the line size of the CPUs the service targets (amd64
+// and arm64 servers).
+const cacheLine = 64
 
 // Service is a sharded, concurrent-safe translation service.
 type Service struct {
@@ -102,7 +115,7 @@ func New(cfg Config) (*Service, error) {
 		shards: make([]shard, cfg.Shards),
 	}
 	for i := range s.shards {
-		s.shards[i].cache = tlbcache.New(cfg.shardConfig())
+		s.shards[i].cache = *tlbcache.New(cfg.shardConfig())
 	}
 	return s, nil
 }
