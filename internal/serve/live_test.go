@@ -102,7 +102,9 @@ func TestLiveEndpoints(t *testing.T) {
 	if code, _ := get(t, ts, "/api/xlate/insert?keys="+strings.Join(keys, ",")); code != http.StatusOK {
 		t.Fatal("insert failed")
 	}
-	if code, body := get(t, ts, "/api/xlate/lookup?keys="+strings.Join(keys, ",")); code != http.StatusOK || !strings.Contains(body, `"hits": 64`) {
+	code, body := get(t, ts, "/api/xlate/lookup?keys="+strings.Join(keys, ","))
+	var lr xlateLookupResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &lr) != nil || lr.Hits != 64 {
 		t.Fatalf("lookup: code %d body %.200q", code, body)
 	}
 	var missKeys []string
@@ -114,7 +116,7 @@ func TestLiveEndpoints(t *testing.T) {
 	// Close window 0.
 	clk.Set(1_500_000_000)
 
-	code, body := get(t, ts, "/api/live/series")
+	code, body = get(t, ts, "/api/live/series")
 	if code != http.StatusOK {
 		t.Fatalf("series: code %d", code)
 	}
@@ -207,7 +209,8 @@ func TestXlatePostBodies(t *testing.T) {
 	ts, _ := newLiveServer(t)
 	code, body := post(t, ts, "/api/xlate/insert",
 		`{"keys":[{"pid":1,"vpn":10},{"pid":1,"vpn":11},{"pid":2,"vpn":10,"pfn":777}]}`)
-	if code != http.StatusOK || !strings.Contains(body, `"inserted": 3`) {
+	var ir xlateInsertResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &ir) != nil || ir.Inserted != 3 {
 		t.Fatalf("POST insert: code %d body %.200q", code, body)
 	}
 	code, body = post(t, ts, "/api/xlate/lookup",

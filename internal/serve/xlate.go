@@ -18,9 +18,10 @@ package serve
 // the query string is read where it lies (queryParam, scanKeys — no
 // url.Values, no strings.Split, no string per key), LookupMany fills
 // the scratch's result slice, and the reply is appended into the
-// scratch's buffer in the layout json.MarshalIndent gave it and sent
-// with one Write under an explicit Content-Length. The cold endpoints
-// (stats, /api/live/*, /api/runs) stay on writeJSON.
+// scratch's buffer as compact JSON (json.Marshal's bytes: no
+// whitespace, which the client would pay to scan) and sent with one
+// Write under an explicit Content-Length. The cold endpoints (stats,
+// /api/live/*, /api/runs) stay on writeJSON.
 
 import (
 	"encoding/json"
@@ -225,9 +226,8 @@ func (sc *xlateScratch) parseQuery(rawQuery string) error {
 // appendLookupReply appends the /api/xlate/lookup body for out:
 // lookups and hits, aggregated so high-rate clients can skip the
 // results, then one {hit, pfn, probes} per key. The bytes are those of
-// json.MarshalIndent(v, "", "  ") plus a newline over the struct this
-// replaced, whose pfn was omitempty: absent on a miss and on a hit
-// whose frame is 0.
+// json.Marshal plus a newline over the struct this replaced, whose pfn
+// was omitempty: absent on a miss and on a hit whose frame is 0.
 func appendLookupReply(b []byte, out []xlate.Result) []byte {
 	hits := 0
 	for i := range out {
@@ -235,54 +235,55 @@ func appendLookupReply(b []byte, out []xlate.Result) []byte {
 			hits++
 		}
 	}
-	b = append(b, "{\n  \"lookups\": "...)
+	b = append(b, `{"lookups":`...)
 	b = strconv.AppendInt(b, int64(len(out)), 10)
-	b = append(b, ",\n  \"hits\": "...)
+	b = append(b, `,"hits":`...)
 	b = strconv.AppendInt(b, int64(hits), 10)
-	if len(out) == 0 {
-		return append(b, ",\n  \"results\": []\n}\n"...)
-	}
-	b = append(b, ",\n  \"results\": ["...)
+	b = append(b, `,"results":[`...)
 	for i := range out {
 		res := &out[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
 		if res.Hit {
-			b = append(b, "\n    {\n      \"hit\": true"...)
+			b = append(b, `{"hit":true`...)
 			if res.PFN != 0 {
-				b = append(b, ",\n      \"pfn\": "...)
+				b = append(b, `,"pfn":`...)
 				b = strconv.AppendUint(b, uint64(res.PFN), 10)
 			}
 		} else {
-			b = append(b, "\n    {\n      \"hit\": false"...)
+			b = append(b, `{"hit":false`...)
 		}
-		b = append(b, ",\n      \"probes\": "...)
+		b = append(b, `,"probes":`...)
 		b = strconv.AppendInt(b, int64(res.Probes), 10)
-		b = append(b, "\n    }"...)
+		b = append(b, '}')
 	}
-	return append(b, "\n  ]\n}\n"...)
+	return append(b, "]}\n"...)
 }
 
-// appendCount appends one integer member of a flat JSON object in
-// MarshalIndent's layout. open is '{' for the first member and ','
-// for the rest; the caller closes the object with "\n}\n" and names
-// the members in the sorted order json gave the map[string]int these
-// replies were.
+// appendCount appends one integer member of a flat JSON object. open
+// is '{' for the first member and ',' for the rest; the caller closes
+// the object with "}\n" and names the members in the sorted order json
+// gave the map[string]int these replies were.
 func appendCount(b []byte, open byte, name string, v int) []byte {
-	b = append(b, open, '\n', ' ', ' ', '"')
+	b = append(b, open, '"')
 	b = append(b, name...)
-	b = append(b, "\": "...)
+	b = append(b, '"', ':')
 	return strconv.AppendInt(b, int64(v), 10)
 }
+
+// jsonContentType is every codec reply's Content-Type value, shared
+// read-only: Header.Set and Header.Add replace a key's slice and never
+// write into it, so storing this one saves the handler an allocation.
+var jsonContentType = []string{"application/json"}
 
 // writeReply sends a JSON body built in a scratch buffer. The length
 // is declared so net/http writes the reply as it stands: without it a
 // body past the server's 2 KB sniff-and-buffer limit (a 64-key lookup
-// is 5 KB) goes out chunk-encoded, which both ends pay to frame.
+// is 3 KB) goes out chunk-encoded, which both ends pay to frame.
 func writeReply(w http.ResponseWriter, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
@@ -309,7 +310,7 @@ func (s *Server) handleXlateInsert(w http.ResponseWriter, r *http.Request) {
 	evictions := s.xl.InsertMany(sc.keys, sc.pfns)
 	sc.buf = appendCount(sc.buf[:0], '{', "evictions", evictions)
 	sc.buf = appendCount(sc.buf, ',', "inserted", len(sc.keys))
-	sc.buf = append(sc.buf, "\n}\n"...)
+	sc.buf = append(sc.buf, "}\n"...)
 	writeReply(w, sc.buf)
 }
 
@@ -338,7 +339,7 @@ func (s *Server) handleXlateInvalidate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sc.buf = appendCount(sc.buf[:0], '{', "dropped", dropped)
-	sc.buf = append(sc.buf, "\n}\n"...)
+	sc.buf = append(sc.buf, "}\n"...)
 	writeReply(w, sc.buf)
 }
 

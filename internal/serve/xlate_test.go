@@ -39,7 +39,8 @@ func TestXlateEndpoints(t *testing.T) {
 
 	// Batched insert with synthetic frames, then batched lookup.
 	code, body = get(t, ts, "/api/xlate/insert?keys=1:42,1:43,2:42")
-	if code != http.StatusOK || !strings.Contains(body, `"inserted": 3`) {
+	var ir xlateInsertResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &ir) != nil || ir.Inserted != 3 {
 		t.Fatalf("insert: code %d body %.200q", code, body)
 	}
 	code, body = get(t, ts, "/api/xlate/lookup?keys=1:42,1:43,2:42,9:9")
@@ -71,11 +72,13 @@ func TestXlateEndpoints(t *testing.T) {
 
 	// Single-key invalidate, then process-wide invalidate.
 	code, body = get(t, ts, "/api/xlate/invalidate?pid=1&vpn=42")
-	if code != http.StatusOK || !strings.Contains(body, `"dropped": 1`) {
+	var dr xlateInvalidateResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &dr) != nil || dr.Dropped != 1 {
 		t.Fatalf("invalidate: code %d body %.200q", code, body)
 	}
 	code, body = get(t, ts, "/api/xlate/invalidate?pid=1")
-	if code != http.StatusOK || !strings.Contains(body, `"dropped": 1`) {
+	dr = xlateInvalidateResponse{}
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &dr) != nil || dr.Dropped != 1 {
 		t.Fatalf("process invalidate: code %d body %.200q", code, body)
 	}
 	_, body = get(t, ts, "/api/xlate/lookup?keys=1:42,1:43")
