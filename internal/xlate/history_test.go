@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -182,22 +183,30 @@ func (r *recorder) step() {
 }
 
 // recordHistory runs one goroutine per role, steps operations each,
-// against svc and returns every recorded event.
+// against svc and returns every recorded event. The goroutines start
+// together and yield after every step, so that on a machine with few
+// CPUs the first ones started cannot finish before the last begin (a
+// reader that runs out its steps before any writer has inserted
+// records no hit).
 func recordHistory(svc translator, steps int, seed int64, roles ...role) []histEvent {
 	var clock atomic.Int64
 	var versions [histPIDs * histVPNs]atomic.Uint32
 	recs := make([]*recorder, len(roles))
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := range recs {
 		recs[w] = &recorder{role: roles[w], svc: svc, clock: &clock, versions: &versions, rng: rand.New(rand.NewSource(seed + int64(w)))}
 		wg.Add(1)
 		go func(r *recorder) {
 			defer wg.Done()
+			<-start
 			for i := 0; i < steps; i++ {
 				r.step()
+				runtime.Gosched()
 			}
 		}(recs[w])
 	}
+	close(start)
 	wg.Wait()
 	var all []histEvent
 	for _, r := range recs {
