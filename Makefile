@@ -4,12 +4,12 @@ GO ?= go
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak telemetry-smoke clean
+.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak clean
 
 all: check
 
 # The full local gate: what CI runs, in order.
-check: vet build test race fuzz-smoke bench-smoke obs-smoke chaos overlap-soak telemetry-smoke
+check: vet build test race fuzz-smoke bench-smoke obs-smoke chaos overlap-soak
 
 # go vet, and gofmt as a gate: any file gofmt would rewrite fails the
 # target (testdata/ is exempt — a fixture may be misformatted on
@@ -37,10 +37,9 @@ test:
 # The allocation budgets (Test*AllocBudget, Test*AllocsIndependentOfEvents)
 # count the race detector's own allocations against the code under test,
 # so they belong to the non-race run only: `make test` runs every one
-# of them and telemetry-smoke the translation service's. This is the
-# one -race pass over internal/{telemetry,xlate,serve} in `make check`;
-# telemetry-smoke does not repeat it. The service's concurrency checks
-# run three more times: each run is a different interleaving.
+# of them. This is the one -race pass over internal/{telemetry,xlate,serve}
+# in `make check`. The service's concurrency checks run three more
+# times: each run is a different interleaving.
 race:
 	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
 	$(GO) test -race -count=3 -run 'TestConcurrentHistory|TestLookupManyMatchesSingleLookups|TestConcurrentDisjointShadows' ./internal/xlate
@@ -95,14 +94,12 @@ profile-rec:
 	rm -f $(ARTIFACTS)/profile/rec.trace.json
 	$(GO) tool pprof -sample_index=alloc_space -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.mprof 2>/dev/null | head -20
 
-# Observability smoke: the exporter golden-file tests (any drift in the
-# Chrome-trace, Prometheus or analysis output fails the diff), then an
-# end-to-end recorded run through the CLI, checked for determinism
-# across sequential and parallel execution, and fed back through
-# traceinfo. Artifacts stay in $(ARTIFACTS)/obs-smoke so CI can upload
-# the trace, metrics and analysis for inspection.
+# Observability smoke: an end-to-end recorded run through the CLI,
+# checked for determinism across sequential and parallel execution, and
+# fed back through traceinfo (the exporter golden-file tests run in
+# `make test`). Artifacts stay in $(ARTIFACTS)/obs-smoke so CI can
+# upload the trace, metrics and analysis for inspection.
 obs-smoke:
-	$(GO) test ./internal/obs ./internal/obs/analyze
 	rm -rf $(ARTIFACTS)/obs-smoke && mkdir -p $(ARTIFACTS)/obs-smoke
 	$(GO) run ./cmd/utlbsim -exp t6 -scale 0.05 -parallel 1 \
 		-trace-out $(ARTIFACTS)/obs-smoke/run1.json -metrics-out $(ARTIFACTS)/obs-smoke/m1.txt \
@@ -141,17 +138,6 @@ overlap-soak:
 		diff $(ARTIFACTS)/overlap/s$$seed-p1.txt $(ARTIFACTS)/overlap/s$$seed-p8.txt || exit 1; \
 	done
 	@echo "overlap: byte-identical at widths 1 and 8 for both seeds"
-
-# Live-telemetry smoke: the hot-path allocation budgets for the
-# translation service (a nil sink and an unsampled request stay at zero
-# allocs; always-sampled stays inside its bound) and the joined
-# /metrics scrape surface, byte for byte against its golden plus the
-# exposition-format rules. The window-ring/SLO/sampling suites and the
-# live-endpoint tests run in `test` and, under -race, in `race`.
-# DESIGN.md §13 documents the mechanism.
-telemetry-smoke:
-	$(GO) test -run 'TestXlateLookupAllocBudget' .
-	$(GO) test -run 'TestMetricsGolden|TestMetricsExposition' ./internal/serve
 
 clean:
 	$(GO) clean ./...

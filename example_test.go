@@ -165,7 +165,8 @@ func ExamplePolicyKind() {
 // dropped, still delivers every byte, and no host takes an interrupt.
 func ExampleFaultPlan() {
 	const nodes, size = 4, 2 * utlb.PageSize
-	cluster, err := utlb.NewCluster(utlb.ClusterOptions{Nodes: nodes, Faults: utlb.FaultPlan{DropRate: 0.2, Seed: 1}})
+	lossy := utlb.NewFaultInjector(1, utlb.FaultPlan{utlb.SiteFabricDrop: {Rate: 0.2}})
+	cluster, err := utlb.NewCluster(utlb.ClusterOptions{Nodes: nodes, Injector: lossy})
 	if err != nil {
 		log.Fatal(err)
 	}

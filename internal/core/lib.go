@@ -40,7 +40,7 @@ type LibConfig struct {
 type LibScratch struct {
 	bv  *BitVector
 	tbl *Table
-	pol *basePolicy
+	pol *Policy
 	pin []units.VPN
 }
 
@@ -57,7 +57,7 @@ func (s *LibScratch) takeTable(pid units.ProcID, mem *phys.Memory, garbage units
 
 // Policy hands out the scratch's replacement policy, emptied and
 // rebound to kind and seed, building it on first use.
-func (s *LibScratch) Policy(kind PolicyKind, seed int64) Policy {
+func (s *LibScratch) Policy(kind PolicyKind, seed int64) *Policy {
 	if s.pol == nil {
 		s.pol = newPolicy(kind, seed)
 	} else {
@@ -103,7 +103,7 @@ type Lib struct {
 	drv    *Driver
 	proc   *hostos.Process
 	bv     *BitVector
-	policy Policy
+	policy *Policy
 	prepin int
 
 	// scr.pin backs prepinList's result between Lookup calls so the

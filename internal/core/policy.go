@@ -57,34 +57,7 @@ func ParsePolicy(name string) (PolicyKind, error) {
 	return 0, fmt.Errorf("core: unknown policy %q", name)
 }
 
-// Policy tracks the set of pinned pages of one process and selects
-// eviction victims. The user-level library must only evict pages with
-// no outstanding transfer, so Victim skips pages the caller has locked
-// (see Lock/Unlock).
-type Policy interface {
-	// Kind reports which predefined policy this is.
-	Kind() PolicyKind
-	// Touch records a use of vpn. Unknown pages are ignored.
-	Touch(vpn units.VPN)
-	// Insert adds a newly pinned page to the tracked set.
-	Insert(vpn units.VPN)
-	// Remove drops an unpinned page from the tracked set.
-	Remove(vpn units.VPN)
-	// Contains reports whether vpn is tracked.
-	Contains(vpn units.VPN) bool
-	// Len reports how many pages are tracked.
-	Len() int
-	// Victim selects a page to evict, or ok=false when every tracked
-	// page is locked (or none is tracked). The victim stays tracked
-	// until Remove.
-	Victim() (vpn units.VPN, ok bool)
-	// Lock marks vpn as ineligible for eviction (outstanding send);
-	// Unlock reverses it. Locks nest.
-	Lock(vpn units.VPN)
-	Unlock(vpn units.VPN)
-}
-
-// pageMeta is the per-page state shared by all policy implementations.
+// pageMeta is one tracked page's state.
 type pageMeta struct {
 	vpn   units.VPN
 	seq   int64 // last-use stamp (LRU/MRU), insertion stamp for ties
@@ -92,10 +65,14 @@ type pageMeta struct {
 	locks int
 }
 
-// basePolicy holds the common bookkeeping; victim selection differs
-// per kind. Selection is a deterministic scan: page footprints are a
-// few thousand entries and eviction happens far less often than Touch,
-// so an O(n) victim scan keeps every policy trivially correct. The
+// Policy tracks the set of pinned pages of one process and selects
+// eviction victims, by one of the predefined kinds. The user-level
+// library must only evict pages with no outstanding transfer, so Victim
+// skips pages the caller has locked (see Lock/Unlock).
+//
+// Selection is a deterministic scan: page footprints are a few thousand
+// entries and eviction happens far less often than Touch, so an O(n)
+// victim scan keeps every policy trivially correct. The
 // tracked pages sit by value in one compact slice, so the scan walks
 // exactly Len entries however large an earlier run grew a recycled
 // policy; a tlbcache.Dense maps each page to its position, and Remove
@@ -103,7 +80,7 @@ type pageMeta struct {
 // table's slot order reaches a result: the victim orderings below are
 // total (seq stamps are unique, ties fall to the lower VPN) and RANDOM
 // sorts its candidates before drawing.
-type basePolicy struct {
+type Policy struct {
 	kind  PolicyKind
 	index *tlbcache.Dense[int32] // page → position in pages
 	pages []pageMeta
@@ -116,8 +93,8 @@ type basePolicy struct {
 // newPolicy returns a replacement policy of the given kind. seed drives
 // the RANDOM policy and is ignored by the others. Callers outside the
 // package draw one from a LibScratch.
-func newPolicy(kind PolicyKind, seed int64) *basePolicy {
-	p := &basePolicy{index: tlbcache.NewDense[int32](0)}
+func newPolicy(kind PolicyKind, seed int64) *Policy {
+	p := &Policy{index: tlbcache.NewDense[int32](0)}
 	p.reset(kind, seed)
 	return p
 }
@@ -125,23 +102,25 @@ func newPolicy(kind PolicyKind, seed int64) *basePolicy {
 // reset empties p and rebinds it as a fresh policy of the given kind,
 // keeping its storage (LibScratch recycles one policy per process
 // slot).
-func (p *basePolicy) reset(kind PolicyKind, seed int64) {
+func (p *Policy) reset(kind PolicyKind, seed int64) {
 	p.kind, p.seed, p.tick, p.rng = kind, seed, 0, nil
 	p.index.Reset()
 	p.pages = p.pages[:0]
 }
 
 // meta returns vpn's entry for in-place update, or nil when untracked.
-func (p *basePolicy) meta(vpn units.VPN) *pageMeta {
+func (p *Policy) meta(vpn units.VPN) *pageMeta {
 	if at := p.index.Ref(tlbcache.PageKey(vpn)); at != nil {
 		return &p.pages[*at]
 	}
 	return nil
 }
 
-func (p *basePolicy) Kind() PolicyKind { return p.kind }
+// Kind reports which predefined policy this is.
+func (p *Policy) Kind() PolicyKind { return p.kind }
 
-func (p *basePolicy) Touch(vpn units.VPN) {
+// Touch records a use of vpn. Unknown pages are ignored.
+func (p *Policy) Touch(vpn units.VPN) {
 	if m := p.meta(vpn); m != nil {
 		p.tick++
 		m.seq = p.tick
@@ -149,7 +128,8 @@ func (p *basePolicy) Touch(vpn units.VPN) {
 	}
 }
 
-func (p *basePolicy) Insert(vpn units.VPN) {
+// Insert adds a newly pinned page to the tracked set.
+func (p *Policy) Insert(vpn units.VPN) {
 	if at, fresh := p.index.Ensure(tlbcache.PageKey(vpn)); fresh {
 		p.tick++
 		*at = int32(len(p.pages))
@@ -157,7 +137,8 @@ func (p *basePolicy) Insert(vpn units.VPN) {
 	}
 }
 
-func (p *basePolicy) Remove(vpn units.VPN) {
+// Remove drops an unpinned page from the tracked set.
+func (p *Policy) Remove(vpn units.VPN) {
 	ref := p.index.Ref(tlbcache.PageKey(vpn))
 	if ref == nil {
 		return
@@ -171,23 +152,29 @@ func (p *basePolicy) Remove(vpn units.VPN) {
 	p.pages = p.pages[:last]
 }
 
-func (p *basePolicy) Contains(vpn units.VPN) bool { return p.meta(vpn) != nil }
+// Contains reports whether vpn is tracked.
+func (p *Policy) Contains(vpn units.VPN) bool { return p.meta(vpn) != nil }
 
-func (p *basePolicy) Len() int { return len(p.pages) }
+// Len reports how many pages are tracked.
+func (p *Policy) Len() int { return len(p.pages) }
 
-func (p *basePolicy) Lock(vpn units.VPN) {
+// Lock marks vpn as ineligible for eviction (outstanding send);
+// Unlock reverses it. Locks nest.
+func (p *Policy) Lock(vpn units.VPN) {
 	if m := p.meta(vpn); m != nil {
 		m.locks++
 	}
 }
 
-func (p *basePolicy) Unlock(vpn units.VPN) {
+func (p *Policy) Unlock(vpn units.VPN) {
 	if m := p.meta(vpn); m != nil && m.locks > 0 {
 		m.locks--
 	}
 }
 
-func (p *basePolicy) Victim() (units.VPN, bool) {
+// Victim selects a page to evict, or ok=false when every tracked page
+// is locked (or none is tracked). The victim stays tracked until Remove.
+func (p *Policy) Victim() (units.VPN, bool) {
 	if p.kind == Random {
 		return p.randomVictim()
 	}
@@ -228,7 +215,7 @@ func (p *basePolicy) Victim() (units.VPN, bool) {
 // ordering, in which case the lower VPN wins for determinism.
 func sameOrder(a, b *pageMeta) bool { return a.seq == b.seq && a.freq == b.freq }
 
-func (p *basePolicy) randomVictim() (units.VPN, bool) {
+func (p *Policy) randomVictim() (units.VPN, bool) {
 	// Deterministic under a fixed seed: collect unlocked pages in VPN
 	// order (their order in pages depends on history), then pick one
 	// uniformly.

@@ -195,7 +195,7 @@ func TestLRUOrderProperty(t *testing.T) {
 	}
 }
 
-// refPolicy is the map-backed policy basePolicy replaced, kept as the
+// refPolicy is the map-backed policy Policy replaced, kept as the
 // oracle for the differential test below. Victim selection sorts the
 // unlocked pages so Go's randomised map order cannot reach a result.
 type refPolicy struct {
@@ -281,7 +281,7 @@ func TestPolicyAgreesWithMapReference(t *testing.T) {
 		for v := units.VPN(0); v < 5000; v++ {
 			warm.Insert(v)
 		}
-		for name, p := range map[string]Policy{"fresh": newPolicy(kind, 77), "recycled": scr.Policy(kind, 77)} {
+		for name, p := range map[string]*Policy{"fresh": newPolicy(kind, 77), "recycled": scr.Policy(kind, 77)} {
 			ref := newRefPolicy(kind, 77)
 			rng := rand.New(rand.NewSource(int64(kind) + 1))
 			for op := 0; op < 6000; op++ {

@@ -36,8 +36,6 @@ type Translator struct {
 	// (§6.4); 1 disables prefetching.
 	prefetch int
 
-	lookups int64
-	misses  int64
 	swapIns int64
 }
 
@@ -49,14 +47,6 @@ func NewTranslator(drv *Driver, prefetch int) *Translator {
 	}
 	return &Translator{drv: drv, prefetch: prefetch}
 }
-
-// Prefetch reports the configured prefetch width.
-func (tr *Translator) Prefetch() int { return tr.prefetch }
-
-// Lookups and Misses report cumulative outcomes. Misses counts Shared
-// UTLB-Cache misses (the paper's "NI misses").
-func (tr *Translator) Lookups() int64 { return tr.lookups }
-func (tr *Translator) Misses() int64  { return tr.misses }
 
 // SwapIns reports how many misses required a second-level table to be
 // brought back from disk.
@@ -103,13 +93,11 @@ func Probe(nic *nicsim.NIC, cache *tlbcache.Cache, tap *obs.Tap, key tlbcache.Ke
 func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (units.PFN, TranslateInfo) {
 	nic := tr.drv.NIC()
 	cache := tr.drv.Cache()
-	tr.lookups++
 
 	res := Probe(nic, cache, tr.drv.tap, tlbcache.Key{PID: pid, VPN: vpn}, first)
 	if res.Hit {
 		return res.PFN, TranslateInfo{Hit: true, Probes: res.Probes}
 	}
-	tr.misses++
 	info := TranslateInfo{Probes: res.Probes}
 
 	// Miss: one SRAM reference for the page directory...

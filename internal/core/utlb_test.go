@@ -113,8 +113,8 @@ func TestTranslateHitAndMiss(t *testing.T) {
 	if pfn1 != want {
 		t.Errorf("translated to %d, OS says %d", pfn1, want)
 	}
-	if tr.Lookups() != 2 || tr.Misses() != 1 {
-		t.Errorf("lookups=%d misses=%d", tr.Lookups(), tr.Misses())
+	if c := r.drv.Cache(); c.Hits() != 1 || c.Misses() != 1 {
+		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
 	}
 }
 
@@ -273,8 +273,8 @@ func TestPrefetchFillsNeighbours(t *testing.T) {
 			t.Errorf("prefetched page %d missed", vpn)
 		}
 	}
-	if tr.Misses() != 1 {
-		t.Errorf("Misses = %d, want 1", tr.Misses())
+	if got := r.drv.Cache().Misses(); got != 1 {
+		t.Errorf("Misses = %d, want 1", got)
 	}
 }
 
@@ -377,13 +377,13 @@ func TestSharedCacheMultiprogramming(t *testing.T) {
 		tr.Translate(1, va.PageOf())
 		tr.Translate(2, va.PageOf())
 	}
-	missesCold := tr.Misses() // compulsory only if no conflicts
+	missesCold := r.drv.Cache().Misses() // compulsory only if no conflicts
 	// Re-touch everything: should be all hits.
 	for i := 0; i < 64; i++ {
 		tr.Translate(1, units.VPN(i))
 		tr.Translate(2, units.VPN(i))
 	}
-	if tr.Misses() != missesCold {
-		t.Errorf("steady state still missing: %d -> %d", missesCold, tr.Misses())
+	if got := r.drv.Cache().Misses(); got != missesCold {
+		t.Errorf("steady state still missing: %d -> %d", missesCold, got)
 	}
 }

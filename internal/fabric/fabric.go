@@ -1,19 +1,18 @@
 // Package fabric simulates the Myrinet-style switched point-to-point
 // network connecting cluster nodes: links with latency and bandwidth,
-// CRC-protected packets, loss/corruption injection, and the data-link
-// retransmission protocol that VMMC-2 added for reliable communication
-// (paper §4.1, "Reliable communication ... a retransmission protocol at
-// data link level").
+// CRC-protected packets, and the data-link retransmission protocol that
+// VMMC-2 added for reliable communication (paper §4.1, "Reliable
+// communication ... a retransmission protocol at data link level").
 //
-// The model is deterministic: every randomised behaviour (drops,
-// corruption) is driven by an explicitly seeded generator, so the same
+// The model is deterministic: its only randomised behaviour, wire drops
+// and corruption, comes from the seeded fault.Injector's
+// fault.SiteFabricDrop and fault.SiteFabricCorrupt points, so the same
 // configuration always produces the same schedule.
 package fabric
 
 import (
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 
 	"utlb/internal/fault"
 	"utlb/internal/obs"
@@ -97,34 +96,21 @@ func (c LinkCosts) TransferTime(n int) units.Time {
 	return c.Latency + units.Time(n+HeaderBytes)*c.PerByte
 }
 
-// FaultPlan injects faults deterministically.
-type FaultPlan struct {
-	// DropRate is the probability a packet vanishes in the switch.
-	DropRate float64
-	// CorruptRate is the probability a delivered packet has a payload
-	// byte flipped (caught by the CRC at the receiver).
-	CorruptRate float64
-	// Seed drives the fault generator.
-	Seed int64
-}
-
 // Network is the switched fabric connecting every node's NIC.
 type Network struct {
 	costs    LinkCosts
-	faults   FaultPlan
-	rng      *rand.Rand
 	handlers map[units.NodeID]Handler
 	// busyUntil serialises each sender's outbound link.
 	busyUntil map[units.NodeID]units.Time
 	// routing tracks per-pair route selection and failures (routes.go).
 	routing map[linkKey]*routeState
 
-	// dropFault/corruptFault are injected fault points layered on top
-	// of the FaultPlan rates; nil — the default — never fires.
+	// dropFault/corruptFault are the armed wire fault points; nil —
+	// the default — never fires.
 	dropFault    *fault.Point
 	corruptFault *fault.Point
-	// tap records every drop/corruption (injected or plan-driven) as an
-	// instant on the sending node's wire time; nil records nothing.
+	// tap records every drop/corruption as an instant on the sending
+	// node's wire time; nil records nothing.
 	tap *obs.Tap
 
 	sent      int64
@@ -133,14 +119,17 @@ type Network struct {
 	delivered int64
 }
 
-// NewNetwork returns a fabric with the given link model and fault plan.
-func NewNetwork(costs LinkCosts, faults FaultPlan) *Network {
+// NewNetwork returns a fabric with the given link model whose packets
+// drop and corrupt at inj's fault.SiteFabricDrop and
+// fault.SiteFabricCorrupt points. A nil inj, or one that plans neither
+// site, gives a lossless fabric.
+func NewNetwork(costs LinkCosts, inj *fault.Injector) *Network {
 	return &Network{
-		costs:     costs,
-		faults:    faults,
-		rng:       rand.New(rand.NewSource(faults.Seed)),
-		handlers:  make(map[units.NodeID]Handler),
-		busyUntil: make(map[units.NodeID]units.Time),
+		costs:        costs,
+		handlers:     make(map[units.NodeID]Handler),
+		busyUntil:    make(map[units.NodeID]units.Time),
+		dropFault:    inj.Point(fault.SiteFabricDrop),
+		corruptFault: inj.Point(fault.SiteFabricCorrupt),
 	}
 }
 
@@ -150,13 +139,6 @@ func (n *Network) Costs() LinkCosts { return n.costs }
 // Attach registers the packet handler for node id. Attaching twice
 // replaces the handler.
 func (n *Network) Attach(id units.NodeID, h Handler) { n.handlers[id] = h }
-
-// SetFaultPoints arms injected drop/corruption points on top of the
-// FaultPlan rates. Either may be nil (disabled).
-func (n *Network) SetFaultPoints(drop, corrupt *fault.Point) {
-	n.dropFault = drop
-	n.corruptFault = corrupt
-}
 
 // SetTap attaches the recording handle (nil detaches): wire faults are
 // recorded as instants on the nic track of the sending node.
@@ -192,29 +174,17 @@ func (n *Network) Transmit(pkt *Packet, depart units.Time) (units.Time, bool) {
 	arrival := start + n.costs.TransferTime(len(pkt.Payload))
 	n.busyUntil[pkt.Src] = start + units.Time(pkt.WireBytes())*n.costs.PerByte
 
-	// Injected drops (fault.SiteFabricDrop) check first; when the
-	// point is nil the plan-driven coin flips exactly as before.
-	if n.dropFault.Fire() ||
-		(n.faults.DropRate > 0 && n.rng.Float64() < n.faults.DropRate) {
+	if n.dropFault.Fire() {
 		n.dropped++
 		n.tap.InstantOn(pkt.Src, obs.KindFaultDrop, start, uint64(pkt.WireBytes()))
 		return arrival, false
 	}
 	delivered := *pkt
 	delivered.Payload = append([]byte(nil), pkt.Payload...)
-	corrupt := false
-	if len(delivered.Payload) > 0 {
-		if n.corruptFault.Fire() {
-			// Injected corruption flips the first byte; any flip is
-			// equivalent under the receiver's CRC check.
-			corrupt = true
-			delivered.Payload[0] ^= 0xff
-		} else if n.faults.CorruptRate > 0 && n.rng.Float64() < n.faults.CorruptRate {
-			corrupt = true
-			delivered.Payload[n.rng.Intn(len(delivered.Payload))] ^= 0xff
-		}
-	}
-	if corrupt {
+	if len(delivered.Payload) > 0 && n.corruptFault.Fire() {
+		// Corruption flips the first byte; any flip is equivalent
+		// under the receiver's CRC check.
+		delivered.Payload[0] ^= 0xff
 		n.corrupted++
 		n.tap.InstantOn(pkt.Src, obs.KindFaultCorrupt, start, uint64(pkt.WireBytes()))
 	}

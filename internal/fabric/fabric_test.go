@@ -7,8 +7,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"utlb/internal/fault"
 	"utlb/internal/units"
 )
+
+// lossy returns a network whose packets drop and corrupt at the given
+// rates, drawn by an injector seeded with seed.
+func lossy(seed int64, drop, corrupt float64) *Network {
+	return NewNetwork(DefaultLinkCosts(), fault.NewInjector(seed, fault.Plan{
+		fault.SiteFabricDrop:    {Rate: drop},
+		fault.SiteFabricCorrupt: {Rate: corrupt},
+	}))
+}
 
 func TestPacketSealIntact(t *testing.T) {
 	p := &Packet{Payload: []byte("hello")}
@@ -45,7 +55,7 @@ func TestTransferTime(t *testing.T) {
 }
 
 func TestTransmitDelivers(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	var got *Packet
 	var at units.Time
 	n.Attach(2, func(p *Packet, arrival units.Time) { got, at = p, arrival })
@@ -73,7 +83,7 @@ func TestTransmitDelivers(t *testing.T) {
 }
 
 func TestTransmitUnknownDestination(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	if _, ok := n.Transmit(&Packet{Dst: 99}, 0); ok {
 		t.Error("delivery to unattached node")
 	}
@@ -83,7 +93,7 @@ func TestLinkSerialisation(t *testing.T) {
 	// Two back-to-back packets from the same source must not overlap
 	// on the outbound link: the second arrives later than it would
 	// alone.
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	n.Attach(2, func(*Packet, units.Time) {})
 	big := make([]byte, 4096)
 	a1, _ := n.Transmit(&Packet{Src: 1, Dst: 2, Payload: big}, 0)
@@ -95,7 +105,7 @@ func TestLinkSerialisation(t *testing.T) {
 
 func TestDropInjectionDeterministic(t *testing.T) {
 	run := func() (int64, int64) {
-		n := NewNetwork(DefaultLinkCosts(), FaultPlan{DropRate: 0.5, Seed: 42})
+		n := lossy(42, 0.5, 0)
 		n.Attach(2, func(*Packet, units.Time) {})
 		for i := 0; i < 100; i++ {
 			n.Transmit(&Packet{Src: 1, Dst: 2, Payload: []byte{1}}, 0)
@@ -117,7 +127,7 @@ func TestDropInjectionDeterministic(t *testing.T) {
 }
 
 func TestCorruptionCaughtByCRC(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{CorruptRate: 1.0, Seed: 7})
+	n := lossy(7, 0, 1.0)
 	var intact, broken int
 	n.Attach(2, func(p *Packet, _ units.Time) {
 		if p.Intact() {
@@ -134,8 +144,37 @@ func TestCorruptionCaughtByCRC(t *testing.T) {
 	}
 }
 
+// An exact schedule reaches the wire packet for packet: Every: 3 drops
+// packets 3, 6, ..., 30 of 30, and Every: 2 corrupts every other
+// delivered packet, which the receiver's CRC catches.
+func TestFaultSchedulesOnTheWire(t *testing.T) {
+	n := NewNetwork(DefaultLinkCosts(), fault.NewInjector(1, fault.Plan{
+		fault.SiteFabricDrop:    {Every: 3},
+		fault.SiteFabricCorrupt: {Every: 2},
+	}))
+	var intact []bool
+	n.Attach(2, func(p *Packet, _ units.Time) { intact = append(intact, p.Intact()) })
+	for i := 1; i <= 30; i++ {
+		pkt := &Packet{Src: 1, Dst: 2, Payload: []byte{byte(i)}}
+		pkt.Seal()
+		if _, ok := n.Transmit(pkt, 0); ok == (i%3 == 0) {
+			t.Errorf("packet %d: delivered = %v, want %v", i, ok, i%3 != 0)
+		}
+	}
+	sent, delivered, dropped, corrupted := n.Stats()
+	if sent != 30 || delivered != 20 || dropped != 10 || corrupted != 10 {
+		t.Errorf("Stats = sent %d, delivered %d, dropped %d, corrupted %d; want 30, 20, 10, 10",
+			sent, delivered, dropped, corrupted)
+	}
+	for i, ok := range intact {
+		if ok != (i%2 == 0) {
+			t.Errorf("delivery %d: CRC intact = %v, want %v", i+1, ok, i%2 == 0)
+		}
+	}
+}
+
 func TestReliableDeliveryCleanLink(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	clkA, clkB := units.NewClock(), units.NewClock()
 	var got []byte
 	var gotTag uint64
@@ -162,7 +201,7 @@ func TestReliableDeliveryCleanLink(t *testing.T) {
 }
 
 func TestReliableDeliveryLossyLink(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{DropRate: 0.4, Seed: 123})
+	n := lossy(123, 0.4, 0)
 	clkA, clkB := units.NewClock(), units.NewClock()
 	var delivered [][]byte
 	NewEndpoint(2, n, clkB, units.FromMicros(50), func(_ units.NodeID, p []byte, _ uint64, _ units.Time) {
@@ -188,7 +227,7 @@ func TestReliableDeliveryLossyLink(t *testing.T) {
 }
 
 func TestReliableDeliveryCorruptingLink(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{CorruptRate: 0.3, Seed: 9})
+	n := lossy(9, 0, 0.3)
 	clkA, clkB := units.NewClock(), units.NewClock()
 	var count int
 	NewEndpoint(2, n, clkB, units.FromMicros(50), func(_ units.NodeID, p []byte, _ uint64, _ units.Time) {
@@ -210,7 +249,7 @@ func TestReliableDeliveryCorruptingLink(t *testing.T) {
 }
 
 func TestReliableLinkDead(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{DropRate: 1.0, Seed: 1})
+	n := lossy(1, 1.0, 0)
 	clkA, clkB := units.NewClock(), units.NewClock()
 	NewEndpoint(2, n, clkB, units.FromMicros(50), nil)
 	a := NewEndpoint(1, n, clkA, units.FromMicros(50), nil)
@@ -221,7 +260,7 @@ func TestReliableLinkDead(t *testing.T) {
 }
 
 func TestReliableOversizePayload(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	a := NewEndpoint(1, n, units.NewClock(), units.FromMicros(50), nil)
 	if err := a.Send(2, make([]byte, MTU+1), 0); err == nil {
 		t.Error("oversize payload accepted")
@@ -236,11 +275,9 @@ func TestReliableDeliveryProperty(t *testing.T) {
 		// Keep combined loss low enough that exhausting the 16-attempt
 		// retransmit budget is cryptographically unlikely; the
 		// budget-exhaustion path has its own test.
-		n := NewNetwork(DefaultLinkCosts(), FaultPlan{
-			DropRate:    float64(dropRaw%30) / 100,    // 0-29%
-			CorruptRate: float64(corruptRaw%20) / 100, // 0-19%
-			Seed:        seed,
-		})
+		n := lossy(seed,
+			float64(dropRaw%30)/100,    // 0-29%
+			float64(corruptRaw%20)/100) // 0-19%
 		clkA, clkB := units.NewClock(), units.NewClock()
 		var got [][]byte
 		NewEndpoint(2, n, clkB, units.FromMicros(50), func(_ units.NodeID, p []byte, _ uint64, _ units.Time) {

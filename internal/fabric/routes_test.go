@@ -7,7 +7,7 @@ import (
 )
 
 func TestRouteLifecycle(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	if n.CurrentRoute(1, 2) != 0 {
 		t.Error("fresh pair should use route 0")
 	}
@@ -38,7 +38,7 @@ func TestRouteLifecycle(t *testing.T) {
 }
 
 func TestRouteFailureIsDirectional(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	n.FailRoute(1, 2, 0)
 	if n.RouteDead(2, 1) {
 		t.Error("reverse direction affected")
@@ -46,7 +46,7 @@ func TestRouteFailureIsDirectional(t *testing.T) {
 }
 
 func TestTransmitDropsOnDeadRoute(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	delivered := 0
 	n.Attach(2, func(*Packet, units.Time) { delivered++ })
 	n.FailRoute(1, 2, 0)
@@ -64,7 +64,7 @@ func TestTransmitDropsOnDeadRoute(t *testing.T) {
 }
 
 func TestEndpointRecoversAfterExternalRemap(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{})
+	n := NewNetwork(DefaultLinkCosts(), nil)
 	clkA, clkB := units.NewClock(), units.NewClock()
 	var got int
 	NewEndpoint(2, n, clkB, units.FromMicros(50), func(units.NodeID, []byte, uint64, units.Time) { got++ })

@@ -39,7 +39,7 @@ func TestSerialNumberComparisons(t *testing.T) {
 // arithmetic must carry a lossy stop-and-wait stream across the
 // boundary without losing or duplicating a payload.
 func TestReliableDeliveryAcrossSeqWraparound(t *testing.T) {
-	n := NewNetwork(DefaultLinkCosts(), FaultPlan{DropRate: 0.3, Seed: 5})
+	n := lossy(5, 0.3, 0)
 	clkA, clkB := units.NewClock(), units.NewClock()
 	var got []byte
 	b := NewEndpoint(2, n, clkB, units.FromMicros(50), func(_ units.NodeID, p []byte, _ uint64, _ units.Time) {

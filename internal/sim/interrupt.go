@@ -34,7 +34,7 @@ type interrupt struct {
 	cache *tlbcache.Cache
 	procs []intrProc // by process slot
 
-	lookups, misses, pins, unpins int64
+	lookups, pins, unpins int64
 	// handlerTime is host time spent in the interrupt handler: dispatch
 	// plus the kernel's pin and unpin work.
 	handlerTime units.Time
@@ -43,7 +43,7 @@ type interrupt struct {
 // intrProc is one process slot of the baseline.
 type intrProc struct {
 	proc   *hostos.Process
-	policy core.Policy // LRU over the process' pinned (== cached) pages
+	policy *core.Policy // LRU over the process' pinned (== cached) pages
 }
 
 func newInterrupt(r *run) (mechanism, int, error) {
@@ -85,7 +85,6 @@ func (m *interrupt) translate(pid units.ProcID, vpns []units.VPN, infos []core.T
 			m.r.scr.pfns[i], infos[i] = res.PFN, core.TranslateInfo{Hit: true}
 			continue
 		}
-		m.misses++
 		taken := host.EnterInterrupt()
 		pfn, err := m.handleMiss(s, key)
 		host.LeaveInterrupt(taken)
@@ -154,6 +153,6 @@ func (m *interrupt) unpin(s int, vpn units.VPN) error {
 }
 
 func (m *interrupt) finish(res *Result) {
-	res.Lookups, res.NIMisses = m.lookups, m.misses
+	res.Lookups, res.NIMisses = m.lookups, m.cache.Misses()
 	res.Pins, res.Unpins, res.PinTime = m.pins, m.unpins, m.handlerTime
 }

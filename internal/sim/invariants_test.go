@@ -180,7 +180,6 @@ func (m leakyInterrupt) translate(pid units.ProcID, vpns []units.VPN, infos []co
 			infos[i] = core.TranslateInfo{Hit: true}
 			continue
 		}
-		m.misses++
 		pfn, err := m.pin(s, vpn)
 		if err != nil {
 			return err

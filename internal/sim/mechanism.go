@@ -141,7 +141,7 @@ func (m *sharedCache) finish(res *Result) {
 	for _, lib := range m.libs {
 		res.addLib(lib.Stats())
 	}
-	res.NIMisses = m.translator.Misses()
+	res.NIMisses = m.drv.Cache().Misses() // the paper's "NI misses"
 }
 
 // addLib folds one user-level library's counters into r.

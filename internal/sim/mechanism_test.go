@@ -288,7 +288,7 @@ func TestPerProcessRejects(t *testing.T) {
 	}
 	// Tables that do not fit in NIC SRAM fail the run (§3.1's size
 	// limitation), they are not truncated.
-	if _, err := Run(tr, designCfg(PerProcess, 1<<18)); err == nil {
-		t.Error("a 1 MB table fit into what 1 MB of SRAM has left")
+	if _, err := Run(tr, designCfg(PerProcess, 1<<18+1)); err == nil {
+		t.Error("a table one entry over 1 MB fit into 1 MB of SRAM")
 	}
 }

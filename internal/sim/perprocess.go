@@ -7,7 +7,6 @@ import (
 
 	"utlb/internal/core"
 	"utlb/internal/hostos"
-	"utlb/internal/tlbcache"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 	"utlb/internal/vm"
@@ -25,11 +24,9 @@ import (
 // itself leaves open (§7).
 type perProcess struct {
 	r *run
-	// drv pins and unpins through its ioctls and owns the garbage frame.
-	// It builds its Shared UTLB-Cache regardless; this design never
-	// probes it, so the smallest one will do.
-	drv   *core.Driver
-	slots []ppSlot // by process slot; each keeps what its last run grew
+	// garbage is the frame an invalid table slot resolves to.
+	garbage units.PFN
+	slots   []ppSlot // by process slot; each keeps what its last run grew
 	// indices are the table slots of the record being replayed, page by
 	// page from first: what the user posts with the request.
 	indices []int
@@ -40,7 +37,7 @@ type perProcess struct {
 type ppSlot struct {
 	proc    *hostos.Process
 	tree    core.LookupTree
-	policy  core.Policy
+	policy  *core.Policy
 	table   []units.PFN // the SRAM translation table; NoPFN = garbage
 	free    []int       // free table slots, the next one last
 	missing []units.VPN // post's scratch: the pages it must install
@@ -64,24 +61,19 @@ func validateTables(cfg Config) error {
 }
 
 func newPerProcess(r *run) (mechanism, int, error) {
-	drv, err := core.NewDriverWith(r.host, r.nic, tlbcache.Config{Entries: 16, Ways: 1}, r.scr.storage())
+	garbage, err := r.host.Memory().Alloc()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("sim: allocating garbage page: %w", err)
 	}
-	drv.SetTap(r.tap)
 	m := &r.scr.perProcess
-	*m = perProcess{r: r, drv: drv, slots: m.slots[:0], indices: m.indices[:0]}
+	*m = perProcess{r: r, garbage: garbage, slots: m.slots[:0], indices: m.indices[:0]}
 	return m, 1, nil
 }
 
-// attach registers proc with the driver and reserves its table in NIC
-// SRAM. The table starts out all garbage, so the NIC never needs to
-// validate a user-supplied index (§4.2).
+// attach reserves proc's table in NIC SRAM. The table starts out all
+// garbage, so the NIC never needs to validate a user-supplied index
+// (§4.2).
 func (m *perProcess) attach(i int, proc *hostos.Process) error {
-	scr := m.r.scr.libScratch(i)
-	if _, err := m.drv.Register(proc, scr); err != nil {
-		return err
-	}
 	entries := m.r.cfg.CacheEntries
 	if err := m.r.nic.ReserveSRAM(entries * 4); err != nil {
 		return fmt.Errorf("sim: reserving per-process table SRAM: %w", err)
@@ -90,7 +82,7 @@ func (m *perProcess) attach(i int, proc *hostos.Process) error {
 	s := &m.slots[i]
 	s.proc, s.stats, s.fragPairs, s.fragTotal = proc, core.LibStats{}, 0, 0
 	s.tree.Reset(m.r.host.Costs(), m.r.host.Clock())
-	s.policy = scr.Policy(m.r.cfg.Policy, m.r.cfg.Seed)
+	s.policy = m.r.scr.libScratch(i).Policy(m.r.cfg.Policy, m.r.cfg.Seed)
 	s.table, s.free = s.table[:0], s.free[:0]
 	for j := 0; j < entries; j++ {
 		s.table = append(s.table, units.NoPFN)
@@ -160,7 +152,7 @@ func (m *perProcess) install(s *ppSlot, p units.VPN) (int, error) {
 		idx := s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
 		t0 := clock.Now()
-		pfns, err := m.drv.IoctlPin(s.proc, []units.VPN{p})
+		pfns, err := m.r.host.PinPages(s.proc, []units.VPN{p})
 		s.stats.PinTime += clock.Now() - t0
 		if err == nil {
 			s.stats.PagesPinned++
@@ -191,7 +183,7 @@ func (m *perProcess) evict(s *ppSlot) error {
 	}
 	clock := m.r.host.Clock()
 	t0 := clock.Now()
-	err := m.drv.IoctlUnpin(s.proc, []units.VPN{victim})
+	err := m.r.host.UnpinPages(s.proc, []units.VPN{victim})
 	s.stats.UnpinTime += clock.Now() - t0
 	if err != nil {
 		return err
@@ -212,7 +204,7 @@ func (m *perProcess) translate(pid units.ProcID, vpns []units.VPN, infos []core.
 	table := m.slots[m.r.slot(pid)].table
 	for i, vpn := range vpns {
 		m.r.nic.ChargeProbes(1)
-		pfn := m.drv.Garbage()
+		pfn := m.garbage
 		if idx := m.indices[vpn-m.first]; idx >= 0 && idx < len(table) && table[idx] != units.NoPFN {
 			pfn = table[idx]
 		}

@@ -99,8 +99,8 @@ func TestPerProcessGarbageIndexes(t *testing.T) {
 	// frame — the §4.2 scheme that saves the NIC from validating
 	// user-submitted indices.
 	for _, idx := range []int{-1, 3, 8, 100} {
-		if got := frameAt(r, m, idx); got != m.drv.Garbage() {
-			t.Errorf("slot %d resolves to %d, want garbage %d", idx, got, m.drv.Garbage())
+		if got := frameAt(r, m, idx); got != m.garbage {
+			t.Errorf("slot %d resolves to %d, want garbage %d", idx, got, m.garbage)
 		}
 	}
 }
@@ -111,9 +111,26 @@ func TestPerProcessSRAMAccounting(t *testing.T) {
 	if err := attachNext(t, r, m, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := free - 128*4 - core.DirSRAMBytes // table + driver registration
-	if r.nic.SRAMFree() != want {
+	if want := free - 128*4; r.nic.SRAMFree() != want { // the table and nothing else
 		t.Errorf("SRAMFree = %d, want %d", r.nic.SRAMFree(), want)
+	}
+}
+
+// Tables that together fill the NIC's 1 MB of SRAM exactly still run:
+// the design reserves its tables and nothing else, no page directory
+// and no translation cache.
+func TestPerProcessTablesFillSRAMExactly(t *testing.T) {
+	const procs, entries = 4, 65536 // 4 × 65,536 entries × 4 B = 1 MB
+	var tr trace.Trace
+	for pid := units.ProcID(1); pid <= procs; pid++ {
+		tr = append(tr, trace.Record{Time: units.Time(pid), PID: pid, Bytes: units.PageSize})
+	}
+	res, err := Run(tr, designCfg(PerProcess, entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lookups != procs || res.Pins != procs {
+		t.Errorf("Lookups = %d, Pins = %d; want %d each", res.Lookups, res.Pins, procs)
 	}
 }
 

@@ -37,17 +37,11 @@ type Options struct {
 	Nodes int
 	// HostMemBytes is per-node physical memory (default 64 MB).
 	HostMemBytes int64
-	// NICSRAMBytes is per-node NIC SRAM (default 1 MB, as on Myrinet).
-	NICSRAMBytes int
 	// CacheEntries is the Shared UTLB-Cache size (default 8 K).
 	CacheEntries int
 	// NoIndexOffset disables the per-process cache index offsetting of
 	// §3.2 (the "direct-nohash" configuration, for ablation).
 	NoIndexOffset bool
-	// Prefetch is the UTLB miss prefetch width (default 1).
-	Prefetch int
-	// Faults injects network loss/corruption.
-	Faults fabric.FaultPlan
 	// Injector, when non-nil, arms the deterministic fault points
 	// (fault.Site*) across every layer of the cluster: host pin
 	// failures, NIC SRAM exhaustion, cache-fill DMA errors, and wire
@@ -55,14 +49,19 @@ type Options struct {
 	// execution is single-goroutine); unplanned sites stay nil and
 	// cost nothing.
 	Injector *fault.Injector
-	// RetransmitTimeout for the reliable link layer (default 50 µs).
-	RetransmitTimeout units.Time
 	// Recorder, when non-nil, receives the event timeline of every node
 	// (cache traffic, DMA, pins, interrupts, firmware send/recv/notify).
 	// Cluster construction is single-goroutine per cluster, so one
 	// recorder serves all nodes; events are tagged with their NodeID.
 	Recorder obs.Recorder
 }
+
+// Every node has Myrinet's 1 MB of NIC SRAM and retransmits a lost
+// packet after 50 µs.
+const (
+	nicSRAMBytes      = units.MB
+	retransmitTimeout = 50 * units.Microsecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Nodes <= 0 {
@@ -71,17 +70,8 @@ func (o Options) withDefaults() Options {
 	if o.HostMemBytes == 0 {
 		o.HostMemBytes = 64 * units.MB
 	}
-	if o.NICSRAMBytes == 0 {
-		o.NICSRAMBytes = units.MB
-	}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 8192
-	}
-	if o.Prefetch < 1 {
-		o.Prefetch = 1
-	}
-	if o.RetransmitTimeout == 0 {
-		o.RetransmitTimeout = units.FromMicros(50)
 	}
 	return o
 }
@@ -106,11 +96,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
 	c := &Cluster{
 		opts: opts,
-		net:  fabric.NewNetwork(fabric.DefaultLinkCosts(), opts.Faults),
+		net:  fabric.NewNetwork(fabric.DefaultLinkCosts(), opts.Injector),
 	}
-	c.net.SetFaultPoints(
-		opts.Injector.Point(fault.SiteFabricDrop),
-		opts.Injector.Point(fault.SiteFabricCorrupt))
 	c.tap = obs.NewTap(opts.Recorder, 0)
 	c.net.SetTap(c.tap)
 	for i := 0; i < opts.Nodes; i++ {
@@ -195,7 +182,7 @@ func newNode(c *Cluster, id units.NodeID, opts Options) (*Node, error) {
 	host := hostos.New(id, opts.HostMemBytes, hostos.DefaultCosts())
 	nicClock := units.NewClock()
 	ioBus := bus.New(host.Memory(), nicClock, bus.DefaultCosts())
-	nic := nicsim.New(id, opts.NICSRAMBytes, nicClock, ioBus, nicsim.DefaultCosts())
+	nic := nicsim.New(id, nicSRAMBytes, nicClock, ioBus, nicsim.DefaultCosts())
 	// Arm the per-layer fault points (nil when opts.Injector is nil or
 	// the site is unplanned — the zero-overhead default). The NIC point
 	// is armed after driver construction so the cache's own SRAM
@@ -221,14 +208,14 @@ func newNode(c *Cluster, id units.NodeID, opts Options) (*Node, error) {
 		host:         host,
 		nic:          nic,
 		drv:          drv,
-		tr:           core.NewTranslator(drv, opts.Prefetch),
+		tr:           core.NewTranslator(drv, 1), // no miss prefetching
 		procs:        make(map[units.ProcID]*Proc),
 		exports:      make(map[BufferID]*export),
 		pendingFetch: make(map[uint32]*fetchState),
 		nextBuf:      1,
 		tap:          tap,
 	}
-	n.ep = fabric.NewEndpoint(id, c.net, nicClock, opts.RetransmitTimeout, n.receive)
+	n.ep = fabric.NewEndpoint(id, c.net, nicClock, retransmitTimeout, n.receive)
 	return n, nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"utlb/internal/core"
-	"utlb/internal/fabric"
+	"utlb/internal/fault"
 	"utlb/internal/units"
 )
 
@@ -221,8 +221,8 @@ func TestUnexport(t *testing.T) {
 }
 
 func TestLossyNetworkStillDeliversExactlyOnce(t *testing.T) {
-	_, sender, receiver := pair(t, Options{
-		Faults: fabric.FaultPlan{DropRate: 0.3, Seed: 11},
+	c, sender, receiver := pair(t, Options{
+		Injector: fault.NewInjector(11, fault.Plan{fault.SiteFabricDrop: {Rate: 0.3}}),
 	})
 	const n = 4 * units.PageSize
 	buf, _ := receiver.Export(0x200000, n)
@@ -240,13 +240,16 @@ func TestLossyNetworkStillDeliversExactlyOnce(t *testing.T) {
 	if rb != int64(n) {
 		t.Errorf("Received = %d, want exactly %d (no duplicates)", rb, n)
 	}
+	if _, _, dropped, _ := c.Network().Stats(); dropped == 0 {
+		t.Error("no packet dropped at a 30% drop rate")
+	}
 }
 
 func TestCorruptingNetworkRecovers(t *testing.T) {
-	_, sender, receiver := pair(t, Options{
-		Faults: fabric.FaultPlan{CorruptRate: 0.2, Seed: 13},
+	c, sender, receiver := pair(t, Options{
+		Injector: fault.NewInjector(13, fault.Plan{fault.SiteFabricCorrupt: {Rate: 0.2}}),
 	})
-	const n = 2 * units.PageSize
+	const n = 16 * units.PageSize
 	buf, _ := receiver.Export(0x200000, n)
 	imp, _ := sender.Import(1, buf)
 	data := pattern(n, 4)
@@ -257,6 +260,9 @@ func TestCorruptingNetworkRecovers(t *testing.T) {
 	got, _ := receiver.Read(0x200000, n)
 	if !bytes.Equal(got, data) {
 		t.Fatal("corruption leaked through CRC + retransmission")
+	}
+	if _, _, _, corrupted := c.Network().Stats(); corrupted == 0 {
+		t.Error("no packet corrupted at a 20% corruption rate")
 	}
 }
 
@@ -358,10 +364,7 @@ func TestMultiProcessSameNode(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Nodes != 2 || o.CacheEntries != 8192 || o.Prefetch != 1 {
+	if o.Nodes != 2 || o.HostMemBytes != 64*units.MB || o.CacheEntries != 8192 {
 		t.Errorf("defaults = %+v", o)
-	}
-	if o.HostMemBytes == 0 || o.NICSRAMBytes == 0 || o.RetransmitTimeout == 0 {
-		t.Errorf("zero defaults: %+v", o)
 	}
 }

@@ -313,25 +313,18 @@ func SyntheticPFN(k Key) units.PFN {
 }
 
 // Counters is one shard's (or the whole service's) cumulative counter
-// snapshot. Lookups is Hits+Misses, kept explicit so consumers need no
-// arithmetic. Occupancy is the instantaneous valid-entry count.
+// snapshot: the cache's own counts, with Lookups (Hits+Misses) first so
+// consumers need no arithmetic. Occupancy is the instantaneous
+// valid-entry count.
 type Counters struct {
-	Lookups       int64 `json:"lookups"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Fills         int64 `json:"fills"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	Occupancy     int64 `json:"occupancy"`
+	Lookups int64 `json:"lookups"`
+	tlbcache.Stats
+	Occupancy int64 `json:"occupancy"`
 }
 
 func (c *Counters) add(other Counters) {
 	c.Lookups += other.Lookups
-	c.Hits += other.Hits
-	c.Misses += other.Misses
-	c.Fills += other.Fills
-	c.Evictions += other.Evictions
-	c.Invalidations += other.Invalidations
+	c.Stats.Add(other.Stats)
 	c.Occupancy += other.Occupancy
 }
 
@@ -380,15 +373,7 @@ func (s *Service) Stats() Stats {
 		st.PerShard[i] = ShardStats{
 			Shard:    i,
 			Capacity: int64(s.cfg.Entries),
-			Counters: Counters{
-				Lookups:       cs.Hits + cs.Misses,
-				Hits:          cs.Hits,
-				Misses:        cs.Misses,
-				Fills:         cs.Fills,
-				Evictions:     cs.Evictions,
-				Invalidations: cs.Invalidations,
-				Occupancy:     int64(occ),
-			},
+			Counters: Counters{Lookups: cs.Hits + cs.Misses, Stats: cs, Occupancy: int64(occ)},
 		}
 		if st.PerShard[i].Capacity > 0 {
 			st.PerShard[i].OccupancyPermille = int64(occ) * 1000 / st.PerShard[i].Capacity

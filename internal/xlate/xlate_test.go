@@ -85,15 +85,7 @@ func TestOneShardDegeneratesToBareCache(t *testing.T) {
 
 	st := svc.Stats()
 	cs := bare.Stats()
-	want := Counters{
-		Lookups:       cs.Hits + cs.Misses,
-		Hits:          cs.Hits,
-		Misses:        cs.Misses,
-		Fills:         cs.Fills,
-		Evictions:     cs.Evictions,
-		Invalidations: cs.Invalidations,
-		Occupancy:     int64(bare.Occupancy()),
-	}
+	want := Counters{Lookups: cs.Hits + cs.Misses, Stats: cs, Occupancy: int64(bare.Occupancy())}
 	if got := fmt.Sprintf("%+v", st.Total); got != fmt.Sprintf("%+v", want) {
 		t.Fatalf("one-shard totals diverged from bare cache:\n got %s\nwant %+v", got, want)
 	}

@@ -29,7 +29,7 @@ import (
 
 	"utlb/internal/core"
 	"utlb/internal/experiments"
-	"utlb/internal/fabric"
+	"utlb/internal/fault"
 	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
 	"utlb/internal/parallel"
@@ -77,8 +77,9 @@ type (
 	BufferID = vmmc.BufferID
 	// Imported is a handle on a remote receive buffer.
 	Imported = vmmc.Imported
-	// FaultPlan injects network loss and corruption.
-	FaultPlan = fabric.FaultPlan
+	// FaultPlan maps fault sites to their rates and schedules; arm it
+	// with NewFaultInjector and ClusterOptions.Injector.
+	FaultPlan = fault.Plan
 	// LibConfig selects a process' replacement policy and pre-pinning.
 	LibConfig = core.LibConfig
 	// PolicyKind names a replacement policy.
@@ -94,8 +95,24 @@ const (
 	Random = core.Random
 )
 
+// Fault sites a cluster arms from its injector (DESIGN.md §10).
+const (
+	SiteHostPin       = fault.SiteHostPin
+	SiteNICSRAM       = fault.SiteNICSRAM
+	SiteCacheFill     = fault.SiteCacheFill
+	SiteFabricDrop    = fault.SiteFabricDrop
+	SiteFabricCorrupt = fault.SiteFabricCorrupt
+)
+
 // NewCluster builds a simulated cluster.
 func NewCluster(opts ClusterOptions) (*Cluster, error) { return vmmc.NewCluster(opts) }
+
+// NewFaultInjector arms plan for one cluster: each site fires on its
+// own stream drawn from seed, so the same seed and plan always break
+// the same packets, pins and fills.
+func NewFaultInjector(seed int64, plan FaultPlan) *fault.Injector {
+	return fault.NewInjector(seed, plan)
+}
 
 // Trace-driven evaluation layer.
 type (
