@@ -121,11 +121,23 @@ func (m *perProcess) post(i int, rec trace.Record) error {
 	}
 	s.stats.CheckMisses++
 
+	// The record's pages are in the request being assembled, so no
+	// eviction may take one (§3.1): its slot would be reused under the
+	// index the user is about to post.
+	for j := 0; j < pages; j++ {
+		s.policy.Lock(m.first + units.VPN(j))
+	}
+	defer func() {
+		for j := 0; j < pages; j++ {
+			s.policy.Unlock(m.first + units.VPN(j))
+		}
+	}()
 	for _, p := range missing {
 		idx, err := m.install(s, p)
 		if err != nil {
 			return err
 		}
+		s.policy.Lock(p)
 		m.indices[p-m.first] = idx
 	}
 	for j := 1; j < len(m.indices); j++ {
