@@ -147,26 +147,6 @@ func (d *Driver) IoctlPin(proc *hostos.Process, vpns []units.VPN) ([]units.PFN, 
 	return pfns, nil
 }
 
-// HandleSwappedTable is the interrupt path of §3.3's table paging:
-// "when the network interface detects that a page of the second-level
-// table has been swapped out, it can interrupt the host OS to bring in
-// the page." The host takes the interrupt, pays the disk access, and
-// swaps the table back in.
-func (d *Driver) HandleSwappedTable(pid units.ProcID, vpn units.VPN) error {
-	t := d.TableOf(pid)
-	if t == nil {
-		return fmt.Errorf("core: pid %d not registered", pid)
-	}
-	taken := d.host.EnterInterrupt()
-	if disk := t.Disk(); disk != nil {
-		d.host.Clock().Advance(disk.AccessTime)
-	}
-	d.tap.Instant(obs.KindSwapIn, d.host.Clock().Now(), pid, uint64(vpn), 0)
-	err := t.SwapIn(vpn)
-	d.host.LeaveInterrupt(taken)
-	return err
-}
-
 // IoctlUnpin releases pages: the translation entries revert to the
 // garbage frame, any cached copies on the NIC are invalidated (the
 // consistency obligation of §2: host and NIC translations must agree),

@@ -56,12 +56,6 @@ type Table struct {
 	// absent table (physical address 0 is a legal frame).
 	dir     [DirEntries]units.PAddr
 	present [DirEntries]bool
-	// swappedBit is §3.3's "one bit of information added to each entry
-	// in the top-level directory": when set, dir holds a disk block
-	// number instead of a physical address.
-	swappedBit [DirEntries]bool
-	swapped    int // set bits in swappedBit
-	disk       *Disk
 	// l2frames tracks owned second-level frames for release.
 	l2frames []units.PFN
 
@@ -104,7 +98,7 @@ func (t *Table) dirIndex(vpn units.VPN) int {
 // NIC's directory probe: one SRAM reference.
 func (t *Table) EntryAddr(vpn units.VPN) (units.PAddr, bool) {
 	di := t.dirIndex(vpn)
-	if !t.present[di] || t.swappedBit[di] {
+	if !t.present[di] {
 		return 0, false
 	}
 	return t.dir[di] + units.PAddr(int(vpn)%L2Entries)*8, true
@@ -115,12 +109,6 @@ func (t *Table) EntryAddr(vpn units.VPN) (units.PAddr, bool) {
 func (t *Table) ensureL2(vpn units.VPN) (units.PAddr, error) {
 	di := t.dirIndex(vpn)
 	if t.present[di] {
-		if t.swappedBit[di] {
-			// Host-side access to a swapped table brings it back in.
-			if err := t.SwapIn(vpn); err != nil {
-				return 0, err
-			}
-		}
 		return t.dir[di], nil
 	}
 	frame, err := t.mem.Alloc()
@@ -160,14 +148,8 @@ func (t *Table) Install(vpn units.VPN, pfn units.PFN) error {
 
 // Invalidate resets vpn's entry to the garbage frame. Missing
 // second-level tables are fine: the entry is already implicitly
-// invalid. A swapped table is brought back first so the on-disk copy
-// never holds a stale valid entry.
+// invalid.
 func (t *Table) Invalidate(vpn units.VPN) {
-	if t.Swapped(vpn) {
-		if err := t.SwapIn(vpn); err != nil {
-			panic(fmt.Sprintf("core: invalidate swap-in: %v", err))
-		}
-	}
 	addr, ok := t.EntryAddr(vpn)
 	if !ok {
 		return
@@ -180,20 +162,7 @@ func (t *Table) Invalidate(vpn units.VPN) {
 
 // Lookup reads vpn's entry directly (host-side, free of NIC costs).
 // Used by the driver and tests; the NIC reads entries over the bus.
-// Swapped tables are consulted on disk without bringing them in.
 func (t *Table) Lookup(vpn units.VPN) (units.PFN, bool) {
-	if di := t.dirIndex(vpn); t.present[di] && t.swappedBit[di] {
-		data, err := t.disk.read(int64(t.dir[di]))
-		if err != nil {
-			return t.garbage, false
-		}
-		off := (int(vpn) % L2Entries) * 8
-		var w uint64
-		for i := 0; i < 8; i++ {
-			w |= uint64(data[off+i]) << (8 * i)
-		}
-		return DecodeEntry(w)
-	}
 	addr, ok := t.EntryAddr(vpn)
 	if !ok {
 		return t.garbage, false
@@ -201,21 +170,13 @@ func (t *Table) Lookup(vpn units.VPN) (units.PFN, bool) {
 	return DecodeEntry(t.mem.ReadWord(addr))
 }
 
-// Release frees every second-level frame and any swapped blocks
-// (process exit).
+// Release frees every second-level frame (process exit).
 func (t *Table) Release() {
 	for _, f := range t.l2frames {
 		t.mem.Free(f)
 	}
-	for di, sw := range t.swappedBit {
-		if sw && t.disk != nil {
-			t.disk.free(int64(t.dir[di]))
-		}
-	}
 	t.l2frames = nil
 	t.dir = [DirEntries]units.PAddr{}
 	t.present = [DirEntries]bool{}
-	t.swappedBit = [DirEntries]bool{}
-	t.swapped = 0
 	t.installed = 0
 }

@@ -21,9 +21,6 @@ type TranslateInfo struct {
 	// "at worst, the network interface transfers data to and from an
 	// unused garbage page; no harm is done" (§4.2).
 	Garbage bool
-	// SwapIn reports that the miss hit a swapped-out second-level
-	// table and took the §3.3 interrupt path to bring it in.
-	SwapIn bool
 }
 
 // Translator is the NIC firmware's translation lookup (§3.3): probe
@@ -35,8 +32,6 @@ type Translator struct {
 	// prefetch is how many consecutive entries each miss fetches
 	// (§6.4); 1 disables prefetching.
 	prefetch int
-
-	swapIns int64
 }
 
 // NewTranslator returns a translator over the driver's cache and
@@ -47,10 +42,6 @@ func NewTranslator(drv *Driver, prefetch int) *Translator {
 	}
 	return &Translator{drv: drv, prefetch: prefetch}
 }
-
-// SwapIns reports how many misses required a second-level table to be
-// brought back from disk.
-func (tr *Translator) SwapIns() int64 { return tr.swapIns }
 
 // Translate resolves (pid, vpn) to a physical frame, charging all NIC
 // costs. It never fails: unpinned pages resolve to the garbage frame.
@@ -109,15 +100,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 		return tr.drv.Garbage(), info
 	}
 	entryAddr, ok := table.EntryAddr(vpn)
-	if !ok && table.Swapped(vpn) {
-		// §3.3 table paging: the directory's swapped bit is set, so
-		// the firmware interrupts the host to bring the table in.
-		tr.swapIns++
-		if err := tr.drv.HandleSwappedTable(pid, vpn); err == nil {
-			entryAddr, ok = table.EntryAddr(vpn)
-		}
-		info.SwapIn = true
-	}
 	if !ok {
 		// No second-level table yet: the page was never pinned.
 		info.Garbage = true

@@ -102,8 +102,6 @@ type Network struct {
 	handlers map[units.NodeID]Handler
 	// busyUntil serialises each sender's outbound link.
 	busyUntil map[units.NodeID]units.Time
-	// routing tracks per-pair route selection and failures (routes.go).
-	routing map[linkKey]*routeState
 
 	// dropFault/corruptFault are the armed wire fault points; nil —
 	// the default — never fires.
@@ -159,12 +157,6 @@ func (n *Network) Transmit(pkt *Packet, depart units.Time) (units.Time, bool) {
 		return depart, false // unknown destination: routed nowhere
 	}
 	n.sent++
-	if n.RouteDead(pkt.Src, pkt.Dst) {
-		// The pair's current switch route is broken: the packet
-		// vanishes until the mapper remaps (routes.go).
-		n.dropped++
-		return depart, false
-	}
 
 	// Serialise on the sender's outbound link.
 	start := depart

@@ -419,11 +419,11 @@ func (h *Host) unpinLocked(p *Process, vpns []units.VPN) error {
 // the dispatch cost and returns when the interrupt was taken, which the
 // handler — the caller's next statements, in kernel context — hands to
 // LeaveInterrupt. The interrupt-based translation baseline lives on
-// this path; UTLB's whole point is to keep off it. Every interrupt of
-// the model — the baseline's miss handler, the driver's swapped-table
-// handler — comes through this pair, so this is where the two
-// processors meet under the overlap engine (a device clock is
-// attached); both waits are AdvanceTo, waiting and not work.
+// this path; UTLB's whole point is to keep off it. The baseline's miss
+// handler is the only interrupt of the model and comes through this
+// pair, so this is where the two processors meet under the overlap
+// engine (a device clock is attached); both waits are AdvanceTo,
+// waiting and not work.
 func (h *Host) EnterInterrupt() (taken units.Time) {
 	h.interrupts++
 	if h.device != nil {

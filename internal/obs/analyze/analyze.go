@@ -52,7 +52,7 @@ func category(k obs.Kind) int8 {
 		return catPin
 	case obs.KindUnpin, obs.KindKernelUnpin:
 		return catUnpin
-	case obs.KindInterrupt, obs.KindNICInterrupt:
+	case obs.KindInterrupt:
 		return catInterrupt
 	default:
 		return catOther

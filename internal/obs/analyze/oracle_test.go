@@ -223,7 +223,7 @@ func oracleRuns(seed int64) []obs.Run {
 	rng := rand.New(rand.NewSource(seed))
 	kinds := []obs.Kind{
 		obs.KindCheckMiss, obs.KindNIProbe, obs.KindDMARead, obs.KindPin, obs.KindUnpin,
-		obs.KindInterrupt, obs.KindKernelPin, obs.KindKernelUnpin, obs.KindNICInterrupt,
+		obs.KindInterrupt, obs.KindKernelPin, obs.KindKernelUnpin,
 		obs.KindCacheHit, obs.KindCacheFill, obs.KindReclaim, obs.KindXlateReq,
 	}
 	labels := []string{"expA/r1", "expA/r0", "expB/only", "expA/r1", "solo"}

@@ -60,19 +60,13 @@ const (
 	KindKernelUnpin
 	KindInterrupt
 
-	// NIC (nicsim): interrupt line assertion, and the firmware's
-	// translation-lookup probe phase (lookup base + cache probes).
-	KindNICInterrupt
+	// NIC (nicsim): the firmware's translation-lookup probe phase
+	// (lookup base + cache probes).
 	KindNIProbe
 
-	// UTLB driver (core.Driver): second-level table swap-in (§3.3).
-	KindSwapIn
-
-	// VMMC firmware (vmmc): remote-store page out, deposit in, arrival
-	// notification.
+	// VMMC firmware (vmmc): remote-store page out, deposit in.
 	KindSend
 	KindRecv
-	KindNotify
 
 	// Robustness (PR 5): injected faults and the recovery machinery
 	// they provoke. Faults render on the track of the layer they
@@ -85,7 +79,7 @@ const (
 	KindFaultCorrupt // nic: payload byte flipped on the wire
 	KindReclaim      // host: page-reclaimer pass (span)
 	KindPinRetry     // host: pin retried after a reclaim pass
-	KindSendRetry    // vmmc: firmware re-send after link death + remap
+	KindSendRetry    // vmmc: firmware re-send after link death + the mapper's backoff
 	KindLinkDead     // vmmc: link declared dead, command failed
 
 	// Live telemetry (PR 8): sampled request chains from the sharded
@@ -133,12 +127,9 @@ var kindMetas = [numKinds]kindMeta{
 	KindKernelPin:       {name: "host_pin_intr", comp: compHost, span: true, arg: "pages"},
 	KindKernelUnpin:     {name: "host_unpin_intr", comp: compHost, span: true, arg: "pages"},
 	KindInterrupt:       {name: "interrupt", comp: compHost, span: true},
-	KindNICInterrupt:    {name: "nic_interrupt", comp: compNic, span: true},
 	KindNIProbe:         {name: "ni_probe", comp: compNic, span: true, arg: "probes"},
-	KindSwapIn:          {name: "table_swapin", comp: compHost, arg: "vpn"},
 	KindSend:            {name: "vmmc_send", comp: compVMMC, arg: "bytes"},
 	KindRecv:            {name: "vmmc_recv", comp: compVMMC, arg: "bytes"},
-	KindNotify:          {name: "vmmc_notify", comp: compVMMC, arg: "bytes"},
 	KindFaultPin:        {name: "fault_pin", comp: compHost, arg: "vpn"},
 	KindFaultSRAM:       {name: "fault_sram", comp: compNic, arg: "bytes"},
 	KindFaultFetch:      {name: "fault_fetch", comp: compCache, arg: "vpn"},

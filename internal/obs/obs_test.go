@@ -31,12 +31,10 @@ func fixtureRuns() []Run {
 	a.Record(Event{Time: 41000, Arg: 42, Arg2: 1, PID: 1, Kind: KindCacheHit})
 
 	b := NewBuffer("table4/fft/1K/intr/n0")
-	b.Record(Event{Time: 500, Dur: 12000, Kind: KindNICInterrupt, Node: 1})
 	b.Record(Event{Time: 700, Dur: 11000, Kind: KindInterrupt, Node: 1})
 	b.Record(Event{Time: 1000, Dur: 8000, Arg: 1, PID: 3, Node: 1, Kind: KindKernelPin})
 	b.Record(Event{Time: 15000, Arg: 4096, PID: 3, Node: 1, Kind: KindSend})
 	b.Record(Event{Time: 16000, Arg: 4096, PID: 3, Node: 1, Kind: KindRecv})
-	b.Record(Event{Time: 16500, Arg: 8, PID: 3, Node: 1, Kind: KindNotify})
 	// A very long span lands beyond the largest finite bucket (+Inf only).
 	b.Record(Event{Time: 20000, Dur: 1 << 28, Arg: 512, PID: 3, Node: 1, Kind: KindUnpin})
 

@@ -21,6 +21,7 @@ func TestProgramSource(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []*srcFile
 	kinds := map[string]bool{} // every kind's display name: the name fields of obs.go's kindMetas
+	named := map[string]bool{} // every kind's constant: kindMetas' keys, true once a producer names it
 	for _, p := range programFiles(t, ".", "cmd", "internal") {
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -40,6 +41,10 @@ func TestProgramSource(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if kv, ok := n.(*ast.KeyValueExpr); ok && isIdent(kv.Key, "name") {
 				kinds[lit(kv.Value, token.STRING)] = true
+			} else if ok && sf.rel == "internal/obs/obs.go" {
+				if id, isID := kv.Key.(*ast.Ident); isID && strings.HasPrefix(id.Name, "Kind") && id.Name != "KindNone" {
+					named[id.Name] = false
+				}
 			}
 			return sf.rel == "internal/obs/obs.go" // other files are not descended into
 		})
@@ -102,6 +107,13 @@ func TestProgramSource(t *testing.T) {
 			}
 			return ""
 		}},
+		// Every kind has a producer: some program file outside obs names it.
+		{"producers", "", []string{"internal/obs/"}, func(f *srcFile, n ast.Node) string {
+			if name := f.sel(n, "utlb/internal/obs"); strings.HasPrefix(name, "Kind") {
+				named[name] = true
+			}
+			return ""
+		}},
 	}
 	for _, r := range rules {
 		t.Run(r.name, func(t *testing.T) {
@@ -116,6 +128,16 @@ func TestProgramSource(t *testing.T) {
 				}
 			}
 		})
+	}
+	var unnamed []string
+	for k, ok := range named {
+		if !ok {
+			unnamed = append(unnamed, k)
+		}
+	}
+	slices.Sort(unnamed)
+	for _, k := range unnamed {
+		t.Errorf("producers: obs.%s is named by no program file outside internal/obs: nothing records it", k)
 	}
 	// WallClock reads the wall epoch once, then only the monotonic clock.
 	if want := []string{"Now", "Since"}; !slices.Equal(inClock, want) {

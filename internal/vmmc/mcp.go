@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"utlb/internal/fabric"
 	"utlb/internal/obs"
 	"utlb/internal/units"
 )
@@ -72,6 +73,41 @@ func (n *Node) firmwareSend(pid units.ProcID, dst *Imported, offset int, va unit
 	return nil
 }
 
+// RemapCost is the mapper's backoff: the simulated time VMMC-2's node
+// remapping procedure (§4.1) needs to compute and distribute a
+// replacement route after a link or port failure, charged before each
+// firmware-level re-send and doubled per attempt. Route recomputation
+// on Myrinet-class networks takes milliseconds.
+const RemapCost = 2 * units.Millisecond
+
+// sendRetryLimit bounds firmware-level delivery attempts after the
+// first: each retry is a full link-layer Send (itself up to
+// RetransmitLimit wire tries) preceded by an exponential backoff, so a
+// transiently dead link gets several chances before the command fails
+// with ErrLinkDead.
+const sendRetryLimit = 3
+
+// sendReliable carries one packet with link-failure recovery layered
+// over the retransmission protocol: when the link layer declares the
+// link dead, the node backs off exponentially (the mapper's remapping
+// time, §4.1) and retries, up to sendRetryLimit times. A final failure
+// returns an error wrapping fabric.ErrLinkDead — the caller degrades,
+// it does not crash.
+func (n *Node) sendReliable(dst units.NodeID, payload []byte, tag uint64) error {
+	err := n.ep.Send(dst, payload, tag)
+	for attempt := 1; attempt <= sendRetryLimit && errors.Is(err, fabric.ErrLinkDead); attempt++ {
+		n.nic.Clock().Advance(RemapCost << (attempt - 1))
+		n.tap.Instant(obs.KindSendRetry, n.nic.Clock().Now(), 0, uint64(attempt), 0)
+		err = n.ep.Send(dst, payload, tag)
+	}
+	if errors.Is(err, fabric.ErrLinkDead) {
+		n.tap.Instant(obs.KindLinkDead, n.nic.Clock().Now(), 0, uint64(len(payload)), 0)
+		return fmt.Errorf("vmmc: link to node %d dead after %d remap retries: %w",
+			dst, sendRetryLimit, err)
+	}
+	return err
+}
+
 // fetchReqPayload encodes a fetch request on the wire.
 func fetchReqPayload(buf BufferID, offset, nbytes int, reqID uint32) []byte {
 	p := make([]byte, 16)
@@ -104,12 +140,12 @@ func (n *Node) firmwareFetch(p *Proc, src *Imported, offset int, va units.VAddr,
 
 // receive is the firmware's packet handler, registered with the
 // reliable endpoint. It runs for in-order, CRC-verified payloads.
-func (n *Node) receive(src units.NodeID, payload []byte, tag uint64, arrival units.Time) {
+func (n *Node) receive(src units.NodeID, payload []byte, tag uint64, _ units.Time) {
 	switch tag & tagKindMask {
 	case tagData:
 		buf := BufferID(tag >> 32 & 0xffffff)
 		offset := int(uint32(tag))
-		n.deposit(buf, offset, payload, src, arrival)
+		n.deposit(buf, offset, payload)
 	case tagFetchReq:
 		if len(payload) != 16 {
 			return // malformed request: drop
@@ -133,7 +169,7 @@ func (n *Node) receive(src units.NodeID, payload []byte, tag uint64, arrival uni
 // deposit lands an incoming remote store in an exported buffer,
 // honouring transfer-redirection and the buffer bounds (the NIC is the
 // protection boundary: out-of-range deposits are discarded).
-func (n *Node) deposit(buf BufferID, offset int, payload []byte, from units.NodeID, arrival units.Time) {
+func (n *Node) deposit(buf BufferID, offset int, payload []byte) {
 	exp, ok := n.exports[buf]
 	if !ok || offset < 0 || offset+len(payload) > exp.nbytes {
 		return // unknown buffer or out of bounds: protection drop
@@ -147,7 +183,6 @@ func (n *Node) deposit(buf BufferID, offset int, payload []byte, from units.Node
 	exp.received += int64(len(payload))
 	exp.deposits++
 	n.tap.Instant(obs.KindRecv, n.nic.Clock().Now(), exp.owner, uint64(len(payload)), 0)
-	n.notifyOwner(exp, buf, from, offset, len(payload), arrival)
 }
 
 // serveFetch reads the requested range out of the exported buffer and

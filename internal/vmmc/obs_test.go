@@ -10,8 +10,8 @@ import (
 // TestTransferIDSpansNodes asserts the cluster-wide transfer cursor
 // stitches one send's chain across machines: the sender's check,
 // probe, DMA and vmmc_send events and the receiver's deposit-side
-// translations, vmmc_recv and vmmc_notify all share one id, distinct
-// from the ids of the receiver's earlier Export.
+// translations and vmmc_recv all share one id, distinct from the ids of
+// the receiver's earlier Export.
 func TestTransferIDSpansNodes(t *testing.T) {
 	buf := obs.NewBuffer("cluster")
 	_, sender, receiver := pair(t, Options{Recorder: buf})
@@ -20,9 +20,6 @@ func TestTransferIDSpansNodes(t *testing.T) {
 	recvVA := units.VAddr(0x200000)
 	id, err := receiver.Export(recvVA, n)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := receiver.EnableNotifications(id); err != nil {
 		t.Fatal(err)
 	}
 	imp, err := sender.Import(1, id)
@@ -73,7 +70,7 @@ func TestTransferIDSpansNodes(t *testing.T) {
 	if !nodes[0] || !nodes[1] {
 		t.Fatalf("send chain did not span both nodes: %v", nodes)
 	}
-	for _, k := range []obs.Kind{obs.KindSend, obs.KindRecv, obs.KindNotify, obs.KindNIProbe} {
+	for _, k := range []obs.Kind{obs.KindSend, obs.KindRecv, obs.KindNIProbe} {
 		if kinds[k] == 0 {
 			t.Errorf("send chain missing %s events", k)
 		}

@@ -15,8 +15,6 @@ type Proc struct {
 	node *Node
 	proc *hostos.Process
 	lib  *core.Lib
-
-	notifications []Notification
 }
 
 // PID reports the process id.

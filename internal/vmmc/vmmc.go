@@ -50,7 +50,7 @@ type Options struct {
 	// cost nothing.
 	Injector *fault.Injector
 	// Recorder, when non-nil, receives the event timeline of every node
-	// (cache traffic, DMA, pins, interrupts, firmware send/recv/notify).
+	// (cache traffic, DMA, pins, firmware send/recv).
 	// Cluster construction is single-goroutine per cluster, so one
 	// recorder serves all nodes; events are tagged with their NodeID.
 	Recorder obs.Recorder
@@ -86,7 +86,7 @@ type Cluster struct {
 	// Every node's handle is a sibling of it, so the cluster shares one
 	// transfer cursor: the simulation is synchronous, and the id a
 	// sender Begins flows through the fabric callback into the
-	// receiver's deposit and notify events, letting analysis stitch one
+	// receiver's deposit events, letting analysis stitch one
 	// transfer's chain across nodes.
 	tap *obs.Tap
 }
@@ -149,10 +149,9 @@ type Node struct {
 	// firmware counters
 	pagesSent     int64
 	pagesReceived int64
-	remaps        int64
 
 	// tap is where every layer of the node records, the firmware's
-	// send, recv and notify events on the vmmc track among them; nil
+	// send and recv events on the vmmc track among them; nil
 	// when not recording.
 	tap *obs.Tap
 }
@@ -165,7 +164,6 @@ type export struct {
 	// transfer-redirection).
 	redirect   units.VAddr
 	redirected bool
-	notify     bool  // arrival notifications enabled
 	received   int64 // cumulative bytes landed
 	deposits   int64 // messages landed
 }

@@ -133,7 +133,7 @@ func TestFacadeUnits(t *testing.T) {
 // TestFacadeObservability drives the cluster layer with a recorder
 // attached and exports the timeline through both facade exporters: the
 // VMMC send path must surface library checks, cache traffic, firmware
-// send/recv/notify and DMA as events, and both outputs must parse /
+// send/recv and DMA as events, and both outputs must parse /
 // render deterministically.
 func TestFacadeObservability(t *testing.T) {
 	buf := utlb.NewEventBuffer("cluster/send")
@@ -151,9 +151,6 @@ func TestFacadeObservability(t *testing.T) {
 	}
 	bufID, err := receiver.Export(0x2000_0000, utlb.PageSize)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := receiver.EnableNotifications(bufID); err != nil {
 		t.Fatal(err)
 	}
 	imp, err := sender.Import(1, bufID)
@@ -177,7 +174,7 @@ func TestFacadeObservability(t *testing.T) {
 			kinds = append(kinds, ev.Kind.String())
 		}
 	}
-	for _, want := range []string{"vmmc_send", "vmmc_recv", "vmmc_notify", "dma_read", "host_pin"} {
+	for _, want := range []string{"vmmc_send", "vmmc_recv", "dma_read", "host_pin"} {
 		if !seen[want] {
 			t.Errorf("missing %q in recorded kinds %v", want, kinds)
 		}
