@@ -34,6 +34,42 @@ func Example() {
 	// interrupts: 0
 }
 
+// ExampleProc_Redirect demonstrates VMMC-2's transfer-redirection
+// (§4.1): the receiver points its export at a second buffer, the
+// sender's store lands there instead, and the export is withdrawn
+// exactly once.
+func ExampleProc_Redirect() {
+	cluster, err := utlb.NewCluster(utlb.ClusterOptions{Nodes: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sender, _ := cluster.Node(0).NewProcess(1, "sender", 0, utlb.LibConfig{Policy: utlb.LRU})
+	receiver, _ := cluster.Node(1).NewProcess(2, "receiver", 0, utlb.LibConfig{Policy: utlb.LRU})
+
+	buf, _ := receiver.Export(0x2000_0000, utlb.PageSize)
+	if err := receiver.Redirect(buf, 0x3000_0000); err != nil {
+		log.Fatal(err)
+	}
+	imp, _ := sender.Import(1, buf)
+	msg := []byte("landed at the redirect target")
+	sender.Write(0x1000_0000, msg)
+	if err := sender.Send(imp, 0, 0x1000_0000, len(msg)); err != nil {
+		log.Fatal(err)
+	}
+
+	target, _ := receiver.Read(0x3000_0000, len(msg))
+	original, _ := receiver.Read(0x2000_0000, len(msg))
+	fmt.Printf("%s\n", target)
+	fmt.Printf("original buffer untouched: %v\n", bytes.Equal(original, make([]byte, len(msg))))
+	fmt.Println("first Unexport:", receiver.Unexport(buf))
+	fmt.Println("second Unexport:", receiver.Unexport(buf))
+	// Output:
+	// landed at the redirect target
+	// original buffer untouched: true
+	// first Unexport: <nil>
+	// second Unexport: vmmc: pid 2 does not own export 1
+}
+
 // ExampleSimulate demonstrates the trace-driven evaluation layer: the
 // UTLB never unpins with unconstrained memory, the baseline churns.
 func ExampleSimulate() {

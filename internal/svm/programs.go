@@ -174,23 +174,6 @@ func RunTranspose(s *System, n int) error {
 	return s.Barrier()
 }
 
-// TransposeCheck verifies the RunTranspose result.
-func TransposeCheck(s *System, n int) error {
-	p := s.Peer(s.Peers() - 1) // read from a non-initialising peer
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			v, err := p.LoadWord(n*n + r*n + c)
-			if err != nil {
-				return err
-			}
-			if v != uint32(c*n+r) {
-				return fmt.Errorf("svm: transpose[%d,%d] = %d, want %d", r, c, v, c*n+r)
-			}
-		}
-	}
-	return nil
-}
-
 // RunSumReduce sums words 1..n of the shared array into word 0, each
 // peer accumulating its block locally and adding into the shared total
 // under a lock — the lock-based reduction class of workload.

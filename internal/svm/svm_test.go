@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"fmt"
 	"testing"
 
 	"utlb/internal/trace"
@@ -195,7 +196,7 @@ func TestTranspose(t *testing.T) {
 	if err := RunTranspose(s, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := TransposeCheck(s, n); err != nil {
+	if err := transposeCheck(s, n); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -285,7 +286,7 @@ func TestTaskFarm(t *testing.T) {
 	if err := RunTaskFarm(s, tasks); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTaskFarm(s, tasks); err != nil {
+	if err := checkTaskFarm(s, tasks); err != nil {
 		t.Fatal(err)
 	}
 	// The queue cursor saw heavy lock traffic: every peer fetched the
@@ -302,9 +303,44 @@ func TestTaskFarm(t *testing.T) {
 	}
 }
 
-func TestEncodeWord(t *testing.T) {
-	b := encodeWord(0x01020304)
-	if len(b) != 4 || b[0] != 4 || b[3] != 1 {
-		t.Errorf("encodeWord = %v", b)
+// transposeCheck verifies the RunTranspose result.
+func transposeCheck(s *System, n int) error {
+	p := s.Peer(s.Peers() - 1) // read from a non-initialising peer
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			v, err := p.LoadWord(n*n + r*n + c)
+			if err != nil {
+				return err
+			}
+			if v != uint32(c*n+r) {
+				return fmt.Errorf("svm: transpose[%d,%d] = %d, want %d", r, c, v, c*n+r)
+			}
+		}
 	}
+	return nil
+}
+
+// checkTaskFarm verifies every task's output from an arbitrary peer.
+func checkTaskFarm(s *System, tasks int) error {
+	outBase := 1 + tasks
+	p := s.Peer(s.Peers() - 1)
+	// Recompute the final value of each slot: the last task writing a
+	// slot (in task order) wins only if slots collide; with the
+	// multiplicative scatter the mapping is usually injective, so
+	// compute expectations generically.
+	want := make(map[int]uint32)
+	for task := 0; task < tasks; task++ {
+		in := uint32(task*7 + 3)
+		want[taskSlot(task, tasks)] = in*in + 1
+	}
+	for slot, w := range want {
+		got, err := p.LoadWord(outBase + slot)
+		if err != nil {
+			return err
+		}
+		if got != w {
+			return fmt.Errorf("svm: task slot %d = %d, want %d", slot, got, w)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"utlb/internal/units"
@@ -92,41 +91,9 @@ func RunTaskFarm(s *System, tasks int) error {
 // taskSlot scatters task outputs across the output array with a
 // multiplicative permutation (odd multiplier => bijective mod 2^k for
 // power-of-two sizes; for general sizes it is merely well-spread, and
-// CheckTaskFarm tolerates collisions by recomputing expectations).
+// the tests' check tolerates collisions by recomputing expectations).
 func taskSlot(task, tasks int) int { return (task * 17) % tasks }
 
 // lockForSlot maps output slots onto a small set of locks, modelling
 // the per-object locks task farms use when depositing results.
 func lockForSlot(slot int) int { return 200 + slot%8 }
-
-// CheckTaskFarm verifies every task's output from an arbitrary peer.
-func CheckTaskFarm(s *System, tasks int) error {
-	outBase := 1 + tasks
-	p := s.Peer(s.Peers() - 1)
-	// Recompute the final value of each slot: the last task writing a
-	// slot (in task order) wins only if slots collide; with the
-	// multiplicative scatter the mapping is usually injective, so
-	// compute expectations generically.
-	want := make(map[int]uint32)
-	for task := 0; task < tasks; task++ {
-		in := uint32(task*7 + 3)
-		want[taskSlot(task, tasks)] = in*in + 1
-	}
-	for slot, w := range want {
-		got, err := p.LoadWord(outBase + slot)
-		if err != nil {
-			return err
-		}
-		if got != w {
-			return fmt.Errorf("svm: task slot %d = %d, want %d", slot, got, w)
-		}
-	}
-	return nil
-}
-
-// encodeWord is a helper for tests needing raw word bytes.
-func encodeWord(v uint32) []byte {
-	var b [wordBytes]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return b[:]
-}

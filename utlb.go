@@ -71,7 +71,7 @@ type (
 	// Node is one cluster machine.
 	Node = vmmc.Node
 	// Proc is a process' VMMC handle: Export, Import, Send, Fetch,
-	// Redirect.
+	// Redirect, Unexport.
 	Proc = vmmc.Proc
 	// BufferID names an exported receive buffer.
 	BufferID = vmmc.BufferID
