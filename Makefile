@@ -49,8 +49,9 @@ race:
 # FUZZTIME of -fuzz (5 s in `make check` and CI; `make fuzz-smoke
 # FUZZTIME=30s` after touching the codec or the service), one at a
 # time (go test fuzzes one target per run): the /api/xlate/* codec's four against their oracles
-# (xlate_oracle_test.go) and the service's against its shadow map. A
-# finding fails the target and is written under the package's
+# (xlate_oracle_test.go), the service's against its shadow map, and the
+# simulator's long traces against its cost-free model (oracle_test.go).
+# A finding fails the target and is written under the package's
 # testdata/fuzz/ as a new seed.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -58,6 +59,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/serve || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceVsShadow$$' -fuzztime $(FUZZTIME) ./internal/xlate
+	$(GO) test -run '^$$' -fuzz '^FuzzSimVsOracle$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The repository's benchmark (bench/, a module of its own; run for real
 # with `bash bench/run.sh`) imports internal/* from outside, so an API

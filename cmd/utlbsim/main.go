@@ -75,11 +75,7 @@ func main() {
 		traceIn  = flag.String("trace", "", "run the UTLB-vs-Intr comparison on a binary trace file instead of an experiment")
 		pinLimit = flag.Int("pinlimit", 0, "per-process pinned-page quota for -trace (0 = unlimited)")
 
-		faultSeed    = flag.Int64("fault-seed", 0, "fault-injection seed for the chaos experiment (0 = derived from -seed; output is byte-identical at any -parallel width for a fixed seed)")
-		faultDrop    = flag.Float64("fault-drop", 0, "base packet-drop rate for chaos (0 with all other -fault-* rates zero = default mix)")
-		faultCorrupt = flag.Float64("fault-corrupt", 0, "base packet-corruption rate for chaos")
-		faultPin     = flag.Float64("fault-pin", 0, "base host pin-failure (frame-exhaustion) rate for chaos")
-		faultFill    = flag.Float64("fault-fill", 0, "base UTLB cache-fill DMA failure rate for chaos")
+		faultSeed = flag.Int64("fault-seed", 0, "fault-injection seed for the chaos experiment (0 = derived from -seed; output is byte-identical at any -parallel width for a fixed seed)")
 
 		traceOut   = flag.String("trace-out", "", "record the event timeline and write Chrome trace_event JSON here")
 		metricsOut = flag.String("metrics-out", "", "record events and write Prometheus-style text metrics here")
@@ -118,11 +114,7 @@ func main() {
 		col = obs.NewCollector()
 	}
 
-	faultOpts := experiments.FaultOptions{
-		Seed: *faultSeed, Drop: *faultDrop, Corrupt: *faultCorrupt,
-		Pin: *faultPin, Fill: *faultFill,
-	}
-	if err := run(*exp, *traceIn, *scale, *seed, *apps, *nodes, *pinLimit, faultOpts, col); err != nil {
+	if err := run(*exp, *traceIn, *scale, *seed, *apps, *nodes, *pinLimit, *faultSeed, col); err != nil {
 		fatal(err)
 	}
 
@@ -144,7 +136,7 @@ func main() {
 	}
 }
 
-func run(exp, traceIn string, scale float64, seed int64, apps string, nodes, pinLimit int, fault experiments.FaultOptions, col *obs.Collector) error {
+func run(exp, traceIn string, scale float64, seed int64, apps string, nodes, pinLimit int, faultSeed int64, col *obs.Collector) error {
 	if traceIn != "" {
 		f, err := os.Open(traceIn)
 		if err != nil {
@@ -163,7 +155,7 @@ func run(exp, traceIn string, scale float64, seed int64, apps string, nodes, pin
 		return nil
 	}
 
-	opts := experiments.Options{Scale: scale, Seed: seed, Nodes: nodes, Obs: col, Fault: fault}
+	opts := experiments.Options{Scale: scale, Seed: seed, Nodes: nodes, Obs: col, FaultSeed: faultSeed}
 	if apps != "" {
 		opts.Apps = strings.Split(apps, ",")
 	}

@@ -185,18 +185,6 @@ func (b *Bus) ReadWords(pa units.PAddr, n int) []uint64 {
 	return out
 }
 
-// WriteWords DMAs words into host memory starting at pa. The write is
-// posted: the NIC waits only for a free channel, not for the bytes to
-// land.
-func (b *Bus) WriteWords(pa units.PAddr, words []uint64) {
-	b.transfer(obs.KindDMAWrite, b.costs.EntryFetchCost(len(words)), 0, int64(len(words))*8)
-	b.writes++
-	b.bytesWrite += int64(len(words)) * 8
-	for i, w := range words {
-		b.mem.WriteWord(pa+units.PAddr(i*8), w)
-	}
-}
-
 // ReadData DMAs n bytes of bulk data from host memory at pa, charging
 // the bandwidth-dominated data cost. Used for outgoing message
 // payloads, which the firmware consumes: it blocks for the whole
@@ -211,8 +199,8 @@ func (b *Bus) ReadData(pa units.PAddr, n int) []byte {
 }
 
 // WriteData DMAs bulk data into host memory at pa. Used for incoming
-// message payloads landing in a receive buffer; posted, like
-// WriteWords.
+// message payloads landing in a receive buffer. The write is posted:
+// the NIC waits only for a free channel, not for the bytes to land.
 func (b *Bus) WriteData(pa units.PAddr, data []byte) {
 	b.transfer(obs.KindDMAWrite, b.costs.DataCost(len(data)), 0, int64(len(data)))
 	b.writes++

@@ -54,11 +54,13 @@ func TestZeroCosts(t *testing.T) {
 	}
 }
 
-func TestReadWriteWords(t *testing.T) {
-	b, _, clk := newBus(t, 4)
+func TestReadWords(t *testing.T) {
+	b, mem, clk := newBus(t, 4)
 	words := []uint64{1, 0xffffffffffffffff, 42}
+	for i, w := range words {
+		mem.WriteWord(0x100+units.PAddr(i*8), w)
+	}
 	before := clk.Now()
-	b.WriteWords(0x100, words)
 	got := b.ReadWords(0x100, 3)
 	for i := range words {
 		if got[i] != words[i] {
@@ -66,7 +68,7 @@ func TestReadWriteWords(t *testing.T) {
 		}
 	}
 	charged := clk.Now() - before
-	want := 2 * b.Costs().EntryFetchCost(3)
+	want := b.Costs().EntryFetchCost(3)
 	if charged != want {
 		t.Errorf("charged %v, want %v", charged, want)
 	}
@@ -98,7 +100,7 @@ func TestReadWriteData(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	b, _, _ := newBus(t, 4)
-	b.WriteWords(0, []uint64{1, 2})
+	b.WriteData(0, make([]byte, 16))
 	b.ReadWords(0, 2)
 	b.WriteData(units.PageSize, []byte{1, 2, 3})
 	reads, writes, br, bw := b.Stats()
@@ -117,7 +119,7 @@ func TestNegativeWordCountPanics(t *testing.T) {
 	b.ReadWords(0, -1)
 }
 
-// TestTransferChargingModes holds the four transfer kinds to both arms
+// TestTransferChargingModes holds the three transfer kinds to both arms
 // of Bus.transfer. Sequentially the clock does the work: it moves, and
 // accrues busy time, by the full cost, and the recorded span is the
 // clock's. On a one-channel overlap pool the channel does the work: it
@@ -138,8 +140,6 @@ func TestTransferChargingModes(t *testing.T) {
 	}{
 		{"ReadWords", obs.KindDMARead, costs.EntryFetchCost(8), costs.EntryFetchCost(1), 64,
 			func(b *Bus) { b.ReadWords(0x100, 8) }},
-		{"WriteWords", obs.KindDMAWrite, costs.EntryFetchCost(3), 0, 24,
-			func(b *Bus) { b.WriteWords(0x100, []uint64{1, 2, 3}) }},
 		{"ReadData", obs.KindDMARead, costs.DataCost(4096), costs.DataCost(4096), 4096,
 			func(b *Bus) { b.ReadData(units.PageSize, 4096) }},
 		{"WriteData", obs.KindDMAWrite, costs.DataCost(1000), 0, 1000,

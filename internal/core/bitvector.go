@@ -25,6 +25,10 @@ type BitVector struct {
 	// miss backs Check's result; valid until the next Check. Callers
 	// (Lib.Lookup) consume it before checking again.
 	miss []units.VPN
+	// lo and hi bound the words Set has written since the last Reset,
+	// [lo, hi): a run touches a few of the vector's 16 K words, and
+	// Reset clears only those.
+	lo, hi int
 }
 
 // NewBitVector returns a pin-status vector covering pages virtual
@@ -33,11 +37,8 @@ func NewBitVector(pages int, costs hostos.Costs, clock *units.Clock) *BitVector 
 	if pages <= 0 || pages > VASpacePages {
 		panic(fmt.Sprintf("core: bit vector over %d pages", pages))
 	}
-	return &BitVector{
-		words: make([]uint64, (pages+63)/64),
-		costs: costs,
-		clock: clock,
-	}
+	words := make([]uint64, (pages+63)/64)
+	return &BitVector{words: words, costs: costs, clock: clock, lo: len(words)}
 }
 
 // Pages reports the vector's coverage in pages.
@@ -46,7 +47,10 @@ func (b *BitVector) Pages() int { return len(b.words) * 64 }
 // Reset clears every pin bit and rebinds the cost model and clock,
 // recycling the vector's backing store for a fresh run.
 func (b *BitVector) Reset(costs hostos.Costs, clock *units.Clock) {
-	clear(b.words)
+	if b.lo < b.hi {
+		clear(b.words[b.lo:b.hi])
+	}
+	b.lo, b.hi = len(b.words), 0
 	b.costs = costs
 	b.clock = clock
 	b.miss = b.miss[:0]
@@ -62,6 +66,10 @@ func (b *BitVector) bounds(vpn units.VPN, n int) {
 // the surrounding ioctl's cost and charge no extra time.
 func (b *BitVector) Set(vpn units.VPN, n int) {
 	b.bounds(vpn, n)
+	if n > 0 {
+		b.lo = min(b.lo, int(vpn)/64)
+		b.hi = max(b.hi, (int(vpn)+n-1)/64+1)
+	}
 	for i := 0; i < n; i++ {
 		p := int(vpn) + i
 		b.words[p/64] |= 1 << (p % 64)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -177,5 +178,25 @@ func TestCheckMatchesGetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Reset clears only the words Set wrote since the last Reset; whatever
+// a run set, anywhere in the vector, the next run starts empty.
+func TestBitVectorResetClearsEveryRun(t *testing.T) {
+	bv, clk := newBV(t)
+	rng := rand.New(rand.NewSource(3))
+	for run := 0; run < 4; run++ {
+		for range 20 {
+			n := rng.Intn(130)
+			bv.Set(units.VPN(rng.Intn(bv.Pages()-n)), n)
+		}
+		bv.Set(units.VPN(bv.Pages()-1), 1)
+		bv.Reset(hostos.DefaultCosts(), clk)
+		for w, word := range bv.words {
+			if word != 0 {
+				t.Fatalf("run %d: word %d = %#x after Reset", run, w, word)
+			}
+		}
 	}
 }

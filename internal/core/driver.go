@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"utlb/internal/hostos"
 	"utlb/internal/nicsim"
@@ -90,19 +89,6 @@ func (d *Driver) Register(proc *hostos.Process, scr *LibScratch) (*Table, error)
 	t := scr.takeTable(pid, d.host.Memory(), d.garbage)
 	d.tables = append(d.tables, t)
 	return t, nil
-}
-
-// Unregister tears down a process: its table frames return to the OS,
-// its cache entries are invalidated, and its directory SRAM released.
-func (d *Driver) Unregister(pid units.ProcID) {
-	t := d.TableOf(pid)
-	if t == nil {
-		return
-	}
-	t.Release()
-	d.tables = slices.DeleteFunc(d.tables, func(x *Table) bool { return x == t })
-	d.cache.InvalidateProcess(pid)
-	d.nic.ReleaseSRAM(DirSRAMBytes)
 }
 
 // TableOf returns the translation table of pid, or nil.

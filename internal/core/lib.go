@@ -297,20 +297,3 @@ func (l *Lib) evictOne() error {
 	l.policy.Remove(victim)
 	return nil
 }
-
-// UnpinAll releases every page the library pinned (shutdown path).
-func (l *Lib) UnpinAll() error {
-	for l.policy.Len() > 0 {
-		victim, ok := l.policy.Victim()
-		if !ok {
-			return ErrNoVictim
-		}
-		if err := l.drv.IoctlUnpin(l.proc, []units.VPN{victim}); err != nil {
-			return err
-		}
-		l.stats.PagesUnpinned++
-		l.bv.Clear(victim, 1)
-		l.policy.Remove(victim)
-	}
-	return nil
-}

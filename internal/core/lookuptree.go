@@ -24,6 +24,9 @@ type LookupTree struct {
 	dir   [VASpacePages / treeL2Entries][]int32 // nil = no leaf yet
 	costs hostos.Costs
 	clock *units.Clock
+	// lo and hi bound the pages Set has written since the last Reset,
+	// [lo, hi); every leaf slot outside them is already empty.
+	lo, hi int
 }
 
 // Reset empties t and binds it to charge lookups to clock. It keeps the
@@ -31,11 +34,13 @@ type LookupTree struct {
 // run allocates only for pages no earlier run reached.
 func (t *LookupTree) Reset(costs hostos.Costs, clock *units.Clock) {
 	t.costs, t.clock = costs, clock
-	for _, leaf := range t.dir {
-		for i := range leaf {
+	for di := t.lo / treeL2Entries; di*treeL2Entries < t.hi; di++ {
+		leaf := t.dir[di]
+		for i := max(t.lo-di*treeL2Entries, 0); i < min(t.hi-di*treeL2Entries, len(leaf)); i++ {
 			leaf[i] = noIndex
 		}
 	}
+	t.lo, t.hi = VASpacePages, 0
 }
 
 // Lookup reports the translation-table index of vpn, or ok=false. The
@@ -64,6 +69,7 @@ func (t *LookupTree) Set(vpn units.VPN, index int) {
 		}
 		t.dir[di] = leaf
 	}
+	t.lo, t.hi = min(t.lo, int(vpn)), max(t.hi, int(vpn)+1)
 	leaf[int(vpn)%treeL2Entries] = int32(index)
 }
 

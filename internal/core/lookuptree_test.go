@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"utlb/internal/units"
+)
 
 func TestLookupTreeBasics(t *testing.T) {
 	r := newRig(t, 1024)
@@ -34,5 +38,26 @@ func TestLookupTreeChargesTwoReferences(t *testing.T) {
 	tree.Lookup(0)
 	if got := r.host.Clock().Now() - before; got != 2*r.host.Costs().BitWordProbe {
 		t.Errorf("lookup charged %v, want two word probes", got)
+	}
+}
+
+// Reset empties every leaf Set wrote since the last Reset, in any
+// directory slot, and leaves from earlier runs stay empty.
+func TestLookupTreeResetEmptiesEveryLeaf(t *testing.T) {
+	r := newRig(t, 1024)
+	var tree LookupTree
+	for run, vpns := range [][]units.VPN{{5, 99999}, {2048}, {VASpacePages - 1, 0}} {
+		tree.Reset(r.host.Costs(), r.host.Clock())
+		for _, vpn := range vpns {
+			tree.Set(vpn, run)
+		}
+		tree.Reset(r.host.Costs(), r.host.Clock())
+		for di, leaf := range tree.dir {
+			for i, idx := range leaf {
+				if idx != noIndex {
+					t.Fatalf("run %d: slot %d of leaf %d = %d after Reset", run, i, di, idx)
+				}
+			}
+		}
 	}
 }

@@ -47,16 +47,6 @@ func (k PolicyKind) String() string {
 	}
 }
 
-// ParsePolicy converts a policy name to its kind.
-func ParsePolicy(name string) (PolicyKind, error) {
-	for _, k := range []PolicyKind{LRU, MRU, LFU, MFU, Random} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown policy %q", name)
-}
-
 // pageMeta is one tracked page's state.
 type pageMeta struct {
 	vpn   units.VPN

@@ -56,7 +56,7 @@ type Table struct {
 	// absent table (physical address 0 is a legal frame).
 	dir     [DirEntries]units.PAddr
 	present [DirEntries]bool
-	// l2frames tracks owned second-level frames for release.
+	// l2frames lists the second-level frames the table owns.
 	l2frames []units.PFN
 
 	installed int // valid entries currently present
@@ -168,15 +168,4 @@ func (t *Table) Lookup(vpn units.VPN) (units.PFN, bool) {
 		return t.garbage, false
 	}
 	return DecodeEntry(t.mem.ReadWord(addr))
-}
-
-// Release frees every second-level frame (process exit).
-func (t *Table) Release() {
-	for _, f := range t.l2frames {
-		t.mem.Free(f)
-	}
-	t.l2frames = nil
-	t.dir = [DirEntries]units.PAddr{}
-	t.present = [DirEntries]bool{}
-	t.installed = 0
 }

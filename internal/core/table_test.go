@@ -125,23 +125,6 @@ func TestTableOutOfMemory(t *testing.T) {
 	}
 }
 
-func TestTableRelease(t *testing.T) {
-	tbl, mem, _ := newTable(t, 8)
-	tbl.Install(0, 1)
-	tbl.Install(5000, 2)
-	free := mem.FreeFrames()
-	tbl.Release()
-	if mem.FreeFrames() != free+2 {
-		t.Errorf("frames not returned: %d -> %d", free, mem.FreeFrames())
-	}
-	if tbl.Installed() != 0 || tbl.L2Frames() != 0 {
-		t.Error("Release left state")
-	}
-	if _, ok := tbl.EntryAddr(0); ok {
-		t.Error("EntryAddr valid after Release")
-	}
-}
-
 func TestTableVPNOutOfRangePanics(t *testing.T) {
 	tbl, _, _ := newTable(t, 8)
 	defer func() {

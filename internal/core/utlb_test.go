@@ -317,27 +317,6 @@ func TestDriverRegisterTwice(t *testing.T) {
 	}
 }
 
-func TestDriverUnregister(t *testing.T) {
-	r := newRig(t, 1024)
-	lib := r.spawnLib(t, 1, 0, LibConfig{Policy: LRU})
-	tr := NewTranslator(r.drv, 1)
-	lib.Lookup(0, units.PageSize)
-	tr.Translate(1, 0)
-	free := r.nic.SRAMFree()
-
-	r.drv.Unregister(1)
-	if r.drv.TableOf(1) != nil {
-		t.Error("table survives unregister")
-	}
-	if r.nic.SRAMFree() != free+DirSRAMBytes {
-		t.Error("directory SRAM not released")
-	}
-	if _, info := tr.Translate(1, 0); !info.Garbage {
-		t.Error("stale translation after unregister")
-	}
-	r.drv.Unregister(1) // idempotent
-}
-
 func TestIoctlPinUnknownPID(t *testing.T) {
 	r := newRig(t, 1024)
 	proc, _ := r.host.Spawn(9, "loner", vm.NewSpace(9, r.host.Memory(), 0))
@@ -346,18 +325,6 @@ func TestIoctlPinUnknownPID(t *testing.T) {
 	}
 	if err := r.drv.IoctlUnpin(proc, []units.VPN{0}); err == nil {
 		t.Error("unpin for unregistered pid accepted")
-	}
-}
-
-func TestUnpinAll(t *testing.T) {
-	r := newRig(t, 1024)
-	lib := r.spawnLib(t, 1, 0, LibConfig{Policy: LRU})
-	lib.Lookup(0, 5*units.PageSize)
-	if err := lib.UnpinAll(); err != nil {
-		t.Fatal(err)
-	}
-	if lib.PinnedPages() != 0 || lib.Proc().Space().PinnedPages() != 0 {
-		t.Error("pages left pinned")
 	}
 }
 

@@ -26,28 +26,15 @@ import (
 // host reclaimer must evict hog pages — the paper's paging-pressure
 // regime (§1) on top of injected faults.
 
-// FaultOptions parameterise the chaos experiment's fault injection.
-type FaultOptions struct {
-	// Seed drives every fault point's PRNG (0 = derived from the
-	// experiment seed). For a fixed seed the experiment output is
-	// byte-identical at any -parallel width.
-	Seed int64
-	// Drop, Corrupt, Pin, Fill are the base per-check fault rates for
-	// the fabric drop, fabric corruption, host pin and cache fill
-	// sites. All-zero selects the default mix; the sweep multiplies
-	// the base rates per row.
-	Drop, Corrupt, Pin, Fill float64
-}
-
-func (f FaultOptions) withDefaults(seed int64) FaultOptions {
-	if f.Seed == 0 {
-		f.Seed = seed + 77
-	}
-	if f.Drop == 0 && f.Corrupt == 0 && f.Pin == 0 && f.Fill == 0 {
-		f.Drop, f.Corrupt, f.Pin, f.Fill = 0.02, 0.01, 0.04, 0.02
-	}
-	return f
-}
+// The base per-check fault rates of the fabric drop, fabric
+// corruption, host pin and cache fill sites; the sweep multiplies them
+// per row.
+const (
+	chaosDropRate    = 0.02
+	chaosCorruptRate = 0.01
+	chaosPinRate     = 0.04
+	chaosFillRate    = 0.02
+)
 
 // Cluster geometry for one chaos row. Host memory is deliberately
 // tight: hogPages of unpinned mappings plus the sender's rotating
@@ -73,12 +60,15 @@ var chaosMultipliers = []float64{0, 0.5, 1, 2, 4}
 // attempted/delivered/failed, link retransmissions, reclaimer passes,
 // pin retries, dropped cache fills, total faults struck, and goodput.
 func Chaos(opts Options) (*stats.Table, error) {
-	f := opts.Fault.withDefaults(opts.Seed)
+	seed := opts.FaultSeed
+	if seed == 0 {
+		seed = opts.Seed + 77
+	}
 	nmsgs := max(8, int(32*opts.scale()))
 
 	tbl := stats.NewTable(
 		fmt.Sprintf("Chaos: fault-rate sweep, %d sends of %d pages, seed %d (base drop %.3f corrupt %.3f pin %.3f fill %.3f)",
-			nmsgs, chaosSendPages, f.Seed, f.Drop, f.Corrupt, f.Pin, f.Fill),
+			nmsgs, chaosSendPages, seed, chaosDropRate, chaosCorruptRate, chaosPinRate, chaosFillRate),
 		"xrate", "sends", "ok", "failed", "KB recvd", "retrans",
 		"reclaims", "pin retries", "fills lost", "faults", "goodput MB/s")
 
@@ -86,11 +76,11 @@ func Chaos(opts Options) (*stats.Table, error) {
 		m := chaosMultipliers[mi]
 		// Every row owns its injector (seeded by row, so rows are
 		// independent of worker scheduling) and its cluster.
-		inj := fault.NewInjector(f.Seed+int64(mi)*1013, fault.Plan{
-			fault.SiteFabricDrop:    {Rate: f.Drop * m},
-			fault.SiteFabricCorrupt: {Rate: f.Corrupt * m},
-			fault.SiteHostPin:       {Rate: f.Pin * m},
-			fault.SiteCacheFill:     {Rate: f.Fill * m},
+		inj := fault.NewInjector(seed+int64(mi)*1013, fault.Plan{
+			fault.SiteFabricDrop:    {Rate: chaosDropRate * m},
+			fault.SiteFabricCorrupt: {Rate: chaosCorruptRate * m},
+			fault.SiteHostPin:       {Rate: chaosPinRate * m},
+			fault.SiteCacheFill:     {Rate: chaosFillRate * m},
 		})
 		res, err := chaosRun(opts, inj, m, nmsgs)
 		if err != nil {
@@ -190,7 +180,7 @@ func chaosRun(opts Options, inj *fault.Injector, mult float64, nmsgs int) (chaos
 		case err == nil:
 			res.ok++
 		case errors.Is(err, fabric.ErrLinkDead) || errors.Is(err, fault.ErrInjected) ||
-			errors.Is(err, vmmc.ErrQueueFull) || errors.Is(err, phys.ErrOutOfMemory) ||
+			errors.Is(err, phys.ErrOutOfMemory) ||
 			errors.Is(err, core.ErrNoVictim) || errors.Is(err, vmmc.ErrBufferUnpinned):
 			// Degraded but alive: the command failed, the MCP and the
 			// cluster carry on.

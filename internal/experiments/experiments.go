@@ -36,9 +36,10 @@ type Options struct {
 	// labelled buffer (experiment/app/config/node), so the merged
 	// export is byte-identical at any -parallel width.
 	Obs *obs.Collector
-	// Fault parameterises the chaos experiment's deterministic fault
-	// injection (see chaos.go); the zero value selects the defaults.
-	Fault FaultOptions
+	// FaultSeed drives every fault point's PRNG in the chaos
+	// experiment (0 = derived from Seed). For a fixed seed its output
+	// is byte-identical at any -parallel width.
+	FaultSeed int64
 }
 
 func (o Options) scale() float64 {

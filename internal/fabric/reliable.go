@@ -51,7 +51,6 @@ type Endpoint struct {
 	acked map[units.NodeID]uint32
 
 	retransmits int64
-	duplicates  int64
 }
 
 // NewEndpoint attaches a reliable endpoint for node id to the network.
@@ -76,9 +75,6 @@ func (e *Endpoint) ID() units.NodeID { return e.id }
 
 // Retransmits reports how many retransmissions this endpoint has sent.
 func (e *Endpoint) Retransmits() int64 { return e.retransmits }
-
-// Duplicates reports how many duplicate data packets were suppressed.
-func (e *Endpoint) Duplicates() int64 { return e.duplicates }
 
 // Send reliably delivers payload to dst, blocking (in simulated time)
 // until the packet is acknowledged. The clock is advanced across
@@ -137,7 +133,8 @@ func (e *Endpoint) receive(pkt *Packet, arrival units.Time) {
 				e.handler(pkt.Src, pkt.Payload, pkt.Tag, arrival)
 			}
 		case seqLT(pkt.Seq, expected):
-			e.duplicates++ // retransmission of already-delivered data
+			// A retransmission of already-delivered data: suppress it,
+			// but ack it again below.
 		default:
 			// Out of order is impossible under stop-and-wait with a
 			// synchronous fabric; drop and let retransmission recover.

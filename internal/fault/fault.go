@@ -37,8 +37,6 @@ const (
 	// SiteHostPin makes a host pin attempt fail with (injected) frame
 	// exhaustion, exercising the reclaim-and-retry path.
 	SiteHostPin = "hostos/pin"
-	// SiteNICSRAM makes a NIC SRAM reservation fail.
-	SiteNICSRAM = "nicsim/sram"
 	// SiteCacheFill drops a UTLB-cache fill (a failed fetch DMA).
 	SiteCacheFill = "tlbcache/fill"
 	// SiteFabricDrop vanishes a packet in the switch.

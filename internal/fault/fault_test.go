@@ -43,7 +43,7 @@ func TestUnarmedSitesAreNil(t *testing.T) {
 	if inj.Point(SiteHostPin) == nil {
 		t.Fatal("planned site not armed")
 	}
-	if inj.Point(SiteNICSRAM) != nil {
+	if inj.Point(SiteFabricDrop) != nil {
 		t.Fatal("unplanned site armed")
 	}
 	if inj.Point(SiteCacheFill) != nil {

@@ -1,8 +1,8 @@
 // Package nicsim simulates the network interface card: a LANai-style
 // embedded processor with on-board SRAM, a DMA engine on the host I/O
-// bus, and a doorbell/command-queue interface through which user
-// processes post requests. Interrupts are modelled where they are paid,
-// on the host (hostos.Host.EnterInterrupt).
+// bus, and a doorbell through which user processes post requests.
+// Interrupts are modelled where they are paid, on the host
+// (hostos.Host.EnterInterrupt).
 //
 // The paper's NIC is a Myrinet PCI interface with a 33 MHz LANai 4.2
 // and 1 MB of SRAM; the firmware (Myrinet Control Program) polls
@@ -15,8 +15,6 @@ import (
 	"fmt"
 
 	"utlb/internal/bus"
-	"utlb/internal/fault"
-	"utlb/internal/obs"
 	"utlb/internal/units"
 )
 
@@ -71,16 +69,8 @@ type NIC struct {
 	sramSize int
 	sramUsed int
 
-	// sramFault, when armed, makes SRAM reservations fail (injected
-	// exhaustion); nil — the default — never fires.
-	sramFault *fault.Point
-
 	// Counters for experiments.
 	dmaFetches int64
-
-	// tap records injected SRAM faults on the nic track; nil — the
-	// default — records nothing.
-	tap *obs.Tap
 }
 
 // New returns a NIC with the given SRAM size attached to b. The NIC has
@@ -121,11 +111,6 @@ func (n *NIC) ReserveSRAM(nbytes int) error {
 	if nbytes < 0 {
 		panic(fmt.Sprintf("nicsim: negative SRAM reservation %d", nbytes))
 	}
-	if n.sramFault.Fire() {
-		n.tap.Instant(obs.KindFaultSRAM, n.clock.Now(), 0, uint64(nbytes), 0)
-		return fmt.Errorf("nicsim: SRAM exhausted: want %d, free %d: %w",
-			nbytes, n.SRAMFree(), fault.ErrInjected)
-	}
 	if n.sramUsed+nbytes > n.sramSize {
 		return fmt.Errorf("nicsim: SRAM exhausted: want %d, free %d", nbytes, n.SRAMFree())
 	}
@@ -140,13 +125,6 @@ func (n *NIC) ReleaseSRAM(nbytes int) {
 	}
 	n.sramUsed -= nbytes
 }
-
-// SetSRAMFault arms the injected SRAM-exhaustion fault on ReserveSRAM
-// (fault.SiteNICSRAM). nil — the default — disables injection.
-func (n *NIC) SetSRAMFault(p *fault.Point) { n.sramFault = p }
-
-// SetTap attaches the recording handle (nil detaches).
-func (n *NIC) SetTap(t *obs.Tap) { n.tap = t }
 
 // FetchEntries DMAs count 8-byte translation entries from host memory
 // at pa, charging the NIC clock (the firmware blocks on its DMA). The

@@ -86,7 +86,9 @@ func TestReleaseTooMuchPanics(t *testing.T) {
 
 func TestFetchEntriesReadsHostMemory(t *testing.T) {
 	n, _ := newNIC(t)
-	n.Bus().WriteWords(0x40, []uint64{7, 8, 9})
+	words := make([]byte, 24) // little-endian 7, 8, 9
+	words[0], words[8], words[16] = 7, 8, 9
+	n.Bus().WriteData(0x40, words)
 	got := n.FetchEntries(0x40, 3)
 	if got[0] != 7 || got[1] != 8 || got[2] != 9 {
 		t.Errorf("FetchEntries = %v", got)

@@ -155,8 +155,7 @@ func TestXferCursor(t *testing.T) {
 	if off.Begin() != 0 || off.ForNode(3) != nil || NewTap(nil, 0) != nil {
 		t.Fatal("a nil tap must stay nil and at transfer 0")
 	}
-	off.Set(9) // must not panic
-	off.Clear()
+	off.Clear() // must not panic
 	off.Span(KindPin, 1, 2, 3, 4, 5)
 	off.Instant(KindPinRetry, 1, 2, 3, 4)
 	off.InstantOn(1, KindFaultDrop, 2, 3)
@@ -173,10 +172,6 @@ func TestXferCursor(t *testing.T) {
 	if id := peer.Begin(); id != 2 || x.xfer.cur != 2 {
 		t.Fatalf("second Begin, on a sibling handle = %d (cur %d)", id, x.xfer.cur)
 	}
-	x.Set(1)
-	if peer.xfer.cur != 1 {
-		t.Fatal("Set did not restore")
-	}
 	x.Span(KindPin, 10, 4, 7, 8, 9)
 	peer.Instant(KindSend, 11, 7, 64, 0)
 	x.InstantOn(9, KindFaultDrop, 12, 80)
@@ -188,8 +183,8 @@ func TestXferCursor(t *testing.T) {
 		t.Fatalf("Begin after Clear = %d, want 3 (ids never reused)", id)
 	}
 	want := []Event{
-		{Time: 10, Dur: 4, Arg: 8, Arg2: 9, Xfer: 1, PID: 7, Node: 2, Kind: KindPin},
-		{Time: 11, Arg: 64, Xfer: 1, PID: 7, Node: 5, Kind: KindSend},
+		{Time: 10, Dur: 4, Arg: 8, Arg2: 9, Xfer: 2, PID: 7, Node: 2, Kind: KindPin},
+		{Time: 11, Arg: 64, Xfer: 2, PID: 7, Node: 5, Kind: KindSend},
 		{Time: 12, Arg: 80, Node: 9, Kind: KindFaultDrop},
 	}
 	if got := buf.Events(); !slices.Equal(got, want) {

@@ -73,7 +73,6 @@ const (
 	// strike (no new component: the Chrome tid packs the component
 	// into 3 bits, so the 8 existing tracks are the full budget).
 	KindFaultPin     // host: injected frame exhaustion on a pin
-	KindFaultSRAM    // nic: injected SRAM reservation failure
 	KindFaultFetch   // cache: injected fetch-DMA error (fill dropped)
 	KindFaultDrop    // nic: packet vanished in the switch
 	KindFaultCorrupt // nic: payload byte flipped on the wire
@@ -131,7 +130,6 @@ var kindMetas = [numKinds]kindMeta{
 	KindSend:            {name: "vmmc_send", comp: compVMMC, arg: "bytes"},
 	KindRecv:            {name: "vmmc_recv", comp: compVMMC, arg: "bytes"},
 	KindFaultPin:        {name: "fault_pin", comp: compHost, arg: "vpn"},
-	KindFaultSRAM:       {name: "fault_sram", comp: compNic, arg: "bytes"},
 	KindFaultFetch:      {name: "fault_fetch", comp: compCache, arg: "vpn"},
 	KindFaultDrop:       {name: "fault_drop", comp: compNic, arg: "bytes"},
 	KindFaultCorrupt:    {name: "fault_corrupt", comp: compNic, arg: "bytes"},

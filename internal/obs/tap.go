@@ -91,14 +91,9 @@ func (t *Tap) Begin() uint64 {
 	return t.xfer.cur
 }
 
-// Set restores a previously allocated id as current — the deferred
-// half of a posted command: PostSend allocates at post time, the
-// firmware Sets it back when the command executes.
-func (t *Tap) Set(id uint64) {
+// Clear marks that no transfer is in progress.
+func (t *Tap) Clear() {
 	if t != nil {
-		t.xfer.cur = id
+		t.xfer.cur = 0
 	}
 }
-
-// Clear marks that no transfer is in progress.
-func (t *Tap) Clear() { t.Set(0) }

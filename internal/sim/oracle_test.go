@@ -228,11 +228,39 @@ func check(tr trace.Trace, c Config, scr *RunScratch) (Result, string) {
 	return res, ""
 }
 
+// oracleCfg is configuration k of the oracle's 72: design k%3 ×
+// entries {1, 2} × pin limit {none, 1, 2} × {seq, overlap ch 1} ×
+// batch {1, 2}. Batch 2 is run for UTLB only: PerProc refuses it and
+// Intr ignores it.
+func oracleCfg(k int) Config {
+	c, ch := designCfg(Mechanism(k%3), 1+k/3%2), k/18%2
+	c.PinLimitPages, c.BatchPages = k/6%3, 1+k/36
+	c.Overlap = OverlapConfig{Enabled: ch > 0, DMAChannels: ch}
+	return c
+}
+
+// cfgName names an oracleCfg in a failure message.
+func cfgName(c Config) string {
+	return fmt.Sprintf("%v entries %d limit %d channels %d batch %d",
+		c.Mechanism, c.CacheEntries, c.PinLimitPages, c.Overlap.DMAChannels, c.BatchPages)
+}
+
+// spyOnDesigns wraps every design in a spy until the test ends.
+func spyOnDesigns(t testing.TB) {
+	for m := range designs {
+		build := designs[m].build
+		designs[m].build = func(r *run) (mechanism, int, error) {
+			d, width, err := build(r)
+			return spy{d, r}, width, err
+		}
+		t.Cleanup(func() { designs[m].build = build })
+	}
+}
+
 // replay checks trace n (records: n's digits in base alphabet, + shift)
-// under entries {1, 2} × pin limit {none, 1, 2} × {seq, overlap ch 1} ×
-// batch {1, 2} for UTLB when a record spans two pages (else batch 2 is
-// batch 1), and Table 4's facts: with no pin limit UTLB never unpins and
-// Intr misses on the NI exactly as often.
+// under every oracleCfg, batch 2 only when a record spans two pages
+// (else batch 2 is batch 1), and Table 4's facts: with no pin limit
+// UTLB never unpins and Intr misses on the NI exactly as often.
 func replay(tr trace.Trace, n, alphabet, shift int, scr *RunScratch) string {
 	straddles := false
 	for i := range tr {
@@ -242,15 +270,13 @@ func replay(tr trace.Trace, n, alphabet, shift int, scr *RunScratch) string {
 	}
 	var utlbMisses [3]int64
 	for k := 0; k < 72; k++ {
-		c, ch := designCfg(Mechanism(k%3), 1+k/3%2), k/18%2
-		c.PinLimitPages, c.BatchPages = k/6%3, 1+k/36
-		c.Overlap = OverlapConfig{Enabled: ch > 0, DMAChannels: ch}
+		c := oracleCfg(k)
 		if c.BatchPages > 1 && (c.Mechanism != UTLB || !straddles) {
 			continue
 		}
 		res, msg := check(tr, c, scr)
 		if msg != "" {
-			return fmt.Sprintf("%v entries %d limit %d channels %d batch %d: %s", c.Mechanism, c.CacheEntries, c.PinLimitPages, ch, c.BatchPages, msg)
+			return cfgName(c) + ": " + msg
 		}
 		switch m := c.Mechanism; {
 		case k >= 6:
@@ -269,14 +295,7 @@ func replay(tr trace.Trace, n, alphabet, shift int, scr *RunScratch) string {
 // four pages (all shapes to depth 3, one page beyond), shortest first:
 // each depth is dealt to one worker per CPU, and a divergence stops it.
 func TestOracle(t *testing.T) {
-	for m := range designs {
-		build := designs[m].build
-		designs[m].build = func(r *run) (mechanism, int, error) {
-			d, width, err := build(r)
-			return spy{d, r}, width, err
-		}
-		defer func() { designs[m].build = build }()
-	}
+	spyOnDesigns(t)
 	workers := runtime.GOMAXPROCS(0)
 	for depth, total := 1, 24; depth <= 5 && !t.Failed(); depth, total = depth+1, total*24 {
 		alphabet, shift := 24, 0
@@ -297,4 +316,29 @@ func TestOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSimVsOracle checks traces far longer than TestOracle's, long
+// enough to build pin-limit eviction pressure: data[0] picks one
+// oracleCfg, and each further byte, up to 64, is a record of the
+// alphabet.
+func FuzzSimVsOracle(f *testing.F) {
+	spyOnDesigns(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		c := oracleCfg(int(data[0]) % 72)
+		if c.BatchPages > 1 && c.Mechanism != UTLB {
+			return
+		}
+		tr := make(trace.Trace, min(len(data)-1, 64))
+		for i := range tr {
+			tr[i] = oracleRecord(int(data[1+i]) % 24)
+			tr[i].Time = units.Time(i)
+		}
+		if _, msg := check(tr, c, NewRunScratch()); msg != "" {
+			t.Fatalf("%s: trace %+v: %s", cfgName(c), tr, msg)
+		}
+	})
 }

@@ -427,7 +427,6 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	r.tap = obs.NewTap(r.timing.setup(cfg, scr, r.host, b, r.nic), 0)
 	r.host.SetTap(r.tap)
 	b.SetTap(r.tap)
-	r.nic.SetTap(r.tap)
 	r.cls = scr.classifier(cfg.CacheEntries)
 
 	m, width, err := designs[cfg.Mechanism].build(r)

@@ -12,7 +12,6 @@ package tlbcache
 
 import (
 	"fmt"
-	"sort"
 
 	"utlb/internal/fault"
 	"utlb/internal/obs"
@@ -424,33 +423,4 @@ func (c *Cache) Occupancy() int {
 		}
 	}
 	return n
-}
-
-// ProcOccupancy is one process' share of valid cache entries.
-type ProcOccupancy struct {
-	PID     units.ProcID
-	Entries int
-}
-
-// OccupancyByProcess reports how many valid entries each process
-// holds — the cache-sharing breakdown multiprogramming studies read.
-// The slice is sorted by PID, so the output is deterministic; the
-// only allocation is the returned slice itself (no per-call map).
-func (c *Cache) OccupancyByProcess() []ProcOccupancy {
-	var out []ProcOccupancy
-	for j := range c.st.valid {
-		if !c.st.valid[j] {
-			continue
-		}
-		pid := c.st.keys[j].PID
-		i := sort.Search(len(out), func(i int) bool { return out[i].PID >= pid })
-		if i < len(out) && out[i].PID == pid {
-			out[i].Entries++
-			continue
-		}
-		out = append(out, ProcOccupancy{})
-		copy(out[i+1:], out[i:])
-		out[i] = ProcOccupancy{PID: pid, Entries: 1}
-	}
-	return out
 }

@@ -266,28 +266,6 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 	}
 }
 
-func TestOccupancyByProcess(t *testing.T) {
-	c := New(Config{Entries: 64, Ways: 2, IndexOffset: true})
-	for v := units.VPN(0); v < 3; v++ {
-		c.Insert(Key{PID: 2, VPN: v}, 0)
-	}
-	for v := units.VPN(0); v < 5; v++ {
-		c.Insert(Key{PID: 1, VPN: v}, 0)
-	}
-	by := c.OccupancyByProcess()
-	want := []ProcOccupancy{{PID: 1, Entries: 5}, {PID: 2, Entries: 3}}
-	if len(by) != len(want) || by[0] != want[0] || by[1] != want[1] {
-		t.Errorf("OccupancyByProcess = %v, want %v", by, want)
-	}
-	total := 0
-	for _, po := range by {
-		total += po.Entries
-	}
-	if total != c.Occupancy() {
-		t.Errorf("per-process sum %d != occupancy %d", total, c.Occupancy())
-	}
-}
-
 // Storage reuse across runs must not leak state: a cache rebuilt on a
 // used Storage behaves exactly like one on fresh storage.
 func TestStorageReuseIsClean(t *testing.T) {

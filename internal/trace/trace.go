@@ -124,17 +124,6 @@ func (t Trace) Footprint() int {
 	return len(seen)
 }
 
-// FilterNode returns the records issued on node.
-func (t Trace) FilterNode(node units.NodeID) Trace {
-	var out Trace
-	for _, r := range t {
-		if r.Node == node {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // PIDs reports the distinct process IDs in the trace, sorted.
 func (t Trace) PIDs() []units.ProcID {
 	set := map[units.ProcID]bool{}

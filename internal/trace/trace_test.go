@@ -70,12 +70,8 @@ func TestFootprintAndLookups(t *testing.T) {
 	}
 }
 
-func TestFilterNodeAndPIDs(t *testing.T) {
+func TestPIDs(t *testing.T) {
 	tr := sample()
-	n0 := tr.FilterNode(0)
-	if len(n0) != 3 {
-		t.Errorf("FilterNode(0) = %d records", len(n0))
-	}
 	pids := tr.PIDs()
 	want := []units.ProcID{1, 2, 3, 4}
 	if !reflect.DeepEqual(pids, want) {

@@ -72,10 +72,6 @@ func (s *Space) PID() units.ProcID { return s.pid }
 // PinLimit reports the pinned-page quota (0 = unlimited).
 func (s *Space) PinLimit() int { return s.pinLimit }
 
-// SetPinLimit changes the pinned-page quota. Lowering it below the
-// current pinned count does not unpin anything; it only blocks new pins.
-func (s *Space) SetPinLimit(pages int) { s.pinLimit = pages }
-
 // PinnedPages reports how many distinct pages are currently pinned.
 func (s *Space) PinnedPages() int { return s.pinned }
 

@@ -95,23 +95,6 @@ func TestPinLimit(t *testing.T) {
 	}
 }
 
-func TestSetPinLimit(t *testing.T) {
-	s := newSpace(t, 8, 0)
-	s.Pin(0)
-	s.Pin(1)
-	s.SetPinLimit(1)
-	if s.PinLimit() != 1 {
-		t.Errorf("PinLimit = %d", s.PinLimit())
-	}
-	// Existing pins survive; new pins are blocked.
-	if !s.Pinned(0) || !s.Pinned(1) {
-		t.Error("lowering limit unpinned pages")
-	}
-	if _, err := s.Pin(2); !errors.Is(err, ErrPinLimit) {
-		t.Errorf("Pin = %v, want ErrPinLimit", err)
-	}
-}
-
 func TestEvict(t *testing.T) {
 	mem := phys.NewMemory(2 * units.PageSize)
 	s := NewSpace(1, mem, 0)

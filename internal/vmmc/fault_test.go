@@ -3,7 +3,6 @@ package vmmc
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"utlb/internal/core"
@@ -79,40 +78,12 @@ func TestSendSurvivesInjectedPinFault(t *testing.T) {
 	}
 }
 
-// An injected SRAM-exhaustion fault at process-creation time must fail
-// that process only — the cluster and its existing processes keep
-// working.
-func TestNewProcessDegradesOnInjectedSRAMFault(t *testing.T) {
-	// The shared SRAM point counts cluster-wide: node 1's cache
-	// reservation is check 1 (node 0's happens before arming), the
-	// first process' command buffer is check 2, and everything after
-	// faults.
-	inj := fault.NewInjector(7, fault.Plan{
-		fault.SiteNICSRAM: {After: 2, Every: 1},
-	})
-	c, err := NewCluster(Options{Nodes: 2, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Node(0).NewProcess(1, "ok", 0, core.LibConfig{Policy: core.LRU}); err != nil {
-		t.Fatalf("first process: %v", err)
-	}
-	_, err = c.Node(0).NewProcess(2, "starved", 0, core.LibConfig{Policy: core.LRU})
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("second process = %v, want fault.ErrInjected", err)
-	}
-	if c.Node(0).Host().Processes() == 0 {
-		t.Error("surviving process lost")
-	}
-}
-
-// A dead link wedging one process' queued command must not stall the
-// MCP: the next process' command still executes, and each failure
-// comes back in PollAll's joined error, attributed to its process. The
-// fabric drops every packet from the first on (deadFromStart), so the
-// second command meets the dead link too: what it shows is that the
-// MCP ran it rather than stopping at the first failure.
-func TestPollAllContinuesPastDeadLink(t *testing.T) {
+// A dead link fails the send that meets it, not the node: the next
+// send, from another process to another node, still runs and fails on
+// its own. The fabric drops every packet from the first on
+// (deadFromStart), so both sends meet a dead link; what the second
+// shows is that the node serves it rather than staying wedged.
+func TestSendContinuesPastDeadLink(t *testing.T) {
 	c, err := NewCluster(Options{Nodes: 3, Injector: deadFromStart()})
 	if err != nil {
 		t.Fatal(err)
@@ -140,28 +111,21 @@ func TestPollAllContinuesPastDeadLink(t *testing.T) {
 
 	doomed.Write(0x100000, pattern(64, 1))
 	next.Write(0x100000, pattern(64, 2))
-	if err := doomed.PostSend(imp1, 0, 0x100000, 64); err != nil {
-		t.Fatal(err)
+	if err := doomed.Send(imp1, 0, 0x100000, 64); !errors.Is(err, fabric.ErrLinkDead) {
+		t.Fatalf("first Send = %v, want ErrLinkDead", err)
 	}
-	if err := next.PostSend(imp2, 0, 0x100000, 64); err != nil {
-		t.Fatal(err)
+	sent := c.Node(0).NIC().Clock().Now()
+	if err := next.Send(imp2, 0, 0x100000, 64); !errors.Is(err, fabric.ErrLinkDead) {
+		t.Fatalf("second Send = %v, want ErrLinkDead", err)
 	}
-
-	err = c.Node(0).PollAll()
-	if !errors.Is(err, fabric.ErrLinkDead) {
-		t.Fatalf("PollAll = %v, want ErrLinkDead in the chain", err)
-	}
-	if !strings.Contains(err.Error(), "pid 1") || !strings.Contains(err.Error(), "pid 2") {
-		t.Errorf("error does not attribute both failures: %v", err)
-	}
-	if doomed.Queued() != 0 || next.Queued() != 0 {
-		t.Error("rings not drained")
+	if c.Node(0).NIC().Clock().Now() < sent+RemapCost {
+		t.Error("second send did not run its retries")
 	}
 }
 
 // deadFromStart drops every packet the fabric carries. Every test
 // using it sends its first packet after setup (Export and Import are
-// local, PostSend only queues), so the link is dead from that packet on.
+// local), so the link is dead from that packet on.
 func deadFromStart() *fault.Injector {
 	return fault.NewInjector(1, fault.Plan{fault.SiteFabricDrop: {After: 0, Every: 1}})
 }

@@ -10,12 +10,12 @@ import (
 	"utlb/internal/units"
 )
 
-// ErrBufferUnpinned reports that a posted send's source page lost its
-// pin before the firmware executed the command. VMMC requires senders
-// to keep buffers pinned for the life of the transfer; under a pin
-// quota, later pins can evict a queued send's pages first. The message
-// is lost, nothing else is harmed — callers may treat it like a dead
-// link for that one command.
+// ErrBufferUnpinned reports that a send's source page lost its pin
+// before the firmware read it. VMMC requires senders to keep buffers
+// pinned for the life of the transfer; under a pin quota, a Lookup
+// whose record needs more pages than the quota can evict the record's
+// own pages. The message is lost, nothing else is harmed — callers may
+// treat it like a dead link for that one command.
 var ErrBufferUnpinned = errors.New("vmmc: buffer page unpinned mid-transfer")
 
 // This file is the Myrinet Control Program (MCP): the firmware side of
@@ -46,7 +46,8 @@ func respTag(reqID uint32, offset int) uint64 {
 // firmwareSend executes a posted send command: walk the local buffer
 // page by page, translate through the Shared UTLB-Cache, DMA each
 // piece out of host memory, and hand it to the reliable link layer.
-func (n *Node) firmwareSend(pid units.ProcID, dst *Imported, offset int, va units.VAddr, nbytes int) error {
+func (n *Node) firmwareSend(p *Proc, dst *Imported, offset int, va units.VAddr, nbytes int) error {
+	pid := p.PID()
 	done := 0
 	for done < nbytes {
 		vpn := (va + units.VAddr(done)).PageOf()
@@ -57,9 +58,9 @@ func (n *Node) firmwareSend(pid units.ProcID, dst *Imported, offset int, va unit
 		}
 		pfn, info := n.tr.Translate(pid, vpn)
 		if info.Garbage {
-			// The user library pinned the buffer before posting; pin
-			// churn (quota eviction) can still unpin it before a queued
-			// command executes.
+			// The user library pinned the buffer before posting; a
+			// record larger than the pin quota can still have lost
+			// its own first pages to eviction.
 			return fmt.Errorf("vmmc: send page %#x of pid %d: %w", vpn, pid, ErrBufferUnpinned)
 		}
 		payload := n.nic.Bus().ReadData(pfn.Addr()+units.PAddr(pageOff), chunk)

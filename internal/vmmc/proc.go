@@ -139,13 +139,7 @@ func (p *Proc) Import(node units.NodeID, id BufferID) (*Imported, error) {
 // and deposited directly into the receiver's buffer — no copies on
 // either host.
 func (p *Proc) Send(dst *Imported, offset int, va units.VAddr, nbytes int) error {
-	// Figure 2: user-level lookup (pin on check miss), post the
-	// request to the command buffer, and let the MCP drain it. The
-	// buffer stays locked until the firmware completes the command.
-	if err := p.PostSend(dst, offset, va, nbytes); err != nil {
-		return err
-	}
-	return p.node.PollAll()
+	return p.post(p.node.firmwareSend, dst, offset, va, nbytes)
 }
 
 // Fetch is VMMC-2's remote fetch: read [offset, offset+nbytes) of the
@@ -153,7 +147,16 @@ func (p *Proc) Send(dst *Imported, offset int, va units.VAddr, nbytes int) error
 // are pinned through the UTLB exactly like send buffers — the receive
 // path integration that Hierarchical-UTLB makes natural (§3.3).
 func (p *Proc) Fetch(src *Imported, offset int, va units.VAddr, nbytes int) error {
-	if err := checkRange(src, offset, nbytes); err != nil {
+	return p.post(p.node.firmwareFetch, src, offset, va, nbytes)
+}
+
+// post runs one command on [va, va+nbytes) against b at offset as
+// Figure 2 does: user-level lookup (pin on check miss), then post the
+// request to the command buffer, which the MCP polls once and executes
+// with firmware. The buffer stays locked until the firmware is done.
+func (p *Proc) post(firmware func(*Proc, *Imported, int, units.VAddr, int) error,
+	b *Imported, offset int, va units.VAddr, nbytes int) error {
+	if err := checkRange(b, offset, nbytes); err != nil {
 		return err
 	}
 	if nbytes == 0 {
@@ -167,7 +170,7 @@ func (p *Proc) Fetch(src *Imported, offset int, va units.VAddr, nbytes int) erro
 	p.lib.Lock(va, nbytes)
 	defer p.lib.Unlock(va, nbytes)
 	p.node.nic.ChargePoll()
-	return p.node.firmwareFetch(p, src, offset, va, nbytes)
+	return firmware(p, b, offset, va, nbytes)
 }
 
 // Received reports how many bytes and messages have landed in export

@@ -44,10 +44,9 @@ type Options struct {
 	NoIndexOffset bool
 	// Injector, when non-nil, arms the deterministic fault points
 	// (fault.Site*) across every layer of the cluster: host pin
-	// failures, NIC SRAM exhaustion, cache-fill DMA errors, and wire
-	// drop/corruption. One injector serves the whole cluster (cluster
-	// execution is single-goroutine); unplanned sites stay nil and
-	// cost nothing.
+	// failures, cache-fill DMA errors, and wire drop/corruption. One
+	// injector serves the whole cluster (cluster execution is
+	// single-goroutine); unplanned sites stay nil and cost nothing.
 	Injector *fault.Injector
 	// Recorder, when non-nil, receives the event timeline of every node
 	// (cache traffic, DMA, pins, firmware send/recv).
@@ -142,10 +141,6 @@ type Node struct {
 	pendingFetch map[uint32]*fetchState
 	nextFetchID  uint32
 
-	// cmdq holds each process' posted-but-unexecuted commands (the
-	// command-post buffers of Figure 6; see queue.go).
-	cmdq map[units.ProcID][]command
-
 	// firmware counters
 	pagesSent     int64
 	pagesReceived int64
@@ -182,10 +177,7 @@ func newNode(c *Cluster, id units.NodeID, opts Options) (*Node, error) {
 	ioBus := bus.New(host.Memory(), nicClock, bus.DefaultCosts())
 	nic := nicsim.New(id, nicSRAMBytes, nicClock, ioBus, nicsim.DefaultCosts())
 	// Arm the per-layer fault points (nil when opts.Injector is nil or
-	// the site is unplanned — the zero-overhead default). The NIC point
-	// is armed after driver construction so the cache's own SRAM
-	// reservation is not fault-prone: losing a node at build time is a
-	// configuration error, not a degradable runtime fault.
+	// the site is unplanned — the zero-overhead default).
 	host.SetPinFault(opts.Injector.Point(fault.SiteHostPin))
 	drv, err := core.NewDriver(host, nic, tlbcache.Config{
 		Entries: opts.CacheEntries, Ways: 1, IndexOffset: !opts.NoIndexOffset,
@@ -193,12 +185,10 @@ func newNode(c *Cluster, id units.NodeID, opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	nic.SetSRAMFault(opts.Injector.Point(fault.SiteNICSRAM))
 	drv.Cache().SetFillFault(opts.Injector.Point(fault.SiteCacheFill))
 	tap := c.tap.ForNode(id)
 	host.SetTap(tap)
 	ioBus.SetTap(tap)
-	nic.SetTap(tap)
 	drv.SetTap(tap)
 	n := &Node{
 		cluster:      c,

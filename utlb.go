@@ -98,7 +98,6 @@ const (
 // Fault sites a cluster arms from its injector (DESIGN.md §10).
 const (
 	SiteHostPin       = fault.SiteHostPin
-	SiteNICSRAM       = fault.SiteNICSRAM
 	SiteCacheFill     = fault.SiteCacheFill
 	SiteFabricDrop    = fault.SiteFabricDrop
 	SiteFabricCorrupt = fault.SiteFabricCorrupt
