@@ -38,11 +38,12 @@ test:
 # count the race detector's own allocations against the code under test,
 # so they belong to the non-race run only: `make test` runs every one
 # of them. This is the one -race pass over internal/{telemetry,xlate,serve}
-# in `make check`. The service's concurrency checks run three more
-# times: each run is a different interleaving.
+# in `make check`. The service's concurrency checks, and the sink's
+# readers against its traffic (the Sink.mu -> shard.mu lock order),
+# run three more times: each run is a different interleaving.
 race:
 	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
-	$(GO) test -race -count=3 -run 'TestConcurrentHistory|TestLookupManyMatchesSingleLookups|TestConcurrentDisjointShadows' ./internal/xlate
+	$(GO) test -race -count=3 -run 'TestConcurrentHistory|TestLookupManyMatchesSingleLookups|TestConcurrentDisjointShadows|TestTelemetryReadersDuringTraffic' ./internal/xlate
 
 # Fuzz smoke: `make test` runs only the fuzzers' seed corpora, so a
 # codec change would otherwise meet no new input. Each fuzzer gets

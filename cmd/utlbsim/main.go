@@ -186,7 +186,7 @@ func serveMain(args []string) error {
 	telDef := telemetry.DefaultConfig(def.Shards)
 	windowMs := fs.Int64("telemetry-window", telDef.WindowNs/1_000_000, "rolling-window width in milliseconds")
 	windows := fs.Int("telemetry-windows", telDef.Windows, "rolling windows retained (series span = window x windows)")
-	sampleEvery := fs.Int64("sample-every", telDef.SampleEvery, "trace one request in N (0 disables request tracing)")
+	sampleEvery := fs.Int64("sample-every", telDef.SampleEvery, "time and trace one request in N (0 disables request latency and tracing; counts stay exact)")
 	sloP99Us := fs.Int64("slo-p99", telDef.SLOTargetNs/1_000, "latency objective: target p99 in microseconds")
 	sloBudget := fs.Float64("slo-budget", telDef.SLOBudget, "SLO error budget: fraction of ops allowed over target")
 	if err := fs.Parse(args); err != nil {

@@ -3,8 +3,9 @@ package serve
 // The /api/live/* endpoints expose the translation service's live
 // telemetry: the rolling-window time series, the per-shard
 // load/occupancy heatmap, the SLO position, and the sampled request
-// traces. They answer from the telemetry sink's lock-free counters
-// and window ring, so reading them never stalls translation traffic.
+// traces. They answer from the telemetry sink's window ring and
+// sampled latencies and from the shards' own counts, each shard lock
+// held only to copy its counts.
 // When the service runs without telemetry (nil sink) they answer 503
 // so scrapers can tell "disabled" from "empty".
 

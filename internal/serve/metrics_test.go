@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // metricsBody drives a fixed script through a live server on a manual
 // clock — batch and single-key inserts and lookups, hits and misses,
-// both invalidation forms, sink records at the histogram's edges and
+// both invalidation forms, timed records at the histogram's edges and
 // one cached t6 run — and returns the joined /metrics body.
 func metricsBody(t *testing.T) string {
 	t.Helper()
@@ -58,7 +58,7 @@ func metricsBody(t *testing.T) string {
 	for i, d := range []int64{64, 128, 129, 300_000, 1 << 27} {
 		sink.RecordLookups(i%4, 1, 1, d, clk.Now())
 	}
-	sink.RecordInserts(2, 3, 1, 257, clk.Now())
+	sink.RecordLookups(2, 3, 1, 257, clk.Now())
 
 	clk.Set(1_500_000_000) // close window 0
 	if code, body := get(t, ts, "/api/analyze?exp=t6&scale=0.03&apps=fft&topk=2"); code != http.StatusOK {

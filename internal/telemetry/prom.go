@@ -15,19 +15,16 @@ import (
 // byte-deterministic output for a given state.
 
 // WritePrometheus writes the sink's cumulative state as utlb_live_*
-// metrics: per-shard counters, the service-wide latency histogram
-// (digest buckets coarsened onto the shared log2 boundaries), and the
-// SLO position evaluated over the window ring at now.
+// metrics: per-shard slow operations, the service-wide latency
+// histogram (digest buckets coarsened onto the shared log2
+// boundaries), and the SLO position evaluated over the window ring at
+// now. The service's counts are not here: utlb_xlate_* carries them.
+// Everything timed is over the sampled requests only.
 func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
 	p := obs.NewPromWriter(w)
-	for ci, c := range counters {
-		if c.prom == "" {
-			continue
-		}
-		p.Family(c.prom, c.help, "counter")
-		for i := range t.shards {
-			p.Int(t.shards[i].ctr[ci].Load(), "shard", strconv.Itoa(i))
-		}
+	p.Family("utlb_live_slow_ops_total", "Timed shard operations over the SLO target, by shard.", "counter")
+	for i := range t.shards {
+		p.Int(t.shards[i].slow.Load(), "shard", strconv.Itoa(i))
 	}
 
 	// Service-wide latency histogram. A digest bucket is counted under
@@ -54,7 +51,10 @@ func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
 			}
 		}
 	}
-	tot := t.TotalsSnapshot()
+	var tot Totals
+	for i := range t.shards {
+		t.shards[i].addTo(&tot)
+	}
 	p.Family("utlb_live_op_duration_ns", "Latency of timed shard operations.", "histogram")
 	p.Histogram(&hist, tot.SumNs, tot.Ops)
 

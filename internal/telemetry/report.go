@@ -182,7 +182,7 @@ func (t *Sink) ShardSnapshots(now int64) []ShardSnapshot {
 	for i := range t.shards {
 		s := &t.shards[i]
 		ss := ShardSnapshot{Shard: i, MaxNs: s.maxNs.Load()}
-		s.addTo(&ss.Totals)
+		t.shardTotals(i, &ss.Totals)
 		if ss.Ops > 0 {
 			var hist [analyze.DigestBuckets]int64
 			for b := range hist {

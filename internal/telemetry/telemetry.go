@@ -7,22 +7,27 @@
 //
 // Three pieces, all integer math on an injectable clock:
 //
-//   - Per-shard cumulative counters and fixed-bucket log2 latency
-//     histograms (the analyze.Digest bucket scheme), updated lock-free
-//     with atomics on every Lookup/LookupMany/Insert. The disabled
-//     path — a nil *Sink, whose Request methods all return at once —
-//     allocates nothing.
+//   - Per-shard counts and fixed-bucket log2 latency histograms (the
+//     analyze.Digest bucket scheme). The counts — lookups, hits,
+//     misses, inserts, evictions, invalidations — are the service's
+//     own: the sink reads them from the shards when it folds or
+//     reports, so they are exact and the hot path writes none. Latency
+//     is timed on a deterministic 1-in-SampleEvery sample of requests,
+//     recorded lock-free with atomics. An unsampled request reads the
+//     clock once and writes no counter; the disabled path — a nil
+//     *Sink, whose Request methods all return at once — allocates
+//     nothing.
 //
 //   - A rolling-window time series: a ring of N fixed-width windows.
-//     The hot path checks one atomic against the current window
-//     number; on a window boundary (rare) the crossing operation folds
-//     the cumulative counter deltas into the window that just closed.
-//     No background goroutine, no timers — the ring advances on
-//     traffic and on reads, so an idle service costs nothing.
+//     Each request checks one atomic against the current window number
+//     at its start; on a window boundary (rare) the crossing request
+//     folds the count deltas into the window that just closed. No
+//     background goroutine, no timers — the ring advances on traffic
+//     and on reads, so an idle service costs nothing.
 //
 //   - An SLO tracker (target p99 + error budget) computed over the
-//     window ring, plus deterministic 1-in-N sampled request tracing
-//     whose chains export through the existing Chrome-trace writer.
+//     window ring, plus the sampled requests' trace chains, exported
+//     through the existing Chrome-trace writer.
 //
 // Tests inject a ManualClock and assert byte-exact reports; the
 // production WallClock adapter in clock.go is the package's single
@@ -50,10 +55,11 @@ type Config struct {
 	WindowNs int64
 	// Windows is the ring length: the series spans Windows*WindowNs.
 	Windows int
-	// SampleEvery samples one request in N for tracing (0 disables
-	// sampling; 1 traces everything). Sampling is deterministic in the
-	// request sequence: request ids are a counter, and ids divisible
-	// by SampleEvery are traced.
+	// SampleEvery samples one request in N for latency timing and
+	// tracing (0 disables both; 1 samples everything). Sampling is
+	// deterministic in the request sequence: request ids are a counter,
+	// and ids divisible by SampleEvery are sampled. Counts do not
+	// depend on it.
 	SampleEvery int64
 	// MaxTraces bounds the retained sampled chains (a ring: newest
 	// overwrite oldest).
@@ -109,7 +115,9 @@ func (c Config) Validate() error {
 
 // Totals is one counter set: a shard's or the service's cumulative
 // counts, or one window's deltas. It is embedded, tags and all, in
-// WindowPoint and ShardSnapshot, so the JSON names live here.
+// WindowPoint and ShardSnapshot, so the JSON names live here. The
+// first six fields are the service's counts (Counts fills them); the
+// last three are the sink's own, over sampled requests only.
 type Totals struct {
 	Lookups       int64 `json:"lookups"`
 	Hits          int64 `json:"hits"`
@@ -122,64 +130,44 @@ type Totals struct {
 	SumNs         int64 `json:"latency_sum_ns"`
 }
 
-// A shard stores the set as an array of atomics indexed by these.
-const (
-	cLookups = iota
-	cHits
-	cMisses
-	cInserts
-	cEvictions
-	cInvalidations
-	cOps
-	cSlow
-	cSumNs
-	numCounters
-)
-
-// counters ties each stored counter to its Totals field and to its
-// family on /metrics. Arithmetic on counter sets, the cumulative read
-// and the Prometheus export all range over this list, so a new counter
-// is a Totals field, an index, a row here and its record site.
-var counters = [numCounters]struct {
-	field      func(*Totals) *int64
-	prom, help string // "" = no family of its own
-}{
-	cLookups:       {func(t *Totals) *int64 { return &t.Lookups }, "utlb_live_lookups_total", "Keys looked up, by shard."},
-	cHits:          {func(t *Totals) *int64 { return &t.Hits }, "utlb_live_hits_total", "Lookup hits, by shard."},
-	cMisses:        {func(t *Totals) *int64 { return &t.Misses }, "utlb_live_misses_total", "Lookup misses, by shard."},
-	cInserts:       {func(t *Totals) *int64 { return &t.Inserts }, "utlb_live_inserts_total", "Keys inserted, by shard."},
-	cEvictions:     {func(t *Totals) *int64 { return &t.Evictions }, "utlb_live_evictions_total", "Insert evictions, by shard."},
-	cInvalidations: {func(t *Totals) *int64 { return &t.Invalidations }, "utlb_live_invalidations_total", "Translations invalidated, by shard."},
-	cSlow:          {func(t *Totals) *int64 { return &t.Slow }, "utlb_live_slow_ops_total", "Timed shard operations over the SLO target, by shard."},
-	// The live histogram's _count and _sum.
-	cOps:   {field: func(t *Totals) *int64 { return &t.Ops }},
-	cSumNs: {field: func(t *Totals) *int64 { return &t.SumNs }},
-}
-
 // sub sets t to a - b, counter by counter.
 func (t *Totals) sub(a, b Totals) {
-	for _, c := range counters {
-		*c.field(t) = *c.field(&a) - *c.field(&b)
+	*t = Totals{
+		Lookups:       a.Lookups - b.Lookups,
+		Hits:          a.Hits - b.Hits,
+		Misses:        a.Misses - b.Misses,
+		Inserts:       a.Inserts - b.Inserts,
+		Evictions:     a.Evictions - b.Evictions,
+		Invalidations: a.Invalidations - b.Invalidations,
+		Ops:           a.Ops - b.Ops,
+		Slow:          a.Slow - b.Slow,
+		SumNs:         a.SumNs - b.SumNs,
 	}
 }
 
-// shardTel is one shard's lock-free cumulative state: the counter set
-// as plain atomics plus a fixed-bucket latency histogram in the
-// analyze.Digest bucket scheme. Everything here is written on the
-// xlate hot path, so nothing allocates and nothing takes a lock.
+// Counts is where a sink reads the service's counts: it adds shard
+// si's cumulative lookups, hits, misses, inserts, evictions and
+// invalidations to t. The sink calls it with Sink.mu held, so it may
+// take the shard's lock but must not allocate or call into the sink.
+type Counts func(si int, t *Totals)
+
+// shardTel is one shard's timed state: the sampled segments' count,
+// slow count, latency sum and maximum, and a fixed-bucket latency
+// histogram in the analyze.Digest bucket scheme. Sampled requests
+// write it with atomics, so nothing allocates and nothing takes a
+// lock.
 type shardTel struct {
-	ctr   [numCounters]atomic.Int64
-	maxNs atomic.Int64
-	hist  [analyze.DigestBuckets]atomic.Int64
+	ops, slow, sumNs, maxNs atomic.Int64
+	hist                    [analyze.DigestBuckets]atomic.Int64
 }
 
-// addTo adds the shard's cumulative counters to t. Reads race benignly
-// with hot-path writers: each counter is individually atomic and only
-// ever grows, so the result is a valid set of recent values.
+// addTo adds the shard's timed counters to t. Reads race benignly
+// with writers: each counter is individually atomic and only ever
+// grows, so the result is a valid set of recent values.
 func (s *shardTel) addTo(t *Totals) {
-	for i, c := range counters {
-		*c.field(t) += s.ctr[i].Load()
-	}
+	t.Ops += s.ops.Load()
+	t.Slow += s.slow.Load()
+	t.SumNs += s.sumNs.Load()
 }
 
 // observe records one timed shard operation of durNs.
@@ -187,11 +175,11 @@ func (s *shardTel) observe(durNs, sloTargetNs int64) {
 	if durNs < 0 {
 		durNs = 0
 	}
-	s.ctr[cOps].Add(1)
-	s.ctr[cSumNs].Add(durNs)
+	s.ops.Add(1)
+	s.sumNs.Add(durNs)
 	s.hist[analyze.BucketIndex(durNs)].Add(1)
 	if durNs > sloTargetNs {
-		s.ctr[cSlow].Add(1)
+		s.slow.Add(1)
 	}
 	for {
 		m := s.maxNs.Load()
@@ -216,7 +204,8 @@ type window struct {
 type Sink struct {
 	cfg    Config
 	clock  Clock
-	baseNs int64 // clock reading at New; trace timestamps are relative to it
+	baseNs int64  // clock reading at New; trace timestamps are relative to it
+	counts Counts // the service's counts; nil until Bind (counts read as zero)
 
 	shards []shardTel
 	reqSeq atomic.Int64 // request ids, dense from 1 (drives sampling)
@@ -264,6 +253,19 @@ func New(cfg Config, clock Clock) (*Sink, error) {
 	return t, nil
 }
 
+// Bind makes counts the sink's count source. A sink reads one
+// service's counts: Bind must come before traffic, and a second Bind
+// is refused.
+func (t *Sink) Bind(counts Counts) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.counts != nil {
+		return fmt.Errorf("telemetry: sink already reads a service's counts")
+	}
+	t.counts = counts
+	return nil
+}
+
 // Config returns the sink configuration.
 func (t *Sink) Config() Config { return t.cfg }
 
@@ -277,43 +279,26 @@ func (t *Sink) Now() int64 {
 
 // --- hot path -------------------------------------------------------
 
-// RecordLookups charges one timed lookup segment against shard si:
-// n keys, hits of them resident, taking durNs. now is the clock at
-// segment end (the caller already holds it; no extra clock read).
+// RecordLookups records one timed segment against shard si, taking
+// durNs and ending at now, into the shard's latency histogram and its
+// ops, slow, sum and max. It counts nothing else: the n keys and hits
+// of them are the service's counts, which the sink reads from the
+// shards. The two arguments stay so that a caller timing the record
+// (the benchmark's layer ledger) keeps its call.
 func (t *Sink) RecordLookups(si int, n, hits, durNs, now int64) {
 	t.maybeFold(now)
-	s := &t.shards[si]
-	s.ctr[cLookups].Add(n)
-	s.ctr[cHits].Add(hits)
-	s.ctr[cMisses].Add(n - hits)
-	s.observe(durNs, t.cfg.SLOTargetNs)
-}
-
-// RecordInserts charges one timed insert segment against shard si.
-func (t *Sink) RecordInserts(si int, n, evictions, durNs, now int64) {
-	t.maybeFold(now)
-	s := &t.shards[si]
-	s.ctr[cInserts].Add(n)
-	s.ctr[cEvictions].Add(evictions)
-	s.observe(durNs, t.cfg.SLOTargetNs)
-}
-
-// RecordInvalidations charges n dropped translations against shard
-// si. Invalidations are not timed (they are rare and administrative).
-func (t *Sink) RecordInvalidations(si int, n, now int64) {
-	t.maybeFold(now)
-	t.shards[si].ctr[cInvalidations].Add(n)
+	t.shards[si].observe(durNs, t.cfg.SLOTargetNs)
 }
 
 // maybeFold advances the window ring when now has crossed a window
-// boundary. Record sites call it BEFORE touching their counters so a
-// boundary-crossing operation is attributed to the window it happened
-// in, not the one that just closed. The common case — still inside
-// the current window — is one atomic load and a compare.
+// boundary. A request calls it at its start, before its shard
+// operations touch any count, so a request that begins after a
+// boundary is counted in the new window. The common case — still
+// inside the current window — is one atomic load and a compare.
 //
 // The comparison is >, not !=: a wall clock stepping BACKWARDS past a
 // boundary (NTP correction, VM migration) must be treated as
-// still-in-the-current-window. With != every record during the
+// still-in-the-current-window. With != every request during the
 // stepped-back interval would take the fold lock only for foldLocked
 // to clamp and return — a mutex storm on the hot path until the clock
 // catches back up. Backwards records are attributed to the open
@@ -326,11 +311,21 @@ func (t *Sink) maybeFold(now int64) {
 	}
 }
 
-// TotalsSnapshot sums the per-shard cumulative counters.
+// shardTotals adds shard si's cumulative counts and timed counters to
+// tot.
+func (t *Sink) shardTotals(si int, tot *Totals) {
+	if t.counts != nil {
+		t.counts(si, tot)
+	}
+	t.shards[si].addTo(tot)
+}
+
+// TotalsSnapshot sums every shard's cumulative counts and timed
+// counters.
 func (t *Sink) TotalsSnapshot() Totals {
 	var c Totals
 	for i := range t.shards {
-		t.shards[i].addTo(&c)
+		t.shardTotals(i, &c)
 	}
 	return c
 }
@@ -382,26 +377,27 @@ func (t *Sink) foldLocked(now int64) {
 // --- requests and sampling ------------------------------------------
 
 // Request is the telemetry of one service request, held by value on
-// the caller's stack: xlate begins one per operation, charges a segment
+// the caller's stack: xlate begins one per operation, ends a segment
 // for each shard it locks, and finishes. Every SampleEvery-th request
-// is sampled and also gathers its segments as an obs event chain for
-// the Chrome-trace export; only those allocate, once. The Request of a
-// nil sink is inert — each method is a nil test small enough to inline
-// — so the service has one body per operation whether telemetry is
+// is sampled: its segments are timed into the shard histograms and
+// gathered as an obs event chain for the Chrome-trace export; only
+// those allocate, once. Any other request, and every request of a nil
+// sink, is inert — each method is a nil test small enough to inline —
+// so the service has one body per operation whether telemetry is
 // attached or not. What a sampled request must remember (id, start,
 // key count) rides in the chain's first slot.
 //
-// Segments tile the request, and clock reads are part of the contract
-// (tests tick a ManualClock): Begin reads the clock once, each segment
-// reads it once at its end, and that end is the next segment's start.
-// A request over s shards reads the clock 1 + s times, sampled or not;
-// Finish reads nothing, since the request ends where its last segment
-// did.
+// Clock reads are part of the contract (tests tick a ManualClock):
+// Begin reads the clock once, for the window ring. A sampled request's
+// segments tile it: each reads the clock once at its end, and that end
+// is the next segment's start, so a sampled request over s shards
+// reads the clock 1 + s times and an unsampled one once. Finish reads
+// nothing, since the request ends where its last segment did.
 type Request struct {
-	t *Sink
-	// chain is non-nil when sampled. While the request runs, chain[0]
-	// is the request span in the making and the segments follow it;
-	// retain moves it behind them, the order readers expect.
+	t *Sink // nil unless sampled
+	// chain is the sampled request's events. While the request runs,
+	// chain[0] is the request span in the making and the segments
+	// follow it; retain moves it behind them, the order readers expect.
 	chain []obs.Event
 	// lastNs is the clock at Begin, then at the end of each segment.
 	lastNs int64
@@ -415,77 +411,62 @@ func (t *Sink) Begin(keys int) Request {
 	return t.begin(keys)
 }
 
-// begin reads the start off the clock, allocates the next request id
-// and samples deterministically: ids are a dense counter and every
-// SampleEvery-th is sampled, so the same request sequence always
-// samples the same requests.
+// begin reads the start off the clock, folds the window ring to it,
+// allocates the next request id and samples deterministically: ids
+// are a dense counter and every SampleEvery-th is sampled, so the
+// same request sequence always samples the same requests.
 func (t *Sink) begin(keys int) Request {
-	r := Request{t: t, lastNs: t.clock.Now()}
-	if id := t.reqSeq.Add(1); t.cfg.SampleEvery > 0 && id%t.cfg.SampleEvery == 0 {
-		// The request span plus one segment per shard touched.
-		r.chain = make([]obs.Event, 1, min(keys, len(t.shards))+1)
-		r.chain[0] = obs.Event{
-			Time: units.Time(r.lastNs - t.baseNs),
-			Kind: obs.KindXlateReq,
-			Arg:  uint64(keys),
-			Xfer: uint64(id),
-		}
+	now := t.clock.Now()
+	t.maybeFold(now)
+	if t.cfg.SampleEvery == 0 {
+		return Request{}
+	}
+	id := t.reqSeq.Add(1)
+	if id%t.cfg.SampleEvery != 0 {
+		return Request{}
+	}
+	r := Request{t: t, lastNs: now}
+	// The request span plus one segment per shard touched.
+	r.chain = make([]obs.Event, 1, min(keys, len(t.shards))+1)
+	r.chain[0] = obs.Event{
+		Time: units.Time(now - t.baseNs),
+		Kind: obs.KindXlateReq,
+		Arg:  uint64(keys),
+		Xfer: uint64(id),
 	}
 	return r
 }
 
-// Lookups ends a segment against shard si: n keys looked up, hits of
-// them resident.
-func (r *Request) Lookups(si int, n, hits int64) {
+// Segment ends a segment against shard si that covered n keys.
+func (r *Request) Segment(si int, n int64) {
 	if r.t != nil {
-		r.lookups(si, n, hits)
+		r.segment(si, n)
 	}
 }
 
-// lookups is Lookups' work, out of line so that the nil test inlines.
-func (r *Request) lookups(si int, n, hits int64) {
-	durNs := r.endSegment(si, n)
-	r.t.RecordLookups(si, n, hits, durNs, r.lastNs)
-}
-
-// Inserts ends a segment against shard si: n keys installed,
-// evictions of them displacing an entry.
-func (r *Request) Inserts(si int, n, evictions int64) {
-	if r.t != nil {
-		r.inserts(si, n, evictions)
-	}
-}
-
-// inserts is Inserts' work, out of line like lookups.
-func (r *Request) inserts(si int, n, evictions int64) {
-	durNs := r.endSegment(si, n)
-	r.t.RecordInserts(si, n, evictions, durNs, r.lastNs)
-}
-
-// endSegment reads the segment's end off the clock, makes it the next
-// segment's start and, on a sampled request, appends the segment to
-// the chain.
-func (r *Request) endSegment(si int, n int64) (durNs int64) {
+// segment is Segment's work, out of line so that the nil test
+// inlines: it reads the segment's end off the clock, makes it the next
+// segment's start, records the segment's latency and appends it to the
+// chain.
+func (r *Request) segment(si int, n int64) {
 	startNs := r.lastNs
 	r.lastNs = r.t.clock.Now()
-	if r.chain != nil {
-		r.chain = append(r.chain, obs.Event{
-			Time: units.Time(startNs - r.t.baseNs),
-			Dur:  units.Time(r.lastNs - startNs),
-			Kind: obs.KindXlateShard,
-			Arg:  uint64(si),
-			Arg2: uint64(n),
-			Xfer: r.chain[0].Xfer,
-		})
-	}
-	return r.lastNs - startNs
+	r.t.RecordLookups(si, n, 0, r.lastNs-startNs, r.lastNs)
+	r.chain = append(r.chain, obs.Event{
+		Time: units.Time(startNs - r.t.baseNs),
+		Dur:  units.Time(r.lastNs - startNs),
+		Kind: obs.KindXlateShard,
+		Arg:  uint64(si),
+		Arg2: uint64(n),
+		Xfer: r.chain[0].Xfer,
+	})
 }
 
 // Finish ends the request; hits is the request-wide hit count (zero
 // for inserts). A sampled request's span closes where its last segment
 // ended.
 func (r *Request) Finish(hits int64) {
-	if r.chain != nil {
+	if r.t != nil {
 		r.retain(hits)
 	}
 }

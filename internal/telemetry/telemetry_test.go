@@ -32,14 +32,69 @@ func testConfig() Config {
 	}
 }
 
-func newTestSink(t *testing.T, start int64) (*Sink, *ManualClock) {
+func newTestSink(t *testing.T, start int64) (*Sink, *ManualClock, *fakeService) {
 	t.Helper()
 	clk := NewManualClock(start)
 	s, err := New(testConfig(), clk)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return s, clk
+	f := &fakeService{sink: s, clk: clk, counts: make([]Totals, testConfig().Shards)}
+	if err := s.Bind(f.add); err != nil {
+		t.Fatal(err)
+	}
+	return s, clk, f
+}
+
+// fakeService stands in for the xlate service: it keeps the per-shard
+// counts a bound sink reads, under a lock as the shards do. Each
+// operation runs as a sampled request's segment would: the window ring
+// folds to the clock first, then the count moves, then the segment's
+// latency is recorded.
+type fakeService struct {
+	sink   *Sink
+	clk    *ManualClock
+	mu     sync.Mutex
+	counts []Totals
+}
+
+// add is the sink's count source.
+func (f *fakeService) add(si int, t *Totals) {
+	f.mu.Lock()
+	c := f.counts[si]
+	f.mu.Unlock()
+	t.Lookups += c.Lookups
+	t.Hits += c.Hits
+	t.Misses += c.Misses
+	t.Inserts += c.Inserts
+	t.Evictions += c.Evictions
+	t.Invalidations += c.Invalidations
+}
+
+// op counts one operation against shard si and, when durNs >= 0,
+// records it as a timed segment of durNs.
+func (f *fakeService) op(si int, durNs int64, count func(*Totals)) {
+	now := f.clk.Now()
+	f.sink.maybeFold(now)
+	f.mu.Lock()
+	count(&f.counts[si])
+	f.mu.Unlock()
+	if durNs >= 0 {
+		f.sink.RecordLookups(si, 0, 0, durNs, now)
+	}
+}
+
+func (f *fakeService) lookups(si int, n, hits, durNs int64) {
+	f.op(si, durNs, func(c *Totals) { c.Lookups += n; c.Hits += hits; c.Misses += n - hits })
+}
+
+func (f *fakeService) inserts(si int, n, evictions, durNs int64) {
+	f.op(si, durNs, func(c *Totals) { c.Inserts += n; c.Evictions += evictions })
+}
+
+// invalidations are not timed.
+func (f *fakeService) invalidations(si int, n int64) {
+	f.op(si, -1, func(c *Totals) { c.Invalidations += n })
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -75,15 +130,15 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestWindowRotation(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, f := newTestSink(t, 0)
 
 	// Window 0: 10 lookups (7 hits) on shard 1, one insert on shard 2.
-	s.RecordLookups(1, 10, 7, 50, clk.Now())
-	s.RecordInserts(2, 1, 0, 30, clk.Now())
+	f.lookups(1, 10, 7, 50)
+	f.inserts(2, 1, 0, 30)
 
 	// Cross into window 1 and record there.
 	clk.Set(1500)
-	s.RecordLookups(0, 4, 4, 20, clk.Now())
+	f.lookups(0, 4, 4, 20)
 
 	// Cross into window 2; read the series.
 	clk.Set(2100)
@@ -113,8 +168,8 @@ func TestWindowRotation(t *testing.T) {
 }
 
 func TestOpenWindowDeltas(t *testing.T) {
-	s, clk := newTestSink(t, 0)
-	s.RecordLookups(0, 5, 5, 10, clk.Now())
+	s, clk, f := newTestSink(t, 0)
+	f.lookups(0, 5, 5, 10)
 	clk.Set(400)
 	sr := s.SeriesReport(clk.Now())
 	if len(sr.Points) != 1 {
@@ -131,8 +186,8 @@ func TestOpenWindowDeltas(t *testing.T) {
 }
 
 func TestIdleWindowsZeroed(t *testing.T) {
-	s, clk := newTestSink(t, 0)
-	s.RecordLookups(0, 1, 1, 10, clk.Now())
+	s, clk, f := newTestSink(t, 0)
+	f.lookups(0, 1, 1, 10)
 	// Jump two windows ahead: window 0 closes with the lookup, windows
 	// 1 and 2 were idle and must appear as explicit zeros.
 	clk.Set(3200)
@@ -151,12 +206,12 @@ func TestIdleWindowsZeroed(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, f := newTestSink(t, 0)
 	// Record one lookup per window for 7 windows; ring holds 4, so only
 	// windows 3..6 survive.
 	for w := int64(0); w < 7; w++ {
 		clk.Set(w*1000 + 100)
-		s.RecordLookups(0, w+1, 0, 10, clk.Now())
+		f.lookups(0, w+1, 0, 10)
 	}
 	clk.Set(7100)
 	sr := s.SeriesReport(clk.Now())
@@ -179,19 +234,19 @@ func TestRingWrap(t *testing.T) {
 // stepped-back interval are attributed to the open window, and the
 // series stays coherent once the clock recovers.
 func TestBackwardsClockClamped(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, f := newTestSink(t, 0)
 
 	// Window 0: 3 lookups. Then jump to window 2 and record 5 more,
 	// folding window 0 closed and zeroing idle window 1.
-	s.RecordLookups(0, 3, 3, 10, clk.Now())
+	f.lookups(0, 3, 3, 10)
 	clk.Set(2500)
-	s.RecordLookups(0, 5, 5, 10, clk.Now())
+	f.lookups(0, 5, 5, 10)
 
 	// The clock steps backwards into window 1 territory. These records
 	// must clamp into the open window (2), not rewind the ring.
 	clk.Set(1100)
-	s.RecordLookups(0, 7, 7, 10, clk.Now())
-	s.RecordInserts(1, 2, 0, 10, clk.Now())
+	f.lookups(0, 7, 7, 10)
+	f.inserts(1, 2, 0, 10)
 
 	// A read with the backwards now must not corrupt the ring either
 	// (report paths call foldLocked directly).
@@ -225,7 +280,7 @@ func TestBackwardsClockClamped(t *testing.T) {
 }
 
 func TestQuantilesMatchDigest(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, _ := newTestSink(t, 0)
 	var want analyze.Digest
 	for i := int64(1); i <= 200; i++ {
 		d := i * 37 % 5000
@@ -242,7 +297,7 @@ func TestQuantilesMatchDigest(t *testing.T) {
 }
 
 func TestSLOSnapshot(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, _ := newTestSink(t, 0)
 	// 90 fast ops (50 ns) + 10 slow (200 ns > 100 ns target): exactly
 	// the 10% budget.
 	for i := 0; i < 90; i++ {
@@ -272,7 +327,7 @@ func TestSLOSnapshot(t *testing.T) {
 	}
 
 	// A healthy service: new sink, all fast.
-	s2, clk2 := newTestSink(t, 0)
+	s2, clk2, _ := newTestSink(t, 0)
 	for i := 0; i < 100; i++ {
 		s2.RecordLookups(i%4, 1, 1, 50, clk2.Now())
 	}
@@ -284,7 +339,7 @@ func TestSLOSnapshot(t *testing.T) {
 }
 
 func TestSLOIncludesOpenWindow(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, _ := newTestSink(t, 0)
 	s.RecordLookups(0, 1, 1, 500, clk.Now()) // slow, still in the open window
 	r := s.SLOSnapshot(clk.Now())
 	if r.Ops != 1 || r.Slow != 1 {
@@ -296,7 +351,7 @@ func TestSLOIncludesOpenWindow(t *testing.T) {
 }
 
 func TestSampling(t *testing.T) {
-	s, _ := newTestSink(t, 0)
+	s, _, _ := newTestSink(t, 0)
 	var sampled []int64
 	for i := 0; i < 10; i++ {
 		if req := s.Begin(1); req.chain != nil {
@@ -322,7 +377,7 @@ func TestSampling(t *testing.T) {
 }
 
 func TestTraceChains(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, _ := newTestSink(t, 0)
 	// Requests 4 and 8 are the sampled ones of eight 8-key batches
 	// that each touch shards 2 and 3. The request ends where its last
 	// segment does: the 10 ns before Finish are no part of it.
@@ -332,9 +387,9 @@ func TestTraceChains(t *testing.T) {
 			t.Fatalf("request %d: sampled %v", id, sampled)
 		}
 		clk.Advance(5)
-		req.Lookups(2, 5, 4)
+		req.Segment(2, 5)
 		clk.Advance(7)
-		req.Lookups(3, 3, 2)
+		req.Segment(3, 3)
 		clk.Advance(10)
 		req.Finish(6)
 	}
@@ -376,12 +431,13 @@ func (c *countingClock) Now() int64 {
 	return c.ManualClock.Now()
 }
 
-// TestRequestClockContract: a request over s shards reads the clock
-// 1 + s times, sampled or not, and a sampled request's segments tile
-// its span — each starts where the one before it ended, and their
-// durations sum exactly to the request's.
+// TestRequestClockContract: an unsampled request reads the clock
+// once, at Begin, whatever it touches; a sampled request over s shards
+// reads it 1 + s times, and its segments tile its span — each starts
+// where the one before it ended, and their durations sum exactly to
+// the request's.
 func TestRequestClockContract(t *testing.T) {
-	for _, sampleEvery := range []int64{0, 1} {
+	for _, sampleEvery := range []int64{0, 1, 2} {
 		for shards := 0; shards <= 4; shards++ {
 			clk := &countingClock{}
 			clk.SetTick(3)
@@ -391,23 +447,36 @@ func TestRequestClockContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clk.reads = 0
-			req := s.Begin(8)
-			for si := 0; si < shards; si++ {
-				clk.Advance(int64(10 * (si + 1)))
-				req.Lookups(si, 2, 1)
-			}
-			req.Finish(int64(shards))
-			if clk.reads != int64(1+shards) {
-				t.Errorf("SampleEvery=%d, %d shards: %d clock reads, want %d", sampleEvery, shards, clk.reads, 1+shards)
+			// Requests 1 and 2: at SampleEvery 2 only the second is
+			// sampled.
+			for id := int64(1); id <= 2; id++ {
+				clk.reads = 0
+				req := s.Begin(8)
+				for si := 0; si < shards; si++ {
+					clk.Advance(int64(10 * (si + 1)))
+					req.Segment(si, 2)
+				}
+				req.Finish(int64(shards))
+				want := int64(1)
+				if sampleEvery > 0 && id%sampleEvery == 0 {
+					want += int64(shards)
+				}
+				if clk.reads != want {
+					t.Errorf("SampleEvery=%d, %d shards, request %d: %d clock reads, want %d",
+						sampleEvery, shards, id, clk.reads, want)
+				}
 			}
 			if sampleEvery == 0 {
+				if runs := s.TraceRuns(); runs != nil {
+					t.Errorf("SampleEvery=0 retained %d trace runs", len(runs))
+				}
 				continue
 			}
+			// The last chain is request 2's: its segments, then its span.
 			evs := s.TraceRuns()[0].Chunks()[0]
 			span := evs[len(evs)-1]
 			at, sum := span.Time, units.Time(0)
-			for _, ev := range evs[:len(evs)-1] {
+			for _, ev := range evs[len(evs)-1-shards : len(evs)-1] {
 				if ev.Time != at {
 					t.Errorf("%d shards: segment %+v starts at %d, want %d", shards, ev, ev.Time, at)
 				}
@@ -421,8 +490,50 @@ func TestRequestClockContract(t *testing.T) {
 	}
 }
 
+// TestSampledTiming: at SampleEvery 4 only requests 4, 8 and 12 of
+// twelve are timed, so the sink's ops are exactly those requests'
+// segments and the histogram holds one observation per op, while the
+// counts cover every request.
+func TestSampledTiming(t *testing.T) {
+	s, clk, f := newTestSink(t, 0)
+	clk.SetTick(10)
+	var keys, segs int64
+	for id := int64(1); id <= 12; id++ {
+		req := s.Begin(8)
+		shards := int(id%3) + 1
+		for si := 0; si < shards; si++ {
+			f.op(si, -1, func(c *Totals) { c.Lookups += 2; c.Hits += 2 })
+			req.Segment(si, 2)
+			keys += 2
+		}
+		req.Finish(int64(2 * shards))
+		if id%4 == 0 {
+			segs += int64(shards)
+		}
+	}
+	tot := s.TotalsSnapshot()
+	if tot.Lookups != keys || tot.Hits != keys {
+		t.Errorf("lookups/hits = %d/%d, want every request's %d", tot.Lookups, tot.Hits, keys)
+	}
+	// A sampled segment spans two clock reads, the fake's own and the
+	// segment's end: 20 ns at a 10 ns tick.
+	if tot.Ops != segs || tot.SumNs != 20*segs {
+		t.Errorf("ops %d over %d ns, want the sampled requests' %d segments over %d ns", tot.Ops, tot.SumNs, segs, 20*segs)
+	}
+	le, count := scrapeLiveHistogram(t, s, clk.Now())
+	if count != tot.Ops || le[len(le)-1] != tot.Ops {
+		t.Errorf("histogram count %d, +Inf %d, want ops %d", count, le[len(le)-1], tot.Ops)
+	}
+	if got := s.SLOSnapshot(clk.Now()).Ops; got != segs {
+		t.Errorf("SLO over %d ops, want %d", got, segs)
+	}
+	if got := s.SampledTraces(); got != 3 {
+		t.Errorf("SampledTraces = %d, want 3", got)
+	}
+}
+
 func TestTraceRingBound(t *testing.T) {
-	s, _ := newTestSink(t, 0)
+	s, _, _ := newTestSink(t, 0)
 	// MaxTraces = 3; retain 5 chains, ids 1..5. Oldest two evicted.
 	for id := int64(1); id <= 5; id++ {
 		req := Request{t: s, chain: []obs.Event{{Kind: obs.KindXlateReq, Arg: 1, Xfer: uint64(id)}}}
@@ -444,14 +555,14 @@ func TestTraceRingBound(t *testing.T) {
 }
 
 func TestShardSnapshots(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, f := newTestSink(t, 0)
 	// Shard 0 takes 3x the lookups of shards 1..3: 600/200/200/200.
-	s.RecordLookups(0, 600, 300, 40, clk.Now())
+	f.lookups(0, 600, 300, 40)
 	for si := 1; si < 4; si++ {
-		s.RecordLookups(si, 200, 100, 80, clk.Now())
+		f.lookups(si, 200, 100, 80)
 	}
-	s.RecordInserts(1, 10, 2, 60, clk.Now())
-	s.RecordInvalidations(2, 5, clk.Now())
+	f.inserts(1, 10, 2, 60)
+	f.invalidations(2, 5)
 	snaps := s.ShardSnapshots(clk.Now())
 	if len(snaps) != 4 {
 		t.Fatalf("got %d snapshots, want 4", len(snaps))
@@ -482,10 +593,10 @@ func TestShardSnapshots(t *testing.T) {
 }
 
 func TestTotalsSnapshot(t *testing.T) {
-	s, clk := newTestSink(t, 0)
-	s.RecordLookups(0, 10, 4, 50, clk.Now())
-	s.RecordInserts(1, 3, 1, 20, clk.Now())
-	s.RecordInvalidations(2, 2, clk.Now())
+	s, _, f := newTestSink(t, 0)
+	f.lookups(0, 10, 4, 50)
+	f.inserts(1, 3, 1, 20)
+	f.invalidations(2, 2)
 	got := s.TotalsSnapshot()
 	want := Totals{Lookups: 10, Hits: 4, Misses: 6, Inserts: 3, Evictions: 1,
 		Invalidations: 2, Ops: 2, Slow: 0, SumNs: 70}
@@ -499,7 +610,7 @@ func TestTotalsSnapshot(t *testing.T) {
 // and checks the shape of the runtime block, whose values are the
 // real process's.
 func TestPrometheusOutput(t *testing.T) {
-	s, clk := newTestSink(t, 0)
+	s, clk, _ := newTestSink(t, 0)
 	s.RecordLookups(0, 100, 90, 50, clk.Now())
 	s.RecordLookups(1, 50, 10, 300, clk.Now())
 	clk.Set(1100)
@@ -570,7 +681,7 @@ func TestLiveHistogramNeverFlatters(t *testing.T) {
 		{129, 0, 1},
 		{257, 0, 0},
 	} {
-		s, clk := newTestSink(t, 0)
+		s, clk, _ := newTestSink(t, 0)
 		s.RecordLookups(0, 1, 1, tc.durNs, clk.Now())
 		le, count := scrapeLiveHistogram(t, s, clk.Now())
 		if le[0] != tc.le128 || le[1] != tc.le256 || count != 1 {
@@ -580,15 +691,11 @@ func TestLiveHistogramNeverFlatters(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording exercises the lock-free hot path and the
-// folding readers together under the race detector.
+// TestConcurrentRecording exercises the lock-free hot path, the count
+// source and the folding readers together under the race detector.
 func TestConcurrentRecording(t *testing.T) {
-	clk := NewManualClock(0)
+	s, clk, f := newTestSink(t, 0)
 	clk.SetTick(7) // every Now() advances time: windows rotate under load
-	s, err := New(testConfig(), clk)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -596,9 +703,10 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				req := s.Begin(2)
-				req.Lookups(g, 2, 1)
+				f.op(g, -1, func(c *Totals) { c.Lookups += 2; c.Hits++; c.Misses++ })
+				req.Segment(g, 2)
 				if i%10 == 0 {
-					s.RecordInserts(g, 1, 0, 40, clk.Now())
+					f.inserts(g, 1, 0, 40)
 				}
 				req.Finish(1)
 			}
@@ -635,8 +743,9 @@ func TestConcurrentRecording(t *testing.T) {
 	if tot.Inserts != 4*50 {
 		t.Errorf("inserts = %d, want %d", tot.Inserts, 4*50)
 	}
-	// Every op was timed: 500 lookups + 50 inserts per goroutine.
-	if tot.Ops != 4*550 {
-		t.Errorf("ops = %d, want %d", tot.Ops, 4*550)
+	// Timed: the 2000 requests' 1-in-4 sample, one segment each, and
+	// the 200 inserts the fake records itself.
+	if tot.Ops != 2000/4+200 {
+		t.Errorf("ops = %d, want %d", tot.Ops, 2000/4+200)
 	}
 }

@@ -1,6 +1,10 @@
 package xlate
 
 import (
+	"fmt"
+	"io"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"utlb/internal/telemetry"
@@ -46,6 +50,11 @@ func TestAttachTelemetryValidates(t *testing.T) {
 	}
 	if svc.Telemetry() != nil {
 		t.Error("failed attach left a sink installed")
+	}
+	// A sink reads one service's counts.
+	_, sink, _ = newTelService(t)
+	if err := svc.AttachTelemetry(sink); err == nil || svc.Telemetry() != nil {
+		t.Errorf("AttachTelemetry accepted a sink already attached to another service (err %v)", err)
 	}
 }
 
@@ -152,6 +161,169 @@ func TestTelemetryTracesBatches(t *testing.T) {
 	}
 	if got := sink.SampledTraces(); got != 2 {
 		t.Errorf("SampledTraces = %d, want 2", got)
+	}
+}
+
+// TestCountsLandInTheRequestsWindow: a request folds the window ring
+// at its start, before its shard operations count, so a request that
+// begins after a window boundary has its counts in the new window and
+// the closed window holds exactly the counts made before it.
+func TestCountsLandInTheRequestsWindow(t *testing.T) {
+	svc, sink, clk := newTelService(t)
+	keys := make([]Key, 64)
+	pfns := make([]units.PFN, 64)
+	for i := range keys {
+		keys[i] = Key{PID: 1, VPN: units.VPN(i)}
+		pfns[i] = SyntheticPFN(keys[i])
+	}
+	svc.InsertMany(keys, pfns)
+	svc.LookupMany(keys, nil)
+	before := svc.Stats().Total
+
+	clk.Set(1_500_000) // window 1; nothing has folded yet
+	svc.LookupMany(keys[:16], nil)
+	svc.Invalidate(keys[0]) // no request: counted in the open window
+	after := svc.Stats().Total
+
+	sr := sink.SeriesReport(clk.Now())
+	if len(sr.Points) != 2 || sr.Points[0].Window != 0 || !sr.Points[1].Open {
+		t.Fatalf("series = %+v, want closed window 0 and open window 1", sr.Points)
+	}
+	w0, w1 := sr.Points[0], sr.Points[1]
+	if w0.Lookups != before.Lookups || w0.Hits != before.Hits || w0.Inserts != before.Fills || w0.Invalidations != 0 {
+		t.Errorf("window 0 = %+v, want the counts before the boundary %+v", w0.Totals, before)
+	}
+	if w1.Lookups != 16 || w1.Hits != after.Hits-before.Hits || w1.Inserts != 0 || w1.Invalidations != 1 {
+		t.Errorf("window 1 = %+v, want the 16 lookups and one invalidation after the boundary", w1.Totals)
+	}
+}
+
+// TestTelemetryReadersDuringTraffic holds the lock order under the race
+// detector: the sink's readers take Sink.mu and then each shard lock
+// while batched lookups, inserts and process exits run, with windows
+// rotating under load, and at quiescence the sink's counts are the
+// service's.
+func TestTelemetryReadersDuringTraffic(t *testing.T) {
+	svc, err := New(Config{Shards: 4, Entries: 64, Ways: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := telemetry.NewManualClock(0)
+	clk.SetTick(50) // a window every 200 clock reads
+	sink, err := telemetry.New(telemetry.Config{
+		Shards: 4, WindowNs: 10_000, Windows: 8,
+		SampleEvery: 3, MaxTraces: 8,
+		SLOTargetNs: 1_000, SLOBudget: 0.1,
+	}, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AttachTelemetry(sink); err != nil {
+		t.Fatal(err)
+	}
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			keys, pfns := make([]Key, 64), make([]units.PFN, 64)
+			var out []Result
+			for i := 0; i < 300; i++ {
+				for j := range keys {
+					keys[j] = key(1+rng.Intn(3), rng.Intn(400))
+					pfns[j] = SyntheticPFN(keys[j])
+				}
+				out = svc.LookupMany(keys, out)
+				svc.InsertMany(keys, pfns)
+				if i%50 == 49 {
+					svc.InvalidateProcess(units.ProcID(1 + rng.Intn(3)))
+				}
+			}
+		}(g)
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			now := sink.Now()
+			sink.SeriesReport(now)
+			sink.ShardSnapshots(now)
+			if err := sink.WritePrometheus(io.Discard, now); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	st, tot := svc.Stats().Total, sink.TotalsSnapshot()
+	want := telemetry.Totals{Lookups: st.Lookups, Hits: st.Hits, Misses: st.Misses, Inserts: st.Fills,
+		Evictions: st.Evictions, Invalidations: st.Invalidations, Ops: tot.Ops, Slow: tot.Slow, SumNs: tot.SumNs}
+	if tot != want || st.Lookups != 2*300*64 {
+		t.Errorf("sink totals %+v, service %+v (want %d lookups)", tot, st, 2*300*64)
+	}
+}
+
+// BenchmarkLookupManyTelemetry times LookupMany of 64 keys, all hits,
+// on the default service geometry with the sink off and attached the
+// way serve attaches it (default config, wall clock), from 1 and 2
+// goroutines. ns/key is wall time over all keys looked up, so perfect
+// scaling halves it at g=2.
+func BenchmarkLookupManyTelemetry(b *testing.B) {
+	rng := rand.New(rand.NewSource(1998))
+	batches := make([][]Key, 256)
+	for i := range batches {
+		batches[i] = make([]Key, 64)
+		for j := range batches[i] {
+			batches[i][j] = key(1+rng.Intn(4), rng.Intn(2048))
+		}
+	}
+	for _, on := range []bool{false, true} {
+		for _, g := range []int{1, 2} {
+			b.Run(fmt.Sprintf("sink=%v/g=%d", on, g), func(b *testing.B) {
+				svc, err := New(DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if on {
+					sink, err := telemetry.New(telemetry.DefaultConfig(svc.Config().Shards), telemetry.WallClock{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := svc.AttachTelemetry(sink); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for pid := 1; pid <= 4; pid++ {
+					for vpn := 0; vpn < 2048; vpn++ {
+						svc.Insert(key(pid, vpn), SyntheticPFN(key(pid, vpn)))
+					}
+				}
+				per := (b.N + g - 1) / g
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for c := 0; c < g; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						out := make([]Result, 64)
+						for i := 0; i < per; i++ {
+							out = svc.LookupMany(batches[(c*128+i)%len(batches)], out)
+						}
+					}(c)
+				}
+				wg.Wait()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g*per*64), "ns/key")
+			})
+		}
 	}
 }
 

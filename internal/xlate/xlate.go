@@ -145,7 +145,7 @@ func (s *Service) Lookup(k Key) Result {
 	if r.Hit {
 		hits = 1
 	}
-	req.Lookups(si, 1, hits)
+	req.Segment(si, 1)
 	req.Finish(hits)
 	return r
 }
@@ -158,25 +158,17 @@ func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 	sh.mu.Lock()
 	evicted, wasEvicted = sh.cache.Insert(k, pfn)
 	sh.mu.Unlock()
-	var ev int64
-	if wasEvicted {
-		ev = 1
-	}
-	req.Inserts(si, 1, ev)
+	req.Segment(si, 1)
 	req.Finish(0)
 	return evicted, wasEvicted
 }
 
 // Invalidate removes k if present, reporting whether it was.
 func (s *Service) Invalidate(k Key) bool {
-	si := s.shardIndex(k)
-	sh := &s.shards[si]
+	sh := &s.shards[s.shardIndex(k)]
 	sh.mu.Lock()
 	ok := sh.cache.Invalidate(k)
 	sh.mu.Unlock()
-	if ok && s.tel != nil {
-		s.tel.RecordInvalidations(si, 1, s.tel.Now())
-	}
 	return ok
 }
 
@@ -191,12 +183,8 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		dropped := sh.cache.InvalidateProcess(pid)
+		n += sh.cache.InvalidateProcess(pid)
 		sh.mu.Unlock()
-		if dropped > 0 && s.tel != nil {
-			s.tel.RecordInvalidations(i, int64(dropped), s.tel.Now())
-		}
-		n += dropped
 	}
 	return n
 }
@@ -207,7 +195,8 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 // each shard's keys in batch order, so results and LRU motion are
 // exactly those of single Lookups made in that order. Each shard lock
 // is taken at most once per batch, and each locked stretch is one
-// telemetry segment charged to its shard.
+// telemetry segment, timed against its shard when the request is
+// sampled.
 func (s *Service) LookupMany(keys []Key, out []Result) []Result {
 	if cap(out) < len(keys) {
 		out = make([]Result, len(keys))
@@ -230,7 +219,7 @@ func (s *Service) LookupMany(keys []Key, out []Result) []Result {
 			continue
 		}
 		sh := &s.shards[si]
-		var n, hits int64
+		var n int64
 		sh.mu.Lock()
 		for next != 0 {
 			i := next - 1
@@ -238,12 +227,11 @@ func (s *Service) LookupMany(keys []Key, out []Result) []Result {
 			out[i] = sh.cache.Lookup(keys[i])
 			n++
 			if out[i].Hit {
-				hits++
+				totalHits++
 			}
 		}
 		sh.mu.Unlock()
-		req.Lookups(si, n, hits)
-		totalHits += hits
+		req.Segment(si, n)
 	}
 	req.Finish(totalHits)
 	return out
@@ -279,19 +267,18 @@ func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 				continue
 			}
 			sh := &s.shards[si]
-			var n, ev int64
+			var n int64
 			sh.mu.Lock()
 			for next != 0 {
 				i := int(next - 1)
 				next = link[i]
 				if _, e := sh.cache.Insert(chunk[i], pfns[lo+i]); e {
-					ev++
+					evictions++
 				}
 				n++
 			}
 			sh.mu.Unlock()
-			req.Inserts(si, n, ev)
-			evictions += int(ev)
+			req.Segment(si, n)
 		}
 	}
 	req.Finish(0)

@@ -115,8 +115,9 @@ func inShardOrder(s *Service, keys []Key) []int {
 // and which of two inserts of one key lands last (the later in batch
 // order). Batch lengths straddle 64 and reach serve's limit of 4096;
 // every batch longer than one names some key twice. A ticking clock
-// shows each shard locked at most once per call: a batch reads the
-// clock once, plus once per shard it touches.
+// shows each shard locked at most once per call: a sampled batch reads
+// the clock once, plus once per shard it touches, and this sink samples
+// every request.
 func TestLookupManyMatchesSingleLookups(t *testing.T) {
 	mk := func() *Service {
 		svc, err := New(Config{Shards: 8, Entries: 32, Ways: 2})
@@ -133,7 +134,9 @@ func TestLookupManyMatchesSingleLookups(t *testing.T) {
 	a, b := mk(), mk()
 	clk := telemetry.NewManualClock(0)
 	clk.SetTick(1)
-	sink, err := telemetry.New(telemetry.DefaultConfig(8), clk)
+	cfg := telemetry.DefaultConfig(8)
+	cfg.SampleEvery = 1
+	sink, err := telemetry.New(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}

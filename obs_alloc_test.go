@@ -162,8 +162,8 @@ func TestTLBCacheLookupFillAllocBudget(t *testing.T) {
 //
 //   - telemetry disabled (nil sink): the baseline hot path, where the
 //     inert telemetry.Request must allocate nothing;
-//   - telemetry enabled, request not sampled: lock-free atomic counter
-//     and histogram updates only;
+//   - telemetry enabled, request not sampled: one clock read and the
+//     request-id counter only;
 //   - telemetry enabled with sampling off entirely (SampleEvery 0).
 //
 // Only sampled requests may allocate (they build an event chain), which
