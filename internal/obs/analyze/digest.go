@@ -1,6 +1,10 @@
 package analyze
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"utlb/internal/obs"
+)
 
 // Digest is a fixed-resolution latency histogram: exact below 64 ns,
 // then 32 sub-buckets per power of two (HDR-histogram style, ~3%
@@ -21,25 +25,6 @@ const (
 	// Top bucket: oct=63 gives (63-subBits+1)<<subBits + 31 = 1919.
 	numDigestBuckets = (64 - subBits + 1) * subBuckets // 1920
 )
-
-// DigestBuckets is the number of fixed histogram buckets a Digest
-// carries, exported so live collectors (internal/telemetry) can
-// maintain bucket counts with their own concurrency discipline and
-// fold them back into a Digest for quantile math.
-const DigestBuckets = numDigestBuckets
-
-// BucketIndex maps a nanosecond value to its Digest bucket. Negative
-// values clamp to zero, mirroring Add.
-func BucketIndex(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	return digestIndex(uint64(v))
-}
-
-// BucketValue is the lower bound of bucket idx — the inverse of
-// BucketIndex up to bucket resolution.
-func BucketValue(idx int) int64 { return digestValue(idx) }
 
 // digestIndex maps a value to its bucket. Values below 2*subBuckets
 // get exact buckets; above that, bucket (oct-subBits+1)*32 + the top
@@ -77,24 +62,35 @@ func (d *Digest) Add(v int64) {
 	}
 }
 
-// AddBucketCount folds count samples that landed in bucket idx into
-// d, as if Add had been called count times with the bucket's lower
-// bound. Sum is bucket-resolution (~3% low); Max rises to the bucket
-// bound only when the new bucket exceeds it, so a caller that needs
-// the exact maximum tracks it itself. This is
-// the bridge from externally maintained bucket counts (the telemetry
-// sink's atomic histograms) back into Digest quantile math.
-func (d *Digest) AddBucketCount(idx int, count int64) {
-	if count <= 0 || idx < 0 || idx >= numDigestBuckets {
-		return
+// Merge adds every value recorded in o to d, as if each had been
+// added to d directly.
+func (d *Digest) Merge(o *Digest) {
+	for i, c := range o.counts {
+		d.counts[i] += c
 	}
-	v := digestValue(idx)
-	d.counts[idx] += count
-	d.n += count
-	d.sum += v * count
-	if v > d.max {
-		d.max = v
+	d.n += o.n
+	d.sum += o.sum
+	d.max = max(d.max, o.max)
+}
+
+// PromBuckets returns d's counts in obs.PromWriter.Histogram's `le`
+// scheme. A digest bucket counts under the first le boundary at or
+// above its inclusive upper bound, so no le line flatters; digest
+// buckets never straddle a power of two, so none is split. Buckets
+// past the last finite boundary (the top ones' bounds overflow int64)
+// count under +Inf only.
+func (d *Digest) PromBuckets() (le [obs.NumBuckets]int64) {
+	for i, c := range d.counts {
+		if c == 0 {
+			continue
+		}
+		if hi := digestValue(i+1) - 1; hi >= 0 {
+			if bi := obs.BucketIndex(uint64(hi)); bi < obs.NumBuckets {
+				le[bi] += c
+			}
+		}
 	}
+	return le
 }
 
 // N, Sum and Max report the count, total and exact maximum of added

@@ -109,3 +109,25 @@ func TestDigestOrderIndependent(t *testing.T) {
 		t.Fatal("digest state differs across add orders")
 	}
 }
+
+// TestDigestMerge: merging the digests of two parts of the data into
+// an empty one gives the digest of all of it, state for state.
+func TestDigestMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var all, a, b, merged Digest
+	for i := 0; i < 1000; i++ {
+		v := rng.Int63n(1 << uint(1+rng.Intn(40)))
+		all.Add(v)
+		if i%3 == 0 {
+			a.Add(v)
+		} else {
+			b.Add(v)
+		}
+	}
+	merged.Merge(&a)
+	merged.Merge(&b)
+	if merged != all {
+		t.Fatalf("merged digest differs: N %d/%d, Sum %d/%d, Max %d/%d",
+			merged.N(), all.N(), merged.Sum(), all.Sum(), merged.Max(), all.Max())
+	}
+}

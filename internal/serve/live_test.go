@@ -41,7 +41,7 @@ func newLiveXlate(t *testing.T) (*xlate.Service, *telemetry.ManualClock) {
 	clk.SetTick(1000) // 1 us per clock read: every op has a real duration
 	sink, err := telemetry.New(telemetry.Config{
 		Shards: 4, WindowNs: 1_000_000_000, Windows: 8,
-		SampleEvery: 2, MaxTraces: 32,
+		SampleEvery: 2,
 		SLOTargetNs: 50_000_000, SLOBudget: 0.1,
 	}, clk)
 	if err != nil {

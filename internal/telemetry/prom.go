@@ -16,47 +16,28 @@ import (
 
 // WritePrometheus writes the sink's cumulative state as utlb_live_*
 // metrics: per-shard slow operations, the service-wide latency
-// histogram (digest buckets coarsened onto the shared log2
+// histogram (the shards' Digests merged, on the shared log2 le
 // boundaries), and the SLO position evaluated over the window ring at
 // now. The service's counts are not here: utlb_xlate_* carries them.
 // Everything timed is over the sampled requests only.
 func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
+	t.mu.Lock()
+	slow := make([]int64, len(t.shards))
+	var all analyze.Digest
+	for i := range t.shards {
+		slow[i] = t.shards[i].slow
+		all.Merge(&t.shards[i].d)
+	}
+	t.mu.Unlock()
+
 	p := obs.NewPromWriter(w)
 	p.Family("utlb_live_slow_ops_total", "Timed shard operations over the SLO target, by shard.", "counter")
-	for i := range t.shards {
-		p.Int(t.shards[i].slow.Load(), "shard", strconv.Itoa(i))
-	}
-
-	// Service-wide latency histogram. A digest bucket is counted under
-	// the first le boundary at or above its inclusive upper bound, so
-	// every le line is a true statement about the observations in it;
-	// digest buckets never straddle a power of two, so none is split.
-	// Buckets are loaded before the count: observe adds to ops first,
-	// so the count read afterwards is >= the sum of the buckets and a
-	// scrape racing a record cannot print a bucket above +Inf.
-	var hist [obs.NumBuckets]int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		for b := range s.hist {
-			c := s.hist[b].Load()
-			if c == 0 {
-				continue
-			}
-			// The last digest buckets' upper bounds overflow int64;
-			// they, like anything past 2^BucketHigh, are +Inf only.
-			if hi := analyze.BucketValue(b+1) - 1; hi >= 0 {
-				if bi := obs.BucketIndex(uint64(hi)); bi < obs.NumBuckets {
-					hist[bi] += c
-				}
-			}
-		}
-	}
-	var tot Totals
-	for i := range t.shards {
-		t.shards[i].addTo(&tot)
+	for i, n := range slow {
+		p.Int(n, "shard", strconv.Itoa(i))
 	}
 	p.Family("utlb_live_op_duration_ns", "Latency of timed shard operations.", "histogram")
-	p.Histogram(&hist, tot.SumNs, tot.Ops)
+	le := all.PromBuckets()
+	p.Histogram(&le, all.Sum(), all.N())
 
 	slo := t.SLOSnapshot(now)
 	p.Family("utlb_live_slo_target_p99_ns", "Latency objective (p99 target).", "gauge")

@@ -28,25 +28,13 @@ type Series struct {
 	Points   []WindowPoint `json:"points"`
 }
 
-// digestOf builds an analyze.Digest from one bucket-count array.
-func digestOf(hist *[analyze.DigestBuckets]int64) analyze.Digest {
-	var d analyze.Digest
-	for i, c := range hist {
-		d.AddBucketCount(i, c)
-	}
-	return d
-}
-
-// pointOf renders one window (closed or open) as a series point.
-func (t *Sink) pointOf(num int64, tot Totals, hist *[analyze.DigestBuckets]int64, open bool, now int64) WindowPoint {
-	p := WindowPoint{Window: num, StartNs: num * t.cfg.WindowNs, Open: open, Totals: tot}
-	if tot.Ops > 0 {
-		d := digestOf(hist)
-		p.P50Ns = d.Quantile(50)
-		p.P99Ns = d.Quantile(99)
-	}
+// pointOf renders window w (closed or open) as a series point.
+func (t *Sink) pointOf(w *window, now int64) WindowPoint {
+	p := WindowPoint{Window: w.num, StartNs: w.num * t.cfg.WindowNs, Open: w.num == t.lastWin}
+	p.Totals = w.Totals
+	p.P50Ns, p.P99Ns = w.d.Quantile(50), w.d.Quantile(99)
 	spanNs := t.cfg.WindowNs
-	if open {
+	if p.Open {
 		spanNs = now - p.StartNs
 	}
 	if spanNs > 0 {
@@ -64,30 +52,28 @@ func (t *Sink) SeriesReport(now int64) Series {
 	t.foldLocked(now)
 	sr := Series{WindowNs: t.cfg.WindowNs, Windows: t.cfg.Windows, NowNs: now}
 	t.eachClosedLocked(func(w *window) {
-		sr.Points = append(sr.Points, t.pointOf(w.num, w.Totals, &w.hist, false, now))
+		sr.Points = append(sr.Points, t.pointOf(w, now))
 	})
-	var openHist [analyze.DigestBuckets]int64
-	openTot := t.openLocked(&openHist)
-	sr.Points = append(sr.Points, t.pointOf(t.lastWin, openTot, &openHist, true, now))
+	sr.Points = append(sr.Points, t.pointOf(t.openLocked(), now))
 	return sr
 }
 
 // eachClosedLocked calls f on every closed window the ring still
 // holds, oldest first.
 func (t *Sink) eachClosedLocked(f func(*window)) {
-	for w := max(t.lastWin-int64(len(t.ring)), 0); w < t.lastWin; w++ {
-		if slot := &t.ring[int(w%int64(len(t.ring)))]; slot.num == w {
+	for w := max(t.lastWin-int64(t.cfg.Windows), 0); w < t.lastWin; w++ {
+		if slot := t.slot(w); slot.num == w {
 			f(slot)
 		}
 	}
 }
 
-// openLocked returns the open window's counters — cumulative minus the
-// last fold snapshot — and adds its observations to hist.
-func (t *Sink) openLocked(hist *[analyze.DigestBuckets]int64) (tot Totals) {
-	tot.sub(t.TotalsSnapshot(), t.lastTot)
-	t.addOpenHist(hist)
-	return tot
+// openLocked returns the open window with its counters brought up to
+// date.
+func (t *Sink) openLocked() *window {
+	w := t.slot(t.lastWin)
+	t.tallyLocked(w, t.countsLocked())
+	return w
 }
 
 // SLOReport is the /api/live/slo payload: the latency objective and
@@ -129,22 +115,19 @@ func (t *Sink) SLOSnapshot(now int64) SLOReport {
 		WindowNs:    t.cfg.WindowNs,
 		Windows:     t.cfg.Windows,
 	}
-	var hist [analyze.DigestBuckets]int64
+	var d analyze.Digest
 	var lastClosed *window
 	t.eachClosedLocked(func(w *window) {
-		r.Ops += w.Ops
-		r.Slow += w.Slow
-		for i := range hist {
-			hist[i] += w.hist[i]
-		}
+		d.Merge(&w.d)
+		r.Slow += w.slow
 		lastClosed = w
 	})
 	// Fold in the open window so "right now" includes in-flight load.
-	openTot := t.openLocked(&hist)
-	r.Ops += openTot.Ops
-	r.Slow += openTot.Slow
+	open := t.slot(t.lastWin)
+	d.Merge(&open.d)
+	r.Slow += open.slow
+	r.Ops = d.N()
 	if r.Ops > 0 {
-		d := digestOf(&hist)
 		r.P99Ns = d.Quantile(99)
 		r.BudgetUsed = float64(r.Slow) / float64(r.Ops) / t.cfg.SLOBudget
 	}
@@ -175,27 +158,18 @@ type ShardSnapshot struct {
 // cumulative counters and latency quantiles, in shard order.
 func (t *Sink) ShardSnapshots(now int64) []ShardSnapshot {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.foldLocked(now)
-	t.mu.Unlock()
 	out := make([]ShardSnapshot, len(t.shards))
 	var totalLookups int64
 	for i := range t.shards {
 		s := &t.shards[i]
-		ss := ShardSnapshot{Shard: i, MaxNs: s.maxNs.Load()}
-		t.shardTotals(i, &ss.Totals)
-		if ss.Ops > 0 {
-			var hist [analyze.DigestBuckets]int64
-			for b := range hist {
-				hist[b] = s.hist[b].Load()
-			}
-			d := digestOf(&hist)
-			ss.P50Ns = d.Quantile(50)
-			ss.P95Ns = d.Quantile(95)
-			ss.P99Ns = d.Quantile(99)
-			if ss.MaxNs < ss.P99Ns {
-				ss.MaxNs = ss.P99Ns // bucket-resolution clamp
-			}
+		ss := ShardSnapshot{Shard: i, MaxNs: s.d.Max()}
+		if t.counts != nil {
+			t.counts(i, &ss.Totals)
 		}
+		s.addTo(&ss.Totals)
+		ss.P50Ns, ss.P95Ns, ss.P99Ns = s.d.Quantile(50), s.d.Quantile(95), s.d.Quantile(99)
 		totalLookups += ss.Lookups
 		out[i] = ss
 	}

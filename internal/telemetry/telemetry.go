@@ -12,18 +12,20 @@
 //     misses, inserts, evictions, invalidations — are the service's
 //     own: the sink reads them from the shards when it folds or
 //     reports, so they are exact and the hot path writes none. Latency
-//     is timed on a deterministic 1-in-SampleEvery sample of requests,
-//     recorded lock-free with atomics. An unsampled request reads the
-//     clock once and writes no counter; the disabled path — a nil
-//     *Sink, whose Request methods all return at once — allocates
-//     nothing.
+//     is timed on a deterministic 1-in-SampleEvery sample of requests:
+//     a sampled request records its segments into plain Digests under
+//     the sink's one lock, which it takes once at its end. An unsampled
+//     request reads the clock once and writes no counter; the disabled
+//     path — a nil *Sink, whose Request methods all return at once —
+//     allocates nothing.
 //
-//   - A rolling-window time series: a ring of N fixed-width windows.
-//     Each request checks one atomic against the current window number
-//     at its start; on a window boundary (rare) the crossing request
-//     folds the count deltas into the window that just closed. No
-//     background goroutine, no timers — the ring advances on traffic
-//     and on reads, so an idle service costs nothing.
+//   - A rolling-window time series: a ring of N closed fixed-width
+//     windows plus the open one. Each request checks one atomic against
+//     the current window number at its start; on a window boundary
+//     (rare) the crossing request folds the count deltas into the
+//     window that just closed. No background goroutine, no timers —
+//     the ring advances on traffic and on reads, so an idle service
+//     costs nothing.
 //
 //   - An SLO tracker (target p99 + error budget) computed over the
 //     window ring, plus the sampled requests' trace chains, exported
@@ -61,9 +63,6 @@ type Config struct {
 	// and ids divisible by SampleEvery are sampled. Counts do not
 	// depend on it.
 	SampleEvery int64
-	// MaxTraces bounds the retained sampled chains (a ring: newest
-	// overwrite oldest).
-	MaxTraces int
 	// SLOTargetNs is the latency objective: the p99 of per-shard
 	// operation latency should stay at or below this.
 	SLOTargetNs int64
@@ -81,7 +80,6 @@ func DefaultConfig(shards int) Config {
 		WindowNs:    1_000_000_000,
 		Windows:     60,
 		SampleEvery: 256,
-		MaxTraces:   64,
 		SLOTargetNs: 2_000_000,
 		SLOBudget:   0.01,
 	}
@@ -100,9 +98,6 @@ func (c Config) Validate() error {
 	}
 	if c.SampleEvery < 0 {
 		return fmt.Errorf("telemetry: sample-every %d negative", c.SampleEvery)
-	}
-	if c.MaxTraces < 0 {
-		return fmt.Errorf("telemetry: max traces %d negative", c.MaxTraces)
 	}
 	if c.SLOTargetNs <= 0 {
 		return fmt.Errorf("telemetry: SLO target %d ns not positive", c.SLOTargetNs)
@@ -130,71 +125,47 @@ type Totals struct {
 	SumNs         int64 `json:"latency_sum_ns"`
 }
 
-// sub sets t to a - b, counter by counter.
-func (t *Totals) sub(a, b Totals) {
-	*t = Totals{
-		Lookups:       a.Lookups - b.Lookups,
-		Hits:          a.Hits - b.Hits,
-		Misses:        a.Misses - b.Misses,
-		Inserts:       a.Inserts - b.Inserts,
-		Evictions:     a.Evictions - b.Evictions,
-		Invalidations: a.Invalidations - b.Invalidations,
-		Ops:           a.Ops - b.Ops,
-		Slow:          a.Slow - b.Slow,
-		SumNs:         a.SumNs - b.SumNs,
-	}
-}
-
 // Counts is where a sink reads the service's counts: it adds shard
 // si's cumulative lookups, hits, misses, inserts, evictions and
 // invalidations to t. The sink calls it with Sink.mu held, so it may
 // take the shard's lock but must not allocate or call into the sink.
 type Counts func(si int, t *Totals)
 
-// shardTel is one shard's timed state: the sampled segments' count,
-// slow count, latency sum and maximum, and a fixed-bucket latency
-// histogram in the analyze.Digest bucket scheme. Sampled requests
-// write it with atomics, so nothing allocates and nothing takes a
-// lock.
-type shardTel struct {
-	ops, slow, sumNs, maxNs atomic.Int64
-	hist                    [analyze.DigestBuckets]atomic.Int64
+// maxTraces bounds the retained sampled chains (a ring: newest
+// overwrite oldest).
+const maxTraces = 64
+
+// timed is the sink's timed state over a set of sampled segments — one
+// shard's since New, or one window's: a Digest of their latencies and
+// how many were over the SLO target. Guarded by Sink.mu.
+type timed struct {
+	d    analyze.Digest
+	slow int64
 }
 
-// addTo adds the shard's timed counters to t. Reads race benignly
-// with writers: each counter is individually atomic and only ever
-// grows, so the result is a valid set of recent values.
-func (s *shardTel) addTo(t *Totals) {
-	t.Ops += s.ops.Load()
-	t.Slow += s.slow.Load()
-	t.SumNs += s.sumNs.Load()
-}
-
-// observe records one timed shard operation of durNs.
-func (s *shardTel) observe(durNs, sloTargetNs int64) {
-	if durNs < 0 {
-		durNs = 0
-	}
-	s.ops.Add(1)
-	s.sumNs.Add(durNs)
-	s.hist[analyze.BucketIndex(durNs)].Add(1)
+// observe records one timed segment of durNs.
+func (m *timed) observe(durNs, sloTargetNs int64) {
+	m.d.Add(durNs)
 	if durNs > sloTargetNs {
-		s.slow.Add(1)
-	}
-	for {
-		m := s.maxNs.Load()
-		if durNs <= m || s.maxNs.CompareAndSwap(m, durNs) {
-			break
-		}
+		m.slow++
 	}
 }
 
-// window is one closed ring slot: the counter and histogram deltas
-// that accrued while the window was current. Guarded by Sink.mu.
+// addTo adds the timed counters to t.
+func (m *timed) addTo(t *Totals) {
+	t.Ops += m.d.N()
+	t.Slow += m.slow
+	t.SumNs += m.d.Sum()
+}
+
+// window is one ring slot: a closed window, or the open one. Its
+// counts are set when it closes (and, for the open window, on each
+// read); its timed state grows as sampled segments land in it while it
+// is open. Guarded by Sink.mu.
 type window struct {
 	num int64 // window number (start = num*WindowNs); -1 = empty
 	Totals
-	hist [analyze.DigestBuckets]int64
+	timed
 }
 
 // Sink is the live telemetry collector for one xlate service. The
@@ -207,17 +178,16 @@ type Sink struct {
 	baseNs int64  // clock reading at New; trace timestamps are relative to it
 	counts Counts // the service's counts; nil until Bind (counts read as zero)
 
-	shards []shardTel
 	reqSeq atomic.Int64 // request ids, dense from 1 (drives sampling)
 	curWin atomic.Int64 // window number the ring considers current
 
-	mu       sync.Mutex // guards everything below
-	ring     []window
-	lastWin  int64  // == curWin, under mu (curWin is the lock-free mirror)
-	lastTot  Totals // cumulative totals at the last fold
-	lastHist [analyze.DigestBuckets]int64
-	traces   []traceChain // sampled request chains, a ring
-	traceN   int64        // total chains ever retained
+	mu      sync.Mutex   // guards everything below
+	shards  []timed      // each shard's timed state since New
+	ring    []window     // Windows closed windows and the open one
+	lastWin int64        // the open window; == curWin (its lock-free mirror)
+	lastTot Totals       // the service's counts at the last fold
+	traces  []traceChain // sampled request chains, a ring
+	traceN  int64        // total chains ever retained
 }
 
 // traceChain is one retained sampled request: the request span plus
@@ -241,8 +211,8 @@ func New(cfg Config, clock Clock) (*Sink, error) {
 		cfg:    cfg,
 		clock:  clock,
 		baseNs: now,
-		shards: make([]shardTel, cfg.Shards),
-		ring:   make([]window, cfg.Windows),
+		shards: make([]timed, cfg.Shards),
+		ring:   make([]window, cfg.Windows+1),
 	}
 	for i := range t.ring {
 		t.ring[i].num = -1
@@ -250,6 +220,7 @@ func New(cfg Config, clock Clock) (*Sink, error) {
 	w := now / cfg.WindowNs
 	t.curWin.Store(w)
 	t.lastWin = w
+	t.slot(w).num = w
 	return t, nil
 }
 
@@ -277,17 +248,26 @@ func (t *Sink) Now() int64 {
 	return t.clock.Now()
 }
 
-// --- hot path -------------------------------------------------------
+// --- recording ------------------------------------------------------
 
 // RecordLookups records one timed segment against shard si, taking
-// durNs and ending at now, into the shard's latency histogram and its
-// ops, slow, sum and max. It counts nothing else: the n keys and hits
+// durNs and ending at now, into the shard's and the open window's
+// Digests and slow counts. It counts nothing else: the n keys and hits
 // of them are the service's counts, which the sink reads from the
 // shards. The two arguments stay so that a caller timing the record
 // (the benchmark's layer ledger) keeps its call.
 func (t *Sink) RecordLookups(si int, n, hits, durNs, now int64) {
-	t.maybeFold(now)
+	t.mu.Lock()
+	t.foldLocked(now)
+	t.observeLocked(si, durNs)
+	t.mu.Unlock()
+}
+
+// observeLocked records one timed segment of durNs against shard si and
+// the open window.
+func (t *Sink) observeLocked(si int, durNs int64) {
 	t.shards[si].observe(durNs, t.cfg.SLOTargetNs)
+	t.slot(t.lastWin).observe(durNs, t.cfg.SLOTargetNs)
 }
 
 // maybeFold advances the window ring when now has crossed a window
@@ -311,41 +291,40 @@ func (t *Sink) maybeFold(now int64) {
 	}
 }
 
-// shardTotals adds shard si's cumulative counts and timed counters to
-// tot.
-func (t *Sink) shardTotals(si int, tot *Totals) {
+// slot is window w's ring slot.
+func (t *Sink) slot(w int64) *window {
+	return &t.ring[int(w%int64(len(t.ring)))]
+}
+
+// countsLocked returns the service's cumulative counts, summed over
+// the shards.
+func (t *Sink) countsLocked() Totals {
+	var c Totals
 	if t.counts != nil {
-		t.counts(si, tot)
+		for si := range t.shards {
+			t.counts(si, &c)
+		}
 	}
-	t.shards[si].addTo(tot)
+	return c
 }
 
 // TotalsSnapshot sums every shard's cumulative counts and timed
 // counters.
 func (t *Sink) TotalsSnapshot() Totals {
-	var c Totals
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.countsLocked()
 	for i := range t.shards {
-		t.shardTotals(i, &c)
+		t.shards[i].addTo(&c)
 	}
 	return c
 }
 
-// addOpenHist adds to dst, bucket by bucket, the observations recorded
-// since the last fold: every shard's cumulative count less lastHist.
-func (t *Sink) addOpenHist(dst *[analyze.DigestBuckets]int64) {
-	for i := range dst {
-		c := -t.lastHist[i]
-		for s := range t.shards {
-			c += t.shards[s].hist[i].Load()
-		}
-		dst[i] += c
-	}
-}
-
-// foldLocked closes the current window: the cumulative deltas since
-// the last fold are attributed to the window that was current, skipped
-// windows (idle periods) are zeroed, and the ring advances to now's
-// window. Integer math only; allocation-free.
+// foldLocked closes the open window: the count deltas since the last
+// fold are attributed to it, its timed state is already there, and the
+// ring advances to now's window, whose slot and those of any skipped
+// windows (idle periods) are cleared. Integer math only;
+// allocation-free.
 func (t *Sink) foldLocked(now int64) {
 	wNow := now / t.cfg.WindowNs
 	if wNow <= t.lastWin {
@@ -355,23 +334,31 @@ func (t *Sink) foldLocked(now int64) {
 		// still live and re-zero slots the series already served.
 		return
 	}
-	cur := t.TotalsSnapshot()
-	slot := &t.ring[int(t.lastWin%int64(len(t.ring)))]
-	*slot = window{num: t.lastWin}
-	slot.Totals.sub(cur, t.lastTot)
-	t.addOpenHist(&slot.hist)
-	for i, c := range slot.hist {
-		t.lastHist[i] += c
-	}
+	cur := t.countsLocked()
+	t.tallyLocked(t.slot(t.lastWin), cur)
 	t.lastTot = cur
 	// Windows nobody recorded into are explicitly zeroed so the series
 	// shows idle time instead of stale data.
-	for w := t.lastWin + 1; w < wNow && w-t.lastWin <= int64(len(t.ring)); w++ {
-		empty := &t.ring[int(w%int64(len(t.ring)))]
-		*empty = window{num: w}
+	for w := max(t.lastWin+1, wNow-int64(len(t.ring))+1); w <= wNow; w++ {
+		*t.slot(w) = window{num: w}
 	}
 	t.lastWin = wNow
 	t.curWin.Store(wNow)
+}
+
+// tallyLocked sets w's counters: the service's counts c less those at
+// the last fold, and w's timed counters.
+func (t *Sink) tallyLocked(w *window, c Totals) {
+	l := &t.lastTot
+	w.Totals = Totals{
+		Lookups:       c.Lookups - l.Lookups,
+		Hits:          c.Hits - l.Hits,
+		Misses:        c.Misses - l.Misses,
+		Inserts:       c.Inserts - l.Inserts,
+		Evictions:     c.Evictions - l.Evictions,
+		Invalidations: c.Invalidations - l.Invalidations,
+	}
+	w.timed.addTo(&w.Totals)
 }
 
 // --- requests and sampling ------------------------------------------
@@ -379,12 +366,12 @@ func (t *Sink) foldLocked(now int64) {
 // Request is the telemetry of one service request, held by value on
 // the caller's stack: xlate begins one per operation, ends a segment
 // for each shard it locks, and finishes. Every SampleEvery-th request
-// is sampled: its segments are timed into the shard histograms and
-// gathered as an obs event chain for the Chrome-trace export; only
-// those allocate, once. Any other request, and every request of a nil
-// sink, is inert — each method is a nil test small enough to inline —
-// so the service has one body per operation whether telemetry is
-// attached or not. What a sampled request must remember (id, start,
+// is sampled: its segments are timed and gathered as an obs event
+// chain, which Finish records into the sink's Digests and keeps for
+// the Chrome-trace export; only those allocate, once. Any other
+// request, and every request of a nil sink, is inert — each method is
+// a nil test small enough to inline — so the service has one body per
+// operation whether telemetry is attached or not. What a sampled request must remember (id, start,
 // key count) rides in the chain's first slot.
 //
 // Clock reads are part of the contract (tests tick a ManualClock):
@@ -446,12 +433,10 @@ func (r *Request) Segment(si int, n int64) {
 
 // segment is Segment's work, out of line so that the nil test
 // inlines: it reads the segment's end off the clock, makes it the next
-// segment's start, records the segment's latency and appends it to the
-// chain.
+// segment's start and appends the segment to the chain.
 func (r *Request) segment(si int, n int64) {
 	startNs := r.lastNs
 	r.lastNs = r.t.clock.Now()
-	r.t.RecordLookups(si, n, 0, r.lastNs-startNs, r.lastNs)
 	r.chain = append(r.chain, obs.Event{
 		Time: units.Time(startNs - r.t.baseNs),
 		Dur:  units.Time(r.lastNs - startNs),
@@ -471,24 +456,27 @@ func (r *Request) Finish(hits int64) {
 	}
 }
 
-// retain completes a sampled request's span and keeps the chain in the
-// sampled-trace ring.
+// retain completes a sampled request's span, records its segments
+// into the sink — in the window of the request's end — and keeps the
+// chain in the sampled-trace ring. It takes Sink.mu once, after the
+// service has released every shard lock.
 func (r *Request) retain(hits int64) {
 	t := r.t
 	span := r.chain[0]
 	span.Dur = units.Time(r.lastNs-t.baseNs) - span.Time
-	if t.cfg.MaxTraces == 0 {
-		return
-	}
 	span.Arg2 = uint64(hits)
 	copy(r.chain, r.chain[1:])
 	r.chain[len(r.chain)-1] = span
 	kept := traceChain{id: int64(span.Xfer), events: r.chain}
 	t.mu.Lock()
-	if len(t.traces) < t.cfg.MaxTraces {
+	t.foldLocked(r.lastNs)
+	for _, seg := range r.chain[:len(r.chain)-1] {
+		t.observeLocked(int(seg.Arg), int64(seg.Dur))
+	}
+	if len(t.traces) < maxTraces {
 		t.traces = append(t.traces, kept)
 	} else {
-		t.traces[int(t.traceN)%t.cfg.MaxTraces] = kept
+		t.traces[int(t.traceN)%maxTraces] = kept
 	}
 	t.traceN++
 	t.mu.Unlock()

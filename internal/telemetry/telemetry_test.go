@@ -26,7 +26,6 @@ func testConfig() Config {
 		WindowNs:    1000,
 		Windows:     4,
 		SampleEvery: 4,
-		MaxTraces:   3,
 		SLOTargetNs: 100,
 		SLOBudget:   0.1,
 	}
@@ -106,7 +105,6 @@ func TestConfigValidate(t *testing.T) {
 		{"window", func(c *Config) { c.WindowNs = 0 }},
 		{"ring", func(c *Config) { c.Windows = 1 }},
 		{"sample", func(c *Config) { c.SampleEvery = -1 }},
-		{"traces", func(c *Config) { c.MaxTraces = -1 }},
 		{"target", func(c *Config) { c.SLOTargetNs = 0 }},
 		{"budget-zero", func(c *Config) { c.SLOBudget = 0 }},
 		{"budget-over", func(c *Config) { c.SLOBudget = 1.5 }},
@@ -203,6 +201,19 @@ func TestIdleWindowsZeroed(t *testing.T) {
 			t.Errorf("idle window %d not zeroed: %+v", p.Window, p)
 		}
 	}
+
+	// An idle stretch longer than the ring: the series is the ring's
+	// four windows before the open one, all idle.
+	clk.Set(100_500)
+	sr = s.SeriesReport(clk.Now())
+	if len(sr.Points) != 5 {
+		t.Fatalf("after a long idle: got %d points, want 4 idle + open: %+v", len(sr.Points), sr.Points)
+	}
+	for i, p := range sr.Points[:4] {
+		if p.Window != int64(96+i) || p.Lookups != 0 || p.Ops != 0 {
+			t.Errorf("after a long idle: point %d = %+v, want idle window %d", i, p, 96+i)
+		}
+	}
 }
 
 func TestRingWrap(t *testing.T) {
@@ -293,6 +304,37 @@ func TestQuantilesMatchDigest(t *testing.T) {
 	if p.P50Ns != want.Quantile(50) || p.P99Ns != want.Quantile(99) {
 		t.Errorf("window quantiles p50=%d p99=%d, want %d/%d",
 			p.P50Ns, p.P99Ns, want.Quantile(50), want.Quantile(99))
+	}
+}
+
+// TestLiveQuantilesReachTheExactMax: a Digest's Quantile(100) is its
+// exact maximum, and with one observation every quantile is. One
+// sampled 300 ns segment — in the digest bucket [296,303] — must read
+// 300 in the SLO, the open series point and its shard, not the
+// bucket's lower bound.
+func TestLiveQuantilesReachTheExactMax(t *testing.T) {
+	clk := NewManualClock(0)
+	cfg := testConfig()
+	cfg.SampleEvery = 1
+	s, err := New(cfg, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := s.Begin(1)
+	clk.Advance(300)
+	req.Segment(2, 1)
+	req.Finish(1)
+
+	shard := s.ShardSnapshots(clk.Now())[2]
+	if shard.MaxNs != 300 || shard.P99Ns != shard.MaxNs {
+		t.Errorf("shard 2: p99 %d, max %d; want both 300", shard.P99Ns, shard.MaxNs)
+	}
+	if got := s.SLOSnapshot(clk.Now()).P99Ns; got != 300 {
+		t.Errorf("SLO p99 = %d, want 300", got)
+	}
+	sr := s.SeriesReport(clk.Now())
+	if open := sr.Points[len(sr.Points)-1]; !open.Open || open.Ops != 1 || open.P99Ns != 300 {
+		t.Errorf("open point = %+v, want one op with p99 300", open)
 	}
 }
 
@@ -534,23 +576,24 @@ func TestSampledTiming(t *testing.T) {
 
 func TestTraceRingBound(t *testing.T) {
 	s, _, _ := newTestSink(t, 0)
-	// MaxTraces = 3; retain 5 chains, ids 1..5. Oldest two evicted.
-	for id := int64(1); id <= 5; id++ {
+	// Retain maxTraces + 2 chains, ids 1..66: the oldest two are
+	// evicted.
+	for id := int64(1); id <= maxTraces+2; id++ {
 		req := Request{t: s, chain: []obs.Event{{Kind: obs.KindXlateReq, Arg: 1, Xfer: uint64(id)}}}
 		req.Finish(1)
 	}
 	runs := s.TraceRuns()
 	evs := runs[0].Chunks()[0]
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3 (ring bound)", len(evs))
+	if len(evs) != maxTraces {
+		t.Fatalf("got %d events, want %d (ring bound)", len(evs), maxTraces)
 	}
-	for i, wantID := range []uint64{3, 4, 5} {
-		if evs[i].Xfer != wantID {
-			t.Errorf("event %d id = %d, want %d", i, evs[i].Xfer, wantID)
+	for i, ev := range evs {
+		if want := uint64(i + 3); ev.Xfer != want {
+			t.Errorf("event %d id = %d, want %d", i, ev.Xfer, want)
 		}
 	}
-	if got := s.SampledTraces(); got != 5 {
-		t.Errorf("SampledTraces = %d, want 5 ever retained", got)
+	if got := s.SampledTraces(); got != maxTraces+2 {
+		t.Errorf("SampledTraces = %d, want %d ever retained", got, maxTraces+2)
 	}
 }
 
@@ -691,8 +734,10 @@ func TestLiveHistogramNeverFlatters(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording exercises the lock-free hot path, the count
-// source and the folding readers together under the race detector.
+// TestConcurrentRecording exercises the request path (an atomic window
+// check and request id, then Sink.mu for a sampled request's record),
+// the count source and the folding readers together under the race
+// detector.
 func TestConcurrentRecording(t *testing.T) {
 	s, clk, f := newTestSink(t, 0)
 	clk.SetTick(7) // every Now() advances time: windows rotate under load

@@ -21,7 +21,7 @@ func newTelService(t *testing.T) (*Service, *telemetry.Sink, *telemetry.ManualCl
 	clk.SetTick(10)
 	sink, err := telemetry.New(telemetry.Config{
 		Shards: 4, WindowNs: 1_000_000, Windows: 8,
-		SampleEvery: 1, MaxTraces: 16,
+		SampleEvery: 1,
 		SLOTargetNs: 1_000_000, SLOBudget: 0.01,
 	}, clk)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestTelemetryReadersDuringTraffic(t *testing.T) {
 	clk.SetTick(50) // a window every 200 clock reads
 	sink, err := telemetry.New(telemetry.Config{
 		Shards: 4, WindowNs: 10_000, Windows: 8,
-		SampleEvery: 3, MaxTraces: 8,
+		SampleEvery: 3,
 		SLOTargetNs: 1_000, SLOBudget: 0.1,
 	}, clk)
 	if err != nil {

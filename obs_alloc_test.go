@@ -230,7 +230,7 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 		clk.SetTick(1)
 		sink, err := telemetry.New(telemetry.Config{
 			Shards: 4, WindowNs: 1 << 62, Windows: 4,
-			SampleEvery: sampleEvery, MaxTraces: 8,
+			SampleEvery: sampleEvery,
 			SLOTargetNs: 1_000_000, SLOBudget: 0.01,
 		}, clk)
 		if err != nil {
