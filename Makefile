@@ -1,10 +1,10 @@
 GO ?= go
 
-# Where obs-smoke, chaos, overlap-soak, profile-sim and profile-rec leave their
+# Where obs-smoke, chaos, overlap-soak and the profile-* targets leave their
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec obs-smoke chaos overlap-soak clean
+.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec profile-svc obs-smoke chaos overlap-soak clean
 
 all: check
 
@@ -97,6 +97,17 @@ profile-rec:
 		-memprofile $(ARTIFACTS)/profile/rec.mprof >/dev/null
 	rm -f $(ARTIFACTS)/profile/rec.trace.json
 	$(GO) tool pprof -sample_index=alloc_space -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.mprof 2>/dev/null | head -20
+
+# CPU profile of the translation service's miss-to-fill path: xlate's
+# BenchmarkLookupFillMixed (the bench's svc_inproc_mixed step: 64-key
+# LookupMany, InsertMany of the misses, over twice the default
+# service's capacity, one goroutine per CPU), with the top of the
+# cumulative listing printed. CI uploads it next to the simulator's two.
+profile-svc:
+	mkdir -p $(ARTIFACTS)/profile
+	$(GO) test -run '^$$' -bench '^BenchmarkLookupFillMixed$$' -benchtime 3s \
+		-o $(ARTIFACTS)/profile/xlate.test -cpuprofile $(ARTIFACTS)/profile/svc.prof ./internal/xlate >/dev/null
+	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/xlate.test $(ARTIFACTS)/profile/svc.prof 2>/dev/null | head -20
 
 # Observability smoke: an end-to-end recorded run through the CLI,
 # checked for determinism across sequential and parallel execution, and

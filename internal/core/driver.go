@@ -35,7 +35,7 @@ func NewDriver(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config) (*D
 }
 
 // NewDriverWith is NewDriver with the cache built over st, recycling
-// one run's cache line arrays into the next (nil allocates fresh).
+// one run's cache line records into the next (nil allocates fresh).
 func NewDriverWith(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config, st *tlbcache.Storage) (*Driver, error) {
 	if err := cacheCfg.Validate(); err != nil {
 		return nil, err

@@ -258,7 +258,7 @@ func rate(n, total int64) float64 {
 }
 
 // RunScratch recycles one run's working state into the next: the
-// cache line arrays, the 3C classifier's dense table and node slab,
+// cache's line records, the 3C classifier's dense table and node slab,
 // host memory's frame arrays and backing, the pid list, each process
 // slot's address space, pin bit vector, policy table, pre-pin buffer,
 // per-process table and lookup tree, the batch staging buffers, and

@@ -57,24 +57,34 @@ func (c Config) Validate() error {
 // (Figure 3/4 line format).
 const EntryBytes = 4
 
-// Storage is a cache's line arrays in struct-of-arrays layout: the
-// probe loop touches only valid+keys (one cache line of tags per set
-// on real hardware), and the whole block is reusable across simulation
-// runs — sim.RunScratch hands the same Storage to every run it hosts,
-// so steady-state cache construction allocates nothing.
-//
-// used holds LRU stamps, compared only within a set; they come from
-// one counter, so valid lines hold distinct ones. mru flags the line
-// holding its set's largest stamp, the set's MRU line (no line, once
-// that one is cleared). A hit on the MRU line writes nothing, since
-// restamping it could not change the set's victim order; any other
-// hit restamps its line and moves the flag to it.
+// Storage is a cache's lines, set-major, one 32-byte record each: a
+// 4-way set is two adjacent 64-byte host cache lines, so a probe, its
+// hit, an insert's victim choice and the restamp all stay inside them
+// (TestLineLayout). The block is reusable across simulation runs —
+// sim.RunScratch hands the same Storage to every run it hosts, so
+// steady-state cache construction allocates nothing.
 type Storage struct {
-	valid []bool
-	mru   []bool
-	keys  []Key
-	pfns  []units.PFN
-	used  []int64 // LRU stamps
+	lines []line
+}
+
+// line is one cache line. used is its LRU stamp, compared only within
+// a set; stamps come from one counter, so valid lines hold distinct
+// ones. mru flags the line holding its set's largest stamp, the set's
+// MRU line (no line, once that one is cleared). A hit on the MRU line
+// writes nothing, since restamping it could not change the set's
+// victim order; any other hit restamps its line and moves the flag to
+// it. An invalid line is all zeroes.
+type line struct {
+	pid        units.ProcID
+	valid, mru bool
+	vpn        units.VPN
+	pfn        units.PFN
+	used       int64
+}
+
+// holds reports whether l is valid and tagged k.
+func (l *line) holds(k Key) bool {
+	return l.valid && l.pid == k.PID && l.vpn == k.VPN
 }
 
 // NewStorage returns storage for entries cache lines.
@@ -84,36 +94,15 @@ func NewStorage(entries int) *Storage {
 	return s
 }
 
-// ensure sizes the arrays for entries lines and clears them, reusing
-// capacity when the geometry allows.
+// ensure sizes the lines for entries and clears them, reusing capacity
+// when the geometry allows.
 func (s *Storage) ensure(entries int) {
-	if cap(s.valid) >= entries {
-		s.valid = s.valid[:entries]
-		s.mru = s.mru[:entries]
-		s.keys = s.keys[:entries]
-		s.pfns = s.pfns[:entries]
-		s.used = s.used[:entries]
-		clear(s.valid)
-		clear(s.mru)
-		clear(s.keys)
-		clear(s.pfns)
-		clear(s.used)
+	if cap(s.lines) >= entries {
+		s.lines = s.lines[:entries]
+		clear(s.lines)
 		return
 	}
-	s.valid = make([]bool, entries)
-	s.mru = make([]bool, entries)
-	s.keys = make([]Key, entries)
-	s.pfns = make([]units.PFN, entries)
-	s.used = make([]int64, entries)
-}
-
-// clearLine empties line j.
-func (s *Storage) clearLine(j int) {
-	s.valid[j] = false
-	s.mru[j] = false
-	s.keys[j] = Key{}
-	s.pfns[j] = 0
-	s.used[j] = 0
+	s.lines = make([]line, entries)
 }
 
 // Result describes one lookup: whether it hit, the translation if so,
@@ -138,6 +127,7 @@ type Cache struct {
 	numSets int
 	st      *Storage // numSets * ways lines, set-major
 
+	resident      int // valid lines, kept by Insert and the invalidations
 	fills         int64
 	evictions     int64
 	invalidations int64
@@ -263,25 +253,27 @@ func (c *Cache) setIndex(k Key) int {
 	return int((uint64(k.VPN) + c.offset(k.PID)) & uint64(c.numSets-1))
 }
 
-// setBase returns the index of the first line of k's set.
-func (c *Cache) setBase(k Key) int {
-	return c.setIndex(k) * c.cfg.Ways
+// set returns k's set: ways adjacent lines.
+func (c *Cache) set(k Key) []line {
+	base := c.setIndex(k) * c.cfg.Ways
+	return c.st.lines[base : base+c.cfg.Ways]
 }
 
 // Lookup probes the cache for k. Probes counts the entries examined:
 // on a hit, the position of the matching entry; on a miss, the full
 // set width.
 func (c *Cache) Lookup(k Key) Result {
-	base := c.setBase(k)
-	for i := 0; i < c.cfg.Ways; i++ {
-		j := base + i
-		if c.st.valid[j] && c.st.keys[j] == k {
-			c.touch(base, j)
+	set := c.set(k)
+	for i := range set {
+		if l := &set[i]; l.holds(k) {
+			if !l.mru {
+				c.stamp(set, i)
+			}
 			c.hits++
 			if c.tap != nil {
 				c.tap.Instant(obs.KindCacheHit, c.clock.Now(), k.PID, uint64(k.VPN), uint64(i+1))
 			}
-			return Result{Hit: true, PFN: c.st.pfns[j], Probes: i + 1}
+			return Result{Hit: true, PFN: l.pfn, Probes: i + 1}
 		}
 	}
 	c.misses++
@@ -291,30 +283,23 @@ func (c *Cache) Lookup(k Key) Result {
 	return Result{Hit: false, PFN: units.NoPFN, Probes: c.cfg.Ways}
 }
 
-// touch makes line j, hit in the set starting at base, the set's MRU
-// line. If it already is, touch writes nothing (see Storage).
-func (c *Cache) touch(base, j int) {
-	if !c.st.mru[j] {
-		c.stamp(base, j)
-	}
-}
-
-// stamp gives line j the next LRU stamp and the set's MRU flag.
-func (c *Cache) stamp(base, j int) {
+// stamp gives line i of set the next LRU stamp and the set's MRU flag.
+func (c *Cache) stamp(set []line, i int) {
 	c.tick++
-	c.st.used[j] = c.tick
-	clear(c.st.mru[base : base+c.cfg.Ways])
-	c.st.mru[j] = true
+	for j := range set {
+		set[j].mru = false
+	}
+	set[i].used = c.tick
+	set[i].mru = true
 }
 
 // Peek reports whether k is cached without touching LRU state or
 // hit/miss counters. Used by tests and by prefetch logic.
 func (c *Cache) Peek(k Key) (units.PFN, bool) {
-	base := c.setBase(k)
-	for i := 0; i < c.cfg.Ways; i++ {
-		j := base + i
-		if c.st.valid[j] && c.st.keys[j] == k {
-			return c.st.pfns[j], true
+	set := c.set(k)
+	for i := range set {
+		if set[i].holds(k) {
+			return set[i].pfn, true
 		}
 	}
 	return units.NoPFN, false
@@ -332,33 +317,35 @@ func (c *Cache) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 		}
 		return Key{}, false
 	}
-	base := c.setBase(k)
+	set := c.set(k)
 	c.fills++
-	victim := base
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.st.valid[i] && c.st.keys[i] == k {
-			c.st.pfns[i] = pfn
-			c.stamp(base, i)
+	victim := 0
+	for i := range set {
+		l := &set[i]
+		if l.holds(k) {
+			l.pfn = pfn
+			c.stamp(set, i)
 			return Key{}, false
 		}
-		if !c.st.valid[i] {
-			if c.st.valid[victim] {
+		if !l.valid {
+			if set[victim].valid {
 				victim = i
 			}
 			continue
 		}
-		if c.st.valid[victim] && c.st.used[i] < c.st.used[victim] {
+		if set[victim].valid && l.used < set[victim].used {
 			victim = i
 		}
 	}
-	if c.st.valid[victim] {
-		evicted, wasEvicted = c.st.keys[victim], true
+	v := &set[victim]
+	if v.valid {
+		evicted, wasEvicted = Key{PID: v.pid, VPN: v.vpn}, true
 		c.evictions++
+	} else {
+		c.resident++
 	}
-	c.st.valid[victim] = true
-	c.st.keys[victim] = k
-	c.st.pfns[victim] = pfn
-	c.stamp(base, victim)
+	*v = line{pid: k.PID, valid: true, vpn: k.VPN, pfn: pfn}
+	c.stamp(set, victim)
 	if c.tap != nil {
 		if wasEvicted {
 			c.tap.Instant(obs.KindCacheEvict, c.clock.Now(), evicted.PID, uint64(evicted.VPN), 0)
@@ -372,10 +359,11 @@ func (c *Cache) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 // was. The device driver calls this when a page is unpinned so the NIC
 // never holds a translation for reclaimable memory.
 func (c *Cache) Invalidate(k Key) bool {
-	base := c.setBase(k)
-	for j := base; j < base+c.cfg.Ways; j++ {
-		if c.st.valid[j] && c.st.keys[j] == k {
-			c.st.clearLine(j)
+	set := c.set(k)
+	for i := range set {
+		if set[i].holds(k) {
+			set[i] = line{}
+			c.resident--
 			c.invalidations++
 			if c.tap != nil {
 				c.tap.Instant(obs.KindCacheInvalidate, c.clock.Now(), k.PID, uint64(k.VPN), 1)
@@ -390,12 +378,13 @@ func (c *Cache) Invalidate(k Key) bool {
 // exit). It returns the number of entries dropped.
 func (c *Cache) InvalidateProcess(pid units.ProcID) int {
 	n := 0
-	for j := range c.st.valid {
-		if c.st.valid[j] && c.st.keys[j].PID == pid {
-			c.st.clearLine(j)
+	for i := range c.st.lines {
+		if l := &c.st.lines[i]; l.valid && l.pid == pid {
+			*l = line{}
 			n++
 		}
 	}
+	c.resident -= n
 	c.invalidations += int64(n)
 	if c.tap != nil && n > 0 {
 		// One event for the sweep: Arg2 carries the entry count.
@@ -406,21 +395,10 @@ func (c *Cache) InvalidateProcess(pid units.ProcID) int {
 
 // Flush empties the cache.
 func (c *Cache) Flush() {
-	for j := range c.st.valid {
-		if c.st.valid[j] {
-			c.st.clearLine(j)
-			c.invalidations++
-		}
-	}
+	clear(c.st.lines)
+	c.invalidations += int64(c.resident)
+	c.resident = 0
 }
 
 // Occupancy reports how many entries are currently valid.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for j := range c.st.valid {
-		if c.st.valid[j] {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) Occupancy() int { return c.resident }

@@ -3,6 +3,7 @@ package tlbcache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"utlb/internal/units"
 )
@@ -298,25 +299,48 @@ func TestStorageReuseIsClean(t *testing.T) {
 }
 
 // Stats counters must track every mutation path and add field-wise,
-// the contract the sharded translation service aggregates on.
+// the contract the sharded translation service aggregates on; and the
+// resident count behind Occupancy must equal a scan of the lines after
+// every one of those paths.
 func TestStatsCounters(t *testing.T) {
 	c := New(Config{Entries: 4, Ways: 2})
 	k := func(pid, vpn int) Key { return Key{PID: units.ProcID(pid), VPN: units.VPN(vpn)} }
+	step := func(what string, want int) {
+		t.Helper()
+		n := 0
+		for _, l := range c.st.lines {
+			if l.valid {
+				n++
+			}
+		}
+		if got := c.Occupancy(); got != n || got != want {
+			t.Fatalf("after %s: Occupancy = %d, scan = %d, want %d", what, got, n, want)
+		}
+	}
 
 	// 2 sets of 2 ways; without index offsetting, set = VPN & 1.
 	c.Lookup(k(1, 10)) // miss
+	step("miss", 0)
 	c.Insert(k(1, 10), 100)
+	step("insert into an empty way", 1)
 	c.Lookup(k(1, 10))      // hit
 	c.Insert(k(1, 10), 101) // in-place update: a fill, no eviction
+	step("in-place update", 1)
 	c.Insert(k(1, 12), 112) // set 0 now full: {10, 12}
 	c.Insert(k(1, 14), 114) // evicts 10, the set-0 LRU
+	step("insert with eviction", 2)
 	c.Invalidate(k(1, 12))
-	c.Invalidate(k(1, 12))  // absent: not counted
+	step("Invalidate", 1)
+	c.Invalidate(k(1, 12)) // absent: not counted
+	step("Invalidate of an absent key", 1)
 	c.Insert(k(2, 21), 200) // set 1, no eviction
+	c.Insert(k(2, 23), 202)
+	step("insert into set 1", 3)
 	c.InvalidateProcess(2)
+	step("InvalidateProcess", 1)
 
 	got := c.Stats()
-	want := Stats{Hits: 1, Misses: 1, Fills: 5, Evictions: 1, Invalidations: 2}
+	want := Stats{Hits: 1, Misses: 1, Fills: 6, Evictions: 1, Invalidations: 3}
 	if got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
@@ -330,8 +354,30 @@ func TestStatsCounters(t *testing.T) {
 
 	before := c.Occupancy()
 	c.Flush()
+	step("Flush", 0)
 	after := c.Stats()
 	if after.Invalidations != want.Invalidations+int64(before) {
 		t.Fatalf("Flush counted %d invalidations, want %d", after.Invalidations-want.Invalidations, before)
+	}
+	c.Insert(k(1, 10), 100)
+	if NewWith(c.Config(), c.st).Occupancy() != 0 {
+		t.Fatal("NewWith on used storage does not start at occupancy 0")
+	}
+}
+
+// TestLineLayout holds a cache line to one 32-byte record and the line
+// storage to a 64-byte boundary at the geometries in use (the
+// simulator's 16 to 16 K entries, the service's 8 K), so that a 4-way
+// set is exactly two host cache lines and a 2-way set one. A field
+// added to line that breaks either fails here.
+func TestLineLayout(t *testing.T) {
+	if size := unsafe.Sizeof(line{}); size != 32 {
+		t.Errorf("line is %d bytes, want 32", size)
+	}
+	for entries := 16; entries <= 16*1024; entries *= 2 {
+		st := NewStorage(entries)
+		if off := uintptr(unsafe.Pointer(&st.lines[0])) % 64; off != 0 {
+			t.Errorf("%d entries: lines start %d bytes into a 64-byte line", entries, off)
+		}
 	}
 }

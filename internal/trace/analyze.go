@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -133,7 +132,7 @@ func meanRunLength(t Trace) float64 {
 // (pid, page), the number of distinct (pid, page) pairs touched since
 // its last use — the stack distance that determines which cache sizes
 // can hold the working set. Results are bucketed into powers of two;
-// bucket i counts distances in [2^i, 2^(i+1)). A perfectly LRU-managed
+// bucket i counts distances in [2^i, 2^(i+1)), bucket 0 also distance 0. A perfectly LRU-managed
 // cache of 2^k entries hits every reference counted in buckets < k.
 func ReuseDistances(t Trace) []int {
 	type pk struct {
@@ -202,12 +201,8 @@ func FormatReuseHistogram(buckets []int) string {
 	cum := 0
 	for i, c := range buckets {
 		cum += c
-		lo := int(math.Pow(2, float64(i)))
-		if i == 0 {
-			lo = 0
-		}
 		fmt.Fprintf(&b, "distance < %-8d %7d reuses (%5.1f%% cumulative)\n",
-			lo*2, c, 100*float64(cum)/float64(total))
+			2<<i, c, 100*float64(cum)/float64(total))
 	}
 	return b.String()
 }

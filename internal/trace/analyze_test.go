@@ -129,9 +129,14 @@ func TestReuseDistanceLRUProperty(t *testing.T) {
 }
 
 func TestFormatReuseHistogram(t *testing.T) {
-	out := FormatReuseHistogram([]int{5, 3})
-	if !strings.Contains(out, "reuses") || !strings.Contains(out, "100.0%") {
-		t.Errorf("histogram output: %s", out)
+	// Bucket 0 holds distances 0 and 1, bucket i [2^i, 2^(i+1)).
+	got := FormatReuseHistogram([]int{5, 3, 0, 2})
+	want := "distance < 2              5 reuses ( 50.0% cumulative)\n" +
+		"distance < 4              3 reuses ( 80.0% cumulative)\n" +
+		"distance < 8              0 reuses ( 80.0% cumulative)\n" +
+		"distance < 16             2 reuses (100.0% cumulative)\n"
+	if got != want {
+		t.Errorf("histogram:\n%s\nwant:\n%s", got, want)
 	}
 	if FormatReuseHistogram(nil) != "no reuses\n" {
 		t.Error("empty histogram")

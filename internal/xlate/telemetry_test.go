@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"utlb/internal/telemetry"
@@ -325,6 +326,66 @@ func BenchmarkLookupManyTelemetry(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkLookupFillMixed is the miss-to-fill step of the benchmark's
+// svc_inproc_mixed workload under b.RunParallel: each goroutine looks
+// up 64 keys of its own process, drawn uniformly from twice the
+// default service's capacity, then inserts the ones that missed. The
+// sink is attached the way serve attaches it, and the table is filled
+// before the timer starts, so timed steps see steady-state misses and
+// evictions. ns/key is wall time over all keys looked up. `make
+// profile-svc` writes its CPU profile.
+func BenchmarkLookupFillMixed(b *testing.B) {
+	svc, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink, err := telemetry.New(telemetry.DefaultConfig(svc.Config().Shards), telemetry.WallClock{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.AttachTelemetry(sink); err != nil {
+		b.Fatal(err)
+	}
+	pages := 2 * svc.Config().Shards * svc.Config().Entries
+	step := func(rng *rand.Rand, pid int, keys, missK []Key, out []Result, missP []units.PFN) ([]Result, []Key, []units.PFN) {
+		for i := range keys {
+			keys[i] = key(pid, rng.Intn(pages))
+		}
+		out = svc.LookupMany(keys, out)
+		missK, missP = missK[:0], missP[:0]
+		for i, r := range out {
+			if !r.Hit {
+				missK = append(missK, keys[i])
+				missP = append(missP, SyntheticPFN(keys[i]))
+			}
+		}
+		svc.InsertMany(missK, missP)
+		return out, missK, missP
+	}
+	keys := make([]Key, 64)
+	rng := rand.New(rand.NewSource(1998))
+	var out []Result
+	var missK []Key
+	var missP []units.PFN
+	for i := 0; i < 2*pages/len(keys); i++ {
+		out, missK, missP = step(rng, 1+i%2, keys, missK, out, missP)
+	}
+	var pids atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pid := int(pids.Add(1))
+		rng := rand.New(rand.NewSource(int64(pid)))
+		keys := make([]Key, 64)
+		var out []Result
+		var missK []Key
+		var missP []units.PFN
+		for pb.Next() {
+			out, missK, missP = step(rng, pid, keys, missK, out, missP)
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
 }
 
 func TestStatsOccupancy(t *testing.T) {
