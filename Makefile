@@ -4,7 +4,7 @@ GO ?= go
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec profile-svc obs-smoke chaos overlap-soak clean
+.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec profile-svc profile-overlap obs-smoke chaos overlap-soak clean
 
 all: check
 
@@ -51,8 +51,10 @@ race:
 # FUZZTIME of -fuzz (5 s in `make check` and CI; `make fuzz-smoke
 # FUZZTIME=30s` after touching the codec or the service), one at a
 # time (go test fuzzes one target per run): the /api/xlate/* codec's four against their oracles
-# (xlate_oracle_test.go), the service's against its shadow map, and the
-# simulator's long traces against its cost-free model (oracle_test.go).
+# (xlate_oracle_test.go), the service's against its shadow map, the
+# simulator's page-indexed table against its shadow map
+# (pagemap_test.go), and the simulator's long traces against its
+# cost-free model (oracle_test.go).
 # A finding fails the target and is written under the package's
 # testdata/fuzz/ as a new seed.
 FUZZTIME ?= 5s
@@ -61,6 +63,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/serve || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceVsShadow$$' -fuzztime $(FUZZTIME) ./internal/xlate
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseVsShadow$$' -fuzztime $(FUZZTIME) ./internal/tlbcache
 	$(GO) test -run '^$$' -fuzz '^FuzzSimVsOracle$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The repository's benchmark (bench/, a module of its own; run for real
@@ -108,6 +111,17 @@ profile-svc:
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupFillMixed$$' -benchtime 3s \
 		-o $(ARTIFACTS)/profile/xlate.test -cpuprofile $(ARTIFACTS)/profile/svc.prof ./internal/xlate >/dev/null
 	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/xlate.test $(ARTIFACTS)/profile/svc.prof 2>/dev/null | head -20
+
+# CPU profile of the simulator's other timing path: sim's
+# BenchmarkRunWith/overlap (the bench's sim_overlap request — one
+# BulkTransfer run through the event engine on 2 DMA channels, batch
+# and prefetch width 8 — on one warm RunScratch), with the top of the
+# cumulative listing printed. CI uploads it next to the other three.
+profile-overlap:
+	mkdir -p $(ARTIFACTS)/profile
+	$(GO) test -run '^$$' -bench '^BenchmarkRunWith$$/^overlap$$' -benchtime 3s \
+		-o $(ARTIFACTS)/profile/sim.test -cpuprofile $(ARTIFACTS)/profile/overlap.prof ./internal/sim >/dev/null
+	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/sim.test $(ARTIFACTS)/profile/overlap.prof 2>/dev/null | head -20
 
 # Observability smoke: an end-to-end recorded run through the CLI,
 # checked for determinism across sequential and parallel execution, and

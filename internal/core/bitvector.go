@@ -7,9 +7,9 @@ import (
 	"utlb/internal/units"
 )
 
-// VASpacePages bounds a process' virtual address space to 2^20 pages —
-// a 32-bit address space with 4 KB pages, as on the paper's machines.
-const VASpacePages = 1 << 20
+// VASpacePages is the page bound of a process' address space, which
+// every per-page structure here is sized by (units.VASpacePages).
+const VASpacePages = units.VASpacePages
 
 // BitVector is the Hierarchical-UTLB user-level lookup structure: one
 // bit of pin status per virtual page (§3.3, "The user-level library

@@ -65,14 +65,14 @@ type pageMeta struct {
 // victim scan keeps every policy trivially correct. The
 // tracked pages sit by value in one compact slice, so the scan walks
 // exactly Len entries however large an earlier run grew a recycled
-// policy; a tlbcache.Dense maps each page to its position, and Remove
-// fills the hole with the last entry. Neither the slice's order nor the
-// table's slot order reaches a result: the victim orderings below are
-// total (seq stamps are unique, ties fall to the lower VPN) and RANDOM
-// sorts its candidates before drawing.
+// policy; a page-indexed tlbcache.PageMap maps each page to its
+// position, and Remove fills the hole with the last entry. The slice's
+// order does not reach a result: the victim orderings below are total
+// (seq stamps are unique, ties fall to the lower VPN) and RANDOM sorts
+// its candidates before drawing.
 type Policy struct {
 	kind  PolicyKind
-	index *tlbcache.Dense[int32] // page → position in pages
+	index tlbcache.PageMap[int32] // page → position in pages
 	pages []pageMeta
 	tick  int64
 	seed  int64
@@ -84,7 +84,7 @@ type Policy struct {
 // the RANDOM policy and is ignored by the others. Callers outside the
 // package draw one from a LibScratch.
 func newPolicy(kind PolicyKind, seed int64) *Policy {
-	p := &Policy{index: tlbcache.NewDense[int32](0)}
+	p := &Policy{}
 	p.reset(kind, seed)
 	return p
 }
@@ -100,7 +100,7 @@ func (p *Policy) reset(kind PolicyKind, seed int64) {
 
 // meta returns vpn's entry for in-place update, or nil when untracked.
 func (p *Policy) meta(vpn units.VPN) *pageMeta {
-	if at := p.index.Ref(tlbcache.PageKey(vpn)); at != nil {
+	if at := p.index.Ref(vpn); at != nil {
 		return &p.pages[*at]
 	}
 	return nil
@@ -120,7 +120,7 @@ func (p *Policy) Touch(vpn units.VPN) {
 
 // Insert adds a newly pinned page to the tracked set.
 func (p *Policy) Insert(vpn units.VPN) {
-	if at, fresh := p.index.Ensure(tlbcache.PageKey(vpn)); fresh {
+	if at, fresh := p.index.Ensure(vpn); fresh {
 		p.tick++
 		*at = int32(len(p.pages))
 		p.pages = append(p.pages, pageMeta{vpn: vpn, seq: p.tick, freq: 1})
@@ -129,15 +129,15 @@ func (p *Policy) Insert(vpn units.VPN) {
 
 // Remove drops an unpinned page from the tracked set.
 func (p *Policy) Remove(vpn units.VPN) {
-	ref := p.index.Ref(tlbcache.PageKey(vpn))
+	ref := p.index.Ref(vpn)
 	if ref == nil {
 		return
 	}
 	at, last := *ref, int32(len(p.pages)-1)
-	p.index.Delete(tlbcache.PageKey(vpn))
+	p.index.Delete(vpn)
 	if at != last {
 		p.pages[at] = p.pages[last]
-		*p.index.Ref(tlbcache.PageKey(p.pages[at].vpn)) = at
+		*p.index.Ref(p.pages[at].vpn) = at
 	}
 	p.pages = p.pages[:last]
 }

@@ -265,8 +265,8 @@ func (p *refPolicy) victim() (units.VPN, bool) {
 // For all five kinds, a seeded random stream of Insert, Touch, Lock,
 // Unlock, Remove and Victim must agree with the map-backed reference
 // victim for victim — on a fresh policy and on one recycled through a
-// LibScratch after a much larger run, whose table keeps its grown
-// capacity and so visits the same pages in a different slot order.
+// LibScratch after a much larger run, whose page index comes back
+// holding that run's leaves for reuse.
 func TestPolicyAgreesWithMapReference(t *testing.T) {
 	for _, kind := range []PolicyKind{LRU, MRU, LFU, MFU, Random} {
 		scr := &LibScratch{}

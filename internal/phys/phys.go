@@ -9,6 +9,7 @@
 package phys
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"utlb/internal/units"
@@ -195,13 +196,24 @@ func (m *Memory) Read(pa units.PAddr, n int) []byte {
 }
 
 // WriteWord stores a 64-bit little-endian word at pa. Word accesses are
-// how the NIC reads translation-table entries out of host memory.
+// how the NIC reads translation-table entries out of host memory, and
+// how the driver installs them: an in-page word goes straight into the
+// frame's backing, as ReadWord reads it.
 func (m *Memory) WriteWord(pa units.PAddr, w uint64) {
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(w >> (8 * i))
+	m.checkRange(pa, 8)
+	off := int(uint64(pa) & units.PageMask)
+	if off > units.PageSize-8 {
+		// Word straddles a frame boundary: the general path.
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], w)
+		m.Write(pa, buf[:])
+		return
 	}
-	m.Write(pa, buf[:])
+	f := pa.PageOf()
+	if !m.Allocated(f) {
+		panic(fmt.Sprintf("phys: write to unallocated frame %d", f))
+	}
+	binary.LittleEndian.PutUint64(m.backing(f)[off:], w)
 }
 
 // ReadWord loads a 64-bit little-endian word from pa. This is the
@@ -218,11 +230,7 @@ func (m *Memory) ReadWord(pa units.PAddr) uint64 {
 		if b == nil {
 			return 0 // never-written frame reads as zeros
 		}
-		var w uint64
-		for i := 0; i < 8; i++ {
-			w |= uint64(b[off+i]) << (8 * i)
-		}
-		return w
+		return binary.LittleEndian.Uint64(b[off:])
 	}
 	// Word straddles a frame boundary: assemble byte by byte.
 	var w uint64

@@ -134,6 +134,38 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 }
 
+// WriteWord writes in place within a page and through Write across a
+// frame boundary; at every in-page offset and at each straddling one
+// it must leave memory exactly as Write of the little-endian bytes
+// does, neighbours included, and ReadWord must read the word back.
+func TestWriteWordMatchesWrite(t *testing.T) {
+	viaWord, viaWrite := NewMemory(2*units.PageSize), NewMemory(2*units.PageSize)
+	for _, m := range []*Memory{viaWord, viaWrite} {
+		m.Alloc()
+		m.Alloc()
+		m.Write(0, bytes.Repeat([]byte{0xa5}, 2*units.PageSize))
+	}
+	for off := units.PAddr(0); off <= 2*units.PageSize-8; off++ {
+		w := 0x0102030405060708 * uint64(off+1)
+		viaWord.WriteWord(off, w)
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], w)
+		viaWrite.Write(off, buf[:])
+		if got := viaWord.ReadWord(off); got != w {
+			t.Fatalf("offset %#x: ReadWord after WriteWord = %#x, want %#x", off, got, w)
+		}
+		if a, b := viaWord.Read(0, 2*units.PageSize), viaWrite.Read(0, 2*units.PageSize); !bytes.Equal(a, b) {
+			t.Fatalf("offset %#x: WriteWord and Write leave different memory", off)
+		}
+	}
+	viaWord.Free(1)
+	for _, pa := range []units.PAddr{units.PageSize + 8, units.PageSize - 4, 2*units.PageSize - 4} {
+		if !panics(func() { viaWord.WriteWord(pa, 1) }) {
+			t.Errorf("WriteWord(%#x) into a freed frame or past the end did not panic", pa)
+		}
+	}
+}
+
 func TestWordRoundTripProperty(t *testing.T) {
 	m := NewMemory(4 * units.PageSize)
 	for i := 0; i < 4; i++ {

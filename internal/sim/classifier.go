@@ -17,16 +17,15 @@ import (
 // hit or miss, so its LRU state tracks the reference stream exactly.
 //
 // Layout: this sits on the simulator's per-page inner loop, so the
-// bookkeeping is one dense-table probe and zero per-key heap
-// allocations. Every key ever seen owns one slot in a grow-only slab
-// of index-linked nodes; the slot doubles as the "seen" record (slots
-// are never reclaimed, only unlinked from the LRU list on eviction).
-// The key→slot index is a tlbcache.Dense open-addressing table rather
-// than a Go map: the probe stays in two or three contiguous arrays,
-// and reset() recycles both the table and the slab across runs.
+// bookkeeping is one page-indexed lookup and zero per-key heap
+// allocations. Every (process, page) ever seen owns one node in a
+// grow-only slab of index-linked nodes; the node doubles as the "seen"
+// record (nodes are never reclaimed, only unlinked from the LRU list
+// on eviction). Each process slot has a tlbcache.PageMap from page to
+// node, and reset() recycles the maps and the slab across runs.
 type classifier struct {
 	capacity int
-	slots    *tlbcache.Dense[int32]
+	pages    []*tlbcache.PageMap[int32] // by process slot
 	nodes    []clsNode
 	head     int32 // most recent, nilSlot when empty
 	tail     int32 // least recent
@@ -34,27 +33,27 @@ type classifier struct {
 }
 
 type clsNode struct {
-	key        tlbcache.Key
 	prev, next int32
 	resident   bool
 }
 
 const nilSlot = int32(-1)
 
-func newClassifier(capacity int) *classifier {
+func newClassifier(capacity, slots int) *classifier {
 	c := &classifier{}
-	c.reset(capacity)
+	c.reset(capacity, slots)
 	return c
 }
 
-// reset readies the classifier for a fresh run over the same backing
-// arrays; capacity may differ between runs.
-func (c *classifier) reset(capacity int) {
+// reset readies the classifier for a fresh run of slots processes over
+// the same backing arrays; capacity may differ between runs.
+func (c *classifier) reset(capacity, slots int) {
 	c.capacity = capacity
-	if c.slots == nil {
-		c.slots = tlbcache.NewDense[int32](capacity)
-	} else {
-		c.slots.Reset()
+	for _, m := range c.pages {
+		m.Reset()
+	}
+	for len(c.pages) < slots {
+		c.pages = append(c.pages, new(tlbcache.PageMap[int32]))
 	}
 	if cap(c.nodes) < capacity {
 		c.nodes = make([]clsNode, 0, capacity)
@@ -74,12 +73,11 @@ const (
 	classConflict
 )
 
-// classify records a reference to (pid, vpn) and, when miss is true,
-// attributes it in res, reporting the attribution (classNone on hits)
-// so callers can emit per-miss events.
-func (c *classifier) classify(res *Result, pid units.ProcID, vpn units.VPN, miss bool) missClass {
-	key := tlbcache.Key{PID: pid, VPN: vpn}
-	first, shadowHit := c.touch(key)
+// classify records a reference to vpn of process slot i and, when
+// miss is true, attributes it in res, reporting the attribution
+// (classNone on hits) so callers can emit per-miss events.
+func (c *classifier) classify(res *Result, i int, vpn units.VPN, miss bool) missClass {
+	first, shadowHit := c.touch(i, vpn)
 	if !miss {
 		return classNone
 	}
@@ -96,13 +94,14 @@ func (c *classifier) classify(res *Result, pid units.ProcID, vpn units.VPN, miss
 	}
 }
 
-// touch references key in the shadow cache, reporting whether this is
-// the key's first-ever reference and whether the shadow cache hit.
-func (c *classifier) touch(key tlbcache.Key) (first, shadowHit bool) {
-	p, first := c.slots.Ensure(key)
+// touch references vpn of slot i in the shadow cache, reporting
+// whether this is the page's first-ever reference and whether the
+// shadow cache hit.
+func (c *classifier) touch(i int, vpn units.VPN) (first, shadowHit bool) {
+	p, first := c.pages[i].Ensure(vpn)
 	if first {
 		*p = int32(len(c.nodes))
-		c.nodes = append(c.nodes, clsNode{key: key})
+		c.nodes = append(c.nodes, clsNode{})
 	}
 	slot := *p
 	if c.nodes[slot].resident {

@@ -84,11 +84,11 @@ var missKinds = [...]obs.Kind{
 	classConflict:   obs.KindMissConflict,
 }
 
-// classify attributes one NIC reference in r.res and, when recording,
-// emits an instant event for a classified miss on the sim track at the
-// current NIC time.
-func (r *run) classify(pid units.ProcID, vpn units.VPN, miss bool) {
-	if class := r.cls.classify(&r.res, pid, vpn, miss); class != classNone {
+// classify attributes one NIC reference of slot i's process pid in
+// r.res and, when recording, emits an instant event for a classified
+// miss on the sim track at the current NIC time.
+func (r *run) classify(i int, pid units.ProcID, vpn units.VPN, miss bool) {
+	if class := r.cls.classify(&r.res, i, vpn, miss); class != classNone {
 		r.tap.Instant(missKinds[class], r.nic.Clock().Now(), pid, uint64(vpn), 0)
 	}
 }

@@ -137,7 +137,7 @@ func TestTransferIDsCoverTimeline(t *testing.T) {
 
 // TestClassifierObsAttribution pins the classifier's class mapping.
 func TestClassifierObsAttribution(t *testing.T) {
-	cls := newClassifier(2)
+	cls := newClassifier(2, 2) // two process slots; the calls below use slot 1
 	var res Result
 	if c := cls.classify(&res, 1, 10, true); c != classCompulsory {
 		t.Errorf("first touch = %v, want compulsory", c)

@@ -258,13 +258,13 @@ func rate(n, total int64) float64 {
 }
 
 // RunScratch recycles one run's working state into the next: the
-// cache's line records, the 3C classifier's dense table and node slab,
+// cache's line records, the 3C classifier's page tables and node slab,
 // host memory's frame arrays and backing, the pid list, each process
 // slot's address space, pin bit vector, policy table, pre-pin buffer,
 // per-process table and lookup tree, the batch staging buffers, and
-// the overlap engine — the event
-// kernel's queue, the DMA channel pool and the Sequencer's holding
-// slice. Together these are the bulk of a run's setup allocations.
+// the overlap engine — the event kernel's queue, the DMA channel pool
+// and the Sequencer's holding slice. Together these are the bulk of a
+// run's setup allocations.
 // The zero value (or NewRunScratch) is ready to use; a scratch serves
 // one run at a time, and results never depend on what a previous run
 // left behind — every structure is reset on reuse. A scratch keeps
@@ -305,12 +305,13 @@ func (s *RunScratch) storage() *tlbcache.Storage {
 	return s.cacheStorage
 }
 
-// classifier hands out the 3C classifier, reset for capacity.
-func (s *RunScratch) classifier(capacity int) *classifier {
+// classifier hands out the 3C classifier, reset for capacity and
+// slots processes.
+func (s *RunScratch) classifier(capacity, slots int) *classifier {
 	if s.cls == nil {
-		s.cls = newClassifier(capacity)
+		s.cls = newClassifier(capacity, slots)
 	} else {
-		s.cls.reset(capacity)
+		s.cls.reset(capacity, slots)
 	}
 	return s.cls
 }
@@ -427,7 +428,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	r.tap = obs.NewTap(r.timing.setup(cfg, scr, r.host, b, r.nic), 0)
 	r.host.SetTap(r.tap)
 	b.SetTap(r.tap)
-	r.cls = scr.classifier(cfg.CacheEntries)
+	r.cls = scr.classifier(cfg.CacheEntries, len(pids))
 
 	m, width, err := designs[cfg.Mechanism].build(r)
 	if err != nil {
@@ -455,7 +456,8 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 			continue
 		}
 		r.tap.Begin()
-		if err := m.post(r.slot(rec.PID), rec); err != nil {
+		slot := r.slot(rec.PID)
+		if err := m.post(slot, rec); err != nil {
 			return r.res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 		}
 		r.timing.post()
@@ -470,7 +472,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 				return r.res, fmt.Errorf("sim: translate %v/%#x: %w", rec.PID, vpns[0], err)
 			}
 			for i := 0; i < n; i++ {
-				r.classify(rec.PID, vpns[i], !infos[i].Hit)
+				r.classify(slot, rec.PID, vpns[i], !infos[i].Hit)
 			}
 		}
 	}

@@ -500,3 +500,62 @@ func TestWarmScratchMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunWith times the benchmark's two simulator mixes on one
+// RunScratch, so the replay loop can be profiled without bench/ (`make
+// profile-overlap` writes the overlap half's CPU profile): paper is
+// one pass over the 14 jobs of sim_paper (the seven Table-3 apps at
+// paper scale × UTLB and Intr, 1 K-entry cache), overlap one
+// BulkTransfer run through the event engine on 2 DMA channels with
+// batch and prefetch width 8, as in sim_overlap. ns/lookup is wall
+// time over the lookups the runs replay.
+func BenchmarkRunWith(b *testing.B) {
+	type job struct {
+		tr trace.Trace
+		c  Config
+	}
+	paper := func() (jobs []job) {
+		for _, app := range workload.Names() {
+			s, err := workload.ByName(app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := s.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: 1998, Scale: 1})
+			for _, m := range []Mechanism{UTLB, Interrupt} {
+				c := cfg(m, 1024)
+				c.Seed = 1998
+				jobs = append(jobs, job{tr, c})
+			}
+		}
+		return jobs
+	}
+	overlap := func() []job {
+		c := DefaultConfig()
+		c.Prefetch, c.BatchPages = 8, 8
+		c.Overlap = OverlapConfig{Enabled: true, DMAChannels: 2}
+		return []job{{workload.BulkTransfer(0, 1, 1998, 1), c}}
+	}
+	for _, mix := range []struct {
+		name string
+		jobs func() []job
+	}{{"paper", paper}, {"overlap", overlap}} {
+		b.Run(mix.name, func(b *testing.B) {
+			jobs, scr := mix.jobs(), NewRunScratch()
+			var lookups int64
+			for i := 0; i < b.N+1; i++ {
+				if i == 1 { // the first pass warms the scratch
+					b.ResetTimer()
+					lookups = 0
+				}
+				for _, j := range jobs {
+					res, err := RunWith(j.tr, j.c, scr)
+					if err != nil {
+						b.Fatal(err)
+					}
+					lookups += res.Lookups
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lookups), "ns/lookup")
+		})
+	}
+}

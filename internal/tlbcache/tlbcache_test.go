@@ -213,9 +213,9 @@ func TestSRAMBytes(t *testing.T) {
 // Property: after any operation sequence, Lookup(k) hits iff k was
 // inserted after its last eviction/invalidation — verified against a
 // shadow model tracking the most recent Insert per key and evictions.
-// A Dense table mirrors every shadow mutation, so the open-addressing
-// structure is exercised by the same sequences (full fuzz coverage
-// lives in dense_test.go).
+// One PageMap per process mirrors every shadow mutation, so the
+// page-indexed table is exercised by the same sequences (full fuzz
+// coverage lives in pagemap_test.go).
 func TestCacheAgainstShadowModel(t *testing.T) {
 	f := func(ops []uint16, ways8 bool) bool {
 		ways := 1
@@ -224,7 +224,7 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 		}
 		c := New(Config{Entries: 32, Ways: ways, IndexOffset: true})
 		shadow := map[Key]units.PFN{}
-		dense := NewDense[int32](0)
+		var mirror [3]PageMap[int32] // by PID
 		for i, op := range ops {
 			k := Key{PID: units.ProcID(op % 3), VPN: units.VPN((op >> 2) % 64)}
 			switch op % 4 {
@@ -232,10 +232,10 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 				pfn := units.PFN(i)
 				evicted, was := c.Insert(k, pfn)
 				shadow[k] = pfn
-				put(dense, k, int32(i))
+				put(&mirror[k.PID], k.VPN, int32(i))
 				if was {
 					delete(shadow, evicted)
-					dense.Delete(evicted)
+					mirror[evicted.PID].Delete(evicted.VPN)
 				}
 			case 2: // lookup: a hit must match the shadow value
 				if r := c.Lookup(k); r.Hit {
@@ -249,14 +249,14 @@ func TestCacheAgainstShadowModel(t *testing.T) {
 			case 3:
 				c.Invalidate(k)
 				delete(shadow, k)
-				dense.Delete(k)
+				mirror[k.PID].Delete(k.VPN)
 			}
 		}
-		if dense.Len() != len(shadow) {
+		if mirror[0].Len()+mirror[1].Len()+mirror[2].Len() != len(shadow) {
 			return false
 		}
 		for k := range shadow {
-			if _, ok := get(dense, k); !ok {
+			if _, ok := get(&mirror[k.PID], k.VPN); !ok {
 				return false
 			}
 		}

@@ -37,6 +37,10 @@ const (
 	PageShift = 12
 	PageSize  = 1 << PageShift // 4096
 	PageMask  = PageSize - 1
+	// VASpacePages bounds a process' virtual address space to 2^20
+	// pages — a 32-bit address space with 4 KB pages, as on the
+	// paper's machines.
+	VASpacePages = 1 << 20
 )
 
 // VAddr is a virtual address in a process address space.

@@ -13,7 +13,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"utlb/internal/phys"
 	"utlb/internal/tlbcache"
@@ -38,13 +37,13 @@ type pageInfo struct {
 }
 
 // Space is one process' virtual address space. The page table is a
-// tlbcache.Dense keyed by page, holding page-table entries by
-// value: a pageInfo is two words, so boxing each one behind a pointer
-// would cost a heap object per mapped page on the pin path.
+// page-indexed tlbcache.PageMap holding page-table entries by value: a
+// pageInfo is two words, so boxing each one behind a pointer would
+// cost a heap object per mapped page on the pin path.
 type Space struct {
 	pid      units.ProcID
 	mem      *phys.Memory
-	pages    *tlbcache.Dense[pageInfo]
+	pages    tlbcache.PageMap[pageInfo]
 	pinLimit int // max distinct pinned pages; 0 means unlimited
 	pinned   int // distinct pages currently pinned
 }
@@ -53,13 +52,13 @@ type Space struct {
 // pinLimitPages bounds the number of distinct pinned pages; zero means
 // unlimited (the paper's "infinite host memory" configuration).
 func NewSpace(pid units.ProcID, mem *phys.Memory, pinLimitPages int) *Space {
-	s := &Space{pages: tlbcache.NewDense[pageInfo](0)}
+	s := &Space{}
 	s.Reset(pid, mem, pinLimitPages)
 	return s
 }
 
 // Reset rebinds s as a fresh, empty space for pid over mem, keeping
-// the page table's capacity (sim.RunScratch recycles one Space per
+// the page table's leaves (sim.RunScratch recycles one Space per
 // process slot). Frames are not returned: the caller resets mem too.
 func (s *Space) Reset(pid units.ProcID, mem *phys.Memory, pinLimitPages int) {
 	s.pid, s.mem, s.pinLimit, s.pinned = pid, mem, pinLimitPages, 0
@@ -81,7 +80,7 @@ func (s *Space) MappedPages() int { return s.pages.Len() }
 // Touch ensures vpn is mapped to a physical frame, allocating one on
 // first access (demand paging), and returns the frame.
 func (s *Space) Touch(vpn units.VPN) (units.PFN, error) {
-	if pi := s.pages.Ref(tlbcache.PageKey(vpn)); pi != nil {
+	if pi := s.pages.Ref(vpn); pi != nil {
 		return pi.pfn, nil
 	}
 	pi, err := s.mapPage(vpn)
@@ -97,7 +96,7 @@ func (s *Space) mapPage(vpn units.VPN) (*pageInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: mapping page %#x: %w", vpn, err)
 	}
-	pi, _ := s.pages.Ensure(tlbcache.PageKey(vpn))
+	pi, _ := s.pages.Ensure(vpn)
 	pi.pfn = f
 	return pi, nil
 }
@@ -107,7 +106,7 @@ func (s *Space) mapPage(vpn units.VPN) (*pageInfo, error) {
 // NIC never call it directly; the device driver does, when installing
 // UTLB entries.
 func (s *Space) Translate(vpn units.VPN) (units.PFN, error) {
-	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	pi := s.pages.Ref(vpn)
 	if pi == nil {
 		return units.NoPFN, ErrNotMapped
 	}
@@ -119,7 +118,7 @@ func (s *Space) Pinned(vpn units.VPN) bool { return s.PinCount(vpn) > 0 }
 
 // PinCount reports the number of outstanding pins on vpn.
 func (s *Space) PinCount(vpn units.VPN) int {
-	if pi := s.pages.Ref(tlbcache.PageKey(vpn)); pi != nil {
+	if pi := s.pages.Ref(vpn); pi != nil {
 		return pi.pins
 	}
 	return 0
@@ -129,7 +128,7 @@ func (s *Space) PinCount(vpn units.VPN) int {
 // A page pinned more than once stays resident until Unpin balances
 // every Pin. The distinct-page quota is charged on the first pin only.
 func (s *Space) Pin(vpn units.VPN) (units.PFN, error) {
-	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	pi := s.pages.Ref(vpn)
 	if pi != nil && pi.pins > 0 {
 		pi.pins++
 		return pi.pfn, nil
@@ -151,7 +150,7 @@ func (s *Space) Pin(vpn units.VPN) (units.PFN, error) {
 // Unpin releases one pin on vpn. The page becomes evictable again when
 // its pin count reaches zero.
 func (s *Space) Unpin(vpn units.VPN) error {
-	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	pi := s.pages.Ref(vpn)
 	if pi == nil || pi.pins == 0 {
 		return ErrNotPinned
 	}
@@ -167,7 +166,7 @@ func (s *Space) Unpin(vpn units.VPN) error {
 // page is forbidden and returns an error, which is exactly the guarantee
 // pinning buys the network interface.
 func (s *Space) Evict(vpn units.VPN) error {
-	pi := s.pages.Ref(tlbcache.PageKey(vpn))
+	pi := s.pages.Ref(vpn)
 	if pi == nil {
 		return ErrNotMapped
 	}
@@ -175,20 +174,14 @@ func (s *Space) Evict(vpn units.VPN) error {
 		return fmt.Errorf("vm: evicting pinned page %#x", vpn)
 	}
 	s.mem.Free(pi.pfn)
-	s.pages.Delete(tlbcache.PageKey(vpn))
+	s.pages.Delete(vpn)
 	return nil
 }
 
-// MappedVPNs lists the mapped virtual pages in ascending order, so no
-// caller's behaviour can depend on the page table's slot order.
+// MappedVPNs lists the mapped virtual pages in ascending order.
 func (s *Space) MappedVPNs() []units.VPN {
 	out := make([]units.VPN, 0, s.pages.Len())
-	for i := 0; i < s.pages.Cap(); i++ {
-		if k, _, live := s.pages.Slot(i); live {
-			out = append(out, k.VPN)
-		}
-	}
-	slices.Sort(out)
+	s.pages.Each(func(vpn units.VPN, _ *pageInfo) { out = append(out, vpn) })
 	return out
 }
 
@@ -234,20 +227,10 @@ func (s *Space) WriteAt(va units.VAddr, data []byte) error {
 }
 
 // Release unmaps every page and returns all frames, pinned or not, in
-// ascending frame order (the table's slot order must not decide which
-// frame the allocator hands out next). It models process exit, where
-// the driver force-unpins everything.
+// ascending page order. It models process exit, where the driver
+// force-unpins everything.
 func (s *Space) Release() {
-	frames := make([]units.PFN, 0, s.pages.Len())
-	for i := 0; i < s.pages.Cap(); i++ {
-		if _, pi, live := s.pages.Slot(i); live {
-			frames = append(frames, pi.pfn)
-		}
-	}
-	slices.Sort(frames)
-	for _, f := range frames {
-		s.mem.Free(f)
-	}
+	s.pages.Each(func(_ units.VPN, pi *pageInfo) { s.mem.Free(pi.pfn) })
 	s.pages.Reset()
 	s.pinned = 0
 }

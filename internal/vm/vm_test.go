@@ -205,12 +205,13 @@ func TestRelease(t *testing.T) {
 	}
 }
 
-// The page table is a tlbcache.Dense, no longer a Go map. A seeded
-// random stream of Touch, Pin, Unpin and Evict over a small page range
-// — nested pins, a tight pin limit, evictions that backshift the table
-// — must agree with a map-backed model on every error, pin count and
-// frame: whatever the model says is mapped holds exactly one frame,
-// and Evict, Release and Reset-with-memory hand every frame back.
+// The page table is a page-indexed tlbcache.PageMap, no longer a Go
+// map. A seeded random stream of Touch, Pin, Unpin and Evict over a
+// small page range — nested pins, a tight pin limit, evictions that
+// clear live bits inside one leaf — must agree with a map-backed model
+// on every error, pin count and frame: whatever the model says is
+// mapped holds exactly one frame, and Evict, Release and
+// Reset-with-memory hand every frame back.
 func TestSpaceAgreesWithMapReference(t *testing.T) {
 	const frames, limit, pages = 48, 5, 40
 	mem := phys.NewMemory(frames * units.PageSize)

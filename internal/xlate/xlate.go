@@ -9,9 +9,9 @@
 // divide-and-conquer translation partitioning).
 //
 // Requests are routed to shards by a multiplicative hash of
-// (pid, vpn), the same mixing the tlbcache Dense table uses, so
-// consecutive pages of one process and the same page across processes
-// both spread across shards. Within a shard, the stock tlbcache
+// (pid, vpn) with Fibonacci and avalanche constants, so consecutive
+// pages of one process and the same page across processes both spread
+// across shards. Within a shard, the stock tlbcache
 // set-associative geometry, LRU replacement and index offsetting all
 // apply unchanged — a one-shard service is behaviourally identical to
 // a bare tlbcache.Cache.
@@ -124,8 +124,9 @@ func New(cfg Config) (*Service, error) {
 func (s *Service) Config() Config { return s.cfg }
 
 // shardIndex routes k to its shard: a multiplicative hash mixing the
-// process and page halves (the tlbcache Dense constants), folded so
-// the masked low bits carry high-order entropy. The shard hash is a
+// process and page halves (the 64-bit golden ratio and a murmur-style
+// avalanche constant), folded so the masked low bits carry high-order
+// entropy. The shard hash is a
 // different function of (pid, vpn) than the in-shard set index, so
 // sharding does not correlate with set placement.
 func (s *Service) shardIndex(k Key) int {
