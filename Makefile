@@ -53,8 +53,9 @@ race:
 # time (go test fuzzes one target per run): the /api/xlate/* codec's four against their oracles
 # (xlate_oracle_test.go), the service's against its shadow map, the
 # simulator's page-indexed table against its shadow map
-# (pagemap_test.go), and the simulator's long traces against its
-# cost-free model (oracle_test.go).
+# (pagemap_test.go), the stack-distance pass against the old splice
+# stack and a naive recount (analyze_test.go), and the simulator's long
+# traces against its cost-free model (oracle_test.go).
 # A finding fails the target and is written under the package's
 # testdata/fuzz/ as a new seed.
 FUZZTIME ?= 5s
@@ -64,6 +65,7 @@ fuzz-smoke:
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceVsShadow$$' -fuzztime $(FUZZTIME) ./internal/xlate
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseVsShadow$$' -fuzztime $(FUZZTIME) ./internal/tlbcache
+	$(GO) test -run '^$$' -fuzz '^FuzzStackDistances$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSimVsOracle$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The repository's benchmark (bench/, a module of its own; run for real

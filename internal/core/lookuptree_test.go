@@ -22,11 +22,13 @@ func TestLookupTreeBasics(t *testing.T) {
 		t.Error("cleared entry still present")
 	}
 	tree.Clear(99999) // clearing an absent leaf is a no-op
-	// Reset empties the tree but keeps its leaves.
+	if _, ok := tree.Lookup(99999); ok {
+		t.Error("clearing an absent page made it present")
+	}
 	tree.Set(7, 3)
 	tree.Reset(r.host.Costs(), r.host.Clock())
-	if _, ok := tree.Lookup(7); ok || tree.dir[0] == nil {
-		t.Errorf("after Reset: entry present %v, leaf kept %v", ok, tree.dir[0] != nil)
+	if _, ok := tree.Lookup(7); ok {
+		t.Error("after Reset: entry present")
 	}
 }
 
@@ -41,22 +43,22 @@ func TestLookupTreeChargesTwoReferences(t *testing.T) {
 	}
 }
 
-// Reset empties every leaf Set wrote since the last Reset, in any
-// directory slot, and leaves from earlier runs stay empty.
+// Reset empties every page Set wrote since the last Reset, in any
+// directory slot, and pages from earlier runs stay empty.
 func TestLookupTreeResetEmptiesEveryLeaf(t *testing.T) {
 	r := newRig(t, 1024)
 	var tree LookupTree
+	var written []units.VPN
 	for run, vpns := range [][]units.VPN{{5, 99999}, {2048}, {VASpacePages - 1, 0}} {
 		tree.Reset(r.host.Costs(), r.host.Clock())
 		for _, vpn := range vpns {
 			tree.Set(vpn, run)
 		}
+		written = append(written, vpns...)
 		tree.Reset(r.host.Costs(), r.host.Clock())
-		for di, leaf := range tree.dir {
-			for i, idx := range leaf {
-				if idx != noIndex {
-					t.Fatalf("run %d: slot %d of leaf %d = %d after Reset", run, i, di, idx)
-				}
+		for _, vpn := range written {
+			if idx, ok := tree.Lookup(vpn); ok {
+				t.Fatalf("run %d: page %d = %d after Reset", run, vpn, idx)
 			}
 		}
 	}

@@ -71,14 +71,13 @@ func (m *interrupt) post(int, trace.Record) error {
 // translate probes the cache for each page and, on a miss, interrupts
 // the host to pin and install it. The probe is charged to the NIC
 // clock; the interrupt and all pin and unpin work to the host clock.
-func (m *interrupt) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	s := m.r.slot(pid)
+func (m *interrupt) translate(s int, vpns []units.VPN, infos []core.TranslateInfo) error {
 	if s < 0 {
-		return fmt.Errorf("sim: pid %d has no process slot", pid)
+		return fmt.Errorf("sim: no process slot %d", s)
 	}
 	host := m.r.host
 	for i, vpn := range vpns {
-		key := tlbcache.Key{PID: pid, VPN: vpn}
+		key := tlbcache.Key{PID: m.r.pids[s], VPN: vpn}
 		res := core.Probe(m.r.nic, m.cache, m.r.tap, key, true)
 		if res.Hit {
 			m.procs[s].policy.Touch(vpn)

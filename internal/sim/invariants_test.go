@@ -171,10 +171,9 @@ func TestDesignPinInvariants(t *testing.T) {
 // entry's page pinned.
 type leakyInterrupt struct{ *interrupt }
 
-func (m leakyInterrupt) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	s := m.r.slot(pid)
+func (m leakyInterrupt) translate(s int, vpns []units.VPN, infos []core.TranslateInfo) error {
 	for i, vpn := range vpns {
-		key := tlbcache.Key{PID: pid, VPN: vpn}
+		key := tlbcache.Key{PID: m.r.pids[s], VPN: vpn}
 		if core.Probe(m.r.nic, m.cache, m.r.tap, key, true).Hit {
 			m.procs[s].policy.Touch(vpn)
 			infos[i] = core.TranslateInfo{Hit: true}

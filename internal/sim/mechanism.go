@@ -26,9 +26,9 @@ type mechanism interface {
 	// request is posted to the NIC. rec spans at least one page.
 	post(i int, rec trace.Record) error
 	// translate resolves one firmware dispatch, up to width consecutive
-	// pages of one record of pid, landing page i's frame in scr.pfns[i]
-	// and reporting in infos[i].Hit whether it hit on the NIC.
-	translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error
+	// pages of one record of slot i's process, landing page j's frame in
+	// scr.pfns[j] and reporting in infos[j].Hit whether it hit on the NIC.
+	translate(i int, vpns []units.VPN, infos []core.TranslateInfo) error
 	// finish folds the design's counters into res.
 	finish(res *Result)
 }
@@ -132,8 +132,8 @@ func (m *sharedCache) post(i int, rec trace.Record) error {
 	return m.libs[i].Lookup(rec.VA, int(rec.Bytes))
 }
 
-func (m *sharedCache) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	m.translator.TranslateBatch(pid, vpns, m.r.scr.pfns, infos)
+func (m *sharedCache) translate(i int, vpns []units.VPN, infos []core.TranslateInfo) error {
+	m.translator.TranslateBatch(m.r.pids[i], vpns, m.r.scr.pfns, infos)
 	return nil
 }
 

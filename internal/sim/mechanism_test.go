@@ -71,11 +71,12 @@ func attachNext(t *testing.T, r *run, m mechanism, pid units.ProcID) error {
 	return m.attach(len(r.pids)-1, proc)
 }
 
-// translateOne dispatches page vpn of pid to m on its own and returns
-// the frame m landed in scr.pfns and whether the NIC hit.
+// translateOne dispatches page vpn of pid's process slot (-1 for a pid
+// with none) to m on its own and returns the frame m landed in scr.pfns
+// and whether the NIC hit.
 func translateOne(r *run, m mechanism, pid units.ProcID, vpn units.VPN) (units.PFN, bool, error) {
 	var info [1]core.TranslateInfo
-	err := m.translate(pid, []units.VPN{vpn}, info[:])
+	err := m.translate(r.slot(pid), []units.VPN{vpn}, info[:])
 	return r.scr.pfns[0], info[0].Hit, err
 }
 

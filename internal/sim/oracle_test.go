@@ -176,10 +176,10 @@ type spy struct {
 	r *run
 }
 
-func (s spy) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	err := s.mechanism.translate(pid, vpns, infos)
+func (s spy) translate(slot int, vpns []units.VPN, infos []core.TranslateInfo) error {
+	err := s.mechanism.translate(slot, vpns, infos)
 	for i, vpn := range vpns {
-		sp, want := s.r.scr.spaces[s.r.slot(pid)], units.NoPFN // the baseline has no garbage frame
+		pid, sp, want := s.r.pids[slot], s.r.scr.spaces[slot], units.NoPFN // the baseline has no garbage frame
 		switch d := s.mechanism.(type) {
 		case *sharedCache:
 			want = d.drv.Garbage()

@@ -212,15 +212,15 @@ func (m *perProcess) evict(s *ppSlot) error {
 // addresses by directly indexing the translation table" at the slots
 // the user posted — one SRAM probe, no cache. An out-of-range or
 // invalid index resolves to the garbage frame (§4.2).
-func (m *perProcess) translate(pid units.ProcID, vpns []units.VPN, infos []core.TranslateInfo) error {
-	table := m.slots[m.r.slot(pid)].table
-	for i, vpn := range vpns {
+func (m *perProcess) translate(i int, vpns []units.VPN, infos []core.TranslateInfo) error {
+	table := m.slots[i].table
+	for j, vpn := range vpns {
 		m.r.nic.ChargeProbes(1)
 		pfn := m.garbage
 		if idx := m.indices[vpn-m.first]; idx >= 0 && idx < len(table) && table[idx] != units.NoPFN {
 			pfn = table[idx]
 		}
-		m.r.scr.pfns[i], infos[i] = pfn, core.TranslateInfo{Hit: true, Probes: 1}
+		m.r.scr.pfns[j], infos[j] = pfn, core.TranslateInfo{Hit: true, Probes: 1}
 	}
 	return nil
 }

@@ -51,13 +51,14 @@ func runPerProcess(tr trace.Trace, entries int, seed int64) (Result, error) {
 	}
 	vpns, infos := r.scr.batchBufs(1)
 	for _, rec := range sorted {
-		if err := m.post(r.slot(rec.PID), rec); err != nil {
+		slot := r.slot(rec.PID)
+		if err := m.post(slot, rec); err != nil {
 			return res, err
 		}
 		for p := 0; p < units.PagesSpanned(rec.VA, int(rec.Bytes)); p++ {
 			res.NIRefs++
 			vpns[0] = rec.VA.PageOf() + units.VPN(p)
-			if err := m.translate(rec.PID, vpns, infos); err != nil {
+			if err := m.translate(slot, vpns, infos); err != nil {
 				return res, err
 			}
 		}

@@ -468,7 +468,7 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 			for i := 0; i < n; i++ {
 				vpns[i] = first + units.VPN(start+i)
 			}
-			if err := m.translate(rec.PID, vpns[:n], infos[:n]); err != nil {
+			if err := m.translate(slot, vpns[:n], infos[:n]); err != nil {
 				return r.res, fmt.Errorf("sim: translate %v/%#x: %w", rec.PID, vpns[0], err)
 			}
 			for i := 0; i < n; i++ {

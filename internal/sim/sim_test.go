@@ -396,54 +396,37 @@ func TestContextSwitchesCharged(t *testing.T) {
 	}
 }
 
+// The classifier's shadow cache is a fully associative LRU cache, so
+// it must hit exactly the references whose stack distance is below its
+// capacity, and see a first reference exactly where the distance is -1:
+// checked reference by reference on every application, over the trace
+// in the replay loop's order.
 func TestMissRatioMatchesStackDistances(t *testing.T) {
-	// Cross-validation of the simulator against the analytic model:
-	// for a fully-associative-friendly configuration, the miss ratio
-	// of an LRU cache of 2^k entries must equal (compulsory + reuses
-	// at stack distance >= 2^k) / references. We approximate full
-	// associativity with a 4-way cache and index offsetting, so the
-	// simulated ratio should track the analytic bound closely.
-	tr := smallTrace(t, "barnes", 0.1)
-	buckets := trace.ReuseDistances(tr)
-	totalReuses := 0
-	for _, c := range buckets {
-		totalReuses += c
-	}
-	refs := 0
-	for _, r := range tr {
-		refs += units.PagesSpanned(r.VA, int(r.Bytes))
-	}
-	compulsory := refs - totalReuses
-
-	for _, k := range []int{6, 8, 10} { // 64, 256, 1024 entries
-		entries := 1 << k
-		far := 0
-		for b, c := range buckets {
-			// Bucket b holds distances in [2^(b-1)... approx; use the
-			// conservative bound: distances >= 2^b land in buckets >= b.
-			if b >= k {
-				far += c
+	for _, app := range workload.Names() {
+		tr := append(trace.Trace(nil), smallTrace(t, app, 0.1)...)
+		tr.SortByTime()
+		dist := trace.StackDistances(tr)
+		pids := tr.PIDs()
+		for _, capacity := range []int{64, 128, 256, 512, 1024} {
+			c := newClassifier(capacity, len(pids))
+			j, mismatches := 0, 0
+			for _, r := range tr {
+				slot := slices.Index(pids, r.PID)
+				for p := 0; p < units.PagesSpanned(r.VA, int(r.Bytes)); p++ {
+					first, hit := c.touch(slot, r.VA.PageOf()+units.VPN(p))
+					d := int(dist[j])
+					if first != (d == -1) || hit != (d >= 0 && d < capacity) {
+						if mismatches++; mismatches <= 3 {
+							t.Errorf("%s C=%d: reference %d at distance %d: first %v, shadow hit %v",
+								app, capacity, j, d, first, hit)
+						}
+					}
+					j++
+				}
 			}
-		}
-		analytic := float64(compulsory+far) / float64(refs)
-
-		c := cfg(UTLB, entries)
-		c.Ways = 4
-		res, err := Run(tr, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.NIMissRatio()
-		// The set-associative cache can only miss more than the
-		// fully-associative bound (conflicts), and bucket granularity
-		// adds slack; allow a modest band.
-		if got < analytic-0.05 {
-			t.Errorf("entries=%d: simulated ratio %.3f below analytic floor %.3f",
-				entries, got, analytic)
-		}
-		if got > analytic+0.15 {
-			t.Errorf("entries=%d: simulated ratio %.3f far above analytic %.3f (conflicts out of control)",
-				entries, got, analytic)
+			if j != len(dist) {
+				t.Errorf("%s C=%d: %d references, %d distances", app, capacity, j, len(dist))
+			}
 		}
 	}
 }

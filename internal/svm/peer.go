@@ -27,9 +27,8 @@ type Peer struct {
 	syncEpoch int64
 
 	// protocol counters
-	fetches     int64
-	diffFlushes int64
-	diffBytes   int64
+	fetches   int64
+	diffBytes int64
 }
 
 // Index reports the peer's rank.
@@ -38,10 +37,9 @@ func (p *Peer) Index() int { return p.idx }
 // Proc exposes the underlying VMMC process (for UTLB statistics).
 func (p *Peer) Proc() *vmmc.Proc { return p.proc }
 
-// Fetches, DiffFlushes and DiffBytes report protocol activity.
-func (p *Peer) Fetches() int64     { return p.fetches }
-func (p *Peer) DiffFlushes() int64 { return p.diffFlushes }
-func (p *Peer) DiffBytes() int64   { return p.diffBytes }
+// Fetches and DiffBytes report protocol activity.
+func (p *Peer) Fetches() int64   { return p.fetches }
+func (p *Peer) DiffBytes() int64 { return p.diffBytes }
 
 func (p *Peer) pageVA(pg int) units.VAddr {
 	return p.sys.cfg.Base + units.VAddr(pg)*units.PageSize
@@ -158,7 +156,6 @@ func (p *Peer) flushDirty() error {
 				}
 				p.diffBytes += int64(r.len)
 			}
-			p.diffFlushes++
 			// The cached copy goes back to clean; notices may
 			// invalidate it below.
 			p.state[pg] = pageClean

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -46,10 +47,6 @@ func Summarize(t Trace) Summary {
 	s.Lookups = len(t)
 	s.Footprint = t.Footprint()
 	nodes := map[units.NodeID]bool{}
-	type pk struct {
-		pid units.ProcID
-		vpn units.VPN
-	}
 	perProcPages := map[units.ProcID]map[units.VPN]bool{}
 	perProcLookups := map[units.ProcID]int{}
 	var minT, maxT units.Time
@@ -128,48 +125,70 @@ func meanRunLength(t Trace) float64 {
 	return float64(total) / float64(count)
 }
 
-// ReuseDistances computes, for every reference to a previously seen
-// (pid, page), the number of distinct (pid, page) pairs touched since
-// its last use — the stack distance that determines which cache sizes
-// can hold the working set. Results are bucketed into powers of two;
-// bucket i counts distances in [2^i, 2^(i+1)), bucket 0 also distance 0. A perfectly LRU-managed
-// cache of 2^k entries hits every reference counted in buckets < k.
-func ReuseDistances(t Trace) []int {
+// StackDistances returns the LRU stack distance of every page
+// reference in t, in trace order (a record spanning n pages makes n
+// references, lowest page first): the number of distinct other (pid,
+// page) pairs referenced since the pair's previous reference, or -1 for
+// its first. A fully associative LRU cache of C entries hits exactly
+// the references with 0 <= d < C. It is Mattson's one-pass algorithm:
+// a Fenwick tree over reference positions marks each pair's latest
+// use, so a distance is the marks between two positions, and the pass
+// is O(N log N) in the N references.
+func StackDistances(t Trace) []int32 {
 	type pk struct {
 		pid units.ProcID
 		vpn units.VPN
 	}
-	// Stack-distance via an ordered list: positions of pages in an
-	// LRU stack. O(n·u) worst case, fine at trace scale.
-	var stack []pk
-	index := map[pk]int{}
-	var buckets []int
-	record := func(d int) {
-		b := 0
-		for v := d; v > 1; v >>= 1 {
-			b++
+	n := 0
+	for _, r := range t {
+		n += units.PagesSpanned(r.VA, int(r.Bytes))
+	}
+	dist := make([]int32, 0, n)
+	marks := make([]int32, n+1) // Fenwick tree: marks[j] sums positions [j - j&-j, j)
+	mark := func(pos int, v int32) {
+		for j := pos + 1; j <= n; j += j & -j {
+			marks[j] += v
 		}
+	}
+	before := func(pos int) (s int32) { // marks at positions [0, pos)
+		for j := pos; j > 0; j -= j & -j {
+			s += marks[j]
+		}
+		return s
+	}
+	last := map[pk]int{}
+	for _, r := range t {
+		pages := units.PagesSpanned(r.VA, int(r.Bytes))
+		for p := 0; p < pages; p++ {
+			k, pos := pk{r.PID, r.VA.PageOf() + units.VPN(p)}, len(dist)
+			d := int32(-1)
+			if prev, ok := last[k]; ok {
+				d = before(pos) - before(prev+1)
+				mark(prev, -1)
+			}
+			mark(pos, 1)
+			last[k] = pos
+			dist = append(dist, d)
+		}
+	}
+	return dist
+}
+
+// ReuseDistances folds StackDistances' reuses into powers of two:
+// bucket i counts distances in [2^i, 2^(i+1)), bucket 0 also distance
+// 0. A perfectly LRU-managed cache of 2^k entries hits every reference
+// counted in buckets < k.
+func ReuseDistances(t Trace) []int {
+	var buckets []int
+	for _, d := range StackDistances(t) {
+		if d < 0 {
+			continue
+		}
+		b := max(bits.Len32(uint32(d))-1, 0)
 		for len(buckets) <= b {
 			buckets = append(buckets, 0)
 		}
 		buckets[b]++
-	}
-	touch := func(k pk) {
-		if pos, ok := index[k]; ok {
-			record(len(stack) - 1 - pos)
-			stack = append(stack[:pos], stack[pos+1:]...)
-			for i := pos; i < len(stack); i++ {
-				index[stack[i]] = i
-			}
-		}
-		index[k] = len(stack)
-		stack = append(stack, k)
-	}
-	for _, r := range t {
-		pages := units.PagesSpanned(r.VA, int(r.Bytes))
-		for p := 0; p < pages; p++ {
-			touch(pk{r.PID, r.VA.PageOf() + units.VPN(p)})
-		}
 	}
 	return buckets
 }

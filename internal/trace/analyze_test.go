@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,4 +142,99 @@ func TestFormatReuseHistogram(t *testing.T) {
 	if FormatReuseHistogram(nil) != "no reuses\n" {
 		t.Error("empty histogram")
 	}
+}
+
+// spliceReuseDistances is the quadratic stack ReuseDistances was before
+// StackDistances: an ordered list of pairs, spliced and renumbered on
+// every touch. It is kept as FuzzStackDistances' reference.
+func spliceReuseDistances(t Trace) []int {
+	type pk struct {
+		pid units.ProcID
+		vpn units.VPN
+	}
+	var stack []pk
+	index := map[pk]int{}
+	var buckets []int
+	record := func(d int) {
+		b := 0
+		for v := d; v > 1; v >>= 1 {
+			b++
+		}
+		for len(buckets) <= b {
+			buckets = append(buckets, 0)
+		}
+		buckets[b]++
+	}
+	touch := func(k pk) {
+		if pos, ok := index[k]; ok {
+			record(len(stack) - 1 - pos)
+			stack = append(stack[:pos], stack[pos+1:]...)
+			for i := pos; i < len(stack); i++ {
+				index[stack[i]] = i
+			}
+		}
+		index[k] = len(stack)
+		stack = append(stack, k)
+	}
+	for _, r := range t {
+		pages := units.PagesSpanned(r.VA, int(r.Bytes))
+		for p := 0; p < pages; p++ {
+			touch(pk{r.PID, r.VA.PageOf() + units.VPN(p)})
+		}
+	}
+	return buckets
+}
+
+// FuzzStackDistances decodes each byte pair into one record of pid 1-3
+// on pages 0-15, spanning zero to seventeen pages, and holds
+// StackDistances to the splice stack's buckets and every distance to a
+// naive recount of the distinct pairs since the previous reference.
+func FuzzStackDistances(f *testing.F) {
+	f.Add([]byte{4, 0, 4, 1, 4, 0})          // A B A
+	f.Add([]byte{4, 0, 5, 0})                // one page, two pids
+	f.Add([]byte{60, 0x31, 8, 2, 255, 0xf7}) // multi-page spans
+	f.Add([]byte{0, 3, 4, 3})                // a zero-byte record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr Trace
+		for i := 0; i+1 < len(data) && len(tr) < 64; i += 2 {
+			tr = append(tr, Record{
+				PID:   1 + units.ProcID(data[i]%3),
+				VA:    units.VAddr(data[i+1]%16)*units.PageSize + units.VAddr(data[i+1]>>4)*256,
+				Bytes: int32(data[i]>>2) * 1024,
+			})
+		}
+		type pk struct {
+			pid units.ProcID
+			vpn units.VPN
+		}
+		var refs []pk
+		for _, r := range tr {
+			for p := 0; p < units.PagesSpanned(r.VA, int(r.Bytes)); p++ {
+				refs = append(refs, pk{r.PID, r.VA.PageOf() + units.VPN(p)})
+			}
+		}
+		dist := StackDistances(tr)
+		if len(dist) != len(refs) {
+			t.Fatalf("%d distances for %d references", len(dist), len(refs))
+		}
+		for j, k := range refs {
+			want := -1
+			for p := j - 1; p >= 0; p-- {
+				if refs[p] == k {
+					seen := map[pk]bool{}
+					for _, o := range refs[p+1 : j] {
+						seen[o] = true
+					}
+					want = len(seen)
+					break
+				}
+			}
+			if int(dist[j]) != want {
+				t.Fatalf("reference %d (%v): distance %d, recount %d", j, k, dist[j], want)
+			}
+		}
+		if got, want := ReuseDistances(tr), spliceReuseDistances(tr); !slices.Equal(got, want) {
+			t.Fatalf("buckets %v, splice stack %v", got, want)
+		}
+	})
 }
