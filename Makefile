@@ -54,8 +54,9 @@ race:
 # (xlate_oracle_test.go), the service's against its shadow map, the
 # simulator's page-indexed table against its shadow map
 # (pagemap_test.go), the stack-distance pass against the old splice
-# stack and a naive recount (analyze_test.go), and the simulator's long
-# traces against its cost-free model (oracle_test.go).
+# stack and a naive recount (analyze_test.go), the Chrome exporter
+# against its fmt-based oracle (chrome_test.go), and the simulator's
+# long traces against its cost-free model (oracle_test.go).
 # A finding fails the target and is written under the package's
 # testdata/fuzz/ as a new seed.
 FUZZTIME ?= 5s
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceVsShadow$$' -fuzztime $(FUZZTIME) ./internal/xlate
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseVsShadow$$' -fuzztime $(FUZZTIME) ./internal/tlbcache
 	$(GO) test -run '^$$' -fuzz '^FuzzStackDistances$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzSimVsOracle$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The repository's benchmark (bench/, a module of its own; run for real
@@ -87,20 +89,22 @@ profile-sim:
 	$(ARTIFACTS)/profile/utlbsim -exp t6 -parallel 1 -cpuprofile $(ARTIFACTS)/profile/sim.prof >/dev/null
 	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/sim.prof 2>/dev/null | head -20
 
-# Heap profile of the recorded-run path: Table 6 at a quarter of paper
-# scale, recorded, with analysis and the Chrome export (the bench's
-# sim_recorded request, through the CLI), and the top of the cumulative
-# allocated-bytes listing printed. A recorded run should allocate its
-# events' chunks (obs.Buffer.Record) and little else that grows with
-# them; CI uploads the profile next to profile-sim's, so the next
-# allocation issue starts from a profile too.
+# CPU and heap profiles of the recorded-run path: Table 6 at a quarter
+# of paper scale, recorded, with analysis and the Chrome export (the
+# bench's sim_recorded request, through the CLI), and the top 20 of the
+# cumulative CPU listing and of the cumulative allocated-bytes listing
+# printed. A recorded run should allocate its events' chunks
+# (obs.Buffer.Record) and little else that grows with them; CI uploads
+# both profiles next to profile-sim's, so the next issue on this path
+# starts from a profile too.
 profile-rec:
 	mkdir -p $(ARTIFACTS)/profile
 	$(GO) build -o $(ARTIFACTS)/profile/utlbsim ./cmd/utlbsim
 	$(ARTIFACTS)/profile/utlbsim -exp t6 -scale 0.25 -parallel 1 \
 		-trace-out $(ARTIFACTS)/profile/rec.trace.json -analyze-out $(ARTIFACTS)/profile/rec.analyze.json \
-		-memprofile $(ARTIFACTS)/profile/rec.mprof >/dev/null
+		-cpuprofile $(ARTIFACTS)/profile/rec.prof -memprofile $(ARTIFACTS)/profile/rec.mprof >/dev/null
 	rm -f $(ARTIFACTS)/profile/rec.trace.json
+	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.prof 2>/dev/null | head -20
 	$(GO) tool pprof -sample_index=alloc_space -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.mprof 2>/dev/null | head -20
 
 # CPU profile of the translation service's miss-to-fill path: xlate's

@@ -1,13 +1,12 @@
 package obs
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -19,10 +18,10 @@ import (
 // pure integer math, byte-deterministic.
 //
 // The writer's cost is proportional to the bytes it writes: everything
-// about an event line that depends only on its Kind is rendered once
-// into chromeKinds, and a line is that constant text plus integer
-// appends into one reused buffer — no fmt, no encoding/json, no
-// allocation per event.
+// before "ts": in an event line depends only on the run, (node, pid)
+// and Kind, so it is rendered once per such triple the run uses; a
+// line is that head copied into one output slice plus digits written
+// in place — no fmt, no encoding/json, no allocation per event.
 
 // chromeTID packs a track identity into a stable thread id. The
 // format only needs tids to be unique within a process and ordered
@@ -31,17 +30,46 @@ func chromeTID(node, pid int, comp component) int {
 	return node*4096 + pid*8 + int(comp)
 }
 
+// digits2 holds "00" to "99"; pow10[k] is 10^k.
+const digits2 = "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849" +
+	"5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// appendDec appends u in decimal, zero-padded to at least width
+// digits, written in place two at a time from the end.
+func appendDec(b []byte, u uint64, width int) []byte {
+	n := bits.Len64(u|1) * 1233 >> 12 // u|1 has u's digits (and 0 one); 1233/4096 ≈ log10(2)
+	if u|1 >= pow10[n] {
+		n++ // the estimate is one short at most
+	}
+	start := len(b)
+	i := start + max(n, width)
+	b = slices.Grow(b, i-start)[:i]
+	for ; i > start+1; u /= 100 {
+		i -= 2
+		r := u % 100 * 2
+		b[i], b[i+1] = digits2[r], digits2[r+1]
+	}
+	if i > start {
+		b[start] = byte('0' + u)
+	}
+	return b
+}
+
 // appendMicros appends ns as a decimal microsecond value with exactly
-// three fractional digits ("12.345") without going through float64.
+// three fractional digits ("12.345") without going through float64:
+// the nanoseconds, zero-padded to four digits, with a '.' before the last three.
 func appendMicros(b []byte, ns int64) []byte {
 	u := uint64(ns)
 	if ns < 0 {
 		b = append(b, '-')
 		u = -u
 	}
-	b = strconv.AppendUint(b, u/1000, 10)
-	frac := u % 1000
-	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	b = appendDec(b, u, 4)
+	n := len(b)
+	return append(b[:n-3], '.', b[n-3], b[n-2], b[n-1])
 }
 
 // chromeKind is the pre-rendered, Kind-constant part of an event line.
@@ -50,7 +78,7 @@ func appendMicros(b []byte, ns int64) []byte {
 type chromeKind struct {
 	comp component
 	span bool
-	head string // `{"ph":"X","pid":` or `{"ph":"i","s":"t","pid":`
+	head string // `,\n{"ph":"X","pid":` or `,\n{"ph":"i","s":"t","pid":`
 	mid  string // `,"name":"…","cat":"…","ts":`
 	arg  string // `"pages":`, "" when Event.Arg is unused
 	arg2 string // `,"probes":`, "" when Event.Arg2 is unused
@@ -67,11 +95,11 @@ var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
 			meta = kindMetas[k]
 		}
 		ck := chromeKind{
-			comp: meta.comp, span: meta.span, head: `{"ph":"i","s":"t","pid":`,
+			comp: meta.comp, span: meta.span, head: ",\n" + `{"ph":"i","s":"t","pid":`,
 			mid: `,"name":` + mustJSON(meta.name) + `,"cat":` + mustJSON(componentNames[meta.comp]) + `,"ts":`,
 		}
 		if meta.span {
-			ck.head = `{"ph":"X","pid":`
+			ck.head = ",\n" + `{"ph":"X","pid":`
 		}
 		comma := ""
 		key := func(name string) (s string) {
@@ -86,53 +114,105 @@ var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
 	return tab
 }()
 
-func chromeKindOf(k Kind) *chromeKind {
-	return &chromeKinds[min(int(k), NumKinds)]
-}
-
 // chromeTrack is one (node, pid, component) thread of a run.
 type chromeTrack struct {
+	tid       int
 	node, pid uint32
 	comp      component
 }
 
-func (t chromeTrack) tid() int { return chromeTID(int(t.node), int(t.pid), t.comp) }
-
-// chromeTracks appends the distinct tracks of run to tracks[:0], sorted
-// by tid. A run has a handful — eight components times the processes
-// of one node — so the list found so far is simply searched for each
-// event.
-func chromeTracks(tracks []chromeTrack, run Run) []chromeTrack {
-	tracks = tracks[:0]
-	for _, chunk := range run.Chunks() {
-		for i := range chunk {
-			ev := &chunk[i]
-			t := chromeTrack{uint32(ev.Node), uint32(ev.PID), chromeKindOf(ev.Kind).comp}
-			if !slices.Contains(tracks, t) {
-				tracks = append(tracks, t)
-			}
-		}
-	}
-	sort.Slice(tracks, func(a, b int) bool { return tracks[a].tid() < tracks[b].tid() })
-	return tracks
+// chromeProc is one (node, pid) of a run: its components, and where
+// each kind's line head starts in heads (past its length byte; 0: none yet).
+type chromeProc struct {
+	node, pid uint32
+	comps     uint8
+	head      [numKinds + 1]int
 }
 
-// chromeScratch is what one WriteChromeTrace call works in: the 64 KB
-// output buffer, the line under construction and the track list. All
-// of it dies when the call returns, so calls share it through a pool.
+const chromeFlushAt = 52 << 10 // the output size at which it goes to the writer
+
+// chromeScratch is what one WriteChromeTrace call works in, shared
+// through a pool. The arrays back the slices, so New allocates once,
+// and no more than 64 KB (TestChromeScratchSize).
 type chromeScratch struct {
-	bw     *bufio.Writer
-	line   []byte
+	heads  []byte // the run's line heads, each after its length byte
+	procs  []chromeProc
+	slots  []int32 // open-addressed index into procs, +1 (0 is empty)
 	tracks []chromeTrack
+
+	outBuf   [chromeFlushAt + 512]byte // output not yet written, and room for one more line
+	headBuf  [8 << 10]byte
+	procBuf  [8]chromeProc
+	slotBuf  [32]int32
+	trackBuf [32]chromeTrack
 }
 
 var chromePool = sync.Pool{New: func() any {
-	return &chromeScratch{
-		bw:     bufio.NewWriterSize(nil, 1<<16),
-		line:   make([]byte, 0, 256),
-		tracks: make([]chromeTrack, 0, 16),
-	}
+	sc := new(chromeScratch)
+	sc.heads, sc.procs, sc.slots, sc.tracks = sc.headBuf[:0], sc.procBuf[:0], sc.slotBuf[:], sc.trackBuf[:0]
+	return sc
 }}
+
+// slot returns the slot that holds (node, pid), or the empty one for it.
+func (sc *chromeScratch) slot(node, pid uint32) *int32 {
+	mask := len(sc.slots) - 1
+	for i := int((uint64(node)<<32|uint64(pid))*0x9e3779b97f4a7c15>>32) & mask; ; i = (i + 1) & mask {
+		if s := &sc.slots[i]; *s == 0 || sc.procs[*s-1].node == node && sc.procs[*s-1].pid == pid {
+			return s
+		}
+	}
+}
+
+// proc returns the run's entry for (node, pid), adding it if new; the
+// index stays at most half full, so one pid per event costs no search.
+func (sc *chromeScratch) proc(node, pid uint32) *chromeProc {
+	if s := sc.slot(node, pid); *s != 0 {
+		return &sc.procs[*s-1]
+	}
+	if 2*len(sc.procs) >= len(sc.slots) {
+		sc.slots = make([]int32, 2*len(sc.slots))
+		for i := range sc.procs {
+			*sc.slot(sc.procs[i].node, sc.procs[i].pid) = int32(i + 1)
+		}
+	}
+	sc.procs = append(sc.procs, chromeProc{node: node, pid: pid})
+	*sc.slot(node, pid) = int32(len(sc.procs))
+	return &sc.procs[len(sc.procs)-1]
+}
+
+// findTracks resets the scratch for run and fills sc.tracks with the
+// run's tracks, sorted by tid from their order of first use.
+func (sc *chromeScratch) findTracks(run Run) {
+	clear(sc.slots)
+	sc.procs, sc.heads, sc.tracks = sc.procs[:0], sc.heads[:0], sc.tracks[:0]
+	var p *chromeProc
+	for _, chunk := range run.Chunks() {
+		for i := range chunk {
+			ev := &chunk[i]
+			if p == nil || p.node != uint32(ev.Node) || p.pid != uint32(ev.PID) {
+				p = sc.proc(uint32(ev.Node), uint32(ev.PID))
+			}
+			if comp := chromeKinds[min(int(ev.Kind), NumKinds)].comp; p.comps&(1<<comp) == 0 {
+				p.comps |= 1 << comp
+				sc.tracks = append(sc.tracks, chromeTrack{chromeTID(int(p.node), int(p.pid), comp), p.node, p.pid, comp})
+			}
+		}
+	}
+	slices.SortFunc(sc.tracks, func(a, b chromeTrack) int { return cmp.Compare(a.tid, b.tid) })
+}
+
+// head renders everything before "ts": in a line of kind k for process
+// p of run index run, and returns where it starts in sc.heads.
+func (sc *chromeScratch) head(run int, p *chromeProc, k int) int {
+	ck := &chromeKinds[k]
+	h := append(sc.heads, 0)
+	off := len(h)
+	h = append(appendDec(append(h, ck.head...), uint64(run), 1), `,"tid":`...)
+	h = append(appendDec(h, uint64(chromeTID(int(p.node), int(p.pid), ck.comp)), 1), ck.mid...)
+	h[off-1] = byte(len(h) - off)
+	sc.heads, p.head[k] = h, off
+	return off
+}
 
 // WriteChromeTrace writes runs as Chrome trace_event JSON (the
 // {"traceEvents": [...]} object form, loadable in Perfetto and
@@ -141,80 +221,78 @@ var chromePool = sync.Pool{New: func() any {
 // metadata is emitted sorted, and events keep recording order.
 func WriteChromeTrace(w io.Writer, runs []Run) error {
 	sc := chromePool.Get().(*chromeScratch)
-	bw, line := sc.bw, sc.line
-	bw.Reset(w)
-	bw.WriteString("{\"traceEvents\":[\n")
+	out := append(sc.outBuf[:0], "{\"traceEvents\":[\n"...)
 	sep := "" // before every entry but the first: ",\n"
-
+	var err error
+	flush := func(out []byte) []byte { // after an error, as with bufio, nothing more is written
+		if err == nil {
+			_, err = w.Write(out)
+		}
+		return out[:0]
+	}
 	for i, run := range runs {
 		// Process metadata: name the trace process after the run label.
-		line = append(line[:0], sep...)
+		out = appendDec(append(append(out, sep...), `{"ph":"M","pid":`...), uint64(i), 1)
+		out = append(out, `,"tid":0,"name":"process_name","args":{"name":`...)
+		out = append(append(out, mustJSON(run.Label)...), "}}"...)
 		sep = ",\n"
-		line = append(line, `{"ph":"M","pid":`...)
-		line = strconv.AppendInt(line, int64(i), 10)
-		line = append(line, `,"tid":0,"name":"process_name","args":{"name":`...)
-		line = append(line, mustJSON(run.Label)...)
-		line = append(line, "}}"...)
-		bw.Write(line)
 
 		// Name the tracks before emitting their events. Component names
 		// are plain identifiers, so quoting them needs no escaping.
-		sc.tracks = chromeTracks(sc.tracks, run)
+		sc.findTracks(run)
 		for _, t := range sc.tracks {
-			line = append(line[:0], ",\n"+`{"ph":"M","pid":`...)
-			line = strconv.AppendInt(line, int64(i), 10)
-			line = append(line, `,"tid":`...)
-			line = strconv.AppendInt(line, int64(t.tid()), 10)
-			line = append(line, `,"name":"thread_name","args":{"name":"n`...)
-			line = strconv.AppendUint(line, uint64(t.node), 10)
-			line = append(line, "/p"...)
-			line = strconv.AppendUint(line, uint64(t.pid), 10)
-			line = append(line, '/')
-			line = append(line, componentNames[t.comp]...)
-			line = append(line, `"}}`...)
-			bw.Write(line)
+			out = appendDec(append(out, ",\n"+`{"ph":"M","pid":`...), uint64(i), 1)
+			out = appendDec(append(out, `,"tid":`...), uint64(t.tid), 1)
+			out = appendDec(append(out, `,"name":"thread_name","args":{"name":"n`...), uint64(t.node), 1)
+			out = appendDec(append(out, "/p"...), uint64(t.pid), 1)
+			out = append(append(append(out, '/'), componentNames[t.comp]...), `"}}`...)
+			if len(out) >= chromeFlushAt {
+				out = flush(out)
+			}
 		}
 
+		var p *chromeProc
 		for _, chunk := range run.Chunks() {
 			for j := range chunk {
 				ev := &chunk[j]
-				ck := chromeKindOf(ev.Kind)
-				line = append(line[:0], ",\n"...)
-				line = append(line, ck.head...)
-				line = strconv.AppendInt(line, int64(i), 10)
-				line = append(line, `,"tid":`...)
-				line = strconv.AppendInt(line, int64(chromeTID(int(ev.Node), int(ev.PID), ck.comp)), 10)
-				line = append(line, ck.mid...)
-				line = appendMicros(line, int64(ev.Time))
-				if ck.span {
-					line = append(line, `,"dur":`...)
-					line = appendMicros(line, int64(ev.Dur))
+				if p == nil || p.node != uint32(ev.Node) || p.pid != uint32(ev.PID) {
+					p = sc.proc(uint32(ev.Node), uint32(ev.PID))
 				}
-				line = append(line, `,"args":{`...)
+				k := min(int(ev.Kind), NumKinds)
+				off := p.head[k]
+				if off == 0 {
+					off = sc.head(i, p, k)
+				}
+				out = append(out, sc.heads[off:off+int(sc.heads[off-1])]...)
+				ck := &chromeKinds[k]
+				out = appendMicros(out, int64(ev.Time))
+				if ck.span {
+					out = appendMicros(append(out, `,"dur":`...), int64(ev.Dur))
+				}
+				out = append(out, `,"args":{`...)
 				if ck.arg != "" {
-					line = append(line, ck.arg...)
-					line = strconv.AppendUint(line, ev.Arg, 10)
+					out = appendDec(append(out, ck.arg...), ev.Arg, 1)
 				}
 				if ck.arg2 != "" {
-					line = append(line, ck.arg2...)
-					line = strconv.AppendUint(line, ev.Arg2, 10)
+					out = appendDec(append(out, ck.arg2...), ev.Arg2, 1)
 				}
 				// Transfer attribution rides along only when present, so
 				// traces without ids keep their exact historical bytes.
 				if ev.Xfer != 0 {
-					line = append(line, ck.xfer...)
-					line = strconv.AppendUint(line, ev.Xfer, 10)
+					out = appendDec(append(out, ck.xfer...), ev.Xfer, 1)
 				}
-				line = append(line, "}}"...)
-				bw.Write(line)
+				out = append(out, "}}"...)
+				if len(out) >= chromeFlushAt {
+					out = flush(out)
+				}
 			}
 		}
 	}
-	bw.WriteString("\n]}\n")
-	err := bw.Flush()
-	bw.Reset(nil) // the pool must not keep the caller's writer alive
-	sc.line = line
-	chromePool.Put(sc)
+	flush(append(out, "\n]}\n"...))
+	// A scratch a pathological run grew (one pid per event, say) is dropped.
+	if cap(sc.heads) <= 1<<16 && cap(sc.procs) <= 256 {
+		chromePool.Put(sc)
+	}
 	return err
 }
 

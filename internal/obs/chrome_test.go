@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"utlb/internal/units"
 )
@@ -29,13 +32,6 @@ func writeChromeTraceOracle(w io.Writer, runs []Run) error {
 			meta = kindMetas[k]
 		}
 		return meta, int(meta.comp)
-	}
-	micros := func(w *bufio.Writer, ns int64) {
-		if ns < 0 {
-			w.WriteByte('-')
-			ns = -ns
-		}
-		fmt.Fprintf(w, "%d.%03d", ns/1000, ns%1000)
 	}
 	tidOf := func(node, pid, comp int) int { return node*4096 + pid*8 + comp }
 
@@ -83,13 +79,13 @@ func writeChromeTraceOracle(w io.Writer, runs []Run) error {
 			if meta.span {
 				fmt.Fprintf(bw, `{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":`,
 					i, tid, mustJSON(meta.name), mustJSON(cat))
-				micros(bw, int64(ev.Time))
+				bw.WriteString(microsOracle(int64(ev.Time)))
 				bw.WriteString(`,"dur":`)
-				micros(bw, int64(ev.Dur))
+				bw.WriteString(microsOracle(int64(ev.Dur)))
 			} else {
 				fmt.Fprintf(bw, `{"ph":"i","s":"t","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":`,
 					i, tid, mustJSON(meta.name), mustJSON(cat))
-				micros(bw, int64(ev.Time))
+				bw.WriteString(microsOracle(int64(ev.Time)))
 			}
 			bw.WriteString(`,"args":{`)
 			argFirst := true
@@ -115,30 +111,44 @@ func writeChromeTraceOracle(w io.Writer, runs []Run) error {
 	return bw.Flush()
 }
 
+// microsOracle renders ns as fmt's "%d.%03d" of its magnitude, signed;
+// the magnitude is a uint64, so math.MinInt64 renders too.
+func microsOracle(ns int64) string {
+	u, sign := uint64(ns), ""
+	if ns < 0 {
+		u, sign = -u, "-"
+	}
+	return fmt.Sprintf("%s%d.%03d", sign, u/1000, u%1000)
+}
+
 // chromeFuzzRuns derives runs from a seed: every Kind (a few outside
-// the taxonomy), zero and non-zero Arg/Arg2/Xfer, times that are
-// small, negative and beyond 2^53, pids past the 512 the tid packs
-// without collision. math.MinInt64 never comes out of it: the oracle's
-// ns = -ns cannot render that one value (TestWriteMicros pins it for
-// the new code).
+// the taxonomy), zero and non-zero Arg/Arg2/Xfer, values at every
+// digit-count boundary (10^k-1, 10^k, 10^k+1), times that are small,
+// negative, beyond 2^53 and math.MinInt64, pids past the 512 the tid
+// packs without collision.
 func chromeFuzzRuns(seed int64, events int, labels []string) []Run {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func() uint64 {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			return 0
 		case 1:
 			return uint64(rng.Intn(1 << 12))
 		case 2:
 			return 1<<53 + uint64(rng.Int63n(1<<40))
+		case 3:
+			return pow10[rng.Intn(len(pow10))] + uint64(rng.Intn(3)) - 1
 		default:
 			return rng.Uint64()
 		}
 	}
 	when := func() units.Time {
-		t := units.Time(pick() >> 1)
-		if rng.Intn(5) == 0 {
-			t = -t
+		t := units.Time(pick() & math.MaxInt64)
+		switch rng.Intn(16) {
+		case 0:
+			return math.MinInt64
+		case 1, 2, 3:
+			return -t
 		}
 		return t
 	}
@@ -245,6 +255,31 @@ func TestChromeTraceMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDecimalWriterEdges holds appendDec to strconv and appendMicros to
+// fmt at every digit-count boundary and at both ends of the range.
+func TestDecimalWriterEdges(t *testing.T) {
+	vals := []uint64{0, 9, 10, 99, 100, 999, 1000, math.MaxUint64}
+	for _, p := range pow10[1:] {
+		vals = append(vals, p-1, p, p+1)
+	}
+	var times []int64
+	for _, u := range vals {
+		got := string(appendDec([]byte("x"), u, 1))
+		if want := string(strconv.AppendUint([]byte("x"), u, 10)); got != want {
+			t.Errorf("appendDec(%d) = %q, want %q", u, got, want)
+		}
+		if got, want := string(appendDec(nil, u, 4)), fmt.Sprintf("%04d", u); got != want {
+			t.Errorf("appendDec(%d, width 4) = %q, want %q", u, got, want)
+		}
+		times = append(times, int64(u), -int64(u))
+	}
+	for _, ns := range append(times, -1, -999, -1000, math.MinInt64, math.MaxInt64) {
+		if got, want := string(appendMicros([]byte("x"), ns)), "x"+microsOracle(ns); got != want {
+			t.Errorf("appendMicros(%d) = %q, want %q", ns, got, want)
+		}
+	}
+}
+
 func FuzzChromeTrace(f *testing.F) {
 	f.Add(int64(1998), uint16(64), "table6/fft/utlb")
 	f.Add(int64(-7), uint16(0), `odd "label"`+"\n")
@@ -252,6 +287,41 @@ func FuzzChromeTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, events uint16, label string) {
 		checkChromeAgainstOracle(t, chromeFuzzRuns(seed, int(events)%2048, []string{label, "second/" + label}))
 	})
+}
+
+// TestChromeScratchSize: refilling the exporter's pool allocates one
+// object of at most 64 KB, however often a collection empties it.
+func TestChromeScratchSize(t *testing.T) {
+	if size := unsafe.Sizeof(chromeScratch{}); size > 64<<10 {
+		t.Errorf("chromeScratch is %d bytes, want at most 64 KB", size)
+	}
+}
+
+// failingWriter takes ok writes, then fails every later one.
+type failingWriter struct{ ok, calls int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.calls++; w.calls > w.ok {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
+// TestChromeTraceStopsAtFirstWriteError: the first failed write is the
+// writer's last, and its error is what WriteChromeTrace returns.
+func TestChromeTraceStopsAtFirstWriteError(t *testing.T) {
+	evs := make([]Event, 10_000) // ~1 MB of output, many writes' worth
+	for i := range evs {
+		evs[i] = Event{Time: units.Time(i), Dur: 7, Arg: 3, Kind: KindPin}
+	}
+	for _, ok := range []int{0, 1, 3} {
+		w := &failingWriter{ok: ok}
+		if err := WriteChromeTrace(w, []Run{NewRun("r", evs)}); !errors.Is(err, errWriteFailed) || w.calls != ok+1 {
+			t.Errorf("writer failing after %d writes: err %v after %d calls, want %v after %d", ok, err, w.calls, errWriteFailed, ok+1)
+		}
+	}
 }
 
 // TestChromeTraceInvalidKind: a Kind outside the taxonomy is an
