@@ -20,7 +20,8 @@
 // All are deterministic for a given run. Recording full paper-scale
 // experiments produces very large timelines; combine with -scale for
 // interactive use. -cpuprofile/-memprofile capture pprof profiles of
-// the simulator itself.
+// the simulator itself; with -memprofile, the process's peak resident
+// set size is printed to stderr too.
 //
 // Live server:
 //
@@ -133,7 +134,33 @@ func main() {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fatal(err)
 		}
+		// The heap profile counts what Go allocated; the peak RSS is
+		// what the run cost the machine at its largest.
+		if rss := peakRSS(); rss != "" {
+			fmt.Fprintf(os.Stderr, "utlbsim: peak RSS %s\n", rss)
+		}
 	}
+}
+
+// peakRSS reports the process's peak resident set size as the kernel
+// counts it (VmHWM in /proc/self/status, as "81234 kB"), or "" where
+// there is no such file.
+func peakRSS() string {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return ""
+	}
+	return vmHWM(string(status))
+}
+
+// vmHWM returns the value of the VmHWM line of a /proc status file.
+func vmHWM(status string) string {
+	for _, line := range strings.Split(status, "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 func run(exp, traceIn string, scale float64, seed int64, apps string, nodes, pinLimit int, faultSeed int64, col *obs.Collector) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -58,5 +59,31 @@ func TestTinyScaleIsAUsageError(t *testing.T) {
 	// The smallest scale every application fits still runs.
 	if code, stdout, stderr := utlbsim(t, "-exp", "t4", "-scale", "0.005", "-parallel", "2"); code != 0 || !strings.Contains(stdout, "water-spatial") {
 		t.Errorf("utlbsim -exp t4 -scale 0.005: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// With -memprofile the CLI also prints its peak RSS, the kernel's
+// VmHWM, where the kernel reports one; without it, nothing.
+func TestMemProfilePrintsPeakRSS(t *testing.T) {
+	_, statErr := os.Stat("/proc/self/status")
+	prof := filepath.Join(t.TempDir(), "heap.mprof")
+	code, _, stderr := utlbsim(t, "-exp", "t4", "-scale", "0.005", "-parallel", "1", "-memprofile", prof)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if got := strings.Contains(stderr, "utlbsim: peak RSS "); got != (statErr == nil) || got && !strings.HasSuffix(stderr, " kB\n") {
+		t.Errorf("stderr %q: peak RSS line %v, want %v and in kB", stderr, got, statErr == nil)
+	}
+	if _, _, stderr := utlbsim(t, "-exp", "t4", "-scale", "0.005", "-parallel", "1"); strings.Contains(stderr, "peak RSS") {
+		t.Errorf("without -memprofile, stderr %q names the peak RSS", stderr)
+	}
+	for status, want := range map[string]string{
+		"Name:\tutlbsim\nVmPeak:\t  900 kB\nVmHWM:\t   81234 kB\nVmRSS:\t 512 kB\n": "81234 kB",
+		"Name:\tutlbsim\n": "",
+		"":                 "",
+	} {
+		if got := vmHWM(status); got != want {
+			t.Errorf("vmHWM(%q) = %q, want %q", status, got, want)
+		}
 	}
 }

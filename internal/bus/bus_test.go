@@ -179,7 +179,7 @@ func TestTransferChargingModes(t *testing.T) {
 				t.Fatalf("%s: %d events recorded, want 2", name, len(events))
 			}
 			for i, ev := range events {
-				if ev.Kind != op.kind || ev.Time != starts[i] || ev.Dur != op.cost || ev.Arg != op.bytes {
+				if ev.Kind != op.kind || ev.Time != starts[i] || ev.Dur != op.cost || uint64(ev.Arg) != op.bytes {
 					t.Errorf("%s: span %d = %s [%v,+%v) %d B, want %s [%v,+%v) %d B", name, i,
 						ev.Kind, ev.Time, ev.Dur, ev.Arg, op.kind, starts[i], op.cost, op.bytes)
 				}

@@ -268,7 +268,7 @@ type echoSink struct {
 
 func (s *echoSink) Record(e obs.Event) {
 	s.got = append(s.got, e)
-	for i := uint64(0); i < e.Arg2; i++ {
+	for i := uint32(0); i < e.Arg2; i++ {
 		s.seq.Record(obs.Event{Time: e.Time - 7 + units.Time(i)*5, Arg: e.Arg*100 + i, Kind: obs.KindCacheFill})
 	}
 }
@@ -290,7 +290,7 @@ func TestSequencerMatchesKernelOrder(t *testing.T) {
 		sink := &echoSink{}
 		seq := build(k, sink)
 		sink.seq = seq
-		id := uint64(1)
+		id := uint32(1)
 		for batch := 0; batch < 3; batch++ {
 			for n := rng.Intn(300); n > 0; n-- {
 				e := obs.Event{Time: units.Time(rng.Intn(60) - 5), Arg: id, Kind: obs.KindDMARead}
@@ -298,7 +298,7 @@ func TestSequencerMatchesKernelOrder(t *testing.T) {
 					e.Time += units.Time(rng.Intn(40)) // straddles the clock the last drain left
 				}
 				if rng.Intn(10) == 0 {
-					e.Arg2 = uint64(1 + rng.Intn(3))
+					e.Arg2 = uint32(1 + rng.Intn(3))
 				}
 				id++
 				seq.Record(e)

@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"utlb/internal/obs"
 )
@@ -224,7 +223,11 @@ type scratch struct {
 	kinds [obs.NumKinds]*Digest // nil until a run first carries the kind
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool obs.ScratchPool[scratch]
+
+// maxPooledXfers caps the transfer table a pooled scratch keeps: 2.5 MB,
+// above the 36–43k transfers of a t6 run at scale 1.
+const maxPooledXfers = 1 << 16
 
 // lastXfer reports the transfer id of run's last attributed event. Ids
 // are dense in execution order, so it is, or is close to, the number of
@@ -232,7 +235,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func lastXfer(run obs.Run) uint64 {
 	for i := run.Len() - 1; i >= 0; i-- {
 		if id := run.At(i).Xfer; id != 0 {
-			return id
+			return uint64(id)
 		}
 	}
 	return 0
@@ -248,8 +251,14 @@ func Analyze(runs []obs.Run, topK int) *Report {
 	}
 	rep := &Report{Runs: len(runs)}
 
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := scratchPool.Get()
+	defer func() {
+		// A table a huge run grew is dropped rather than kept for
+		// the life of the process; a paper-scale run's fits.
+		if cap(sc.xfers) <= maxPooledXfers {
+			scratchPool.Put(sc)
+		}
+	}()
 	// kindDigests[k] is sc.kinds[k], zeroed, once this call has seen
 	// kind k.
 	var kindDigests [obs.NumKinds]*Digest
@@ -297,8 +306,8 @@ func Analyze(runs []obs.Run, topK int) *Report {
 					ea.unattrib++
 					continue
 				}
-				if uint64(len(xfers)) < ev.Xfer {
-					xfers = append(xfers, make([]transferAcc, ev.Xfer-uint64(len(xfers)))...)
+				if len(xfers) < int(ev.Xfer) {
+					xfers = append(xfers, make([]transferAcc, int(ev.Xfer)-len(xfers))...)
 				}
 				t := &xfers[ev.Xfer-1]
 				if t.events == 0 {
@@ -414,7 +423,7 @@ func chain(run obs.Run, c slowTransfer) []ChainEvent {
 	out := make([]ChainEvent, 0, min(c.events, maxChainEvents))
 	for i := c.first; len(out) < cap(out); i++ {
 		ev := run.At(i)
-		if ev.Xfer != c.id || int(ev.Kind) >= obs.NumKinds {
+		if uint64(ev.Xfer) != c.id || int(ev.Kind) >= obs.NumKinds {
 			continue
 		}
 		out = append(out, ChainEvent{
@@ -423,8 +432,8 @@ func chain(run obs.Run, c slowTransfer) []ChainEvent {
 			PID:    int(ev.PID),
 			TimeNs: int64(ev.Time),
 			DurNs:  int64(ev.Dur),
-			Arg:    ev.Arg,
-			Arg2:   ev.Arg2,
+			Arg:    uint64(ev.Arg),
+			Arg2:   uint64(ev.Arg2),
 		})
 	}
 	return out

@@ -40,13 +40,13 @@ func TestChunkedRunMatchesOneChunk(t *testing.T) {
 	// Six events per transfer, and 2048 is not a multiple of six: the
 	// transfer holding event 2047 continues in the next chunk. Its DMA is
 	// the longest, so it leads the slowest list.
-	straddler := uint64((chunkEvents-1)/len(kinds) + 1)
+	straddler := uint32((chunkEvents-1)/len(kinds) + 1)
 	for _, n := range []int{0, 1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents + 5} {
 		buf := obs.NewBuffer("chunked/run")
 		events := make([]obs.Event, n)
 		for i := range events {
 			ev := obs.Event{
-				Time: units.Time(i) * 731, Xfer: uint64(i/len(kinds) + 1), Arg: uint64(i),
+				Time: units.Time(i) * 731, Xfer: uint32(i/len(kinds) + 1), Arg: uint32(i),
 				PID: units.ProcID(1 + i%2), Kind: kinds[i%len(kinds)],
 			}
 			if ev.Kind.IsSpan() {
@@ -79,7 +79,7 @@ func TestChunkedRunMatchesOneChunk(t *testing.T) {
 		}
 		slowest := Analyze([]obs.Run{run}, 3).Experiments[0].Slowest[0]
 		inFirst := chunkEvents - int(straddler-1)*len(kinds)
-		if slowest.ID != straddler || len(slowest.Events) != min(len(kinds), n-int(straddler-1)*len(kinds)) || len(slowest.Events) <= inFirst {
+		if slowest.ID != uint64(straddler) || len(slowest.Events) != min(len(kinds), n-int(straddler-1)*len(kinds)) || len(slowest.Events) <= inFirst {
 			t.Errorf("%d events: slowest transfer %d with %d chain events, want transfer %d with more than the %d of the first chunk",
 				n, slowest.ID, len(slowest.Events), straddler, inFirst)
 		}
@@ -122,4 +122,28 @@ func TestPooledScratchConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestOversizedScratchIsDropped: a run with more transfers than
+// maxPooledXfers grows the scratch's table past the cap, and that
+// scratch is not kept for the next call; a run within the cap's is.
+func TestOversizedScratchIsDropped(t *testing.T) {
+	drain := func() {
+		for sc := scratchPool.Get(); cap(sc.xfers) != 0; sc = scratchPool.Get() {
+		}
+	}
+	analyzeXfer := func(xfer uint32) {
+		ev := obs.Event{Kind: obs.KindDMARead, Dur: 1, Xfer: xfer}
+		Analyze([]obs.Run{obs.NewRun("x", []obs.Event{ev})}, 1)
+	}
+	drain()
+	analyzeXfer(maxPooledXfers + 1)
+	if sc := scratchPool.Get(); cap(sc.xfers) > maxPooledXfers {
+		t.Errorf("a scratch with a %d-transfer table was pooled, cap %d", cap(sc.xfers), maxPooledXfers)
+	}
+	drain()
+	analyzeXfer(1000)
+	if sc := scratchPool.Get(); cap(sc.xfers) < 1000 {
+		t.Errorf("a scratch within the cap was not pooled: table cap %d", cap(sc.xfers))
+	}
 }

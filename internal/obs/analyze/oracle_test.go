@@ -84,12 +84,12 @@ func analyzeKeepEverything(runs []obs.Run, topK int) *Report {
 				ea.unattrib++
 				continue
 			}
-			for uint64(len(xfers)) < ev.Xfer {
+			for len(xfers) < int(ev.Xfer) {
 				xfers = append(xfers, nil)
 			}
 			t := xfers[ev.Xfer-1]
 			if t == nil {
-				t = &oracleAcc{id: ev.Xfer}
+				t = &oracleAcc{id: uint64(ev.Xfer)}
 				xfers[ev.Xfer-1] = t
 			}
 			t.events++
@@ -100,8 +100,8 @@ func analyzeKeepEverything(runs []obs.Run, topK int) *Report {
 					PID:    int(ev.PID),
 					TimeNs: int64(ev.Time),
 					DurNs:  int64(ev.Dur),
-					Arg:    ev.Arg,
-					Arg2:   ev.Arg2,
+					Arg:    uint64(ev.Arg),
+					Arg2:   uint64(ev.Arg2),
 				})
 			}
 			if ev.Kind.IsSpan() {
@@ -234,12 +234,12 @@ func oracleRuns(seed int64) []obs.Run {
 		for n := rng.Intn(3000); n > 0; n-- {
 			ev := obs.Event{
 				Time: units.Time(rng.Intn(1 << 20)),
-				Xfer: uint64(rng.Intn(transfers + 1)), // 0: unattributed
-				Arg:  uint64(rng.Intn(9)), PID: units.ProcID(rng.Intn(3)),
+				Xfer: uint32(rng.Intn(transfers + 1)), // 0: unattributed
+				Arg:  uint32(rng.Intn(9)), PID: units.ProcID(rng.Intn(3)),
 				Kind: kinds[rng.Intn(len(kinds))],
 			}
 			if rng.Intn(4) == 0 {
-				ev.Xfer = uint64(1 + rng.Intn(3)) // long chains on the first ids
+				ev.Xfer = uint32(1 + rng.Intn(3)) // long chains on the first ids
 			}
 			if ev.Kind.IsSpan() {
 				ev.Dur = units.Time(100 * rng.Intn(4))

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sync"
+	"unicode/utf8"
 )
 
 // Chrome trace_event export: one trace "process" per run (labelled by
@@ -89,6 +89,7 @@ type chromeKind struct {
 // Kind outside the taxonomy (a caller-built Event can carry one),
 // rendered as an instant named "invalid" on the none track.
 var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
+	jsonString := func(s string) string { return string(appendJSON(nil, s)) }
 	for k := range tab {
 		meta := kindMeta{name: "invalid", comp: compNone}
 		if k < NumKinds {
@@ -96,7 +97,7 @@ var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
 		}
 		ck := chromeKind{
 			comp: meta.comp, span: meta.span, head: ",\n" + `{"ph":"i","s":"t","pid":`,
-			mid: `,"name":` + mustJSON(meta.name) + `,"cat":` + mustJSON(componentNames[meta.comp]) + `,"ts":`,
+			mid: `,"name":` + jsonString(meta.name) + `,"cat":` + jsonString(componentNames[meta.comp]) + `,"ts":`,
 		}
 		if meta.span {
 			ck.head = ",\n" + `{"ph":"X","pid":`
@@ -104,7 +105,7 @@ var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
 		comma := ""
 		key := func(name string) (s string) {
 			if name != "" {
-				s, comma = comma+mustJSON(name)+":", ","
+				s, comma = comma+jsonString(name)+":", ","
 			}
 			return s
 		}
@@ -147,7 +148,7 @@ type chromeScratch struct {
 	trackBuf [32]chromeTrack
 }
 
-var chromePool = sync.Pool{New: func() any {
+var chromePool = ScratchPool[chromeScratch]{New: func() *chromeScratch {
 	sc := new(chromeScratch)
 	sc.heads, sc.procs, sc.slots, sc.tracks = sc.headBuf[:0], sc.procBuf[:0], sc.slotBuf[:], sc.trackBuf[:0]
 	return sc
@@ -220,7 +221,7 @@ func (sc *chromeScratch) head(run int, p *chromeProc, k int) int {
 // slice: run order is the caller's (Collector.Runs is label-sorted),
 // metadata is emitted sorted, and events keep recording order.
 func WriteChromeTrace(w io.Writer, runs []Run) error {
-	sc := chromePool.Get().(*chromeScratch)
+	sc := chromePool.Get()
 	out := append(sc.outBuf[:0], "{\"traceEvents\":[\n"...)
 	sep := "" // before every entry but the first: ",\n"
 	var err error
@@ -234,7 +235,7 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 		// Process metadata: name the trace process after the run label.
 		out = appendDec(append(append(out, sep...), `{"ph":"M","pid":`...), uint64(i), 1)
 		out = append(out, `,"tid":0,"name":"process_name","args":{"name":`...)
-		out = append(append(out, mustJSON(run.Label)...), "}}"...)
+		out = append(appendJSON(out, run.Label), "}}"...)
 		sep = ",\n"
 
 		// Name the tracks before emitting their events. Component names
@@ -271,15 +272,15 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 				}
 				out = append(out, `,"args":{`...)
 				if ck.arg != "" {
-					out = appendDec(append(out, ck.arg...), ev.Arg, 1)
+					out = appendDec(append(out, ck.arg...), uint64(ev.Arg), 1)
 				}
 				if ck.arg2 != "" {
-					out = appendDec(append(out, ck.arg2...), ev.Arg2, 1)
+					out = appendDec(append(out, ck.arg2...), uint64(ev.Arg2), 1)
 				}
 				// Transfer attribution rides along only when present, so
 				// traces without ids keep their exact historical bytes.
 				if ev.Xfer != 0 {
-					out = appendDec(append(out, ck.xfer...), ev.Xfer, 1)
+					out = appendDec(append(out, ck.xfer...), uint64(ev.Xfer), 1)
 				}
 				out = append(out, "}}"...)
 				if len(out) >= chromeFlushAt {
@@ -296,14 +297,55 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 	return err
 }
 
-// mustJSON returns s as a JSON string literal.
-func mustJSON(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// Marshalling a string cannot fail.
-		panic(err)
+// appendJSON appends s as a JSON string literal, byte for byte what
+// json.Marshal makes of it (<, >, &, U+2028, U+2029 and control bytes
+// escaped, invalid UTF-8 replaced by \ufffd), but without its pooled
+// encoder, whose refill after a collection costs allocations.
+func appendJSON(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
-	return string(b)
+	return append(append(dst, s[start:]...), '"')
 }
 
 // TraceEvent is the decoded form of one trace_event entry, used by

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"utlb/internal/units"
@@ -99,10 +100,10 @@ func writeChromeTraceOracle(w io.Writer, runs []Run) error {
 				argFirst = false
 				fmt.Fprintf(bw, `%s:%d`, mustJSON(name), v)
 			}
-			writeArg(meta.arg, ev.Arg)
-			writeArg(meta.arg2, ev.Arg2)
+			writeArg(meta.arg, uint64(ev.Arg))
+			writeArg(meta.arg2, uint64(ev.Arg2))
 			if ev.Xfer != 0 {
-				writeArg("xfer", ev.Xfer)
+				writeArg("xfer", uint64(ev.Xfer))
 			}
 			bw.WriteString("}}")
 		}
@@ -122,12 +123,26 @@ func microsOracle(ns int64) string {
 }
 
 // chromeFuzzRuns derives runs from a seed: every Kind (a few outside
-// the taxonomy), zero and non-zero Arg/Arg2/Xfer, values at every
-// digit-count boundary (10^k-1, 10^k, 10^k+1), times that are small,
-// negative, beyond 2^53 and math.MinInt64, pids past the 512 the tid
-// packs without collision.
+// the taxonomy), zero and non-zero Arg/Arg2/Xfer up to 2^32-1, values
+// at every digit-count boundary (10^k-1, 10^k, 10^k+1) their width
+// holds, times that are small, negative, beyond 2^53 and
+// math.MinInt64, pids past the 512 the tid packs without collision.
 func chromeFuzzRuns(seed int64, events int, labels []string) []Run {
 	rng := rand.New(rand.NewSource(seed))
+	pick32 := func() uint32 {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return uint32(rng.Intn(1 << 12))
+		case 2:
+			return math.MaxUint32
+		case 3:
+			return uint32(pow10[rng.Intn(10)] + uint64(rng.Intn(3)) - 1) // up to 10^9+1
+		default:
+			return rng.Uint32()
+		}
+	}
 	pick := func() uint64 {
 		switch rng.Intn(5) {
 		case 0:
@@ -157,7 +172,7 @@ func chromeFuzzRuns(seed int64, events int, labels []string) []Run {
 		var evs []Event
 		for n := rng.Intn(events + 1); n > 0; n-- {
 			ev := Event{
-				Time: when(), Dur: when(), Arg: pick(), Arg2: pick(), Xfer: pick(),
+				Time: when(), Dur: when(), Arg: pick32(), Arg2: pick32(), Xfer: pick32(),
 				PID:  units.ProcID(rng.Intn(4)),
 				Node: units.NodeID(rng.Intn(3)),
 				Kind: Kind(rng.Intn(NumKinds + 3)),
@@ -230,7 +245,7 @@ func checkChromeAgainstOracle(t *testing.T, runs []Run) {
 			if ns := int64(ev.Time); ns > -1<<50 && ns < 1<<50 && math.Round(back.TS*1000) != float64(ns) {
 				t.Errorf("event %d ts %v µs, want %d ns", next-1, back.TS, ns)
 			}
-			if ev.Xfer != 0 && ev.Xfer <= math.MaxInt64 && back.Args["xfer"] != int64(ev.Xfer) {
+			if ev.Xfer != 0 && back.Args["xfer"] != int64(ev.Xfer) {
 				t.Errorf("event %d xfer %d, want %d", next-1, back.Args["xfer"], ev.Xfer)
 			}
 		}
@@ -358,5 +373,47 @@ func TestAggregateInvalidKind(t *testing.T) {
 		if total != 2 || m.Count[KindPin] != 1 || m.Count[KindCacheHit] != 1 || m.HistN[KindPin] != 1 {
 			t.Errorf("kind %d: counts %v", k, m.Count)
 		}
+	}
+}
+
+// mustJSON returns s as a JSON string literal by json.Marshal: the
+// oracle's quoter, independent of the exporter's appendJSON.
+func mustJSON(s string) string {
+	b, err := json.Marshal(s)
+	if err != nil {
+		// Marshalling a string cannot fail.
+		panic(err)
+	}
+	return string(b)
+}
+
+// TestAppendJSONMatchesMarshal: the label quoter writes exactly what
+// json.Marshal does, for every single byte, the characters it escapes
+// for HTML and JavaScript, invalid and truncated UTF-8, and random
+// strings.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	check := func(s string) bool {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSON([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Errorf("appendJSON(%q) = %s, want %s", s, got[1:], want)
+			return false
+		}
+		return true
+	}
+	for b := 0; b < 256; b++ {
+		check(string([]byte{byte(b)}))
+		check("a" + string([]byte{byte(b)}) + "z")
+	}
+	for _, s := range []string{"", "table6/fft/utlb", `"\<>&`, " x ", "é€𝄞", "\xe2\x80", "\xf0\x9d\x84", "a\xffb\xfe", "\u007f\u0080�"} {
+		check(s)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(b []byte) bool { return check(string(b)) }, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -52,7 +52,7 @@ func randomRuns(events int) []Run {
 		k := Kind(1 + rng.Intn(NumKinds-1))
 		ev := Event{
 			Time: units.Time(i),
-			Arg:  uint64(rng.Intn(4096)),
+			Arg:  uint32(rng.Intn(4096)),
 			PID:  units.ProcID(rng.Intn(8)),
 			Kind: k,
 		}

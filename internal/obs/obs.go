@@ -194,16 +194,17 @@ type Event struct {
 	// Dur is the simulated duration for span kinds; 0 for instants.
 	Dur units.Time
 	// Arg and Arg2 are kind-specific (VPN, byte count, page count,
-	// probe count — see the kind taxonomy).
-	Arg  uint64
-	Arg2 uint64
+	// probe count — see the kind taxonomy). Every one fits in 32 bits:
+	// a VPN is below units.VASpacePages, the rest count one operation.
+	Arg  uint32
+	Arg2 uint32
 	// Xfer identifies the transfer (traced communication operation,
 	// VMMC send/fetch/export) the event belongs to, so analysis can
 	// reconstruct the causal chain cache probe → DMA fill → pin →
 	// interrupt that makes up one operation's latency. 0 means
 	// unattributed (recorded outside any transfer). IDs are allocated
 	// by Tap.Begin, dense from 1 in execution order.
-	Xfer uint64
+	Xfer uint32
 	// PID is the process the event belongs to; 0 for system-wide
 	// events (bus transfers, interrupts not tied to a process).
 	PID units.ProcID
@@ -231,7 +232,7 @@ func (Nop) Record(Event) {}
 // run / worker); use a Collector to hand out one Buffer per concurrent
 // run and merge them deterministically.
 //
-// Events are recorded into fixed-size chunks (112 KB), so recording
+// Events are recorded into fixed-size chunks (80 KB), so recording
 // never copies what it holds, and Run hands the chunks themselves to
 // the exporters and the analyzer: a run allocates its final size, once,
 // where one slice grown by append allocated six times that and copied

@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"utlb/internal/units"
 )
@@ -354,5 +356,57 @@ func TestBufferGathersChunks(t *testing.T) {
 	checkRun(manyRun, 2*bufferChunkEvents+7)
 	if len(b.Run().Chunks()) != 3 {
 		t.Fatalf("Run copied its events: %d chunks, want the buffer's 3", len(b.Run().Chunks()))
+	}
+}
+
+// TestEventLayout: an Event is 40 bytes — two 8-byte times, then every
+// 4-byte field, then Kind — so a chunk of bufferChunkEvents is 80 KB.
+// A field that outgrows its place, or an order that adds padding, is
+// a third more memory for every recorded run.
+func TestEventLayout(t *testing.T) {
+	var ev Event
+	if size := unsafe.Sizeof(ev); size != 40 {
+		t.Errorf("Event is %d bytes, want 40", size)
+	}
+	if off := unsafe.Offsetof(ev.Kind); off != 36 {
+		t.Errorf("Event.Kind at offset %d, want 36 (every wider field ahead of it)", off)
+	}
+	if chunk := bufferChunkEvents * unsafe.Sizeof(ev); chunk != 80<<10 {
+		t.Errorf("a chunk is %d bytes, want 80 KB", chunk)
+	}
+}
+
+// TestTapArgumentRange: an Event holds its arguments and transfer id in
+// 32 bits. 2^32-1 records as it is; 2^32, in either argument or through
+// InstantOn, panics with a message that names the kind, rather than
+// record a truncated value.
+func TestTapArgumentRange(t *testing.T) {
+	buf := NewBuffer("range")
+	tap := NewTap(buf, 0)
+	tap.Span(KindDMARead, 0, 1, 0, math.MaxUint32, math.MaxUint32)
+	if ev := buf.Events()[0]; ev.Arg != math.MaxUint32 || ev.Arg2 != math.MaxUint32 {
+		t.Fatalf("2^32-1 recorded as %d/%d", ev.Arg, ev.Arg2)
+	}
+	for _, c := range []struct {
+		name string
+		kind Kind
+		op   func(Kind)
+	}{
+		{"Span arg", KindDMARead, func(k Kind) { tap.Span(k, 0, 1, 0, 1<<32, 0) }},
+		{"Instant arg2", KindReclaim, func(k Kind) { tap.Instant(k, 0, 0, 0, 1<<32) }},
+		{"InstantOn", KindFaultDrop, func(k Kind) { tap.InstantOn(1, k, 0, 1<<32) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "out of range") || !strings.Contains(msg, c.kind.String()) {
+					t.Errorf("%s of 2^32: panic %q, want one naming %s", c.name, msg, c.kind)
+				}
+			}()
+			c.op(c.kind)
+		}()
+	}
+	if buf.Len() != 1 {
+		t.Errorf("%d events recorded, want only the in-range one", buf.Len())
 	}
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "utlb/internal/units"
+import (
+	"fmt"
+
+	"utlb/internal/units"
+)
 
 // Tap is the recording handle the layers of one simulated node share:
 // where events go, which node they are stamped with, and the transfer
@@ -24,8 +28,8 @@ type Tap struct {
 
 // xferCursor allocates transfer ids, dense from 1 in execution order.
 type xferCursor struct {
-	next uint64
-	cur  uint64
+	next uint32
+	cur  uint32
 }
 
 // NewTap returns node's handle on r with a fresh transfer cursor, or
@@ -63,11 +67,22 @@ func (t *Tap) Instant(kind Kind, at units.Time, pid units.ProcID, arg, arg2 uint
 	}
 }
 
+// record stamps and records one event. An Event keeps its arguments
+// in 32 bits; a wider one is a programming error in the calling layer,
+// so it panics rather than record a truncated value.
 func (t *Tap) record(kind Kind, start, dur units.Time, pid units.ProcID, arg, arg2 uint64) {
+	if (arg|arg2)>>32 != 0 {
+		argRangePanic(kind, arg, arg2)
+	}
 	t.rec.Record(Event{
-		Time: start, Dur: dur, Arg: arg, Arg2: arg2,
+		Time: start, Dur: dur, Arg: uint32(arg), Arg2: uint32(arg2),
 		Xfer: t.xfer.cur, PID: pid, Node: t.node, Kind: kind,
 	})
+}
+
+// argRangePanic reports an argument that does not fit an Event.
+func argRangePanic(kind Kind, arg, arg2 uint64) {
+	panic(fmt.Sprintf("obs: %s argument out of range (arg %d, arg2 %d; an event holds 32 bits)", kind, arg, arg2))
 }
 
 // InstantOn records an instant on node's track, outside any transfer:
@@ -76,7 +91,10 @@ func (t *Tap) record(kind Kind, start, dur units.Time, pid units.ProcID, arg, ar
 // command happened to be executing.
 func (t *Tap) InstantOn(node units.NodeID, kind Kind, at units.Time, arg uint64) {
 	if t != nil {
-		t.rec.Record(Event{Time: at, Arg: arg, Node: node, Kind: kind})
+		if arg>>32 != 0 {
+			argRangePanic(kind, arg, 0)
+		}
+		t.rec.Record(Event{Time: at, Arg: uint32(arg), Node: node, Kind: kind})
 	}
 }
 
@@ -88,7 +106,7 @@ func (t *Tap) Begin() uint64 {
 	}
 	t.xfer.next++
 	t.xfer.cur = t.xfer.next
-	return t.xfer.cur
+	return uint64(t.xfer.cur)
 }
 
 // Clear marks that no transfer is in progress.

@@ -108,8 +108,8 @@ func TestTransferIDsCoverTimeline(t *testing.T) {
 		if _, err := Run(tr, cfg); err != nil {
 			t.Fatal(err)
 		}
-		seen := map[uint64]bool{}
-		var last uint64
+		seen := map[uint32]bool{}
+		var last uint32
 		for _, ev := range buf.Events() {
 			if ev.Xfer == 0 {
 				t.Fatalf("mechanism %v: %s event without transfer id", mech, ev.Kind)
@@ -120,11 +120,11 @@ func TestTransferIDsCoverTimeline(t *testing.T) {
 			last = ev.Xfer
 			seen[ev.Xfer] = true
 		}
-		if last != uint64(len(tr)) {
+		if int(last) != len(tr) {
 			t.Errorf("mechanism %v: max transfer id %d != %d trace records",
 				mech, last, len(tr))
 		}
-		for id := uint64(1); id <= last; id++ {
+		for id := uint32(1); id <= last; id++ {
 			if !seen[id] {
 				// Not every record produces events only if nothing at all
 				// was recorded for it; with check+probe spans on every

@@ -191,10 +191,21 @@ type Sink struct {
 }
 
 // traceChain is one retained sampled request: the request span plus
-// its per-shard segments, already in obs.Event form.
+// its per-shard segments, already in obs.Event form. Their Xfer is
+// xferOf the request id; id is the whole of it, the key TraceRuns
+// orders by.
 type traceChain struct {
 	id     int64
 	events []obs.Event
+}
+
+// xferOf is the transfer id a request's events carry: the request id
+// itself below 2^32, and past that the id wrapped into 1..2^32-1, so
+// that no chain carries 0, the id of an unattributed event. Ids 2^32-1
+// apart share an xfer; the retained chains' ids lie closer than that
+// while maxTraces*SampleEvery < 2^32-1.
+func xferOf(id int64) uint32 {
+	return uint32(1 + (id-1)%(1<<32-1))
 }
 
 // New returns a sink for cfg reading time from clock (WallClock{} for
@@ -371,8 +382,10 @@ func (t *Sink) tallyLocked(w *window, c Totals) {
 // the Chrome-trace export; only those allocate, once. Any other
 // request, and every request of a nil sink, is inert — each method is
 // a nil test small enough to inline — so the service has one body per
-// operation whether telemetry is attached or not. What a sampled request must remember (id, start,
-// key count) rides in the chain's first slot.
+// operation whether telemetry is attached or not. What a sampled request
+// must remember rides in the chain's first slot: the start and key
+// count in the span's Time and Arg, and the full request id in its Dur
+// until retain sets the span's length.
 //
 // Clock reads are part of the contract (tests tick a ManualClock):
 // Begin reads the clock once, for the window ring. A sampled request's
@@ -417,9 +430,10 @@ func (t *Sink) begin(keys int) Request {
 	r.chain = make([]obs.Event, 1, min(keys, len(t.shards))+1)
 	r.chain[0] = obs.Event{
 		Time: units.Time(now - t.baseNs),
+		Dur:  units.Time(id),
 		Kind: obs.KindXlateReq,
-		Arg:  uint64(keys),
-		Xfer: uint64(id),
+		Arg:  uint32(keys),
+		Xfer: xferOf(id),
 	}
 	return r
 }
@@ -441,8 +455,8 @@ func (r *Request) segment(si int, n int64) {
 		Time: units.Time(startNs - r.t.baseNs),
 		Dur:  units.Time(r.lastNs - startNs),
 		Kind: obs.KindXlateShard,
-		Arg:  uint64(si),
-		Arg2: uint64(n),
+		Arg:  uint32(si),
+		Arg2: uint32(n),
 		Xfer: r.chain[0].Xfer,
 	})
 }
@@ -463,11 +477,11 @@ func (r *Request) Finish(hits int64) {
 func (r *Request) retain(hits int64) {
 	t := r.t
 	span := r.chain[0]
+	kept := traceChain{id: int64(span.Dur), events: r.chain}
 	span.Dur = units.Time(r.lastNs-t.baseNs) - span.Time
-	span.Arg2 = uint64(hits)
+	span.Arg2 = uint32(hits)
 	copy(r.chain, r.chain[1:])
 	r.chain[len(r.chain)-1] = span
-	kept := traceChain{id: int64(span.Xfer), events: r.chain}
 	t.mu.Lock()
 	t.foldLocked(r.lastNs)
 	for _, seg := range r.chain[:len(r.chain)-1] {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
@@ -579,7 +580,7 @@ func TestTraceRingBound(t *testing.T) {
 	// Retain maxTraces + 2 chains, ids 1..66: the oldest two are
 	// evicted.
 	for id := int64(1); id <= maxTraces+2; id++ {
-		req := Request{t: s, chain: []obs.Event{{Kind: obs.KindXlateReq, Arg: 1, Xfer: uint64(id)}}}
+		req := Request{t: s, chain: []obs.Event{{Kind: obs.KindXlateReq, Dur: units.Time(id), Arg: 1, Xfer: xferOf(id)}}}
 		req.Finish(1)
 	}
 	runs := s.TraceRuns()
@@ -588,12 +589,77 @@ func TestTraceRingBound(t *testing.T) {
 		t.Fatalf("got %d events, want %d (ring bound)", len(evs), maxTraces)
 	}
 	for i, ev := range evs {
-		if want := uint64(i + 3); ev.Xfer != want {
+		if want := uint32(i + 3); ev.Xfer != want {
 			t.Errorf("event %d id = %d, want %d", i, ev.Xfer, want)
 		}
 	}
 	if got := s.SampledTraces(); got != maxTraces+2 {
 		t.Errorf("SampledTraces = %d, want %d ever retained", got, maxTraces+2)
+	}
+}
+
+// TestTraceChainsOrderPastTheEventsIdWidth: an event holds its request
+// id wrapped into 32 bits, never 0, but the sink orders its chains by
+// the whole id, so requests on both sides of 2^32 come back in request
+// order — by the wrapped ids alone, 2^32 and 2^32+1 (1 and 2) would
+// sort first.
+func TestTraceChainsOrderPastTheEventsIdWidth(t *testing.T) {
+	cfg := testConfig()
+	cfg.SampleEvery = 1
+	s, err := New(cfg, NewManualClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.reqSeq.Store(1<<32 - 3) // the next request id is 2^32-2
+	reqs := make([]Request, 4)
+	for i := range reqs {
+		reqs[i] = s.Begin(1)
+		reqs[i].Segment(0, 1)
+	}
+	for i := len(reqs) - 1; i >= 0; i-- { // finished, so retained, in reverse
+		reqs[i].Finish(1)
+	}
+	evs := s.TraceRuns()[0].Chunks()[0]
+	want := []uint32{1<<32 - 2, 1<<32 - 1, 1, 2}
+	if len(evs) != 2*len(want) {
+		t.Fatalf("got %d events, want %d", len(evs), 2*len(want))
+	}
+	for i, ev := range evs {
+		if ev.Xfer != want[i/2] {
+			t.Errorf("event %d (%s) carries id %d, want %d", i, ev.Kind, ev.Xfer, want[i/2])
+		}
+	}
+}
+
+// TestXferOfNeverZero: below 2^32 a chain's xfer is its request id, as
+// it always was; past it the id wraps into 1..2^32-1, and the ids that
+// would wrap to 0 — every multiple of 2^32, the multiples of the
+// default SampleEvery among them — do not.
+func TestXferOfNeverZero(t *testing.T) {
+	for _, c := range []struct {
+		id   int64
+		want uint32
+	}{
+		{1, 1}, {256, 256}, {1<<32 - 1, 1<<32 - 1},
+		{1 << 32, 1}, {1<<32 + 1, 2}, {2<<32 - 2, 1<<32 - 1},
+		{2<<32 - 1, 1}, {2 << 32, 2}, {1 << 62, 1 << 30},
+	} {
+		if got := xferOf(c.id); got != c.want {
+			t.Errorf("xferOf(%d) = %d, want %d", c.id, got, c.want)
+		}
+	}
+	for k := int64(1); k <= 1024; k++ {
+		if xferOf(k<<32) == 0 {
+			t.Fatalf("xferOf(%d<<32) = 0", k)
+		}
+	}
+}
+
+// TestRequestLayout: xlate returns a Request by value on every
+// operation; it stays five words, the full id riding in the chain.
+func TestRequestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 40 {
+		t.Errorf("Sizeof(Request) = %d, want 40", got)
 	}
 }
 

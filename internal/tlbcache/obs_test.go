@@ -40,7 +40,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 		if ev.Kind != want[i] {
 			t.Errorf("event %d = %s, want %s", i, ev.Kind, want[i])
 		}
-		if ev.Arg != uint64(k.VPN) || ev.PID != k.PID || ev.Node != 3 {
+		if units.VPN(ev.Arg) != k.VPN || ev.PID != k.PID || ev.Node != 3 {
 			t.Errorf("event %d tagged %+v", i, ev)
 		}
 		if ev.Time != units.Time(100*i) {
@@ -66,7 +66,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	if len(evs2) != 2 || evs2[0].Kind != obs.KindCacheEvict || evs2[1].Kind != obs.KindCacheFill {
 		t.Fatalf("eviction events = %v", evs2)
 	}
-	if evs2[0].Arg != uint64(evKey.VPN) {
+	if units.VPN(evs2[0].Arg) != evKey.VPN {
 		t.Errorf("evict arg %d, want %d", evs2[0].Arg, evKey.VPN)
 	}
 
@@ -76,7 +76,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	c.SetTap(obs.NewTap(buf3, 3), clock)
 	if n := c.InvalidateProcess(2); n == 0 {
 		t.Fatal("expected resident lines for pid 2")
-	} else if buf3.Len() != 1 || buf3.Events()[0].Arg2 != uint64(n) {
+	} else if buf3.Len() != 1 || buf3.Events()[0].Arg2 != uint32(n) {
 		t.Fatalf("invalidate-process events = %v, want one with count", buf3.Events())
 	}
 	if c.InvalidateProcess(99); buf3.Len() != 1 {
@@ -134,7 +134,7 @@ func TestXferCursorStamping(t *testing.T) {
 
 	id := tap.Begin()
 	c.Lookup(Key{PID: 1, VPN: 2})
-	if ev := buf.Events()[buf.Len()-1]; ev.Xfer != id {
+	if ev := buf.Events()[buf.Len()-1]; uint64(ev.Xfer) != id {
 		t.Fatalf("event id %d, want %d", ev.Xfer, id)
 	}
 	tap.Clear()

@@ -35,19 +35,21 @@ func (o Op) String() string {
 	}
 }
 
-// Record is one traced communication request.
+// Record is one traced communication request. Its fields run widest
+// first, so a record is 32 bytes with no padding inside (the order
+// Time, Node, PID, Op, VA, Bytes padded it to 40).
 type Record struct {
 	// Time is the globally-synchronised timestamp.
 	Time units.Time
+	// VA and Bytes describe the local user buffer.
+	VA units.VAddr
+	// PID is the issuing process.
+	PID   units.ProcID
+	Bytes int32
 	// Node is the host the request was issued on.
 	Node units.NodeID
-	// PID is the issuing process.
-	PID units.ProcID
 	// Op is the request type.
 	Op Op
-	// VA and Bytes describe the local user buffer.
-	VA    units.VAddr
-	Bytes int32
 }
 
 // Trace is a sequence of records.

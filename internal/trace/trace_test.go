@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"utlb/internal/core"
 	"utlb/internal/units"
@@ -241,4 +242,18 @@ func FuzzTraceCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecordLayout: a Record is 32 bytes, its fields widest first with
+// nothing padded but the tail after Op. Every replay reads a trace
+// record by record, so 8 bytes of padding is a quarter more memory
+// traffic per record.
+func TestRecordLayout(t *testing.T) {
+	var r Record
+	if size := unsafe.Sizeof(r); size != 32 {
+		t.Errorf("Record is %d bytes, want 32", size)
+	}
+	if off := unsafe.Offsetof(r.Op); off != 28 {
+		t.Errorf("Record.Op at offset %d, want 28 (every wider field ahead of it)", off)
+	}
 }

@@ -39,7 +39,7 @@ func TestTransferIDSpansNodes(t *testing.T) {
 	events := buf.Events()
 	// The export is its own transfer; the send another. No event may be
 	// unattributed.
-	var exportID, sendID uint64
+	var exportID, sendID uint32
 	nodes := map[units.NodeID]bool{}
 	kinds := map[obs.Kind]int{}
 	for i, ev := range events {
