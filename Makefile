@@ -55,7 +55,8 @@ race:
 # simulator's page-indexed table against its shadow map
 # (pagemap_test.go), the stack-distance pass against the old splice
 # stack and a naive recount (analyze_test.go), the Chrome exporter
-# against its fmt-based oracle (chrome_test.go), and the simulator's
+# against its fmt-based oracle (chrome_test.go), the analysis JSON
+# writer against json.MarshalIndent (json_test.go), and the simulator's
 # long traces against its cost-free model (oracle_test.go).
 # A finding fails the target and is written under the package's
 # testdata/fuzz/ as a new seed.
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseVsShadow$$' -fuzztime $(FUZZTIME) ./internal/tlbcache
 	$(GO) test -run '^$$' -fuzz '^FuzzStackDistances$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime $(FUZZTIME) ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzSimVsOracle$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The repository's benchmark (bench/, a module of its own; run for real
@@ -78,16 +80,18 @@ fuzz-smoke:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# CPU profile of the simulator core: Table 6 at paper scale (every
-# application through both mechanisms — the bench's sim_paper mix),
+# CPU profile of the simulator core: sim's BenchmarkRunWith/paper (the
+# bench's sim_paper request mix — the seven Table-3 applications at
+# paper scale × UTLB and Intr, 1 K-entry cache — on one warm
+# RunScratch, so trace generation and preparation stay out of it),
 # with the top of the cumulative listing printed. The profile stays in
 # $(ARTIFACTS)/profile for `go tool pprof`; CI uploads it, so the next
 # performance issue starts from a profile rather than a guess.
 profile-sim:
 	mkdir -p $(ARTIFACTS)/profile
-	$(GO) build -o $(ARTIFACTS)/profile/utlbsim ./cmd/utlbsim
-	$(ARTIFACTS)/profile/utlbsim -exp t6 -parallel 1 -cpuprofile $(ARTIFACTS)/profile/sim.prof >/dev/null
-	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/sim.prof 2>/dev/null | head -20
+	$(GO) test -run '^$$' -bench '^BenchmarkRunWith$$/^paper$$' -benchtime 3s \
+		-o $(ARTIFACTS)/profile/sim.test -cpuprofile $(ARTIFACTS)/profile/sim.prof ./internal/sim >/dev/null
+	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/sim.test $(ARTIFACTS)/profile/sim.prof 2>/dev/null | head -20
 
 # CPU and heap profiles of the recorded-run path: Table 6 at a quarter
 # of paper scale, recorded, with analysis and the Chrome export (the

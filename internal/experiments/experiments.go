@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"utlb/internal/obs"
@@ -121,20 +122,57 @@ func supplied(tr trace.Trace) func() (trace.Trace, error) {
 
 // runCells runs every cell on the worker pool — the runs are
 // independent simulations — and returns the results in cell order.
+// It resolves every cell's trace first and then runs the cells of one
+// trace one after another, so sim's memo of prepared traces (the last
+// 8) serves all but the first run of each trace, whichever loop a
+// sweep nests innermost. The order of execution changes no result.
 func (o Options) runCells(cells []cell) ([]sim.Result, error) {
-	return parallel.Map(len(cells), func(i int) (sim.Result, error) {
-		c := cells[i]
-		tr, err := c.trace()
-		if err != nil {
-			return sim.Result{}, err
-		}
+	trs, err := parallel.Map(len(cells), func(i int) (trace.Trace, error) { return cells[i].trace() })
+	if err != nil {
+		return nil, err
+	}
+	order := byTrace(trs)
+	rs := make([]sim.Result, len(cells))
+	_, err = parallel.Map(len(order), func(j int) (struct{}, error) {
+		c := cells[order[j]]
 		c.cfg.Recorder = o.recorderFor(c.label)
-		res, err := sim.Run(tr, c.cfg)
+		res, err := sim.Run(trs[order[j]], c.cfg)
 		if err != nil {
 			err = fmt.Errorf("%s: %w", c.label, err)
 		}
-		return res, err
+		rs[order[j]] = res
+		return struct{}{}, err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// byTrace returns the indices of trs with those of one trace (one
+// backing array) adjacent, in order within a trace, and the traces in
+// order of first appearance.
+func byTrace(trs []trace.Trace) []int {
+	type ident struct {
+		first *trace.Record
+		n     int
+	}
+	group := map[ident]int{}
+	var groups [][]int
+	for i, tr := range trs {
+		id := ident{n: len(tr)}
+		if len(tr) > 0 {
+			id.first = &tr[0]
+		}
+		g, ok := group[id]
+		if !ok {
+			g = len(groups)
+			group[id] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return slices.Concat(groups...)
 }
 
 // pop returns the next n results and advances rs past them: a renderer

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -346,5 +347,20 @@ func TestRunCellsError(t *testing.T) {
 	}
 	if _, err := opts.runCells([]cell{{"sweep/nope", opts.appTrace("nope", 0), opts.config()}}); err == nil {
 		t.Error("unknown application accepted")
+	}
+}
+
+// byTrace puts the cells of one trace (one backing array) next to each
+// other, in cell order within a trace and the traces in order of first
+// appearance; an equal trace in another array, and an empty trace, are
+// traces of their own.
+func TestByTraceGroupsCellsOfOneTrace(t *testing.T) {
+	a := trace.Trace{{Time: 1}, {Time: 2}}
+	b := trace.Trace{{Time: 3}}
+	twin := slices.Clone(a)
+	trs := []trace.Trace{a, b, a, nil, twin, b, a[:1], a}
+	want := []int{0, 2, 7, 1, 5, 3, 4, 6}
+	if got := byTrace(trs); !slices.Equal(got, want) {
+		t.Errorf("byTrace = %v, want %v", got, want)
 	}
 }

@@ -13,8 +13,6 @@ package analyze
 
 import (
 	"cmp"
-	"encoding/json"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -437,17 +435,4 @@ func chain(run obs.Run, c slowTransfer) []ChainEvent {
 		})
 	}
 	return out
-}
-
-// WriteJSON writes the report as indented JSON with a trailing
-// newline. The encoding is deterministic: struct field order, sorted
-// experiments, integer-only values.
-func WriteJSON(w io.Writer, rep *Report) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }

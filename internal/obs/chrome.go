@@ -89,7 +89,7 @@ type chromeKind struct {
 // Kind outside the taxonomy (a caller-built Event can carry one),
 // rendered as an instant named "invalid" on the none track.
 var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
-	jsonString := func(s string) string { return string(appendJSON(nil, s)) }
+	jsonString := func(s string) string { return string(AppendJSON(nil, s)) }
 	for k := range tab {
 		meta := kindMeta{name: "invalid", comp: compNone}
 		if k < NumKinds {
@@ -235,7 +235,7 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 		// Process metadata: name the trace process after the run label.
 		out = appendDec(append(append(out, sep...), `{"ph":"M","pid":`...), uint64(i), 1)
 		out = append(out, `,"tid":0,"name":"process_name","args":{"name":`...)
-		out = append(appendJSON(out, run.Label), "}}"...)
+		out = append(AppendJSON(out, run.Label), "}}"...)
 		sep = ",\n"
 
 		// Name the tracks before emitting their events. Component names
@@ -297,11 +297,11 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 	return err
 }
 
-// appendJSON appends s as a JSON string literal, byte for byte what
+// AppendJSON appends s as a JSON string literal, byte for byte what
 // json.Marshal makes of it (<, >, &, U+2028, U+2029 and control bytes
 // escaped, invalid UTF-8 replaced by \ufffd), but without its pooled
 // encoder, whose refill after a collection costs allocations.
-func appendJSON(dst []byte, s string) []byte {
+func AppendJSON(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	start := 0

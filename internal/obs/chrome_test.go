@@ -377,7 +377,7 @@ func TestAggregateInvalidKind(t *testing.T) {
 }
 
 // mustJSON returns s as a JSON string literal by json.Marshal: the
-// oracle's quoter, independent of the exporter's appendJSON.
+// oracle's quoter, independent of the exporter's AppendJSON.
 func mustJSON(s string) string {
 	b, err := json.Marshal(s)
 	if err != nil {
@@ -397,8 +397,8 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSON([]byte("x"), s); string(got) != "x"+string(want) {
-			t.Errorf("appendJSON(%q) = %s, want %s", s, got[1:], want)
+		if got := AppendJSON([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Errorf("AppendJSON(%q) = %s, want %s", s, got[1:], want)
 			return false
 		}
 		return true

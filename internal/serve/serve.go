@@ -53,6 +53,7 @@ import (
 	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
 	"utlb/internal/parallel"
+	"utlb/internal/sim"
 	"utlb/internal/telemetry"
 	"utlb/internal/workload"
 	"utlb/internal/xlate"
@@ -297,6 +298,7 @@ func (s *Server) run(p params) (*result, error) {
 	parallel.SetWorkers(p.parallel)
 	defer parallel.SetWorkers(prev)
 	workload.ResetTraceStore()
+	sim.ResetTraceMemo()
 	col := obs.NewCollector()
 	opts := experiments.Options{
 		Scale: p.scale, Seed: p.seed, Apps: p.apps, Nodes: p.nodes, Obs: col,

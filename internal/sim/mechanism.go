@@ -59,8 +59,8 @@ func (m Mechanism) String() string {
 }
 
 // run is what one replay shares between the loop and its design: the
-// node, the process slots, the recording handle, the classifier and the
-// Result being built.
+// node, the process slots, the recording handle, the trace's stack
+// distances and the Result being built.
 type run struct {
 	cfg    Config
 	scr    *RunScratch
@@ -68,7 +68,7 @@ type run struct {
 	nic    *nicsim.NIC
 	pids   []units.ProcID // the process slots: the trace's pids, ascending
 	tap    *obs.Tap       // where every layer of the node records; nil when disabled
-	cls    *classifier
+	dist   []int32        // each page reference's LRU stack distance (prepared.dist)
 	timing timing
 	res    Result
 }
@@ -77,20 +77,26 @@ type run struct {
 // processes, and a scan of a few words beats a hash.
 func (r *run) slot(pid units.ProcID) int { return slices.Index(r.pids, pid) }
 
-// missKinds maps a 3C attribution to its event kind.
-var missKinds = [...]obs.Kind{
-	classCompulsory: obs.KindMissCompulsory,
-	classCapacity:   obs.KindMissCapacity,
-	classConflict:   obs.KindMissConflict,
-}
-
-// classify attributes one NIC reference of slot i's process pid in
-// r.res and, when recording, emits an instant event for a classified
-// miss on the sim track at the current NIC time.
-func (r *run) classify(i int, pid units.ProcID, vpn units.VPN, miss bool) {
-	if class := r.cls.classify(&r.res, i, vpn, miss); class != classNone {
-		r.tap.Instant(missKinds[class], r.nic.Clock().Now(), pid, uint64(vpn), 0)
+// classify attributes the NIC miss of page reference ref, page vpn of
+// pid's process, to one of Hill's three classes (§3.2 cites [23]) in
+// r.res by its stack distance d against the cache size C: compulsory
+// (d < 0, the page's first reference), capacity (d >= C, a fully
+// associative LRU cache of C entries would miss it too) or conflict.
+// When recording, it emits the class as an instant event on the sim
+// track at the current NIC time.
+func (r *run) classify(ref int, pid units.ProcID, vpn units.VPN) {
+	kind := obs.KindMissConflict
+	switch d := r.dist[ref]; {
+	case d < 0:
+		kind = obs.KindMissCompulsory
+		r.res.Compulsory++
+	case int(d) >= r.cfg.CacheEntries:
+		kind = obs.KindMissCapacity
+		r.res.Capacity++
+	default:
+		r.res.Conflict++
 	}
+	r.tap.Instant(kind, r.nic.Clock().Now(), pid, uint64(vpn), 0)
 }
 
 // validateCache accepts the designs built on a NIC translation cache.

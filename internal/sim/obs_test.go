@@ -134,26 +134,3 @@ func TestTransferIDsCoverTimeline(t *testing.T) {
 		}
 	}
 }
-
-// TestClassifierObsAttribution pins the classifier's class mapping.
-func TestClassifierObsAttribution(t *testing.T) {
-	cls := newClassifier(2, 2) // two process slots; the calls below use slot 1
-	var res Result
-	if c := cls.classify(&res, 1, 10, true); c != classCompulsory {
-		t.Errorf("first touch = %v, want compulsory", c)
-	}
-	if c := cls.classify(&res, 1, 10, false); c != classNone {
-		t.Errorf("hit attributed %v", c)
-	}
-	cls.classify(&res, 1, 11, true)
-	cls.classify(&res, 1, 12, true)
-	cls.classify(&res, 1, 13, true)
-	// 10 was evicted from the 2-entry shadow: re-missing it is capacity.
-	if c := cls.classify(&res, 1, 10, true); c != classCapacity {
-		t.Errorf("re-touch after eviction = %v, want capacity", c)
-	}
-	// A miss while resident in the shadow cache is a conflict.
-	if c := cls.classify(&res, 1, 10, true); c != classConflict {
-		t.Errorf("miss while shadow-resident = %v, want conflict", c)
-	}
-}

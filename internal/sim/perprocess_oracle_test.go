@@ -16,7 +16,7 @@ import (
 // runPerProcess is the per-process replay loop internal/experiments
 // carried before sim.PerProcess existed, kept as the reference the
 // unified loop is held to: it builds its own node (smaller host memory,
-// bigger SRAM, a fresh scratch, no transfer ids, no classifier, no
+// bigger SRAM, a fresh scratch, no transfer ids, no 3C attribution, no
 // overlap engine, no recording) and drives the per-process design one
 // page at a time in trace order.
 func runPerProcess(tr trace.Trace, entries int, seed int64) (Result, error) {

@@ -175,8 +175,9 @@ type Result struct {
 	Pins   int64
 	Unpins int64
 	// Compulsory/Capacity/Conflict classify NIMisses (Hill's 3C:
-	// capacity = would also miss in a fully-associative LRU cache of
-	// equal size; conflict = the rest).
+	// compulsory = the page's first reference; capacity = would also
+	// miss in a fully-associative LRU cache of equal size, i.e. its
+	// LRU stack distance is at least CacheEntries; conflict = the rest).
 	Compulsory int64
 	Capacity   int64
 	Conflict   int64
@@ -258,13 +259,17 @@ func rate(n, total int64) float64 {
 }
 
 // RunScratch recycles one run's working state into the next: the
-// cache's line records, the 3C classifier's page tables and node slab,
-// host memory's frame arrays and backing, the pid list, each process
-// slot's address space, pin bit vector, policy table, pre-pin buffer,
-// per-process table and lookup tree, the batch staging buffers, and
-// the overlap engine — the event kernel's queue, the DMA channel pool
-// and the Sequencer's holding slice. Together these are the bulk of a
-// run's setup allocations.
+// cache's line records, host memory's frame arrays and backing, each
+// process slot's address space, pin bit vector, policy table, pre-pin
+// buffer, per-process table and lookup tree, the batch staging
+// buffers, and the overlap engine — the event kernel's queue, the DMA
+// channel pool and the Sequencer's holding slice. Together these are
+// the bulk of a run's setup allocations.
+// It also memoises the prepared form of the last memoTraces traces it
+// ran (see prepared), about 40 bytes per page reference each, so a
+// sweep that runs one trace under many configurations, 8 traces or
+// fewer apart, sorts, surveys and measures it once. The scratches Run
+// pools share one such memo, held until ResetTraceMemo.
 // The zero value (or NewRunScratch) is ready to use; a scratch serves
 // one run at a time, and results never depend on what a previous run
 // left behind — every structure is reset on reuse. A scratch keeps
@@ -272,9 +277,8 @@ func rate(n, total int64) float64 {
 // its next run or its own collection.
 type RunScratch struct {
 	cacheStorage *tlbcache.Storage
-	cls          *classifier
+	memo         *traceMemo
 	mem          *phys.Memory
-	pids         []units.ProcID
 	spaces       []*vm.Space
 	libs         []*core.LibScratch
 	vpns         []units.VPN
@@ -305,29 +309,78 @@ func (s *RunScratch) storage() *tlbcache.Storage {
 	return s.cacheStorage
 }
 
-// classifier hands out the 3C classifier, reset for capacity and
-// slots processes.
-func (s *RunScratch) classifier(capacity, slots int) *classifier {
-	if s.cls == nil {
-		s.cls = newClassifier(capacity, slots)
-	} else {
-		s.cls.reset(capacity, slots)
-	}
-	return s.cls
+// memoTraces is how many prepared traces a scratch keeps.
+const memoTraces = 8
+
+// prepared is what every run of one trace needs of it and no Config
+// changes: the records in replay order, the process slots (the
+// trace's pids, ascending), each record's slot, and each page
+// reference's LRU stack distance (trace.StackDistances). The
+// distances are the 3C split of any cache size: by Mattson's
+// argument a fully associative LRU cache of C entries hits a
+// reference iff 0 <= d < C, so a miss with d < 0 is compulsory, one
+// with d >= C capacity and any other conflict (run.classify).
+// Everything but src is set once, by build, under once.
+type prepared struct {
+	src   trace.Trace // a copy of the input as given, which a memo hit must equal
+	once  sync.Once
+	recs  trace.Trace // src in replay order (src itself when already sorted)
+	pids  []units.ProcID
+	slots []int32 // by record
+	dist  []int32 // by page reference, in replay order
 }
 
-// survey lists tr's process IDs ascending, as trace.PIDs does, in a
-// scratch-owned slice instead of a per-run map.
-func (s *RunScratch) survey(tr trace.Trace) []units.ProcID {
-	pids := s.pids[:0]
-	for i, r := range tr {
-		if (i == 0 || r.PID != tr[i-1].PID) && !slices.Contains(pids, r.PID) {
-			pids = append(pids, r.PID)
+func (p *prepared) build() {
+	p.recs = p.src
+	if !p.src.IsSortedByTime() {
+		p.recs = slices.Clone(p.src)
+		p.recs.SortByTime()
+	}
+	for _, r := range p.recs {
+		if !slices.Contains(p.pids, r.PID) {
+			p.pids = append(p.pids, r.PID)
 		}
 	}
-	slices.Sort(pids)
-	s.pids = pids
-	return pids
+	slices.Sort(p.pids)
+	p.slots = make([]int32, len(p.recs))
+	for i, r := range p.recs {
+		p.slots[i] = int32(slices.Index(p.pids, r.PID))
+	}
+	p.dist = trace.StackDistances(p.recs)
+}
+
+// traceMemo keeps the prepared form of the last memoTraces traces,
+// most recently used first. Its lock guards the list, the compares
+// and the copy of a new trace; the build runs outside it, once per
+// entry, so concurrent runs of one new trace wait for one build and
+// runs of other traces do not wait at all. Run's pooled scratches
+// share one (pooledMemo).
+type traceMemo struct {
+	mu      sync.Mutex
+	entries [memoTraces]*prepared
+}
+
+// prepare returns tr's prepared form, from the memo when an entry's
+// records equal tr's one for one (never by identity alone: a caller
+// may rewrite a trace in place between runs), else built from a copy
+// of tr and memoised in place of the least recently used entry.
+func (s *RunScratch) prepare(tr trace.Trace) *prepared {
+	if s.memo == nil {
+		s.memo = new(traceMemo)
+	}
+	m := s.memo
+	m.mu.Lock()
+	i := slices.IndexFunc(m.entries[:], func(p *prepared) bool { return p != nil && slices.Equal(p.src, tr) })
+	if i < 0 {
+		i = memoTraces - 1
+		m.entries[i] = &prepared{src: slices.Clone(tr)}
+	}
+	p := m.entries[i]
+	copy(m.entries[1:i+1], m.entries[:i])
+	m.entries[0] = p
+	m.mu.Unlock()
+	p.once.Do(p.build)
+	return p
 }
 
 // memory hands out host memory, reset to size bytes.
@@ -373,9 +426,27 @@ func (s *RunScratch) batchBufs(b int) ([]units.VPN, []core.TranslateInfo) {
 // scratchPool recycles RunScratch values across Run calls and across
 // the worker goroutines of parallel experiment sweeps: each worker
 // checks out its own scratch for the duration of a run, so reuse never
-// shares state between concurrent runs. Scratch contents never affect
-// results, so pooling cannot perturb determinism.
-var scratchPool = sync.Pool{New: func() any { return NewRunScratch() }}
+// shares state between concurrent runs but the prepared traces of
+// pooledMemo, which are read-only once built. Scratch contents never
+// affect results, so pooling cannot perturb determinism.
+var scratchPool = sync.Pool{New: func() any { return &RunScratch{memo: &pooledMemo} }}
+
+// pooledMemo is the pooled scratches' one memo. It outlives the
+// collections that empty the pool, and concurrent sweeps of one trace
+// keep one prepared copy of it, not one per scratch: `utlbsim -exp all
+// -parallel 8` peaked at twice its RSS with a memo per pooled scratch.
+// It holds its traces until they are evicted or ResetTraceMemo drops
+// them.
+var pooledMemo traceMemo
+
+// ResetTraceMemo drops the prepared traces Run's pooled scratches
+// share, for long-lived processes that reset workload's trace store
+// to get the memory back. Runs in progress keep what they hold.
+func ResetTraceMemo() {
+	pooledMemo.mu.Lock()
+	defer pooledMemo.mu.Unlock()
+	clear(pooledMemo.entries[:])
+}
 
 // Run drives tr through the configured mechanism and returns the
 // measured statistics. The trace is processed in timestamp order; all
@@ -398,23 +469,15 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	if scr == nil {
 		scr = NewRunScratch()
 	}
-	// Generated and merged traces are already serialised; a stable sort
-	// would be a no-op, so skip the copy entirely and read tr in place
-	// (Run never mutates the trace).
-	sorted := tr
-	if !tr.IsSortedByTime() {
-		sorted = append(trace.Trace(nil), tr...)
-		sorted.SortByTime()
-	}
+	p := scr.prepare(tr)
 
 	// The paper's "infinite host memory": a frame for every page each
 	// process can address and for each of its second-level tables, plus
 	// the garbage frame. Memory costs nothing for frames it never hands
 	// out.
-	pids := scr.survey(sorted)
-	frames := int64(len(pids))*(core.VASpacePages+core.DirEntries) + 1
+	frames := int64(len(p.pids))*(core.VASpacePages+core.DirEntries) + 1
 	r := &scr.run
-	*r = run{cfg: cfg, scr: scr, pids: pids, res: Result{Config: cfg}}
+	*r = run{cfg: cfg, scr: scr, pids: p.pids, dist: p.dist, res: Result{Config: cfg}}
 	r.host = hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
 	nicClock := units.NewClock()
 	b := bus.New(r.host.Memory(), nicClock, bus.DefaultCosts())
@@ -428,13 +491,12 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	r.tap = obs.NewTap(r.timing.setup(cfg, scr, r.host, b, r.nic), 0)
 	r.host.SetTap(r.tap)
 	b.SetTap(r.tap)
-	r.cls = scr.classifier(cfg.CacheEntries, len(pids))
 
 	m, width, err := designs[cfg.Mechanism].build(r)
 	if err != nil {
 		return r.res, err
 	}
-	for i, pid := range pids {
+	for i, pid := range p.pids {
 		proc, err := r.host.Spawn(pid, "proc", scr.space(i, pid, r.host.Memory(), cfg.PinLimitPages))
 		if err != nil {
 			return r.res, err
@@ -450,13 +512,14 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	// dispatch, charge- and event-identical to the unbatched model. A
 	// record that spans no page is no lookup, in any design.
 	vpns, infos := scr.batchBufs(width)
-	for _, rec := range sorted {
+	ref := 0 // the page reference the next translation is, in p.dist
+	for k, rec := range p.recs {
 		pages := units.PagesSpanned(rec.VA, int(rec.Bytes))
 		if pages == 0 {
 			continue
 		}
 		r.tap.Begin()
-		slot := r.slot(rec.PID)
+		slot := int(p.slots[k])
 		if err := m.post(slot, rec); err != nil {
 			return r.res, fmt.Errorf("sim: lookup %v/%#x: %w", rec.PID, rec.VA, err)
 		}
@@ -472,8 +535,11 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 				return r.res, fmt.Errorf("sim: translate %v/%#x: %w", rec.PID, vpns[0], err)
 			}
 			for i := 0; i < n; i++ {
-				r.classify(slot, rec.PID, vpns[i], !infos[i].Hit)
+				if !infos[i].Hit {
+					r.classify(ref+i, rec.PID, vpns[i])
+				}
 			}
+			ref += n
 		}
 	}
 	m.finish(&r.res)

@@ -3,9 +3,12 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"utlb/internal/core"
+	"utlb/internal/obs"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 	"utlb/internal/workload"
@@ -318,8 +321,8 @@ func TestRunDoesNotMutateUnsortedInput(t *testing.T) {
 }
 
 func TestRunSortedFastPathMatchesSorted(t *testing.T) {
-	// An unsorted trace (copy+sort path) and its pre-sorted equivalent
-	// (in-place path) must produce identical results.
+	// An unsorted trace (its prepared copy sorted) and its pre-sorted
+	// equivalent must produce identical results.
 	tr := smallTrace(t, "radix", 0.05)
 	shuffled := append(trace.Trace(nil), tr...)
 	for i := len(shuffled) - 1; i > 0; i-- {
@@ -396,52 +399,50 @@ func TestContextSwitchesCharged(t *testing.T) {
 	}
 }
 
-// The classifier's shadow cache is a fully associative LRU cache, so
-// it must hit exactly the references whose stack distance is below its
-// capacity, and see a first reference exactly where the distance is -1:
-// checked reference by reference on every application, over the trace
-// in the replay loop's order.
-func TestMissRatioMatchesStackDistances(t *testing.T) {
-	for _, app := range workload.Names() {
-		tr := append(trace.Trace(nil), smallTrace(t, app, 0.1)...)
-		tr.SortByTime()
-		dist := trace.StackDistances(tr)
-		pids := tr.PIDs()
-		for _, capacity := range []int{64, 128, 256, 512, 1024} {
-			c := newClassifier(capacity, len(pids))
-			j, mismatches := 0, 0
-			for _, r := range tr {
-				slot := slices.Index(pids, r.PID)
-				for p := 0; p < units.PagesSpanned(r.VA, int(r.Bytes)); p++ {
-					first, hit := c.touch(slot, r.VA.PageOf()+units.VPN(p))
-					d := int(dist[j])
-					if first != (d == -1) || hit != (d >= 0 && d < capacity) {
-						if mismatches++; mismatches <= 3 {
-							t.Errorf("%s C=%d: reference %d at distance %d: first %v, shadow hit %v",
-								app, capacity, j, d, first, hit)
-						}
-					}
-					j++
-				}
-			}
-			if j != len(dist) {
-				t.Errorf("%s C=%d: %d references, %d distances", app, capacity, j, len(dist))
-			}
+// TestClassifyAtStackDistanceBoundaries pins the 3C mapping where it
+// turns: a miss at stack distance -1 is compulsory, at C-1 conflict
+// (a fully associative LRU cache of C entries would have hit it) and
+// at C capacity. Each class lands in the Result and, recorded, as an
+// instant of its kind carrying the page.
+func TestClassifyAtStackDistanceBoundaries(t *testing.T) {
+	const capacity = 4
+	r, _ := newDesignRig(t, cfg(UTLB, capacity), 7)
+	buf := obs.NewBuffer("classify")
+	r.tap = obs.NewTap(buf, 0)
+	r.dist = []int32{-1, capacity - 1, capacity}
+	for ref := range r.dist {
+		r.classify(ref, 7, units.VPN(10+ref))
+	}
+	if got := [3]int64{r.res.Compulsory, r.res.Conflict, r.res.Capacity}; got != [3]int64{1, 1, 1} {
+		t.Errorf("compulsory, conflict, capacity = %v, want one each", got)
+	}
+	want := []obs.Kind{obs.KindMissCompulsory, obs.KindMissConflict, obs.KindMissCapacity}
+	evs := buf.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("%d events, want %d", len(evs), len(want))
+	}
+	for i, ev := range evs {
+		if ev.Kind != want[i] || ev.PID != 7 || ev.Arg != uint32(10+i) {
+			t.Errorf("distance %d: event %v pid %d arg %d, want %v pid 7 arg %d", r.dist[i], ev.Kind, ev.PID, ev.Arg, want[i], 10+i)
 		}
 	}
 }
 
-// RunWith lists the process slots in a scratch-held slice instead of
-// trace.PIDs' per-call map; the two lists must agree on every
-// application, with one scratch reused across all of them so a leftover
-// entry would show.
+// A prepared trace lists the process slots trace.PIDs lists and gives
+// each record the slot of its pid, on every application, with one
+// scratch reused across all of them so a leftover entry would show.
 func TestSurveyMatchesTraceSummaries(t *testing.T) {
 	scr := NewRunScratch()
 	for _, app := range workload.Names() {
 		tr := smallTrace(t, app, 0.2)
-		pids := scr.survey(tr)
-		if want := tr.PIDs(); !slices.Equal(pids, want) {
-			t.Errorf("%s: survey pids %v, trace.PIDs %v", app, pids, want)
+		p := scr.prepare(tr)
+		if want := tr.PIDs(); !slices.Equal(p.pids, want) {
+			t.Errorf("%s: prepared pids %v, trace.PIDs %v", app, p.pids, want)
+		}
+		for i, rec := range p.recs {
+			if p.pids[p.slots[i]] != rec.PID {
+				t.Fatalf("%s: record %d of pid %v in slot %d", app, i, rec.PID, p.slots[i])
+			}
 		}
 	}
 }
@@ -481,6 +482,77 @@ func TestWarmScratchMatchesFresh(t *testing.T) {
 				t.Errorf("%v/%v: no evictions, the victim scan was not exercised", mech, p)
 			}
 		}
+	}
+}
+
+// A scratch memoises each trace's prepared form, so every way a
+// memoised trace can be wrong must be caught: a trace rewritten in
+// place between two runs (same backing array, same length), more
+// distinct traces than the memo keeps, round-robin so that each run
+// follows an eviction, and an unsorted input, which must also equal
+// its sorted copy. Each run on the shared scratch equals a run of the
+// same trace on a fresh one, and a memo hit allocates nothing.
+func TestPreparedMemoMatchesFresh(t *testing.T) {
+	c := cfg(UTLB, 256)
+	scr := NewRunScratch()
+	same := func(what string, tr trace.Trace) Result {
+		t.Helper()
+		fresh, err := RunWith(tr, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo, err := RunWith(tr, c, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh != memo {
+			t.Errorf("%s: memoised scratch changed the result:\nfresh %+v\nmemo  %+v", what, fresh, memo)
+		}
+		return fresh
+	}
+
+	tr := slices.Clone(smallTrace(t, "fft", 0.05))
+	before := same("before the rewrite", tr)
+	if allocs := testing.AllocsPerRun(5, func() { scr.prepare(tr) }); allocs != 0 {
+		t.Errorf("a memo hit allocates %v times", allocs)
+	}
+	for i := range tr { // the same records folded onto 64 pages: every reuse distance moves
+		tr[i].VA %= 64 * units.PageSize
+	}
+	if after := same("rewritten in place", tr); after == before {
+		t.Error("the rewrite changed no counter; the case proves nothing")
+	}
+
+	var traces []trace.Trace
+	for _, app := range workload.Names() {
+		for _, seed := range []int64{1, 2} {
+			s, err := workload.ByName(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces = append(traces, s.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: seed, Scale: 0.02}))
+		}
+	}
+	if len(traces) <= memoTraces {
+		t.Fatalf("%d traces do not overflow a %d-trace memo", len(traces), memoTraces)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, tr := range traces {
+			same(fmt.Sprintf("pass %d, trace %d of %d", pass, i, len(traces)), tr)
+		}
+	}
+	if n := slices.Index(scr.memo.entries[:], nil); n >= 0 {
+		t.Errorf("memo holds %d traces, want %d", n, memoTraces)
+	}
+
+	sorted := smallTrace(t, "barnes", 0.05)
+	k := len(sorted) / 2 // rotate at a time step, so sorting restores every tie's order
+	for sorted[k].Time == sorted[k-1].Time {
+		k++
+	}
+	shuffled := append(slices.Clone(sorted[k:]), sorted[:k]...)
+	if got, want := same("unsorted", shuffled), same("its sorted copy", sorted); got != want {
+		t.Errorf("unsorted input %+v, sorted %+v", got, want)
 	}
 }
 
@@ -540,5 +612,95 @@ func BenchmarkRunWith(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lookups), "ns/lookup")
 		})
+	}
+}
+
+// Run's pooled scratches share one memo: runs from several goroutines
+// at once, over more traces than it keeps, each equal their sequential
+// twin.
+func TestPooledMemoConcurrent(t *testing.T) {
+	var traces []trace.Trace
+	for _, seed := range []int64{1, 2} {
+		for _, app := range workload.Names() {
+			s, err := workload.ByName(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces = append(traces, s.Generate(workload.Config{Node: 0, FirstPID: 1, Seed: seed, Scale: 0.02}))
+		}
+	}
+	c := cfg(Interrupt, 128)
+	want := make([]Result, len(traces))
+	for i, tr := range traces {
+		res, err := RunWith(tr, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range traces {
+				i := (k + 3*g) % len(traces)
+				if got, err := Run(traces[i], c); err != nil || got != want[i] {
+					t.Errorf("goroutine %d, trace %d: %+v (%v), want %+v", g, i, got, err, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// A trace's build runs outside the memo's lock: while one is in
+// progress, a run of the same trace waits for that build rather than
+// starting its own, and a run of another trace prepares without
+// waiting.
+func TestPrepareBuildsOutsideTheLock(t *testing.T) {
+	a, b := smallTrace(t, "fft", 0.02), smallTrace(t, "lu", 0.02)
+	scr := NewRunScratch()
+	scr.memo = new(traceMemo)
+	building := &prepared{src: slices.Clone(a)}
+	scr.memo.entries[0] = building
+	started, release := make(chan struct{}), make(chan struct{})
+	go building.once.Do(func() { close(started); <-release })
+	<-started
+
+	same := make(chan *prepared)
+	go func() { same <- scr.prepare(a) }()
+	select {
+	case <-same:
+		t.Fatal("a run of the trace being built did not wait for its build")
+	case <-time.After(50 * time.Millisecond):
+	}
+	other := make(chan *prepared)
+	go func() { other <- scr.prepare(b) }()
+	select {
+	case p := <-other:
+		if !slices.Equal(p.recs, b) {
+			t.Error("the other trace's prepared records differ from it")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a run of another trace waited for a build in progress")
+	}
+	close(release)
+	if p := <-same; p != building {
+		t.Error("a run of the trace being built got an entry of its own")
+	}
+}
+
+// ResetTraceMemo empties the memo Run's pooled scratches share.
+func TestResetTraceMemo(t *testing.T) {
+	if _, err := Run(smallTrace(t, "fft", 0.02), cfg(UTLB, 128)); err != nil {
+		t.Fatal(err)
+	}
+	if pooledMemo.entries[0] == nil {
+		t.Fatal("a run left the pooled memo empty")
+	}
+	ResetTraceMemo()
+	if i := slices.IndexFunc(pooledMemo.entries[:], func(p *prepared) bool { return p != nil }); i >= 0 {
+		t.Errorf("entry %d survived the reset", i)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // chain, and consecutive pages sit in consecutive slots.
 //
 // It is the simulator's one page-keyed table: a vm.Space's page table
-// (V = pageInfo), a replacement policy's page → position index and the
-// 3C classifier's per-process page → node index (V = int32). VPNs are
+// (V = pageInfo), a replacement policy's page → position index and
+// trace.StackDistances' per-process page → latest reference index
+// (V = int32). VPNs are
 // bounded by units.VASpacePages; any other VPN panics.
 //
 // Leaves are allocated on first touch. Reset clears only the leaves

@@ -3,9 +3,11 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
+	"utlb/internal/tlbcache"
 	"utlb/internal/units"
 )
 
@@ -133,12 +135,10 @@ func meanRunLength(t Trace) float64 {
 // the references with 0 <= d < C. It is Mattson's one-pass algorithm:
 // a Fenwick tree over reference positions marks each pair's latest
 // use, so a distance is the marks between two positions, and the pass
-// is O(N log N) in the N references.
+// is O(N log N) in the N references. Each process' latest uses sit in
+// a page-indexed table, so a page at or past core.VASpacePages, which
+// the codec rejects, is out of range and panics.
 func StackDistances(t Trace) []int32 {
-	type pk struct {
-		pid units.ProcID
-		vpn units.VPN
-	}
 	n := 0
 	for _, r := range t {
 		n += units.PagesSpanned(r.VA, int(r.Bytes))
@@ -156,18 +156,24 @@ func StackDistances(t Trace) []int32 {
 		}
 		return s
 	}
-	last := map[pk]int{}
+	var pids []units.ProcID
+	var last []*tlbcache.PageMap[int32] // by index in pids: each page's latest position
 	for _, r := range t {
+		i := slices.Index(pids, r.PID)
+		if i < 0 {
+			i, pids, last = len(pids), append(pids, r.PID), append(last, new(tlbcache.PageMap[int32]))
+		}
 		pages := units.PagesSpanned(r.VA, int(r.Bytes))
 		for p := 0; p < pages; p++ {
-			k, pos := pk{r.PID, r.VA.PageOf() + units.VPN(p)}, len(dist)
+			pos := len(dist)
+			prev, first := last[i].Ensure(r.VA.PageOf() + units.VPN(p))
 			d := int32(-1)
-			if prev, ok := last[k]; ok {
-				d = before(pos) - before(prev+1)
-				mark(prev, -1)
+			if !first {
+				d = before(pos) - before(int(*prev)+1)
+				mark(int(*prev), -1)
 			}
 			mark(pos, 1)
-			last[k] = pos
+			*prev = int32(pos)
 			dist = append(dist, d)
 		}
 	}

@@ -108,8 +108,7 @@ func (t Trace) Lookups() int { return len(t) }
 // Footprint reports the number of distinct (pid, page) pairs touched —
 // the paper's "communication memory footprint" in 4 KB pages. It
 // builds a map per call, so it is for reporting (traceinfo, tracegen,
-// the experiment tables); sim.RunWith sizes host memory from its own
-// scratch-held table, and a test pins the two counts equal.
+// the experiment tables); sim.RunWith counts no pages.
 func (t Trace) Footprint() int {
 	type pk struct {
 		pid units.ProcID

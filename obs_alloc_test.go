@@ -3,12 +3,12 @@ package utlb_test
 // Hot-path allocation budget suite. Each test measures one steady-state
 // operation over a fixed number of runs and fails when it allocates past
 // an exact budget. The budgets are deliberately tight: every reusable
-// structure on these paths (cache storage, classifier slab, per-process
-// library scratch, the dense key table, the memoised trace store) is
-// supposed to survive across operations, so a regression here means a
-// reuse path quietly fell back to allocating. The budgets run in the
-// plain test pass only: `make race` skips them, because the race
-// detector's own allocations would be counted against the code.
+// structure on these paths (cache storage, the prepared-trace memo,
+// per-process library scratch, the dense key table, the memoised trace
+// store) is supposed to survive across operations, so a regression
+// here means a reuse path quietly fell back to allocating. The budgets
+// run in the plain test pass only: `make race` skips them, because the
+// race detector's own allocations would be counted against the code.
 
 import (
 	"fmt"
@@ -19,6 +19,7 @@ import (
 	"unsafe"
 
 	"utlb"
+	"utlb/internal/obs/analyze"
 	"utlb/internal/telemetry"
 	"utlb/internal/tlbcache"
 	"utlb/internal/units"
@@ -49,7 +50,11 @@ const simRuns = 10
 // the run's fixed object graph (host, NIC, bus, cache header, driver,
 // one Process — and for UTLB one Lib — per process). A design held in
 // RunScratch allocates nothing of its own per run, and nothing per
-// record: each count is the same at two trace scales. The byte budget
+// record: each count is the same at two trace scales. Every measured
+// run finds its trace prepared in the scratch's memo (sorted, surveyed
+// and its stack distances taken by the warming run), so these budgets
+// are also the memo hit's: a hit compares the records and allocates
+// nothing. The byte budget
 // is the sharper half: a table that quietly went back to being rebuilt
 // costs kilobytes per run long before it costs many allocations. The
 // allocation budgets are exact — the count does not depend on the
@@ -535,14 +540,16 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestScratchAfterCollectionAllocBudget: the Chrome exporter's and the
-// analyzer's scratch outlive garbage collections. A sync.Pool alone is
-// emptied by two, and the call after them would allocate a fresh
-// scratch — so the bytes a run of calls allocates would follow when
-// the collector happened to run. Here a call after two collections
-// allocates exactly what the call before them did.
+// TestScratchAfterCollectionAllocBudget: the Chrome exporter's, the
+// analyzer's and the analysis JSON writer's scratch outlive garbage
+// collections. A sync.Pool alone is emptied by two, and the call after
+// them would allocate a fresh scratch — so the bytes a run of calls
+// allocates would follow when the collector happened to run. Here a
+// call after two collections allocates exactly what the call before
+// them did.
 func TestScratchAfterCollectionAllocBudget(t *testing.T) {
 	runs := []utlb.EventRun{recordedRun(t, 0.1).Run()}
+	rep := utlb.AnalyzeEvents(runs, 10)
 	for _, c := range []struct {
 		name string
 		call func()
@@ -553,6 +560,11 @@ func TestScratchAfterCollectionAllocBudget(t *testing.T) {
 			}
 		}},
 		{"AnalyzeEvents", func() { utlb.AnalyzeEvents(runs, 10) }},
+		{"analyze.WriteJSON", func() {
+			if err := analyze.WriteJSON(io.Discard, rep); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

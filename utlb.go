@@ -156,8 +156,10 @@ func Simulate(tr Trace, cfg SimConfig) (SimResult, error) { return sim.Run(tr, c
 func NewSimScratch() *SimScratch { return sim.NewRunScratch() }
 
 // SimulateWith is Simulate with caller-owned scratch memory: repeated
-// runs through the same scratch reuse the cache storage, classifier
-// and library state instead of reallocating them. Results are
+// runs through the same scratch reuse the cache storage, host memory
+// and library state instead of reallocating them, and a trace run
+// before is not prepared (sorted, surveyed, its stack distances
+// taken) again. Results are
 // identical to Simulate's. The scratch must not be shared between
 // concurrent runs. Simulate itself draws scratch from a pool, so
 // SimulateWith matters when the caller wants a deterministic
