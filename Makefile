@@ -167,8 +167,8 @@ chaos:
 # Overlap soak: the discrete-event engine's determinism gate, shaped
 # like the chaos soak — the overlap experiment (sequential baseline +
 # engine at three DMA pool widths) at two seeds, each run sequentially
-# and at width 8, diffed byte-identical. The event kernel's (time, seq)
-# dispatch order is what makes this hold (DESIGN.md §15).
+# and at width 8, diffed byte-identical. The engine's dispatch order,
+# by time and then post order, is what makes this hold (DESIGN.md §15).
 overlap-soak:
 	rm -rf $(ARTIFACTS)/overlap && mkdir -p $(ARTIFACTS)/overlap
 	for seed in 7 1998; do \

@@ -86,12 +86,11 @@ type Bus struct {
 	// the portion it genuinely depends on (the demand entry of a
 	// prefetch, channel availability for a posted write) and the rest
 	// of the transfer streams on the channel. Each transfer's
-	// completion is a scheduled kernel event, so the run's drain
-	// observes every in-flight DMA landing before the makespan is read.
+	// completion is posted to the kernel, so the run's drain observes
+	// every in-flight DMA landing before the makespan is read.
 	kernel     *event.Kernel
 	dma        *event.Pool
 	inflight   int64
-	completed  int64
 	completeFn event.Handler
 }
 
@@ -108,10 +107,10 @@ func (b *Bus) Costs() Costs { return b.costs }
 // transfer and whose duration is its charged cost.
 func (b *Bus) SetTap(t *obs.Tap) { b.tap = t }
 
-// SetOverlap attaches the discrete-event overlap engine: transfers
-// reserve channels on pool and schedule their completions on k. Both
-// nil (the default) keeps the sequential charging model, where every
-// transfer blocks the NIC clock for its full cost.
+// SetOverlap attaches the overlap engine: transfers reserve channels
+// on pool and post their completions to k. Both nil (the default)
+// keeps the sequential charging model, where every transfer blocks the
+// NIC clock for its full cost.
 func (b *Bus) SetOverlap(k *event.Kernel, pool *event.Pool) {
 	if (k == nil) != (pool == nil) {
 		panic("bus: overlap engine needs both kernel and pool")
@@ -121,8 +120,8 @@ func (b *Bus) SetOverlap(k *event.Kernel, pool *event.Pool) {
 	if k != nil && b.completeFn == nil {
 		// One handler retires every transfer: built once per engine
 		// attach, at run setup, so issuing a DMA allocates nothing
-		// beyond the kernel's heap slot.
-		b.completeFn = func(units.Time) { b.inflight--; b.completed++ }
+		// beyond the kernel's list slot.
+		b.completeFn = func(units.Time) { b.inflight-- }
 	}
 }
 
@@ -131,9 +130,6 @@ func (b *Bus) SetOverlap(k *event.Kernel, pool *event.Pool) {
 // kernel drains — the invariant the simulator checks before reading
 // the makespan.
 func (b *Bus) InFlight() int64 { return b.inflight }
-
-// Completed reports how many overlap-engine transfers have retired.
-func (b *Bus) Completed() int64 { return b.completed }
 
 // transfer charges one DMA of the given cost, and is the one place the
 // bus chooses between its two charging modes. Sequentially the NIC

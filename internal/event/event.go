@@ -1,169 +1,139 @@
-// Package event is the deterministic discrete-event kernel the
-// simulators schedule overlapping work on: DMA fills, pin/reclaim
-// upcalls and interrupt service become events with integer
-// units.Time timestamps instead of strictly sequential clock charges.
-//
-// Determinism is the package's whole contract. The run queue is a
-// binary min-heap ordered by (time, seq): seq is a dense counter
-// assigned at scheduling, so events with equal timestamps dispatch in
-// FIFO scheduling order — never in heap-internal or map order. A
-// kernel is confined to one goroutine (each simulation run owns its
-// own), so draining the same schedule produces byte-identical
-// dispatch order at any -parallel experiment width.
+// Package event is the overlap engine's deterministic ordering: DMA
+// completions and recorded events posted with units.Time timestamps
+// while a run executes are delivered, when it closes its books, in
+// (time, post order). Each run owns its kernel, so the same posts
+// drain byte-identically at any -parallel width.
 package event
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 
+	"utlb/internal/obs"
 	"utlb/internal/units"
 )
 
-// Handler is one scheduled event's action, invoked with the kernel's
-// current time (the event's timestamp). Handlers may schedule further
-// events, at or after the current time.
+// Handler is a posted event's action, invoked with its timestamp.
 type Handler func(now units.Time)
 
-// item is one heap slot.
-type item struct {
-	at  units.Time
-	seq uint64
-	fn  Handler
+// stamped is one posted item and the time it is delivered at.
+type stamped[T any] struct {
+	at units.Time
+	v  T
 }
 
-// before is the (time, seq) ordering: earlier time first, FIFO
-// scheduling order among equal timestamps.
-func (it item) before(other item) bool {
-	if it.at != other.at {
-		return it.at < other.at
+// timed is a list of posted items in post order; drain sorts it stably
+// by time, so equal timestamps keep their post order.
+type timed[T any] []stamped[T]
+
+// post appends v at time at, clamped to k's Now. Posting while k
+// drains panics: the item would land at an instant already passed.
+func (l *timed[T]) post(k *Kernel, at units.Time, v T) {
+	if k.draining {
+		panic("event: posted while draining")
 	}
-	return it.seq < other.seq
+	if len(*l) == cap(*l) {
+		// Double: append grows a large slice by a quarter, copying 5× over.
+		*l = slices.Grow(*l, max(len(*l), 256))
+	}
+	*l = append(*l, stamped[T]{max(at, k.now), v})
 }
 
-// Kernel is the event queue of one simulated node (or one run). The
-// zero value is ready to use; NewKernel exists for symmetry with the
-// rest of the tree.
+// drain delivers l's items in (time, post order), each moving k's Now
+// up to its time, then empties l, keeping its capacity.
+func drain[T any](k *Kernel, l *timed[T], deliver func(now units.Time, v T)) int64 {
+	items := *l
+	slices.SortStableFunc(items, func(a, b stamped[T]) int { return cmp.Compare(a.at, b.at) })
+	k.draining = true
+	for _, it := range items {
+		k.now = max(k.now, it.at)
+		deliver(k.now, it.v)
+	}
+	k.draining = false
+	clear(items)
+	*l = items[:0]
+	return int64(len(items))
+}
+
+// Kernel is one run's posted handlers and the clock they drain along;
+// its zero value is ready to use.
 type Kernel struct {
-	heap []item
-	seq  uint64
-	now  units.Time
-	// dispatched counts events run, for tests and progress reporting.
-	dispatched int64
+	handlers timed[Handler]
+	now      units.Time
+	draining bool
 }
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel { return &Kernel{} }
 
-// Reset returns the kernel to time zero with nothing scheduled — events
-// still pending are dropped unrun, their handlers released — and keeps
-// the queue's capacity for the next run.
+// Reset returns the kernel to time zero with nothing posted, dropping
+// and releasing handlers not yet run, and keeps the list's capacity.
 func (k *Kernel) Reset() {
-	clear(k.heap)
-	*k = Kernel{heap: k.heap[:0]}
+	clear(k.handlers)
+	*k = Kernel{handlers: k.handlers[:0]}
 }
 
-// Now reports the kernel's current time: the timestamp of the last
-// dispatched event (zero before the first dispatch).
+// Now reports the time of the last delivered item (zero before one).
 func (k *Kernel) Now() units.Time { return k.now }
 
-// Pending reports how many events are scheduled but not yet run.
-func (k *Kernel) Pending() int { return len(k.heap) }
-
-// Dispatched reports how many events have run since construction.
-func (k *Kernel) Dispatched() int64 { return k.dispatched }
-
-// At schedules fn at absolute time t. Scheduling into the past (t
-// earlier than the event being dispatched) clamps to the current
-// time — the event still runs, after everything already queued there,
-// because its seq is newer. A nil handler panics at scheduling time,
-// where the bug is, not at dispatch.
+// At posts fn at time t, clamped to Now (a late post runs at Now, after
+// all posted there). A nil handler panics here, where the bug is.
 func (k *Kernel) At(t units.Time, fn Handler) {
 	if fn == nil {
 		panic("event: nil handler scheduled")
 	}
-	if t < k.now {
-		t = k.now
-	}
-	k.push(item{at: t, seq: k.seq, fn: fn})
-	k.seq++
+	k.handlers.post(k, t, fn)
 }
 
-// After schedules fn d after the kernel's current time. Negative
-// delays clamp to zero.
-func (k *Kernel) After(d units.Time, fn Handler) {
-	if d < 0 {
-		d = 0
-	}
-	k.At(k.now+d, fn)
-}
-
-// Step dispatches the single earliest event and reports whether one
-// was run.
-func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
-		return false
-	}
-	it := k.pop()
-	k.now = it.at
-	k.dispatched++
-	it.fn(k.now)
-	return true
-}
-
-// Run drains the queue — including events scheduled by handlers while
-// draining — and reports how many events were dispatched by this
-// call.
+// Run dispatches every posted handler in (time, post order) and
+// reports how many it ran. A handler that calls At panics. The literal
+// captures nothing, so Run inlined into a caller allocates nothing.
 func (k *Kernel) Run() int64 {
-	start := k.dispatched
-	for k.Step() {
-	}
-	return k.dispatched - start
+	return drain(k, &k.handlers, func(now units.Time, fn Handler) { fn(now) })
 }
 
-// push/pop are a hand-rolled binary heap over (time, seq): no
-// interface boxing, no container/heap indirection, and the ordering
-// is exactly the documented one.
+// Sequencer is an obs.Recorder that holds events back and, at Drain,
+// delivers them to the wrapped recorder in (time, record order): under
+// overlap a DMA tail is recorded after the host has moved on, so virtual
+// time, not call order, orders what the analyzers see. It runs on its
+// kernel's clock and drops everything over a nil recorder.
+type Sequencer struct {
+	k    *Kernel
+	sink obs.Recorder
+	held timed[obs.Event]
+}
 
-func (k *Kernel) push(it item) {
-	k.heap = append(k.heap, it)
-	i := len(k.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !k.heap[i].before(k.heap[parent]) {
-			break
-		}
-		k.heap[i], k.heap[parent] = k.heap[parent], k.heap[i]
-		i = parent
+// NewSequencer returns a Sequencer on k's clock delivering to sink. A
+// nil kernel panics.
+func NewSequencer(k *Kernel, sink obs.Recorder) *Sequencer {
+	s := &Sequencer{}
+	s.Reset(k, sink)
+	return s
+}
+
+// Reset rebinds the Sequencer to k and sink, dropping undelivered what
+// a run left held, and keeps the slice's capacity.
+func (s *Sequencer) Reset(k *Kernel, sink obs.Recorder) {
+	if k == nil {
+		panic("event: Sequencer with nil kernel")
+	}
+	*s = Sequencer{k: k, sink: sink, held: s.held[:0]}
+}
+
+// Record holds e for delivery at e.Time, clamped to the kernel's Now.
+// A sink that records into its Sequencer while it drains panics.
+func (s *Sequencer) Record(e obs.Event) {
+	if s.sink != nil {
+		s.held.post(s.k, e.Time, e)
 	}
 }
 
-func (k *Kernel) pop() item {
-	h := k.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = item{} // release the handler
-	k.heap = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && k.heap[l].before(k.heap[smallest]) {
-			smallest = l
-		}
-		if r < last && k.heap[r].before(k.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		k.heap[i], k.heap[smallest] = k.heap[smallest], k.heap[i]
-		i = smallest
+// Drain runs the kernel, then delivers every held event in (time,
+// record order), and reports how many handlers and events it delivered.
+func (s *Sequencer) Drain() int64 {
+	n := s.k.Run()
+	if s.sink != nil {
+		n += drain(s.k, &s.held, func(_ units.Time, e obs.Event) { s.sink.Record(e) })
 	}
-	return top
-}
-
-// String summarises the kernel state for debugging.
-func (k *Kernel) String() string {
-	return fmt.Sprintf("event.Kernel{now: %v, pending: %d, dispatched: %d}",
-		k.now, len(k.heap), k.dispatched)
+	return n
 }

@@ -8,11 +8,11 @@ import (
 	"utlb/internal/units"
 )
 
-// TestKernelReset: a kernel reset mid-run — events dispatched, more
-// still queued — is a fresh kernel with a grown queue: nothing pending,
-// no handler kept alive in the slots it no longer uses, time, seq and
-// the dispatch count back at zero, so the same schedule dispatches in
-// the same order, FIFO among equal timestamps.
+// TestKernelReset: a kernel reset with a run behind it and handlers
+// still posted is a fresh kernel with a grown list: nothing posted, no
+// handler kept alive in the slots it no longer uses, time back at zero,
+// so the same posts dispatch in the same order, FIFO among equal
+// timestamps, and the dropped handlers never run.
 func TestKernelReset(t *testing.T) {
 	script := func(k *Kernel) (order []int) {
 		for i, at := range []units.Time{30, 10, 30, 10, 20, 10} {
@@ -24,31 +24,29 @@ func TestKernelReset(t *testing.T) {
 	want := script(NewKernel())
 
 	k := NewKernel()
+	k.At(50, func(units.Time) {})
+	k.Run()
 	dropped := 0
 	for i := 0; i < 100; i++ {
 		k.At(units.Time(1000-i), func(units.Time) { dropped++ })
 	}
-	for i := 0; i < 40; i++ {
-		k.Step()
-	}
-	ran := dropped
 	k.Reset()
-	if k.Pending() != 0 || k.Now() != 0 || k.Dispatched() != 0 || k.seq != 0 {
-		t.Fatalf("after Reset: %v, seq %d", k, k.seq)
+	if len(k.handlers) != 0 || k.Now() != 0 || k.draining {
+		t.Fatalf("after Reset: %d posted, now %v, draining %v", len(k.handlers), k.Now(), k.draining)
 	}
-	if cap(k.heap) < 100 {
-		t.Errorf("Reset dropped the queue's capacity: %d", cap(k.heap))
+	if cap(k.handlers) < 100 {
+		t.Errorf("Reset dropped the list's capacity: %d", cap(k.handlers))
 	}
-	for i, it := range k.heap[:cap(k.heap)] {
-		if it.fn != nil {
-			t.Fatalf("heap slot %d still holds a handler", i)
+	for i, it := range k.handlers[:cap(k.handlers)] {
+		if it.v != nil {
+			t.Fatalf("list slot %d still holds a handler", i)
 		}
 	}
 	if got := script(k); !reflect.DeepEqual(got, want) {
 		t.Errorf("dispatch order after Reset %v, fresh kernel %v", got, want)
 	}
-	if dropped != ran || k.Dispatched() != int64(len(want)) || k.Now() != 30 {
-		t.Errorf("after the rerun: %d dropped handlers ran, %v", dropped-ran, k)
+	if dropped != 0 || k.Now() != 30 {
+		t.Errorf("after the rerun: %d dropped handlers ran, now %v", dropped, k.Now())
 	}
 }
 
@@ -61,13 +59,18 @@ func TestPoolReset(t *testing.T) {
 	}
 	for _, n := range []int{1, 3, 0, 8} {
 		p.Reset(n)
-		if p.Size() != max(n, 1) || p.Busy() != 0 || p.Horizon() != 0 {
-			t.Fatalf("Reset(%d): size %d busy %v horizon %v", n, p.Size(), p.Busy(), p.Horizon())
+		if p.Busy() != 0 || p.Horizon() != 0 {
+			t.Fatalf("Reset(%d): busy %v horizon %v", n, p.Busy(), p.Horizon())
 		}
-		for i := 0; i < p.Size(); i++ {
+		size := max(n, 1)
+		for i := 0; i < size; i++ {
 			if s, _, ch := p.Reserve(5, 100); s != 5 || ch != i {
 				t.Fatalf("Reset(%d): reservation %d starts at %v on channel %d, want an idle channel %d", n, i, s, ch, i)
 			}
+		}
+		// Every channel is now busy: one more queues on channel 0.
+		if s, _, ch := p.Reserve(5, 100); s != 105 || ch != 0 {
+			t.Fatalf("Reset(%d): reservation past %d channels starts at %v on channel %d, want 105 on channel 0", n, size, s, ch)
 		}
 	}
 }

@@ -1,103 +1,61 @@
 package event
 
-import "utlb/internal/units"
+import (
+	"slices"
 
-// Timeline models one serially-reusable resource — a DMA channel, an
-// interrupt line, the page-pin lock — as a busy-until horizon.
-// Reserve serialises work on the resource: a request that arrives
-// while the resource is busy starts when it frees, one that arrives
-// while it is idle starts immediately. This is the standard
-// "resource timeline" of discrete-event simulation, reduced to the
-// one operation the simulators need.
-type Timeline struct {
-	free units.Time // the instant the resource next becomes idle
-	busy units.Time // total occupied time, for utilisation reporting
-}
+	"utlb/internal/units"
+)
 
-// Reserve books dur units of exclusive use no earlier than ready and
-// returns the booked [start, end) window. Negative durations clamp to
-// zero (an instantaneous touch still orders against the horizon).
-func (t *Timeline) Reserve(ready, dur units.Time) (start, end units.Time) {
-	if dur < 0 {
-		dur = 0
-	}
-	start = ready
-	if t.free > start {
-		start = t.free
-	}
-	end = start + dur
-	t.free = end
-	t.busy += dur
-	return start, end
-}
-
-// Free reports when the resource next becomes idle.
-func (t *Timeline) Free() units.Time { return t.free }
-
-// Busy reports the total time the resource has been occupied.
-func (t *Timeline) Busy() units.Time { return t.busy }
-
-// Pool is a bank of identical resources — multi-channel DMA engines.
-// Reserve picks the channel that can start the request earliest,
-// breaking ties toward the lowest index so channel selection is a
-// pure function of the request sequence (deterministic at any
-// -parallel width).
+// Pool is a bank of identical DMA channels, each a units.Clock whose
+// Now is when the channel next frees and whose Busy is its occupancy.
+// Channel selection is a pure function of the request sequence.
 type Pool struct {
-	chans []Timeline
+	chans []units.Clock
 }
 
-// NewPool returns a pool of n channels; n < 1 is treated as 1 so a
-// zero-configured pool still serialises instead of panicking.
+// NewPool returns a pool of n channels, at least one.
 func NewPool(n int) *Pool {
 	p := &Pool{}
 	p.Reset(n)
 	return p
 }
 
-// Reset makes p a pool of n idle channels (n < 1 is treated as 1, as in
-// NewPool), reusing the channel array when it is large enough.
+// Reset makes p a pool of n idle channels, at least one, reusing the
+// channel array when it is large enough.
 func (p *Pool) Reset(n int) {
 	n = max(n, 1)
-	if cap(p.chans) < n {
-		p.chans = make([]Timeline, n)
-	}
-	p.chans = p.chans[:n]
+	p.chans = slices.Grow(p.chans[:0], n)[:n]
 	clear(p.chans)
 }
 
-// Size reports the number of channels.
-func (p *Pool) Size() int { return len(p.chans) }
-
-// Reserve books dur on the earliest-available channel (lowest index on
-// ties) and returns the booked window plus the channel index.
+// Reserve books dur of exclusive use, no earlier than ready, on the
+// earliest-free channel (lowest index on ties) and returns the booked
+// [start, end) window and the channel. A negative dur clamps to zero.
 func (p *Pool) Reserve(ready, dur units.Time) (start, end units.Time, ch int) {
-	ch = 0
-	for i := 1; i < len(p.chans); i++ {
-		if p.chans[i].free < p.chans[ch].free {
+	for i := range p.chans {
+		if p.chans[i].Now() < p.chans[ch].Now() {
 			ch = i
 		}
 	}
-	start, end = p.chans[ch].Reserve(ready, dur)
-	return start, end, ch
+	c := &p.chans[ch]
+	c.AdvanceTo(ready)
+	start = c.Now()
+	c.Advance(max(dur, 0))
+	return start, c.Now(), ch
 }
 
-// Horizon reports the latest busy-until instant across all channels —
-// when the whole pool drains.
-func (p *Pool) Horizon() units.Time {
-	var h units.Time
+// Horizon reports when the whole pool drains.
+func (p *Pool) Horizon() (h units.Time) {
 	for i := range p.chans {
-		if p.chans[i].free > h {
-			h = p.chans[i].free
-		}
+		h = max(h, p.chans[i].Now())
 	}
 	return h
 }
 
 // Busy reports the summed occupied time across all channels.
-func (p *Pool) Busy() units.Time {
-	var b units.Time
+func (p *Pool) Busy() (b units.Time) {
 	for i := range p.chans {
-		b += p.chans[i].busy
+		b += p.chans[i].Busy()
 	}
 	return b
 }

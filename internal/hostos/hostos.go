@@ -263,20 +263,22 @@ func (h *Host) Processes() int { return len(h.procs) }
 // pages it already pinned and reports the error; time for the attempted
 // work is still charged, as it would be on a real machine.
 func (h *Host) PinPages(p *Process, vpns []units.VPN) ([]units.PFN, error) {
-	start := h.clock.Now()
-	h.clock.Advance(h.costs.PinCost(len(vpns)))
-	pfns, err := h.pinLocked(p, vpns)
-	h.tap.Span(obs.KindPin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
-	return pfns, err
+	return h.pin(p, vpns, h.costs.PinCost(len(vpns)), obs.KindPin)
 }
 
 // PinPagesInKernel is PinPages without the protection-domain crossing,
 // used by the interrupt-based baseline inside its interrupt handler.
 func (h *Host) PinPagesInKernel(p *Process, vpns []units.VPN) ([]units.PFN, error) {
+	return h.pin(p, vpns, h.costs.KernelPinCost(len(vpns)), obs.KindKernelPin)
+}
+
+// pin is both pin facilities: it charges cost, pins vpns and records
+// the call as a kind span covering everything it charged.
+func (h *Host) pin(p *Process, vpns []units.VPN, cost units.Time, kind obs.Kind) ([]units.PFN, error) {
 	start := h.clock.Now()
-	h.clock.Advance(h.costs.KernelPinCost(len(vpns)))
+	h.clock.Advance(cost)
 	pfns, err := h.pinLocked(p, vpns)
-	h.tap.Span(obs.KindKernelPin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
+	h.tap.Span(kind, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
 	return pfns, err
 }
 
@@ -390,29 +392,27 @@ func (h *Host) tryPin(p *Process, vpn units.VPN) (units.PFN, error) {
 // unpins every page. Unpinning a page that is not pinned is a caller
 // bug and returns an error after charging time.
 func (h *Host) UnpinPages(p *Process, vpns []units.VPN) error {
-	start := h.clock.Now()
-	h.clock.Advance(h.costs.UnpinCost(len(vpns)))
-	err := h.unpinLocked(p, vpns)
-	h.tap.Span(obs.KindUnpin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
-	return err
+	return h.unpin(p, vpns, h.costs.UnpinCost(len(vpns)), obs.KindUnpin)
 }
 
 // UnpinPagesInKernel is UnpinPages without the domain crossing.
 func (h *Host) UnpinPagesInKernel(p *Process, vpns []units.VPN) error {
-	start := h.clock.Now()
-	h.clock.Advance(h.costs.KernelUnpinCost(len(vpns)))
-	err := h.unpinLocked(p, vpns)
-	h.tap.Span(obs.KindKernelUnpin, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
-	return err
+	return h.unpin(p, vpns, h.costs.KernelUnpinCost(len(vpns)), obs.KindKernelUnpin)
 }
 
-func (h *Host) unpinLocked(p *Process, vpns []units.VPN) error {
+// unpin is both unpin facilities: it charges cost, unpins vpns up to
+// the first failure and records the call as a kind span.
+func (h *Host) unpin(p *Process, vpns []units.VPN, cost units.Time, kind obs.Kind) (err error) {
+	start := h.clock.Now()
+	h.clock.Advance(cost)
 	for _, vpn := range vpns {
-		if err := p.space.Unpin(vpn); err != nil {
-			return fmt.Errorf("hostos: unpin page %#x for pid %d: %w", vpn, p.pid, err)
+		if err = p.space.Unpin(vpn); err != nil {
+			err = fmt.Errorf("hostos: unpin page %#x for pid %d: %w", vpn, p.pid, err)
+			break
 		}
 	}
-	return nil
+	h.tap.Span(kind, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
+	return err
 }
 
 // EnterInterrupt delivers a device interrupt to the host: it charges

@@ -3,7 +3,7 @@
 // experiments) out across a bounded set of goroutines while keeping
 // results in submission order, so parallel execution is byte-identical
 // to sequential execution. Every experiment loop in
-// internal/experiments routes through Map/Do; the pool width is
+// internal/experiments routes through Map; the pool width is
 // process-wide and set once from cmd/utlbsim's -parallel flag (or
 // utlb.SetParallelism).
 package parallel
@@ -17,7 +17,7 @@ import (
 // workers is the configured pool width; 0 means GOMAXPROCS.
 var workers atomic.Int64
 
-// SetWorkers fixes the pool width for subsequent Map/Do calls. n <= 0
+// SetWorkers fixes the pool width for subsequent Map calls. n <= 0
 // resets to the default (GOMAXPROCS at call time). Width 1 runs every
 // task inline on the caller's goroutine, preserving strictly
 // sequential behaviour.
@@ -68,8 +68,7 @@ func Map[T any](count int, fn func(i int) (T, error)) ([]T, error) {
 	var (
 		next   atomic.Int64 // next index to claim
 		failed atomic.Int64 // lowest failing index + 1 (0 = none)
-		mu     sync.Mutex
-		errs   = make(map[int]error)
+		errs   = make([]error, count)
 		wg     sync.WaitGroup
 	)
 	wg.Add(w)
@@ -88,9 +87,7 @@ func Map[T any](count int, fn func(i int) (T, error)) ([]T, error) {
 				}
 				v, err := fn(i)
 				if err != nil {
-					mu.Lock()
 					errs[i] = err
-					mu.Unlock()
 					for {
 						f := failed.Load()
 						if f != 0 && int(f)-1 <= i {
@@ -111,13 +108,4 @@ func Map[T any](count int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, errs[int(f)-1]
 	}
 	return results, nil
-}
-
-// Do is Map without result values: it runs fn(0) .. fn(count-1) with
-// bounded concurrency and returns the lowest-index error, if any.
-func Do(count int, fn func(i int) error) error {
-	_, err := Map(count, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

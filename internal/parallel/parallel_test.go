@@ -46,23 +46,6 @@ func TestMapLowestIndexError(t *testing.T) {
 	SetWorkers(0)
 }
 
-func TestDoPropagatesError(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	want := errors.New("boom")
-	if err := Do(10, func(i int) error {
-		if i == 7 {
-			return want
-		}
-		return nil
-	}); !errors.Is(err, want) {
-		t.Errorf("Do error = %v", err)
-	}
-	if err := Do(10, func(int) error { return nil }); err != nil {
-		t.Errorf("Do clean run errored: %v", err)
-	}
-}
-
 func TestSequentialModeRunsInline(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)

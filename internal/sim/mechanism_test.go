@@ -205,9 +205,9 @@ func TestEveryMechanism(t *testing.T) {
 							scr := NewRunScratch()
 							_, left, err := record(prior.tr, prior.cfg, scr)
 							if (err != nil) != prior.fail || (!prior.fail && len(left) <= len(fresh)) ||
-								(prior.fail && scr.kernel.Pending() == 0) {
-								t.Fatalf("%s: %s is not one: err %v, %d events delivered, %d completions left queued",
-									name, prior.name, err, len(left), scr.kernel.Pending())
+								(prior.fail && scr.run.timing.bus.InFlight() == 0) {
+								t.Fatalf("%s: %s is not one: err %v, %d events delivered, %d transfers left in flight",
+									name, prior.name, err, len(left), scr.run.timing.bus.InFlight())
 							}
 							got, after, err := record(tr, c, scr)
 							if err != nil {

@@ -80,8 +80,8 @@ func TestOverlapShortensMakespan(t *testing.T) {
 }
 
 // TestOverlapDeterministic: two identical overlap runs produce
-// identical Results — the kernel's (time, seq) ordering leaves nothing
-// to scheduling accident.
+// identical Results — the kernel's (time, post order) ordering leaves
+// nothing to scheduling accident.
 func TestOverlapDeterministic(t *testing.T) {
 	tr := workload.BulkTransfer(0, 1, 7, 0.08)
 	c := overlapCfg(UTLB, 4, 8)
@@ -126,7 +126,8 @@ func TestOverlapValidation(t *testing.T) {
 
 // TestOverlapRecordingOrdered: with a recorder attached, the Sequencer
 // delivers the run's events in nondecreasing timestamp order (per the
-// kernel's (time, seq) contract) and recording never changes Results.
+// kernel's (time, post order) contract) and recording never changes
+// Results.
 func TestOverlapRecordingOrdered(t *testing.T) {
 	tr := workload.BulkTransfer(0, 1, 42, 0.05)
 	bare, err := Run(tr, overlapCfg(UTLB, 2, 8))

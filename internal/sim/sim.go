@@ -262,7 +262,7 @@ func rate(n, total int64) float64 {
 // cache's line records, host memory's frame arrays and backing, each
 // process slot's address space, pin bit vector, policy table, pre-pin
 // buffer, per-process table and lookup tree, the batch staging
-// buffers, and the overlap engine — the event kernel's queue, the DMA
+// buffers, and the overlap engine — the event kernel's list, the DMA
 // channel pool and the Sequencer's holding slice. Together these are
 // the bulk of a run's setup allocations.
 // It also memoises the prepared form of the last memoTraces traces it

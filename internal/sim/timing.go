@@ -31,9 +31,9 @@ type timing struct {
 // recorder its layers should record to. Under overlap the layers no
 // longer record in timestamp order (a DMA tail completes after the host
 // has moved on), so a Sequencer holds every event and finish delivers
-// them to cfg.Recorder in (time, seq) order. The engine is scr's, reset:
-// its queue and holding slice grow to a run's DMA and event counts, and
-// a run that returned an error may have left either part full.
+// them to cfg.Recorder in (time, record) order. The engine is scr's,
+// reset: its lists grow to a run's DMA and event counts, and a run that
+// returned an error may have left either part full.
 func (t *timing) setup(cfg Config, scr *RunScratch, host *hostos.Host, b *bus.Bus, nic *nicsim.NIC) obs.Recorder {
 	*t = timing{host: host.Clock(), nic: nic.Clock(), bus: b}
 	if !cfg.Overlap.Enabled {

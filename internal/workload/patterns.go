@@ -151,10 +151,10 @@ func taskFarmPattern(rng *rand.Rand, footprint, length, hotPages int, hotRate fl
 			seq = append(seq, rng.Intn(hotPages))
 			continue
 		}
-		obj := hotPages + rng.Intn(maxInt(1, footprint-hotPages))
+		obj := hotPages + rng.Intn(max(1, footprint-hotPages))
 		run := 1 + rng.Intn(3)
 		for i := 0; i < run && len(seq) < length; i++ {
-			seq = append(seq, minInt(obj+i, footprint-1))
+			seq = append(seq, min(obj+i, footprint-1))
 		}
 	}
 	return seq
@@ -201,18 +201,4 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
