@@ -100,7 +100,8 @@ profile-sim:
 # printed. A recorded run should allocate its events' chunks
 # (obs.Buffer.Record) and little else that grows with them; CI uploads
 # both profiles next to profile-sim's, so the next issue on this path
-# starts from a profile too.
+# starts from a profile too. Last, obs's BenchmarkWriteChromeTrace line:
+# the Chrome export alone, ns per event of one recorded fft/Intr run.
 profile-rec:
 	mkdir -p $(ARTIFACTS)/profile
 	$(GO) build -o $(ARTIFACTS)/profile/utlbsim ./cmd/utlbsim
@@ -110,6 +111,7 @@ profile-rec:
 	rm -f $(ARTIFACTS)/profile/rec.trace.json
 	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.prof 2>/dev/null | head -20
 	$(GO) tool pprof -sample_index=alloc_space -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.mprof 2>/dev/null | head -20
+	$(GO) test -run '^$$' -bench '^BenchmarkWriteChromeTrace$$' -benchtime 50x ./internal/obs | grep '^Benchmark'
 
 # CPU profile of the translation service's miss-to-fill path: xlate's
 # BenchmarkLookupFillMixed (the bench's svc_inproc_mixed step: 64-key

@@ -2,11 +2,13 @@ package obs
 
 import (
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
 	"slices"
+	"strconv"
 	"unicode/utf8"
 )
 
@@ -17,11 +19,17 @@ import (
 // nanoseconds, so values are emitted as fixed three-decimal micros —
 // pure integer math, byte-deterministic.
 //
-// The writer's cost is proportional to the bytes it writes: everything
-// before "ts": in an event line depends only on the run, (node, pid)
-// and Kind, so it is rendered once per such triple the run uses; a
-// line is that head copied into one output slice plus digits written
-// in place — no fmt, no encoding/json, no allocation per event.
+// An event line is fixed-width stores: a headWidth copy of its head
+// (all before "ts":, rendered by the tracks pass once per run, (node,
+// pid) and Kind), 16-byte key blocks, and numbers as 8-byte words of
+// digits from a table. A store may run past the line into bytes the
+// next one overwrites, so checking for lineMax bytes of room is a
+// line's one bound check.
+
+const (
+	headWidth = 128 // every line head fits (TestChromeLineBounds)
+	lineMax   = 512 // one line and what its last stores write past it
+)
 
 // chromeTID packs a track identity into a stable thread id. The
 // format only needs tids to be unique within a process and ordered
@@ -30,59 +38,72 @@ func chromeTID(node, pid int, comp component) int {
 	return node*4096 + pid*8 + int(comp)
 }
 
-// digits2 holds "00" to "99"; pow10[k] is 10^k.
-const digits2 = "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849" +
-	"5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+// dec4[n] is n's four decimal digits, "0000" to "9999", as a
+// little-endian word: the first digit is the low byte.
+var dec4 = func() (tab [1e4]uint32) {
+	for n := range tab {
+		tab[n] = uint32('0'+n/1000) | uint32('0'+n/100%10)<<8 | uint32('0'+n/10%10)<<16 | uint32('0'+n%10)<<24
+	}
+	return tab
+}()
 
-var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+// digits8 is u < 10^8's eight digits, zero-padded, as a dec4 pair.
+func digits8(u uint64) uint64 { return uint64(dec4[u/1e4]) | uint64(dec4[u%1e4])<<32 }
 
-// appendDec appends u in decimal, zero-padded to at least width
-// digits, written in place two at a time from the end.
-func appendDec(b []byte, u uint64, width int) []byte {
-	n := bits.Len64(u|1) * 1233 >> 12 // u|1 has u's digits (and 0 one); 1233/4096 ≈ log10(2)
-	if u|1 >= pow10[n] {
-		n++ // the estimate is one short at most
-	}
-	start := len(b)
-	i := start + max(n, width)
-	b = slices.Grow(b, i-start)[:i]
-	for ; i > start+1; u /= 100 {
-		i -= 2
-		r := u % 100 * 2
-		b[i], b[i+1] = digits2[r], digits2[r+1]
-	}
-	if i > start {
-		b[start] = byte('0' + u)
-	}
-	return b
+// put8 writes u < 10^8 at b[i:] without leading zeros and returns the
+// index past it; it stores eight bytes whatever u's width.
+func put8(b []byte, i int, u uint64) int {
+	w := digits8(u)
+	z := bits.TrailingZeros64(w-0x3030303030303030|1<<56) &^ 7 // the leading zeros (at most seven) in bits
+	binary.LittleEndian.PutUint64(b[i:], w>>z)
+	return i + 8 - z>>3
 }
 
-// appendMicros appends ns as a decimal microsecond value with exactly
-// three fractional digits ("12.345") without going through float64:
-// the nanoseconds, zero-padded to four digits, with a '.' before the last three.
-func appendMicros(b []byte, ns int64) []byte {
+// putDec writes u in decimal at b[i:] and returns the index past it:
+// one 8-byte store per eight digits. It stores at most seven bytes
+// past the index it returns.
+func putDec(b []byte, i int, u uint64) int {
+	if u < 1e8 {
+		return put8(b, i, u)
+	}
+	i = putDec(b, i, u/1e8)
+	binary.LittleEndian.PutUint64(b[i:], digits8(u%1e8))
+	return i + 8
+}
+
+// putMicros writes ns at b[i:] as microseconds with exactly three
+// fractional digits ("12.345", "-0.005"), without going through
+// float64, and returns the index past it.
+func putMicros(b []byte, i int, ns int64) int {
 	u := uint64(ns)
 	if ns < 0 {
-		b = append(b, '-')
-		u = -u
+		b[i] = '-'
+		i, u = i+1, -u
 	}
-	b = appendDec(b, u, 4)
-	n := len(b)
-	return append(b[:n-3], '.', b[n-3], b[n-2], b[n-1])
+	i = putDec(b, i, u/1000)
+	binary.LittleEndian.PutUint32(b[i:], dec4[u%1000]&^0xff|'.') // "0ddd" with its '0' made the point
+	return i + 4
 }
+
+// chromeKey is a JSON key and the comma before it in a 16-byte block.
+type chromeKey struct {
+	b [16]byte
+	n int
+}
+
+func newChromeKey(s string) (k chromeKey) { k.n = copy(k.b[:], s); return k }
+
+var durKey, argsKey = newChromeKey(`,"dur":`), newChromeKey(`,"args":{`)
 
 // chromeKind is the pre-rendered, Kind-constant part of an event line.
 // Which arguments a kind carries is static, so each key comes with the
 // comma it needs.
 type chromeKind struct {
-	comp component
-	span bool
-	head string // `,\n{"ph":"X","pid":` or `,\n{"ph":"i","s":"t","pid":`
-	mid  string // `,"name":"…","cat":"…","ts":`
-	arg  string // `"pages":`, "" when Event.Arg is unused
-	arg2 string // `,"probes":`, "" when Event.Arg2 is unused
-	xfer string // `,"xfer":`
+	comp            component
+	span            bool
+	head            string    // `,\n{"ph":"X","pid":` or `,\n{"ph":"i","s":"t","pid":`
+	mid             string    // `,"name":"…","cat":"…","ts":`
+	arg, arg2, xfer chromeKey // `"pages":`, `,"probes":`, `,"xfer":`; n is 0 when Event.Arg or Arg2 is unused
 }
 
 // chromeKinds is indexed by Kind; the extra last entry serves every
@@ -103,11 +124,11 @@ var chromeKinds = func() (tab [numKinds + 1]chromeKind) {
 			ck.head = ",\n" + `{"ph":"X","pid":`
 		}
 		comma := ""
-		key := func(name string) (s string) {
+		key := func(name string) (c chromeKey) {
 			if name != "" {
-				s, comma = comma+jsonString(name)+":", ","
+				c, comma = newChromeKey(comma+jsonString(name)+":"), ","
 			}
-			return s
+			return c
 		}
 		ck.arg, ck.arg2, ck.xfer = key(meta.arg), key(meta.arg2), key("xfer")
 		tab[k] = ck
@@ -123,7 +144,7 @@ type chromeTrack struct {
 }
 
 // chromeProc is one (node, pid) of a run: its components, and where
-// each kind's line head starts in heads (past its length byte; 0: none yet).
+// each kind's line head starts in heads (past its length byte; 0: none).
 type chromeProc struct {
 	node, pid uint32
 	comps     uint8
@@ -136,12 +157,13 @@ const chromeFlushAt = 52 << 10 // the output size at which it goes to the writer
 // through a pool. The arrays back the slices, so New allocates once,
 // and no more than 64 KB (TestChromeScratchSize).
 type chromeScratch struct {
-	heads  []byte // the run's line heads, each after its length byte
+	heads  []byte // the run's line heads, each after its length byte, then headWidth bytes of padding
 	procs  []chromeProc
 	slots  []int32 // open-addressed index into procs, +1 (0 is empty)
 	tracks []chromeTrack
+	recent [16]*chromeProc // proc's cache
 
-	outBuf   [chromeFlushAt + 512]byte // output not yet written, and room for one more line
+	outBuf   [chromeFlushAt + lineMax]byte // output not yet written, and room for one more line
 	headBuf  [8 << 10]byte
 	procBuf  [8]chromeProc
 	slotBuf  [32]int32
@@ -164,11 +186,19 @@ func (sc *chromeScratch) slot(node, pid uint32) *int32 {
 	}
 }
 
-// proc returns the run's entry for (node, pid), adding it if new; the
-// index stays at most half full, so one pid per event costs no search.
+// proc returns the run's entry for (node, pid), adding it if new. A
+// direct-mapped cache of entries answers first, since pid 0's bus
+// events interleave with the processes' own: consecutive events share
+// a (node, pid) only 38–78 % of the time. The index behind it stays at
+// most half full, so one pid per event costs no search.
 func (sc *chromeScratch) proc(node, pid uint32) *chromeProc {
+	c := &sc.recent[(node*8+pid)%uint32(len(sc.recent))]
+	if p := *c; p != nil && p.node == node && p.pid == pid {
+		return p
+	}
 	if s := sc.slot(node, pid); *s != 0 {
-		return &sc.procs[*s-1]
+		*c = &sc.procs[*s-1]
+		return *c
 	}
 	if 2*len(sc.procs) >= len(sc.slots) {
 		sc.slots = make([]int32, 2*len(sc.slots))
@@ -176,43 +206,77 @@ func (sc *chromeScratch) proc(node, pid uint32) *chromeProc {
 			*sc.slot(sc.procs[i].node, sc.procs[i].pid) = int32(i + 1)
 		}
 	}
+	if len(sc.procs) == cap(sc.procs) {
+		sc.recent = [len(sc.recent)]*chromeProc{} // the append moves the entries
+	}
 	sc.procs = append(sc.procs, chromeProc{node: node, pid: pid})
 	*sc.slot(node, pid) = int32(len(sc.procs))
-	return &sc.procs[len(sc.procs)-1]
+	*c = &sc.procs[len(sc.procs)-1]
+	return *c
 }
 
-// findTracks resets the scratch for run and fills sc.tracks with the
-// run's tracks, sorted by tid from their order of first use.
-func (sc *chromeScratch) findTracks(run Run) {
+// findTracks resets the scratch for r, the run-th of the export,
+// renders the line head of every (node, pid, Kind) r uses, and fills
+// sc.tracks with r's tracks, sorted by tid from their order of use.
+func (sc *chromeScratch) findTracks(run int, r Run) {
 	clear(sc.slots)
+	sc.recent = [len(sc.recent)]*chromeProc{}
 	sc.procs, sc.heads, sc.tracks = sc.procs[:0], sc.heads[:0], sc.tracks[:0]
-	var p *chromeProc
-	for _, chunk := range run.Chunks() {
+	for _, chunk := range r.Chunks() {
 		for i := range chunk {
 			ev := &chunk[i]
-			if p == nil || p.node != uint32(ev.Node) || p.pid != uint32(ev.PID) {
-				p = sc.proc(uint32(ev.Node), uint32(ev.PID))
-			}
-			if comp := chromeKinds[min(int(ev.Kind), NumKinds)].comp; p.comps&(1<<comp) == 0 {
-				p.comps |= 1 << comp
-				sc.tracks = append(sc.tracks, chromeTrack{chromeTID(int(p.node), int(p.pid), comp), p.node, p.pid, comp})
+			p := sc.proc(uint32(ev.Node), uint32(ev.PID))
+			if k := min(int(ev.Kind), NumKinds); p.head[k] == 0 {
+				sc.head(run, p, k)
+				if comp := chromeKinds[k].comp; p.comps&(1<<comp) == 0 {
+					p.comps |= 1 << comp
+					sc.tracks = append(sc.tracks, chromeTrack{chromeTID(int(p.node), int(p.pid), comp), p.node, p.pid, comp})
+				}
 			}
 		}
 	}
+	sc.heads = append(sc.heads, make([]byte, headWidth)...) // so that every head is one fixed-width copy
 	slices.SortFunc(sc.tracks, func(a, b chromeTrack) int { return cmp.Compare(a.tid, b.tid) })
 }
 
 // head renders everything before "ts": in a line of kind k for process
-// p of run index run, and returns where it starts in sc.heads.
-func (sc *chromeScratch) head(run int, p *chromeProc, k int) int {
+// p of run index run into sc.heads, after its length byte.
+func (sc *chromeScratch) head(run int, p *chromeProc, k int) {
 	ck := &chromeKinds[k]
 	h := append(sc.heads, 0)
 	off := len(h)
-	h = append(appendDec(append(h, ck.head...), uint64(run), 1), `,"tid":`...)
-	h = append(appendDec(h, uint64(chromeTID(int(p.node), int(p.pid), ck.comp)), 1), ck.mid...)
+	h = append(strconv.AppendUint(append(h, ck.head...), uint64(run), 10), `,"tid":`...)
+	h = append(strconv.AppendUint(h, uint64(chromeTID(int(p.node), int(p.pid), ck.comp)), 10), ck.mid...)
 	h[off-1] = byte(len(h) - off)
 	sc.heads, p.head[k] = h, off
-	return off
+}
+
+// putLine writes the rest of ev's line, of kind ck, after its head in
+// b[:i], and returns the line's length. b needs lineMax bytes.
+func putLine(b []byte, i int, ev *Event, ck *chromeKind) int {
+	i = putMicros(b, i, int64(ev.Time))
+	if ck.span {
+		*(*[16]byte)(b[i:]) = durKey.b
+		i = putMicros(b, i+durKey.n, int64(ev.Dur))
+	}
+	*(*[16]byte)(b[i:]) = argsKey.b
+	i += argsKey.n
+	if ck.arg.n != 0 {
+		*(*[16]byte)(b[i:]) = ck.arg.b
+		i = putDec(b, i+ck.arg.n, uint64(ev.Arg))
+	}
+	if ck.arg2.n != 0 {
+		*(*[16]byte)(b[i:]) = ck.arg2.b
+		i = putDec(b, i+ck.arg2.n, uint64(ev.Arg2))
+	}
+	// Transfer attribution rides along only when present, so traces
+	// without ids keep their exact historical bytes.
+	if ev.Xfer != 0 {
+		*(*[16]byte)(b[i:]) = ck.xfer.b
+		i = putDec(b, i+ck.xfer.n, uint64(ev.Xfer))
+	}
+	b[i], b[i+1] = '}', '}'
+	return i + 2
 }
 
 // WriteChromeTrace writes runs as Chrome trace_event JSON (the
@@ -233,59 +297,38 @@ func WriteChromeTrace(w io.Writer, runs []Run) error {
 	}
 	for i, run := range runs {
 		// Process metadata: name the trace process after the run label.
-		out = appendDec(append(append(out, sep...), `{"ph":"M","pid":`...), uint64(i), 1)
+		out = strconv.AppendUint(append(append(out, sep...), `{"ph":"M","pid":`...), uint64(i), 10)
 		out = append(out, `,"tid":0,"name":"process_name","args":{"name":`...)
 		out = append(AppendJSON(out, run.Label), "}}"...)
 		sep = ",\n"
 
 		// Name the tracks before emitting their events. Component names
 		// are plain identifiers, so quoting them needs no escaping.
-		sc.findTracks(run)
+		sc.findTracks(i, run)
 		for _, t := range sc.tracks {
-			out = appendDec(append(out, ",\n"+`{"ph":"M","pid":`...), uint64(i), 1)
-			out = appendDec(append(out, `,"tid":`...), uint64(t.tid), 1)
-			out = appendDec(append(out, `,"name":"thread_name","args":{"name":"n`...), uint64(t.node), 1)
-			out = appendDec(append(out, "/p"...), uint64(t.pid), 1)
+			out = strconv.AppendUint(append(out, ",\n"+`{"ph":"M","pid":`...), uint64(i), 10)
+			out = strconv.AppendUint(append(out, `,"tid":`...), uint64(t.tid), 10)
+			out = strconv.AppendUint(append(out, `,"name":"thread_name","args":{"name":"n`...), uint64(t.node), 10)
+			out = strconv.AppendUint(append(out, "/p"...), uint64(t.pid), 10)
 			out = append(append(append(out, '/'), componentNames[t.comp]...), `"}}`...)
 			if len(out) >= chromeFlushAt {
 				out = flush(out)
 			}
 		}
 
-		var p *chromeProc
+		// cap(out) ≥ chromeFlushAt + lineMax leaves each line its room.
 		for _, chunk := range run.Chunks() {
 			for j := range chunk {
 				ev := &chunk[j]
-				if p == nil || p.node != uint32(ev.Node) || p.pid != uint32(ev.PID) {
-					p = sc.proc(uint32(ev.Node), uint32(ev.PID))
-				}
-				k := min(int(ev.Kind), NumKinds)
-				off := p.head[k]
-				if off == 0 {
-					off = sc.head(i, p, k)
-				}
-				out = append(out, sc.heads[off:off+int(sc.heads[off-1])]...)
-				ck := &chromeKinds[k]
-				out = appendMicros(out, int64(ev.Time))
-				if ck.span {
-					out = appendMicros(append(out, `,"dur":`...), int64(ev.Dur))
-				}
-				out = append(out, `,"args":{`...)
-				if ck.arg != "" {
-					out = appendDec(append(out, ck.arg...), uint64(ev.Arg), 1)
-				}
-				if ck.arg2 != "" {
-					out = appendDec(append(out, ck.arg2...), uint64(ev.Arg2), 1)
-				}
-				// Transfer attribution rides along only when present, so
-				// traces without ids keep their exact historical bytes.
-				if ev.Xfer != 0 {
-					out = appendDec(append(out, ck.xfer...), uint64(ev.Xfer), 1)
-				}
-				out = append(out, "}}"...)
 				if len(out) >= chromeFlushAt {
 					out = flush(out)
 				}
+				p := sc.proc(uint32(ev.Node), uint32(ev.PID))
+				k := min(int(ev.Kind), NumKinds)
+				off := p.head[k]
+				line := out[len(out) : len(out)+lineMax]
+				*(*[headWidth]byte)(line) = *(*[headWidth]byte)(sc.heads[off:])
+				out = out[:len(out)+putLine(line, int(sc.heads[off-1]), ev, &chromeKinds[k])]
 			}
 		}
 	}
@@ -359,10 +402,6 @@ type TraceEvent struct {
 	TS   float64          `json:"ts"`
 	Dur  float64          `json:"dur"`
 	Args map[string]int64 `json:"args,omitempty"`
-	// Metadata payload for ph == "M" (args.name).
-	MetaArgs struct {
-		Name string `json:"name"`
-	} `json:"-"`
 }
 
 // TraceFile is a decoded Chrome trace: per-process labels plus events.

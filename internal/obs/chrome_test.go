@@ -270,27 +270,82 @@ func TestChromeTraceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDecimalWriterEdges holds appendDec to strconv and appendMicros to
-// fmt at every digit-count boundary and at both ends of the range.
+// pow10[k] is 10^k.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// TestDecimalWriterEdges holds putDec to strconv and putMicros to fmt
+// at every digit-count boundary, at the edges of the digit table's
+// word and of one and two stores (0, 9, 10, 9999, 10^4, 10^8-1, 10^8),
+// at both ends of the range and at negative times, each written after
+// a byte it must keep and before the seven it may store past its end.
 func TestDecimalWriterEdges(t *testing.T) {
-	vals := []uint64{0, 9, 10, 99, 100, 999, 1000, math.MaxUint64}
+	vals := []uint64{0, 9, 10, 99, 100, 999, 1000, 9999, 1e4, 1e8 - 1, 1e8, math.MaxUint32, math.MaxUint64}
 	for _, p := range pow10[1:] {
 		vals = append(vals, p-1, p, p+1)
 	}
 	var times []int64
 	for _, u := range vals {
-		got := string(appendDec([]byte("x"), u, 1))
-		if want := string(strconv.AppendUint([]byte("x"), u, 10)); got != want {
-			t.Errorf("appendDec(%d) = %q, want %q", u, got, want)
-		}
-		if got, want := string(appendDec(nil, u, 4)), fmt.Sprintf("%04d", u); got != want {
-			t.Errorf("appendDec(%d, width 4) = %q, want %q", u, got, want)
+		want := strconv.FormatUint(u, 10)
+		b := make([]byte, 1+len(want)+7+1)
+		b[0], b[len(b)-1] = '!', '!'
+		if n := putDec(b, 1, u); n != 1+len(want) || string(b[1:n]) != want || b[0] != '!' || b[len(b)-1] != '!' {
+			t.Errorf("putDec(%d) wrote %q to index %d, want %q to %d, and at most 7 bytes past it", u, b, n, want, 1+len(want))
 		}
 		times = append(times, int64(u), -int64(u))
 	}
-	for _, ns := range append(times, -1, -999, -1000, math.MinInt64, math.MaxInt64) {
-		if got, want := string(appendMicros([]byte("x"), ns)), "x"+microsOracle(ns); got != want {
-			t.Errorf("appendMicros(%d) = %q, want %q", ns, got, want)
+	for _, ns := range append(times, 1, 5, 999, 1000, 1001, -1, -5, -999, -1000, -1001, math.MinInt64, math.MaxInt64) {
+		want := microsOracle(ns)
+		b := make([]byte, 1+len(want)+3)
+		if n := putMicros(b, 1, ns); string(b[1:n]) != want || b[0] != 0 {
+			t.Errorf("putMicros(%d) = %q, want %q", ns, b[1:n], want)
+		}
+	}
+}
+
+// TestChromeLineBounds: every line head fits the fixed head copy and
+// every key one 16-byte block, and the longest line any event makes,
+// with the largest run index and tid a head can carry, fits the
+// lineMax bytes a line is written into, with its stores past the end.
+func TestChromeLineBounds(t *testing.T) {
+	checkKey := func(k int, key chromeKey, want string) {
+		if len(want) > 16 || string(key.b[:key.n]) != want {
+			t.Errorf("kind %d: key block %q (%d bytes), want %q in 16", k, key.b, key.n, want)
+		}
+	}
+	checkKey(-1, durKey, `,"dur":`)
+	checkKey(-1, argsKey, `,"args":{`)
+	sc := chromePool.New()
+	for k := range chromeKinds {
+		ck, meta := &chromeKinds[k], kindMeta{name: "invalid"}
+		if k < NumKinds {
+			meta = kindMetas[k]
+		}
+		comma := ""
+		for _, c := range []struct {
+			name string
+			key  chromeKey
+		}{{meta.arg, ck.arg}, {meta.arg2, ck.arg2}, {"xfer", ck.xfer}} {
+			want := ""
+			if c.name != "" {
+				want, comma = comma+mustJSON(c.name)+":", ","
+			}
+			checkKey(k, c.key, want)
+		}
+		p := &chromeProc{node: math.MaxUint32, pid: math.MaxUint32}
+		sc.heads = sc.heads[:0]
+		sc.head(math.MaxInt, p, k)
+		head := sc.heads[p.head[k]:]
+		if len(head) != int(sc.heads[p.head[k]-1]) || len(head) > headWidth {
+			t.Errorf("kind %d: head %q is %d bytes, over the %d-byte copy", k, head, len(head), headWidth)
+		}
+		for _, ns := range []units.Time{math.MinInt64, math.MaxInt64} {
+			ev := Event{Time: ns, Dur: ns, Arg: math.MaxUint32, Arg2: math.MaxUint32, Xfer: math.MaxUint32}
+			line := make([]byte, lineMax)
+			n := putLine(line, copy(line, head), &ev, ck) // a store past lineMax panics
+			if !json.Valid(line[2:n]) {
+				t.Errorf("kind %d: line %q is not valid JSON", k, line[:n])
+			}
 		}
 	}
 }

@@ -287,8 +287,9 @@ func TestWriteMicros(t *testing.T) {
 		{math.MaxInt64, "9223372036854775.807"}, {math.MinInt64, "-9223372036854775.808"},
 	}
 	for _, c := range cases {
-		if got := string(appendMicros(nil, c.ns)); got != c.want {
-			t.Errorf("appendMicros(%d) = %q, want %q", c.ns, got, c.want)
+		b := make([]byte, 32)
+		if got := string(b[:putMicros(b, 0, c.ns)]); got != c.want {
+			t.Errorf("putMicros(%d) = %q, want %q", c.ns, got, c.want)
 		}
 	}
 }

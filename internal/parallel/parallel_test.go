@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderPreserved(t *testing.T) {
@@ -85,6 +86,63 @@ func TestNestedMap(t *testing.T) {
 		if v != i*28 {
 			t.Errorf("got[%d] = %d, want %d", i, v, i*28)
 		}
+	}
+}
+
+// TestNestedMapStaysWithinWorkers: a Map inside a task of a full pool
+// runs inline, so nested Maps keep at most Workers() tasks in flight,
+// not the product of the widths, even right after a wider pool; and
+// an inner Map alone in the pool still gets helpers.
+func TestNestedMapStaysWithinWorkers(t *testing.T) {
+	const width = 4
+	SetWorkers(2 * width) // helpers of a wider pool may outlive their Map
+	if _, err := Map(64, func(i int) (int, error) { return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	SetWorkers(width)
+	defer SetWorkers(0)
+	var inFlight, peak atomic.Int64
+	leaf := func() {
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+	}
+	got, err := Map(8, func(i int) (int, error) {
+		inner, err := Map(8, func(j int) (int, error) { leaf(); return i * j, nil })
+		sum := 0
+		for _, v := range inner {
+			sum += v
+		}
+		return sum, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*28 {
+			t.Errorf("got[%d] = %d, want %d", i, v, i*28)
+		}
+	}
+	if p := peak.Load(); p > width {
+		t.Errorf("%d leaf tasks in flight at once, want at most %d", p, width)
+	}
+	pool.mu.Lock()
+	if len(pool.jobs) != 0 {
+		t.Errorf("%d jobs still listed after Map returned", len(pool.jobs))
+	}
+	pool.mu.Unlock()
+
+	// One outer task: its inner Map has the whole pool.
+	peak.Store(0)
+	if _, err := Map(1, func(int) (int, error) {
+		return 0, func() error { _, err := Map(16, func(int) (int, error) { leaf(); return 0, nil }); return err }()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p < 2 {
+		t.Errorf("an inner Map alone in the pool ran %d tasks at once, want more than one", p)
 	}
 }
 

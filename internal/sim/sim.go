@@ -9,9 +9,11 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"utlb/internal/bus"
 	"utlb/internal/core"
@@ -368,9 +370,9 @@ func (s *RunScratch) prepare(tr trace.Trace) *prepared {
 	if s.memo == nil {
 		s.memo = new(traceMemo)
 	}
-	m := s.memo
+	m, b := s.memo, recordBytes(tr)
 	m.mu.Lock()
-	i := slices.IndexFunc(m.entries[:], func(p *prepared) bool { return p != nil && slices.Equal(p.src, tr) })
+	i := slices.IndexFunc(m.entries[:], func(p *prepared) bool { return p != nil && bytes.Equal(recordBytes(p.src), b) })
 	if i < 0 {
 		i = memoTraces - 1
 		m.entries[i] = &prepared{src: slices.Clone(tr)}
@@ -381,6 +383,13 @@ func (s *RunScratch) prepare(tr trace.Trace) *prepared {
 	m.mu.Unlock()
 	p.once.Do(p.build)
 	return p
+}
+
+// recordBytes is tr's memory, compared in place of its records: a
+// Record holds only integers, so equal bytes are equal records, and
+// records whose padding differs cost a memo miss, never a wrong hit.
+func recordBytes(tr trace.Trace) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(tr))), len(tr)*int(unsafe.Sizeof(trace.Record{})))
 }
 
 // memory hands out host memory, reset to size bytes.

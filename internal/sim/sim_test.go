@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"utlb/internal/core"
 	"utlb/internal/obs"
@@ -519,8 +520,13 @@ func TestPreparedMemoMatchesFresh(t *testing.T) {
 	for i := range tr { // the same records folded onto 64 pages: every reuse distance moves
 		tr[i].VA %= 64 * units.PageSize
 	}
-	if after := same("rewritten in place", tr); after == before {
+	after := same("rewritten in place", tr)
+	if after == before {
 		t.Error("the rewrite changed no counter; the case proves nothing")
+	}
+	tr[len(tr)-1].VA = 1000 * units.PageSize // the last record alone: a hit must compare all of them
+	if last := same("last record rewritten", tr); last == after {
+		t.Error("rewriting the last record changed no counter; the case proves nothing")
 	}
 
 	var traces []trace.Trace
@@ -553,6 +559,40 @@ func TestPreparedMemoMatchesFresh(t *testing.T) {
 	shuffled := append(slices.Clone(sorted[k:]), sorted[:k]...)
 	if got, want := same("unsorted", shuffled), same("its sorted copy", sorted); got != want {
 		t.Errorf("unsorted input %+v, sorted %+v", got, want)
+	}
+}
+
+// TestPreparedMemoIgnoresPadding: the memo compares records as bytes,
+// so two traces that differ only in a record's padding may miss where
+// a field compare would hit. Either way each gets a prepared form of
+// its own records, and runs of both equal a fresh run.
+func TestPreparedMemoIgnoresPadding(t *testing.T) {
+	c := cfg(UTLB, 256)
+	plain := slices.Clone(smallTrace(t, "fft", 0.05))
+	padded := slices.Clone(plain)
+	const size = unsafe.Sizeof(trace.Record{})
+	end := unsafe.Offsetof(trace.Record{}.Op) + unsafe.Sizeof(trace.Record{}.Op)
+	if end == size {
+		t.Fatal("trace.Record has no trailing padding to vary")
+	}
+	for i := range padded {
+		(*[size]byte)(unsafe.Pointer(&padded[i]))[end] = 0xa5
+	}
+	if !slices.Equal(plain, padded) {
+		t.Fatal("writing padding changed a field")
+	}
+	fresh, err := RunWith(plain, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := NewRunScratch()
+	for _, tr := range []trace.Trace{plain, padded, plain, padded} {
+		if p := scr.prepare(tr); !slices.Equal(p.src, tr) || len(p.slots) != len(tr) {
+			t.Fatal("the memo prepared other records than the trace's")
+		}
+		if got, err := RunWith(tr, c, scr); err != nil || got != fresh {
+			t.Errorf("memoised run %+v (%v), fresh %+v", got, err, fresh)
+		}
 	}
 }
 

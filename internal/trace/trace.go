@@ -7,7 +7,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"utlb/internal/units"
@@ -55,22 +57,23 @@ type Record struct {
 // Trace is a sequence of records.
 type Trace []Record
 
-// timeLess is the serialisation order: timestamp, breaking ties by
+// timeCmp is the serialisation order: timestamp, breaking ties by
 // (node, pid) for determinism — the paper's "time stamps are used to
 // serialize the traces".
-func timeLess(a, b Record) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
+func timeCmp(a, b Record) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
 	}
-	return a.PID < b.PID
+	return cmp.Compare(a.PID, b.PID)
 }
 
-// SortByTime serialises the trace in timeLess order.
+// SortByTime serialises the trace in timeCmp order, keeping records
+// that compare equal in their order.
 func (t Trace) SortByTime() {
-	sort.SliceStable(t, func(i, j int) bool { return timeLess(t[i], t[j]) })
+	slices.SortStableFunc(t, timeCmp)
 }
 
 // IsSortedByTime reports whether the trace is already serialised in
@@ -79,7 +82,7 @@ func (t Trace) SortByTime() {
 // are sorted by construction.
 func (t Trace) IsSortedByTime() bool {
 	for i := 1; i < len(t); i++ {
-		if timeLess(t[i], t[i-1]) {
+		if timeCmp(t[i], t[i-1]) < 0 {
 			return false
 		}
 	}

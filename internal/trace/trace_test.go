@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,6 +204,38 @@ func TestIsSortedByTime(t *testing.T) {
 		tr.SortByTime()
 		if !tr.IsSortedByTime() {
 			t.Errorf("%s: SortByTime left trace unsorted", name)
+		}
+	}
+}
+
+// TestSortByTimeMatchesSliceStable holds SortByTime to the
+// reflection-based stable sort it replaced, on traces dense in ties of
+// (time, node, pid) that differ in their other fields, so any
+// reordering of equal records shows.
+func TestSortByTimeMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1998))
+	for _, n := range []int{0, 1, 2, 12, 13, 100, 1000, 5000} {
+		tr := make(Trace, n)
+		for i := range tr {
+			tr[i] = Record{
+				Time: units.Time(rng.Intn(20)), Node: units.NodeID(rng.Intn(2)), PID: units.ProcID(rng.Intn(3)),
+				VA: units.VAddr(i), Bytes: int32(rng.Intn(9000)), Op: Op(rng.Intn(2)),
+			}
+		}
+		want := slices.Clone(tr)
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Time != b.Time {
+				return a.Time < b.Time
+			}
+			if a.Node != b.Node {
+				return a.Node < b.Node
+			}
+			return a.PID < b.PID
+		})
+		tr.SortByTime()
+		if !slices.Equal(tr, want) {
+			t.Errorf("%d records: SortByTime differs from sort.SliceStable", n)
 		}
 	}
 }

@@ -493,22 +493,6 @@ func TestWriteChromeTraceAllocsIndependentOfEvents(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteChromeTrace times the Chrome export of one recorded
-// fft run (about 110k events) into io.Discard: the formatting alone,
-// in ns per event.
-func BenchmarkWriteChromeTrace(b *testing.B) {
-	buf := recordedRun(b, 0.4)
-	runs := []utlb.EventRun{utlb.NewEventRun(buf.Label(), buf.Events())}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := utlb.WriteChromeTrace(io.Discard, runs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*buf.Len()), "ns/event")
-}
-
 // TestAnalyzeAllocBudget: analysis allocates per experiment and per
 // reported transfer — not per event, not per transfer and, its
 // per-transfer table and per-kind digests being pooled, not per call:
