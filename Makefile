@@ -38,13 +38,14 @@ test:
 # count the race detector's own allocations against the code under test,
 # so they belong to the non-race run only: `make test` runs every one
 # of them. This is the one -race pass over internal/{telemetry,xlate,serve}
-# in `make check`. The service's concurrency checks, the sink's readers
-# against its traffic (the Sink.mu -> shard.mu lock order) and the
-# sink's own recorders against its readers (all under Sink.mu) run
-# three more times: each run is a different interleaving.
+# in `make check`. The service's concurrency checks (lock-free readers
+# against writers included), the sink's readers against its traffic
+# (the Sink.mu -> shard writer order) and the sink's own recorders
+# against its readers (all under Sink.mu) run three more times: each
+# run is a different interleaving.
 race:
 	$(GO) test -race -skip 'AllocBudget|AllocsIndependentOfEvents' ./...
-	$(GO) test -race -count=3 -run 'TestConcurrentHistory|TestLookupManyMatchesSingleLookups|TestConcurrentDisjointShadows|TestTelemetryReadersDuringTraffic|TestConcurrentRecording' ./internal/xlate ./internal/telemetry
+	$(GO) test -race -count=3 -run 'TestConcurrentHistory|TestLookupManyMatchesSingleLookups|TestConcurrentDisjointShadows|TestTelemetryReadersDuringTraffic|TestConcurrentRecording|TestMRUStreamLeavesWriteSequence|TestWriterWaitsForReaders|TestReadersNeverSeeHalfAWrite' ./internal/xlate ./internal/telemetry
 
 # Fuzz smoke: `make test` runs only the fuzzers' seed corpora, so a
 # codec change would otherwise meet no new input. Each fuzzer gets
@@ -113,16 +114,23 @@ profile-rec:
 	$(GO) tool pprof -sample_index=alloc_space -top -cum $(ARTIFACTS)/profile/utlbsim $(ARTIFACTS)/profile/rec.mprof 2>/dev/null | head -20
 	$(GO) test -run '^$$' -bench '^BenchmarkWriteChromeTrace$$' -benchtime 50x ./internal/obs | grep '^Benchmark'
 
-# CPU profile of the translation service's miss-to-fill path: xlate's
+# CPU profiles of the translation service's two paths, each with the
+# top of its cumulative listing printed: the miss-to-fill path, xlate's
 # BenchmarkLookupFillMixed (the bench's svc_inproc_mixed step: 64-key
 # LookupMany, InsertMany of the misses, over twice the default
-# service's capacity, one goroutine per CPU), with the top of the
-# cumulative listing printed. CI uploads it next to the simulator's two.
+# service's capacity, one goroutine per CPU), in svc.prof; and the
+# all-hit read path, BenchmarkLookupManyZipf/g=2 (svc_inproc_lookup's
+# zipf stream from two goroutines, almost every hit on an MRU line, so
+# answered without a shard lock), in svc_read.prof. CI uploads them
+# next to the simulator's two.
 profile-svc:
 	mkdir -p $(ARTIFACTS)/profile
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupFillMixed$$' -benchtime 3s \
 		-o $(ARTIFACTS)/profile/xlate.test -cpuprofile $(ARTIFACTS)/profile/svc.prof ./internal/xlate >/dev/null
 	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/xlate.test $(ARTIFACTS)/profile/svc.prof 2>/dev/null | head -20
+	$(GO) test -run '^$$' -bench '^BenchmarkLookupManyZipf$$/^g=2$$' -benchtime 3s \
+		-o $(ARTIFACTS)/profile/xlate.test -cpuprofile $(ARTIFACTS)/profile/svc_read.prof ./internal/xlate >/dev/null
+	$(GO) tool pprof -top -cum $(ARTIFACTS)/profile/xlate.test $(ARTIFACTS)/profile/svc_read.prof 2>/dev/null | head -20
 
 # CPU profile of the simulator's other timing path: sim's
 # BenchmarkRunWith/overlap (the bench's sim_overlap request — one

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,6 +21,12 @@ import (
 // Following the imports is what covers a blocking callee: a lock held
 // across a call into another package is held across that package's
 // code, which this scan reads too.
+//
+// The same holds for the writer's wait on reader presence (xlate's
+// raise): it lasts only as long as a reader's presence section, and
+// that section, in xlate's read, calls nothing but atomic Load and
+// Store and tlbcache's Probe, so it can neither block nor wait on a
+// writer. The test holds read to that list.
 func TestTranslationPathNeverBlocks(t *testing.T) {
 	const module = "utlb/"
 	queue := []string{"internal/xlate", "internal/tlbcache", "internal/telemetry"}
@@ -87,9 +94,44 @@ func TestTranslationPathNeverBlocks(t *testing.T) {
 			})
 		}
 	}
+	checkPresenceSection(t, fset)
 	for _, dir := range []string{"internal/obs", "internal/units"} {
 		if !seen[dir] {
 			t.Errorf("import walk never reached %s; the closure is not being followed", dir)
 		}
+	}
+}
+
+// checkPresenceSection fails t unless xlate's read calls only Load,
+// Store and Probe.
+func checkPresenceSection(t *testing.T, fset *token.FileSet) {
+	allowed := map[string]bool{"Load": true, "Store": true, "Probe": true}
+	found := false
+	for _, path := range programFiles(t, "internal/xlate") {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Name.Name != "read" {
+				continue
+			}
+			found = true
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !allowed[sel.Sel.Name] {
+					t.Errorf("%s: read calls %s inside a presence section; it may call only Load, Store and Probe",
+						fset.Position(call.Pos()), types.ExprString(call.Fun))
+				}
+				return true
+			})
+		}
+	}
+	if !found {
+		t.Error("xlate's read not found; the presence-section check checked nothing")
 	}
 }

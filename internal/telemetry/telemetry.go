@@ -178,7 +178,10 @@ type Sink struct {
 	baseNs int64  // clock reading at New; trace timestamps are relative to it
 	counts Counts // the service's counts; nil until Bind (counts read as zero)
 
+	// Every request writes reqSeq and reads the rest: pad it to a line.
+	_      [56]byte
 	reqSeq atomic.Int64 // request ids, dense from 1 (drives sampling)
+	_      [56]byte
 	curWin atomic.Int64 // window number the ring considers current
 
 	mu      sync.Mutex   // guards everything below

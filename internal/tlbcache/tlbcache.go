@@ -283,6 +283,28 @@ func (c *Cache) Lookup(k Key) Result {
 	return Result{Hit: false, PFN: units.NoPFN, Probes: c.cfg.Ways}
 }
 
+// Probe answers k as Lookup would but writes nothing; pure reports
+// whether Lookup would have written only its count (k misses, or hits
+// its set's MRU line). Probes may run beside Probes, nothing else.
+func (c *Cache) Probe(k Key) (r Result, pure bool) {
+	set := c.set(k)
+	for i := range set {
+		if l := &set[i]; l.holds(k) {
+			return Result{Hit: true, PFN: l.pfn, Probes: i + 1}, l.mru
+		}
+	}
+	return Result{PFN: units.NoPFN, Probes: c.cfg.Ways}, true
+}
+
+// Count counts r, a pure Probe answer, as Lookup would have.
+func (c *Cache) Count(r Result) {
+	if r.Hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+}
+
 // stamp gives line i of set the next LRU stamp and the set's MRU flag.
 func (c *Cache) stamp(set []line, i int) {
 	c.tick++

@@ -294,6 +294,16 @@ func TestConcurrentHistory(t *testing.T) {
 		svc := newSvc(t)
 		checkHistoryClean(t, recordHistory(svc, 3000, 1998, anyOp, anyOp, anyOp, anyOp, anyOp, anyOp))
 	})
+	t.Run("read-mostly", func(t *testing.T) {
+		svc := newSvc(t)
+		read := role{8, 16, nil} // Lookup and LookupMany
+		checkHistoryClean(t, recordHistory(svc, 3000, 1998, read, read, read, anyOp))
+		lockFree, locked := pathCounts(svc)
+		t.Logf("%d lookups answered without the lock, %d under it", lockFree, locked)
+		if lockFree == 0 || locked == 0 {
+			t.Errorf("%d lookups answered without the lock and %d under it; both paths should have run", lockFree, locked)
+		}
+	})
 	t.Run("hot", func(t *testing.T) {
 		svc := newSvc(t)
 		var readKeys, writeKeys []Key
@@ -304,17 +314,29 @@ func TestConcurrentHistory(t *testing.T) {
 		checkHistoryClean(t, recordHistory(svc, 1500, 1998, read, read, read, write, write))
 
 		// A stamp is a fill or a hit off the MRU line; the rest wrote nothing.
-		var hits, offMRU int64
+		st := svc.Stats().Total
+		hits, offMRU := st.Hits, -st.Fills
 		for i := range svc.shards {
-			st := svc.shards[i].cache.Stats()
-			hits += st.Hits
-			offMRU += reflect.ValueOf(&svc.shards[i].cache).Elem().FieldByName("tick").Int() - st.Fills
+			offMRU += reflect.ValueOf(&svc.shards[i].cache).Elem().FieldByName("tick").Int()
 		}
 		t.Logf("%d hits, %d of them off the MRU line", hits, offMRU)
 		if 2*offMRU >= hits {
 			t.Errorf("%d of %d hits restamped their line; most should land on an MRU line", offMRU, hits)
 		}
 	})
+}
+
+// pathCounts reports how many of svc's lookups were answered without
+// the lock (the slots' counts) and under it (the caches').
+func pathCounts(svc *Service) (lockFree, locked int64) {
+	for j := range svc.readers {
+		lockFree += svc.readers[j].hits + svc.readers[j].misses
+	}
+	for i := range svc.shards {
+		st := svc.shards[i].cache.Stats()
+		locked += st.Hits + st.Misses
+	}
+	return lockFree, locked
 }
 
 // checkHistoryClean fails t unless events hold every kind and no

@@ -2,9 +2,11 @@ package xlate
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
+	"utlb/internal/telemetry"
 	"utlb/internal/tlbcache"
 )
 
@@ -14,7 +16,8 @@ import (
 const mallocHeader = 8
 
 // TestShardLayout holds the shard record to whole cache lines, with the
-// lock and the counters a hit writes in its first line, so that a field
+// lock, the state every reader loads and the counters a locked hit
+// writes in its first line, so that a field
 // added to shard or tlbcache.Cache cannot bring back false sharing
 // between shards unnoticed. A record may start mallocHeader bytes into
 // a line; so the hot fields end that much before the line does, and
@@ -32,7 +35,7 @@ func TestShardLayout(t *testing.T) {
 		name      string
 		off, size uintptr
 	}
-	hot := []span{{"mu", unsafe.Offsetof(sh.mu), unsafe.Sizeof(sh.mu)}}
+	hot := []span{{"mu", unsafe.Offsetof(sh.mu), unsafe.Sizeof(sh.mu)}, {"state", unsafe.Offsetof(sh.state), unsafe.Sizeof(sh.state)}}
 	cacheType := reflect.TypeOf(tlbcache.Cache{})
 	for _, name := range []string{"tick", "hits", "misses"} {
 		f, ok := cacheType.FieldByName(name)
@@ -55,6 +58,63 @@ func TestShardLayout(t *testing.T) {
 		}
 		if off := uintptr(unsafe.Pointer(&s.shards[0])) % cacheLine; off != 0 && off != mallocHeader {
 			t.Errorf("%d shards start %d bytes into a cache line, want 0 or %d", shards, off, mallocHeader)
+		}
+	}
+}
+
+// TestSlotLayout holds the reader slots apart: a slot's claim mutex
+// and slice header sit in the first line of its 64-byte record,
+// whatever line offset the slot slice starts at, each slot's records
+// start on a line, and a record's presence word, which writers load,
+// has its line to itself.
+func TestSlotLayout(t *testing.T) {
+	var sl slot
+	if size := unsafe.Sizeof(sl); size != cacheLine {
+		t.Errorf("slot record is %d bytes, want %d", size, cacheLine)
+	}
+	var r reader
+	if size := unsafe.Sizeof(r); size%cacheLine != 0 || unsafe.Offsetof(r.seen) < cacheLine {
+		t.Errorf("reader record is %d bytes with seen at byte %d; want whole lines, presence alone in the first", size, unsafe.Offsetof(r.seen))
+	}
+	if end := unsafe.Offsetof(sl.rec) + unsafe.Sizeof(sl.rec); end > cacheLine-mallocHeader {
+		t.Errorf("slot fields end at byte %d, past %d", end, cacheLine-mallocHeader)
+	}
+	for _, shards := range []int{1, 8, maxShards} {
+		s, err := New(Config{Shards: shards, Entries: 64, Ways: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.slots); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("%d slots, want one per GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
+		}
+		if off := uintptr(unsafe.Pointer(&s.slots[0])) % cacheLine; off != 0 && off != mallocHeader {
+			t.Errorf("%d shards: slots start %d bytes into a cache line, want 0 or %d", shards, off, mallocHeader)
+		}
+		for j := range s.slots {
+			if off := uintptr(unsafe.Pointer(&s.slots[j].rec[0])) % cacheLine; off != 0 {
+				t.Errorf("%d shards: slot %d's records start %d bytes into a cache line", shards, j, off)
+			}
+		}
+	}
+}
+
+// TestSinkLayout holds telemetry.Sink's request counter, which every
+// request writes, in a line no other field reaches, whatever the
+// sink's alignment: the 56 bytes on each side of it are blank pad.
+func TestSinkLayout(t *testing.T) {
+	typ := reflect.TypeOf(telemetry.Sink{})
+	seq, ok := typ.FieldByName("reqSeq")
+	if !ok {
+		t.Fatal("telemetry.Sink has no field reqSeq")
+	}
+	lo, hi := seq.Offset+seq.Type.Size()-cacheLine, seq.Offset+cacheLine
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" || f.Name == "reqSeq" {
+			continue
+		}
+		if f.Offset < hi && f.Offset+f.Type.Size() > lo {
+			t.Errorf("Sink.%s (bytes %d-%d) lies within a line of reqSeq (byte %d)", f.Name, f.Offset, f.Offset+f.Type.Size(), seq.Offset)
 		}
 	}
 }

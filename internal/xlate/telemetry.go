@@ -22,9 +22,9 @@ import (
 // a sink serves one service.
 //
 // Lock order: the sink reads the counts while it holds its own lock,
-// so it takes Sink.mu and then each shard.mu in turn. The service
-// therefore never enters the sink while it holds a shard lock: every
-// Request call comes before the lock or after the unlock.
+// so it takes Sink.mu and then each shard's mutex and readers in turn
+// (shardStats). The service therefore never enters the sink during a
+// shard visit: every Request call comes before the visit or after it.
 func (s *Service) AttachTelemetry(t *telemetry.Sink) error {
 	if t == nil {
 		return fmt.Errorf("xlate: nil telemetry sink")
@@ -42,13 +42,9 @@ func (s *Service) AttachTelemetry(t *telemetry.Sink) error {
 // Telemetry returns the attached sink, nil when telemetry is off.
 func (s *Service) Telemetry() *telemetry.Sink { return s.tel }
 
-// shardCounts adds shard si's cache counts to t, read under the shard
-// lock: the sink's count source.
+// shardCounts adds shard si's counts to t: the sink's count source.
 func (s *Service) shardCounts(si int, t *telemetry.Totals) {
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	cs := sh.cache.Stats()
-	sh.mu.Unlock()
+	cs, _ := s.shardStats(si)
 	t.Lookups += cs.Hits + cs.Misses
 	t.Hits += cs.Hits
 	t.Misses += cs.Misses

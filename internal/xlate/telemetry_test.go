@@ -10,6 +10,7 @@ import (
 
 	"utlb/internal/telemetry"
 	"utlb/internal/units"
+	"utlb/internal/workload"
 )
 
 func newTelService(t *testing.T) (*Service, *telemetry.Sink, *telemetry.ManualClock) {
@@ -325,6 +326,59 @@ func BenchmarkLookupManyTelemetry(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g*per*64), "ns/key")
 			})
 		}
+	}
+}
+
+// BenchmarkLookupManyZipf is the benchmark's svc_inproc_lookup stream
+// under go test: every page of a 4096-page universe striped over four
+// processes is installed, then each goroutine looks up 64-key batches
+// of its own zipf(1.3) draw over it, with the sink attached the way
+// serve attaches it. Almost every hit lands on its set's MRU line, so
+// this is the read path; BenchmarkLookupManyTelemetry's uniform keys
+// restamp about one lookup in twelve. ns/key is wall time over all
+// keys looked up. `make profile-svc` profiles g=2.
+func BenchmarkLookupManyZipf(b *testing.B) {
+	const pages, batches = 4096, 4096
+	keyOf := func(page int) Key { return key(1+page%4, page) }
+	for _, g := range []int{1, 2} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			svc, err := New(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink, err := telemetry.New(telemetry.DefaultConfig(svc.Config().Shards), telemetry.WallClock{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := svc.AttachTelemetry(sink); err != nil {
+				b.Fatal(err)
+			}
+			for p := 0; p < pages; p++ {
+				svc.Insert(keyOf(p), SyntheticPFN(keyOf(p)))
+			}
+			streams := make([][]Key, g)
+			for c := range streams {
+				for _, p := range workload.ZipfPages(1998*8+int64(c), pages, batches*64, 1.3) {
+					streams[c] = append(streams[c], keyOf(p))
+				}
+			}
+			per := (b.N + g - 1) / g
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := range streams {
+				wg.Add(1)
+				go func(keys []Key) {
+					defer wg.Done()
+					out := make([]Result, 64)
+					for i := 0; i < per; i++ {
+						lo := i % batches * 64
+						out = svc.LookupMany(keys[lo:lo+64], out)
+					}
+				}(streams[c])
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g*per*64), "ns/key")
+		})
 	}
 }
 

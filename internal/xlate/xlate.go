@@ -2,11 +2,11 @@
 // the cluster-scale counterpart of the batch experiment runner. Where
 // the simulator owns one tlbcache per simulated NIC and drives it
 // single-threaded, this service shards one logical translation table
-// across independent tlbcache instances — power-of-two shard count,
-// each shard behind its own mutex — so concurrent lookups from many
-// clients never contend on a global lock (the memlock-proxy /
-// region-spinlock idiom of UMA-TLB implementations, and SPARTA's
-// divide-and-conquer translation partitioning).
+// across independent tlbcache instances — power-of-two shard count —
+// so concurrent lookups from many clients never contend on a global
+// lock (the memlock-proxy / region-spinlock idiom of UMA-TLB
+// implementations, and SPARTA's divide-and-conquer translation
+// partitioning).
 //
 // Requests are routed to shards by a multiplicative hash of
 // (pid, vpn) with Fibonacci and avalanche constants, so consecutive
@@ -16,15 +16,18 @@
 // apply unchanged — a one-shard service is behaviourally identical to
 // a bare tlbcache.Cache.
 //
-// All counters are plain per-shard sums snapshotted under the shard
-// lock, so Stats totals are a deterministic function of the operation
-// multiset: any interleaving of the same client operations aggregates
-// to byte-identical totals.
+// A batched lookup that writes no line takes no lock: it reads under
+// a reader slot, one per CPU. All counters are plain sums, the caches'
+// and the slots', so Stats totals are a deterministic function of the
+// operation multiset: any interleaving of the same client operations
+// aggregates to byte-identical totals.
 package xlate
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"utlb/internal/telemetry"
@@ -77,34 +80,56 @@ func (c Config) shardConfig() tlbcache.Config {
 }
 
 // shard is one translation unit: a stock tlbcache behind its own
-// lock, held by value in one record. Shards share nothing, not even a
+// mutex, held by value in one record. Shards share nothing, not even a
 // cache line, so lookups to different shards proceed fully in
-// parallel: the lock and the counters a hit writes (the Cache's
-// leading fields) sit in the record's first line, and a tail pad of 8
-// to 64 bytes rounds the record up to whole lines. Nothing touches the
-// pad, so a shard slice that starts 8 bytes into a line (Go puts an
-// allocation header in front of a slice of over 512 bytes that holds
-// pointers) still shares no line between shards. TestShardLayout holds
-// all of this.
+// parallel: the mutex, the state readers load and the counters a
+// locked lookup writes (the Cache's leading fields) sit in the record's
+// first line, and a tail pad of 8 to 64 bytes rounds the record up to
+// whole lines. Nothing touches the pad, so a shard slice that starts 8
+// bytes into a line (Go puts an allocation header in front of a slice
+// of over 512 bytes that holds pointers) still shares no line between
+// shards. TestShardLayout holds all of this.
 type shard struct {
 	mu    sync.Mutex
+	state atomic.Uint64 // +2 per write, bit 0 during a counter read (raise)
 	cache tlbcache.Cache
-	_     [cacheLine - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(tlbcache.Cache{}))%cacheLine]byte
+	_     [cacheLine - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(atomic.Uint64{})+unsafe.Sizeof(tlbcache.Cache{}))%cacheLine]byte
 }
 
 // cacheLine is the line size of the CPUs the service targets (amd64
 // and arm64 servers).
 const cacheLine = 64
 
-// Service is a sharded, concurrent-safe translation service.
-type Service struct {
-	cfg    Config
-	mask   uint64
-	shards []shard
-	tel    *telemetry.Sink // nil = live telemetry off
+// slot is one reader slot, in a 64-byte record laid out like shard's.
+type slot struct {
+	claim sync.Mutex // held by the batch reading under the slot
+	rec   []reader   // its stretch of Service.readers, one per shard
+	_     [cacheLine - 32]byte
 }
 
-// New returns a service for cfg.
+// reader is a slot's record of one shard, read by writers at zero
+// presence. Writers load presence, so it has a line of its own.
+type reader struct {
+	presence atomic.Uint32 // 1 while the slot reads the shard
+	_        [cacheLine - 4]byte
+	seen     uint64 // the shard's state when the slot last left it
+	hits     int64  // lookups answered without the lock
+	misses   int64
+	_        [cacheLine - 24]byte
+}
+
+// Service is a sharded, concurrent-safe translation service.
+type Service struct {
+	cfg     Config
+	mask    uint64
+	shards  []shard
+	slots   []slot
+	readers []reader        // slot j's record of shard si is readers[j*Shards+si]
+	hint    sync.Pool       // a *slot this CPU released last
+	tel     *telemetry.Sink // nil = live telemetry off
+}
+
+// New returns a service for cfg, with a reader slot per GOMAXPROCS.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -113,9 +138,15 @@ func New(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		mask:   uint64(cfg.Shards - 1),
 		shards: make([]shard, cfg.Shards),
+		slots:  make([]slot, runtime.GOMAXPROCS(0)),
 	}
 	for i := range s.shards {
 		s.shards[i].cache = *tlbcache.New(cfg.shardConfig())
+	}
+	// Pointer-free and whole lines long, so it starts on a line.
+	s.readers = make([]reader, len(s.slots)*cfg.Shards)
+	for j := range s.slots {
+		s.slots[j].rec = s.readers[j*cfg.Shards : (j+1)*cfg.Shards]
 	}
 	return s, nil
 }
@@ -134,21 +165,117 @@ func (s *Service) shardIndex(k Key) int {
 	return int((h ^ (h >> 29)) & s.mask)
 }
 
-// Lookup probes the service for k.
+// claim returns a free reader slot, nil when all are busy: the one
+// this CPU put back last (LookupMany) if free, else the first free.
+func (s *Service) claim() *slot {
+	if sl, _ := s.hint.Get().(*slot); sl != nil && sl.claim.TryLock() {
+		return sl
+	}
+	for j := range s.slots {
+		if s.slots[j].claim.TryLock() {
+			return &s.slots[j]
+		}
+	}
+	return nil
+}
+
+// raise keeps readers off shard si, whose mutex the caller holds: it
+// moves state by d, then waits out each presence. A write (d = 2)
+// sends each slot's next visit to the lock; shardStats (d = 1) does not.
+func (s *Service) raise(si int, d uint64) {
+	s.shards[si].state.Add(d)
+	for j := si; j < len(s.readers); j += len(s.shards) {
+		for spin := 0; s.readers[j].presence.Load() != 0; spin++ {
+			if spin >= 1000 {
+				runtime.Gosched() // a descheduled reader
+			}
+		}
+	}
+}
+
+// read answers keys of the chain from next (LookupMany's lists) from sh
+// while each is a pure Probe, counting into r, unless sh's state moved
+// since r's last visit; it returns the rest of the chain (0: none) and
+// the keys answered and hit. Under presence, raised before it checks
+// state, it calls only Probe (TestTranslationPathNeverBlocks).
+func (r *reader) read(sh *shard, keys []Key, out []Result, next int) (int, int64, int64) {
+	st := sh.state.Load()
+	if st != r.seen {
+		return next, 0, 0
+	}
+	r.presence.Store(1)
+	if sh.state.Load() != st {
+		r.presence.Store(0)
+		return next, 0, 0
+	}
+	var n, hits int64
+	for ; next != 0; n++ {
+		i := next - 1
+		res, pure := sh.cache.Probe(keys[i])
+		if !pure {
+			break
+		}
+		next = out[i].Probes
+		out[i] = res
+		if res.Hit {
+			hits++
+		}
+	}
+	r.hits += hits
+	r.misses += n - hits
+	r.presence.Store(0)
+	return next, n, hits
+}
+
+// visit answers the chain of keys from next from shard si as single
+// Lookups would, and returns how many it answered and hit: under slot
+// sl lock-free while it can, then under the mutex, raising a write at
+// the first key that must restamp.
+func (s *Service) visit(si int, sl *slot, keys []Key, out []Result, next int) (n, hits int64) {
+	sh := &s.shards[si]
+	if sl != nil {
+		if next, n, hits = sl.rec[si].read(sh, keys, out, next); next == 0 {
+			return n, hits
+		}
+	}
+	sh.mu.Lock()
+	raised := false
+	for next != 0 {
+		i := next - 1
+		next = out[i].Probes
+		r, pure := sh.cache.Probe(keys[i])
+		if pure {
+			sh.cache.Count(r)
+		} else {
+			if !raised {
+				s.raise(si, 2)
+				raised = true
+			}
+			r = sh.cache.Lookup(keys[i])
+		}
+		out[i] = r
+		n++
+		if r.Hit {
+			hits++
+		}
+	}
+	if sl != nil {
+		sl.rec[si].seen = sh.state.Load()
+	}
+	sh.mu.Unlock()
+	return n, hits
+}
+
+// Lookup probes the service for k under its shard's mutex: for one key
+// a reader slot costs more atomic operations than the mutex.
 func (s *Service) Lookup(k Key) Result {
 	req := s.tel.Begin(1)
 	si := s.shardIndex(k)
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	r := sh.cache.Lookup(k)
-	sh.mu.Unlock()
-	var hits int64
-	if r.Hit {
-		hits = 1
-	}
+	var out [1]Result
+	_, hits := s.visit(si, nil, []Key{k}, out[:], 1)
 	req.Segment(si, 1)
 	req.Finish(hits)
-	return r
+	return out[0]
 }
 
 // Insert installs k→pfn, evicting within k's shard if needed.
@@ -157,6 +284,7 @@ func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 	si := s.shardIndex(k)
 	sh := &s.shards[si]
 	sh.mu.Lock()
+	s.raise(si, 2)
 	evicted, wasEvicted = sh.cache.Insert(k, pfn)
 	sh.mu.Unlock()
 	req.Segment(si, 1)
@@ -166,10 +294,11 @@ func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
 
 // Invalidate removes k if present, reporting whether it was.
 func (s *Service) Invalidate(k Key) bool {
-	sh := &s.shards[s.shardIndex(k)]
-	sh.mu.Lock()
-	ok := sh.cache.Invalidate(k)
-	sh.mu.Unlock()
+	si := s.shardIndex(k)
+	s.shards[si].mu.Lock()
+	s.raise(si, 2)
+	ok := s.shards[si].cache.Invalidate(k)
+	s.shards[si].mu.Unlock()
 	return ok
 }
 
@@ -182,10 +311,10 @@ func (s *Service) Invalidate(k Key) bool {
 func (s *Service) InvalidateProcess(pid units.ProcID) int {
 	n := 0
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.cache.InvalidateProcess(pid)
-		sh.mu.Unlock()
+		s.shards[i].mu.Lock()
+		s.raise(i, 2)
+		n += s.shards[i].cache.InvalidateProcess(pid)
+		s.shards[i].mu.Unlock()
 	}
 	return n
 }
@@ -194,8 +323,8 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 // out[i] corresponds to keys[i]. The batch is grouped by shard in one
 // pass, one hash per key, and shards are visited in index order with
 // each shard's keys in batch order, so results and LRU motion are
-// exactly those of single Lookups made in that order. Each shard lock
-// is taken at most once per batch, and each locked stretch is one
+// exactly those of single Lookups made in that order. The batch claims
+// one reader slot; each shard is visited once, and each visit is one
 // telemetry segment, timed against its shard when the request is
 // sampled.
 func (s *Service) LookupMany(keys []Key, out []Result) []Result {
@@ -215,24 +344,18 @@ func (s *Service) LookupMany(keys []Key, out []Result) []Result {
 		head[si] = i + 1
 	}
 	var totalHits int64
+	sl := s.claim()
 	for si, next := range head[:len(s.shards)] {
 		if next == 0 {
 			continue
 		}
-		sh := &s.shards[si]
-		var n int64
-		sh.mu.Lock()
-		for next != 0 {
-			i := next - 1
-			next = out[i].Probes
-			out[i] = sh.cache.Lookup(keys[i])
-			n++
-			if out[i].Hit {
-				totalHits++
-			}
-		}
-		sh.mu.Unlock()
+		n, hits := s.visit(si, sl, keys, out, next)
+		totalHits += hits
 		req.Segment(si, n)
+	}
+	if sl != nil {
+		sl.claim.Unlock()
+		s.hint.Put(sl)
 	}
 	req.Finish(totalHits)
 	return out
@@ -270,6 +393,7 @@ func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 			sh := &s.shards[si]
 			var n int64
 			sh.mu.Lock()
+			s.raise(si, 2)
 			for next != 0 {
 				i := int(next - 1)
 				next = link[i]
@@ -278,7 +402,7 @@ func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 				}
 				n++
 			}
-			sh.mu.Unlock()
+			s.shards[si].mu.Unlock()
 			req.Segment(si, n)
 		}
 	}
@@ -329,7 +453,7 @@ type ShardStats struct {
 }
 
 // Stats is a consistent-enough snapshot of the whole service: each
-// shard is snapshotted atomically under its lock (shard order fixed),
+// shard is snapshotted atomically as a writer (shard order fixed),
 // and Total is the field-wise sum in shard order. Because every field
 // is a sum of commutative per-operation increments, Total depends only
 // on the multiset of operations performed, not on how clients
@@ -353,11 +477,7 @@ func (s *Service) Stats() Stats {
 		PerShard: make([]ShardStats, len(s.shards)),
 	}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		cs := sh.cache.Stats()
-		occ := sh.cache.Occupancy()
-		sh.mu.Unlock()
+		cs, occ := s.shardStats(i)
 		st.PerShard[i] = ShardStats{
 			Shard:    i,
 			Capacity: int64(s.cfg.Entries),
@@ -369,4 +489,21 @@ func (s *Service) Stats() Stats {
 		st.Total.add(st.PerShard[i].Counters)
 	}
 	return st
+}
+
+// shardStats reads shard si's counts, the cache's plus the slots', and
+// its occupancy.
+func (s *Service) shardStats(si int) (tlbcache.Stats, int) {
+	sh := &s.shards[si]
+	sh.mu.Lock()
+	s.raise(si, 1)
+	cs := sh.cache.Stats()
+	for j := si; j < len(s.readers); j += len(s.shards) {
+		cs.Hits += s.readers[j].hits
+		cs.Misses += s.readers[j].misses
+	}
+	occ := sh.cache.Occupancy()
+	sh.state.Add(^uint64(0))
+	sh.mu.Unlock()
+	return cs, occ
 }
