@@ -4,7 +4,7 @@ GO ?= go
 # outputs; CI uploads parts of this directory as build artifacts.
 ARTIFACTS ?= artifacts
 
-.PHONY: all check vet loc build test race fuzz-smoke bench-smoke profile-sim profile-rec profile-svc profile-overlap obs-smoke chaos overlap-soak clean
+.PHONY: all check vet loc prose build test race fuzz-smoke bench-smoke profile-sim profile-rec profile-svc profile-overlap obs-smoke chaos overlap-soak clean
 
 all: check
 
@@ -27,6 +27,11 @@ loc:
 		! -path './.bench_build/*' ! -path './$(ARTIFACTS)/*' \
 		| xargs awk '{ d = FILENAME; sub("/[^/]*$$", "", d); n[d]++ } END { for (d in n) printf "%7d %s\n", n[d], d }' \
 		| sort -k2 | awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
+
+# The prose beside it, in bytes: the design notes, the readme, the
+# experiment record, the change log and the performance log.
+prose:
+	@wc -c DESIGN.md README.md EXPERIMENTS.md CHANGES.md docs/perf-log.md
 
 build:
 	$(GO) build ./...

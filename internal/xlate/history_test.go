@@ -118,8 +118,8 @@ func (r *recorder) nextVersion(k Key) uint32 {
 	return r.versions[int(k.PID-1)*histVPNs+int(k.VPN)].Add(1)
 }
 
-// step performs one random operation and records it.
-func (r *recorder) step() {
+// step performs one random operation, records it and returns its kind.
+func (r *recorder) step() byte {
 	var keys []Key
 	var pfns []units.PFN
 	var kind byte
@@ -180,17 +180,19 @@ func (r *recorder) step() {
 		}
 		r.events = append(r.events, ev)
 	}
+	return kind
 }
 
 // recordHistory runs one goroutine per role, steps operations each,
-// against svc and returns every recorded event. The goroutines start
-// together and yield after every step, so that on a machine with few
-// CPUs the first ones started cannot finish before the last begin (a
-// reader that runs out its steps before any writer has inserted
-// records no hit).
+// against svc and returns every recorded event. A goroutine counts its
+// steps only once some insert has returned, so some role must draw
+// inserts, and it yields after every step: a reader that ran out its
+// steps before any writer had inserted would record no hit, and on a
+// machine with few CPUs the goroutines started first could do just that.
 func recordHistory(svc translator, steps int, seed int64, roles ...role) []histEvent {
 	var clock atomic.Int64
 	var versions [histPIDs * histVPNs]atomic.Uint32
+	var inserted atomic.Bool
 	recs := make([]*recorder, len(roles))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -200,8 +202,13 @@ func recordHistory(svc translator, steps int, seed int64, roles ...role) []histE
 		go func(r *recorder) {
 			defer wg.Done()
 			<-start
-			for i := 0; i < steps; i++ {
-				r.step()
+			for i := 0; i < steps; {
+				if r.step() == 'I' {
+					inserted.Store(true)
+				}
+				if inserted.Load() {
+					i++
+				}
 				runtime.Gosched()
 			}
 		}(recs[w])
