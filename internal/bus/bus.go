@@ -131,28 +131,33 @@ func (b *Bus) SetOverlap(k *event.Kernel, pool *event.Pool) {
 // the makespan.
 func (b *Bus) InFlight() int64 { return b.inflight }
 
-// transfer charges one DMA of the given cost, and is the one place the
-// bus chooses between its two charging modes. Sequentially the NIC
-// clock does the whole transfer: it advances by cost, and the recorded
-// span is [clock, clock+cost). On the overlap engine a DMA channel does
-// it: the transfer books the earliest-free channel from the clock's
-// position, the recorded span is that booking, the clock only waits
-// (AdvanceTo — waiting, not work) until block of the booking has
-// passed, and the completion event lands at the booking's end. block
-// is the part the firmware depends on: 0 for a posted write, cost for
-// data it consumes, the demand entry's share for a prefetching fetch.
-func (b *Bus) transfer(kind obs.Kind, cost, block units.Time, bytes int64) {
-	start := b.clock.Now()
-	if b.dma == nil {
-		b.clock.Advance(cost)
-	} else {
-		var end units.Time
-		start, end, _ = b.dma.Reserve(start, cost)
+// transfer charges one DMA of n units of unit on row per, after its
+// setup (nothing for n = 0), and is the one place the bus chooses
+// between its two charging modes. Sequentially the NIC clock does the
+// whole transfer, and the recorded span is what it charged. On the
+// overlap engine a DMA channel does it: the transfer takes the
+// earliest-free channel from the clock's position, the recorded span is
+// that booking, the clock only waits (AdvanceTo — waiting, not work)
+// until block of the booking has passed, and the completion event lands
+// at the booking's end. block is the part the firmware depends on: 0
+// for a posted write, all of it for data it consumes, the demand
+// entry's share for a prefetching fetch.
+func (b *Bus) transfer(kind obs.Kind, per units.Row, n int, unit, block units.Time, bytes int64) {
+	c, start := b.clock, b.clock.Now()
+	if b.dma != nil {
+		c, _ = b.dma.Take(start)
+		start = c.Now()
+	}
+	if n > 0 {
+		c.Charge(units.RowDMASetup, 1, b.costs.DMASetup)
+		c.Charge(per, n, unit)
+	}
+	if b.dma != nil {
 		b.clock.AdvanceTo(start + block)
 		b.inflight++
-		b.kernel.At(end, b.completeFn)
+		b.kernel.At(c.Now(), b.completeFn)
 	}
-	b.tap.Span(kind, start, cost, 0, uint64(bytes), 0)
+	b.tap.Span(kind, start, c.Now()-start, 0, uint64(bytes), 0)
 }
 
 // ReadWords DMAs n consecutive 8-byte words starting at pa from host
@@ -168,7 +173,7 @@ func (b *Bus) ReadWords(pa units.PAddr, n int) []uint64 {
 	// Prefetch-under-miss: the firmware depends only on the demand
 	// entry (the first word); the prefetched tail streams on the
 	// channel while the NIC resumes translation.
-	b.transfer(obs.KindDMARead, b.costs.EntryFetchCost(n), b.costs.EntryFetchCost(min(n, 1)), int64(n)*8)
+	b.transfer(obs.KindDMARead, units.RowDMAWord, n, b.costs.DMAPerWord, b.costs.EntryFetchCost(min(n, 1)), int64(n)*8)
 	b.reads++
 	b.bytesRead += int64(n) * 8
 	if cap(b.words) < n {
@@ -187,8 +192,7 @@ func (b *Bus) ReadWords(pa units.PAddr, n int) []uint64 {
 // transfer — but on a channel, so other channels (and the host) keep
 // working underneath it.
 func (b *Bus) ReadData(pa units.PAddr, n int) []byte {
-	cost := b.costs.DataCost(n)
-	b.transfer(obs.KindDMARead, cost, cost, int64(n))
+	b.transfer(obs.KindDMARead, units.RowDMAByte, n, b.costs.DMAPerByte, b.costs.DataCost(n), int64(n))
 	b.reads++
 	b.bytesRead += int64(n)
 	return b.mem.Read(pa, n)
@@ -198,7 +202,7 @@ func (b *Bus) ReadData(pa units.PAddr, n int) []byte {
 // message payloads landing in a receive buffer. The write is posted:
 // the NIC waits only for a free channel, not for the bytes to land.
 func (b *Bus) WriteData(pa units.PAddr, data []byte) {
-	b.transfer(obs.KindDMAWrite, b.costs.DataCost(len(data)), 0, int64(len(data)))
+	b.transfer(obs.KindDMAWrite, units.RowDMAByte, len(data), b.costs.DMAPerByte, 0, int64(len(data)))
 	b.writes++
 	b.bytesWrite += int64(len(data))
 	b.mem.Write(pa, data)

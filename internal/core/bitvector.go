@@ -106,7 +106,7 @@ func (b *BitVector) Check(vpn units.VPN, n int) []units.VPN {
 	b.bounds(vpn, n)
 	cost := b.costs.UserCallOverhead
 	if n == 0 {
-		b.clock.Advance(cost)
+		b.clock.Charge(units.RowCheck, 1, cost)
 		return nil
 	}
 
@@ -124,7 +124,7 @@ func (b *BitVector) Check(vpn units.VPN, n int) []units.VPN {
 	}
 	if aligned && fullWords {
 		// Fast path: whole-word compares only.
-		b.clock.Advance(cost + units.Time(wordsTouched)*b.costs.BitWordProbe)
+		b.clock.Charge(units.RowCheck, 1, cost+units.Time(wordsTouched)*b.costs.BitWordProbe)
 		return nil
 	}
 
@@ -134,7 +134,7 @@ func (b *BitVector) Check(vpn units.VPN, n int) []units.VPN {
 		cost += b.costs.BitMisalign
 	}
 	cost += units.Time(n) * b.costs.BitTest
-	b.clock.Advance(cost)
+	b.clock.Charge(units.RowCheck, 1, cost)
 
 	missing := b.miss[:0]
 	for i := 0; i < n; i++ {

@@ -78,7 +78,8 @@ func (s *LibScratch) takeBitVector(costs hostos.Costs, clock *units.Clock) *BitV
 }
 
 // LibStats are the user-level library's cumulative counters, the raw
-// material of Tables 4, 5 and 7.
+// material of Tables 4, 5 and 7. The time each phase took is on the
+// host clock's rows (units.RowCheck, RowPin..., RowUnpin...).
 type LibStats struct {
 	// Lookups counts calls to Lookup (communication operations).
 	Lookups int64
@@ -87,11 +88,6 @@ type LibStats struct {
 	// PagesPinned and PagesUnpinned count page-granularity operations.
 	PagesPinned   int64
 	PagesUnpinned int64
-	// PinTime, UnpinTime and CheckTime are the host time spent in each
-	// phase, for amortized-cost reporting (Table 7).
-	PinTime   units.Time
-	UnpinTime units.Time
-	CheckTime units.Time
 }
 
 // Lib is the user-level UTLB library of one process: it keeps the
@@ -183,13 +179,11 @@ func (l *Lib) Lookup(va units.VAddr, nbytes int) error {
 
 	t0 := l.host.Clock().Now()
 	missing := l.bv.Check(vpn, pages)
-	check := l.host.Clock().Now() - t0
-	l.stats.CheckTime += check
 	kind := obs.KindCheckHit
 	if len(missing) > 0 {
 		kind = obs.KindCheckMiss
 	}
-	l.drv.tap.Span(kind, t0, check, l.proc.PID(), uint64(pages), 0)
+	l.drv.tap.Span(kind, t0, l.host.Clock().Now()-t0, l.proc.PID(), uint64(pages), 0)
 
 	for i := 0; i < pages; i++ {
 		l.policy.Touch(vpn + units.VPN(i))
@@ -250,9 +244,7 @@ func (l *Lib) pinAll(va units.VAddr, nbytes int, list []units.VPN) error {
 	defer l.Unlock(va, nbytes)
 
 	for {
-		t0 := l.host.Clock().Now()
 		_, err := l.drv.IoctlPin(l.proc, list)
-		l.stats.PinTime += l.host.Clock().Now() - t0
 		if err == nil {
 			l.stats.PagesPinned += int64(len(list))
 			for _, p := range list {
@@ -286,10 +278,7 @@ func (l *Lib) evictOne() error {
 	if !ok {
 		return ErrNoVictim
 	}
-	t0 := l.host.Clock().Now()
-	err := l.drv.IoctlUnpin(l.proc, []units.VPN{victim})
-	l.stats.UnpinTime += l.host.Clock().Now() - t0
-	if err != nil {
+	if err := l.drv.IoctlUnpin(l.proc, []units.VPN{victim}); err != nil {
 		return fmt.Errorf("core: evicting page %#x: %w", victim, err)
 	}
 	l.stats.PagesUnpinned++

@@ -32,7 +32,7 @@ func (t *LookupTree) Reset(costs hostos.Costs, clock *units.Clock) {
 // Lookup reports the translation-table index of vpn, or ok=false. The
 // two-reference cost (directory + leaf) is charged per call.
 func (t *LookupTree) Lookup(vpn units.VPN) (index int, ok bool) {
-	t.clock.Advance(2 * t.costs.BitWordProbe)
+	t.clock.Charge(units.RowCheck, 2, t.costs.BitWordProbe)
 	if p := t.pages.Ref(vpn); p != nil {
 		return int(*p), true
 	}

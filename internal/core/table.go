@@ -56,10 +56,6 @@ type Table struct {
 	// absent table (physical address 0 is a legal frame).
 	dir     [DirEntries]units.PAddr
 	present [DirEntries]bool
-	// l2frames lists the second-level frames the table owns.
-	l2frames []units.PFN
-
-	installed int // valid entries currently present
 }
 
 // NewTable allocates an empty table for pid. garbage is the pinned
@@ -72,19 +68,11 @@ func NewTable(pid units.ProcID, mem *phys.Memory, garbage units.PFN) *Table {
 // its 20 KB directory block (LibScratch recycles one table per process
 // slot). Frames are not returned: the caller has reset mem too.
 func (t *Table) reset(pid units.ProcID, mem *phys.Memory, garbage units.PFN) {
-	*t = Table{pid: pid, mem: mem, garbage: garbage, l2frames: t.l2frames[:0]}
+	*t = Table{pid: pid, mem: mem, garbage: garbage}
 }
 
 // PID reports the owning process.
 func (t *Table) PID() units.ProcID { return t.pid }
-
-// Installed reports how many valid translations the table holds.
-func (t *Table) Installed() int { return t.installed }
-
-// L2Frames reports how many second-level table frames are allocated —
-// the "second-level tables occupy too much physical memory" pressure
-// the paper discusses at the end of §3.3.
-func (t *Table) L2Frames() int { return len(t.l2frames) }
 
 func (t *Table) dirIndex(vpn units.VPN) int {
 	if vpn >= VASpacePages {
@@ -115,7 +103,6 @@ func (t *Table) ensureL2(vpn units.VPN) (units.PAddr, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: allocating second-level table: %w", err)
 	}
-	t.l2frames = append(t.l2frames, frame)
 	base := frame.Addr()
 	// One page-sized write, not L2Entries word writes: each WriteWord
 	// re-checks the range and re-finds the frame's backing.
@@ -138,11 +125,7 @@ func (t *Table) Install(vpn units.VPN, pfn units.PFN) error {
 	if err != nil {
 		return err
 	}
-	addr := base + units.PAddr(int(vpn)%L2Entries)*8
-	if _, valid := DecodeEntry(t.mem.ReadWord(addr)); !valid {
-		t.installed++
-	}
-	t.mem.WriteWord(addr, EncodeEntry(pfn, true))
+	t.mem.WriteWord(base+units.PAddr(int(vpn)%L2Entries)*8, EncodeEntry(pfn, true))
 	return nil
 }
 
@@ -153,9 +136,6 @@ func (t *Table) Invalidate(vpn units.VPN) {
 	addr, ok := t.EntryAddr(vpn)
 	if !ok {
 		return
-	}
-	if _, valid := DecodeEntry(t.mem.ReadWord(addr)); valid {
-		t.installed--
 	}
 	t.mem.WriteWord(addr, EncodeEntry(t.garbage, false))
 }

@@ -51,9 +51,6 @@ func TestTableInstallLookup(t *testing.T) {
 	if pfn, valid := tbl.Lookup(100); !valid || pfn != 5 {
 		t.Errorf("Lookup = %d, %v", pfn, valid)
 	}
-	if tbl.Installed() != 1 {
-		t.Errorf("Installed = %d", tbl.Installed())
-	}
 	// Every other entry of the same second-level table, first to last:
 	// garbage.
 	for vpn := units.VPN(0); vpn < L2Entries; vpn++ {
@@ -70,9 +67,6 @@ func TestTableInvalidate(t *testing.T) {
 	if pfn, valid := tbl.Lookup(50); valid || pfn != garbage {
 		t.Errorf("after invalidate = %d, %v", pfn, valid)
 	}
-	if tbl.Installed() != 0 {
-		t.Errorf("Installed = %d", tbl.Installed())
-	}
 	tbl.Invalidate(50)               // idempotent
 	tbl.Invalidate(units.VPN(99999)) // missing L2: no-op
 	tbl.Install(50, 4)               // reinstall works
@@ -82,16 +76,17 @@ func TestTableInvalidate(t *testing.T) {
 }
 
 func TestTableL2Sharing(t *testing.T) {
-	tbl, _, _ := newTable(t, 8)
+	tbl, mem, _ := newTable(t, 8)
+	free := mem.FreeFrames()
 	// Two pages in the same 512-entry region share one frame.
 	tbl.Install(0, 1)
 	tbl.Install(511, 2)
-	if tbl.L2Frames() != 1 {
-		t.Errorf("L2Frames = %d, want 1", tbl.L2Frames())
+	if used := free - mem.FreeFrames(); used != 1 {
+		t.Errorf("second-level frames = %d, want 1", used)
 	}
 	tbl.Install(512, 3) // next region
-	if tbl.L2Frames() != 2 {
-		t.Errorf("L2Frames = %d, want 2", tbl.L2Frames())
+	if used := free - mem.FreeFrames(); used != 2 {
+		t.Errorf("second-level frames = %d, want 2", used)
 	}
 }
 
@@ -135,11 +130,11 @@ func TestTableVPNOutOfRangePanics(t *testing.T) {
 	tbl.Install(VASpacePages, 1)
 }
 
-// Property: install/invalidate sequences keep Installed() equal to the
-// number of valid entries.
+// Property: after any install/invalidate sequence exactly the pages
+// last installed hold valid entries, each its last frame.
 func TestInstalledCountProperty(t *testing.T) {
 	tbl, _, _ := newTable(t, 64)
-	valid := map[units.VPN]bool{}
+	valid := map[units.VPN]units.PFN{}
 	f := func(ops []uint16) bool {
 		for _, op := range ops {
 			vpn := units.VPN(op % 2048)
@@ -147,13 +142,19 @@ func TestInstalledCountProperty(t *testing.T) {
 				if err := tbl.Install(vpn, units.PFN(op)); err != nil {
 					return true // out of table memory: acceptable, stop
 				}
-				valid[vpn] = true
+				valid[vpn] = units.PFN(op)
 			} else {
 				tbl.Invalidate(vpn)
 				delete(valid, vpn)
 			}
 		}
-		return tbl.Installed() == len(valid)
+		for vpn := units.VPN(0); vpn < 2048; vpn++ {
+			pfn, ok := tbl.Lookup(vpn)
+			if want, in := valid[vpn]; ok != in || (in && pfn != want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

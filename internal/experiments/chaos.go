@@ -60,10 +60,7 @@ var chaosMultipliers = []float64{0, 0.5, 1, 2, 4}
 // attempted/delivered/failed, link retransmissions, reclaimer passes,
 // pin retries, dropped cache fills, total faults struck, and goodput.
 func Chaos(opts Options) (*stats.Table, error) {
-	seed := opts.FaultSeed
-	if seed == 0 {
-		seed = opts.Seed + 77
-	}
+	seed := chaosSeed(opts)
 	nmsgs := max(8, int(32*opts.scale()))
 
 	tbl := stats.NewTable(
@@ -74,15 +71,11 @@ func Chaos(opts Options) (*stats.Table, error) {
 
 	rows, err := parallel.Map(len(chaosMultipliers), func(mi int) ([]string, error) {
 		m := chaosMultipliers[mi]
-		// Every row owns its injector (seeded by row, so rows are
-		// independent of worker scheduling) and its cluster.
-		inj := fault.NewInjector(seed+int64(mi)*1013, fault.Plan{
-			fault.SiteFabricDrop:    {Rate: chaosDropRate * m},
-			fault.SiteFabricCorrupt: {Rate: chaosCorruptRate * m},
-			fault.SiteHostPin:       {Rate: chaosPinRate * m},
-			fault.SiteCacheFill:     {Rate: chaosFillRate * m},
-		})
-		res, err := chaosRun(opts, inj, m, nmsgs)
+		cl, inj, err := chaosPoint(opts, mi)
+		if err != nil {
+			return nil, err
+		}
+		res, err := chaosRun(cl, inj, nmsgs)
 		if err != nil {
 			return nil, fmt.Errorf("chaos x%.1f: %w", m, err)
 		}
@@ -120,18 +113,37 @@ type chaosResult struct {
 	goodputMBps float64
 }
 
-// chaosRun drives one fault-rate point end to end.
-func chaosRun(opts Options, inj *fault.Injector, mult float64, nmsgs int) (chaosResult, error) {
+// chaosSeed is the sweep's fault seed.
+func chaosSeed(opts Options) int64 {
+	if opts.FaultSeed != 0 {
+		return opts.FaultSeed
+	}
+	return opts.Seed + 77
+}
+
+// chaosPoint builds fault-rate point mi: its injector and its two-node
+// cluster. Every point owns both, and its injector is seeded by point,
+// so points are independent of worker scheduling.
+func chaosPoint(opts Options, mi int) (*vmmc.Cluster, *fault.Injector, error) {
+	m := chaosMultipliers[mi]
+	inj := fault.NewInjector(chaosSeed(opts)+int64(mi)*1013, fault.Plan{
+		fault.SiteFabricDrop:    {Rate: chaosDropRate * m},
+		fault.SiteFabricCorrupt: {Rate: chaosCorruptRate * m},
+		fault.SiteHostPin:       {Rate: chaosPinRate * m},
+		fault.SiteCacheFill:     {Rate: chaosFillRate * m},
+	})
 	cl, err := vmmc.NewCluster(vmmc.Options{
 		Nodes:        2,
 		HostMemBytes: chaosFrames * units.PageSize,
 		CacheEntries: 256,
 		Injector:     inj,
-		Recorder:     opts.recorderFor(fmt.Sprintf("chaos/x%.1f", mult)),
+		Recorder:     opts.recorderFor(fmt.Sprintf("chaos/x%.1f", m)),
 	})
-	if err != nil {
-		return chaosResult{}, err
-	}
+	return cl, inj, err
+}
+
+// chaosRun drives one fault-rate point end to end on cl.
+func chaosRun(cl *vmmc.Cluster, inj *fault.Injector, nmsgs int) (chaosResult, error) {
 	sender, err := cl.Node(0).NewProcess(1, "sender", chaosPinLimit, core.LibConfig{})
 	if err != nil {
 		return chaosResult{}, err

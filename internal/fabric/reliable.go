@@ -7,7 +7,8 @@ import (
 )
 
 // RetransmitLimit bounds attempts per packet before the link is
-// declared dead; VMMC-2 then triggers its node-remapping procedure.
+// declared dead; vmmc's sendReliable then backs off by RemapCost,
+// doubled per attempt, and retries the send.
 const RetransmitLimit = 16
 
 // ErrLinkDead is returned when a packet could not be delivered within
@@ -91,7 +92,7 @@ func (e *Endpoint) Send(dst units.NodeID, payload []byte, tag uint64) error {
 	for attempt := 0; attempt < RetransmitLimit; attempt++ {
 		if attempt > 0 {
 			e.retransmits++
-			e.clock.Advance(e.timeout)
+			e.clock.Charge(units.RowTimeout, 1, e.timeout)
 		}
 		arrival, ok := e.net.Transmit(pkt, e.clock.Now())
 		if !ok {

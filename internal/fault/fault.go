@@ -2,8 +2,9 @@
 // simulation stack: named injection sites (Points) that fire at
 // seeded, reproducible rates or on fixed schedules, so robustness
 // paths — the host page reclaimer, the link-layer retransmission
-// protocol, the VMMC remapping procedure — can be provoked on demand
-// and tested byte-for-byte.
+// protocol, vmmc's sendReliable backoff (RemapCost, doubled per
+// attempt, then a retry) — can be provoked on demand and tested
+// byte-for-byte.
 //
 // The design mirrors obs.Recorder's nil-default contract: every
 // component holds a *Point that is nil unless an Injector armed it,
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 )
 
 // ErrInjected marks every synthetic failure produced through a Point,
@@ -155,21 +155,6 @@ func (i *Injector) Point(site string) *Point {
 	}
 	i.points[site] = p
 	return p
-}
-
-// Sites lists the plan's armed site names, sorted.
-func (i *Injector) Sites() []string {
-	if i == nil {
-		return nil
-	}
-	sites := make([]string, 0, len(i.plan))
-	for site, cfg := range i.plan {
-		if cfg.enabled() {
-			sites = append(sites, site)
-		}
-	}
-	sort.Strings(sites)
-	return sites
 }
 
 // Fired reports the total number of faults struck across all points.

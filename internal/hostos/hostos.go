@@ -29,7 +29,8 @@ type Costs struct {
 	// once per ioctl (pin or unpin request).
 	SyscallEntry units.Time
 	// PinBase is the fixed kernel cost of a pin ioctl before per-page
-	// work (argument validation, table lookup, lock acquisition).
+	// work (argument validation, table lookup, lock acquisition). Paid
+	// once per call, it makes §6.5's sequential pre-pinning pay off.
 	PinBase units.Time
 	// PinPerPage is the incremental kernel cost of pinning each page.
 	PinPerPage units.Time
@@ -84,45 +85,6 @@ func DefaultCosts() Costs {
 		ReclaimBase:       units.FromMicros(4.0),
 		ReclaimPerScanned: units.FromMicros(0.12),
 	}
-}
-
-// PinCost reports the full cost of one pin ioctl covering pages pages,
-// including the protection-domain crossing. Pinning a buffer all at once
-// is significantly cheaper per page than one page at a time, which is
-// what makes the paper's sequential pre-pinning policy (§6.5) pay off.
-func (c Costs) PinCost(pages int) units.Time {
-	if pages <= 0 {
-		return 0
-	}
-	return c.SyscallEntry + c.PinBase + units.Time(pages)*c.PinPerPage
-}
-
-// UnpinCost reports the full cost of one unpin ioctl covering pages pages.
-func (c Costs) UnpinCost(pages int) units.Time {
-	if pages <= 0 {
-		return 0
-	}
-	return c.SyscallEntry + c.UnpinBase + units.Time(pages)*c.UnpinPerPage
-}
-
-// KernelPinCost is PinCost without the protection-domain crossing: the
-// cost when the kernel is already entered, as in the interrupt-based
-// baseline where pinning happens inside the interrupt handler. The paper
-// notes "once in the interrupt handler, pin or unpin requires no
-// protection domain crossing".
-func (c Costs) KernelPinCost(pages int) units.Time {
-	if pages <= 0 {
-		return 0
-	}
-	return c.PinBase + units.Time(pages)*c.PinPerPage
-}
-
-// KernelUnpinCost mirrors KernelPinCost for unpin.
-func (c Costs) KernelUnpinCost(pages int) units.Time {
-	if pages <= 0 {
-		return 0
-	}
-	return c.UnpinBase + units.Time(pages)*c.UnpinPerPage
 }
 
 // Process is one user process on a host.
@@ -184,9 +146,8 @@ type Host struct {
 	// pin (the slice is only valid that long).
 	pinScratch []units.PFN
 	// Reclaim/retry counters (reclaim.go accessors).
-	reclaims        int64
-	framesReclaimed int64
-	pinRetries      int64
+	reclaims   int64
+	pinRetries int64
 }
 
 // New returns a host with the given node id, memory size in bytes, and
@@ -263,20 +224,20 @@ func (h *Host) Processes() int { return len(h.procs) }
 // pages it already pinned and reports the error; time for the attempted
 // work is still charged, as it would be on a real machine.
 func (h *Host) PinPages(p *Process, vpns []units.VPN) ([]units.PFN, error) {
-	return h.pin(p, vpns, h.costs.PinCost(len(vpns)), obs.KindPin)
+	return h.pin(p, vpns, 1, obs.KindPin)
 }
 
 // PinPagesInKernel is PinPages without the protection-domain crossing,
 // used by the interrupt-based baseline inside its interrupt handler.
 func (h *Host) PinPagesInKernel(p *Process, vpns []units.VPN) ([]units.PFN, error) {
-	return h.pin(p, vpns, h.costs.KernelPinCost(len(vpns)), obs.KindKernelPin)
+	return h.pin(p, vpns, 0, obs.KindKernelPin)
 }
 
-// pin is both pin facilities: it charges cost, pins vpns and records
-// the call as a kind span covering everything it charged.
-func (h *Host) pin(p *Process, vpns []units.VPN, cost units.Time, kind obs.Kind) ([]units.PFN, error) {
+// pin is both pin facilities: it charges the call, pins vpns and
+// records the call as a kind span covering everything it charged.
+func (h *Host) pin(p *Process, vpns []units.VPN, crossings int, kind obs.Kind) ([]units.PFN, error) {
 	start := h.clock.Now()
-	h.clock.Advance(cost)
+	h.charge(units.RowPinSyscall, crossings, h.costs.PinBase, h.costs.PinPerPage, len(vpns))
 	pfns, err := h.pinLocked(p, vpns)
 	h.tap.Span(kind, start, h.clock.Now()-start, p.pid, uint64(len(vpns)), 0)
 	return pfns, err
@@ -392,19 +353,30 @@ func (h *Host) tryPin(p *Process, vpn units.VPN) (units.PFN, error) {
 // unpins every page. Unpinning a page that is not pinned is a caller
 // bug and returns an error after charging time.
 func (h *Host) UnpinPages(p *Process, vpns []units.VPN) error {
-	return h.unpin(p, vpns, h.costs.UnpinCost(len(vpns)), obs.KindUnpin)
+	return h.unpin(p, vpns, 1, obs.KindUnpin)
 }
 
 // UnpinPagesInKernel is UnpinPages without the domain crossing.
 func (h *Host) UnpinPagesInKernel(p *Process, vpns []units.VPN) error {
-	return h.unpin(p, vpns, h.costs.KernelUnpinCost(len(vpns)), obs.KindKernelUnpin)
+	return h.unpin(p, vpns, 0, obs.KindKernelUnpin)
 }
 
-// unpin is both unpin facilities: it charges cost, unpins vpns up to
-// the first failure and records the call as a kind span.
-func (h *Host) unpin(p *Process, vpns []units.VPN, cost units.Time, kind obs.Kind) (err error) {
+// charge charges one pin or unpin call over pages pages (nothing for
+// none) to the three rows from first: its protection-domain crossings
+// (1 for an ioctl, 0 inside the kernel), its base cost and each page.
+func (h *Host) charge(first units.Row, crossings int, base, perPage units.Time, pages int) {
+	if pages > 0 {
+		h.clock.Charge(first, crossings, h.costs.SyscallEntry)
+		h.clock.Charge(first+1, 1, base)
+		h.clock.Charge(first+2, pages, perPage)
+	}
+}
+
+// unpin is both unpin facilities: it charges the call, unpins vpns up
+// to the first failure and records the call as a kind span.
+func (h *Host) unpin(p *Process, vpns []units.VPN, crossings int, kind obs.Kind) (err error) {
 	start := h.clock.Now()
-	h.clock.Advance(cost)
+	h.charge(units.RowUnpinSyscall, crossings, h.costs.UnpinBase, h.costs.UnpinPerPage, len(vpns))
 	for _, vpn := range vpns {
 		if err = p.space.Unpin(vpn); err != nil {
 			err = fmt.Errorf("hostos: unpin page %#x for pid %d: %w", vpn, p.pid, err)
@@ -430,7 +402,7 @@ func (h *Host) EnterInterrupt() (taken units.Time) {
 		h.clock.AdvanceTo(h.device.Now())
 	}
 	taken = h.clock.Now()
-	h.clock.Advance(h.costs.InterruptDispatch)
+	h.clock.Charge(units.RowInterrupt, 1, h.costs.InterruptDispatch)
 	return taken
 }
 

@@ -25,41 +25,66 @@ func spawn(t *testing.T, h *Host, pid units.ProcID, pinLimit int) *Process {
 	return p
 }
 
-// Table 1 calibration: composite pin/unpin costs must land near the
-// paper's measurements (within 15%).
+// callCost is what one call over vpns charges on a fresh host: pin
+// (ioctl or in-kernel) then unpin, each measured off the clock.
+func callCost(t *testing.T, vpns []units.VPN, kernel bool) (pin, unpin units.Time) {
+	t.Helper()
+	h := newHost(t)
+	p := spawn(t, h, 1, 0)
+	pinF, unpinF := h.PinPages, h.UnpinPages
+	if kernel {
+		pinF, unpinF = h.PinPagesInKernel, h.UnpinPagesInKernel
+	}
+	if _, err := pinF(p, vpns); err != nil {
+		t.Fatal(err)
+	}
+	pin = h.Clock().Now()
+	if err := unpinF(p, vpns); err != nil {
+		t.Fatal(err)
+	}
+	return pin, h.Clock().Now() - pin
+}
+
+func pages(n int) []units.VPN {
+	vpns := make([]units.VPN, n)
+	for i := range vpns {
+		vpns[i] = units.VPN(i)
+	}
+	return vpns
+}
+
+// Table 1 calibration: what one pin or unpin ioctl charges must land
+// near the paper's measurements (within 15%).
 func TestPinUnpinCostCalibration(t *testing.T) {
-	c := DefaultCosts()
 	paperPin := map[int]float64{1: 27, 2: 30, 4: 36, 8: 47, 16: 70, 32: 115}
 	paperUnpin := map[int]float64{1: 25, 2: 30, 4: 36, 8: 50, 16: 80, 32: 139}
 	within := func(got, want float64) bool {
 		return math.Abs(got-want)/want < 0.15
 	}
-	for n, want := range paperPin {
-		if got := c.PinCost(n).Micros(); !within(got, want) {
-			t.Errorf("PinCost(%d) = %.1fus, paper %.0fus", n, got, want)
+	for n := range paperPin {
+		pin, unpin := callCost(t, pages(n), false)
+		if !within(pin.Micros(), paperPin[n]) {
+			t.Errorf("pin(%d) = %.1fus, paper %.0fus", n, pin.Micros(), paperPin[n])
 		}
-	}
-	for n, want := range paperUnpin {
-		if got := c.UnpinCost(n).Micros(); !within(got, want) {
-			t.Errorf("UnpinCost(%d) = %.1fus, paper %.0fus", n, got, want)
+		if !within(unpin.Micros(), paperUnpin[n]) {
+			t.Errorf("unpin(%d) = %.1fus, paper %.0fus", n, unpin.Micros(), paperUnpin[n])
 		}
 	}
 }
 
 func TestZeroPageCosts(t *testing.T) {
-	c := DefaultCosts()
-	if c.PinCost(0) != 0 || c.UnpinCost(0) != 0 || c.KernelPinCost(-1) != 0 || c.KernelUnpinCost(0) != 0 {
-		t.Error("zero/negative page counts should cost nothing")
+	for _, kernel := range []bool{false, true} {
+		if pin, unpin := callCost(t, nil, kernel); pin != 0 || unpin != 0 {
+			t.Errorf("kernel %v: a call over no pages charged %v and %v", kernel, pin, unpin)
+		}
 	}
 }
 
 func TestKernelCostsSkipDomainCrossing(t *testing.T) {
-	c := DefaultCosts()
-	if c.KernelPinCost(4) != c.PinCost(4)-c.SyscallEntry {
-		t.Error("KernelPinCost should omit exactly the syscall entry")
-	}
-	if c.KernelUnpinCost(4) != c.UnpinCost(4)-c.SyscallEntry {
-		t.Error("KernelUnpinCost should omit exactly the syscall entry")
+	pin, unpin := callCost(t, pages(4), false)
+	kpin, kunpin := callCost(t, pages(4), true)
+	if c := DefaultCosts(); kpin != pin-c.SyscallEntry || kunpin != unpin-c.SyscallEntry {
+		t.Errorf("in-kernel pin %v and unpin %v, want the ioctls' %v and %v less the syscall entry", kpin, kunpin, pin, unpin)
 	}
 }
 
@@ -88,9 +113,18 @@ func TestPinPagesChargesTimeAndPins(t *testing.T) {
 	if len(pfns) != 3 {
 		t.Fatalf("pfns = %v", pfns)
 	}
-	charged := h.Clock().Now() - before
-	if charged != h.Costs().PinCost(3) {
-		t.Errorf("charged %v, want %v", charged, h.Costs().PinCost(3))
+	c := h.Costs()
+	if charged := h.Clock().Now() - before; charged != c.SyscallEntry+c.PinBase+3*c.PinPerPage {
+		t.Errorf("charged %v, want the syscall entry, the pin base and 3 pages", charged)
+	}
+	for row, want := range map[units.Row]units.Line{
+		units.RowPinSyscall: {Count: 1, Total: c.SyscallEntry},
+		units.RowPin:        {Count: 1, Total: c.PinBase},
+		units.RowPinPage:    {Count: 3, Total: 3 * c.PinPerPage},
+	} {
+		if got := h.Clock().Line(row); got != want {
+			t.Errorf("row %d = %+v, want %+v", row, got, want)
+		}
 	}
 	for _, vpn := range []units.VPN{10, 11, 12} {
 		if !p.Space().Pinned(vpn) {
@@ -137,8 +171,8 @@ func TestUnpinPages(t *testing.T) {
 	if err := h.UnpinPages(p, []units.VPN{5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Clock().Now() - before; got != h.Costs().UnpinCost(2) {
-		t.Errorf("charged %v, want %v", got, h.Costs().UnpinCost(2))
+	if c := h.Costs(); h.Clock().Now()-before != c.SyscallEntry+c.UnpinBase+2*c.UnpinPerPage {
+		t.Errorf("charged %v, want the syscall entry, the unpin base and 2 pages", h.Clock().Now()-before)
 	}
 	if err := h.UnpinPages(p, []units.VPN{5}); err == nil {
 		t.Error("unpinning unpinned page should error")
@@ -167,14 +201,14 @@ func TestInterruptRendezvous(t *testing.T) {
 	buf := obs.NewBuffer("x")
 	h.SetTap(obs.NewTap(buf, 0))
 	device := units.NewClock()
-	device.Advance(units.FromMicros(50))
+	device.AdvanceTo(units.FromMicros(50))
 	h.SetInterruptSync(device)
 
 	taken := h.EnterInterrupt()
 	if taken != device.Now() {
 		t.Errorf("interrupt taken at %v, before the device raised it at %v", taken, device.Now())
 	}
-	h.Clock().Advance(units.FromMicros(7)) // the handler's work
+	h.Clock().Charge(units.RowPin, 1, units.FromMicros(7)) // the handler's work
 	h.LeaveInterrupt(taken)
 	want := h.Costs().InterruptDispatch + units.FromMicros(7)
 	if device.Now() != taken+want {

@@ -50,8 +50,8 @@ func TestPinReclaimsAndRetriesOnFrameExhaustion(t *testing.T) {
 	if h.Reclaims() == 0 {
 		t.Error("Reclaims = 0, want at least one reclaimer pass")
 	}
-	if h.FramesReclaimed() < 3 {
-		t.Errorf("FramesReclaimed = %d, want >= 3", h.FramesReclaimed())
+	if left := len(hog.Space().(*vm.Space).MappedVPNs()); left > 8-3 {
+		t.Errorf("the hog still maps %d of 8 pages, want 3 or more taken back", left)
 	}
 	if h.PinRetries() == 0 {
 		t.Error("PinRetries = 0, want at least one retried attempt")

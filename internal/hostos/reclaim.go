@@ -63,11 +63,10 @@ func (h *Host) Reclaim(want int) int {
 	// every mapped page and frees nothing, but still burns a base cost
 	// plus a per-page metadata probe. Only evicted frames pay the
 	// additional per-frame unmapping work.
-	h.clock.Advance(h.costs.ReclaimBase +
-		units.Time(scanned)*h.costs.ReclaimPerScanned +
+	h.clock.Charge(units.RowReclaim, 1, h.costs.ReclaimBase+
+		units.Time(scanned)*h.costs.ReclaimPerScanned+
 		units.Time(reclaimed)*h.costs.PinPerPage)
 	h.reclaims++
-	h.framesReclaimed += int64(reclaimed)
 	h.tap.Span(obs.KindReclaim, start, h.clock.Now()-start, 0, uint64(reclaimed), uint64(want))
 	return reclaimed
 }
@@ -75,18 +74,6 @@ func (h *Host) Reclaim(want int) int {
 // Reclaims reports how many reclaimer passes have run.
 func (h *Host) Reclaims() int64 { return h.reclaims }
 
-// FramesReclaimed reports the cumulative frames taken back.
-func (h *Host) FramesReclaimed() int64 { return h.framesReclaimed }
-
 // PinRetries reports how many pin attempts were retried after a
 // reclaim pass.
 func (h *Host) PinRetries() int64 { return h.pinRetries }
-
-// MemoryPressure reports the fraction of physical frames in use.
-func (h *Host) MemoryPressure() float64 {
-	total := int(h.mem.NumFrames())
-	if total == 0 {
-		return 0
-	}
-	return float64(total-h.mem.FreeFrames()) / float64(total)
-}

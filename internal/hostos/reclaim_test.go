@@ -51,8 +51,8 @@ func TestReclaimPartialAndZero(t *testing.T) {
 	if got := h.Reclaim(2); got != 2 {
 		t.Errorf("Reclaim(2) = %d", got)
 	}
-	if sp.MappedPages() != 4 {
-		t.Errorf("mapped = %d, want 4", sp.MappedPages())
+	if got := len(sp.MappedVPNs()); got != 4 {
+		t.Errorf("mapped = %d, want 4", got)
 	}
 	if h.Reclaim(0) != 0 || h.Reclaim(-3) != 0 {
 		t.Error("non-positive reclaim did work")
@@ -128,19 +128,5 @@ func TestReclaimAcrossProcesses(t *testing.T) {
 	p2.Space().(*vm.Space).Touch(0)
 	if got := h.Reclaim(10); got != 2 {
 		t.Errorf("Reclaim across procs = %d", got)
-	}
-}
-
-func TestMemoryPressure(t *testing.T) {
-	h := New(0, 10*units.PageSize, DefaultCosts())
-	if h.MemoryPressure() != 0 {
-		t.Errorf("fresh pressure = %v", h.MemoryPressure())
-	}
-	p := spawn(t, h, 1, 0)
-	for vpn := units.VPN(0); vpn < 5; vpn++ {
-		p.Space().(*vm.Space).Touch(vpn)
-	}
-	if got := h.MemoryPressure(); got != 0.5 {
-		t.Errorf("pressure = %v, want 0.5", got)
 	}
 }

@@ -68,9 +68,6 @@ type NIC struct {
 
 	sramSize int
 	sramUsed int
-
-	// Counters for experiments.
-	dmaFetches int64
 }
 
 // New returns a NIC with the given SRAM size attached to b. The NIC has
@@ -97,9 +94,6 @@ func (n *NIC) Costs() Costs { return n.costs }
 // Bus returns the NIC's host I/O bus.
 func (n *NIC) Bus() *bus.Bus { return n.bus }
 
-// SRAMSize reports total on-board SRAM in bytes.
-func (n *NIC) SRAMSize() int { return n.sramSize }
-
 // SRAMFree reports unreserved SRAM in bytes.
 func (n *NIC) SRAMFree() int { return n.sramSize - n.sramUsed }
 
@@ -118,45 +112,29 @@ func (n *NIC) ReserveSRAM(nbytes int) error {
 	return nil
 }
 
-// ReleaseSRAM returns a reservation made with ReserveSRAM.
-func (n *NIC) ReleaseSRAM(nbytes int) {
-	if nbytes < 0 || nbytes > n.sramUsed {
-		panic(fmt.Sprintf("nicsim: bad SRAM release %d (used %d)", nbytes, n.sramUsed))
-	}
-	n.sramUsed -= nbytes
-}
-
 // FetchEntries DMAs count 8-byte translation entries from host memory
 // at pa, charging the NIC clock (the firmware blocks on its DMA). The
 // returned words live in the bus' reused fetch buffer and are only
 // valid until the next fetch — decode them before the next miss.
 func (n *NIC) FetchEntries(pa units.PAddr, count int) []uint64 {
-	n.dmaFetches++
 	return n.bus.ReadWords(pa, count)
 }
 
-// DMAFetches reports how many entry-fetch DMA transactions have run.
-func (n *NIC) DMAFetches() int64 { return n.dmaFetches }
-
 // ChargeLookupBase charges the fixed translation-lookup entry cost.
-func (n *NIC) ChargeLookupBase() { n.clock.Advance(n.costs.LookupBase) }
+func (n *NIC) ChargeLookupBase() { n.clock.Charge(units.RowLookup, 1, n.costs.LookupBase) }
 
 // ChargeProbes charges k cache-entry probes.
-func (n *NIC) ChargeProbes(k int) {
-	n.clock.Advance(units.Time(k) * n.costs.CacheProbe)
-}
+func (n *NIC) ChargeProbes(k int) { n.clock.Charge(units.RowProbe, k, n.costs.CacheProbe) }
 
 // ChargeBatchEntry charges the per-entry continuation cost of a
 // batched translation dispatch (every batch entry after the first).
-func (n *NIC) ChargeBatchEntry() { n.clock.Advance(n.costs.BatchEntry) }
+func (n *NIC) ChargeBatchEntry() { n.clock.Charge(units.RowBatchEntry, 1, n.costs.BatchEntry) }
 
 // ChargeDirectoryProbe charges one page-directory SRAM reference.
-func (n *NIC) ChargeDirectoryProbe() { n.clock.Advance(n.costs.DirectoryProbe) }
+func (n *NIC) ChargeDirectoryProbe() { n.clock.Charge(units.RowDirectory, 1, n.costs.DirectoryProbe) }
 
 // ChargeInstall charges the cost of installing k fetched entries.
-func (n *NIC) ChargeInstall(k int) {
-	n.clock.Advance(units.Time(k) * n.costs.CacheInstall)
-}
+func (n *NIC) ChargeInstall(k int) { n.clock.Charge(units.RowInstall, k, n.costs.CacheInstall) }
 
 // ChargePoll charges one doorbell poll.
-func (n *NIC) ChargePoll() { n.clock.Advance(n.costs.DoorbellPoll) }
+func (n *NIC) ChargePoll() { n.clock.Charge(units.RowPoll, 1, n.costs.DoorbellPoll) }

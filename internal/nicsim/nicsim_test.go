@@ -56,8 +56,8 @@ func TestMissCostCalibration(t *testing.T) {
 
 func TestSRAMReservation(t *testing.T) {
 	n, _ := newNIC(t)
-	if n.SRAMSize() != units.MB || n.SRAMFree() != units.MB {
-		t.Fatalf("SRAM sizing wrong: %d/%d", n.SRAMFree(), n.SRAMSize())
+	if n.SRAMFree() != units.MB {
+		t.Fatalf("SRAM sizing wrong: %d free", n.SRAMFree())
 	}
 	if err := n.ReserveSRAM(512 * units.KB); err != nil {
 		t.Fatal(err)
@@ -68,20 +68,9 @@ func TestSRAMReservation(t *testing.T) {
 	if err := n.ReserveSRAM(1); err == nil {
 		t.Error("over-reservation accepted")
 	}
-	n.ReleaseSRAM(512 * units.KB)
-	if n.SRAMFree() != 512*units.KB {
+	if n.SRAMFree() != 0 {
 		t.Errorf("SRAMFree = %d", n.SRAMFree())
 	}
-}
-
-func TestReleaseTooMuchPanics(t *testing.T) {
-	n, _ := newNIC(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	n.ReleaseSRAM(1)
 }
 
 func TestFetchEntriesReadsHostMemory(t *testing.T) {
@@ -93,8 +82,8 @@ func TestFetchEntriesReadsHostMemory(t *testing.T) {
 	if got[0] != 7 || got[1] != 8 || got[2] != 9 {
 		t.Errorf("FetchEntries = %v", got)
 	}
-	if n.DMAFetches() != 1 {
-		t.Errorf("DMAFetches = %d", n.DMAFetches())
+	if reads, _, bytes, _ := n.Bus().Stats(); reads != 1 || bytes != 24 {
+		t.Errorf("%d DMA reads of %d bytes, want 1 of 24", reads, bytes)
 	}
 }
 

@@ -147,6 +147,7 @@ func (m *sharedCache) finish(res *Result) {
 	for _, lib := range m.libs {
 		res.addLib(lib.Stats())
 	}
+	m.r.librarySplit(res)
 	res.NIMisses = m.drv.Cache().Misses() // the paper's "NI misses"
 }
 
@@ -156,7 +157,15 @@ func (r *Result) addLib(st core.LibStats) {
 	r.CheckMisses += st.CheckMisses
 	r.Pins += st.PagesPinned
 	r.Unpins += st.PagesUnpinned
-	r.PinTime += st.PinTime
-	r.UnpinTime += st.UnpinTime
-	r.CheckTime += st.CheckTime
+}
+
+// librarySplit reads the host side of a design with a user-level
+// library off the host clock's rows: the checks, the pin calls (with
+// any reclaim they ran) and the unpin calls, which together are all of
+// its host time.
+func (r *run) librarySplit(res *Result) {
+	c := r.host.Clock()
+	res.CheckTime = c.Sum(units.RowCheck)
+	res.PinTime = c.Sum(units.RowPinSyscall, units.RowPin, units.RowPinPage, units.RowReclaim)
+	res.UnpinTime = c.Sum(units.RowUnpinSyscall, units.RowUnpin, units.RowUnpinPage)
 }

@@ -93,7 +93,8 @@ func finished(m mechanism) Result {
 // channels} × dispatch width {1, 8} on two workloads: the 3C classes
 // partition the NI misses, counters do not depend on the timing mode,
 // overlapping never lengthens the makespan, a warm scratch (last used
-// by a different design) changes nothing, recording changes nothing —
+// by a different design) changes nothing, the result adds up to its
+// clocks' rows (auditLedger), recording changes nothing —
 // nor, under overlap, does what the scratch-held engine last ran: a
 // larger run, or one that failed with completions queued and events
 // held — every recorded event carries a transfer id, and under overlap an
@@ -178,6 +179,9 @@ func TestEveryMechanism(t *testing.T) {
 					reused, err := RunWith(tr, c, warm)
 					if err != nil {
 						t.Fatalf("%s warm: %v", name, err)
+					}
+					for _, e := range auditLedger(reused, warm) {
+						t.Errorf("%s: %s", name, e)
 					}
 					if reused != res {
 						t.Errorf("%s: warm scratch changed the result:\nfresh %+v\nwarm  %+v", name, res, reused)

@@ -101,8 +101,6 @@ func (m *perProcess) post(i int, rec trace.Record) error {
 	s.stats.Lookups++
 	m.first = rec.VA.PageOf()
 
-	clock := m.r.host.Clock()
-	t0 := clock.Now()
 	missing := s.missing[:0]
 	for j := 0; j < pages; j++ {
 		p := m.first + units.VPN(j)
@@ -114,7 +112,6 @@ func (m *perProcess) post(i int, rec trace.Record) error {
 		}
 		m.indices = append(m.indices, idx)
 	}
-	s.stats.CheckTime += clock.Now() - t0
 	s.missing = missing
 	if len(missing) == 0 {
 		return nil
@@ -152,7 +149,6 @@ func (m *perProcess) post(i int, rec trace.Record) error {
 // install pins p and installs its translation at a free table slot,
 // evicting while either the table or the pin quota is full.
 func (m *perProcess) install(s *ppSlot, p units.VPN) (int, error) {
-	clock := m.r.host.Clock()
 	for {
 		if len(s.free) == 0 {
 			// Table full: a capacity miss detected at user level (§3.1).
@@ -163,9 +159,7 @@ func (m *perProcess) install(s *ppSlot, p units.VPN) (int, error) {
 		}
 		idx := s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
-		t0 := clock.Now()
 		pfns, err := m.r.host.PinPages(s.proc, []units.VPN{p})
-		s.stats.PinTime += clock.Now() - t0
 		if err == nil {
 			s.stats.PagesPinned++
 			s.table[idx] = pfns[0]
@@ -193,11 +187,7 @@ func (m *perProcess) evict(s *ppSlot) error {
 	if !ok {
 		return fmt.Errorf("sim: victim page %#x has no table slot", victim)
 	}
-	clock := m.r.host.Clock()
-	t0 := clock.Now()
-	err := m.r.host.UnpinPages(s.proc, []units.VPN{victim})
-	s.stats.UnpinTime += clock.Now() - t0
-	if err != nil {
+	if err := m.r.host.UnpinPages(s.proc, []units.VPN{victim}); err != nil {
 		return err
 	}
 	s.stats.PagesUnpinned++
@@ -229,6 +219,7 @@ func (m *perProcess) finish(res *Result) {
 	for i := range m.slots {
 		res.addLib(m.slots[i].stats)
 	}
+	m.r.librarySplit(res)
 }
 
 // fragmentation is the share of adjacent-page slot pairs that were not

@@ -189,7 +189,8 @@ type Result struct {
 	// modes report the work performed, not time spent waiting.
 	HostTime units.Time
 	NICTime  units.Time
-	// PinTime/UnpinTime/CheckTime break down the host side (UTLB).
+	// PinTime/UnpinTime/CheckTime split HostTime by the host clock's
+	// rows; Intr's PinTime is its whole interrupt handler.
 	PinTime   units.Time
 	UnpinTime units.Time
 	CheckTime units.Time
@@ -286,6 +287,9 @@ type RunScratch struct {
 	vpns         []units.VPN
 	pfns         []units.PFN
 	infos        []core.TranslateInfo
+	// The host's and the NIC's rows: each run's fresh clocks keep them
+	// here, so charging never allocates.
+	hostRows, nicRows units.Ledger
 	// The overlap engine (timing.setup resets and wires it).
 	kernel    event.Kernel
 	dma       event.Pool
@@ -488,7 +492,9 @@ func RunWith(tr trace.Trace, cfg Config, scr *RunScratch) (Result, error) {
 	r := &scr.run
 	*r = run{cfg: cfg, scr: scr, pids: p.pids, dist: p.dist, res: Result{Config: cfg}}
 	r.host = hostos.NewWith(0, scr.memory(frames*units.PageSize), hostos.DefaultCosts())
+	r.host.Clock().KeepIn(&scr.hostRows)
 	nicClock := units.NewClock()
+	nicClock.KeepIn(&scr.nicRows)
 	b := bus.New(r.host.Memory(), nicClock, bus.DefaultCosts())
 	r.nic = nicsim.New(0, units.MB, nicClock, b, nicsim.DefaultCosts())
 	// One handle serves every layer of the run, and with it one transfer

@@ -24,11 +24,11 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	k := Key{PID: 2, VPN: 40}
 
 	c.Lookup(k) // miss
-	clock.Advance(100)
+	clock.AdvanceTo(clock.Now() + 100)
 	c.Insert(k, 7) // fill
-	clock.Advance(100)
+	clock.AdvanceTo(clock.Now() + 100)
 	c.Lookup(k) // hit
-	clock.Advance(100)
+	clock.AdvanceTo(clock.Now() + 100)
 	c.Invalidate(k)
 
 	want := []obs.Kind{obs.KindCacheMiss, obs.KindCacheFill, obs.KindCacheHit, obs.KindCacheInvalidate}

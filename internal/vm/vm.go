@@ -68,14 +68,8 @@ func (s *Space) Reset(pid units.ProcID, mem *phys.Memory, pinLimitPages int) {
 // PID reports the owning process ID.
 func (s *Space) PID() units.ProcID { return s.pid }
 
-// PinLimit reports the pinned-page quota (0 = unlimited).
-func (s *Space) PinLimit() int { return s.pinLimit }
-
 // PinnedPages reports how many distinct pages are currently pinned.
 func (s *Space) PinnedPages() int { return s.pinned }
-
-// MappedPages reports how many virtual pages have been touched.
-func (s *Space) MappedPages() int { return s.pages.Len() }
 
 // Touch ensures vpn is mapped to a physical frame, allocating one on
 // first access (demand paging), and returns the frame.

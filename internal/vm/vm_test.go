@@ -34,8 +34,8 @@ func TestTouchAndTranslate(t *testing.T) {
 	if err != nil || got != pfn {
 		t.Errorf("Translate = %d,%v", got, err)
 	}
-	if s.MappedPages() != 1 {
-		t.Errorf("MappedPages = %d", s.MappedPages())
+	if got := s.MappedVPNs(); len(got) != 1 || got[0] != 5 {
+		t.Errorf("MappedVPNs = %v", got)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestRelease(t *testing.T) {
 	s.Pin(0)
 	s.Touch(1)
 	s.Release()
-	if s.MappedPages() != 0 || s.PinnedPages() != 0 {
-		t.Errorf("after Release: mapped=%d pinned=%d", s.MappedPages(), s.PinnedPages())
+	if len(s.MappedVPNs()) != 0 || s.PinnedPages() != 0 {
+		t.Errorf("after Release: mapped=%v pinned=%d", s.MappedVPNs(), s.PinnedPages())
 	}
 	if mem.FreeFrames() != 4 {
 		t.Errorf("frames leaked: free=%d", mem.FreeFrames())
@@ -308,9 +308,9 @@ func TestSpaceAgreesWithMapReference(t *testing.T) {
 		} else if s.PinCount(vpn) != 0 || s.Pinned(vpn) {
 			t.Fatalf("op %d: unmapped page %d reports pins", op, vpn)
 		}
-		if s.MappedPages() != len(ref) || s.PinnedPages() != refPinned() || mem.FreeFrames() != frames-len(ref) {
+		if len(s.MappedVPNs()) != len(ref) || s.PinnedPages() != refPinned() || mem.FreeFrames() != frames-len(ref) {
 			t.Fatalf("op %d: mapped/pinned/free = %d/%d/%d, model %d/%d/%d", op,
-				s.MappedPages(), s.PinnedPages(), mem.FreeFrames(), len(ref), refPinned(), frames-len(ref))
+				len(s.MappedVPNs()), s.PinnedPages(), mem.FreeFrames(), len(ref), refPinned(), frames-len(ref))
 		}
 	}
 	var want []units.VPN
@@ -325,8 +325,8 @@ func TestSpaceAgreesWithMapReference(t *testing.T) {
 	// space comes back empty over all-free frames and a new identity.
 	mem.Reset(frames * units.PageSize)
 	s.Reset(9, mem, 0)
-	if s.PID() != 9 || s.PinLimit() != 0 || s.MappedPages() != 0 || s.PinnedPages() != 0 {
-		t.Errorf("Reset left pid %d, limit %d, %d mapped, %d pinned", s.PID(), s.PinLimit(), s.MappedPages(), s.PinnedPages())
+	if s.PID() != 9 || len(s.MappedVPNs()) != 0 || s.PinnedPages() != 0 {
+		t.Errorf("Reset left pid %d, %v mapped, %d pinned", s.PID(), s.MappedVPNs(), s.PinnedPages())
 	}
 	if pfn, err := s.Pin(0); err != nil || pfn != 0 {
 		t.Errorf("first Pin after Reset = frame %d (%v), want frame 0", pfn, err)

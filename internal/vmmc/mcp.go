@@ -97,7 +97,7 @@ const sendRetryLimit = 3
 func (n *Node) sendReliable(dst units.NodeID, payload []byte, tag uint64) error {
 	err := n.ep.Send(dst, payload, tag)
 	for attempt := 1; attempt <= sendRetryLimit && errors.Is(err, fabric.ErrLinkDead); attempt++ {
-		n.nic.Clock().Advance(RemapCost << (attempt - 1))
+		n.nic.Clock().Charge(units.RowRemap, 1<<(attempt-1), RemapCost)
 		n.tap.Instant(obs.KindSendRetry, n.nic.Clock().Now(), 0, uint64(attempt), 0)
 		err = n.ep.Send(dst, payload, tag)
 	}

@@ -127,8 +127,7 @@ func (p *Proc) Import(node units.NodeID, id BufferID) (*Imported, error) {
 		return nil, fmt.Errorf("vmmc: node %d has no export %d", node, id)
 	}
 	// Control round trip: two header-only packets' worth of time.
-	rtt := 2 * p.node.cluster.net.Costs().TransferTime(0)
-	p.node.nic.Clock().Advance(rtt)
+	p.node.nic.Clock().Charge(units.RowRoundTrip, 2, p.node.cluster.net.Costs().TransferTime(0))
 	return &Imported{Node: node, Buf: id, NBytes: exp.nbytes}, nil
 }
 
