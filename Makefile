@@ -62,8 +62,10 @@ race:
 # (pagemap_test.go), the stack-distance pass against the old splice
 # stack and a naive recount (analyze_test.go), the Chrome exporter
 # against its fmt-based oracle (chrome_test.go), the analysis JSON
-# writer against json.MarshalIndent (json_test.go), and the simulator's
-# long traces against its cost-free model (oracle_test.go).
+# writer against json.MarshalIndent (json_test.go), the pin-status bit
+# vector's word-at-a-time Set, Clear and Check against a per-bit
+# reference (bitvector_test.go), and the simulator's long traces
+# against its cost-free model (oracle_test.go).
 # A finding fails the target and is written under the package's
 # testdata/fuzz/ as a new seed.
 FUZZTIME ?= 5s
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStackDistances$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime $(FUZZTIME) ./internal/obs/analyze
+	$(GO) test -run '^$$' -fuzz '^FuzzBitVector$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSimVsOracle$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The repository's benchmark (bench/, a module of its own; run for real

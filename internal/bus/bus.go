@@ -180,9 +180,7 @@ func (b *Bus) ReadWords(pa units.PAddr, n int) []uint64 {
 		b.words = make([]uint64, n)
 	}
 	out := b.words[:n]
-	for i := range out {
-		out[i] = b.mem.ReadWord(pa + units.PAddr(i*8))
-	}
+	b.mem.ReadWords(pa, out)
 	return out
 }
 

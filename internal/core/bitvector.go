@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"utlb/internal/hostos"
 	"utlb/internal/units"
@@ -70,9 +71,10 @@ func (b *BitVector) Set(vpn units.VPN, n int) {
 		b.lo = min(b.lo, int(vpn)/64)
 		b.hi = max(b.hi, (int(vpn)+n-1)/64+1)
 	}
-	for i := 0; i < n; i++ {
-		p := int(vpn) + i
-		b.words[p/64] |= 1 << (p % 64)
+	for p, end := int(vpn), int(vpn)+n; p < end; {
+		k := min(64-p%64, end-p) // the range's pages in p's word
+		b.words[p/64] |= ^uint64(0) >> (64 - k) << (p % 64)
+		p += k
 	}
 }
 
@@ -137,11 +139,12 @@ func (b *BitVector) Check(vpn units.VPN, n int) []units.VPN {
 	b.clock.Charge(units.RowCheck, 1, cost)
 
 	missing := b.miss[:0]
-	for i := 0; i < n; i++ {
-		p := vpn + units.VPN(i)
-		if !b.Get(p) {
-			missing = append(missing, p)
+	for p, end := int(vpn), int(vpn)+n; p < end; {
+		k := min(64-p%64, end-p) // as in Set; each hole is a missing page
+		for holes := ^uint64(0) >> (64 - k) << (p % 64) &^ b.words[p/64]; holes != 0; holes &= holes - 1 {
+			missing = append(missing, units.VPN(p&^63+bits.TrailingZeros64(holes)))
 		}
+		p += k
 	}
 	b.miss = missing
 	if len(missing) == 0 {

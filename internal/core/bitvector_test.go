@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,4 +200,48 @@ func TestBitVectorResetClearsEveryRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBitVector holds the word-at-a-time Set, Clear and Check to a
+// per-bit reference over ranges at any alignment, inside one word or
+// across several. Each op is 4 bytes: its kind, a start page in the
+// first 1024 and a length up to 255.
+func FuzzBitVector(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 70, 2, 0, 0, 200, 1, 64, 0, 1, 2, 60, 0, 10})
+	f.Add([]byte{0, 0, 0, 128, 2, 0, 0, 128, 2, 1, 0, 127, 1, 127, 0, 2, 2, 120, 0, 16})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		bv, _ := newBV(t)
+		var ref [1024 + 255]bool
+		for ; len(ops) >= 4; ops = ops[4:] {
+			vpn := int(ops[1]) | int(ops[2]&3)<<8
+			n := int(ops[3])
+			switch ops[0] % 3 {
+			case 0:
+				bv.Set(units.VPN(vpn), n)
+				for i := vpn; i < vpn+n; i++ {
+					ref[i] = true
+				}
+			case 1:
+				bv.Clear(units.VPN(vpn), n)
+				for i := vpn; i < vpn+n; i++ {
+					ref[i] = false
+				}
+			case 2:
+				var want []units.VPN
+				for i := vpn; i < vpn+n; i++ {
+					if !ref[i] {
+						want = append(want, units.VPN(i))
+					}
+				}
+				if got := bv.Check(units.VPN(vpn), n); !slices.Equal(got, want) {
+					t.Fatalf("Check(%d, %d) = %v, want %v", vpn, n, got, want)
+				}
+			}
+		}
+		for p, want := range ref {
+			if bv.Get(units.VPN(p)) != want {
+				t.Fatalf("page %d: Get = %v, want %v", p, !want, want)
+			}
+		}
+	})
 }

@@ -106,7 +106,11 @@ func (d *Driver) TableOf(pid units.ProcID) *Table {
 // syscall and per-page pin time is charged by the host; table writes
 // ride inside that cost. On failure nothing stays pinned.
 func (d *Driver) IoctlPin(proc *hostos.Process, vpns []units.VPN) ([]units.PFN, error) {
-	t := d.TableOf(proc.PID())
+	return d.pin(d.TableOf(proc.PID()), proc, vpns)
+}
+
+// pin is IoctlPin given proc's table, which a library holds (nil: none).
+func (d *Driver) pin(t *Table, proc *hostos.Process, vpns []units.VPN) ([]units.PFN, error) {
 	if t == nil {
 		return nil, fmt.Errorf("core: pid %d not registered", proc.PID())
 	}

@@ -138,6 +138,9 @@ func NewLib(drv *Driver, proc *hostos.Process, cfg LibConfig) (*Lib, error) {
 // Proc returns the owning process.
 func (l *Lib) Proc() *hostos.Process { return l.proc }
 
+// Table returns the process' translation table.
+func (l *Lib) Table() *Table { return l.scr.tbl }
+
 // Stats returns a copy of the cumulative counters.
 func (l *Lib) Stats() LibStats { return l.stats }
 
@@ -186,18 +189,15 @@ func (l *Lib) Lookup(va units.VAddr, nbytes int) error {
 	l.drv.tap.Span(kind, t0, l.host.Clock().Now()-t0, l.proc.PID(), uint64(pages), 0)
 
 	for i := 0; i < pages; i++ {
-		l.policy.Touch(vpn + units.VPN(i))
+		if p := vpn + units.VPN(i); len(missing) == 0 || l.bv.Get(p) { // a missing page is in no policy
+			l.policy.Touch(p)
+		}
 	}
 	if len(missing) == 0 {
 		return nil
 	}
 	l.stats.CheckMisses++
-
-	toPin := l.prepinList(missing)
-	if err := l.pinAll(va, nbytes, toPin); err != nil {
-		return err
-	}
-	return nil
+	return l.pinAll(va, nbytes, l.prepinList(missing))
 }
 
 // prepinList expands the missing pages by the sequential pre-pinning
@@ -211,6 +211,9 @@ func (l *Lib) Lookup(va units.VAddr, nbytes int) error {
 // map-free, and the result lives in scr.pin — zero allocations once
 // the scratch has grown to the process' working width.
 func (l *Lib) prepinList(missing []units.VPN) []units.VPN {
+	if l.prepin == 1 {
+		return missing // each missing page expands to itself
+	}
 	list := l.scr.pin[:0]
 	next := units.VPN(0) // first page no earlier expansion has considered
 	for _, m := range missing {
@@ -235,24 +238,16 @@ func (l *Lib) prepinList(missing []units.VPN) []units.VPN {
 // pinAll pins list via the driver, evicting victims one page at a time
 // (§6.5: "unpinning is still done one page at a time") whenever the OS
 // reports the pin quota full. The pages of the triggering buffer are
-// locked so eviction never tears down the request being assembled.
+// locked so eviction never tears down the request being assembled, from
+// the first refusal on: locks steer only Victim, and a refused pin leaves
+// the policy as it was, so that locks what locking up front would.
 func (l *Lib) pinAll(va units.VAddr, nbytes int, list []units.VPN) error {
-	if len(list) == 0 {
-		return nil
+	_, err := l.drv.pin(l.scr.tbl, l.proc, list)
+	if err != nil {
+		l.Lock(va, nbytes)
+		defer l.Unlock(va, nbytes)
 	}
-	l.Lock(va, nbytes)
-	defer l.Unlock(va, nbytes)
-
-	for {
-		_, err := l.drv.IoctlPin(l.proc, list)
-		if err == nil {
-			l.stats.PagesPinned += int64(len(list))
-			for _, p := range list {
-				l.bv.Set(p, 1)
-				l.policy.Insert(p)
-			}
-			return nil
-		}
+	for ; err != nil; _, err = l.drv.pin(l.scr.tbl, l.proc, list) {
 		if !errors.Is(err, vm.ErrPinLimit) && !errors.Is(err, phys.ErrOutOfMemory) {
 			return fmt.Errorf("core: pinning %d pages: %w", len(list), err)
 		}
@@ -270,6 +265,16 @@ func (l *Lib) pinAll(va units.VAddr, nbytes int, list []units.VPN) error {
 			return err
 		}
 	}
+	l.stats.PagesPinned += int64(len(list))
+	for i, j := 0, 1; i < len(list); i = j { // one Set per run of consecutive pages
+		for j = i + 1; j < len(list) && list[j] == list[j-1]+1; j++ {
+		}
+		l.bv.Set(list[i], j-i)
+	}
+	for _, p := range list {
+		l.policy.Insert(p)
+	}
+	return nil
 }
 
 // evictOne unpins one victim chosen by the replacement policy.

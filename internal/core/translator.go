@@ -46,7 +46,7 @@ func NewTranslator(drv *Driver, prefetch int) *Translator {
 // Translate resolves (pid, vpn) to a physical frame, charging all NIC
 // costs. It never fails: unpinned pages resolve to the garbage frame.
 func (tr *Translator) Translate(pid units.ProcID, vpn units.VPN) (units.PFN, TranslateInfo) {
-	return tr.translate(pid, vpn, true)
+	return tr.translate(pid, nil, vpn, true)
 }
 
 // TranslateBatch resolves a batch of same-process vpns in one firmware
@@ -57,7 +57,14 @@ func (tr *Translator) Translate(pid units.ProcID, vpn units.VPN) (units.PFN, Tra
 // one-entry batch is cost- and event-identical to Translate.
 func (tr *Translator) TranslateBatch(pid units.ProcID, vpns []units.VPN, pfns []units.PFN, infos []TranslateInfo) {
 	for i, vpn := range vpns {
-		pfns[i], infos[i] = tr.translate(pid, vpn, i == 0)
+		pfns[i], infos[i] = tr.translate(pid, nil, vpn, i == 0)
+	}
+}
+
+// TranslateBatchIn is TranslateBatch for the process of t (Lib.Table).
+func (tr *Translator) TranslateBatchIn(t *Table, vpns []units.VPN, pfns []units.PFN, infos []TranslateInfo) {
+	for i, vpn := range vpns {
+		pfns[i], infos[i] = tr.translate(t.pid, t, vpn, i == 0)
 	}
 }
 
@@ -81,7 +88,8 @@ func Probe(nic *nicsim.NIC, cache *tlbcache.Cache, tap *obs.Tap, key tlbcache.Ke
 	return res
 }
 
-func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (units.PFN, TranslateInfo) {
+// translate resolves (pid, vpn); a miss finds pid's table unless given.
+func (tr *Translator) translate(pid units.ProcID, table *Table, vpn units.VPN, first bool) (units.PFN, TranslateInfo) {
 	nic := tr.drv.NIC()
 	cache := tr.drv.Cache()
 
@@ -93,7 +101,9 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 
 	// Miss: one SRAM reference for the page directory...
 	nic.ChargeDirectoryProbe()
-	table := tr.drv.TableOf(pid)
+	if table == nil {
+		table = tr.drv.TableOf(pid)
+	}
 	if table == nil {
 		// Unregistered process: garbage semantics, nothing to fetch.
 		info.Garbage = true

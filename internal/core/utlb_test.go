@@ -206,6 +206,32 @@ func TestLockedPagesSurviveEviction(t *testing.T) {
 	lib.Unlock(0, units.PageSize)
 }
 
+// The lookup's own pinned pages are locked before it evicts (§3.1),
+// however late the library takes the lock. Under MRU the buffer's
+// pinned page, just touched by the check, is the policy's first choice,
+// so only the lock sends the eviction outside the buffer.
+func TestEvictionSparesTheTriggeringBuffer(t *testing.T) {
+	r := newRig(t, 1024)
+	lib := r.spawnLib(t, 1, 3, LibConfig{Policy: MRU})
+	for _, vpn := range []units.VPN{10, 11, 0} {
+		if err := lib.Lookup(units.VAddr(vpn)*units.PageSize, units.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lib.Lookup(0, 2*units.PageSize); err != nil { // pages 0 and 1, quota full
+		t.Fatal(err)
+	}
+	for vpn, want := range map[units.VPN]bool{0: true, 1: true, 10: true, 11: false} {
+		if lib.Pinned(vpn) != want || lib.Proc().Space().Pinned(vpn) != want {
+			t.Errorf("page %d pinned = %v, want %v: the eviction must take page 11, outside the lookup's buffer",
+				vpn, lib.Pinned(vpn), want)
+		}
+	}
+	if m := lib.policy.meta(0); m != nil && m.locks != 0 {
+		t.Errorf("page 0 holds %d locks after the lookup returned", m.locks)
+	}
+}
+
 func TestAllLockedReportsNoVictim(t *testing.T) {
 	r := newRig(t, 1024)
 	lib := r.spawnLib(t, 1, 1, LibConfig{Policy: LRU})

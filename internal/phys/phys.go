@@ -109,6 +109,16 @@ func (m *Memory) Allocated(f units.PFN) bool {
 // ErrOutOfMemory is returned by Alloc when no frames remain.
 var ErrOutOfMemory = fmt.Errorf("phys: out of physical memory")
 
+// readable returns f's backing as written, panicking if f is not
+// allocated: only the OS hands out frames, so such a read is a
+// simulator bug.
+func (m *Memory) readable(f units.PFN) []byte {
+	if !m.Allocated(f) {
+		panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
+	}
+	return m.written(f)
+}
+
 // written returns f's backing, or nil when f was never written (such a
 // frame reads as zeros; materialising on read would allocate for
 // nothing).
@@ -176,17 +186,14 @@ func (m *Memory) Read(pa units.PAddr, n int) []byte {
 	out := make([]byte, n)
 	dst := out
 	for len(dst) > 0 {
-		f := pa.PageOf()
-		if !m.Allocated(f) {
-			panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
-		}
+		b := m.readable(pa.PageOf())
 		off := int(uint64(pa) & units.PageMask)
 		c := units.PageSize - off
 		if c > len(dst) {
 			c = len(dst)
 		}
 		// dst is already zeroed, so only copy materialised frames.
-		if b := m.written(f); b != nil {
+		if b != nil {
 			copy(dst[:c], b[off:off+c])
 		}
 		pa += units.PAddr(c)
@@ -222,27 +229,40 @@ func (m *Memory) WriteWord(pa units.PAddr, w uint64) {
 func (m *Memory) ReadWord(pa units.PAddr) uint64 {
 	m.checkRange(pa, 8)
 	if off := int(uint64(pa) & units.PageMask); off <= units.PageSize-8 {
-		f := pa.PageOf()
-		if !m.Allocated(f) {
-			panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
+		if b := m.readable(pa.PageOf()); b != nil {
+			return binary.LittleEndian.Uint64(b[off:])
 		}
-		b := m.written(f)
-		if b == nil {
-			return 0 // never-written frame reads as zeros
-		}
-		return binary.LittleEndian.Uint64(b[off:])
+		return 0 // never-written frame reads as zeros
 	}
 	// Word straddles a frame boundary: assemble byte by byte.
 	var w uint64
 	for i := 0; i < 8; i++ {
 		p := pa + units.PAddr(i)
-		f := p.PageOf()
-		if !m.Allocated(f) {
-			panic(fmt.Sprintf("phys: read from unallocated frame %d", f))
-		}
-		if b := m.written(f); b != nil {
+		if b := m.readable(p.PageOf()); b != nil {
 			w |= uint64(b[uint64(p)&units.PageMask]) << (8 * i)
 		}
 	}
 	return w
+}
+
+// ReadWords fills dst with the words ReadWord reads from pa on, finding
+// the frame once when the run stays in one, as an entry fetch (clamped
+// at its table's frame) does.
+func (m *Memory) ReadWords(pa units.PAddr, dst []uint64) {
+	off := int(uint64(pa) & units.PageMask)
+	if len(dst) == 0 || off+8*len(dst) > units.PageSize {
+		for i := range dst {
+			dst[i] = m.ReadWord(pa + units.PAddr(8*i))
+		}
+		return
+	}
+	m.checkRange(pa, 8*len(dst))
+	b := m.readable(pa.PageOf())
+	if b == nil {
+		clear(dst) // never-written frame reads as zeros
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[off+8*i:])
+	}
 }

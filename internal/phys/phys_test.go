@@ -325,3 +325,37 @@ func TestNewMemoryIsConstantSize(t *testing.T) {
 		t.Errorf("NewMemory(1 TB) makes %.0f allocations, want 1 (the Memory itself)", allocs)
 	}
 }
+
+// ReadWords is ReadWord once per word, however the run lies: inside a
+// written frame, inside a never-written one (zeros), straddling frames
+// at any byte offset, and up to the end of memory.
+func TestReadWordsMatchesReadWord(t *testing.T) {
+	m := NewMemory(3 * units.PageSize)
+	for i := 0; i < 3; i++ {
+		m.Alloc()
+	}
+	rng := rand.New(rand.NewSource(5))
+	page := make([]byte, units.PageSize)
+	for _, f := range []units.PFN{0, 2} { // frame 1 is never written
+		rng.Read(page)
+		m.Write(f.Addr(), page)
+	}
+	dst := make([]uint64, 600)
+	for range 2000 {
+		n := rng.Intn(len(dst) + 1)
+		pa := units.PAddr(rng.Intn(3*units.PageSize - 8*n + 1))
+		if rng.Intn(2) == 0 {
+			pa &^= 7 // the entry fetch's word alignment
+		}
+		m.ReadWords(pa, dst[:n])
+		for i, got := range dst[:n] {
+			if want := m.ReadWord(pa + units.PAddr(8*i)); got != want {
+				t.Fatalf("ReadWords(%#x, %d) word %d = %#x, ReadWord reads %#x", pa, n, i, got, want)
+			}
+		}
+	}
+	m.Free(1)
+	if !panics(func() { m.ReadWords(units.PageSize, dst[:2]) }) {
+		t.Error("ReadWords from a freed frame did not panic")
+	}
+}

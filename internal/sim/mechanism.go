@@ -139,7 +139,7 @@ func (m *sharedCache) post(i int, rec trace.Record) error {
 }
 
 func (m *sharedCache) translate(i int, vpns []units.VPN, infos []core.TranslateInfo) error {
-	m.translator.TranslateBatch(m.r.pids[i], vpns, m.r.scr.pfns, infos)
+	m.translator.TranslateBatchIn(m.libs[i].Table(), vpns, m.r.scr.pfns, infos)
 	return nil
 }
 
